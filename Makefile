@@ -55,11 +55,11 @@ docs: lint lint-docs
 	$(GO) test -run Example ./...
 
 # Full scenario suite (paper + extensions + provisioning + fleet + geo
-# + the year-long annual family) on all cores. The annual scenario
-# solves the 8760-slot horizon LP on the sparse simplex — minutes, not
-# hours, but still the slowest row of the suite.
+# + tune + the year-long annual family) on all cores. The annual
+# scenario solves the 8760-slot horizon LP on the sparse simplex —
+# minutes, not hours, but still the slowest row of the suite.
 suite:
-	$(GO) run ./cmd/experiments -run paper,ext,provision,fleet,annual,geo
+	$(GO) run ./cmd/experiments -run paper,ext,provision,fleet,annual,geo,tune
 
 # Golden-file regression gate: diff the paper suite against the
 # committed snapshots. Regenerate intentionally with:

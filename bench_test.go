@@ -262,13 +262,13 @@ func benchGeoSites(n int) []dpss.GeoSiteSpec {
 	return sites
 }
 
-// BenchmarkGeoStep measures a week of the geo-distributed fleet through
-// the sharded multi-site step at 1/2/4/8 sites (greedy router,
-// SmartDPSS per site). The allocs/op gate in cmd/perf watches the site
-// fan-out: allocations must stay proportional to site count (setup:
-// traces, sessions, routing) with zero allocations per slot step, so a
-// regression that allocates in the lockstep loop multiplies allocs by
-// the slot count and trips the gate at every fleet size.
+// BenchmarkGeoStep measures a week of the geo-distributed fleet at
+// 1/2/4/8 sites (greedy router, SmartDPSS per site, each site run to
+// completion on the per-site fan-out). The allocs/op gate in cmd/perf
+// watches that fan-out: allocations must stay proportional to site count
+// (setup: traces, sessions, routing) with zero allocations per slot
+// step, so a regression that allocates in a site's slot loop multiplies
+// allocs by the slot count and trips the gate at every fleet size.
 func BenchmarkGeoStep(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("sites=%d", n), func(b *testing.B) {

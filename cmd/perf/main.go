@@ -65,7 +65,7 @@ var gated = map[string]float64{
 	"BenchmarkAblationP5LP":             1.10,
 	"BenchmarkAblationOfflineHorizonLP": 1.10,
 	// The geo fan-out gate: allocations are proportional to site count
-	// (setup only), with zero allocations in the per-slot sharded step.
+	// (setup only), with zero allocations in a site's per-slot step.
 	// A regression that allocates per slot multiplies allocs/op by the
 	// 168-slot horizon and trips every fleet size at once.
 	"BenchmarkGeoStep/sites=1": 1.10,

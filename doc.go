@@ -88,14 +88,14 @@
 // regions, coupled by a front end that routes delay-sensitive request
 // traffic between them (the workload-modulation formulation of
 // arXiv:1308.0585). Each GeoSiteSpec carries its own Options and
-// TraceConfig; sites step concurrently — one goroutine per site behind
-// a deterministic fixed-order reduce — so a GeoResult is byte-identical
-// at every GOMAXPROCS, and a one-site fleet with GeoRouterNone
-// reproduces Simulate exactly. GeoRouterGreedy moves load from the most
-// expensive region to cheaper ones per slot using only that slot's
-// observables; GeoRouterLP solves one coupled routing+supply LP over
-// the whole horizon on the sparse simplex and replays its routing
-// through each site's controller. The "geo" scenario family sweeps
+// TraceConfig; each site runs to completion on its own worker and the
+// fleet-level per-slot aggregates are reduced afterwards in fixed site
+// order, so a GeoResult is byte-identical at every GOMAXPROCS, and a
+// one-site fleet with GeoRouterNone reproduces Simulate exactly.
+// GeoRouterGreedy moves load from the most expensive region to cheaper
+// ones per slot using only that slot's observables; GeoRouterLP solves
+// one coupled routing+supply LP over the whole horizon on the sparse
+// simplex and replays its routing through each site's controller. The "geo" scenario family sweeps
 // price divergence, site count (1→8) and the latency-penalty frontier.
 //
 // # Batch and streaming: one computation, two drivers

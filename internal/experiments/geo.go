@@ -2,8 +2,8 @@ package experiments
 
 // The "geo" scenario family evaluates the geo-distributed fleet of
 // internal/geo: what workload routing between pricing regions is worth
-// as regional prices diverge (GEO-1), how the sharded multi-site step
-// scales from one site to eight (GEO-2), and how the latency penalty
+// as regional prices diverge (GEO-1), how the multi-site fleet scales
+// from one site to eight (GEO-2), and how the latency penalty
 // prices routing out (GEO-3). Site 0 of every fleet is the exact
 // single-site default scope, so the one-site row of GEO-2 is the legacy
 // path byte for byte; every sweep point is an independent pool job and

@@ -26,7 +26,7 @@ const (
 	TagAnnual = "annual"
 	// TagGeo marks the geo-distributed multi-site family
 	// (arXiv:1308.0585): price-divergence routing, site-count scaling
-	// and the latency-penalty frontier over internal/geo's sharded
+	// and the latency-penalty frontier over internal/geo's multi-site
 	// fleet.
 	TagGeo = "geo"
 	// TagTune marks the self-tuning family: simulator-in-the-loop
@@ -182,7 +182,7 @@ func init() {
 		},
 		{
 			Name:        "geo-scale",
-			Description: "GEO-2 — fleet scaling from 1 to 8 sites through the sharded step",
+			Description: "GEO-2 — fleet scaling from 1 to 8 sites (greedy router)",
 			Tags:        []string{TagGeo, TagSweep},
 			Run:         GeoScale,
 		},

@@ -1,17 +1,19 @@
 // Package geo lifts the single-site supply engine into a geo-distributed
-// fleet: N sites, each with its own engine options and traces, stepped in
-// lockstep through one shared slot clock and coupled by a front end that
-// routes delay-sensitive request traffic between pricing regions (the
-// workload-modulation formulation of arXiv:1308.0585 grafted onto the
-// paper's two-timescale supply controller).
+// fleet: N sites, each with its own engine options and traces, on one
+// shared slot clock, coupled by a front end that routes delay-sensitive
+// request traffic between pricing regions (the workload-modulation
+// formulation of arXiv:1308.0585 grafted onto the paper's two-timescale
+// supply controller).
 //
 // The package is built so that today's single-site paths are exactly the
 // one-site special case: a one-site Run with RouterNone feeds the
 // generated traces to the engine unmodified and produces byte-identical
-// reports to engine.Simulate. Multi-site steps shard across goroutines —
-// one per site, drawn from the suite's shared worker budget — behind a
-// deterministic index-ordered reduce, so the output is byte-identical at
-// every parallelism level.
+// reports to engine.Simulate. The routing is fixed for the whole horizon
+// before any site steps, so no site reads another's state mid-run: each
+// site runs to completion on its own worker of the suite pool (one per
+// site, drawn from the suite's shared worker budget), and the fleet-level
+// per-slot aggregates are reduced afterwards in fixed site order, so the
+// output is byte-identical at every parallelism level.
 //
 // Routing has two arms. The greedy router is the online arm: per slot it
 // observes only that slot's real-time prices and home demands, and moves
@@ -28,6 +30,7 @@ import (
 
 	"github.com/smartdpss/smartdpss/internal/baseline"
 	"github.com/smartdpss/smartdpss/internal/engine"
+	"github.com/smartdpss/smartdpss/internal/suite"
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
@@ -76,12 +79,14 @@ type Config struct {
 	Policy engine.Policy
 	// Router selects the routing arm (default RouterNone).
 	Router Router
-	// Parallel bounds the per-site worker fan-out (0 means GOMAXPROCS).
+	// Parallel bounds the per-site worker fan-out, the calling goroutine
+	// included, by the suite pool's rule: 0 means GOMAXPROCS and a
+	// negative value means 1 (sequential).
 	Parallel int
 	// Tokens, when non-nil, is a shared spawn budget (suite.Config's
-	// SpawnBudget): extra workers beyond the stepping goroutine are
-	// spawned only while a token is available, so geo fan-out nests
-	// inside suite.Map without multiplying the global parallelism.
+	// SpawnBudget): workers beyond the calling goroutine are spawned
+	// only while a token is available, so geo fan-out nests inside
+	// suite.Map without multiplying the global parallelism.
 	Tokens chan struct{}
 }
 
@@ -119,9 +124,16 @@ type Result struct {
 	UnservedMWh    float64
 }
 
-// Run executes the geo fleet: generates per-site traces, precomputes
-// routing for the whole horizon, steps every site's session in lockstep
-// through the sharded stepper, and reduces in fixed site order.
+// Run executes the geo fleet in four steps: it generates every site's
+// traces in parallel, computes the routing for the whole horizon on the
+// caller, runs each site's session to its horizon as one pool job (a
+// site never changes worker mid-run), and reduces the recorded per-slot
+// grid draw and backlog across sites in fixed site order.
+//
+// Errors are deterministic too: Run reports the failing site with the
+// lowest index, even when a later site failed at an earlier slot.
+// Sites do not step in lockstep, so there is no earliest failing slot
+// to report.
 func Run(cfg Config) (*Result, error) {
 	if len(cfg.Sites) == 0 {
 		return nil, errors.New("geo: no sites configured")
@@ -152,31 +164,35 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	n := len(cfg.Sites)
-	traces := make([]*engine.Traces, n)
-	sets := make([]*trace.Set, n)
-	for s := range cfg.Sites {
+	traces, err := suite.MapBudget(cfg.Parallel, cfg.Tokens, n, func(s int) (*engine.Traces, error) {
 		tr, err := engine.GenerateTraces(cfg.Sites[s].Trace)
 		if err != nil {
 			return nil, fmt.Errorf("geo: site %d: %w", s, err)
 		}
-		traces[s] = tr
-		sets[s] = tr.Set()
+		return tr, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sets := make([]*trace.Set, n)
+	for s := range traces {
+		sets[s] = traces[s].Set()
 	}
 	H := sets[0].Horizon()
-	slotMinutes := sets[0].DemandDS.SlotMinutes
 	for s := 1; s < n; s++ {
 		if sets[s].Horizon() != H {
 			return nil, fmt.Errorf("geo: site %d horizon %d, want %d", s, sets[s].Horizon(), H)
 		}
 	}
-	slotHours := float64(slotMinutes) / 60
+	slotHours := float64(sets[0].DemandDS.SlotMinutes) / 60
 
 	// Routing is precomputed for the whole horizon before any session
 	// steps: the greedy arm is per-slot online (it reads only slot-τ
 	// observables), the LP arm is clairvoyant, and RouterNone is nil —
 	// the zero-copy passthrough that keeps legacy runs byte-identical.
+	// No site reads another's state after this point, which is what
+	// lets every site run to completion on its own.
 	var routedDS [][]float64
-	var err error
 	switch router {
 	case RouterNone:
 	case RouterGreedy:
@@ -188,57 +204,36 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	sessions := make([]*engine.Session, n)
-	imported := make([]float64, n)
-	exported := make([]float64, n)
-	for s := range cfg.Sites {
-		siteTraces := traces[s]
+	// Site s owns slots[s*H : (s+1)*H]: each worker writes one contiguous
+	// run, and the reduce below reads the buffer after every worker has
+	// returned.
+	slots := make([]slotTotals, n*H)
+	sites, err := suite.MapBudget(cfg.Parallel, cfg.Tokens, n, func(s int) (SiteResult, error) {
+		var routed []float64
 		if routedDS != nil {
-			moved := false
-			for i := 0; i < H; i++ {
-				home := sets[s].DemandDS.At(i)
-				delta := routedDS[s][i] - home
-				if delta > 0 {
-					imported[s] += delta
-					moved = true
-				} else if delta < 0 {
-					exported[s] -= delta
-					moved = true
-				}
-			}
-			if moved {
-				series := trace.FromValues(
-					sets[s].DemandDS.Name, sets[s].DemandDS.Unit, slotMinutes, routedDS[s])
-				routedSet, err := sets[s].WithDemandDS(series)
-				if err != nil {
-					return nil, fmt.Errorf("geo: site %d: %w", s, err)
-				}
-				siteTraces = engine.TracesFromSet(routedSet)
-			}
+			routed = routedDS[s]
 		}
-		sess, err := engine.NewReplaySession(cfg.Policy, cfg.Sites[s].Options, siteTraces)
+		site, err := runSite(&cfg.Sites[s], cfg.Policy, traces[s], routed, slots[s*H:(s+1)*H])
 		if err != nil {
-			return nil, fmt.Errorf("geo: site %d: %w", s, err)
+			return SiteResult{}, fmt.Errorf("geo: site %d: %w", s, err)
 		}
-		sessions[s] = sess
+		return site, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	st := newStepper(sessions, cfg.Parallel, cfg.Tokens)
-	defer st.close()
 	res := &Result{
 		Policy: cfg.Policy,
 		Router: router,
-		Sites:  make([]SiteResult, n),
+		Sites:  sites,
 		Slots:  H,
 	}
 	for i := 0; i < H; i++ {
-		if err := st.step(); err != nil {
-			return nil, err
-		}
 		grid, backlog := 0.0, 0.0
-		for s := range st.outs {
-			grid += st.outs[s].GridMWh
-			backlog += st.outs[s].BacklogAfter
+		for s := 0; s < n; s++ {
+			grid += slots[s*H+i].gridMWh
+			backlog += slots[s*H+i].backlogMWh
 		}
 		if mw := grid / slotHours; mw > res.PeakGridMW {
 			res.PeakGridMW = mw
@@ -247,27 +242,72 @@ func Run(cfg Config) (*Result, error) {
 			res.PeakBacklogMWh = backlog
 		}
 	}
-
-	for s := range sessions {
-		rep, err := sessions[s].Finish()
-		if err != nil {
-			return nil, fmt.Errorf("geo: site %d: %w", s, err)
-		}
-		penalty := cfg.Sites[s].ImportPenaltyUSDPerMWh * imported[s]
-		res.Sites[s] = SiteResult{
-			Name:        cfg.Sites[s].Name,
-			Report:      rep,
-			ImportedMWh: imported[s],
-			ExportedMWh: exported[s],
-			PenaltyUSD:  penalty,
-		}
-		res.TotalCostUSD += rep.TotalCostUSD
-		res.RoutingPenaltyUSD += penalty
-		res.MovedMWh += imported[s]
-		res.UnservedMWh += rep.UnservedMWh
+	for _, site := range sites {
+		res.TotalCostUSD += site.Report.TotalCostUSD
+		res.RoutingPenaltyUSD += site.PenaltyUSD
+		res.MovedMWh += site.ImportedMWh
+		res.UnservedMWh += site.Report.UnservedMWh
 	}
 	res.TimeAvgCostUSD = res.TotalCostUSD / float64(H)
 	return res, nil
+}
+
+// slotTotals is one site's contribution to one slot of the fleet-level
+// aggregates.
+type slotTotals struct {
+	gridMWh, backlogMWh float64
+}
+
+// runSite replays one site's session over its whole horizon, recording
+// each slot's grid draw and backlog into out (one entry per slot).
+// routed, when non-nil, is the site's post-routing delay-sensitive
+// demand; the traces pass through unmodified when routing moved nothing.
+func runSite(spec *SiteSpec, policy engine.Policy, traces *engine.Traces, routed []float64, out []slotTotals) (SiteResult, error) {
+	var imported, exported float64
+	if routed != nil {
+		home := traces.Set().DemandDS
+		moved := false
+		for i, v := range routed {
+			delta := v - home.At(i)
+			if delta > 0 {
+				imported += delta
+				moved = true
+			} else if delta < 0 {
+				exported -= delta
+				moved = true
+			}
+		}
+		if moved {
+			series := trace.FromValues(home.Name, home.Unit, home.SlotMinutes, routed)
+			routedSet, err := traces.Set().WithDemandDS(series)
+			if err != nil {
+				return SiteResult{}, err
+			}
+			traces = engine.TracesFromSet(routedSet)
+		}
+	}
+	sess, err := engine.NewReplaySession(policy, spec.Options, traces)
+	if err != nil {
+		return SiteResult{}, err
+	}
+	for i := range out {
+		o, err := sess.StepReplay()
+		if err != nil {
+			return SiteResult{}, err
+		}
+		out[i] = slotTotals{o.GridMWh, o.BacklogAfter}
+	}
+	rep, err := sess.Finish()
+	if err != nil {
+		return SiteResult{}, err
+	}
+	return SiteResult{
+		Name:        spec.Name,
+		Report:      rep,
+		ImportedMWh: imported,
+		ExportedMWh: exported,
+		PenaltyUSD:  spec.ImportPenaltyUSDPerMWh * imported,
+	}, nil
 }
 
 // routeCapMWh resolves a site's per-slot routing capacity in MWh (0

@@ -2,7 +2,12 @@ package geo
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/smartdpss/smartdpss/internal/engine"
@@ -92,40 +97,48 @@ func TestGeoOneSiteMatchesLegacy(t *testing.T) {
 	}
 }
 
-// The sharded step must be byte-identical at every parallelism level:
-// results are reduced in fixed site order regardless of which worker
-// steps which site.
+// Per-site run-to-completion must be byte-identical at every
+// parallelism level and for every router: results are reduced in fixed
+// site order regardless of which worker runs which site.
 func TestGeoParallelDeterminism(t *testing.T) {
-	sites := testSites(t, 4, 7)
-	run := func(parallel int) *Result {
-		res, err := Run(Config{
-			Sites:    sites,
-			Policy:   engine.PolicySmartDPSS,
-			Router:   RouterGreedy,
-			Parallel: parallel,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	seq := run(1)
-	for _, parallel := range []int{2, 4, 8} {
-		par := run(parallel)
-		for s := range seq.Sites {
-			a := reportBytes(t, seq.Sites[s].Report)
-			b := reportBytes(t, par.Sites[s].Report)
-			if a != b {
-				t.Fatalf("parallel %d: site %d report differs from sequential", parallel, s)
+	for _, tc := range []struct {
+		router Router
+		days   int
+	}{{RouterNone, 7}, {RouterGreedy, 7}, {RouterLP, 2}} {
+		t.Run(string(tc.router), func(t *testing.T) {
+			sites := testSites(t, 4, tc.days)
+			var seq *Result
+			var seqReports []string
+			for _, parallel := range []int{1, 2, 8} {
+				res, err := Run(Config{
+					Sites:    sites,
+					Policy:   engine.PolicySmartDPSS,
+					Router:   tc.router,
+					Parallel: parallel,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Reports compare as bytes; every other field by value.
+				reports := make([]string, len(res.Sites))
+				for s := range res.Sites {
+					reports[s] = reportBytes(t, res.Sites[s].Report)
+					res.Sites[s].Report = nil
+				}
+				if seq == nil {
+					seq, seqReports = res, reports
+					continue
+				}
+				for s := range reports {
+					if reports[s] != seqReports[s] {
+						t.Fatalf("parallel %d: site %d report differs from sequential", parallel, s)
+					}
+				}
+				if !reflect.DeepEqual(res, seq) {
+					t.Fatalf("parallel %d: result differs from sequential:\n%+v\n%+v", parallel, res, seq)
+				}
 			}
-		}
-		if seq.TotalCostUSD != par.TotalCostUSD ||
-			seq.RoutingPenaltyUSD != par.RoutingPenaltyUSD ||
-			seq.MovedMWh != par.MovedMWh ||
-			seq.PeakGridMW != par.PeakGridMW ||
-			seq.PeakBacklogMWh != par.PeakBacklogMWh {
-			t.Fatalf("parallel %d: aggregates differ from sequential", parallel)
-		}
+		})
 	}
 }
 
@@ -157,24 +170,81 @@ func TestGeoLPRouterRuns(t *testing.T) {
 }
 
 // Extra workers must come out of — and go back into — the shared suite
-// budget, so nested fan-out cannot oversubscribe a run.
+// budget, so nested fan-out cannot oversubscribe a run: however many
+// tokens the budget holds, at most Parallel sites run at once (the
+// caller plus Parallel−1 token holders), and every token comes back,
+// after a failed run too.
 func TestGeoReturnsSuiteTokens(t *testing.T) {
-	tokens := make(chan struct{}, 3)
-	for i := 0; i < 3; i++ {
+	const budget, parallel = 5, 3
+	tokens := make(chan struct{}, budget)
+	for i := 0; i < budget; i++ {
 		tokens <- struct{}{}
 	}
-	_, err := Run(Config{
-		Sites:    testSites(t, 4, 2),
-		Policy:   engine.PolicySmartDPSS,
-		Router:   RouterGreedy,
-		Parallel: 8,
-		Tokens:   tokens,
+	// A watcher samples how many tokens are out while the runs proceed;
+	// the test's cleanup stops it and waits for it to exit.
+	var peak atomic.Int64
+	stop := make(chan struct{})
+	watched := make(chan struct{})
+	t.Cleanup(func() {
+		close(stop)
+		<-watched
 	})
-	if err != nil {
-		t.Fatal(err)
+	go func() {
+		defer close(watched)
+		for {
+			if taken := int64(budget - len(tokens)); taken > peak.Load() {
+				peak.Store(taken)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+
+	bad := testSites(t, 8, 7)
+	bad[5].Options.CarbonUSDPerTon = -1
+	for _, run := range []struct {
+		sites []SiteSpec
+		fails bool
+	}{{testSites(t, 8, 7), false}, {bad, true}} {
+		_, err := Run(Config{
+			Sites:    run.sites,
+			Policy:   engine.PolicySmartDPSS,
+			Router:   RouterGreedy,
+			Parallel: parallel,
+			Tokens:   tokens,
+		})
+		if (err != nil) != run.fails {
+			t.Fatalf("error %v, want failure %t", err, run.fails)
+		}
+		if got := len(tokens); got != budget {
+			t.Fatalf("suite budget not restored: %d tokens, want %d (err %v)", got, budget, err)
+		}
 	}
-	if got := len(tokens); got != 3 {
-		t.Fatalf("suite budget not restored: %d tokens, want 3", got)
+	if p := peak.Load(); p > parallel-1 {
+		t.Fatalf("%d tokens taken at once: more than Parallel=%d sites ran concurrently", p, parallel)
+	}
+}
+
+// With several invalid sites, Run reports the lowest site index at every
+// width, whichever site's worker fails first.
+func TestGeoErrorNamesLowestSite(t *testing.T) {
+	sites := testSites(t, 4, 2)
+	sites[1].Options.CarbonUSDPerTon = -1
+	sites[3].Options.CarbonUSDPerTon = -1
+	for _, parallel := range []int{1, 2, 8} {
+		_, err := Run(Config{
+			Sites:    sites,
+			Policy:   engine.PolicySmartDPSS,
+			Router:   RouterGreedy,
+			Parallel: parallel,
+		})
+		if !errors.Is(err, engine.ErrInvalidOptions) || !strings.HasPrefix(err.Error(), "geo: site 1: ") {
+			t.Fatalf("parallel %d: error %v, want site 1's invalid options", parallel, err)
+		}
 	}
 }
 

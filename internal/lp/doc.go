@@ -161,10 +161,11 @@
 // variables the tableau's simplicity wins: the per-slot P5 LPs
 // (internal/core) and the interval LPs stay dense, and the
 // receding-horizon controller only switches to sparse for foresight
-// windows of 48+ slots. With the hyper-sparse kernels the cost per pivot
-// is proportional to the pivot's actual fill rather than the row count,
-// so whole-horizon solve time grows near-linearly with the horizon on
-// the staircase LPs: measured on the synthetic horizon family, 72 slots
+// windows of 24+ slots (baseline's sparseWindowSlots). With the
+// hyper-sparse kernels the cost per pivot is proportional to the
+// pivot's actual fill rather than the row count, so whole-horizon
+// solve time grows near-linearly with the horizon on the staircase
+// LPs: measured on the synthetic horizon family, 72 slots
 // solve in ~11 ms, 720 in ~0.3 s, 1440 in ~0.9 s, and the full 8760-slot
 // year in under 10 s — where the dense-vector revised simplex of PR 7
 // took ~200 s (quadratic growth) and the dense tableau could not solve

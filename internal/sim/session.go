@@ -66,9 +66,10 @@ type SlotOutcome struct {
 	// operation, waste penalty, and generation fuel + startup.
 	CostUSD float64
 	// GridMWh is the slot's total grid draw — the delivered long-term
-	// share plus the executed real-time purchase. Multi-site reducers sum
-	// it across concurrently stepped sessions to track the fleet-level
-	// aggregate peak, which no per-site report can reconstruct.
+	// share plus the executed real-time purchase. Multi-site runs record
+	// it per site and slot, then sum it across sites slot by slot to
+	// track the fleet-level aggregate peak, which no per-site report can
+	// reconstruct.
 	GridMWh float64
 	// GenMWh is the slot's delivered on-site generation, so external
 	// harnesses can close the slot's energy balance without fleet

@@ -7,24 +7,28 @@ import (
 	"sync/atomic"
 )
 
-// poolWidth resolves the configured worker-pool width.
-func (c Config) poolWidth() int {
-	w := c.Parallel
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// width is the one pool-width rule behind every fan-out (Map, Run and
+// the geo per-site fan-out through MapBudget): a positive width is
+// taken as given, 0 means GOMAXPROCS and a negative width means 1, a
+// sequential pool.
+func width(parallel int) int {
+	switch {
+	case parallel < 0:
+		return 1
+	case parallel == 0:
+		return runtime.GOMAXPROCS(0)
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return parallel
 }
 
-// newTokens builds the shared spawn budget: poolWidth−1 tokens, since
-// the goroutine entering the pool always works itself.
-func (c Config) newTokens() chan struct{} {
-	budget := c.poolWidth() - 1
-	tokens := make(chan struct{}, budget)
-	for i := 0; i < budget; i++ {
+// poolWidth resolves the configured worker-pool width.
+func (c Config) poolWidth() int { return width(c.Parallel) }
+
+// newTokens builds the spawn budget of a pool of width w: w−1 tokens,
+// since the goroutine entering the pool always works itself.
+func newTokens(w int) chan struct{} {
+	tokens := make(chan struct{}, w-1)
+	for i := 0; i < w-1; i++ {
 		tokens <- struct{}{}
 	}
 	return tokens
@@ -43,52 +47,80 @@ func (c Config) newTokens() chan struct{} {
 //
 // Every job runs even after another job has failed (jobs are
 // independent and cheap relative to scheduling bookkeeping); the error
-// returned is the failed job with the lowest index, so error reporting
-// is deterministic regardless of completion order.
+// returned is the failed job with the lowest index, labelled with that
+// index, so error reporting is deterministic regardless of completion
+// order.
 func Map[T any](cfg Config, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	if n == 0 {
-		return out, nil
-	}
-	tokens := cfg.tokens
-	if tokens == nil {
-		// Direct call outside a suite run: this Map is the pool.
-		tokens = cfg.newTokens()
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			out[i], errs[i] = fn(i)
+	return MapBudget(cfg.Parallel, cfg.tokens, n, func(i int) (T, error) {
+		v, err := fn(i)
+		if err != nil {
+			err = fmt.Errorf("job %d: %w", i, err)
 		}
+		return v, err
+	})
+}
+
+// MapBudget is Map's pool for fan-outs that carry their own bound
+// instead of a suite Config, such as the geo per-site fan-out. At most
+// parallel workers run (resolved like Config.Parallel), the caller
+// included. When tokens is non-nil it is a shared spawn budget
+// (Config.SpawnBudget) that every extra worker draws from and returns
+// to, so the fan-out nests inside a suite run without multiplying its
+// width; nil budgets the call on its own. The error returned is the
+// lowest-index failure, exactly as the job returned it.
+func MapBudget[T any](parallel int, tokens chan struct{}, n int, fn func(i int) (T, error)) ([]T, error) {
+	p := &pool[T]{fn: fn, out: make([]T, n), errs: make([]error, n)}
+	extra := min(width(parallel), n) - 1
+	if tokens == nil && extra > 0 {
+		tokens = newTokens(extra + 1)
 	}
-	var wg sync.WaitGroup
 spawn:
-	for spawned := 0; spawned < n-1; spawned++ {
+	for ; extra > 0; extra-- {
 		select {
 		case <-tokens:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { tokens <- struct{}{} }()
-				work()
-			}()
+			p.wg.Add(1)
+			go p.worker(tokens)
 		default:
 			break spawn
 		}
 	}
-	work()
-	wg.Wait()
-	for i, err := range errs {
+	p.work()
+	p.wg.Wait()
+	for _, err := range p.errs {
 		if err != nil {
-			return nil, fmt.Errorf("job %d: %w", i, err)
+			return nil, err
 		}
 	}
-	return out, nil
+	return p.out, nil
+}
+
+// pool is the state one MapBudget call shares with the workers it
+// spawns.
+type pool[T any] struct {
+	fn   func(i int) (T, error)
+	out  []T
+	errs []error
+	next atomic.Int64 // the lowest unclaimed job index
+	wg   sync.WaitGroup
+}
+
+// work claims and runs jobs until none is left.
+func (p *pool[T]) work() {
+	for {
+		i := int(p.next.Add(1)) - 1
+		if i >= len(p.out) {
+			return
+		}
+		p.out[i], p.errs[i] = p.fn(i)
+	}
+}
+
+// worker is a spawned worker: it returns its token to the budget before
+// signalling done, so the budget is whole again when MapBudget returns.
+func (p *pool[T]) worker(tokens chan struct{}) {
+	p.work()
+	tokens <- struct{}{}
+	p.wg.Done()
 }
 
 // Result pairs a scenario with its outcome.
@@ -105,7 +137,7 @@ type Result struct {
 // did succeed plus the per-scenario errors.
 func Run(cfg Config, scns []Scenario) []Result {
 	if cfg.tokens == nil {
-		cfg.tokens = cfg.newTokens()
+		cfg.tokens = newTokens(cfg.poolWidth())
 	}
 	results, _ := Map(cfg, len(scns), func(i int) (Result, error) {
 		tbl, err := scns[i].Run(cfg)

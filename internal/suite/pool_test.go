@@ -68,25 +68,30 @@ func TestConfigPoolWidth(t *testing.T) {
 	}
 }
 
+// concurrency counts how many of its jobs run at once.
+type concurrency struct{ cur, peak atomic.Int64 }
+
+// job is a millisecond-long pool job that records the peak.
+func (c *concurrency) job(i int) (int, error) {
+	n := c.cur.Add(1)
+	for {
+		p := c.peak.Load()
+		if n <= p || c.peak.CompareAndSwap(p, n) {
+			break
+		}
+	}
+	time.Sleep(time.Millisecond)
+	c.cur.Add(-1)
+	return i, nil
+}
+
 func TestNestedFanOutSharesBudget(t *testing.T) {
 	// A suite of scenarios that each fan out their own sweep must stay
 	// within one shared Parallel budget, not Parallel per level.
 	const width = 2
-	var cur, peak atomic.Int64
-	job := func(i int) (int, error) {
-		n := cur.Add(1)
-		for {
-			p := peak.Load()
-			if n <= p || peak.CompareAndSwap(p, n) {
-				break
-			}
-		}
-		time.Sleep(time.Millisecond)
-		cur.Add(-1)
-		return i, nil
-	}
+	var c concurrency
 	scn := Scenario{Name: "nested-budget", Run: func(cfg Config) (*Table, error) {
-		if _, err := Map(cfg, 6, job); err != nil {
+		if _, err := Map(cfg, 6, c.job); err != nil {
 			return nil, err
 		}
 		return &Table{}, nil
@@ -97,8 +102,34 @@ func TestNestedFanOutSharesBudget(t *testing.T) {
 			t.Fatal(r.Err)
 		}
 	}
-	if p := peak.Load(); p > width {
+	if p := c.peak.Load(); p > width {
 		t.Fatalf("peak concurrency %d exceeds the Parallel=%d budget", p, width)
+	}
+}
+
+func TestMapBudgetBoundsWidthAndReturnsTokens(t *testing.T) {
+	// A fan-out handed a shared budget larger than its own width still
+	// runs at most parallel jobs at once, returns the lowest-index error
+	// as the job returned it, and hands every token back.
+	const budget, parallel = 6, 2
+	tokens := newTokens(budget + 1)
+	var c concurrency
+	boom := errors.New("boom")
+	_, err := MapBudget(parallel, tokens, 8, func(i int) (int, error) {
+		c.job(i)
+		if i == 3 || i == 6 {
+			return 0, fmt.Errorf("job %d: %w", i, boom)
+		}
+		return i, nil
+	})
+	if !errors.Is(err, boom) || err.Error() != "job 3: boom" {
+		t.Errorf("error %v, want job 3's", err)
+	}
+	if p := c.peak.Load(); p > parallel {
+		t.Errorf("peak concurrency %d exceeds parallel=%d", p, parallel)
+	}
+	if got := len(tokens); got != budget {
+		t.Errorf("budget not restored: %d tokens, want %d", got, budget)
 	}
 }
 
@@ -130,7 +161,7 @@ func TestRunCollectsPerScenarioErrors(t *testing.T) {
 
 func TestRunSuiteErrorPropagation(t *testing.T) {
 	testScenario(t, "rs-ok-1", "rs-fail-suite")
-	Register(Scenario{
+	register(t, Scenario{
 		Name: "rs-fail",
 		Tags: []string{"rs-fail-suite"},
 		Run: func(Config) (*Table, error) {

@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -16,8 +17,21 @@ func testScenario(t *testing.T, name string, tags ...string) Scenario {
 			return &Table{Title: name, Columns: []string{"x"}, Rows: [][]string{{name}}}, nil
 		},
 	}
-	Register(s)
+	register(t, s)
 	return s
+}
+
+// register registers s for the rest of the test only, so a test that
+// registers scenarios can run repeatedly in one process (-count, -cpu).
+func register(t *testing.T, s Scenario) {
+	t.Helper()
+	Register(s)
+	t.Cleanup(func() {
+		registry.mu.Lock()
+		defer registry.mu.Unlock()
+		delete(registry.byName, s.Name)
+		registry.order = slices.DeleteFunc(registry.order, func(n string) bool { return n == s.Name })
+	})
 }
 
 func TestRegisterLookup(t *testing.T) {

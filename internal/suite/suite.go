@@ -11,7 +11,8 @@
 //   - a worker-pool executor (pool.go): Map fans N independent jobs out
 //     across a bounded number of goroutines and returns their results in
 //     index order, so a sweep parallelized with Map is byte-identical to
-//     the sequential loop it replaced;
+//     the sequential loop it replaced; MapBudget is the same pool for
+//     callers that carry a width and a token budget instead of a Config;
 //
 //   - a memoized trace cache (cache.go): Traces returns a private clone
 //     of the synthetic trace set for a TraceConfig, generating each
@@ -48,10 +49,11 @@ type Config struct {
 	SkipOffline bool
 	// Seeds is the seed count for multi-seed scenarios (0 means 5).
 	Seeds int
-	// Parallel bounds the worker pool (0 means GOMAXPROCS). The bound
-	// is global per run: scenario-level fan-out and the scenarios'
-	// inner sweeps draw from one shared budget. Results are identical
-	// at every level; only wall-clock changes.
+	// Parallel bounds the worker pool: 0 means GOMAXPROCS and a
+	// negative value means 1 (sequential). The bound is global per run:
+	// scenario-level fan-out and the scenarios' inner sweeps draw from
+	// one shared budget. Results are identical at every level; only
+	// wall-clock changes.
 	Parallel int
 
 	// tokens is the run's shared worker budget, installed by Run (nil
@@ -62,10 +64,10 @@ type Config struct {
 }
 
 // SpawnBudget returns the run's shared worker-token channel (nil outside
-// Run). Scenario code that fans out below Map — the geo multi-site
-// stepper runs one goroutine per site — passes it along so nested
-// parallelism stays bounded by the same global Parallel budget instead
-// of multiplying it.
+// Run). Scenario code that fans out through MapBudget instead of Map —
+// a geo run generates and runs its sites on one worker per site — passes
+// it along so nested parallelism stays bounded by the same global
+// Parallel budget instead of multiplying it.
 func (c Config) SpawnBudget() chan struct{} { return c.tokens }
 
 // DefaultConfig matches the paper's one-month setup.

@@ -84,7 +84,8 @@ type TheoremBounds = engine.TheoremBounds
 func Bounds(opts Options) TheoremBounds { return engine.Bounds(opts) }
 
 // SuiteConfig scopes a scenario-suite run: trace horizon, seed, and the
-// worker-pool parallelism (Parallel == 0 uses GOMAXPROCS).
+// worker-pool parallelism (Parallel == 0 uses GOMAXPROCS; a negative
+// Parallel runs sequentially).
 type SuiteConfig = suite.Config
 
 // DefaultSuiteConfig matches the paper's one-month setup.
@@ -160,9 +161,10 @@ type GeoResult = geo.Result
 // GeoSiteResult is one site's slice of a geo run.
 type GeoSiteResult = geo.SiteResult
 
-// RunGeo steps a geo-distributed fleet through the sharded multi-site
-// engine: per-site traces, precomputed workload routing, one concurrent
-// session per site behind a deterministic reduce. Results are
-// byte-identical at every parallelism level, and a one-site fleet with
-// GeoRouterNone reproduces Simulate exactly.
+// RunGeo runs a geo-distributed fleet: per-site traces, workload
+// routing precomputed for the whole horizon, then each site's session
+// run to completion on its own worker, with the fleet-level per-slot
+// aggregates reduced in fixed site order. Results are byte-identical at
+// every parallelism level, and a one-site fleet with GeoRouterNone
+// reproduces Simulate exactly.
 func RunGeo(cfg GeoOptions) (*GeoResult, error) { return geo.Run(cfg) }
