@@ -3,12 +3,13 @@
 
 GO ?= go
 
-# The perf-trajectory benchmark set (see BENCH_9.json and README
-# "Performance"). BenchmarkAblationOfflineHorizonLP (unanchored) matches
-# both the sparse default and its Dense reference variant, so cmd/perf
-# can gate their same-run speedup ratio; BenchmarkGeoStep carries the
-# geo fan-out's allocs/op gate at every fleet size.
-PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkTuneEvaluate
+# The perf-trajectory benchmark set (see BENCH_10.json and README
+# "Performance"), run over the root package and internal/baseline.
+# BenchmarkHorizonStair matches the sparse and dense solves of one
+# staircase LP in internal/baseline, so cmd/perf can gate their same-run
+# speedup ratio; BenchmarkGeoStep carries the geo fan-out's allocs/op
+# gate at every fleet size.
+PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair
 
 # Fuzzing budget for the `fuzz` target (CI smoke uses the default).
 FUZZTIME ?= 30s
@@ -95,7 +96,7 @@ serve-smoke:
 # a pipe, so a failing benchmark run fails the target instead of being
 # masked by the parser's exit status.
 perf:
-	$(GO) test -bench='$(PERF_BENCHES)' -benchmem -benchtime=20x -run '^$$' . > bench.out
+	$(GO) test -bench='$(PERF_BENCHES)' -benchmem -benchtime=20x -run '^$$' . ./internal/baseline > bench.out
 	$(GO) test -bench=BenchmarkAblationOfflineAnnualLP -benchmem -benchtime=1x -run '^$$' . >> bench.out
 	$(GO) run ./cmd/perf -out BENCH_10.json -note "make perf" < bench.out
 	@rm -f bench.out

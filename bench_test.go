@@ -122,24 +122,17 @@ func benchP5Path(b *testing.B, useLP bool) {
 // BenchmarkAblationOfflineDayLP measures the paper's per-interval offline
 // benchmark (31 small LPs for a week: 7).
 func BenchmarkAblationOfflineDayLP(b *testing.B) {
-	benchOffline(b, dpss.PolicyOfflineOptimal, false)
+	benchOffline(b, dpss.PolicyOfflineOptimal)
 }
 
 // BenchmarkAblationOfflineHorizonLP measures the single whole-horizon LP
 // (the cross-interval planner the day decomposition gives up), on the
 // default sparse staircase path.
 func BenchmarkAblationOfflineHorizonLP(b *testing.B) {
-	benchOffline(b, dpss.PolicyOfflineHorizon, false)
+	benchOffline(b, dpss.PolicyOfflineHorizon)
 }
 
-// BenchmarkAblationOfflineHorizonLPDense forces the same horizon LP onto
-// the legacy dense chain formulation — the reference the sparse path's
-// speedup ratio is gated against (cmd/perf asserts sparse ≤ 0.70×dense).
-func BenchmarkAblationOfflineHorizonLPDense(b *testing.B) {
-	benchOffline(b, dpss.PolicyOfflineHorizon, true)
-}
-
-func benchOffline(b *testing.B, pol dpss.Policy, horizonDense bool) {
+func benchOffline(b *testing.B, pol dpss.Policy) {
 	b.Helper()
 	tc := dpss.DefaultTraceConfig()
 	tc.Days = 3
@@ -149,7 +142,6 @@ func benchOffline(b *testing.B, pol dpss.Policy, horizonDense bool) {
 	}
 	opts := dpss.DefaultOptions()
 	opts.T = 12
-	opts.HorizonLPDense = horizonDense
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	go test -bench='...' -benchmem -run '^$' . | go run ./cmd/perf -out BENCH_4.json
-//	go test -bench='...' -benchmem -run '^$' . | go run ./cmd/perf -check BENCH_4.json -out /tmp/bench.json
+//	go test -bench='...' -benchmem -run '^$' . ./internal/baseline | go run ./cmd/perf -out BENCH_10.json
+//	go test -bench='...' -benchmem -run '^$' . ./internal/baseline | go run ./cmd/perf -check BENCH_10.json -out /tmp/bench.json
 //
 // The tool reads benchmark result lines from stdin. With -out it writes
 // a JSON file holding the parsed numbers as the "current" block; when
@@ -20,8 +20,10 @@
 // depend on CI machine load — which makes them the right regression
 // signal for an allocation-free hot path. Two further gate families run
 // on the -check path: same-run speedup ratios (sparse vs dense
-// reference, load-independent) and coarse absolute wall-clock budgets
-// (the annual LP's ≤20 s hyper-sparsity pin).
+// staircase LP, load-independent) and coarse absolute wall-clock budgets
+// (the annual LP's ≤20 s hyper-sparsity pin). Every benchmark a gate
+// names must appear in the input, so a renamed or moved benchmark fails
+// the check instead of silently disabling its gate.
 package main
 
 import (
@@ -79,17 +81,18 @@ var gated = map[string]float64{
 }
 
 // speedupGates are same-run ns/op ratio assertions: each entry requires
-// fast ≤ maxRatio × slow whenever both benchmarks appear in the parsed
-// input. Comparing two measurements from the same run keeps the gate
-// machine-load independent (both sides see the same CPU), unlike an
-// absolute ns/op threshold. The horizon entry is the sparse revised
-// simplex's reason to exist: if the sparse staircase path stops clearly
-// beating the dense chain reference, the migration has regressed.
+// fast ≤ maxRatio × slow. Comparing two measurements from the same run
+// keeps the gate machine-load independent (both sides see the same CPU),
+// unlike an absolute ns/op threshold. The staircase entry is the sparse
+// revised simplex's reason to exist: internal/baseline solves the same
+// whole-horizon staircase LP on the sparse path and on the dense
+// tableau, and if the sparse side stops clearly beating the dense one,
+// the sparse solver has regressed.
 var speedupGates = []struct {
 	fast, slow string
 	maxRatio   float64
 }{
-	{"BenchmarkAblationOfflineHorizonLP", "BenchmarkAblationOfflineHorizonLPDense", 0.70},
+	{"BenchmarkHorizonStairSparse", "BenchmarkHorizonStairDense", 0.70},
 }
 
 // wallGates are absolute wall-clock budgets in ns/op. Unlike the alloc
@@ -214,23 +217,23 @@ func gate(fresh map[string]Result, committed *File) error {
 	return nil
 }
 
-// gateSpeedups enforces the same-run ns/op ratio gates. A gate only
-// fires when both of its benchmarks were measured in this run, so
-// partial benchmark selections skip it rather than failing.
+// gateSpeedups enforces the same-run ns/op ratio gates. Both benchmarks
+// of every gate must have been measured in this run.
 func gateSpeedups(fresh map[string]Result) error {
 	for _, g := range speedupGates {
-		fast, okF := fresh[g.fast]
-		slow, okS := fresh[g.slow]
-		if !okF || !okS {
-			continue
+		for _, name := range []string{g.fast, g.slow} {
+			if _, ok := fresh[name]; !ok {
+				return fmt.Errorf("speedup-gated benchmark %s missing from this run", name)
+			}
 		}
+		fast, slow := fresh[g.fast], fresh[g.slow]
 		if slow.NsPerOp <= 0 {
 			return fmt.Errorf("%s measured at %.0f ns/op; cannot gate a ratio against it",
 				g.slow, slow.NsPerOp)
 		}
 		ratio := fast.NsPerOp / slow.NsPerOp
 		if ratio > g.maxRatio {
-			return fmt.Errorf("%s/%s ratio %.3f exceeds %.2f: the sparse path no longer beats the dense reference",
+			return fmt.Errorf("%s/%s ratio %.3f exceeds %.2f: the sparse path no longer beats the dense tableau",
 				g.fast, g.slow, ratio, g.maxRatio)
 		}
 		fmt.Printf("perf: %s at %.3fx of %s (gate %.2f)\n", g.fast, ratio, g.slow, g.maxRatio)
@@ -238,13 +241,13 @@ func gateSpeedups(fresh map[string]Result) error {
 	return nil
 }
 
-// gateWall enforces the absolute wall-clock budgets. A gate only fires
-// when its benchmark was measured in this run.
+// gateWall enforces the absolute wall-clock budgets. Every budgeted
+// benchmark must have been measured in this run.
 func gateWall(fresh map[string]Result) error {
 	for name, budget := range wallGates {
 		got, ok := fresh[name]
 		if !ok {
-			continue
+			return fmt.Errorf("wall-clock gated benchmark %s missing from this run", name)
 		}
 		if got.NsPerOp > budget {
 			return fmt.Errorf("%s wall clock %.1f s exceeds the %.0f s budget",

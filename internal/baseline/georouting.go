@@ -3,7 +3,6 @@ package baseline
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/smartdpss/smartdpss/internal/lp"
 	"github.com/smartdpss/smartdpss/internal/trace"
@@ -51,14 +50,15 @@ type GeoRoutingPlan struct {
 }
 
 // SolveGeoHorizon solves the coupled routing+supply LP over the whole
-// horizon: every site's staircase supply block (identical structure to
-// the OfflineHorizon staircase form) plus, per site per slot, an export
+// horizon: every site's staircase block (addStairBlock, the builder
+// OfflineHorizon uses) with its routing part — per slot an export
 // variable out ∈ [0, home] and a penalized import variable in ≥ 0 that
-// shift the balance row's demand, a per-site routing-capacity row, and
-// one per-slot conservation row Σout − Σin = 0 coupling the sites. With
-// one site, or with penalties that exceed every price gap, the coupling
-// is inactive and the optimum equals the sum of independent per-site
-// horizon solves — the parity property the tests pin.
+// shift the balance row's demand, and a per-site routing-capacity row —
+// plus one per-slot conservation row Σout − Σin = 0 coupling the
+// sites. With one site, or with penalties that exceed every price gap,
+// the coupling is inactive and the optimum equals the sum of
+// independent per-site horizon solves — the parity property the tests
+// pin.
 func SolveGeoHorizon(sites []GeoSite) (*GeoRoutingPlan, error) {
 	if len(sites) == 0 {
 		return nil, errors.New("baseline: geo solve needs at least one site")
@@ -93,16 +93,12 @@ func SolveGeoHorizon(sites []GeoSite) (*GeoRoutingPlan, error) {
 	var st lpState
 	st.sparse = true
 	prob := st.problem()
-	// The joint LP is len(sites)× the single-site staircase; give it the
-	// same generous pivot budget the dense chain formulation uses.
-	prob.SetMaxIterations(200000)
-	defer prob.SetMaxIterations(0)
-
 	nS := len(sites)
-	outV := make([][]lp.VarID, nS)
-	inV := make([][]lp.VarID, nS)
+	blocks := make([]stairBlock, nS)
 	for s := range sites {
-		outV[s], inV[s] = addGeoSiteBlock(prob, &st, &sites[s], H)
+		site := &sites[s]
+		blocks[s] = st.addStairBlock(prob, site.Config, site.Set,
+			&stairRoute{penaltyUSD: site.ImportPenaltyUSD, capMWh: site.RouteCapMWh})
 	}
 
 	// Per-slot conservation: demand leaves one site only by arriving at
@@ -111,8 +107,8 @@ func SolveGeoHorizon(sites []GeoSite) (*GeoRoutingPlan, error) {
 		terms := st.terms[:0]
 		for s := 0; s < nS; s++ {
 			terms = append(terms,
-				lp.Term{Var: outV[s][i], Coeff: 1},
-				lp.Term{Var: inV[s][i], Coeff: -1},
+				lp.Term{Var: blocks[s].out[i], Coeff: 1},
+				lp.Term{Var: blocks[s].in[i], Coeff: -1},
 			)
 		}
 		st.terms = terms
@@ -136,8 +132,8 @@ func SolveGeoHorizon(sites []GeoSite) (*GeoRoutingPlan, error) {
 	for s := range sites {
 		routed := make([]float64, H)
 		for i := 0; i < H; i++ {
-			in := sol.Value(inV[s][i])
-			out := sol.Value(outV[s][i])
+			in := sol.Value(blocks[s].in[i])
+			out := sol.Value(blocks[s].out[i])
 			plan.ImportMWh[s] += in
 			plan.ExportMWh[s] += out
 			v := sites[s].Set.DemandDS.At(i) - out + in
@@ -150,161 +146,4 @@ func SolveGeoHorizon(sites []GeoSite) (*GeoRoutingPlan, error) {
 		plan.PenaltyUSD += sites[s].ImportPenaltyUSD * plan.ImportMWh[s]
 	}
 	return plan, nil
-}
-
-// addGeoSiteBlock appends one site's staircase supply block to the
-// joint problem — the same variables and rows as the OfflineHorizon
-// staircase formulation — plus the per-slot routing pair (out, in)
-// wired into the balance row and the optional routing-capacity row. It
-// returns the routing variable ids; the supply ids stay internal since
-// the plan only extracts routing.
-func addGeoSiteBlock(prob *lp.Problem, st *lpState, site *GeoSite, H int) (outV, inV []lp.VarID) {
-	cfg, set := site.Config, site.Set
-	bat := cfg.Battery
-	inf := math.Inf(1)
-	T := cfg.T
-	K := (H + T - 1) / T
-
-	gbef := make([]lp.VarID, K)
-	intervalLen := make([]int, K)
-	for k := 0; k < K; k++ {
-		n := minInt(T, H-k*T)
-		intervalLen[k] = n
-		plt := set.PriceLT.At(k * T)
-		gbef[k] = prob.AddVariable("gbef", 0, float64(n)*cfg.PgridMWh, plt)
-	}
-
-	grt := make([]lp.VarID, H)
-	u := make([]lp.VarID, H)
-	c := make([]lp.VarID, H)
-	d := make([]lp.VarID, H)
-	w := make([]lp.VarID, H)
-	e := make([]lp.VarID, H)
-	bl := make([]lp.VarID, H) // battery level after slot i
-	us := make([]lp.VarID, H) // cumulative served through slot i
-	outV = make([]lp.VarID, H)
-	inV = make([]lp.VarID, H)
-	units := cfg.genUnits()
-	var g [][][]lp.VarID
-	if len(units) > 0 {
-		g = make([][][]lp.VarID, H)
-	}
-	proxy := 0.0
-	if bat.MaxChargeMWh > 0 {
-		proxy = bat.OpCostUSD / math.Max(bat.MaxChargeMWh, bat.MaxDischargeMWh)
-	}
-	avail := 0.0
-	for i := 0; i < H; i++ {
-		prt := set.PriceRT.At(i)
-		grt[i] = prob.AddVariable("", 0, cfg.PgridMWh, prt)
-		u[i] = prob.AddVariable("", 0, cfg.SdtMaxMWh, 0)
-		c[i] = prob.AddVariable("", 0, bat.MaxChargeMWh, proxy)
-		d[i] = prob.AddVariable("", 0, bat.MaxDischargeMWh, proxy)
-		w[i] = prob.AddVariable("", 0, inf, cfg.WasteCostUSD)
-		e[i] = prob.AddVariable("", 0, inf, cfg.EmergencyCostUSD)
-		if g != nil {
-			g[i] = addFleetVars(prob, units, i, T, set.FuelScaleAt(i))
-		}
-		avail += set.DemandDT.At(i)
-		bl[i] = prob.AddVariable("B", bat.MinLevelMWh, bat.CapacityMWh, 0)
-		us[i] = prob.AddVariable("U", 0, avail, 0)
-		outV[i] = prob.AddVariable("out", 0, set.DemandDS.At(i), 0)
-		inV[i] = prob.AddVariable("in", 0, inf, site.ImportPenaltyUSD)
-	}
-
-	b0 := bat.InitialMWh
-	for i := 0; i < H; i++ {
-		k := i / T
-		invN := 1.0 / float64(intervalLen[k])
-		dds := set.DemandDS.At(i)
-		r := set.Renewable.At(i)
-
-		// Supply balance against the post-routing demand dds − out + in:
-		// moving out and in to the left keeps the staircase RHS.
-		balance := append(st.terms[:0],
-			lp.Term{Var: gbef[k], Coeff: invN},
-			lp.Term{Var: grt[i], Coeff: 1},
-			lp.Term{Var: d[i], Coeff: 1},
-			lp.Term{Var: e[i], Coeff: 1},
-			lp.Term{Var: u[i], Coeff: -1},
-			lp.Term{Var: c[i], Coeff: -1},
-			lp.Term{Var: w[i], Coeff: -1},
-			lp.Term{Var: outV[i], Coeff: 1},
-			lp.Term{Var: inV[i], Coeff: -1},
-		)
-		if g != nil {
-			balance = appendFleetTerms(balance, g[i])
-		}
-		st.terms = balance
-		prob.AddConstraint(lp.EQ, dds-r, balance...)
-		prob.AddConstraint(lp.LE, cfg.PgridMWh,
-			lp.Term{Var: gbef[k], Coeff: invN},
-			lp.Term{Var: grt[i], Coeff: 1},
-		)
-		smax := append(st.terms[:0],
-			lp.Term{Var: gbef[k], Coeff: invN},
-			lp.Term{Var: grt[i], Coeff: 1},
-		)
-		if g != nil {
-			smax = appendFleetTerms(smax, g[i])
-		}
-		st.terms = smax
-		prob.AddConstraint(lp.LE, cfg.SmaxMWh-r, smax...)
-
-		// Routing capacity: post-routing demand home − out + in may not
-		// exceed the site's serving capacity, i.e. in − out ≤ cap − home.
-		if site.RouteCapMWh > 0 {
-			prob.AddConstraint(lp.LE, site.RouteCapMWh-dds,
-				lp.Term{Var: inV[i], Coeff: 1},
-				lp.Term{Var: outV[i], Coeff: -1},
-			)
-		}
-
-		// Battery state transition, identical to the staircase form.
-		if i == 0 {
-			prob.AddConstraint(lp.EQ, b0,
-				lp.Term{Var: bl[0], Coeff: 1},
-				lp.Term{Var: c[0], Coeff: -bat.ChargeEff},
-				lp.Term{Var: d[0], Coeff: bat.DischargeEff},
-			)
-		} else {
-			prob.AddConstraint(lp.EQ, 0,
-				lp.Term{Var: bl[i], Coeff: 1},
-				lp.Term{Var: bl[i-1], Coeff: -1},
-				lp.Term{Var: c[i], Coeff: -bat.ChargeEff},
-				lp.Term{Var: d[i], Coeff: bat.DischargeEff},
-			)
-		}
-
-		// Served accumulator, identical to the staircase form.
-		if i == 0 {
-			prob.AddConstraint(lp.EQ, 0,
-				lp.Term{Var: us[0], Coeff: 1},
-				lp.Term{Var: u[0], Coeff: -1},
-			)
-		} else {
-			prob.AddConstraint(lp.EQ, 0,
-				lp.Term{Var: us[i], Coeff: 1},
-				lp.Term{Var: us[i-1], Coeff: -1},
-				lp.Term{Var: u[i], Coeff: -1},
-			)
-		}
-	}
-
-	// Per-interval delay-tolerant deadlines, identical to the staircase
-	// form; delay-tolerant demand never routes.
-	arrived := 0.0
-	for k := 0; k < K; k++ {
-		end := k*T + intervalLen[k]
-		for i := k * T; i < end; i++ {
-			arrived += set.DemandDT.At(i)
-		}
-		slack := prob.AddVariable("slack", 0, inf, cfg.EmergencyCostUSD)
-		prob.AddConstraint(lp.GE, arrived,
-			lp.Term{Var: us[end-1], Coeff: 1},
-			lp.Term{Var: slack, Coeff: 1},
-		)
-	}
-
-	return outV, inV
 }

@@ -12,12 +12,10 @@ import (
 // OfflineHorizon is the fully clairvoyant benchmark: one linear program
 // spanning the entire horizon, with a long-term purchase variable per
 // coarse interval and cross-interval battery planning. It lower-bounds
-// the per-interval OfflineOptimal. By default it solves the staircase
-// state-variable formulation on the sparse revised simplex, which keeps
-// the constraint matrix linear in the horizon and reaches annual (8760
-// slot) studies; Config.HorizonDense selects the legacy dense chain
-// formulation, which reaches the same objective but is quadratic in the
-// horizon.
+// the per-interval OfflineOptimal. The LP is the staircase
+// state-variable formulation (addStairBlock) solved on the sparse
+// revised simplex, which keeps the constraint matrix linear in the
+// horizon and reaches annual (8760 slot) studies.
 type OfflineHorizon struct {
 	cfg Config
 	set *trace.Set
@@ -39,7 +37,7 @@ func NewOfflineHorizon(cfg Config, set *trace.Set) (*OfflineHorizon, error) {
 		return nil, err
 	}
 	o := &OfflineHorizon{cfg: cfg, set: set}
-	if err := o.solve(); err != nil {
+	if err := o.solveStair(); err != nil {
 		return nil, err
 	}
 	return o, nil
@@ -77,38 +75,85 @@ func (o *OfflineHorizon) PlanFine(obs sim.FineObs) sim.Decision {
 // RecordOutcome implements sim.Controller; the plan is precomputed.
 func (o *OfflineHorizon) RecordOutcome(sim.Outcome) {}
 
-// solve dispatches to the staircase sparse formulation (default) or the
-// legacy dense chain formulation (Config.HorizonDense). Both optimize
-// the identical objective over the identical feasible set; only the
-// constraint-matrix encoding — and therefore the solver path and,
-// possibly, the reported vertex among alternate optima — differs.
-func (o *OfflineHorizon) solve() error {
-	if o.cfg.HorizonDense {
-		return o.solveChain()
+// solveStair solves the whole-horizon staircase LP (addStairBlock) on
+// the configured solve mode — the sparse revised simplex unless
+// rowBounds is set — and stores the replayed plan.
+func (o *OfflineHorizon) solveStair() error {
+	st := &o.st
+	st.sparse = true
+	prob := st.problem()
+	blk := st.addStairBlock(prob, o.cfg, o.set, nil)
+
+	sol, err := st.solve(prob)
+	if err != nil {
+		return fmt.Errorf("baseline: horizon LP: %w", err)
 	}
-	return o.solveStair()
+	if sol.Status != lp.Optimal {
+		return fmt.Errorf("baseline: horizon LP: %v", sol.Status)
+	}
+
+	bat := o.cfg.Battery
+	o.gbef = make([]float64, len(blk.gbef))
+	for k, v := range blk.gbef {
+		o.gbef[k] = sol.Value(v)
+	}
+	o.plan = make([]sim.Decision, len(blk.grt))
+	for i := range o.plan {
+		dec := sim.Decision{
+			Grt:       sol.Value(blk.grt[i]),
+			ServeDT:   sol.Value(blk.u[i]),
+			Charge:    sol.Value(blk.c[i]),
+			Discharge: sol.Value(blk.d[i]),
+		}
+		if blk.g != nil {
+			dec.GenerateUnits = genPlanUnits(&sol, blk.g[i])
+		}
+		netPlanChargeDischarge(&dec, bat.ChargeEff, bat.DischargeEff)
+		o.plan[i] = dec
+	}
+	return nil
 }
 
-// solveStair builds the whole-horizon LP in staircase state-variable
-// form: explicit battery-level variables B_i and cumulative-served
-// variables U_i turn the chain formulation's O(H²) prefix rows into one
-// equality and two column bounds per slot, so the matrix has O(1)
-// nonzeros per row and the sparse revised simplex solves it at annual
-// scale. The objective is an exact substitution of the chain form
-// (B_i = b0 + Σ ηc·c_j − ηd·d_j, U_i = Σ u_j), so the optimal value is
-// identical; the reported vertex may be a different, equally optimal one.
-func (o *OfflineHorizon) solveStair() error {
-	cfg, set := o.cfg, o.set
-	st := &o.st
+// stairBlock holds the variable ids of one site's staircase block that
+// callers read back after the solve.
+type stairBlock struct {
+	gbef         []lp.VarID     // long-term purchase per coarse interval
+	grt, u, c, d []lp.VarID     // real-time purchase, service, charge, discharge per slot
+	g            [][][]lp.VarID // per slot, unit and fuel segment; nil without a fleet
+	out, in      []lp.VarID     // routing pair per slot; nil without routing
+}
+
+// stairRoute is the optional routing part of a staircase block, the
+// coupling hook of the geo LP: per slot an export column out ∈ [0, home]
+// and an import column in ≥ 0 priced at penaltyUSD, both shifting the
+// balance row's demand, plus a row capping the post-routing demand at
+// capMWh (no row when capMWh is zero).
+type stairRoute struct {
+	penaltyUSD float64
+	capMWh     float64
+}
+
+// addStairBlock appends one site's whole-horizon LP in staircase
+// state-variable form to prob: explicit battery-level variables B_i and
+// cumulative-served variables U_i turn the chain formulation's O(H²)
+// prefix rows into one equality and two column bounds per slot, so the
+// matrix has O(1) nonzeros per row and the sparse revised simplex
+// solves it at annual scale. The objective is an exact substitution of
+// the chain form (B_i = b0 + Σ ηc·c_j − ηd·d_j, U_i = Σ u_j), so the
+// optimal value is identical; the reported vertex may be a different,
+// equally optimal one.
+//
+// With route non-nil the block also carries the routing part: the out
+// and in columns follow U_i, their balance terms follow w_i, and the
+// route-cap row follows the S_max row. Variable and row order are part
+// of the contract: they fix the pivot sequence, and with it the vertex
+// the staircase pin (testdata/golden/staircase.txt) records.
+func (st *lpState) addStairBlock(prob *lp.Problem, cfg Config, set *trace.Set, route *stairRoute) stairBlock {
 	bat := cfg.Battery
 	inf := math.Inf(1)
 	H := set.Horizon()
 	T := cfg.T
 	K := (H + T - 1) / T
-
-	st.sparse = true
-	defer func() { st.sparse = false }()
-	prob := st.problem()
 
 	gbef := make([]lp.VarID, K)
 	intervalLen := make([]int, K)
@@ -119,9 +164,19 @@ func (o *OfflineHorizon) solveStair() error {
 		gbef[k] = prob.AddVariable("gbef", 0, float64(n)*cfg.PgridMWh, plt)
 	}
 
-	grt, u, c, d, w, e := st.varIDs(H)
+	grt := make([]lp.VarID, H)
+	u := make([]lp.VarID, H)
+	c := make([]lp.VarID, H)
+	d := make([]lp.VarID, H)
+	w := make([]lp.VarID, H)
+	e := make([]lp.VarID, H)
 	bl := make([]lp.VarID, H) // battery level after slot i
 	us := make([]lp.VarID, H) // cumulative served through slot i
+	var out, in []lp.VarID
+	if route != nil {
+		out = make([]lp.VarID, H)
+		in = make([]lp.VarID, H)
+	}
 	units := cfg.genUnits()
 	var g [][][]lp.VarID
 	if len(units) > 0 {
@@ -146,6 +201,10 @@ func (o *OfflineHorizon) solveStair() error {
 		avail += set.DemandDT.At(i)
 		bl[i] = prob.AddVariable("B", bat.MinLevelMWh, bat.CapacityMWh, 0)
 		us[i] = prob.AddVariable("U", 0, avail, 0)
+		if route != nil {
+			out[i] = prob.AddVariable("out", 0, set.DemandDS.At(i), 0)
+			in[i] = prob.AddVariable("in", 0, inf, route.penaltyUSD)
+		}
 	}
 
 	b0 := bat.InitialMWh
@@ -164,6 +223,14 @@ func (o *OfflineHorizon) solveStair() error {
 			lp.Term{Var: c[i], Coeff: -1},
 			lp.Term{Var: w[i], Coeff: -1},
 		)
+		if route != nil {
+			// Balance against the post-routing demand dds − out + in:
+			// moving out and in to the left keeps the right-hand side.
+			balance = append(balance,
+				lp.Term{Var: out[i], Coeff: 1},
+				lp.Term{Var: in[i], Coeff: -1},
+			)
+		}
 		if g != nil {
 			balance = appendFleetTerms(balance, g[i])
 		}
@@ -182,6 +249,15 @@ func (o *OfflineHorizon) solveStair() error {
 		}
 		st.terms = smax
 		prob.AddConstraint(lp.LE, cfg.SmaxMWh-r, smax...)
+
+		// Routing capacity: post-routing demand home − out + in may not
+		// exceed the site's serving capacity, i.e. in − out ≤ cap − home.
+		if route != nil && route.capMWh > 0 {
+			prob.AddConstraint(lp.LE, route.capMWh-dds,
+				lp.Term{Var: in[i], Coeff: 1},
+				lp.Term{Var: out[i], Coeff: -1},
+			)
+		}
 
 		// Battery state transition: B_i − B_{i−1} = ηc·c_i − ηd·d_i,
 		// with the initial level folded into slot 0's right-hand side.
@@ -219,7 +295,8 @@ func (o *OfflineHorizon) solveStair() error {
 
 	// Per-interval deadlines against the cumulative-served variable,
 	// with a penalized slack each — two nonzeros per row instead of the
-	// chain form's end-index-long prefix.
+	// chain form's end-index-long prefix. Delay-tolerant demand never
+	// routes.
 	arrived := 0.0
 	for k := 0; k < K; k++ {
 		end := k*T + intervalLen[k]
@@ -232,183 +309,7 @@ func (o *OfflineHorizon) solveStair() error {
 			lp.Term{Var: slack, Coeff: 1},
 		)
 	}
-
-	sol, err := st.solve(prob)
-	if err != nil {
-		return fmt.Errorf("baseline: horizon LP: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return fmt.Errorf("baseline: horizon LP: %v", sol.Status)
-	}
-
-	o.gbef = make([]float64, K)
-	for k := 0; k < K; k++ {
-		o.gbef[k] = sol.Value(gbef[k])
-	}
-	o.plan = make([]sim.Decision, H)
-	for i := 0; i < H; i++ {
-		dec := sim.Decision{
-			Grt:       sol.Value(grt[i]),
-			ServeDT:   sol.Value(u[i]),
-			Charge:    sol.Value(c[i]),
-			Discharge: sol.Value(d[i]),
-		}
-		if g != nil {
-			dec.GenerateUnits = genPlanUnits(&sol, g[i])
-		}
-		netPlanChargeDischarge(&dec, bat.ChargeEff, bat.DischargeEff)
-		o.plan[i] = dec
-	}
-	return nil
-}
-
-// solveChain builds and solves the legacy dense chain formulation. The
-// structure matches solveInterval, with one gbef per coarse interval,
-// battery dynamics and service causality chained across the whole
-// horizon as j ≤ i prefix rows, and the same "served by interval end"
-// deadline so the two offline benchmarks differ only in cross-interval
-// planning.
-func (o *OfflineHorizon) solveChain() error {
-	cfg, set := o.cfg, o.set
-	st := &o.st
-	bat := cfg.Battery
-	inf := math.Inf(1)
-	H := set.Horizon()
-	T := cfg.T
-	K := (H + T - 1) / T
-
-	prob := st.problem()
-	// Large horizon LPs need a generous pivot budget.
-	prob.SetMaxIterations(200000)
-	defer prob.SetMaxIterations(0)
-
-	gbef := make([]lp.VarID, K)
-	intervalLen := make([]int, K)
-	for k := 0; k < K; k++ {
-		n := minInt(T, H-k*T)
-		intervalLen[k] = n
-		plt := set.PriceLT.At(k * T)
-		gbef[k] = prob.AddVariable("gbef", 0, float64(n)*cfg.PgridMWh, plt)
-	}
-
-	grt, u, c, d, w, e := st.varIDs(H)
-	units := cfg.genUnits()
-	var g [][][]lp.VarID
-	if len(units) > 0 {
-		g = make([][][]lp.VarID, H)
-	}
-	proxy := 0.0
-	if bat.MaxChargeMWh > 0 {
-		proxy = bat.OpCostUSD / math.Max(bat.MaxChargeMWh, bat.MaxDischargeMWh)
-	}
-	for i := 0; i < H; i++ {
-		prt := set.PriceRT.At(i)
-		grt[i] = prob.AddVariable("", 0, cfg.PgridMWh, prt)
-		u[i] = prob.AddVariable("", 0, cfg.SdtMaxMWh, 0)
-		c[i] = prob.AddVariable("", 0, bat.MaxChargeMWh, proxy)
-		d[i] = prob.AddVariable("", 0, bat.MaxDischargeMWh, proxy)
-		w[i] = prob.AddVariable("", 0, inf, cfg.WasteCostUSD)
-		e[i] = prob.AddVariable("", 0, inf, cfg.EmergencyCostUSD)
-		if g != nil {
-			g[i] = addFleetVars(prob, units, i, T, set.FuelScaleAt(i))
-		}
-	}
-
-	b0 := bat.InitialMWh
-	chain := st.chain[:0]
-	serve := st.serve[:0]
-	avail := 0.0
-	for i := 0; i < H; i++ {
-		k := i / T
-		invN := 1.0 / float64(intervalLen[k])
-		dds := set.DemandDS.At(i)
-		r := set.Renewable.At(i)
-
-		balance := append(st.terms[:0],
-			lp.Term{Var: gbef[k], Coeff: invN},
-			lp.Term{Var: grt[i], Coeff: 1},
-			lp.Term{Var: d[i], Coeff: 1},
-			lp.Term{Var: e[i], Coeff: 1},
-			lp.Term{Var: u[i], Coeff: -1},
-			lp.Term{Var: c[i], Coeff: -1},
-			lp.Term{Var: w[i], Coeff: -1},
-		)
-		if g != nil {
-			balance = appendFleetTerms(balance, g[i])
-		}
-		st.terms = balance
-		prob.AddConstraint(lp.EQ, dds-r, balance...)
-		prob.AddConstraint(lp.LE, cfg.PgridMWh,
-			lp.Term{Var: gbef[k], Coeff: invN},
-			lp.Term{Var: grt[i], Coeff: 1},
-		)
-		smax := append(st.terms[:0],
-			lp.Term{Var: gbef[k], Coeff: invN},
-			lp.Term{Var: grt[i], Coeff: 1},
-		)
-		if g != nil {
-			smax = appendFleetTerms(smax, g[i])
-		}
-		st.terms = smax
-		prob.AddConstraint(lp.LE, cfg.SmaxMWh-r, smax...)
-
-		// Battery level and service causality share the incrementally
-		// grown j ≤ i prefixes (same term order and accumulation as the
-		// historical per-constraint rebuild).
-		chain = append(chain,
-			lp.Term{Var: c[i], Coeff: bat.ChargeEff},
-			lp.Term{Var: d[i], Coeff: -bat.DischargeEff},
-		)
-		prob.AddConstraint(lp.GE, bat.MinLevelMWh-b0, chain...)
-		prob.AddConstraint(lp.LE, bat.CapacityMWh-b0, chain...)
-
-		avail += set.DemandDT.At(i)
-		serve = append(serve, lp.Term{Var: u[i], Coeff: 1})
-		prob.AddConstraint(lp.LE, avail, serve...)
-	}
-	st.chain, st.serve = chain, serve
-
-	// Per-interval deadlines with a penalized slack each.
-	arrived := 0.0
-	for k := 0; k < K; k++ {
-		end := k*T + intervalLen[k]
-		for i := k * T; i < end; i++ {
-			arrived += set.DemandDT.At(i)
-		}
-		slack := prob.AddVariable("slack", 0, inf, cfg.EmergencyCostUSD)
-		terms := append(st.terms[:0], serve[:end]...)
-		terms = append(terms, lp.Term{Var: slack, Coeff: 1})
-		st.terms = terms
-		prob.AddConstraint(lp.GE, arrived, terms...)
-	}
-
-	sol, err := st.solve(prob)
-	if err != nil {
-		return fmt.Errorf("baseline: horizon LP: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return fmt.Errorf("baseline: horizon LP: %v", sol.Status)
-	}
-
-	o.gbef = make([]float64, K)
-	for k := 0; k < K; k++ {
-		o.gbef[k] = sol.Value(gbef[k])
-	}
-	o.plan = make([]sim.Decision, H)
-	for i := 0; i < H; i++ {
-		dec := sim.Decision{
-			Grt:       sol.Value(grt[i]),
-			ServeDT:   sol.Value(u[i]),
-			Charge:    sol.Value(c[i]),
-			Discharge: sol.Value(d[i]),
-		}
-		if g != nil {
-			dec.GenerateUnits = genPlanUnits(&sol, g[i])
-		}
-		netPlanChargeDischarge(&dec, bat.ChargeEff, bat.DischargeEff)
-		o.plan[i] = dec
-	}
-	return nil
+	return stairBlock{gbef: gbef, grt: grt, u: u, c: c, d: d, g: g, out: out, in: in}
 }
 
 func minInt(a, b int) int {

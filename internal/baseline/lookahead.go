@@ -103,8 +103,7 @@ func (l *Lookahead) RecordOutcome(sim.Outcome) {}
 //
 // Consecutive windows share one shape until the horizon truncates them,
 // so every model and tableau buffer is reused across the receding
-// horizon and steady-state solves allocate nothing. The solves run cold
-// (see lpState for why basis warm-starting stays off).
+// horizon and steady-state solves allocate nothing.
 func (l *Lookahead) solveWindow(obs sim.FineObs) (sim.Decision, error) {
 	st := &l.fine
 	bat := l.cfg.Battery

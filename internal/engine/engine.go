@@ -110,11 +110,6 @@ type Options struct {
 	// LyapunovTheta places PolicyLyapunov's battery target level as a
 	// fraction of the usable band [Bmin, Bmax]; zero defaults to 0.6.
 	LyapunovTheta float64
-	// HorizonLPDense forces PolicyOfflineHorizon onto the legacy dense
-	// chain LP instead of the sparse staircase formulation. Same optimal
-	// objective, quadratic in the horizon — a benchmark/debugging knob
-	// that cannot reach annual scale.
-	HorizonLPDense bool
 	// GeneratorMW is the dispatchable on-site generation capacity in MW
 	// (arXiv:1303.6775's self-generation source). Zero disables the
 	// generator entirely, reproducing generator-free results exactly;
@@ -285,7 +280,6 @@ func (o Options) baselineConfig() baseline.Config {
 	c.Battery = batteryParams(o)
 	c.Generator = generatorParams(o)
 	c.Fleet = fleetParams(o)
-	c.HorizonDense = o.HorizonLPDense
 	return c
 }
 

@@ -333,26 +333,6 @@ func TestBoundedStandardFormShrinksTableau(t *testing.T) {
 	}
 }
 
-// TestBoundedSolveWarmFallsBackCold: SolveWarm on a bounded problem must
-// run the exact cold sequence (a remembered basis cannot carry the
-// nonbasic-at-upper-bound set), solving correctly every time.
-func TestBoundedSolveWarmFallsBackCold(t *testing.T) {
-	s := NewSolver()
-	for it := 0; it < 5; it++ {
-		p := NewProblem()
-		p.SetBounded(true)
-		demand := 1.5 + float64(it)*0.1
-		x1, _, _ := buildTransport(p, demand, 2, 2, 10, 20)
-		sol, err := s.SolveWarm(p)
-		if err != nil || sol.Status != Optimal {
-			t.Fatalf("iter %d: %v %v", it, err, sol.Status)
-		}
-		if got := sol.Value(x1); math.Abs(got-demand) > 1e-9 {
-			t.Fatalf("iter %d: x1 = %g, want %g (cheapest source covers demand)", it, got, demand)
-		}
-	}
-}
-
 // TestBoundedResetKeepsMode pins that Problem.Reset preserves the bound
 // mode alongside the iteration budget.
 func TestBoundedResetKeepsMode(t *testing.T) {

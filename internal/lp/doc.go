@@ -4,7 +4,7 @@
 // against the standard library only. This comment is the solver's
 // contract: the formulation it accepts, the pivoting and anti-cycling
 // rules it runs, the determinism it guarantees, and the semantics of its
-// capability switches (variable bounds, basis warm starts, sparsity).
+// capability switches (variable bounds, sparsity).
 // Every layer above — the per-slot P5 solver in internal/core, the
 // interval/whole-horizon/receding-horizon LPs in internal/baseline —
 // programs against this contract.
@@ -81,21 +81,19 @@
 // boxes, row-vs-bound parity properties, and the byte-identical golden
 // suite.
 //
-// # Warm starts (negative result)
+// # No warm starts (negative result)
 //
-// Solver.SolveWarm re-installs the previous solve's optimal basis when
-// the next problem maps to the same standard-form shape, repairing slight
-// primal infeasibility in place instead of redoing phase 1. The
-// capability is correct and tested — and production does not use it, for
-// two reasons measured in PR 4 and recorded here so they are not
-// re-learned: (1) at this problem scale the basis re-installation plus
-// feasibility repair costs about as many pivots as the skipped phase 1
-// (707 vs 720 over a week of interval LPs), and (2) these degenerate LPs
-// have alternate optima, so a warm solve can land on a different vertex
-// than the golden-pinned cold path. Bounded-mode problems always solve
-// cold: a remembered basis records column membership only, not the
-// nonbasic-at-upper-bound set, so re-installing it could start from the
-// wrong solution point; SolveWarm silently falls back to Solve.
+// Every solve starts cold. Re-installing the previous solve's optimal
+// basis, with an in-place repair of slight primal infeasibility instead
+// of a fresh phase 1, was built, measured and removed for two reasons
+// recorded here so they are not re-learned: (1) at this problem scale
+// the basis re-installation plus feasibility repair costs about as many
+// pivots as the skipped phase 1 (720 warm against 707 cold over a week
+// of interval LPs), and (2) these degenerate LPs have alternate optima,
+// so a warm solve can land on a different vertex than the golden-pinned
+// cold path. A remembered basis also records column membership only,
+// not the nonbasic-at-upper-bound set, so it cannot seed a bounded-mode
+// solve.
 //
 // # Sparse revised simplex (Problem.SetSparse)
 //

@@ -91,10 +91,8 @@ func (p *Problem) SetMaxIterations(n int) { p.maxIter = n }
 // row formulation; on degenerate problems the reported solution may be a
 // different (equally optimal) vertex, which is why the row formulation
 // remains the default wherever byte-pinned outputs replay the historical
-// pivot sequence. The mode survives Reset. Bounded problems always solve
-// cold: SolveWarm falls back to Solve (a remembered basis does not carry
-// the nonbasic-at-upper-bound set). See the package documentation for the
-// full solver contract.
+// pivot sequence. The mode survives Reset. See the package documentation
+// for the full solver contract.
 func (p *Problem) SetBounded(on bool) { p.bounded = on }
 
 // SetSparse selects the sparse revised simplex: the constraint matrix is
@@ -106,11 +104,11 @@ func (p *Problem) SetBounded(on bool) { p.bounded = on }
 // to the dense tableau (the property/fuzz parity harness in this package
 // gates that equivalence to 1e-9); the reported vertex may be a
 // different, equally optimal one on degenerate problems, so golden-pinned
-// paths must stay on the dense solver. The mode survives Reset, composes
-// with SetBounded, and always solves cold (SolveWarm falls back to
-// Solve). On numerical trouble the solver transparently re-solves the
-// problem with the dense tableau, so results never depend on the sparse
-// path succeeding. See the package documentation for the full contract.
+// paths must stay on the dense solver. The mode survives Reset and
+// composes with SetBounded. On numerical trouble the solver transparently
+// re-solves the problem with the dense tableau, so results never depend
+// on the sparse path succeeding. See the package documentation for the
+// full contract.
 func (p *Problem) SetSparse(on bool) { p.sparse = on }
 
 // Sparse reports whether the sparse revised simplex is selected —

@@ -11,7 +11,6 @@ const (
 	pivotTol = 1e-9  // minimum |pivot| accepted
 	costTol  = 1e-9  // reduced-cost optimality tolerance
 	feasTol  = 1e-7  // phase-1 feasibility tolerance
-	warmTol  = 1e-7  // minimum |pivot| accepted while re-installing a warm basis
 	stallWin = 256   // pivots without improvement before switching to Bland
 	improveE = 1e-12 // minimum objective improvement counted as progress
 )
@@ -46,9 +45,6 @@ type tableau struct {
 	ub    []float64
 	flip  []bool
 	hasUB bool // any finite column bound (false in row mode)
-
-	mark    []int // column membership scratch for applyBasis
-	markGen int
 }
 
 // init (re)builds the initial tableau from the standard form: slack
@@ -429,167 +425,4 @@ func (t *tableau) leavePhase1() {
 		i--
 	}
 	t.stall, t.bland = 0, false
-}
-
-// applyBasis outcomes.
-const (
-	applyFailed = iota // a column could not be installed; tableau is dirty
-	applyRepair        // basis installed, but primal infeasible for the new rhs
-	applyOK            // basis installed and primal feasible
-)
-
-// applyBasis pivots the freshly initialized tableau onto the given basis
-// (a column set saved from a previous optimal solve of a same-shape
-// problem). Because the tableau is rebuilt from the new problem's
-// coefficients before the pivots, no stale numerics survive — only the
-// basis choice is reused. On applyOK phase 2 can run directly; on
-// applyRepair the basis needs repairPrimal first; on applyFailed the
-// tableau must be re-initialized for a cold solve.
-func (t *tableau) applyBasis(basis []int) int {
-	if len(basis) != t.m {
-		return applyFailed
-	}
-	// Stamp the wanted columns so pivot rows whose current basic column is
-	// itself wanted are never sacrificed.
-	t.markGen++
-	if cap(t.mark) < t.n {
-		t.mark = make([]int, t.n)
-	}
-	t.mark = t.mark[:cap(t.mark)]
-	for _, c := range basis {
-		if c < 0 || c >= t.n || c >= t.artStart {
-			return applyFailed
-		}
-		t.mark[c] = t.markGen
-	}
-	t.inPhase1 = false
-	for _, c := range basis {
-		// Already basic (e.g. a slack that is basic in the initial tableau).
-		already := false
-		for _, bc := range t.basis {
-			if bc == c {
-				already = true
-				break
-			}
-		}
-		if already {
-			continue
-		}
-		// Pivot c in on the row with the largest admissible pivot among
-		// rows whose basic column is not wanted.
-		best, bestAbs := -1, warmTol
-		for i := 0; i < t.m; i++ {
-			if t.mark[t.basis[i]] == t.markGen {
-				continue
-			}
-			if a := math.Abs(t.rows[i][c]); a > bestAbs {
-				best, bestAbs = i, a
-			}
-		}
-		if best < 0 {
-			return applyFailed
-		}
-		t.pivot(best, c)
-	}
-	t.stall, t.bland = 0, false
-	// Classify feasibility for the new right-hand side; tiny degenerate
-	// negatives are clamped, anything larger needs the primal repair.
-	feasible := true
-	for i := 0; i < t.m; i++ {
-		if t.rhs[i] < -feasTol {
-			feasible = false
-		} else if t.rhs[i] < 0 {
-			t.rhs[i] = 0
-		}
-	}
-	if !feasible {
-		return applyRepair
-	}
-	return applyOK
-}
-
-// repairPrimal restores primal feasibility after applyBasis installed a
-// warm basis that the new right-hand side leaves slightly infeasible —
-// the typical warm-start state when both costs and rhs move between
-// consecutive problems. It runs a composite phase 1 directly from the
-// installed basis, minimizing the sum of infeasibilities
-// w = Σ_{i: rhs_i < 0} (−rhs_i) without artificial variables: entering a
-// column with negative directional derivative dw/dθ = Σ_{i∈I} a_ij and
-// blocking at the first breakpoint — a feasible basic reaching zero, or
-// an infeasible basic reaching feasibility. Only a handful of rows are
-// infeasible after a warm install, so this converges in a few pivots
-// where a from-scratch phase 1 would redo ~m of them.
-//
-// It reports whether feasibility was restored within the pivot budget;
-// on false the tableau is dirty and the caller re-initializes for the
-// exact cold path (misclassifying a truly infeasible problem is
-// impossible: any stall or budget overrun falls back cold).
-func (t *tableau) repairPrimal(maxIter int) bool {
-	t.inPhase1 = false
-	budget := t.m + 64
-	for iter := 0; ; iter++ {
-		// Collect the infeasible row set I; success when it is empty.
-		infeasible := false
-		for i := 0; i < t.m; i++ {
-			if t.rhs[i] < -feasTol {
-				infeasible = true
-				break
-			}
-		}
-		if !infeasible {
-			for i := 0; i < t.m; i++ {
-				if t.rhs[i] < 0 {
-					t.rhs[i] = 0
-				}
-			}
-			t.stall, t.bland = 0, false
-			return true
-		}
-		if iter >= budget || t.pivots >= maxIter {
-			return false
-		}
-
-		// Entering column: steepest decrease of the infeasibility sum.
-		enter, bestD := -1, -costTol
-		for j := 0; j < t.artStart; j++ {
-			d := 0.0
-			for i := 0; i < t.m; i++ {
-				if t.rhs[i] < -feasTol {
-					d += t.rows[i][j]
-				}
-			}
-			if d < bestD {
-				enter, bestD = j, d
-			}
-		}
-		if enter < 0 {
-			return false // no improving column: numerically stuck (or truly infeasible)
-		}
-
-		// Ratio test over both breakpoint kinds.
-		leave := -1
-		bestRatio := math.Inf(1)
-		for i := 0; i < t.m; i++ {
-			a := t.rows[i][enter]
-			var ratio float64
-			switch {
-			case t.rhs[i] >= 0 && a > pivotTol:
-				ratio = t.rhs[i] / a // feasible basic driven to zero
-			case t.rhs[i] < -feasTol && a < -pivotTol:
-				ratio = t.rhs[i] / a // infeasible basic reaching feasibility
-			default:
-				continue
-			}
-			if ratio < bestRatio-1e-12 ||
-				(ratio <= bestRatio+1e-12 && leave >= 0 && t.basis[i] < t.basis[leave]) {
-				leave, bestRatio = i, ratio
-			}
-		}
-		if leave < 0 {
-			// dw/dθ < 0 guarantees a blocking infeasible row; reaching here
-			// means numerics broke down — fall back cold.
-			return false
-		}
-		t.pivot(leave, enter)
-	}
 }

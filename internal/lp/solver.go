@@ -7,19 +7,12 @@ import "github.com/smartdpss/smartdpss/internal/scratch"
 // them across solves. Long sequences of similar problems (the per-slot P5
 // instances, the per-interval and receding-horizon baseline LPs) solve
 // allocation-free once the buffers have grown to the largest shape seen.
-//
-// A Solver additionally remembers the optimal basis of its last solve.
-// SolveWarm re-installs that basis when the next problem has the same
-// standard-form shape, skipping phase 1 and most phase-2 pivots for
-// problem sequences that differ only in costs and right-hand sides; when
-// the remembered basis cannot be installed or is infeasible for the new
-// data it falls back to the exact cold path. Warm bases exist only for
-// the row formulation: bounded-mode problems (Problem.SetBounded) always
-// solve cold, and SolveWarm on them is exactly Solve.
+// Every solve runs cold: no basis or pivot state carries from one solve
+// to the next, so a reused Solver reproduces a fresh one's pivot sequence.
 //
 // A Solver is not safe for concurrent use. The Solution returned by Solve
-// and SolveWarm borrows the solver's buffers and is valid only until the
-// next solve; use Solution.Values (a copy) to retain results.
+// borrows the solver's buffers and is valid only until the next solve;
+// use Solution.Values (a copy) to retain results.
 type Solver struct {
 	sf  standardForm
 	t   tableau
@@ -27,13 +20,6 @@ type Solver struct {
 
 	y    []float64 // standard-form solution scratch
 	vals []float64 // recovered variable values (borrowed by Solution)
-
-	warmOK    bool
-	warmBasis []int
-	// Shape signature of the solve that produced warmBasis: the basis can
-	// only be reused when the next problem maps to identical standard-form
-	// dimensions and auxiliary-column layout.
-	warmM, warmN, warmCols, warmArt int
 }
 
 // NewSolver returns an empty solver; buffers grow on first use.
@@ -42,28 +28,10 @@ func NewSolver() *Solver { return &Solver{} }
 // Solve runs the exact two-phase simplex with buffer reuse. The pivot
 // sequence is identical to Problem.Minimize, so results are bit-for-bit
 // the same; only the allocation behavior differs.
-func (s *Solver) Solve(p *Problem) (Solution, error) { return s.run(p, false) }
-
-// SolveWarm solves p starting from the previous solve's optimal basis
-// when the shapes match (see the type comment), falling back to the exact
-// cold path otherwise. Warm and cold solves of the same problem reach an
-// optimal basis of identical objective value; for non-degenerate problems
-// the solution vector is identical too.
-func (s *Solver) SolveWarm(p *Problem) (Solution, error) { return s.run(p, true) }
-
-// Reset drops the remembered warm basis (buffers are kept). Use it when
-// switching to an unrelated problem sequence where a stale basis would
-// only waste the failed installation attempt.
-func (s *Solver) Reset() { s.warmOK = false }
-
-func (s *Solver) run(p *Problem, warm bool) (Solution, error) {
+func (s *Solver) Solve(p *Problem) (Solution, error) {
 	if err := p.validate(); err != nil {
 		return Solution{}, err
 	}
-	// Bounded and sparse problems always solve cold: a remembered basis
-	// does not carry the nonbasic-at-upper-bound set, so re-installing
-	// it could silently start from the wrong solution point.
-	warm = warm && !p.bounded && !p.sparse
 	p.buildStandardForm(&s.sf)
 	sf := &s.sf
 	if p.sparse {
@@ -83,50 +51,27 @@ func (s *Solver) run(p *Problem, warm bool) (Solution, error) {
 		maxIter = 200 + 60*(t.m+t.n)
 	}
 
-	warmApplied := false
-	if warm && s.warmOK && t.m == s.warmM && t.n == s.warmN &&
-		sf.ncols == s.warmCols && t.artStart == s.warmArt {
-		switch t.applyBasis(s.warmBasis) {
-		case applyOK:
-			warmApplied = true
-		case applyRepair:
-			// Both costs and rhs moved since the remembered solve, so the
-			// old optimal basis is slightly infeasible here: repair the few
-			// violated rows in place instead of redoing phase 1.
-			warmApplied = t.repairPrimal(maxIter)
-		}
-		if !warmApplied {
-			// The failed installation left partial pivots behind; rebuild
-			// for the exact cold path.
-			t.init(sf)
-		}
-	}
-
-	if !warmApplied {
-		// Phase 1: minimize the sum of artificial variables.
-		t.inPhase1 = true
-		status, err := t.iterate(maxIter)
-		if err != nil {
-			return Solution{}, err
-		}
-		if status == Unbounded {
-			// Phase-1 objective is bounded below by 0; unbounded here means a bug.
-			return Solution{}, errNumericalBug
-		}
-		if t.p1val > feasTol {
-			s.warmOK = false
-			return Solution{Status: Infeasible, Iterations: t.pivots}, nil
-		}
-		t.leavePhase1()
-	}
-
-	// Phase 2: minimize the true objective.
+	// Phase 1: minimize the sum of artificial variables.
+	t.inPhase1 = true
 	status, err := t.iterate(maxIter)
 	if err != nil {
 		return Solution{}, err
 	}
 	if status == Unbounded {
-		s.warmOK = false
+		// Phase-1 objective is bounded below by 0; unbounded here means a bug.
+		return Solution{}, errNumericalBug
+	}
+	if t.p1val > feasTol {
+		return Solution{Status: Infeasible, Iterations: t.pivots}, nil
+	}
+	t.leavePhase1()
+
+	// Phase 2: minimize the true objective.
+	status, err = t.iterate(maxIter)
+	if err != nil {
+		return Solution{}, err
+	}
+	if status == Unbounded {
 		return Solution{Status: Unbounded, Iterations: t.pivots}, nil
 	}
 
@@ -151,30 +96,12 @@ func (s *Solver) run(p *Problem, warm bool) (Solution, error) {
 	}
 	s.vals = scratch.Zeroed(s.vals, len(sf.recover))
 	sf.recoverValuesInto(s.y, s.vals)
-	if !p.bounded && !p.sparse {
-		s.rememberBasis(sf)
-	}
 	return Solution{
 		Status:     Optimal,
 		Objective:  t.objVal + sf.offset,
 		Iterations: t.pivots,
 		values:     s.vals,
 	}, nil
-}
-
-// rememberBasis records the optimal basis for the next SolveWarm. A basis
-// is only reusable when no redundant rows were dropped in leavePhase1
-// (the row count still matches the problem shape).
-func (s *Solver) rememberBasis(sf *standardForm) {
-	t := &s.t
-	if t.m != len(sf.rows) {
-		s.warmOK = false
-		return
-	}
-	s.warmBasis = scratch.For(s.warmBasis, t.m)
-	copy(s.warmBasis, t.basis[:t.m])
-	s.warmM, s.warmN, s.warmCols, s.warmArt = t.m, t.n, sf.ncols, t.artStart
-	s.warmOK = true
 }
 
 // Minimize solves the problem with a throwaway solver, returning a

@@ -23,12 +23,15 @@ func buildTransport(p *Problem, demand, cap1, cap2, c1, c2 float64) (x1, x2, sho
 
 // TestSolverSolveMatchesMinimize pins the cold Solver path to the
 // historical Minimize results across a spread of random problems: same
-// status, same objective, same values, bit for bit.
+// status, same objective, same values, bit for bit. One Solver serves
+// every problem, row-mode and bounded ones interleaved, so no state
+// may carry from one solve to the next.
 func TestSolverSolveMatchesMinimize(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := NewSolver()
 	for it := 0; it < 200; it++ {
 		p := NewProblem()
+		p.SetBounded(it%2 == 1)
 		nv := 1 + rng.Intn(6)
 		vars := make([]VarID, nv)
 		for i := range vars {
@@ -77,97 +80,8 @@ func TestSolverSolveMatchesMinimize(t *testing.T) {
 			}
 		}
 	}
-}
 
-// TestSolveWarmEqualsCold runs a same-shape problem sequence through a
-// warm-started solver and through per-problem cold solves: the solutions
-// must agree to within accumulated round-off (the pivot paths differ, so
-// the shared optimal vertex can differ in the last ulp) — the basis-reuse
-// contract the baseline warm starts rely on. Byte-exactness of everything
-// downstream is enforced end to end by TestSuiteGolden.
-func TestSolveWarmEqualsCold(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	warm := NewSolver()
-	warmUsed := false
-	for it := 0; it < 100; it++ {
-		demand := 1 + rng.Float64()*4
-		cap1 := 1 + rng.Float64()*2
-		cap2 := 1 + rng.Float64()*2
-		c1 := 5 + rng.Float64()*20
-		c2 := 5 + rng.Float64()*20
-
-		pw := NewProblem()
-		x1w, x2w, shw := buildTransport(pw, demand, cap1, cap2, c1, c2)
-		pc := NewProblem()
-		x1c, x2c, shc := buildTransport(pc, demand, cap1, cap2, c1, c2)
-
-		got, err := warm.SolveWarm(pw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := pc.Minimize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Status != cold.Status {
-			t.Fatalf("iter %d: status %v vs %v", it, got.Status, cold.Status)
-		}
-		if math.Abs(got.Value(x1w)-cold.Value(x1c)) > 1e-9 ||
-			math.Abs(got.Value(x2w)-cold.Value(x2c)) > 1e-9 ||
-			math.Abs(got.Value(shw)-cold.Value(shc)) > 1e-9 {
-			t.Fatalf("iter %d: warm (%v,%v,%v) != cold (%v,%v,%v)",
-				it, got.Value(x1w), got.Value(x2w), got.Value(shw),
-				cold.Value(x1c), cold.Value(x2c), cold.Value(shc))
-		}
-		if math.Abs(got.Objective-cold.Objective) > 1e-9 {
-			t.Fatalf("iter %d: objective %v vs %v", it, got.Objective, cold.Objective)
-		}
-		if it > 0 && got.Iterations < cold.Iterations {
-			warmUsed = true
-		}
-	}
-	if !warmUsed {
-		t.Error("warm starts never reduced the pivot count — basis reuse is not engaging")
-	}
-}
-
-// TestSolveWarmShapeChangeFallsBack interleaves two different problem
-// shapes through one solver; every solve must still be exact (the warm
-// basis is only reused within a matching shape).
-func TestSolveWarmShapeChangeFallsBack(t *testing.T) {
-	s := NewSolver()
-	for it := 0; it < 10; it++ {
-		if it%2 == 0 {
-			p := NewProblem()
-			x1, _, _ := buildTransport(p, 2.5, 2, 2, 10, 20)
-			sol, err := s.SolveWarm(p)
-			if err != nil || sol.Status != Optimal {
-				t.Fatalf("iter %d: %v %v", it, err, sol.Status)
-			}
-			if math.Abs(sol.Value(x1)-2) > 1e-9 {
-				t.Fatalf("iter %d: x1 = %v, want 2", it, sol.Value(x1))
-			}
-		} else {
-			p := NewProblem()
-			x := p.AddVariable("x", 0, 10, -1)
-			y := p.AddVariable("y", 0, 10, -2)
-			p.AddConstraint(LE, 12, Term{Var: x, Coeff: 1}, Term{Var: y, Coeff: 2})
-			sol, err := s.SolveWarm(p)
-			if err != nil || sol.Status != Optimal {
-				t.Fatalf("iter %d: %v %v", it, err, sol.Status)
-			}
-			// x + 2y ≤ 12 binds: min −x − 2y = −(x + 2y) = −12.
-			if math.Abs(sol.Objective-(-12)) > 1e-9 {
-				t.Fatalf("iter %d: objective = %v, want -12", it, sol.Objective)
-			}
-		}
-	}
-}
-
-// TestSolveWarmAfterInfeasible checks the solver recovers cleanly when a
-// sequence passes through an infeasible instance.
-func TestSolveWarmAfterInfeasible(t *testing.T) {
-	s := NewSolver()
+	// The same solver reaches Optimal again after an Infeasible solve.
 	feas := func(demand float64) *Problem {
 		p := NewProblem()
 		x := p.AddVariable("x", 0, 1, 1)
@@ -175,38 +89,15 @@ func TestSolveWarmAfterInfeasible(t *testing.T) {
 		p.AddConstraint(EQ, demand, Term{Var: x, Coeff: 1}, Term{Var: y, Coeff: 1})
 		return p
 	}
-	if sol, err := s.SolveWarm(feas(1.5)); err != nil || sol.Status != Optimal {
-		t.Fatalf("first solve: %v %v", err, sol.Status)
-	}
-	if sol, err := s.SolveWarm(feas(5)); err != nil || sol.Status != Infeasible {
+	if sol, err := s.Solve(feas(5)); err != nil || sol.Status != Infeasible {
 		t.Fatalf("infeasible solve: %v %v", err, sol.Status)
 	}
-	sol, err := s.SolveWarm(feas(0.5))
+	sol, err := s.Solve(feas(0.5))
 	if err != nil || sol.Status != Optimal {
-		t.Fatalf("recovery solve: %v %v", err, sol.Status)
+		t.Fatalf("solve after infeasible: %v %v", err, sol.Status)
 	}
 	if math.Abs(sol.Objective-0.5) > 1e-9 {
-		t.Fatalf("recovery objective = %v, want 0.5", sol.Objective)
-	}
-}
-
-// TestSolverResetDropsWarmBasis exercises the explicit warm-state drop.
-func TestSolverResetDropsWarmBasis(t *testing.T) {
-	s := NewSolver()
-	p := NewProblem()
-	buildTransport(p, 2, 2, 2, 10, 20)
-	if _, err := s.SolveWarm(p); err != nil {
-		t.Fatal(err)
-	}
-	s.Reset()
-	p2 := NewProblem()
-	x1, _, _ := buildTransport(p2, 2, 2, 2, 10, 20)
-	sol, err := s.SolveWarm(p2)
-	if err != nil || sol.Status != Optimal {
-		t.Fatalf("%v %v", err, sol.Status)
-	}
-	if math.Abs(sol.Value(x1)-2) > 1e-9 {
-		t.Fatalf("x1 = %v, want 2", sol.Value(x1))
+		t.Fatalf("objective after infeasible = %v, want 0.5", sol.Objective)
 	}
 }
 
