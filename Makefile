@@ -4,12 +4,15 @@
 GO ?= go
 
 # The perf-trajectory benchmark set (see BENCH_10.json and README
-# "Performance"), run over the root package and internal/baseline.
-# BenchmarkHorizonStair matches the sparse and dense solves of one
-# staircase LP in internal/baseline, so cmd/perf can gate their same-run
-# speedup ratio; BenchmarkGeoStep carries the geo fan-out's allocs/op
-# gate at every fleet size.
-PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair
+# "Performance"), run over PERF_PKGS. BenchmarkHorizonStair matches the
+# sparse and dense solves of one staircase LP in internal/baseline, so
+# cmd/perf can gate their same-run speedup ratio; BenchmarkGeoStep
+# carries the geo fan-out's allocs/op gate at every fleet size; the
+# dpss-serve rungs — one /metrics scrape (internal/serve), one
+# checkpoint and one resume (internal/engine) — sit in the packages
+# that own them.
+PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair|BenchmarkWriteExposition|BenchmarkSnapshot|BenchmarkRestore
+PERF_PKGS = . ./internal/baseline ./internal/serve ./internal/engine
 
 # Fuzzing budget for the `fuzz` target (CI smoke uses the default).
 FUZZTIME ?= 30s
@@ -32,11 +35,15 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -short -timeout 15m -run '^$$' .
 
-# Dense-vs-sparse LP parity fuzzing (FuzzSparseSolveParity): random
-# staircase LPs, dense tableau and sparse revised simplex must agree on
-# status and objective. Override the budget with FUZZTIME=5m.
+# Native fuzzing, one target per run (go test -fuzz takes one target):
+# FuzzSparseSolveParity — random staircase LPs, dense tableau and sparse
+# revised simplex must agree on status and objective; FuzzRestore —
+# mutated and truncated checkpoints must never panic Restore nor leave a
+# session partly restored. FUZZTIME is each target's budget (e.g.
+# FUZZTIME=5m).
 fuzz:
 	$(GO) test ./internal/lp -run '^$$' -fuzz FuzzSparseSolveParity -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzRestore -fuzztime $(FUZZTIME)
 
 lint:
 	@unformatted=$$(gofmt -l .); \
@@ -69,9 +76,9 @@ golden:
 	$(GO) test ./internal/experiments -run 'TestSuiteGolden|TestGoldenFilesComplete' -v
 
 # Per-package coverage, mirroring the CI floors (suite 70%, generator 85%,
-# baseline 70%, lp 95%, sim 70%, optimize 85%).
+# baseline 70%, lp 95%, sim 70%, optimize 85%, serve 80%).
 cover:
-	$(GO) test -cover ./internal/suite ./internal/generator ./internal/baseline ./internal/lp ./internal/sim ./internal/optimize
+	$(GO) test -cover ./internal/suite ./internal/generator ./internal/baseline ./internal/lp ./internal/sim ./internal/optimize ./internal/serve
 
 # Tuning-family smoke: the three tune scenarios (tuned-vs-default gap,
 # seed/regime transfer, SmartDPSS-vs-Lyapunov frontier) on a two-day
@@ -96,7 +103,7 @@ serve-smoke:
 # a pipe, so a failing benchmark run fails the target instead of being
 # masked by the parser's exit status.
 perf:
-	$(GO) test -bench='$(PERF_BENCHES)' -benchmem -benchtime=20x -run '^$$' . ./internal/baseline > bench.out
+	$(GO) test -bench='$(PERF_BENCHES)' -benchmem -benchtime=20x -run '^$$' $(PERF_PKGS) > bench.out
 	$(GO) test -bench=BenchmarkAblationOfflineAnnualLP -benchmem -benchtime=1x -run '^$$' . >> bench.out
 	$(GO) run ./cmd/perf -out BENCH_10.json -note "make perf" < bench.out
 	@rm -f bench.out

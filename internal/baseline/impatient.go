@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/smartdpss/smartdpss/internal/jsonenc"
 	"github.com/smartdpss/smartdpss/internal/sim"
 )
 
@@ -94,9 +95,20 @@ type impatientState struct {
 	Est sim.TrailingMeansState `json:"est"`
 }
 
-// SnapshotState implements sim.Snapshotter.
-func (i *Impatient) SnapshotState() ([]byte, error) {
-	return json.Marshal(impatientState{Est: i.est.State()})
+// AppendState implements sim.Snapshotter.
+func (i *Impatient) AppendState(dst []byte) ([]byte, error) {
+	return appendEstState(dst, i.est.State())
+}
+
+// appendEstState appends the checkpoint form shared by Impatient and
+// Lyapunov, an estimator alone, as json.Marshal encodes impatientState
+// and lyapunovState.
+func appendEstState(dst []byte, est sim.TrailingMeansState) ([]byte, error) {
+	e := jsonenc.NewEncoder(dst)
+	e.Open()
+	est.AppendJSON(e.Key("est"))
+	e.Close()
+	return e.Bytes()
 }
 
 // RestoreState implements sim.Snapshotter.

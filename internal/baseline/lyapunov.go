@@ -164,9 +164,9 @@ type lyapunovState struct {
 	Est sim.TrailingMeansState `json:"est"`
 }
 
-// SnapshotState implements sim.Snapshotter.
-func (l *Lyapunov) SnapshotState() ([]byte, error) {
-	return json.Marshal(lyapunovState{Est: l.est.State()})
+// AppendState implements sim.Snapshotter.
+func (l *Lyapunov) AppendState(dst []byte) ([]byte, error) {
+	return appendEstState(dst, l.est.State())
 }
 
 // RestoreState implements sim.Snapshotter.

@@ -227,7 +227,7 @@ func TestLyapunovSnapshotRoundTrip(t *testing.T) {
 			Battery: 0.5, SdtMax: 1.0,
 		})
 	}
-	blob, err := l.SnapshotState()
+	blob, err := l.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,16 +194,26 @@ func (b *Battery) State() State {
 	}
 }
 
-// Restore overwrites the battery's mutable state from a checkpoint. The
-// level must lie within the configured bounds; lifetime counters are
-// taken verbatim.
-func (b *Battery) Restore(s State) error {
+// CheckState reports whether Restore accepts s: the level must lie
+// within the configured bounds and the operation count must not be
+// negative.
+func (b *Battery) CheckState(s State) error {
 	if s.LevelMWh < b.params.MinLevelMWh-1e-9 || s.LevelMWh > b.params.CapacityMWh+1e-9 {
 		return fmt.Errorf("%w: restored level %g outside [%g, %g]",
 			ErrBounds, s.LevelMWh, b.params.MinLevelMWh, b.params.CapacityMWh)
 	}
 	if s.Ops < 0 {
 		return errors.New("battery: negative restored ops count")
+	}
+	return nil
+}
+
+// Restore overwrites the battery's mutable state from a checkpoint that
+// CheckState accepts (on error the battery is unchanged); lifetime
+// counters are taken verbatim.
+func (b *Battery) Restore(s State) error {
+	if err := b.CheckState(s); err != nil {
+		return err
 	}
 	b.level = s.LevelMWh
 	b.ops = s.Ops

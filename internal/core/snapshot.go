@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"github.com/smartdpss/smartdpss/internal/jsonenc"
 	"github.com/smartdpss/smartdpss/internal/sim"
 )
 
@@ -36,11 +37,11 @@ type controllerState struct {
 
 var _ sim.Snapshotter = (*Controller)(nil)
 
-// SnapshotState implements sim.Snapshotter: it captures everything the
-// controller carries across fine slots, so a restored controller plans
-// bit-identically to one that never stopped.
-func (c *Controller) SnapshotState() ([]byte, error) {
-	return json.Marshal(controllerState{
+// state captures everything the controller carries across fine slots,
+// so a restored controller plans bit-identically to one that never
+// stopped.
+func (c *Controller) state() controllerState {
+	return controllerState{
 		QT:         c.qT,
 		YT:         c.yT,
 		XT:         c.xT,
@@ -54,10 +55,38 @@ func (c *Controller) SnapshotState() ([]byte, error) {
 		EnvDDT:     c.envDDT,
 		EnvRen:     c.envRen,
 		LPFailures: c.lpFailures,
-	})
+	}
 }
 
-// RestoreState implements sim.Snapshotter.
+// AppendState implements sim.Snapshotter.
+func (c *Controller) AppendState(dst []byte) ([]byte, error) {
+	e := jsonenc.NewEncoder(dst)
+	s := c.state()
+	s.appendJSON(&e)
+	return e.Bytes()
+}
+
+// appendJSON appends s as json.Marshal encodes it.
+func (s *controllerState) appendJSON(e *jsonenc.Encoder) {
+	e.Open()
+	e.Key("qT").Float(s.QT)
+	e.Key("yT").Float(s.YT)
+	e.Key("xT").Float(s.XT)
+	e.Key("delayY").Float(s.DelayY)
+	s.Est.AppendJSON(e.Key("est"))
+	e.Key("prtSum").Float(s.PrtSum)
+	e.Key("prtN").Int(s.PrtN)
+	e.Key("prtMean").Float(s.PrtMean)
+	e.Key("prtReady").Bool(s.PrtReady)
+	e.Key("envDDS").Float(s.EnvDDS)
+	e.Key("envDDT").Float(s.EnvDDT)
+	e.Key("envRen").Float(s.EnvRen)
+	e.Key("lpFailures").Int(s.LPFailures)
+	e.Close()
+}
+
+// RestoreState implements sim.Snapshotter. It decodes the whole state
+// before assigning any of it.
 func (c *Controller) RestoreState(data []byte) error {
 	var s controllerState
 	if err := json.Unmarshal(data, &s); err != nil {

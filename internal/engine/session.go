@@ -243,7 +243,8 @@ func (s *Session) StepReplay() (SlotOutcome, error) {
 func (s *Session) Finish() (*Report, error) { return s.inner.Finish() }
 
 // Snapshot captures the full session state as a self-describing JSON
-// checkpoint (see sim.Checkpoint for the format). Valid only between
+// checkpoint (see sim.Checkpoint for the format), written without
+// reflection in the bytes encoding/json would write. Valid only between
 // slots; the policy must support snapshots (ErrSnapshotUnsupported
 // otherwise — the offline benchmarks do not).
 func (s *Session) Snapshot() ([]byte, error) { return s.inner.Snapshot() }
@@ -251,6 +252,10 @@ func (s *Session) Snapshot() ([]byte, error) { return s.inner.Snapshot() }
 // Restore reinstates a checkpoint onto this session. The session must be
 // configured identically to the snapshotting one — same policy, options,
 // horizon and slot length, enforced via the embedded configuration hash
+// and the checkpoint's own horizon and slot-length fields
 // (ErrSnapshotMismatch otherwise). Execution resumes bit-for-bit at the
-// checkpoint's slot.
+// checkpoint's slot. Restore is all-or-nothing: every component state
+// and the controller's blob are decoded and checked before any is
+// applied, so a rejected checkpoint (a decode error, or one wrapping
+// ErrSnapshotMismatch) leaves the session exactly as it was.
 func (s *Session) Restore(data []byte) error { return s.inner.Restore(data) }

@@ -209,13 +209,28 @@ func (f *Fleet) State() []State {
 	return states
 }
 
-// Restore overwrites every unit's mutable state from a checkpoint. The
-// state count must match the fleet size (the checkpoint's config hash
-// already pins the unit specs, this is a second line of defense).
-func (f *Fleet) Restore(states []State) error {
+// CheckState reports whether Restore accepts states: one state per unit
+// (the checkpoint's config hash already pins the unit specs, this is a
+// second line of defense), each accepted by its unit's CheckState.
+func (f *Fleet) CheckState(states []State) error {
 	if len(states) != len(f.units) {
 		return fmt.Errorf("generator: checkpoint has %d unit states, fleet has %d units",
 			len(states), len(f.units))
+	}
+	for i, s := range states {
+		if err := f.units[i].CheckState(s); err != nil {
+			return fmt.Errorf("unit %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// Restore overwrites every unit's mutable state from a checkpoint that
+// CheckState accepts. Every unit is checked before any is assigned, so
+// on error the fleet is unchanged.
+func (f *Fleet) Restore(states []State) error {
+	if err := f.CheckState(states); err != nil {
+		return err
 	}
 	for i, s := range states {
 		if err := f.units[i].Restore(s); err != nil {

@@ -278,8 +278,9 @@ func (g *Generator) State() State {
 	}
 }
 
-// Restore overwrites the unit's mutable state from a checkpoint.
-func (g *Generator) Restore(s State) error {
+// CheckState reports whether Restore accepts s: the startup countdown
+// within the unit's lag and the output within its capacity.
+func (g *Generator) CheckState(s State) error {
 	if s.Countdown < 0 || s.Countdown > g.params.StartupLagSlots {
 		return fmt.Errorf("generator: restored countdown %d outside [0, %d]",
 			s.Countdown, g.params.StartupLagSlots)
@@ -287,6 +288,15 @@ func (g *Generator) Restore(s State) error {
 	if s.OutputMWh < 0 || s.OutputMWh > g.params.CapacityMWh+tol {
 		return fmt.Errorf("generator: restored output %g outside [0, %g]",
 			s.OutputMWh, g.params.CapacityMWh)
+	}
+	return nil
+}
+
+// Restore overwrites the unit's mutable state from a checkpoint that
+// CheckState accepts (on error the unit is unchanged).
+func (g *Generator) Restore(s State) error {
+	if err := g.CheckState(s); err != nil {
+		return err
 	}
 	g.running = s.Running
 	g.output = s.OutputMWh

@@ -169,13 +169,24 @@ func (a *Account) State() State {
 	}
 }
 
-// Restore overwrites the account's mutable state from a checkpoint.
-func (a *Account) Restore(s State) error {
+// CheckState reports whether Restore accepts s: the per-slot long-term
+// delivery within the grid cap and the long-term price within the
+// price cap.
+func (a *Account) CheckState(s State) error {
 	if s.LTDuePerSlot < 0 || s.LTDuePerSlot > a.params.PgridMWh+1e-9 {
 		return fmt.Errorf("%w: restored gbef/T=%g", ErrGridCap, s.LTDuePerSlot)
 	}
 	if s.LTPrice < 0 || s.LTPrice > a.params.PmaxUSD {
 		return fmt.Errorf("%w: restored plt=%g", ErrPriceCap, s.LTPrice)
+	}
+	return nil
+}
+
+// Restore overwrites the account's mutable state from a checkpoint that
+// CheckState accepts (on error the account is unchanged).
+func (a *Account) Restore(s State) error {
+	if err := a.CheckState(s); err != nil {
+		return err
 	}
 	a.ltDuePerSlot = s.LTDuePerSlot
 	a.ltPrice = s.LTPrice

@@ -2,11 +2,10 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
+	"sync"
 
 	"github.com/smartdpss/smartdpss/internal/engine"
 )
@@ -38,117 +37,124 @@ func (d *Daemon) snapshotMetrics() MetricsSnapshot {
 	}
 }
 
-// expositionWriter accumulates OpenMetrics families, tracking the first
-// write error so call sites stay linear.
-type expositionWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *expositionWriter) printf(format string, args ...any) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
-}
-
-// family emits the TYPE/HELP header for one metric family.
-func (e *expositionWriter) family(name, typ, help string) {
-	e.printf("# TYPE %s %s\n", name, typ)
-	e.printf("# HELP %s %s\n", name, help)
-}
-
-// sample emits one sample line. labels is a preformatted `{...}` block
-// or empty.
-func (e *expositionWriter) sample(name, labels string, value float64) {
-	e.printf("%s%s %s\n", name, labels, strconv.FormatFloat(value, 'g', -1, 64))
-}
-
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
-
 // WriteExposition renders the snapshot as OpenMetrics 1.0 text — TYPE
 // before samples, counters with the _total suffix, `# EOF` terminator —
-// exactly what ValidateExposition and promtool accept.
+// exactly what ValidateExposition and promtool accept. The text is
+// appended into one pooled buffer, without fmt or per-call escapers,
+// and reaches w in a single Write; label values get the OpenMetrics
+// escape (backslash, double quote and newline) once.
 func WriteExposition(w io.Writer, m MetricsSnapshot) error {
-	e := &expositionWriter{w: w}
-	s := m.Status
+	bp := expositionBufs.Get().(*[]byte)
+	*bp = appendExposition((*bp)[:0], &m)
+	_, err := w.Write(*bp)
+	expositionBufs.Put(bp)
+	return err
+}
 
-	e.family("smartdpss_session", "info", "Policy and controller identity of the served session.")
-	e.sample("smartdpss_session_info",
-		fmt.Sprintf("{policy=%q,controller=%q}", escapeLabel(m.Policy), escapeLabel(m.Controller)), 1)
+// expositionBufs recycles exposition buffers across scrapes.
+var expositionBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-	e.family("smartdpss_slots", "counter", "Fine slots committed so far.")
-	e.sample("smartdpss_slots_total", "", float64(s.Slot))
+// appendExposition appends the exposition of m to b.
+func appendExposition(b []byte, m *MetricsSnapshot) []byte {
+	s := &m.Status
+	b = appendFamily(b, "smartdpss_session", "info", "Policy and controller identity of the served session.")
+	b = append(b, `smartdpss_session_info{policy="`...)
+	b = appendLabelValue(b, m.Policy)
+	b = append(b, `",controller="`...)
+	b = appendLabelValue(b, m.Controller)
+	b = append(b, "\"} 1\n"...)
 
-	e.family("smartdpss_horizon_slots", "gauge", "Total fine slots in the session horizon.")
-	e.sample("smartdpss_horizon_slots", "", float64(s.Horizon))
+	b = appendFamily(b, "smartdpss_slots", "counter", "Fine slots committed so far.")
+	b = appendSample(b, "smartdpss_slots_total", float64(s.Slot))
 
-	e.family("smartdpss_cost_usd", "counter", "Accumulated cost by component, USD.")
-	for _, c := range []struct {
-		component string
-		value     float64
-	}{
-		{"longterm", s.LTCostUSD},
-		{"realtime", s.RTCostUSD},
-		{"battery_op", s.BatteryOpUSD},
-		{"waste", s.WasteCostUSD},
-		{"gen_fuel", s.GenFuelUSD},
-		{"gen_startup", s.GenStartupUSD},
-		{"emergency", s.EmergencyCostUSD},
-	} {
-		e.sample("smartdpss_cost_usd_total",
-			fmt.Sprintf("{component=%q}", c.component), c.value)
+	b = appendFamily(b, "smartdpss_horizon_slots", "gauge", "Total fine slots in the session horizon.")
+	b = appendSample(b, "smartdpss_horizon_slots", float64(s.Horizon))
+
+	b = appendFamily(b, "smartdpss_cost_usd", "counter", "Accumulated cost by component, USD.")
+	b = appendSample(b, `smartdpss_cost_usd_total{component="longterm"}`, s.LTCostUSD)
+	b = appendSample(b, `smartdpss_cost_usd_total{component="realtime"}`, s.RTCostUSD)
+	b = appendSample(b, `smartdpss_cost_usd_total{component="battery_op"}`, s.BatteryOpUSD)
+	b = appendSample(b, `smartdpss_cost_usd_total{component="waste"}`, s.WasteCostUSD)
+	b = appendSample(b, `smartdpss_cost_usd_total{component="gen_fuel"}`, s.GenFuelUSD)
+	b = appendSample(b, `smartdpss_cost_usd_total{component="gen_startup"}`, s.GenStartupUSD)
+	b = appendSample(b, `smartdpss_cost_usd_total{component="emergency"}`, s.EmergencyCostUSD)
+
+	b = appendFamily(b, "smartdpss_total_cost_usd", "counter", "Accumulated total cost across all components, USD.")
+	b = appendSample(b, "smartdpss_total_cost_usd_total", s.TotalCostUSD)
+
+	b = appendFamily(b, "smartdpss_energy_mwh", "counter", "Accumulated energy by source or sink, MWh.")
+	b = appendSample(b, `smartdpss_energy_mwh_total{source="longterm"}`, s.LTEnergyMWh)
+	b = appendSample(b, `smartdpss_energy_mwh_total{source="realtime"}`, s.RTEnergyMWh)
+	b = appendSample(b, `smartdpss_energy_mwh_total{source="renewable"}`, s.RenewableMWh)
+	b = appendSample(b, `smartdpss_energy_mwh_total{source="generation"}`, s.GenEnergyMWh)
+	b = appendSample(b, `smartdpss_energy_mwh_total{source="served_dt"}`, s.ServedDTMWh)
+	b = appendSample(b, `smartdpss_energy_mwh_total{source="waste"}`, s.WasteMWh)
+	b = appendSample(b, `smartdpss_energy_mwh_total{source="unserved"}`, s.UnservedMWh)
+
+	b = appendFamily(b, "smartdpss_co2_kg", "counter", "Accumulated on-site generation CO2, kg.")
+	b = appendSample(b, "smartdpss_co2_kg_total", s.GenCO2Kg)
+
+	b = appendFamily(b, "smartdpss_backlog_mwh", "gauge", "Delay-tolerant backlog currently queued, MWh.")
+	b = appendSample(b, "smartdpss_backlog_mwh", s.BacklogMWh)
+
+	b = appendFamily(b, "smartdpss_battery_mwh", "gauge", "Battery level, MWh.")
+	b = appendSample(b, "smartdpss_battery_mwh", s.BatteryMWh)
+
+	b = appendFamily(b, "smartdpss_battery_ops", "counter", "Battery charge/discharge operations.")
+	b = appendSample(b, "smartdpss_battery_ops_total", float64(s.BatteryOps))
+
+	b = appendFamily(b, "smartdpss_peak_grid_mw", "gauge", "Peak grid draw so far, MW.")
+	b = appendSample(b, "smartdpss_peak_grid_mw", s.PeakGridMW)
+
+	b = appendFamily(b, "smartdpss_unavailable_slots", "counter", "Slots with unserved delay-sensitive demand.")
+	b = appendSample(b, "smartdpss_unavailable_slots_total", float64(s.Unavailable))
+
+	b = appendFamily(b, "smartdpss_lp_failures", "counter", "LP solves that fell back to the closed form.")
+	b = appendSample(b, "smartdpss_lp_failures_total", float64(m.LPFailures))
+
+	b = appendFamily(b, "smartdpss_checkpoints", "counter", "Checkpoint files written.")
+	b = appendSample(b, "smartdpss_checkpoints_total", float64(m.Checkpoints))
+
+	return append(b, "# EOF\n"...)
+}
+
+// appendFamily appends the TYPE/HELP header of one metric family.
+func appendFamily(b []byte, name, typ, help string) []byte {
+	b = append(b, "# TYPE "...)
+	b = append(b, name...)
+	b = append(b, ' ')
+	b = append(b, typ...)
+	b = append(b, "\n# HELP "...)
+	b = append(b, name...)
+	b = append(b, ' ')
+	b = append(b, help...)
+	return append(b, '\n')
+}
+
+// appendSample appends one sample line; series is the sample name with
+// its label block, if any.
+func appendSample(b []byte, series string, value float64) []byte {
+	b = append(b, series...)
+	b = append(b, ' ')
+	b = strconv.AppendFloat(b, value, 'g', -1, 64)
+	return append(b, '\n')
+}
+
+// appendLabelValue appends v with the OpenMetrics label-value escapes.
+func appendLabelValue(b []byte, v string) []byte {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
+		case '\\':
+			b = append(b, `\\`...)
+		case '"':
+			b = append(b, `\"`...)
+		case '\n':
+			b = append(b, `\n`...)
+		default:
+			b = append(b, c)
+		}
 	}
-
-	e.family("smartdpss_total_cost_usd", "counter", "Accumulated total cost across all components, USD.")
-	e.sample("smartdpss_total_cost_usd_total", "", s.TotalCostUSD)
-
-	e.family("smartdpss_energy_mwh", "counter", "Accumulated energy by source or sink, MWh.")
-	for _, c := range []struct {
-		source string
-		value  float64
-	}{
-		{"longterm", s.LTEnergyMWh},
-		{"realtime", s.RTEnergyMWh},
-		{"renewable", s.RenewableMWh},
-		{"generation", s.GenEnergyMWh},
-		{"served_dt", s.ServedDTMWh},
-		{"waste", s.WasteMWh},
-		{"unserved", s.UnservedMWh},
-	} {
-		e.sample("smartdpss_energy_mwh_total",
-			fmt.Sprintf("{source=%q}", c.source), c.value)
-	}
-
-	e.family("smartdpss_co2_kg", "counter", "Accumulated on-site generation CO2, kg.")
-	e.sample("smartdpss_co2_kg_total", "", s.GenCO2Kg)
-
-	e.family("smartdpss_backlog_mwh", "gauge", "Delay-tolerant backlog currently queued, MWh.")
-	e.sample("smartdpss_backlog_mwh", "", s.BacklogMWh)
-
-	e.family("smartdpss_battery_mwh", "gauge", "Battery level, MWh.")
-	e.sample("smartdpss_battery_mwh", "", s.BatteryMWh)
-
-	e.family("smartdpss_battery_ops", "counter", "Battery charge/discharge operations.")
-	e.sample("smartdpss_battery_ops_total", "", float64(s.BatteryOps))
-
-	e.family("smartdpss_peak_grid_mw", "gauge", "Peak grid draw so far, MW.")
-	e.sample("smartdpss_peak_grid_mw", "", s.PeakGridMW)
-
-	e.family("smartdpss_unavailable_slots", "counter", "Slots with unserved delay-sensitive demand.")
-	e.sample("smartdpss_unavailable_slots_total", "", float64(s.Unavailable))
-
-	e.family("smartdpss_lp_failures", "counter", "LP solves that fell back to the closed form.")
-	e.sample("smartdpss_lp_failures_total", "", float64(m.LPFailures))
-
-	e.family("smartdpss_checkpoints", "counter", "Checkpoint files written.")
-	e.sample("smartdpss_checkpoints_total", "", float64(m.Checkpoints))
-
-	e.printf("# EOF\n")
-	return e.err
+	return b
 }
 
 // Handler returns the daemon's HTTP surface:

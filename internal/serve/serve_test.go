@@ -15,7 +15,7 @@ import (
 	"github.com/smartdpss/smartdpss/internal/engine"
 )
 
-func shortTraces(t *testing.T, days int) *engine.Traces {
+func shortTraces(t testing.TB, days int) *engine.Traces {
 	t.Helper()
 	tc := engine.DefaultTraceConfig()
 	tc.Days = days

@@ -8,7 +8,9 @@ import (
 
 	"github.com/smartdpss/smartdpss/internal/battery"
 	"github.com/smartdpss/smartdpss/internal/generator"
+	"github.com/smartdpss/smartdpss/internal/jsonenc"
 	"github.com/smartdpss/smartdpss/internal/market"
+	"github.com/smartdpss/smartdpss/internal/metrics"
 	"github.com/smartdpss/smartdpss/internal/queue"
 )
 
@@ -25,9 +27,12 @@ const CheckpointVersion = 1
 // session and fails with ErrSnapshotMismatch otherwise, instead of
 // silently resuming one run's state under another run's physics.
 //
-// All float64 fields round-trip exactly through Go's JSON encoding
-// (shortest-representation formatting is read back to the identical
-// bits), so a restored session continues bit-for-bit.
+// Snapshot writes a Checkpoint with an append encoder, field by field
+// and without reflection; its bytes are pinned to the ones
+// encoding/json's Marshal writes for the same struct (shortest
+// round-trip floats), and Restore decodes them with encoding/json, so
+// every float64 reads back to the identical bits and a restored session
+// continues bit-for-bit.
 type Checkpoint struct {
 	Version    int    `json:"version"`
 	ConfigHash string `json:"configHash"`
@@ -81,27 +86,26 @@ func (s *Session) ConfigHash() string {
 	return s.hash
 }
 
-// Snapshot captures the full simulation state as a self-describing JSON
-// checkpoint. It is only valid between slots: with a Step pending Commit
-// it fails with ErrPendingDecision, and after Finish with
-// ErrSessionFinished. The controller must implement Snapshotter
-// (ErrSnapshotUnsupported otherwise).
-func (s *Session) Snapshot() ([]byte, error) {
+// Checkpoint captures the session's state as the Checkpoint value that
+// Snapshot encodes. It fails like Snapshot. ControllerState aliases a
+// session-owned buffer that the next Checkpoint or Snapshot overwrites.
+func (s *Session) Checkpoint() (Checkpoint, error) {
 	if s.finished {
-		return nil, ErrSessionFinished
+		return Checkpoint{}, ErrSessionFinished
 	}
 	if s.pending {
-		return nil, ErrPendingDecision
+		return Checkpoint{}, ErrPendingDecision
 	}
 	snap, ok := s.ctrl.(Snapshotter)
 	if !ok {
-		return nil, fmt.Errorf("%w: controller %q", ErrSnapshotUnsupported, s.ctrl.Name())
+		return Checkpoint{}, fmt.Errorf("%w: controller %q", ErrSnapshotUnsupported, s.ctrl.Name())
 	}
-	ctrlState, err := snap.SnapshotState()
+	ctrlState, err := snap.AppendState(s.ctrlState[:0])
 	if err != nil {
-		return nil, fmt.Errorf("sim: controller snapshot: %w", err)
+		return Checkpoint{}, fmt.Errorf("sim: controller snapshot: %w", err)
 	}
-	cp := Checkpoint{
+	s.ctrlState = ctrlState
+	return Checkpoint{
 		Version:         CheckpointVersion,
 		ConfigHash:      s.ConfigHash(),
 		Controller:      s.ctrl.Name(),
@@ -114,8 +118,28 @@ func (s *Session) Snapshot() ([]byte, error) {
 		Fleet:           s.fleet.State(),
 		Report:          s.rep.state(),
 		ControllerState: ctrlState,
+	}, nil
+}
+
+// Snapshot captures the full simulation state as a self-describing JSON
+// checkpoint. It is only valid between slots: with a Step pending Commit
+// it fails with ErrPendingDecision, and after Finish with
+// ErrSessionFinished. The controller must implement Snapshotter
+// (ErrSnapshotUnsupported otherwise), and a non-finite float anywhere in
+// the state fails the encode, as it fails json.Marshal.
+func (s *Session) Snapshot() ([]byte, error) {
+	cp, err := s.Checkpoint()
+	if err != nil {
+		return nil, err
 	}
-	return json.Marshal(cp)
+	// Checkpoints grow slowly (backlog cohorts, kept series), so the last
+	// one's size plus a quarter fits the next in a single allocation.
+	out, err := cp.appendJSON(make([]byte, 0, s.snapshotSize+s.snapshotSize/4+512))
+	if err != nil {
+		return nil, fmt.Errorf("sim: encode checkpoint: %w", err)
+	}
+	s.snapshotSize = len(out)
+	return out, nil
 }
 
 // Restore reinstates a checkpoint onto this session, which must be
@@ -124,6 +148,16 @@ func (s *Session) Snapshot() ([]byte, error) {
 // the embedded hash). The session may be fresh or mid-run; either way
 // its entire state is overwritten and execution resumes bit-for-bit at
 // the checkpoint's slot.
+//
+// Restore is all-or-nothing. Before it assigns anything it decodes the
+// whole checkpoint and checks the format version, the config hash, the
+// controller name, the horizon and slot length against the session's
+// own, the slot against the session's horizon, the battery, market and
+// fleet states against their configured bounds, and the controller's
+// blob (which the controller decodes and checks in full before it
+// applies any of it). A rejected checkpoint returns a decode error or
+// one wrapping ErrSnapshotMismatch, and leaves the session exactly as
+// it was.
 func (s *Session) Restore(data []byte) error {
 	if s.pending {
 		return ErrPendingDecision
@@ -136,6 +170,33 @@ func (s *Session) Restore(data []byte) error {
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return fmt.Errorf("sim: decode checkpoint: %w", err)
 	}
+	if err := s.checkCheckpoint(&cp); err != nil {
+		return err
+	}
+	if err := snap.RestoreState(cp.ControllerState); err != nil {
+		return fmt.Errorf("sim: restore controller: %w", err)
+	}
+	// checkCheckpoint accepted every component state, so none of these
+	// restores fails and the session never holds a partial checkpoint.
+	if err := s.batt.Restore(cp.Battery); err != nil {
+		return fmt.Errorf("sim: restore battery: %w", err)
+	}
+	if err := s.acct.Restore(cp.Market); err != nil {
+		return fmt.Errorf("sim: restore market: %w", err)
+	}
+	if err := s.fleet.Restore(cp.Fleet); err != nil {
+		return fmt.Errorf("sim: restore fleet: %w", err)
+	}
+	s.backlog.Restore(cp.Backlog)
+	s.rep = restoreReport(cp.Report, s.ctrl.Name(), s.horizon, s.cfg.KeepSeries)
+	s.slot = cp.Slot
+	s.finished = false
+	return nil
+}
+
+// checkCheckpoint rejects, with ErrSnapshotMismatch, a checkpoint whose
+// identity or component states this session cannot take.
+func (s *Session) checkCheckpoint(cp *Checkpoint) error {
 	if cp.Version != CheckpointVersion {
 		return fmt.Errorf("%w: checkpoint version %d, want %d",
 			ErrSnapshotMismatch, cp.Version, CheckpointVersion)
@@ -148,25 +209,198 @@ func (s *Session) Restore(data []byte) error {
 		return fmt.Errorf("%w: checkpoint controller %q, session has %q",
 			ErrSnapshotMismatch, cp.Controller, s.ctrl.Name())
 	}
-	if cp.Slot < 0 || cp.Slot > cp.Horizon {
+	if cp.Horizon != s.horizon || cp.SlotMinutes != s.slotMinutes {
+		return fmt.Errorf("%w: checkpoint of %d %d-minute slots, session has %d %d-minute slots",
+			ErrSnapshotMismatch, cp.Horizon, cp.SlotMinutes, s.horizon, s.slotMinutes)
+	}
+	if cp.Slot < 0 || cp.Slot > s.horizon {
 		return fmt.Errorf("%w: checkpoint slot %d outside [0, %d]",
-			ErrSnapshotMismatch, cp.Slot, cp.Horizon)
+			ErrSnapshotMismatch, cp.Slot, s.horizon)
 	}
-	if err := s.batt.Restore(cp.Battery); err != nil {
-		return fmt.Errorf("sim: restore battery: %w", err)
+	if err := s.batt.CheckState(cp.Battery); err != nil {
+		return fmt.Errorf("%w: battery: %w", ErrSnapshotMismatch, err)
 	}
-	if err := s.acct.Restore(cp.Market); err != nil {
-		return fmt.Errorf("sim: restore market: %w", err)
+	if err := s.acct.CheckState(cp.Market); err != nil {
+		return fmt.Errorf("%w: market: %w", ErrSnapshotMismatch, err)
 	}
-	if err := s.fleet.Restore(cp.Fleet); err != nil {
-		return fmt.Errorf("sim: restore fleet: %w", err)
+	if err := s.fleet.CheckState(cp.Fleet); err != nil {
+		return fmt.Errorf("%w: fleet: %w", ErrSnapshotMismatch, err)
 	}
-	s.backlog.Restore(cp.Backlog)
-	s.rep = restoreReport(cp.Report, s.ctrl.Name(), s.horizon, s.cfg.KeepSeries)
-	if err := snap.RestoreState(cp.ControllerState); err != nil {
-		return fmt.Errorf("sim: restore controller: %w", err)
-	}
-	s.slot = cp.Slot
-	s.finished = false
 	return nil
+}
+
+// appendJSON appends cp as json.Marshal encodes it: fields in struct
+// order, omitempty honoured.
+func (cp *Checkpoint) appendJSON(dst []byte) ([]byte, error) {
+	e := jsonenc.NewEncoder(dst)
+	e.Open()
+	e.Key("version").Int(cp.Version)
+	e.Key("configHash").String(cp.ConfigHash)
+	e.Key("controller").String(cp.Controller)
+	e.Key("slot").Int(cp.Slot)
+	e.Key("horizon").Int(cp.Horizon)
+	e.Key("slotMinutes").Int(cp.SlotMinutes)
+
+	b := &cp.Battery
+	e.Key("battery").Open()
+	e.Key("levelMWh").Float(b.LevelMWh)
+	e.Key("ops").Int(b.Ops)
+	e.Key("chargedMWh").Float(b.ChargedMWh)
+	e.Key("dischargedMWh").Float(b.DischargedMWh)
+	e.Key("opCostUSD").Float(b.OpCostUSD)
+	e.Close()
+
+	m := &cp.Market
+	e.Key("market").Open()
+	e.Key("ltDuePerSlot").Float(m.LTDuePerSlot)
+	e.Key("ltPrice").Float(m.LTPrice)
+	e.Key("active").Bool(m.Active)
+	e.Key("ltEnergyMWh").Float(m.LTEnergyMWh)
+	e.Key("rtEnergyMWh").Float(m.RTEnergyMWh)
+	e.Key("ltCostUSD").Float(m.LTCostUSD)
+	e.Key("rtCostUSD").Float(m.RTCostUSD)
+	e.Close()
+
+	q := &cp.Backlog
+	e.Key("backlog").Open()
+	if len(q.Cohorts) > 0 {
+		e.Key("cohorts").OpenArray()
+		for _, c := range q.Cohorts {
+			e.Open()
+			e.Key("arrivalSlot").Int(c.ArrivalSlot)
+			e.Key("remainingMWh").Float(c.RemainingMWh)
+			e.Close()
+		}
+		e.CloseArray()
+	}
+	e.Key("totalMWh").Float(q.TotalMWh)
+	e.Key("servedMWh").Float(q.ServedMWh)
+	e.Key("delayWeighted").Float(q.DelayWeighted)
+	e.Key("maxDelay").Int(q.MaxDelay)
+	e.Close()
+
+	if len(cp.Fleet) > 0 {
+		e.Key("fleet").OpenArray()
+		for i := range cp.Fleet {
+			u := &cp.Fleet[i]
+			e.Open()
+			e.Key("running").Bool(u.Running)
+			e.Key("outputMWh").Float(u.OutputMWh)
+			e.Key("countdown").Int(u.Countdown)
+			e.Key("fresh").Bool(u.Fresh)
+			e.Key("energyMWh").Float(u.EnergyMWh)
+			e.Key("fuelUSD").Float(u.FuelUSD)
+			e.Key("startupUSD").Float(u.StartupUSD)
+			e.Key("co2Kg").Float(u.CO2Kg)
+			e.Key("starts").Int(u.Starts)
+			e.Key("opSlots").Int(u.OpSlots)
+			e.Close()
+		}
+		e.CloseArray()
+	}
+
+	e.Key("report").Open()
+	appendReport(e.Key("summary"), &cp.Report.Summary)
+	appendStream(e.Key("costStream"), &cp.Report.CostStream)
+	appendStream(e.Key("backlogStream"), &cp.Report.BacklogStream)
+	e.Key("unavailable").Int(cp.Report.Unavailable)
+	e.Close()
+
+	if len(cp.ControllerState) > 0 {
+		e.Key("controllerState").Raw(cp.ControllerState)
+	}
+	e.Close()
+	return e.Bytes()
+}
+
+// appendReport appends the exported fields of an in-progress report.
+func appendReport(e *jsonenc.Encoder, r *Report) {
+	e.Open()
+	e.Key("controller").String(r.Controller)
+	e.Key("slots").Int(r.Slots)
+	e.Key("totalCostUSD").Float(r.TotalCostUSD)
+	e.Key("ltCostUSD").Float(r.LTCostUSD)
+	e.Key("rtCostUSD").Float(r.RTCostUSD)
+	e.Key("batteryOpUSD").Float(r.BatteryOpUSD)
+	e.Key("wasteCostUSD").Float(r.WasteCostUSD)
+	if r.GenFuelUSD != 0 {
+		e.Key("genFuelUSD").Float(r.GenFuelUSD)
+	}
+	if r.GenStartupUSD != 0 {
+		e.Key("genStartupUSD").Float(r.GenStartupUSD)
+	}
+	e.Key("emergencyCostUSD").Float(r.EmergencyCostUSD)
+	e.Key("timeAvgCostUSD").Float(r.TimeAvgCostUSD)
+	e.Key("ltEnergyMWh").Float(r.LTEnergyMWh)
+	e.Key("rtEnergyMWh").Float(r.RTEnergyMWh)
+	e.Key("renewableMWh").Float(r.RenewableMWh)
+	if r.GenEnergyMWh != 0 {
+		e.Key("genEnergyMWh").Float(r.GenEnergyMWh)
+	}
+	e.Key("wasteMWh").Float(r.WasteMWh)
+	e.Key("unservedMWh").Float(r.UnservedMWh)
+	e.Key("servedDTMWh").Float(r.ServedDTMWh)
+	e.Key("batteryInMWh").Float(r.BatteryInMWh)
+	e.Key("batteryOutMWh").Float(r.BatteryOutMWh)
+	if r.GenStarts != 0 {
+		e.Key("genStarts").Int(r.GenStarts)
+	}
+	if r.GenSlots != 0 {
+		e.Key("genSlots").Int(r.GenSlots)
+	}
+	if r.GenCO2Kg != 0 {
+		e.Key("genCO2Kg").Float(r.GenCO2Kg)
+	}
+	if len(r.GenUnits) > 0 {
+		e.Key("genUnits").OpenArray()
+		for i := range r.GenUnits {
+			u := &r.GenUnits[i]
+			e.Open()
+			e.Key("capacityMWh").Float(u.CapacityMWh)
+			e.Key("energyMWh").Float(u.EnergyMWh)
+			e.Key("fuelUSD").Float(u.FuelUSD)
+			e.Key("startupUSD").Float(u.StartupUSD)
+			e.Key("co2Kg").Float(u.CO2Kg)
+			e.Key("starts").Int(u.Starts)
+			e.Key("opSlots").Int(u.OpSlots)
+			e.Close()
+		}
+		e.CloseArray()
+	}
+	e.Key("meanDelaySlots").Float(r.MeanDelaySlots)
+	e.Key("maxDelaySlots").Int(r.MaxDelaySlots)
+	e.Key("backlogMaxMWh").Float(r.BacklogMaxMWh)
+	e.Key("backlogMeanMWh").Float(r.BacklogMeanMWh)
+	e.Key("batteryMinMWh").Float(r.BatteryMinMWh)
+	e.Key("batteryMaxMWh").Float(r.BatteryMaxMWh)
+	e.Key("batteryOps").Int(r.BatteryOps)
+	e.Key("peakGridMW").Float(r.PeakGridMW)
+	e.Key("peakChargeUSD").Float(r.PeakChargeUSD)
+	e.Key("nearPeakSlots").Int(r.NearPeakSlots)
+	e.Key("availability").Float(r.Availability)
+	e.Key("availabilityViolations").Int(r.AvailabilityViolations)
+	if len(r.CostSeries) > 0 {
+		e.Key("costSeries").Floats(r.CostSeries)
+	}
+	if len(r.BacklogSeries) > 0 {
+		e.Key("backlogSeries").Floats(r.BacklogSeries)
+	}
+	if len(r.BatterySeries) > 0 {
+		e.Key("batterySeries").Floats(r.BatterySeries)
+	}
+	e.Close()
+}
+
+// appendStream appends a streaming statistic's checkpoint state.
+func appendStream(e *jsonenc.Encoder, st *metrics.StreamState) {
+	e.Open()
+	e.Key("n").Int(st.N)
+	e.Key("mean").Float(st.Mean)
+	e.Key("m2").Float(st.M2)
+	e.Key("min").Float(st.Min)
+	e.Key("max").Float(st.Max)
+	if len(st.Samples) > 0 {
+		e.Key("samples").Floats(st.Samples)
+	}
+	e.Close()
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "github.com/smartdpss/smartdpss/internal/jsonenc"
+
 // TrailingMeans accumulates per-slot observations of the exogenous inputs
 // and reports their means since the last reset. Controllers use it to
 // estimate the upcoming coarse interval's per-slot demand and renewable
@@ -51,6 +53,17 @@ type TrailingMeansState struct {
 	SumDT  float64 `json:"sumDT"`
 	SumRen float64 `json:"sumRen"`
 	N      int     `json:"n"`
+}
+
+// AppendJSON appends the state as json.Marshal encodes it, for the
+// controllers that embed it in their checkpoint state.
+func (s TrailingMeansState) AppendJSON(e *jsonenc.Encoder) {
+	e.Open()
+	e.Key("sumDS").Float(s.SumDS)
+	e.Key("sumDT").Float(s.SumDT)
+	e.Key("sumRen").Float(s.SumRen)
+	e.Key("n").Int(s.N)
+	e.Close()
 }
 
 // State captures the accumulator for a checkpoint.

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"github.com/smartdpss/smartdpss/internal/jsonenc"
 )
 
 // NoisyController wraps a controller and perturbs the exogenous fields of
@@ -24,9 +26,23 @@ type NoisyController struct {
 	// seed and draws position the RNG for checkpoints: math/rand exposes
 	// no state extraction, but the stream is fully determined by the seed
 	// and the number of draws consumed, so a restore re-seeds and replays
-	// draws discards (see RestoreState).
-	seed  int64
-	draws uint64
+	// draws discards (see RestoreState). maxDraws bounds what a restore
+	// replays: the most a session's horizon can consume (NewSession sets
+	// it; zero outside a session).
+	seed     int64
+	draws    uint64
+	maxDraws uint64
+}
+
+// noiseDrawsPerPlan is the most draws one PlanFine or PlanCoarse call
+// consumes: four exogenous fields plus the fuel-price multiplier.
+const noiseDrawsPerPlan = 5
+
+// maxNoiseDraws is the most draws a horizon of fine slots, planned in
+// coarse intervals of T slots, can consume.
+func maxNoiseDraws(horizon, T int) uint64 {
+	coarse := (horizon + T - 1) / T
+	return noiseDrawsPerPlan * uint64(horizon+coarse)
 }
 
 var _ Controller = (*NoisyController)(nil)
@@ -122,23 +138,40 @@ type noisyState struct {
 	Inner json.RawMessage `json:"inner,omitempty"`
 }
 
-// SnapshotState implements Snapshotter. The wrapped controller must
-// itself be a Snapshotter, or ErrSnapshotUnsupported is returned.
-func (n *NoisyController) SnapshotState() ([]byte, error) {
+// AppendState implements Snapshotter. The wrapped controller must itself
+// be a Snapshotter, or ErrSnapshotUnsupported is returned; its state is
+// appended in place as the "inner" field.
+func (n *NoisyController) AppendState(dst []byte) ([]byte, error) {
 	snap, ok := n.inner.(Snapshotter)
 	if !ok {
 		return nil, fmt.Errorf("%w: wrapped controller %q", ErrSnapshotUnsupported, n.inner.Name())
 	}
-	inner, err := snap.SnapshotState()
+	e := jsonenc.NewEncoder(dst)
+	e.Open()
+	e.Key("seed").Int64(n.seed)
+	e.Key("draws").Uint64(n.draws)
+	buf, err := e.Key("inner").Bytes()
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(noisyState{Seed: n.seed, Draws: n.draws, Inner: inner})
+	mark := len(buf)
+	buf, err = snap.AppendState(buf)
+	if err != nil {
+		return nil, err
+	}
+	if len(buf) == mark {
+		// An empty inner state is omitted, as omitempty omits it.
+		buf = buf[:mark-len(`,"inner":`)]
+	}
+	return append(buf, '}'), nil
 }
 
 // RestoreState implements Snapshotter. The RNG is repositioned by
 // re-seeding and discarding the recorded number of draws — the uniform
-// stream then continues exactly where the snapshot left it.
+// stream then continues exactly where the snapshot left it. The seed,
+// the draw count (at most what the session's horizon can consume) and
+// the inner controller's state are all checked before anything is
+// assigned.
 func (n *NoisyController) RestoreState(data []byte) error {
 	snap, ok := n.inner.(Snapshotter)
 	if !ok {
@@ -151,11 +184,18 @@ func (n *NoisyController) RestoreState(data []byte) error {
 	if s.Seed != n.seed {
 		return fmt.Errorf("%w: noise seed %d, session has %d", ErrSnapshotMismatch, s.Seed, n.seed)
 	}
+	if s.Draws > n.maxDraws {
+		return fmt.Errorf("%w: %d noise draws, the horizon consumes at most %d",
+			ErrSnapshotMismatch, s.Draws, n.maxDraws)
+	}
+	if err := snap.RestoreState(s.Inner); err != nil {
+		return err
+	}
 	rng := rand.New(rand.NewSource(s.Seed))
 	for i := uint64(0); i < s.Draws; i++ {
 		rng.Float64()
 	}
 	n.rng = rng
 	n.draws = s.Draws
-	return snap.RestoreState(s.Inner)
+	return nil
 }

@@ -78,14 +78,18 @@ type SlotOutcome struct {
 }
 
 // Snapshotter is implemented by controllers whose internal state can be
-// checkpointed. SnapshotState returns an opaque blob (conventionally
-// JSON) that RestoreState accepts on a freshly constructed controller of
-// the same configuration; the session embeds it in its Checkpoint.
-// Controllers without it (the offline benchmarks, which precompute plans
-// from the full trace) make Session.Snapshot fail with
-// ErrSnapshotUnsupported.
+// checkpointed. AppendState appends the controller's state to dst as one
+// compact JSON value with no string that encoding/json would escape —
+// the session embeds it in its Checkpoint verbatim, so it writes into
+// the checkpoint's own buffers instead of marshalling a blob of its own.
+// RestoreState takes that value on a freshly constructed controller of
+// the same configuration. It is all-or-nothing: it decodes and checks
+// the whole value before it assigns anything, so on error the
+// controller is unchanged. Controllers without it (the offline
+// benchmarks, which precompute plans from the full trace) make
+// Session.Snapshot fail with ErrSnapshotUnsupported.
 type Snapshotter interface {
-	SnapshotState() ([]byte, error)
+	AppendState(dst []byte) ([]byte, error)
 	RestoreState([]byte) error
 }
 
@@ -116,6 +120,9 @@ type Session struct {
 	slotMinutes int
 	fingerprint func() string
 	hash        string // lazily computed by ConfigHash
+
+	ctrlState    []byte // the controller's last AppendState, reused
+	snapshotSize int    // length of the last Snapshot, to size the next
 
 	batt    *battery.Battery
 	fleet   *generator.Fleet
@@ -168,6 +175,9 @@ func NewSession(cfg Config, ctrl Controller, horizon, slotMinutes int, fingerpri
 	acct, err := market.NewAccount(cfg.Market)
 	if err != nil {
 		return nil, err
+	}
+	if n, ok := ctrl.(*NoisyController); ok {
+		n.maxDraws = maxNoiseDraws(horizon, ctrl.CoarseSlots())
 	}
 	return &Session{
 		cfg:         cfg,

@@ -15,8 +15,9 @@ type snapController struct {
 	scriptController
 }
 
-func (s *snapController) SnapshotState() ([]byte, error) {
-	return json.Marshal(struct{ Outcomes int }{len(s.outcomes)})
+func (s *snapController) AppendState(dst []byte) ([]byte, error) {
+	blob, err := json.Marshal(struct{ Outcomes int }{len(s.outcomes)})
+	return append(dst, blob...), err
 }
 
 func (s *snapController) RestoreState(data []byte) error {
