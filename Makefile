@@ -4,14 +4,16 @@
 GO ?= go
 
 # The perf-trajectory benchmark set (see BENCH_10.json and README
-# "Performance"), run over PERF_PKGS. BenchmarkHorizonStair matches the
-# sparse and dense solves of one staircase LP in internal/baseline, so
+# "Performance"), run over PERF_PKGS. BenchmarkAblationOfflineDayLP is
+# the interval-LP rung (OfflineOptimal's per-interval staircase LPs on
+# the dense tableau). BenchmarkHorizonStair matches the sparse and dense
+# (bounded-variable) solves of one staircase LP in internal/baseline, so
 # cmd/perf can gate their same-run speedup ratio; BenchmarkGeoStep
 # carries the geo fan-out's allocs/op gate at every fleet size; the
 # dpss-serve rungs — one /metrics scrape (internal/serve), one
 # checkpoint and one resume (internal/engine) — sit in the packages
 # that own them.
-PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair|BenchmarkWriteExposition|BenchmarkSnapshot|BenchmarkRestore
+PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineDayLP|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair|BenchmarkWriteExposition|BenchmarkSnapshot|BenchmarkRestore
 PERF_PKGS = . ./internal/baseline ./internal/serve ./internal/engine
 
 # Fuzzing budget for the `fuzz` target (CI smoke uses the default).
@@ -39,11 +41,14 @@ bench:
 # FuzzSparseSolveParity — random staircase LPs, dense tableau and sparse
 # revised simplex must agree on status and objective; FuzzRestore —
 # mutated and truncated checkpoints must never panic Restore nor leave a
-# session partly restored. FUZZTIME is each target's budget (e.g.
+# session partly restored; FuzzSlotInput — arbitrary slot inputs must
+# never panic Step or Commit, and a rejected input must leave the
+# session unchanged. FUZZTIME is each target's budget (e.g.
 # FUZZTIME=5m).
 fuzz:
 	$(GO) test ./internal/lp -run '^$$' -fuzz FuzzSparseSolveParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzRestore -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzSlotInput -fuzztime $(FUZZTIME)
 
 lint:
 	@unformatted=$$(gofmt -l .); \

@@ -120,7 +120,8 @@ func benchP5Path(b *testing.B, useLP bool) {
 }
 
 // BenchmarkAblationOfflineDayLP measures the paper's per-interval offline
-// benchmark (31 small LPs for a week: 7).
+// benchmark, the interval-LP rung: six 12-slot staircase interval LPs
+// over three days, solved on the dense tableau, plus their replay.
 func BenchmarkAblationOfflineDayLP(b *testing.B) {
 	benchOffline(b, dpss.PolicyOfflineOptimal)
 }

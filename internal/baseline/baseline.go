@@ -126,45 +126,39 @@ func (c Config) Validate() error {
 // solver whose tableau buffers persist across the run's solves, the
 // problem rebuilt in place, and every slice the model builders need.
 //
-// Production solves use the bounded-variable simplex (capacity and box
-// limits as column bounds, not rows — the interval LP's tableau shrinks
-// ~40%) and run the cold pivot sequence with buffer reuse; the lp
-// package documentation records why no solve is warm-started. rowBounds
-// keeps the problem in the legacy row-per-bound form on the dense
-// tableau, which OfflineOptimal's golden-pinned vertex needs. The zero
-// value is ready to use.
+// Every solve runs the bounded-variable simplex (capacity and box limits
+// as column bounds, not rows) cold, with buffer reuse; the lp package
+// documentation records why no solve is warm-started. sparse routes the
+// solve through the sparse revised simplex; dense-tableau callers keep
+// their vertex. The zero value is ready to use.
 type lpState struct {
-	solver    lp.Solver
-	prob      *lp.Problem
-	rowBounds bool // keep the row-per-bound formulation on the dense tableau
-	sparse    bool // route solves through the sparse revised simplex
+	solver lp.Solver
+	prob   *lp.Problem
+	sparse bool // route solves through the sparse revised simplex
 
-	grt, u, c, d, w, e []lp.VarID
-	terms              []lp.Term // per-constraint build buffer
-	chain              []lp.Term // incrementally grown battery-level terms
-	serve              []lp.Term // incrementally grown service-causality terms
-	plan               []sim.Decision
-	clamped            []float64
+	idArena []lp.VarID // variable ids of the current model (takeIDs)
+	terms   []lp.Term  // per-constraint build buffer
+	chain   []lp.Term  // incrementally grown battery-level terms
+	serve   []lp.Term  // incrementally grown service-causality terms
+	plan    []sim.Decision
+	clamped []float64
 
 	// lastObjective records the most recent solve's optimal objective —
 	// observability for the parity tests.
 	lastObjective float64
 }
 
-// problem returns the reusable problem, reset for rebuilding. The solve
-// mode is re-derived on every call (not just at creation) so flipping
-// sparse or rowBounds between solves takes effect rather than being
-// silently latched.
+// problem returns the reusable problem, reset for rebuilding, and
+// rewinds the id arena. The solve mode is re-derived on every call (not
+// just at creation) so flipping sparse between solves takes effect
+// rather than being silently latched.
 func (st *lpState) problem() *lp.Problem {
 	if st.prob == nil {
 		st.prob = lp.NewProblem()
 	}
-	st.prob.SetBounded(!st.rowBounds)
-	// The sparse revised simplex matches the dense objective but not
-	// necessarily the dense vertex, so the golden-pinned row-bound mode
-	// always forces it off.
-	st.prob.SetSparse(st.sparse && !st.rowBounds)
+	st.prob.SetSparse(st.sparse)
 	st.prob.Reset()
+	st.idArena = st.idArena[:0]
 	return st.prob
 }
 
@@ -178,12 +172,26 @@ func (st *lpState) solve(prob *lp.Problem) (lp.Solution, error) {
 	return sol, err
 }
 
-// varIDs returns the six per-slot variable slices resized to n.
+// takeIDs returns n variable-id slots from the id arena that problem()
+// rewinds, so a model that takes all its ids in one call per build
+// allocates nothing once the arena fits its shape. A take that does not
+// fit starts a fresh arena; slices handed out earlier keep the old one
+// and stay valid until the next rebuild.
+func (st *lpState) takeIDs(n int) []lp.VarID {
+	used := len(st.idArena)
+	if used+n > cap(st.idArena) {
+		st.idArena, used = make([]lp.VarID, 0, n), 0
+	}
+	st.idArena = st.idArena[:used+n]
+	return st.idArena[used : used+n : used+n]
+}
+
+// varIDs returns six per-slot variable-id slices of length n, carved
+// from one takeIDs call.
 func (st *lpState) varIDs(n int) (grt, u, c, d, w, e []lp.VarID) {
-	st.grt, st.u, st.c, st.d, st.w, st.e =
-		scratch.For(st.grt, n), scratch.For(st.u, n), scratch.For(st.c, n),
-		scratch.For(st.d, n), scratch.For(st.w, n), scratch.For(st.e, n)
-	return st.grt, st.u, st.c, st.d, st.w, st.e
+	ids := st.takeIDs(6 * n)
+	return ids[:n:n], ids[n : 2*n : 2*n], ids[2*n : 3*n : 3*n],
+		ids[3*n : 4*n : 4*n], ids[4*n : 5*n : 5*n], ids[5*n:]
 }
 
 // decisions returns the plan buffer resized to n with zeroed entries.

@@ -97,7 +97,7 @@ func SolveGeoHorizon(sites []GeoSite) (*GeoRoutingPlan, error) {
 	blocks := make([]stairBlock, nS)
 	for s := range sites {
 		site := &sites[s]
-		blocks[s] = st.addStairBlock(prob, site.Config, site.Set,
+		blocks[s] = st.addStairBlock(prob, site.Config, site.Set, horizonWindow(site.Config, site.Set),
 			&stairRoute{penaltyUSD: site.ImportPenaltyUSD, capMWh: site.RouteCapMWh})
 	}
 

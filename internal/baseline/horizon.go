@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/smartdpss/smartdpss/internal/battery"
 	"github.com/smartdpss/smartdpss/internal/lp"
 	"github.com/smartdpss/smartdpss/internal/sim"
 	"github.com/smartdpss/smartdpss/internal/trace"
@@ -37,6 +38,7 @@ func NewOfflineHorizon(cfg Config, set *trace.Set) (*OfflineHorizon, error) {
 		return nil, err
 	}
 	o := &OfflineHorizon{cfg: cfg, set: set}
+	o.st.sparse = true
 	if err := o.solveStair(); err != nil {
 		return nil, err
 	}
@@ -76,13 +78,11 @@ func (o *OfflineHorizon) PlanFine(obs sim.FineObs) sim.Decision {
 func (o *OfflineHorizon) RecordOutcome(sim.Outcome) {}
 
 // solveStair solves the whole-horizon staircase LP (addStairBlock) on
-// the configured solve mode — the sparse revised simplex unless
-// rowBounds is set — and stores the replayed plan.
+// the state's solve mode and stores the replayed plan.
 func (o *OfflineHorizon) solveStair() error {
 	st := &o.st
-	st.sparse = true
 	prob := st.problem()
-	blk := st.addStairBlock(prob, o.cfg, o.set, nil)
+	blk := st.addStairBlock(prob, o.cfg, o.set, horizonWindow(o.cfg, o.set), nil)
 
 	sol, err := st.solve(prob)
 	if err != nil {
@@ -92,25 +92,12 @@ func (o *OfflineHorizon) solveStair() error {
 		return fmt.Errorf("baseline: horizon LP: %v", sol.Status)
 	}
 
-	bat := o.cfg.Battery
 	o.gbef = make([]float64, len(blk.gbef))
 	for k, v := range blk.gbef {
 		o.gbef[k] = sol.Value(v)
 	}
 	o.plan = make([]sim.Decision, len(blk.grt))
-	for i := range o.plan {
-		dec := sim.Decision{
-			Grt:       sol.Value(blk.grt[i]),
-			ServeDT:   sol.Value(blk.u[i]),
-			Charge:    sol.Value(blk.c[i]),
-			Discharge: sol.Value(blk.d[i]),
-		}
-		if blk.g != nil {
-			dec.GenerateUnits = genPlanUnits(&sol, blk.g[i])
-		}
-		netPlanChargeDischarge(&dec, bat.ChargeEff, bat.DischargeEff)
-		o.plan[i] = dec
-	}
+	blk.readPlan(&sol, o.cfg.Battery, o.plan)
 	return nil
 }
 
@@ -123,6 +110,38 @@ type stairBlock struct {
 	out, in      []lp.VarID     // routing pair per slot; nil without routing
 }
 
+// readPlan writes the block's solved per-slot decisions into plan, one
+// entry per slot of its window.
+func (b *stairBlock) readPlan(sol *lp.Solution, bat battery.Params, plan []sim.Decision) {
+	for i := range plan {
+		dec := sim.Decision{
+			Grt:       sol.Value(b.grt[i]),
+			ServeDT:   sol.Value(b.u[i]),
+			Charge:    sol.Value(b.c[i]),
+			Discharge: sol.Value(b.d[i]),
+		}
+		if b.g != nil {
+			dec.GenerateUnits = genPlanUnits(sol, b.g[i])
+		}
+		netPlanChargeDischarge(&dec, bat.ChargeEff, bat.DischargeEff)
+		plan[i] = dec
+	}
+}
+
+// stairWindow is the span one staircase block plans: n slots from slot
+// start, from battery level b0 with backlog q0 carried in. Its coarse
+// intervals are T-slot runs from start; the last may be shorter.
+type stairWindow struct {
+	start, n int
+	b0, q0   float64
+}
+
+// horizonWindow is the whole horizon of set from the configured initial
+// battery level and an empty backlog.
+func horizonWindow(cfg Config, set *trace.Set) stairWindow {
+	return stairWindow{start: 0, n: set.Horizon(), b0: cfg.Battery.InitialMWh, q0: 0}
+}
+
 // stairRoute is the optional routing part of a staircase block, the
 // coupling hook of the geo LP: per slot an export column out ∈ [0, home]
 // and an import column in ≥ 0 priced at penaltyUSD, both shifting the
@@ -133,49 +152,54 @@ type stairRoute struct {
 	capMWh     float64
 }
 
-// addStairBlock appends one site's whole-horizon LP in staircase
+// addStairBlock appends one site's LP over the window win in staircase
 // state-variable form to prob: explicit battery-level variables B_i and
-// cumulative-served variables U_i turn the chain formulation's O(H²)
+// cumulative-served variables U_i turn the chain formulation's O(n²)
 // prefix rows into one equality and two column bounds per slot, so the
 // matrix has O(1) nonzeros per row and the sparse revised simplex
 // solves it at annual scale. The objective is an exact substitution of
 // the chain form (B_i = b0 + Σ ηc·c_j − ηd·d_j, U_i = Σ u_j), so the
 // optimal value is identical; the reported vertex may be a different,
-// equally optimal one.
+// equally optimal one. Each interval's fleet startup cost is amortized
+// over that interval's length.
 //
 // With route non-nil the block also carries the routing part: the out
 // and in columns follow U_i, their balance terms follow w_i, and the
 // route-cap row follows the S_max row. Variable and row order are part
 // of the contract: they fix the pivot sequence, and with it the vertex
-// the staircase pin (testdata/golden/staircase.txt) records.
-func (st *lpState) addStairBlock(prob *lp.Problem, cfg Config, set *trace.Set, route *stairRoute) stairBlock {
+// the staircase pin (testdata/golden/staircase.txt) and the fig6v
+// golden record. The block takes its id slices from st in one call, so
+// a rebuild to the same shape allocates nothing without a fleet.
+func (st *lpState) addStairBlock(prob *lp.Problem, cfg Config, set *trace.Set, win stairWindow, route *stairRoute) stairBlock {
 	bat := cfg.Battery
 	inf := math.Inf(1)
-	H := set.Horizon()
-	T := cfg.T
+	H, T := win.n, cfg.T
 	K := (H + T - 1) / T
+	intervalLen := func(k int) int { return minInt(T, H-k*T) }
 
-	gbef := make([]lp.VarID, K)
-	intervalLen := make([]int, K)
-	for k := 0; k < K; k++ {
-		n := minInt(T, H-k*T)
-		intervalLen[k] = n
-		plt := set.PriceLT.At(k * T)
-		gbef[k] = prob.AddVariable("gbef", 0, float64(n)*cfg.PgridMWh, plt)
+	perSlot := 8
+	if route != nil {
+		perSlot = 10
+	}
+	ids := st.takeIDs(K + perSlot*H)
+	take := func(n int) []lp.VarID {
+		s := ids[:n:n]
+		ids = ids[n:]
+		return s
 	}
 
-	grt := make([]lp.VarID, H)
-	u := make([]lp.VarID, H)
-	c := make([]lp.VarID, H)
-	d := make([]lp.VarID, H)
-	w := make([]lp.VarID, H)
-	e := make([]lp.VarID, H)
-	bl := make([]lp.VarID, H) // battery level after slot i
-	us := make([]lp.VarID, H) // cumulative served through slot i
+	gbef := take(K)
+	for k := range gbef {
+		plt := set.PriceLT.At(win.start + k*T)
+		gbef[k] = prob.AddVariable("gbef", 0, float64(intervalLen(k))*cfg.PgridMWh, plt)
+	}
+
+	grt, u, c, d, w, e := take(H), take(H), take(H), take(H), take(H), take(H)
+	bl := take(H) // battery level after slot i
+	us := take(H) // cumulative served through slot i
 	var out, in []lp.VarID
 	if route != nil {
-		out = make([]lp.VarID, H)
-		in = make([]lp.VarID, H)
+		out, in = take(H), take(H)
 	}
 	units := cfg.genUnits()
 	var g [][][]lp.VarID
@@ -186,9 +210,10 @@ func (st *lpState) addStairBlock(prob *lp.Problem, cfg Config, set *trace.Set, r
 	if bat.MaxChargeMWh > 0 {
 		proxy = bat.OpCostUSD / math.Max(bat.MaxChargeMWh, bat.MaxDischargeMWh)
 	}
-	avail := 0.0
+	avail := win.q0
 	for i := 0; i < H; i++ {
-		prt := set.PriceRT.At(i)
+		slot := win.start + i
+		prt := set.PriceRT.At(slot)
 		grt[i] = prob.AddVariable("", 0, cfg.PgridMWh, prt)
 		u[i] = prob.AddVariable("", 0, cfg.SdtMaxMWh, 0)
 		c[i] = prob.AddVariable("", 0, bat.MaxChargeMWh, proxy)
@@ -196,23 +221,23 @@ func (st *lpState) addStairBlock(prob *lp.Problem, cfg Config, set *trace.Set, r
 		w[i] = prob.AddVariable("", 0, inf, cfg.WasteCostUSD)
 		e[i] = prob.AddVariable("", 0, inf, cfg.EmergencyCostUSD)
 		if g != nil {
-			g[i] = addFleetVars(prob, units, i, T, set.FuelScaleAt(i))
+			g[i] = addFleetVars(prob, units, i, intervalLen(i/T), set.FuelScaleAt(slot))
 		}
-		avail += set.DemandDT.At(i)
+		avail += set.DemandDT.At(slot)
 		bl[i] = prob.AddVariable("B", bat.MinLevelMWh, bat.CapacityMWh, 0)
 		us[i] = prob.AddVariable("U", 0, avail, 0)
 		if route != nil {
-			out[i] = prob.AddVariable("out", 0, set.DemandDS.At(i), 0)
+			out[i] = prob.AddVariable("out", 0, set.DemandDS.At(slot), 0)
 			in[i] = prob.AddVariable("in", 0, inf, route.penaltyUSD)
 		}
 	}
 
-	b0 := bat.InitialMWh
 	for i := 0; i < H; i++ {
+		slot := win.start + i
 		k := i / T
-		invN := 1.0 / float64(intervalLen[k])
-		dds := set.DemandDS.At(i)
-		r := set.Renewable.At(i)
+		invN := 1.0 / float64(intervalLen(k))
+		dds := set.DemandDS.At(slot)
+		r := set.Renewable.At(slot)
 
 		balance := append(st.terms[:0],
 			lp.Term{Var: gbef[k], Coeff: invN},
@@ -263,7 +288,7 @@ func (st *lpState) addStairBlock(prob *lp.Problem, cfg Config, set *trace.Set, r
 		// with the initial level folded into slot 0's right-hand side.
 		// The chain form's level-window rows become B_i's bounds.
 		if i == 0 {
-			prob.AddConstraint(lp.EQ, b0,
+			prob.AddConstraint(lp.EQ, win.b0,
 				lp.Term{Var: bl[0], Coeff: 1},
 				lp.Term{Var: c[0], Coeff: -bat.ChargeEff},
 				lp.Term{Var: d[0], Coeff: bat.DischargeEff},
@@ -297,11 +322,11 @@ func (st *lpState) addStairBlock(prob *lp.Problem, cfg Config, set *trace.Set, r
 	// with a penalized slack each — two nonzeros per row instead of the
 	// chain form's end-index-long prefix. Delay-tolerant demand never
 	// routes.
-	arrived := 0.0
+	arrived := win.q0
 	for k := 0; k < K; k++ {
-		end := k*T + intervalLen[k]
+		end := k*T + intervalLen(k)
 		for i := k * T; i < end; i++ {
-			arrived += set.DemandDT.At(i)
+			arrived += set.DemandDT.At(win.start + i)
 		}
 		slack := prob.AddVariable("slack", 0, inf, cfg.EmergencyCostUSD)
 		prob.AddConstraint(lp.GE, arrived,

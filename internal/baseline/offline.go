@@ -16,17 +16,17 @@ import (
 // across intervals; every interval must serve its arrivals (plus inherited
 // backlog) by its end, mirroring the single-interval scope of problem P2.
 //
-// Consecutive interval LPs share one shape (T slots, the same constraint
-// pattern), so the controller's solver reuses every model and tableau
-// buffer across intervals and the whole sequence solves allocation-free
-// after the first interval. The solves themselves run the exact
-// row-formulation pivot sequence — not the bounded-variable simplex —
-// so each interval reproduces the historical optimal vertex bit for
-// bit: these interval LPs are degenerate (serving the backlog earlier
-// or later can be cost-neutral), the golden paper figures pin this
-// controller's replayed schedule byte for byte, and a
-// different-but-equally-optimal vertex would shift the reported delay
-// (see lpState and the lp package documentation).
+// Each interval LP is one staircase block over the interval
+// (solveInterval), the same addStairBlock OfflineHorizon uses for the
+// whole horizon.
+// Consecutive interval LPs share one shape, so the controller's solver
+// reuses every model and tableau buffer across intervals and the whole
+// sequence solves allocation-free after the first interval. The solves
+// stay on the dense tableau: these interval LPs are degenerate (serving
+// the backlog earlier or later can be cost-neutral), the golden paper
+// figures pin this controller's replayed schedule byte for byte, and
+// the sparse path may return a different, equally optimal vertex that
+// would shift the reported delay (see the lp package documentation).
 type OfflineOptimal struct {
 	cfg Config
 	set *trace.Set
@@ -48,11 +48,7 @@ func NewOfflineOptimal(cfg Config, set *trace.Set) (*OfflineOptimal, error) {
 	if err := set.Validate(); err != nil {
 		return nil, err
 	}
-	o := &OfflineOptimal{cfg: cfg, set: set}
-	// Golden-pinned vertex: keep the row-per-bound formulation (see the
-	// type comment).
-	o.st.rowBounds = true
-	return o, nil
+	return &OfflineOptimal{cfg: cfg, set: set}, nil
 }
 
 // Name implements sim.Controller.
@@ -98,123 +94,17 @@ func (o *OfflineOptimal) PlanFine(obs sim.FineObs) sim.Decision {
 // RecordOutcome implements sim.Controller; the plan is precomputed.
 func (o *OfflineOptimal) RecordOutcome(sim.Outcome) {}
 
-// solveInterval builds and solves the clairvoyant LP for slots
-// [start, start+n), returning the long-term purchase and per-slot plan
-// (the plan borrows st's buffer and is valid until the next solve).
-//
-// Variables per slot i: grt_i, u_i (backlog service), c_i (charge),
-// d_i (discharge), w_i (waste), e_i (emergency); plus one gbef.
-// By Lemma 1 grt is essentially unused at the optimum, but keeping it
-// preserves feasibility when the flat gbef/T delivery cannot track peaky
-// intra-interval demand.
+// solveInterval solves the clairvoyant LP for the interval of n ≤ T
+// slots from slot start, entered with battery level b0 and backlog q0:
+// one staircase block over that window on the state's solve mode. It
+// returns the long-term purchase and the per-slot plan (the plan borrows
+// st's buffer and is valid until the next solve). By Lemma 1 the plan's
+// real-time purchases are essentially unused at the optimum, but keeping
+// them preserves feasibility when the flat gbef/n delivery cannot track
+// peaky intra-interval demand.
 func (st *lpState) solveInterval(cfg Config, set *trace.Set, start, n int, b0, q0 float64) (float64, []sim.Decision, error) {
 	prob := st.problem()
-	bat := cfg.Battery
-	inf := math.Inf(1)
-
-	// gbef is paid at plt per MWh and delivered evenly (Cost(τ) sums
-	// gbef/T·plt across the interval, totalling gbef·plt).
-	plt := set.PriceLT.At(start)
-	gbef := prob.AddVariable("gbef", 0, float64(n)*cfg.PgridMWh, plt)
-
-	grt, u, c, d, w, e := st.varIDs(n)
-	units := cfg.genUnits()
-	var g [][][]lp.VarID
-	if len(units) > 0 {
-		g = make([][][]lp.VarID, n)
-	}
-
-	// The linear battery-operation proxy (see package docs).
-	proxy := 0.0
-	if bat.MaxChargeMWh > 0 {
-		proxy = bat.OpCostUSD / math.Max(bat.MaxChargeMWh, bat.MaxDischargeMWh)
-	}
-
-	totalArrivals := q0
-	for i := 0; i < n; i++ {
-		slot := start + i
-		prt := set.PriceRT.At(slot)
-		grt[i] = prob.AddVariable("", 0, cfg.PgridMWh, prt)
-		u[i] = prob.AddVariable("", 0, cfg.SdtMaxMWh, 0)
-		c[i] = prob.AddVariable("", 0, bat.MaxChargeMWh, proxy)
-		d[i] = prob.AddVariable("", 0, bat.MaxDischargeMWh, proxy)
-		w[i] = prob.AddVariable("", 0, inf, cfg.WasteCostUSD)
-		e[i] = prob.AddVariable("", 0, inf, cfg.EmergencyCostUSD)
-		if g != nil {
-			g[i] = addFleetVars(prob, units, i, n, set.FuelScaleAt(slot))
-		}
-		totalArrivals += set.DemandDT.At(slot)
-	}
-
-	invN := 1.0 / float64(n)
-	chain := st.chain[:0]
-	serve := st.serve[:0]
-	avail := q0
-	for i := 0; i < n; i++ {
-		slot := start + i
-		dds := set.DemandDS.At(slot)
-		r := set.Renewable.At(slot)
-
-		// Balance: gbef/n + r + grt + d + g + e = dds + u + c + w.
-		balance := append(st.terms[:0],
-			lp.Term{Var: gbef, Coeff: invN},
-			lp.Term{Var: grt[i], Coeff: 1},
-			lp.Term{Var: d[i], Coeff: 1},
-			lp.Term{Var: e[i], Coeff: 1},
-			lp.Term{Var: u[i], Coeff: -1},
-			lp.Term{Var: c[i], Coeff: -1},
-			lp.Term{Var: w[i], Coeff: -1},
-		)
-		if g != nil {
-			balance = appendFleetTerms(balance, g[i])
-		}
-		st.terms = balance
-		prob.AddConstraint(lp.EQ, dds-r, balance...)
-
-		// Grid cap: gbef/n + grt_i ≤ Pgrid.
-		prob.AddConstraint(lp.LE, cfg.PgridMWh,
-			lp.Term{Var: gbef, Coeff: invN},
-			lp.Term{Var: grt[i], Coeff: 1},
-		)
-		// Supply cap: gbef/n + grt_i + r_i + Σg_i ≤ Smax.
-		smax := append(st.terms[:0],
-			lp.Term{Var: gbef, Coeff: invN},
-			lp.Term{Var: grt[i], Coeff: 1},
-		)
-		if g != nil {
-			smax = appendFleetTerms(smax, g[i])
-		}
-		st.terms = smax
-		prob.AddConstraint(lp.LE, cfg.SmaxMWh-r, smax...)
-
-		// Battery level bounds: Bmin ≤ b0 + Σ(ηc·c − ηd·d) ≤ Bmax. The
-		// prefix terms grow incrementally — constraint i shares the
-		// j ≤ i chain with every earlier slot.
-		chain = append(chain,
-			lp.Term{Var: c[i], Coeff: bat.ChargeEff},
-			lp.Term{Var: d[i], Coeff: -bat.DischargeEff},
-		)
-		prob.AddConstraint(lp.GE, bat.MinLevelMWh-b0, chain...)
-		prob.AddConstraint(lp.LE, bat.CapacityMWh-b0, chain...)
-
-		// Service causality: Σ_{j≤i} u_j ≤ q0 + Σ_{j≤i} ddt_j. The
-		// right-hand side is the same left-to-right accumulation the
-		// per-constraint rebuild produced, so the coefficients are
-		// bit-identical.
-		avail += set.DemandDT.At(slot)
-		serve = append(serve, lp.Term{Var: u[i], Coeff: 1})
-		prob.AddConstraint(lp.LE, avail, serve...)
-	}
-	st.chain, st.serve = chain, serve
-
-	// Interval deadline: everything arrived must be served by the end,
-	// with a heavily penalized slack for physically infeasible intervals.
-	slack := prob.AddVariable("slack", 0, inf, cfg.EmergencyCostUSD)
-	endTerms := append(st.terms[:0], serve...)
-	endTerms = append(endTerms, lp.Term{Var: slack, Coeff: 1})
-	st.terms = endTerms
-	prob.AddConstraint(lp.EQ, totalArrivals, endTerms...)
-
+	blk := st.addStairBlock(prob, cfg, set, stairWindow{start: start, n: n, b0: b0, q0: q0}, nil)
 	sol, err := st.solve(prob)
 	if err != nil {
 		return 0, nil, fmt.Errorf("baseline: interval LP at %d: %w", start, err)
@@ -222,21 +112,9 @@ func (st *lpState) solveInterval(cfg Config, set *trace.Set, start, n int, b0, q
 	if sol.Status != lp.Optimal {
 		return 0, nil, fmt.Errorf("baseline: interval LP at %d: %v", start, sol.Status)
 	}
-
 	plan := st.decisions(n)
-	for i := 0; i < n; i++ {
-		plan[i] = sim.Decision{
-			Grt:       sol.Value(grt[i]),
-			ServeDT:   sol.Value(u[i]),
-			Charge:    sol.Value(c[i]),
-			Discharge: sol.Value(d[i]),
-		}
-		if g != nil {
-			plan[i].GenerateUnits = genPlanUnits(&sol, g[i])
-		}
-		netPlanChargeDischarge(&plan[i], bat.ChargeEff, bat.DischargeEff)
-	}
-	return sol.Value(gbef), plan, nil
+	blk.readPlan(&sol, cfg.Battery, plan)
+	return sol.Value(blk.gbef[0]), plan, nil
 }
 
 // netPlanChargeDischarge replaces a simultaneous charge+discharge by the

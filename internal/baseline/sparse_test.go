@@ -48,9 +48,6 @@ func (o *OfflineHorizon) solveChain() error {
 	K := (H + T - 1) / T
 
 	prob := st.problem()
-	// Large horizon LPs need a generous pivot budget.
-	prob.SetMaxIterations(200000)
-	defer prob.SetMaxIterations(0)
 
 	gbef := make([]lp.VarID, K)
 	intervalLen := make([]int, K)
@@ -246,14 +243,14 @@ func TestHorizonStairPlanReplaysComparably(t *testing.T) {
 
 // BenchmarkHorizonStairSparse and BenchmarkHorizonStairDense solve the
 // same 3-day, T = 12 staircase LP, on the sparse revised simplex and on
-// the dense row-mode tableau (rowBounds). cmd/perf gates their same-run
-// ns/op ratio: the sparse path must stay at or below 0.70× the dense one,
-// the comparison that justifies the sparse solver.
-func BenchmarkHorizonStairSparse(b *testing.B) { benchHorizonStair(b, false) }
+// the dense tableau (both bounded-variable). cmd/perf gates their
+// same-run ns/op ratio: the sparse path must stay at or below 0.70× the
+// dense one, the comparison that justifies the sparse solver.
+func BenchmarkHorizonStairSparse(b *testing.B) { benchHorizonStair(b, true) }
 
-func BenchmarkHorizonStairDense(b *testing.B) { benchHorizonStair(b, true) }
+func BenchmarkHorizonStairDense(b *testing.B) { benchHorizonStair(b, false) }
 
-func benchHorizonStair(b *testing.B, rowBounds bool) {
+func benchHorizonStair(b *testing.B, sparse bool) {
 	cfg := DefaultConfig()
 	cfg.T = 12
 	set := testTraces(b, 3)
@@ -261,21 +258,53 @@ func benchHorizonStair(b *testing.B, rowBounds bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o := &OfflineHorizon{cfg: cfg, set: set}
-		o.st.rowBounds = rowBounds
+		o.st.sparse = sparse
 		if err := o.solveStair(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// denseWindowCheck wraps a Lookahead and re-solves every window LP it
+// builds on the dense tableau, requiring the objective the controller's
+// own solve reached.
+type denseWindowCheck struct {
+	*Lookahead
+	t      *testing.T
+	dense  lp.Solver
+	sparse int // windows the controller solved on the sparse path
+}
+
+func (c *denseWindowCheck) PlanFine(obs sim.FineObs) sim.Decision {
+	st := &c.fine
+	st.lastObjective = math.NaN()
+	dec := c.Lookahead.PlanFine(obs)
+	if math.IsNaN(st.lastObjective) {
+		c.t.Fatalf("slot %d: window LP failed", obs.Slot)
+	}
+	if st.sparse {
+		c.sparse++
+	}
+	st.prob.SetSparse(false)
+	sol, err := c.dense.Solve(st.prob)
+	if err != nil || sol.Status != lp.Optimal {
+		c.t.Fatalf("slot %d: dense re-solve: %v %v", obs.Slot, err, sol.Status)
+	}
+	tol := 1e-7 * (1 + math.Abs(sol.Objective))
+	if math.Abs(sol.Objective-st.lastObjective) > tol {
+		c.t.Errorf("slot %d: window objective %.10g, dense re-solve %.10g",
+			obs.Slot, st.lastObjective, sol.Objective)
+	}
+	return dec
+}
+
 // TestLookaheadSparseWindowMatchesDense pins the Lookahead routing
-// threshold: a window at sparseWindowSlots solves on the revised simplex
-// and must replay to essentially the cost of the same window forced
-// through the dense tableau. (The window model is identical; only the
-// solver path differs, so any gap is alternate-optima clamping noise.)
+// threshold: windows at sparseWindowSlots solve on the revised simplex,
+// and at every window of the run the same built problem re-solved on the
+// dense tableau must reach the same objective.
 func TestLookaheadSparseWindowMatchesDense(t *testing.T) {
 	if testing.Short() {
-		t.Skip("replays two full lookahead runs")
+		t.Skip("replays a full lookahead run")
 	}
 	cfg := DefaultConfig()
 	cfg.T = 12
@@ -285,54 +314,34 @@ func TestLookaheadSparseWindowMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparseRep, err := sim.Run(simConfig(cfg), set, la)
-	if err != nil {
+	check := &denseWindowCheck{Lookahead: la, t: t}
+	if _, err := sim.Run(simConfig(cfg), set, check); err != nil {
 		t.Fatal(err)
 	}
-
-	ld, err := NewLookahead(cfg, set, sparseWindowSlots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force the dense tableau on the same window width by raising the
-	// instance's routing decision: rowBounds keeps SetSparse off without
-	// touching the model build.
-	ld.fine.rowBounds = true
-	denseRep, err := sim.Run(simConfig(cfg), set, ld)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if math.Abs(sparseRep.TotalCostUSD-denseRep.TotalCostUSD) >
-		0.02*math.Abs(denseRep.TotalCostUSD)+1 {
-		t.Errorf("sparse-window lookahead $%.2f deviates from dense $%.2f",
-			sparseRep.TotalCostUSD, denseRep.TotalCostUSD)
+	if check.sparse == 0 {
+		t.Fatal("no window solved on the sparse path")
 	}
 }
 
-// TestOfflineOptimalStaysOnDenseRowPath pins the alternate-optima
-// contract from the golden migrations: OfflineOptimal must keep solving
-// on the row-per-bound dense formulation — never bounded, never sparse —
-// because the fig6v golden replays that exact pivot sequence's vertex.
-// A future migration that flips either flag moves the golden vertex
-// silently; this test makes it loud instead.
-func TestOfflineOptimalStaysOnDenseRowPath(t *testing.T) {
+// TestOfflineOptimalStaysDense pins the golden contract: OfflineOptimal
+// solves every interval LP on the dense tableau, never sparse, because
+// the fig6v golden replays that pivot sequence's vertex. A migration
+// that routes it sparse moves the golden vertex silently; this test
+// makes it loud instead.
+func TestOfflineOptimalStaysDense(t *testing.T) {
 	cfg := DefaultConfig()
 	set := testTraces(t, 2)
 	o, err := NewOfflineOptimal(cfg, set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.st.rowBounds {
-		t.Fatal("OfflineOptimal no longer sets rowBounds: the golden-pinned vertex is unprotected")
+	if _, err := sim.Run(simConfig(cfg), set, o); err != nil {
+		t.Fatal(err)
+	}
+	if o.st.prob == nil {
+		t.Fatal("OfflineOptimal solved no interval LP")
 	}
 	if o.st.sparse {
-		t.Fatal("OfflineOptimal has the sparse flag set: the golden-pinned vertex is unprotected")
-	}
-	// problem() re-derives the solve mode from those flags on every call;
-	// with rowBounds up, SetSparse must stay off even if sparse were set.
-	prob := o.st.problem()
-	if prob.Sparse() {
-		t.Fatal("row-bound problem reports sparse mode")
+		t.Fatal("OfflineOptimal solves on the sparse path: the golden-pinned vertex is unprotected")
 	}
 }

@@ -38,13 +38,12 @@ func solveP5LP(in p5Input) (p5Result, error) {
 // solve builds and solves the P5 linear program in the scratch's reusable
 // problem/solver. flows receives the per-segment generation and becomes
 // the result's genFlows (len(in.genSegs); nil without segments). The
-// solve is cold and uses the bounded-variable simplex: every cap below is
+// solve is cold and runs the bounded-variable simplex: every cap below is
 // a column bound, so the tableau holds a single row (the balance
 // equality) instead of one row per capped variable.
 func (s *p5LPScratch) solve(in p5Input, flows []float64) (p5Result, error) {
 	if s.prob == nil {
 		s.prob = lp.NewProblem()
-		s.prob.SetBounded(true)
 	}
 	prob := s.prob
 	prob.Reset()

@@ -1,0 +1,177 @@
+package engine
+
+import (
+	"bytes"
+	"errors"
+	"math"
+	"testing"
+)
+
+// rejectsInput steps s with in and requires a *ValidationError on field
+// that leaves the session's Snapshot bytes unchanged, after which the
+// trace's own input for the slot must still step and commit.
+func rejectsInput(t *testing.T, s *Session, traces *Traces, in SlotInput, field string) {
+	t.Helper()
+	before := snapshot(t, s)
+	_, err := s.Step(in)
+	var verr *ValidationError
+	if !errors.As(err, &verr) {
+		t.Fatalf("Step(%+v) = %v, want *ValidationError", in, err)
+	}
+	if verr.Field != field {
+		t.Errorf("rejected field %q, want %q", verr.Field, field)
+	}
+	if after := snapshot(t, s); !bytes.Equal(after, before) {
+		t.Fatalf("rejected input changed the session:\nbefore: %s\n after: %s", before, after)
+	}
+	if _, err := s.Step(traces.InputAt(s.Slot())); err != nil {
+		t.Fatalf("valid step after the rejection: %v", err)
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatalf("commit after the rejection: %v", err)
+	}
+}
+
+// TestStepRejectsNegativeInputs: batch Simulate refuses traces with
+// negative demand, renewable or fuel-scale samples, so a streaming Step
+// must refuse them too instead of reporting, for example, zero delay for
+// a negative delay-tolerant arrival.
+func TestStepRejectsNegativeInputs(t *testing.T) {
+	traces := dayTraces(t, 2)
+	for _, field := range []string{"DemandDS", "DemandDT", "Renewable", "FuelScale"} {
+		t.Run(field, func(t *testing.T) {
+			s := streamArms()[0].session(t, traces.Horizon())
+			stepTo(t, s, traces, 5)
+			in := traces.InputAt(s.Slot())
+			switch field {
+			case "DemandDS":
+				in.DemandDS = -5
+			case "DemandDT":
+				in.DemandDT = -5
+			case "Renewable":
+				in.Renewable = -5
+			case "FuelScale":
+				in.FuelScale = -5
+			}
+			rejectsInput(t, s, traces, in, field)
+		})
+	}
+}
+
+// TestStepRejectsRealTimePriceOutsideCap: a real-time price outside
+// [0, PmaxUSD] used to pass Step and fail in Commit after the battery
+// and the long-term settlement were applied, wedging the session with a
+// pending decision that every Commit retry re-applied.
+func TestStepRejectsRealTimePriceOutsideCap(t *testing.T) {
+	traces := dayTraces(t, 2)
+	pmax := DefaultOptions().PmaxUSD
+	for _, prt := range []float64{-1, pmax + 1} {
+		s := streamArms()[0].session(t, traces.Horizon())
+		stepTo(t, s, traces, 5)
+		in := traces.InputAt(s.Slot())
+		in.PriceRT = prt
+		rejectsInput(t, s, traces, in, "PriceRT")
+	}
+}
+
+// TestStepRejectsLongTermPriceOutsideCapAtBoundary: a long-term price
+// outside [0, PmaxUSD] at a coarse boundary used to fail in the market
+// only after PlanCoarse had run, so the failed Step still changed the
+// controller's state (and the Snapshot bytes). Between boundaries the
+// long-term price is not read and stays unchecked.
+func TestStepRejectsLongTermPriceOutsideCapAtBoundary(t *testing.T) {
+	traces := dayTraces(t, 3)
+	pmax := DefaultOptions().PmaxUSD
+	T := DefaultOptions().T
+	for _, arm := range streamArms() {
+		t.Run(arm.name, func(t *testing.T) {
+			s := arm.session(t, traces.Horizon())
+			stepTo(t, s, traces, T)
+			for _, plt := range []float64{-1, pmax + 1} {
+				in := traces.InputAt(s.Slot())
+				in.PriceLT = plt
+				before := snapshot(t, s)
+				_, err := s.Step(in)
+				if err == nil {
+					t.Fatalf("PriceLT %g at slot %d accepted", plt, s.Slot())
+				}
+				if after := snapshot(t, s); !bytes.Equal(after, before) {
+					t.Fatalf("PriceLT %g: rejected input (%v) changed the session", plt, err)
+				}
+				var verr *ValidationError
+				if !errors.As(err, &verr) || verr.Field != "PriceLT" {
+					t.Fatalf("PriceLT %g at slot %d: err = %v, want *ValidationError on PriceLT", plt, s.Slot(), err)
+				}
+			}
+			stepTo(t, s, traces, T+1)
+			in := traces.InputAt(s.Slot())
+			in.PriceLT = pmax + 1
+			if _, err := s.Step(in); err != nil {
+				t.Fatalf("PriceLT off a boundary is not read, but Step failed: %v", err)
+			}
+			if _, err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// FuzzSlotInput steps a mid-run session of the streaming arm that pick
+// selects, at a coarse boundary or just before one, with an arbitrary
+// slot input. Step must never panic. A *ValidationError must leave the
+// session's Snapshot bytes unchanged, and the trace's own input must
+// then step and commit. Commit after an accepted Step must not panic;
+// it may still fail (ROADMAP item 1 lists the known cases).
+func FuzzSlotInput(f *testing.F) {
+	traces := dayTraces(f, 2)
+	horizon := traces.Horizon()
+	T := DefaultOptions().T
+	arms := streamArms()
+	bases := make([][2][]byte, len(arms)) // checkpoints at slots T−1 and T
+	for i, arm := range arms {
+		s := arm.session(f, horizon)
+		stepTo(f, s, traces, T-1)
+		bases[i][0] = snapshot(f, s)
+		stepTo(f, s, traces, T)
+		bases[i][1] = snapshot(f, s)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for i := range arms {
+		for _, boundary := range []bool{false, true} {
+			f.Add(uint8(i), boundary, 0.8, 0.3, 0.2, 45.0, 38.0, 1.0)
+			f.Add(uint8(i), boundary, -5.0, 0.3, 0.2, 45.0, 38.0, 1.0)
+			f.Add(uint8(i), boundary, 0.8, 0.3, 0.2, 151.0, 38.0, 1.0)
+			f.Add(uint8(i), boundary, 0.8, 0.3, 0.2, 45.0, -1.0, 1.0)
+			f.Add(uint8(i), boundary, 0.8, nan, 0.2, 45.0, 38.0, inf)
+			f.Add(uint8(i), boundary, 1e300, 1e300, 1e300, 150.0, 0.0, 0.0)
+		}
+	}
+	f.Fuzz(func(t *testing.T, pick uint8, boundary bool, dds, ddt, r, prt, plt, fuel float64) {
+		i := int(pick) % len(arms)
+		base := bases[i][0]
+		if boundary {
+			base = bases[i][1]
+		}
+		s := arms[i].session(t, horizon)
+		if err := s.Restore(base); err != nil {
+			t.Fatal(err)
+		}
+		in := SlotInput{DemandDS: dds, DemandDT: ddt, Renewable: r, PriceRT: prt, PriceLT: plt, FuelScale: fuel}
+		_, err := s.Step(in)
+		var verr *ValidationError
+		switch {
+		case errors.As(err, &verr):
+			if after := snapshot(t, s); !bytes.Equal(after, base) {
+				t.Fatalf("rejected input %+v (%v) changed the session", in, err)
+			}
+			if _, err := s.Step(traces.InputAt(s.Slot())); err != nil {
+				t.Fatalf("valid step after rejecting %+v: %v", in, err)
+			}
+			if _, err := s.Commit(); err != nil {
+				t.Fatalf("commit after rejecting %+v: %v", in, err)
+			}
+		case err == nil:
+			_, _ = s.Commit()
+		}
+	})
+}

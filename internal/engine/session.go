@@ -219,7 +219,10 @@ func (s *Session) LPFailures() int {
 func (s *Session) Status() SessionStatus { return s.inner.Status() }
 
 // Step plans the next slot from the given inputs and returns the
-// controller's validated decision. Commit executes it.
+// controller's validated decision. Commit executes it. An input the slot
+// model cannot execute (non-finite, negative demand or renewable output,
+// a price outside [0, PmaxUSD]) fails with a *ValidationError before the
+// session changes.
 func (s *Session) Step(in SlotInput) (Decision, error) { return s.inner.Step(in) }
 
 // Commit executes the pending decision and advances to the next slot.

@@ -7,25 +7,50 @@ import (
 	"testing/quick"
 )
 
-// buildMode rebuilds g as a Problem in the requested bound mode.
-func (g randomBoxLP) buildMode(bounded bool) (*Problem, []VarID) {
-	p, ids := g.build()
-	p.SetBounded(bounded)
-	return p, ids
+// rowForm restates p in the row-per-bound formulation: each finite upper
+// bound of a lower-bounded, non-fixed variable becomes an explicit
+// x ≤ upper row, appended after p's constraints in variable order, and
+// the variable keeps only its lower bound. Solving the result reproduces
+// the retired row-bound solve mode bit for bit (status, pivot count,
+// objective and every value), so it is the reference formulation the
+// bounded-variable simplex is checked against.
+func rowForm(p *Problem) *Problem {
+	q := NewProblem()
+	q.sparse = p.sparse
+	lowered := func(v variable) bool {
+		return !math.IsInf(v.lower, -1) && v.lower < v.upper && !math.IsInf(v.upper, 1)
+	}
+	for _, v := range p.vars {
+		upper := v.upper
+		if lowered(v) {
+			upper = math.Inf(1)
+		}
+		q.AddVariable(v.name, v.lower, upper, v.cost)
+	}
+	for _, c := range p.cons {
+		q.AddConstraint(c.rel, c.rhs, c.terms...)
+	}
+	for i, v := range p.vars {
+		if lowered(v) {
+			q.AddConstraint(LE, v.upper, Term{VarID(i), 1})
+		}
+	}
+	return q
 }
 
 // TestBoundedMatchesRowFormulation is the row-vs-bound parity property:
-// the same random box LP solved through the row formulation and through
-// the bounded-variable simplex must agree on status and optimal objective,
-// and both solutions must satisfy the original constraints and bounds.
-// Solution vectors may differ on degenerate instances (alternate optimal
-// vertices), so the cross-check is objective-level plus feasibility.
+// the same random box LP solved through the row formulation (rowForm)
+// and through the bounded-variable simplex must agree on status and
+// optimal objective, and both solutions must satisfy the original
+// constraints and bounds. Solution vectors may differ on degenerate
+// instances (alternate optimal vertices), so the cross-check is
+// objective-level plus feasibility.
 func TestBoundedMatchesRowFormulation(t *testing.T) {
 	r := rand.New(rand.NewSource(501))
 	f := func() bool {
 		g := genBoxLP(r)
-		pr, _ := g.buildMode(false)
-		pb, _ := g.buildMode(true)
+		pb, _ := g.build()
+		pr := rowForm(pb)
 		rowSol, errR := pr.Minimize()
 		bndSol, errB := pb.Minimize()
 		if (errR != nil) != (errB != nil) {
@@ -71,7 +96,7 @@ func TestBoundedBruteForceCrossValidation(t *testing.T) {
 		if g.nVars > 3 {
 			continue // keep the C(n+m, n) enumeration cheap
 		}
-		p, _ := g.buildMode(true)
+		p, _ := g.build()
 		sol, err := p.Minimize()
 		if err != nil {
 			t.Fatalf("trial %d: solver error: %v (problem %+v)", trial, err, g)
@@ -110,7 +135,6 @@ func TestBoundedBruteForceCrossValidation(t *testing.T) {
 // variable must stay at its lower bound.
 func TestBoundedPureBoxFlips(t *testing.T) {
 	p := NewProblem()
-	p.SetBounded(true)
 	x := p.AddVariable("x", 0, 3, -2)    // flips to 3
 	y := p.AddVariable("y", 1, 4, 5)     // stays at 1
 	z := p.AddVariable("z", -2, 2, -1)   // flips to 2
@@ -140,7 +164,6 @@ func TestBoundedPureBoxFlips(t *testing.T) {
 // variable's own bound.
 func TestBoundedNoRows(t *testing.T) {
 	p := NewProblem()
-	p.SetBounded(true)
 	x := p.AddVariable("x", 0, 7, -1)
 	y := p.AddVariable("y", 0, 2, 1)
 
@@ -165,7 +188,6 @@ func TestBoundedNoRows(t *testing.T) {
 // The optimum is x1 = 2 (at its upper bound), x2 = 2, objective −4.
 func TestBoundedReflectionPath(t *testing.T) {
 	p := NewProblem()
-	p.SetBounded(true)
 	x1 := p.AddVariable("x1", 0, 2, -3)
 	x2 := p.AddVariable("x2", 0, 5, 1)
 	p.AddConstraint(LE, 0, Term{x1, 1}, Term{x2, -1})
@@ -190,7 +212,6 @@ func TestBoundedReflectionPath(t *testing.T) {
 // bounded pivot loop must terminate (anti-cycling) at the same optimum.
 func TestBoundedBealeWithBound(t *testing.T) {
 	p := NewProblem()
-	p.SetBounded(true)
 	x4 := p.AddVariable("x4", 0, math.Inf(1), -0.75)
 	x5 := p.AddVariable("x5", 0, math.Inf(1), 150)
 	x6 := p.AddVariable("x6", 0, 1, -0.02)
@@ -218,7 +239,6 @@ func TestBoundedBealeWithBound(t *testing.T) {
 // constants to every row, and never enter the tableau.
 func TestBoundedFixedVariables(t *testing.T) {
 	p := NewProblem()
-	p.SetBounded(true)
 	fx := p.AddVariable("fx", 1.5, 1.5, 10) // fixed, cost contributes 15
 	x := p.AddVariable("x", 0, 4, 1)
 	fy := p.AddVariable("fy", -2, -2, 0) // fixed negative
@@ -251,7 +271,6 @@ func TestBoundedFixedVariables(t *testing.T) {
 // with pivots: termination and the optimal objective are what matter.
 func TestBoundedDegenerateTies(t *testing.T) {
 	p := NewProblem()
-	p.SetBounded(true)
 	x := p.AddVariable("x", 0, 1, -1)
 	y := p.AddVariable("y", 0, 1, -1)
 	z := p.AddVariable("z", 0, 1, -1)
@@ -277,7 +296,6 @@ func TestBoundedDegenerateTies(t *testing.T) {
 // the bounded rewrite.
 func TestBoundedInfeasibleAndUnbounded(t *testing.T) {
 	p := NewProblem()
-	p.SetBounded(true)
 	x := p.AddVariable("x", 0, 1, 1)
 	p.AddConstraint(GE, 5, Term{x, 1}) // x ≤ 1 cannot reach 5
 	sol, err := p.Minimize()
@@ -286,7 +304,6 @@ func TestBoundedInfeasibleAndUnbounded(t *testing.T) {
 	}
 
 	p2 := NewProblem()
-	p2.SetBounded(true)
 	y := p2.AddVariable("y", 0, math.Inf(1), -1)
 	z := p2.AddVariable("z", 0, 2, 1)
 	p2.AddConstraint(GE, 0, Term{y, 1}, Term{z, 1})
@@ -296,31 +313,28 @@ func TestBoundedInfeasibleAndUnbounded(t *testing.T) {
 	}
 }
 
-// TestBoundedStandardFormShrinksTableau pins the tentpole's size win: the
-// bounded conversion emits no row for variable upper bounds, so a box
-// problem's standard form holds exactly the caller's constraint rows.
+// TestBoundedStandardFormShrinksTableau pins the bounded formulation's
+// size win: the standard form emits no row for variable upper bounds, so
+// a box problem holds exactly the caller's constraint rows, where the
+// row formulation (rowForm) of the same problem needs one more row per
+// upper-bounded variable.
 func TestBoundedStandardFormShrinksTableau(t *testing.T) {
-	build := func(bounded bool) *standardForm {
-		p := NewProblem()
-		p.SetBounded(bounded)
-		ids := make([]VarID, 6)
-		for i := range ids {
-			ids[i] = p.AddVariable("", 0, float64(i+1), 1)
-		}
-		free := p.AddVariable("free", 0, math.Inf(1), 1)
-		p.AddConstraint(EQ, 3, Term{ids[0], 1}, Term{ids[1], 1}, Term{free, 1})
-		p.AddConstraint(LE, 5, Term{ids[2], 1}, Term{ids[3], 2})
-		var sf standardForm
-		p.buildStandardForm(&sf)
-		return &sf
+	p := NewProblem()
+	ids := make([]VarID, 6)
+	for i := range ids {
+		ids[i] = p.AddVariable("", 0, float64(i+1), 1)
 	}
-	row := build(false)
-	bnd := build(true)
+	free := p.AddVariable("free", 0, math.Inf(1), 1)
+	p.AddConstraint(EQ, 3, Term{ids[0], 1}, Term{ids[1], 1}, Term{free, 1})
+	p.AddConstraint(LE, 5, Term{ids[2], 1}, Term{ids[3], 2})
+	var bnd, row standardForm
+	p.buildStandardForm(&bnd)
+	rowForm(p).buildStandardForm(&row)
 	if got, want := len(row.rows), 2+6; got != want {
-		t.Fatalf("row mode emitted %d rows, want %d (2 constraints + 6 bounds)", got, want)
+		t.Fatalf("row formulation has %d rows, want %d (2 constraints + 6 bounds)", got, want)
 	}
 	if got, want := len(bnd.rows), 2; got != want {
-		t.Fatalf("bounded mode emitted %d rows, want %d (constraints only)", got, want)
+		t.Fatalf("bounded formulation has %d rows, want %d (constraints only)", got, want)
 	}
 	finite := 0
 	for _, u := range bnd.upper {
@@ -329,21 +343,25 @@ func TestBoundedStandardFormShrinksTableau(t *testing.T) {
 		}
 	}
 	if finite != 6 {
-		t.Fatalf("bounded mode recorded %d column bounds, want 6", finite)
+		t.Fatalf("bounded formulation recorded %d column bounds, want 6", finite)
 	}
 }
 
-// TestBoundedResetKeepsMode pins that Problem.Reset preserves the bound
-// mode alongside the iteration budget.
+// TestBoundedResetKeepsMode pins that Problem.Reset keeps the solver
+// mode: a problem switched to the sparse path and rebuilt in place still
+// solves sparse, with its column bounds intact.
 func TestBoundedResetKeepsMode(t *testing.T) {
 	p := NewProblem()
-	p.SetBounded(true)
+	p.SetSparse(true)
 	p.AddVariable("x", 0, 1, -1)
 	first, err := p.Minimize()
 	if err != nil || first.Status != Optimal {
 		t.Fatalf("%v %v", err, first.Status)
 	}
 	p.Reset()
+	if !p.sparse {
+		t.Fatal("Reset dropped the sparse mode")
+	}
 	x := p.AddVariable("x", 0, 1, -1)
 	second, err := p.Minimize()
 	if err != nil || second.Status != Optimal {

@@ -4,7 +4,7 @@
 // against the standard library only. This comment is the solver's
 // contract: the formulation it accepts, the pivoting and anti-cycling
 // rules it runs, the determinism it guarantees, and the semantics of its
-// capability switches (variable bounds, sparsity).
+// one capability switch (sparsity).
 // Every layer above — the per-slot P5 solver in internal/core, the
 // interval/whole-horizon/receding-horizon LPs in internal/baseline —
 // programs against this contract.
@@ -26,22 +26,21 @@
 // non-negative variables): finite lower bounds become shifts x = lo + y,
 // a variable bounded only above becomes x = hi − y, free variables split
 // into y⁺ − y⁻, and variables fixed at lo == hi are substituted out as
-// constants. What happens to a finite upper bound on a shifted variable
-// depends on the bound mode:
+// constants. A finite upper bound on a shifted variable becomes the
+// column bound y ≤ hi − lo, handled natively by the bounded-variable
+// pivot loop, so the tableau holds only the caller's constraint rows
+// (the one-row P5 LP has 1 row where a row per bound would give 5).
 //
-//   - Row mode (the default): the bound is lowered to one explicit
-//     y ≤ hi − lo tableau row. This is the historical formulation; its
-//     pivot sequence is frozen and byte-pinned by the golden suite.
-//   - Bounded mode (Problem.SetBounded): the bound is recorded as a
-//     column bound and handled natively by the bounded-variable
-//     (revised-bound) pivot loop. No row is emitted, shrinking the
-//     tableau by one row per upper-bounded variable — about 40% on the
-//     box-constrained interval LPs of this repository (for the default
-//     T = 24 interval LP: 242 rows → 145; for the one-row P5 LP: 5 → 1).
+// This bounded-variable formulation is the only one. The row-per-bound
+// formulation, which lowers each such bound to an explicit y ≤ hi − lo
+// row after the constraints, survives only in this package's tests, as
+// the rowForm oracle: a problem restated that way and solved here
+// reproduces the retired row mode bit for bit, and the parity tests
+// compare both formulations through it.
 //
 // # Pivoting and anti-cycling
 //
-// Both modes run the same two-phase dense tableau simplex: phase 1
+// The dense path runs a two-phase tableau simplex: phase 1
 // minimizes the sum of artificial variables (infeasibility), phase 2 the
 // true objective with artificial columns banned. Entering columns are
 // chosen by Dantzig's rule (most negative reduced cost); when the active
@@ -50,7 +49,7 @@
 // degenerate problems (Beale's cycling example is a regression test).
 // The ratio test breaks ties by the smallest basis column.
 //
-// In bounded mode the ratio test admits two additional limits: a basic
+// Column bounds give the ratio test two additional limits: a basic
 // variable reaching its own upper bound (the leaving column is rewritten
 // in terms of its complement ub − x before the pivot), and the entering
 // variable reaching its upper bound first (a bound flip — the column is
@@ -67,19 +66,23 @@
 // bounds, costs, constraint order and term order — produce bit-identical
 // pivot sequences, solutions and iteration counts, on every platform with
 // IEEE-754 float64. The golden scenario suite leans on this: the
-// OfflineOptimal benchmark replays row-mode interval LPs whose optimal
-// vertices are pinned byte for byte.
+// OfflineOptimal benchmark replays dense staircase interval LPs whose
+// optimal vertices the fig6v golden pins byte for byte.
 //
-// Equivalence between the two modes is objective-level, not vertex-level:
-// both return the same status and (to round-off) the same optimal
-// objective, but on degenerate problems with alternate optima they may
-// return different, equally optimal vertices — the bounded pivot path is
-// shorter and visits different corners. Callers whose downstream output
-// is byte-pinned to historical runs must stay in row mode; everyone else
-// should prefer bounded mode for the smaller tableau. Equivalence is
-// gated three ways in the tests: brute-force vertex enumeration on random
-// boxes, row-vs-bound parity properties, and the byte-identical golden
-// suite.
+// Equivalence between formulations is objective-level, not vertex-level:
+// the bounded and row-per-bound formulations return the same status and
+// (to round-off) the same optimal objective, but on degenerate problems
+// with alternate optima they may return different, equally optimal
+// vertices — the bounded pivot path is shorter and visits different
+// corners. The same holds between model encodings: OfflineOptimal's
+// switch from the chain interval LP on row bounds to the staircase
+// interval LP kept every interval's objective (within 1e-7) and cost
+// (40.99 $/slot), but moved fig6v's offline mean delay from 3.098 to
+// 3.129 slots, a re-baseline made once, on purpose. Equivalence is gated
+// in the tests by brute-force vertex enumeration on random boxes,
+// row-vs-bound parity properties through rowForm, interval and horizon
+// parity against the chain-form oracles in internal/baseline, and the
+// byte-identical golden suite.
 //
 // # No warm starts (negative result)
 //
@@ -92,8 +95,8 @@
 // of interval LPs), and (2) these degenerate LPs have alternate optima,
 // so a warm solve can land on a different vertex than the golden-pinned
 // cold path. A remembered basis also records column membership only,
-// not the nonbasic-at-upper-bound set, so it cannot seed a bounded-mode
-// solve.
+// not the nonbasic-at-upper-bound set, so it cannot seed a
+// bounded-variable solve.
 //
 // # Sparse revised simplex (Problem.SetSparse)
 //
@@ -143,7 +146,7 @@
 // factorization and pricing buffers persist across solves, and the
 // returned Solution borrows them exactly like a dense solve's.
 //
-// The equivalence contract matches bounded mode: same status, same
+// The equivalence contract matches the formulations': same status, same
 // optimal objective (the property/fuzz parity harness in this package
 // gates dense-vs-sparse agreement to 1e-9 over randomized staircase and
 // box LPs), but possibly a different equally-optimal vertex on
@@ -157,7 +160,8 @@
 //
 // When is dense still the right choice? Below roughly a thousand
 // variables the tableau's simplicity wins: the per-slot P5 LPs
-// (internal/core) and the interval LPs stay dense, and the
+// (internal/core) and the interval LPs stay dense (OfflineOptimal's also
+// because fig6v pins their dense vertex), and the
 // receding-horizon controller only switches to sparse for foresight
 // windows of 24+ slots (baseline's sparseWindowSlots). With the
 // hyper-sparse kernels the cost per pivot is proportional to the

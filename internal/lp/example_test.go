@@ -12,7 +12,6 @@ import (
 // — instead of one extra row per capped source.
 func ExampleSolver() {
 	p := lp.NewProblem()
-	p.SetBounded(true)
 
 	grid := p.AddVariable("grid", 0, 2.0, 47.0)   // ≤ 2 MWh at 47 $/MWh
 	gen := p.AddVariable("gen", 0, 1.5, 38.0)     // ≤ 1.5 MWh at 38 $/MWh

@@ -109,7 +109,6 @@ func TestHyperSparseFtranMatchesDense(t *testing.T) {
 		g := genStaircaseLP(r)
 		g.unbVar = false
 		p := g.build()
-		p.SetBounded(true)
 		s := newRevisedForTest(p)
 		rs := &s.rev
 		for j := 0; j < rs.n; j++ {
@@ -144,7 +143,6 @@ func TestHyperSparseBtranUnitMatchesDense(t *testing.T) {
 		g := genStaircaseLP(r)
 		g.unbVar = false
 		p := g.build()
-		p.SetBounded(true)
 		s := newRevisedForTest(p)
 		rs := &s.rev
 		for pos := 0; pos < rs.m; pos++ {
@@ -182,7 +180,6 @@ func placeholderProblem(m int) *Problem {
 		a, b := ids[i], ids[(i+1)%m]
 		p.AddConstraint(EQ, 1, Term{a, 1}, Term{b, 0.5})
 	}
-	p.SetBounded(true)
 	return p
 }
 
@@ -296,13 +293,17 @@ func TestSolverReuseReproducesPivotSequence(t *testing.T) {
 	var reused Solver
 	for i := 0; i < 120; i++ {
 		warmup := genStaircaseLP(r).build()
-		warmup.SetBounded(i%2 == 0)
+		if i%2 != 0 {
+			warmup = rowForm(warmup)
+		}
 		warmup.SetSparse(true)
 		_, _ = reused.Solve(warmup) // arbitrary prior state, errors included
 
 		g := genStaircaseLP(r)
 		p := g.build()
-		p.SetBounded(i%3 != 0)
+		if i%3 == 0 {
+			p = rowForm(p)
+		}
 		p.SetSparse(true)
 
 		var fresh Solver
@@ -371,7 +372,6 @@ func TestSmallBasisPivotChainRefactorCadence(t *testing.T) {
 		g.fixC = -1
 		g.unbVar = false
 		p := g.build()
-		p.SetBounded(true)
 		p.SetSparse(true)
 		var s Solver
 		sol, err := s.Solve(p)

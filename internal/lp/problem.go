@@ -57,11 +57,9 @@ type constraint struct {
 // Problem is a mutable linear program under construction. The zero value is
 // not usable; create instances with NewProblem.
 type Problem struct {
-	vars    []variable
-	cons    []constraint
-	maxIter int
-	bounded bool
-	sparse  bool
+	vars   []variable
+	cons   []constraint
+	sparse bool
 }
 
 // NewProblem returns an empty minimization problem.
@@ -71,29 +69,12 @@ func NewProblem() *Problem {
 
 // Reset empties the problem for rebuilding in place, keeping the variable
 // and constraint storage (including each retired row's term buffer) so a
-// problem rebuilt to a similar shape allocates nothing. The iteration
-// budget and bound mode are preserved.
+// problem rebuilt to a similar shape allocates nothing. The solver mode
+// (SetSparse) is preserved.
 func (p *Problem) Reset() {
 	p.vars = p.vars[:0]
 	p.cons = p.cons[:0]
 }
-
-// SetMaxIterations overrides the default simplex iteration budget
-// (0 restores the default, which scales with problem size).
-func (p *Problem) SetMaxIterations(n int) { p.maxIter = n }
-
-// SetBounded selects the bounded-variable simplex: a finite upper bound
-// becomes a column bound handled natively by the pivot loop (bound flips,
-// nonbasic-at-upper-bound columns) instead of being lowered to one
-// explicit ≤ row per variable. The tableau shrinks by one row per
-// upper-bounded variable — ~40% on the box-constrained interval LPs this
-// repository solves. Optimal objectives and statuses are identical to the
-// row formulation; on degenerate problems the reported solution may be a
-// different (equally optimal) vertex, which is why the row formulation
-// remains the default wherever byte-pinned outputs replay the historical
-// pivot sequence. The mode survives Reset. See the package documentation
-// for the full solver contract.
-func (p *Problem) SetBounded(on bool) { p.bounded = on }
 
 // SetSparse selects the sparse revised simplex: the constraint matrix is
 // kept in compressed sparse form, the basis is held as an LU
@@ -104,21 +85,17 @@ func (p *Problem) SetBounded(on bool) { p.bounded = on }
 // to the dense tableau (the property/fuzz parity harness in this package
 // gates that equivalence to 1e-9); the reported vertex may be a
 // different, equally optimal one on degenerate problems, so golden-pinned
-// paths must stay on the dense solver. The mode survives Reset and
-// composes with SetBounded. On numerical trouble the solver transparently
-// re-solves the problem with the dense tableau, so results never depend
-// on the sparse path succeeding. See the package documentation for the
-// full contract.
+// paths must stay on the dense solver. The mode survives Reset. On
+// numerical trouble the solver transparently re-solves the problem with
+// the dense tableau, so results never depend on the sparse path
+// succeeding. See the package documentation for the full contract.
 func (p *Problem) SetSparse(on bool) { p.sparse = on }
-
-// Sparse reports whether the sparse revised simplex is selected —
-// observability for callers pinning which solver path a problem rides.
-func (p *Problem) Sparse() bool { return p.sparse }
 
 // AddVariable adds a decision variable with bounds [lower, upper] and the
 // given objective coefficient, returning its identifier. lower may be
-// math.Inf(-1) and upper may be math.Inf(1). The name appears only in
-// error messages; an empty name prints as x<id>.
+// math.Inf(-1) and upper may be math.Inf(1). Both bounds are column
+// bounds of the bounded-variable simplex, never extra constraint rows.
+// The name appears only in error messages; an empty name prints as x<id>.
 func (p *Problem) AddVariable(name string, lower, upper, cost float64) VarID {
 	p.vars = append(p.vars, variable{name: name, lower: lower, upper: upper, cost: cost})
 	return VarID(len(p.vars) - 1)

@@ -512,7 +512,7 @@ func (rs *revised) applyPivot(q int, dir float64, r int, theta float64, leaveAt 
 // hyper-sparse. Before declaring any terminal status the loop
 // refactorizes and recomputes everything once ("fresh confirmation"), so
 // accumulated drift can never produce a wrong Optimal/Infeasible answer.
-func (s *Solver) runSparse(p *Problem) (Solution, bool) {
+func (s *Solver) runSparse() (Solution, bool) {
 	sf := &s.sf
 	rs := &s.rev
 	rs.build(sf)
@@ -523,10 +523,7 @@ func (s *Solver) runSparse(p *Problem) (Solution, bool) {
 	}
 	rs.rescanInfeasibility()
 
-	maxIter := p.maxIter
-	if maxIter <= 0 {
-		maxIter = 200 + 60*(rs.m+rs.n)
-	}
+	maxIter := 200 + 60*(rs.m+rs.n)
 
 	pivots := 0
 	stall := 0

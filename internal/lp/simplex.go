@@ -35,16 +35,16 @@ type tableau struct {
 	stall    int
 	pivots   int
 
-	// Bounded-variable state (Problem.SetBounded). Every column carries an
-	// upper bound (+Inf for slacks, artificials and unbounded structurals);
-	// flip[j] records that column j currently stands for the complement
-	// ub[j] − x of its variable, the reflection that keeps every nonbasic
-	// column "at zero" so the entering rule needs no at-upper special case.
-	// In row mode every ub is +Inf, flip stays all-false, and the pivot
-	// loop's arithmetic is bit-for-bit the historical sequence.
+	// Bounded-variable state. Every column carries an upper bound (+Inf
+	// for slacks, artificials and unbounded structurals); flip[j] records
+	// that column j currently stands for the complement ub[j] − x of its
+	// variable, the reflection that keeps every nonbasic column "at zero"
+	// so the entering rule needs no at-upper special case. Without a
+	// finite bound, flip stays all-false and the loop is the plain
+	// textbook simplex.
 	ub    []float64
 	flip  []bool
-	hasUB bool // any finite column bound (false in row mode)
+	hasUB bool // any finite column bound
 }
 
 // init (re)builds the initial tableau from the standard form: slack
@@ -86,22 +86,19 @@ func (t *tableau) init(sf *standardForm) {
 	t.inPhase1, t.bland = false, false
 	t.stall, t.pivots = 0, 0
 
-	// Column bounds: structural columns inherit the standard form's bounds
-	// (finite only in bounded mode); slacks, surpluses and artificials are
-	// unbounded above.
+	// Column bounds: structural columns inherit the standard form's
+	// bounds; slacks, surpluses and artificials are unbounded above.
 	t.ub = scratch.For(t.ub, n)
 	t.flip = scratch.Zeroed(t.flip, n)
 	t.hasUB = false
-	for j := 0; j < n; j++ {
+	copy(t.ub, sf.upper)
+	for j := sf.ncols; j < n; j++ {
 		t.ub[j] = math.Inf(1)
 	}
-	if sf.bounded {
-		copy(t.ub[:sf.ncols], sf.upper)
-		for j := 0; j < sf.ncols; j++ {
-			if !math.IsInf(t.ub[j], 1) {
-				t.hasUB = true
-				break
-			}
+	for _, u := range sf.upper {
+		if !math.IsInf(u, 1) {
+			t.hasUB = true
+			break
 		}
 	}
 
@@ -171,8 +168,8 @@ func flipRel(r Relation) Relation {
 	}
 }
 
-// iterate runs simplex pivots (and, in bounded mode, bound flips) until
-// optimality or unboundedness for the current phase.
+// iterate runs simplex pivots and bound flips until optimality or
+// unboundedness for the current phase.
 func (t *tableau) iterate(maxIter int) (Status, error) {
 	for {
 		if t.pivots >= maxIter {
@@ -236,11 +233,11 @@ func (t *tableau) chooseEntering() int {
 }
 
 // chooseLeaving runs the ratio test for entering column e, breaking ties
-// by the smallest basis column (lexicographic Bland tie-break). In bounded
-// mode three limits compete: a basic variable driven to zero, a basic
-// variable driven to its upper bound (the reflection case, signalled by a
-// negative entry in its row), and the entering variable reaching its own
-// upper bound (a bound flip with no basis change, signalled by flip=true).
+// by the smallest basis column (lexicographic Bland tie-break). Three
+// limits compete: a basic variable driven to zero, a basic variable
+// driven to its upper bound (the reflection case, signalled by a negative
+// entry in its row), and the entering variable reaching its own upper
+// bound (a bound flip with no basis change, signalled by flip=true).
 // Rows win exact ties against the flip so the degenerate behavior stays
 // pivot-shaped. (row=-1, flip=false) means the column is unbounded.
 func (t *tableau) chooseLeaving(e int) (row int, flip bool) {

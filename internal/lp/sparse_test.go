@@ -155,14 +155,16 @@ func (g staircaseLP) build() *Problem {
 // TestSparseParityStaircase is the core equivalence gate of the revised
 // simplex: ≥1000 random staircase LPs (the horizon-LP shape, with
 // degenerate ties, fixed variables, infeasible and unbounded cases) must
-// agree with the dense tableau on status and objective to 1e-9, in both
-// bounded and row mode.
+// agree with the dense tableau on status and objective to 1e-9, both
+// as built and in the row formulation (rowForm).
 func TestSparseParityStaircase(t *testing.T) {
 	r := rand.New(rand.NewSource(1234))
 	for i := 0; i < 1200; i++ {
 		g := genStaircaseLP(r)
 		p := g.build()
-		p.SetBounded(i%2 == 0)
+		if i%2 != 0 {
+			p = rowForm(p)
+		}
 		checkParity(t, p, "staircase")
 	}
 }
@@ -176,7 +178,9 @@ func TestSparseParityBoxLPs(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		g := genBoxLP(r)
 		p, _ := g.build()
-		p.SetBounded(i%2 == 0)
+		if i%2 != 0 {
+			p = rowForm(p)
+		}
 		checkParity(t, p, "box")
 	}
 }
@@ -189,7 +193,9 @@ func TestSparseSolutionsAreFeasible(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		g := genBoxLP(r)
 		p, _ := g.build()
-		p.SetBounded(i%2 == 0)
+		if i%2 != 0 {
+			p = rowForm(p)
+		}
 		p.SetSparse(true)
 		var s Solver
 		sol, err := s.Solve(p)
@@ -212,9 +218,7 @@ func TestSparseDeterminism(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p1 := genStaircaseLP(r1).build()
 		p2 := genStaircaseLP(r2).build()
-		p1.SetBounded(true)
 		p1.SetSparse(true)
-		p2.SetBounded(true)
 		p2.SetSparse(true)
 		sol1, err1 := s1.Solve(p1)
 		sol2, err2 := s2.Solve(p2)
@@ -256,7 +260,6 @@ func TestSparseRefactorizationPath(t *testing.T) {
 		g.unbVar = false
 		g.demand = q4(0.8 * (total + g.b0))
 		p := g.build()
-		p.SetBounded(true)
 		p.SetSparse(true)
 		var s Solver
 		sol, err := s.Solve(p)
@@ -357,7 +360,8 @@ func FuzzSparseSolveParity(f *testing.F) {
 
 // decodeFuzzLP turns a byte stream into a bounded LP: a handful of
 // variables on a coarse bound grid, then constraint rows until the
-// stream runs dry. Exhausted streams read zeros.
+// stream runs dry, restated by rowForm when the third byte is odd.
+// Exhausted streams read zeros.
 func decodeFuzzLP(data []byte) (*Problem, bool) {
 	pos := 0
 	next := func() byte {
@@ -374,7 +378,7 @@ func decodeFuzzLP(data []byte) (*Problem, bool) {
 	nv := 1 + int(next())%5
 	nc := int(next()) % 7
 	p := NewProblem()
-	p.SetBounded(next()%2 == 0)
+	rowBounds := next()%2 != 0
 	ids := make([]VarID, nv)
 	for i := 0; i < nv; i++ {
 		lo := grid(next(), 1)
@@ -403,6 +407,9 @@ func decodeFuzzLP(data []byte) (*Problem, bool) {
 		}
 		rel := []Relation{LE, GE, EQ}[next()%3]
 		p.AddConstraint(rel, grid(next(), 2), terms...)
+	}
+	if rowBounds {
+		p = rowForm(p)
 	}
 	return p, true
 }

@@ -47,8 +47,7 @@ type standardForm struct {
 	ncols   int
 	rows    []sfRow
 	costs   []float64
-	upper   []float64 // per-column upper bound; +Inf when none or in row mode
-	bounded bool      // bound mode of the problem that built this form
+	upper   []float64 // per-column upper bound; +Inf when none
 	offset  float64   // constant added to the objective by substitutions
 	recover []varRecover
 
@@ -69,14 +68,10 @@ type standardForm struct {
 }
 
 // buildStandardForm rewrites the problem over non-negative variables into
-// sf, translating finite bounds into shifts, sign flips and splits. In the
-// default row mode a finite upper bound on a shifted variable additionally
-// emits one explicit ≤ row; the construction order — and therefore every
-// coefficient value — is identical to the historical allocating version,
-// so downstream simplex arithmetic is bit-for-bit unchanged. In bounded
-// mode (Problem.SetBounded) those rows are not emitted: the bound is
-// recorded in sf.upper as a column bound for the bounded-variable pivot
-// loop instead.
+// sf, translating finite bounds into shifts, sign flips and splits. A
+// finite upper bound on a shifted variable is recorded in sf.upper as a
+// column bound for the bounded-variable pivot loop; it never becomes a
+// row, so sf.rows holds exactly the caller's constraints.
 func (p *Problem) buildStandardForm(sf *standardForm) {
 	p.buildStandardFormMode(sf, p.sparse)
 }
@@ -100,14 +95,9 @@ func (p *Problem) buildStandardFormMode(sf *standardForm, sparse bool) {
 	sf.subs = sf.subs[:nv]
 	sf.ncols = 0
 	sf.offset = 0
-	sf.bounded = p.bounded
 	sf.sparse = sparse
 
-	// Column assignment and per-variable substitution. In row mode,
-	// upper-bounded shifted variables contribute one extra ≤ row each,
-	// appended after the caller's constraints in variable order; in
-	// bounded mode they contribute a column bound instead.
-	nupper := 0
+	// Column assignment and per-variable substitution.
 	for i, v := range p.vars {
 		switch {
 		case v.lower == v.upper:
@@ -118,9 +108,6 @@ func (p *Problem) buildStandardFormMode(sf *standardForm, sparse bool) {
 			sf.ncols++
 			sf.recover[i] = varRecover{kind: recShifted, col: col, base: v.lower}
 			sf.subs[i] = colSub{col: col, scale: 1, base: v.lower}
-			if !math.IsInf(v.upper, 1) && !p.bounded {
-				nupper++
-			}
 		case !math.IsInf(v.upper, 1):
 			// lower = -Inf, upper finite: x = upper − y.
 			col := sf.ncols
@@ -137,16 +124,15 @@ func (p *Problem) buildStandardFormMode(sf *standardForm, sparse bool) {
 		}
 	}
 
-	// Column bounds (bounded mode only; all +Inf otherwise).
+	// Column bounds: finite only on shifted variables with a finite upper
+	// bound.
 	sf.upper = scratch.For(sf.upper, sf.ncols)
 	for j := range sf.upper {
 		sf.upper[j] = math.Inf(1)
 	}
-	if p.bounded {
-		for i, v := range p.vars {
-			if r := sf.recover[i]; r.kind == recShifted && !math.IsInf(v.upper, 1) {
-				sf.upper[r.col] = v.upper - v.lower
-			}
+	for i, v := range p.vars {
+		if r := sf.recover[i]; r.kind == recShifted && !math.IsInf(v.upper, 1) {
+			sf.upper[r.col] = v.upper - v.lower
 		}
 	}
 
@@ -163,7 +149,7 @@ func (p *Problem) buildStandardFormMode(sf *standardForm, sparse bool) {
 		}
 	}
 
-	nrows := len(p.cons) + nupper
+	nrows := len(p.cons)
 	if cap(sf.rows) < nrows {
 		sf.rows = make([]sfRow, nrows)
 	}
@@ -174,14 +160,10 @@ func (p *Problem) buildStandardFormMode(sf *standardForm, sparse bool) {
 	}
 
 	// Row storage: one arena slab per build, sliced per row.
-	sf.arena = scratch.Zeroed(sf.arena, nrows*sf.ncols)
-	rowCoeffs := func(i int) []float64 {
-		return sf.arena[i*sf.ncols : (i+1)*sf.ncols : (i+1)*sf.ncols]
-	}
-
-	// Constraint rows.
+	n := sf.ncols
+	sf.arena = scratch.Zeroed(sf.arena, nrows*n)
 	for ci, c := range p.cons {
-		row := sfRow{coeffs: rowCoeffs(ci), rel: c.rel, rhs: c.rhs}
+		row := sfRow{coeffs: sf.arena[ci*n : (ci+1)*n : (ci+1)*n], rel: c.rel, rhs: c.rhs}
 		for _, t := range c.terms {
 			s := sf.subs[t.Var]
 			row.rhs -= t.Coeff * s.base
@@ -194,22 +176,6 @@ func (p *Problem) buildStandardFormMode(sf *standardForm, sparse bool) {
 			}
 		}
 		sf.rows[ci] = row
-	}
-
-	// Upper-bound rows, in variable order (row mode only: bounded mode
-	// carries these limits in sf.upper).
-	if !p.bounded {
-		ui := len(p.cons)
-		for i, v := range p.vars {
-			r := sf.recover[i]
-			if r.kind != recShifted || math.IsInf(v.upper, 1) {
-				continue
-			}
-			row := sfRow{coeffs: rowCoeffs(ui), rel: LE, rhs: v.upper - v.lower}
-			row.coeffs[r.col] = 1
-			sf.rows[ui] = row
-			ui++
-		}
 	}
 }
 
@@ -255,23 +221,6 @@ func (p *Problem) buildSparseRows(sf *standardForm) {
 		}
 		sf.rows[ci] = sfRow{rel: c.rel, rhs: rhs}
 		ri++
-	}
-
-	// Upper-bound rows, in variable order (row mode only — bounded mode
-	// carries these limits in sf.upper). Same order as the dense build.
-	if !p.bounded {
-		ui := len(p.cons)
-		for i, v := range p.vars {
-			r := sf.recover[i]
-			if r.kind != recShifted || math.IsInf(v.upper, 1) {
-				continue
-			}
-			sf.rowStart[ui] = int32(len(sf.rcol))
-			sf.rcol = append(sf.rcol, int32(r.col))
-			sf.rval = append(sf.rval, 1)
-			sf.rows[ui] = sfRow{rel: LE, rhs: v.upper - v.lower}
-			ui++
-		}
 	}
 	sf.rowStart[nrows] = int32(len(sf.rcol))
 }

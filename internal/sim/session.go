@@ -13,7 +13,9 @@ import (
 
 // SlotInput is one fine slot's exogenous inputs as a streaming caller
 // supplies them: the trace row that batch Run reads from a trace.Set.
-// All energies are MWh per fine slot, prices USD/MWh.
+// All energies are MWh per fine slot, prices USD/MWh. Step accepts only
+// finite values, non-negative energies and fuel scale, and prices in the
+// market's [0, PmaxUSD] (PriceLT only where it is read).
 type SlotInput struct {
 	// DemandDS is dds(τ), the delay-sensitive demand served this slot.
 	DemandDS float64 `json:"demandDS"`
@@ -35,22 +37,48 @@ type SlotInput struct {
 	FuelScale float64 `json:"fuelScale"`
 }
 
-// validate rejects non-finite inputs up front: a NaN demand would sail
-// through the slot arithmetic and poison every accumulator downstream.
-func (in SlotInput) validate() error {
-	for _, f := range [...]struct {
-		name string
-		v    float64
-	}{
-		{"DemandDS", in.DemandDS}, {"DemandDT", in.DemandDT},
-		{"Renewable", in.Renewable}, {"PriceRT", in.PriceRT},
-		{"PriceLT", in.PriceLT}, {"FuelScale", in.FuelScale},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return &ValidationError{Field: f.name, Reason: "non-finite value"}
-		}
+// validate rejects, before the session changes, every input the slot
+// model cannot execute: a non-finite value (a NaN demand would sail
+// through the slot arithmetic and poison every accumulator downstream),
+// negative demand, renewable output or fuel scale (batch runs reject
+// such traces), and a price outside the market's [0, pmax] — the
+// real-time price every slot, and the long-term price at a coarse
+// boundary, the only slot that reads it.
+func (in SlotInput) validate(pmax float64, boundary bool) error {
+	inf := math.Inf(1)
+	ltLo, ltHi := -inf, inf
+	if boundary {
+		ltLo, ltHi = 0, pmax
 	}
-	return nil
+	if err := checkInput("DemandDS", in.DemandDS, 0, inf); err != nil {
+		return err
+	}
+	if err := checkInput("DemandDT", in.DemandDT, 0, inf); err != nil {
+		return err
+	}
+	if err := checkInput("Renewable", in.Renewable, 0, inf); err != nil {
+		return err
+	}
+	if err := checkInput("PriceRT", in.PriceRT, 0, pmax); err != nil {
+		return err
+	}
+	if err := checkInput("PriceLT", in.PriceLT, ltLo, ltHi); err != nil {
+		return err
+	}
+	return checkInput("FuelScale", in.FuelScale, 0, inf)
+}
+
+// checkInput returns a *ValidationError for field unless v is finite and
+// within [lo, hi]. v−v is zero exactly when v is finite; testing the
+// accepted case first keeps the per-slot cost to a few comparisons.
+func checkInput(field string, v, lo, hi float64) error {
+	if v >= lo && v <= hi && v-v == 0 {
+		return nil
+	}
+	if v-v != 0 {
+		return &ValidationError{Field: field, Reason: "non-finite value"}
+	}
+	return &ValidationError{Field: field, Reason: fmt.Sprintf("%g outside [%g, %g]", v, lo, hi)}
 }
 
 // SlotOutcome is one committed slot: the outcome the controller saw, the
@@ -278,8 +306,9 @@ func (s *Session) Status() Status {
 	}
 }
 
-// Step plans the next fine slot: at a coarse boundary it first runs
-// PlanCoarse and commits the long-term purchase, then it advances the
+// Step plans the next fine slot: it validates the input (a
+// *ValidationError leaves the session unchanged), at a coarse boundary
+// runs PlanCoarse and commits the long-term purchase, then advances the
 // fleet, builds the controller's observation from the input, and
 // validates the planned decision. The returned Decision is the
 // controller's plan after validation clamps but before the rescue chain;
@@ -294,12 +323,11 @@ func (s *Session) Step(in SlotInput) (Decision, error) {
 	if s.slot >= s.horizon {
 		return Decision{}, fmt.Errorf("%w: slot %d of horizon %d", ErrHorizonExhausted, s.slot, s.horizon)
 	}
-	if err := in.validate(); err != nil {
-		return Decision{}, err
-	}
-
 	slot := s.slot
 	T := s.ctrl.CoarseSlots()
+	if err := in.validate(s.cfg.Market.PmaxUSD, slot%T == 0); err != nil {
+		return Decision{}, err
+	}
 	if slot%T == 0 {
 		if err := s.coarseBoundary(in, slot, minInt(T, s.horizon-slot)); err != nil {
 			return Decision{}, err
