@@ -5,16 +5,16 @@ GO ?= go
 
 # The perf-trajectory benchmark set (see BENCH_10.json and README
 # "Performance"), run over PERF_PKGS. BenchmarkAblationOfflineDayLP is
-# the interval-LP rung (OfflineOptimal's per-interval staircase LPs on
-# the dense tableau). BenchmarkHorizonStair matches the sparse and dense
-# (bounded-variable) solves of one staircase LP in internal/baseline, so
-# cmd/perf can gate their same-run speedup ratio; BenchmarkGeoStep
-# carries the geo fan-out's allocs/op gate at every fleet size; the
-# dpss-serve rungs — one /metrics scrape (internal/serve), one
-# checkpoint and one resume (internal/engine) — sit in the packages
-# that own them.
+# the interval-LP rung (OfflineOptimal's per-interval staircase LPs).
+# BenchmarkHorizonStair matches one 72-slot staircase LP in internal/lp
+# solved by the sparse revised simplex and by the tests' dense tableau
+# oracle, so cmd/perf can gate their same-run speedup ratio;
+# BenchmarkGeoStep carries the geo fan-out's allocs/op gate at every
+# fleet size; the dpss-serve rungs — one /metrics scrape
+# (internal/serve), one checkpoint and one resume (internal/engine) —
+# sit in the packages that own them.
 PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineDayLP|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair|BenchmarkWriteExposition|BenchmarkSnapshot|BenchmarkRestore
-PERF_PKGS = . ./internal/baseline ./internal/serve ./internal/engine
+PERF_PKGS = . ./internal/lp ./internal/serve ./internal/engine
 
 # Fuzzing budget for the `fuzz` target (CI smoke uses the default).
 FUZZTIME ?= 30s
@@ -38,12 +38,14 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -short -timeout 15m -run '^$$' .
 
 # Native fuzzing, one target per run (go test -fuzz takes one target):
-# FuzzSparseSolveParity — random staircase LPs, dense tableau and sparse
-# revised simplex must agree on status and objective; FuzzRestore —
+# FuzzSparseSolveParity — random box LPs and badly scaled cost-cut
+# staircase LPs, where the solver must match every verdict the tests'
+# tableau oracle can vouch for; FuzzRestore —
 # mutated and truncated checkpoints must never panic Restore nor leave a
 # session partly restored; FuzzSlotInput — arbitrary slot inputs must
-# never panic Step or Commit, and a rejected input must leave the
-# session unchanged. FUZZTIME is each target's budget (e.g.
+# never panic Step, a rejected input must leave the session unchanged,
+# and an accepted one must commit and leave the session snapshottable.
+# FUZZTIME is each target's budget (e.g.
 # FUZZTIME=5m).
 fuzz:
 	$(GO) test ./internal/lp -run '^$$' -fuzz FuzzSparseSolveParity -fuzztime $(FUZZTIME)

@@ -121,14 +121,14 @@ func benchP5Path(b *testing.B, useLP bool) {
 
 // BenchmarkAblationOfflineDayLP measures the paper's per-interval offline
 // benchmark, the interval-LP rung: six 12-slot staircase interval LPs
-// over three days, solved on the dense tableau, plus their replay.
+// over three days, solved on the sparse revised simplex, plus their
+// replay.
 func BenchmarkAblationOfflineDayLP(b *testing.B) {
 	benchOffline(b, dpss.PolicyOfflineOptimal)
 }
 
 // BenchmarkAblationOfflineHorizonLP measures the single whole-horizon LP
-// (the cross-interval planner the day decomposition gives up), on the
-// default sparse staircase path.
+// (the cross-interval planner the day decomposition gives up).
 func BenchmarkAblationOfflineHorizonLP(b *testing.B) {
 	benchOffline(b, dpss.PolicyOfflineHorizon)
 }

@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	go test -bench='...' -benchmem -run '^$' . ./internal/baseline | go run ./cmd/perf -out BENCH_10.json
-//	go test -bench='...' -benchmem -run '^$' . ./internal/baseline | go run ./cmd/perf -check BENCH_10.json -out /tmp/bench.json
+//	go test -bench='...' -benchmem -run '^$' . ./internal/lp | go run ./cmd/perf -out BENCH_10.json
+//	go test -bench='...' -benchmem -run '^$' . ./internal/lp | go run ./cmd/perf -check BENCH_10.json -out /tmp/bench.json
 //
 // The tool reads benchmark result lines from stdin. With -out it writes
 // a JSON file holding the parsed numbers as the "current" block; when
@@ -84,10 +84,10 @@ var gated = map[string]float64{
 // fast ≤ maxRatio × slow. Comparing two measurements from the same run
 // keeps the gate machine-load independent (both sides see the same CPU),
 // unlike an absolute ns/op threshold. The staircase entry is the sparse
-// revised simplex's reason to exist: internal/baseline solves the same
-// whole-horizon staircase LP on the sparse path and on the dense
-// tableau, and if the sparse side stops clearly beating the dense one,
-// the sparse solver has regressed.
+// revised simplex's reason to exist: internal/lp solves the same 72-slot
+// staircase LP on it and on the tests' dense tableau oracle, and if the
+// sparse side stops clearly beating the dense one, the solver has
+// regressed.
 var speedupGates = []struct {
 	fast, slow string
 	maxRatio   float64

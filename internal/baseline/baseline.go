@@ -15,6 +15,12 @@
 //     used on short horizons to measure how much the per-interval
 //     decomposition gives up (cross-interval battery planning).
 //
+// Every LP here — the interval, whole-horizon, receding-horizon and
+// coupled geo LPs — solves on internal/lp's one solve path, the sparse
+// revised simplex. A solver error leaves OfflineOptimal an empty
+// interval plan and Lookahead a myopic slot decision; the whole-horizon
+// and geo constructors return it.
+//
 // The UPS fixed charge Cb·n(τ) is non-convex; the offline LPs use the
 // standard linear proxy Cb·(brc/Bcmax + bdc/Bdmax), which never overstates
 // the true operation cost. The offline benchmarks therefore report a cost
@@ -123,18 +129,16 @@ func (c Config) Validate() error {
 }
 
 // lpState is the reusable LP substrate a baseline controller owns: the
-// solver whose tableau buffers persist across the run's solves, the
+// solver whose buffers persist across the run's solves, the
 // problem rebuilt in place, and every slice the model builders need.
 //
-// Every solve runs the bounded-variable simplex (capacity and box limits
+// Every solve runs lp's sparse revised simplex (capacity and box limits
 // as column bounds, not rows) cold, with buffer reuse; the lp package
-// documentation records why no solve is warm-started. sparse routes the
-// solve through the sparse revised simplex; dense-tableau callers keep
-// their vertex. The zero value is ready to use.
+// documentation records why no solve is warm-started. The zero value is
+// ready to use.
 type lpState struct {
 	solver lp.Solver
 	prob   *lp.Problem
-	sparse bool // route solves through the sparse revised simplex
 
 	idArena []lp.VarID // variable ids of the current model (takeIDs)
 	terms   []lp.Term  // per-constraint build buffer
@@ -149,21 +153,17 @@ type lpState struct {
 }
 
 // problem returns the reusable problem, reset for rebuilding, and
-// rewinds the id arena. The solve mode is re-derived on every call (not
-// just at creation) so flipping sparse between solves takes effect
-// rather than being silently latched.
+// rewinds the id arena.
 func (st *lpState) problem() *lp.Problem {
 	if st.prob == nil {
 		st.prob = lp.NewProblem()
 	}
-	st.prob.SetSparse(st.sparse)
 	st.prob.Reset()
 	st.idArena = st.idArena[:0]
 	return st.prob
 }
 
-// solve runs the configured solve mode and records the objective for
-// the parity tests.
+// solve solves prob and records the objective for the parity tests.
 func (st *lpState) solve(prob *lp.Problem) (lp.Solution, error) {
 	sol, err := st.solver.Solve(prob)
 	if err == nil {

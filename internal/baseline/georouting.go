@@ -91,7 +91,6 @@ func SolveGeoHorizon(sites []GeoSite) (*GeoRoutingPlan, error) {
 	}
 
 	var st lpState
-	st.sparse = true
 	prob := st.problem()
 	nS := len(sites)
 	blocks := make([]stairBlock, nS)

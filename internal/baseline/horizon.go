@@ -14,9 +14,9 @@ import (
 // spanning the entire horizon, with a long-term purchase variable per
 // coarse interval and cross-interval battery planning. It lower-bounds
 // the per-interval OfflineOptimal. The LP is the staircase
-// state-variable formulation (addStairBlock) solved on the sparse
-// revised simplex, which keeps the constraint matrix linear in the
-// horizon and reaches annual (8760 slot) studies.
+// state-variable formulation (addStairBlock), which keeps the constraint
+// matrix linear in the horizon, so lp's sparse revised simplex reaches
+// annual (8760 slot) studies.
 type OfflineHorizon struct {
 	cfg Config
 	set *trace.Set
@@ -38,7 +38,6 @@ func NewOfflineHorizon(cfg Config, set *trace.Set) (*OfflineHorizon, error) {
 		return nil, err
 	}
 	o := &OfflineHorizon{cfg: cfg, set: set}
-	o.st.sparse = true
 	if err := o.solveStair(); err != nil {
 		return nil, err
 	}
@@ -77,8 +76,8 @@ func (o *OfflineHorizon) PlanFine(obs sim.FineObs) sim.Decision {
 // RecordOutcome implements sim.Controller; the plan is precomputed.
 func (o *OfflineHorizon) RecordOutcome(sim.Outcome) {}
 
-// solveStair solves the whole-horizon staircase LP (addStairBlock) on
-// the state's solve mode and stores the replayed plan.
+// solveStair solves the whole-horizon staircase LP (addStairBlock) and
+// stores the replayed plan.
 func (o *OfflineHorizon) solveStair() error {
 	st := &o.st
 	prob := st.problem()

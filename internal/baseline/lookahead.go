@@ -9,15 +9,6 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-// sparseWindowSlots is the foresight width at which the receding-horizon
-// window LP switches from the dense tableau to the sparse revised
-// simplex (see Lookahead.solveWindow). The hyper-sparse kernels moved
-// the measured crossover well below the old 48-slot threshold (the
-// revised path wins from ~8 slots up, 2.6x at 24); 24 keeps a margin
-// for the dense tableau's lower fixed costs on tiny windows and holds
-// the closed-loop replay-cost parity gate at the switch point.
-const sparseWindowSlots = 24
-
 // Lookahead is a receding-horizon (MPC) controller with W fine slots of
 // perfect foresight — the "T-Step Lookahead" family the paper contrasts
 // with in its related work ([29], [30]). At every fine slot it solves a
@@ -37,8 +28,8 @@ type Lookahead struct {
 
 	// Separate LP substrates for the two problem families the controller
 	// solves: the coarse-boundary interval LP and the per-slot window LP.
-	// Keeping them apart sizes each solver's tableau arena to its own
-	// problem family, so both sequences solve allocation-free.
+	// Keeping them apart sizes each solver's buffers to its own problem
+	// family, so both sequences solve allocation-free.
 	coarse lpState
 	fine   lpState
 }
@@ -102,7 +93,7 @@ func (l *Lookahead) RecordOutcome(sim.Outcome) {}
 // boundary see it as an estimate).
 //
 // Consecutive windows share one shape until the horizon truncates them,
-// so every model and tableau buffer is reused across the receding
+// so every model and solver buffer is reused across the receding
 // horizon and steady-state solves allocate nothing.
 func (l *Lookahead) solveWindow(obs sim.FineObs) (sim.Decision, error) {
 	st := &l.fine
@@ -113,12 +104,6 @@ func (l *Lookahead) solveWindow(obs sim.FineObs) (sim.Decision, error) {
 		return sim.Decision{}, fmt.Errorf("baseline: empty window")
 	}
 
-	// Wide foresight windows route through the sparse revised simplex:
-	// the window LP's prefix rows grow quadratically with n, and past
-	// sparseWindowSlots the revised path's hyper-sparse per-pivot cost
-	// wins even on that encoding. Narrow windows stay on the dense
-	// tableau, whose fixed costs are lower at tiny sizes.
-	st.sparse = n >= sparseWindowSlots
 	prob := st.problem()
 	grt, u, c, d, w, e := st.varIDs(n)
 	units := l.cfg.genUnits()

@@ -18,15 +18,15 @@ import (
 //
 // Each interval LP is one staircase block over the interval
 // (solveInterval), the same addStairBlock OfflineHorizon uses for the
-// whole horizon.
-// Consecutive interval LPs share one shape, so the controller's solver
-// reuses every model and tableau buffer across intervals and the whole
-// sequence solves allocation-free after the first interval. The solves
-// stay on the dense tableau: these interval LPs are degenerate (serving
-// the backlog earlier or later can be cost-neutral), the golden paper
-// figures pin this controller's replayed schedule byte for byte, and
-// the sparse path may return a different, equally optimal vertex that
-// would shift the reported delay (see the lp package documentation).
+// whole horizon, solved like every LP here on lp's sparse revised
+// simplex. Consecutive interval LPs share one shape, so the controller's
+// solver reuses every model and solver buffer across intervals and the
+// whole sequence solves allocation-free after the first interval. These
+// interval LPs are degenerate (serving the backlog earlier or later can
+// be cost-neutral), and the golden paper figures pin the vertex the
+// solver picks through the replayed mean delay: any change of pivot
+// rule or model order can move that delay at equal cost (see the lp
+// package documentation).
 type OfflineOptimal struct {
 	cfg Config
 	set *trace.Set
@@ -96,9 +96,9 @@ func (o *OfflineOptimal) RecordOutcome(sim.Outcome) {}
 
 // solveInterval solves the clairvoyant LP for the interval of n ≤ T
 // slots from slot start, entered with battery level b0 and backlog q0:
-// one staircase block over that window on the state's solve mode. It
-// returns the long-term purchase and the per-slot plan (the plan borrows
-// st's buffer and is valid until the next solve). By Lemma 1 the plan's
+// one staircase block over that window. It returns the long-term
+// purchase and the per-slot plan (the plan borrows st's buffer and is
+// valid until the next solve). By Lemma 1 the plan's
 // real-time purchases are essentially unused at the optimum, but keeping
 // them preserves feasibility when the flat gbef/n delivery cannot track
 // peaky intra-interval demand.

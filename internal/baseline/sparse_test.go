@@ -20,7 +20,7 @@ func testFleet() []generator.Params {
 	}
 }
 
-// newChainHorizon solves the whole-horizon LP in the legacy dense chain
+// newChainHorizon solves the whole-horizon LP in the legacy chain
 // formulation (solveChain below), the model oracle the staircase form
 // is checked against.
 func newChainHorizon(t *testing.T, cfg Config, set *trace.Set) *OfflineHorizon {
@@ -32,7 +32,7 @@ func newChainHorizon(t *testing.T, cfg Config, set *trace.Set) *OfflineHorizon {
 	return o
 }
 
-// solveChain builds and solves the legacy dense chain formulation. The
+// solveChain builds and solves the legacy chain formulation. The
 // structure matches solveInterval, with one gbef per coarse interval,
 // battery dynamics and service causality chained across the whole
 // horizon as j ≤ i prefix rows, and the same "served by interval end"
@@ -178,11 +178,11 @@ func (o *OfflineHorizon) solveChain() error {
 	return nil
 }
 
-// TestHorizonStairMatchesChainObjective is the baseline-level parity gate
-// of the sparse migration: the staircase state-variable form solved by
-// the revised simplex and the legacy dense chain form must reach the same
-// optimal LP objective (the vertex may differ — alternate optima),
-// across horizon lengths and fleet configurations.
+// TestHorizonStairMatchesChainObjective is the baseline-level model
+// parity gate: the staircase state-variable form and the legacy chain
+// form (O(n²) prefix rows) must reach the same optimal LP objective (the
+// vertex may differ — alternate optima), across horizon lengths and
+// fleet configurations.
 func TestHorizonStairMatchesChainObjective(t *testing.T) {
 	for _, days := range []int{1, 3} {
 		set := testTraces(t, days)
@@ -238,110 +238,5 @@ func TestHorizonStairPlanReplaysComparably(t *testing.T) {
 	}
 	if stairRep.UnservedMWh > 1e-6 {
 		t.Errorf("staircase plan left %g MWh unserved", stairRep.UnservedMWh)
-	}
-}
-
-// BenchmarkHorizonStairSparse and BenchmarkHorizonStairDense solve the
-// same 3-day, T = 12 staircase LP, on the sparse revised simplex and on
-// the dense tableau (both bounded-variable). cmd/perf gates their
-// same-run ns/op ratio: the sparse path must stay at or below 0.70× the
-// dense one, the comparison that justifies the sparse solver.
-func BenchmarkHorizonStairSparse(b *testing.B) { benchHorizonStair(b, true) }
-
-func BenchmarkHorizonStairDense(b *testing.B) { benchHorizonStair(b, false) }
-
-func benchHorizonStair(b *testing.B, sparse bool) {
-	cfg := DefaultConfig()
-	cfg.T = 12
-	set := testTraces(b, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o := &OfflineHorizon{cfg: cfg, set: set}
-		o.st.sparse = sparse
-		if err := o.solveStair(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// denseWindowCheck wraps a Lookahead and re-solves every window LP it
-// builds on the dense tableau, requiring the objective the controller's
-// own solve reached.
-type denseWindowCheck struct {
-	*Lookahead
-	t      *testing.T
-	dense  lp.Solver
-	sparse int // windows the controller solved on the sparse path
-}
-
-func (c *denseWindowCheck) PlanFine(obs sim.FineObs) sim.Decision {
-	st := &c.fine
-	st.lastObjective = math.NaN()
-	dec := c.Lookahead.PlanFine(obs)
-	if math.IsNaN(st.lastObjective) {
-		c.t.Fatalf("slot %d: window LP failed", obs.Slot)
-	}
-	if st.sparse {
-		c.sparse++
-	}
-	st.prob.SetSparse(false)
-	sol, err := c.dense.Solve(st.prob)
-	if err != nil || sol.Status != lp.Optimal {
-		c.t.Fatalf("slot %d: dense re-solve: %v %v", obs.Slot, err, sol.Status)
-	}
-	tol := 1e-7 * (1 + math.Abs(sol.Objective))
-	if math.Abs(sol.Objective-st.lastObjective) > tol {
-		c.t.Errorf("slot %d: window objective %.10g, dense re-solve %.10g",
-			obs.Slot, st.lastObjective, sol.Objective)
-	}
-	return dec
-}
-
-// TestLookaheadSparseWindowMatchesDense pins the Lookahead routing
-// threshold: windows at sparseWindowSlots solve on the revised simplex,
-// and at every window of the run the same built problem re-solved on the
-// dense tableau must reach the same objective.
-func TestLookaheadSparseWindowMatchesDense(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replays a full lookahead run")
-	}
-	cfg := DefaultConfig()
-	cfg.T = 12
-	set := testTraces(t, 2)
-
-	la, err := NewLookahead(cfg, set, sparseWindowSlots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := &denseWindowCheck{Lookahead: la, t: t}
-	if _, err := sim.Run(simConfig(cfg), set, check); err != nil {
-		t.Fatal(err)
-	}
-	if check.sparse == 0 {
-		t.Fatal("no window solved on the sparse path")
-	}
-}
-
-// TestOfflineOptimalStaysDense pins the golden contract: OfflineOptimal
-// solves every interval LP on the dense tableau, never sparse, because
-// the fig6v golden replays that pivot sequence's vertex. A migration
-// that routes it sparse moves the golden vertex silently; this test
-// makes it loud instead.
-func TestOfflineOptimalStaysDense(t *testing.T) {
-	cfg := DefaultConfig()
-	set := testTraces(t, 2)
-	o, err := NewOfflineOptimal(cfg, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(simConfig(cfg), set, o); err != nil {
-		t.Fatal(err)
-	}
-	if o.st.prob == nil {
-		t.Fatal("OfflineOptimal solved no interval LP")
-	}
-	if o.st.sparse {
-		t.Fatal("OfflineOptimal solves on the sparse path: the golden-pinned vertex is unprotected")
 	}
 }

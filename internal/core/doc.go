@@ -45,13 +45,14 @@
 //
 // # Two interchangeable P5 solvers
 //
-// P5 is solved either through the dense-simplex substrate (internal/lp,
-// mirroring the paper's "solve with linear programming, e.g. simplex") or
-// through a closed-form merit-order solver that exploits P5's structure: a
-// single balance node with per-leg linear costs, solvable by sorting
-// source and sink legs and greedily matching negative-cost pairs. Property
-// tests assert both solvers produce equal objectives; the analytic path is
-// roughly two orders of magnitude faster (see the ablation benchmark).
+// P5 is solved either through the simplex substrate (internal/lp's
+// revised simplex, mirroring the paper's "solve with linear programming,
+// e.g. simplex") or through a closed-form merit-order solver that
+// exploits P5's structure: a single balance node with per-leg linear
+// costs, solvable by sorting source and sink legs and greedily matching
+// negative-cost pairs. Property tests assert both solvers produce equal
+// objectives; the analytic path is roughly two orders of magnitude
+// faster (see the ablation benchmark).
 //
 // The controller is deliberately single-site: it owns no global state, so
 // a geo-distributed fleet (internal/geo) composes per-site Controller

@@ -306,3 +306,27 @@ func TestPropertyAnalyticObjectiveBeatsRandomFeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestP5LPSolveAllocatesNothing pins the UseLP path's steady state: once
+// the scratch has solved one instance, re-solving instances of the same
+// shape allocates nothing. Its per-run allocations are the solver's
+// one-time buffer growth, not a per-slot cost.
+func TestP5LPSolveAllocatesNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var in p5Input
+	for len(in.genSegs) == 0 {
+		in = genP5(r)
+	}
+	var s p5LPScratch
+	flows := make([]float64, len(in.genSegs))
+	if _, err := s.solve(in, flows); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if n := testing.AllocsPerRun(100, func() { _, err = s.solve(in, flows) }); n != 0 {
+		t.Errorf("P5 LP solve allocates %v times per call, want 0", n)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -8,12 +8,12 @@ import (
 )
 
 // p5LPScratch holds the LP reference path's reusable substrate: the
-// problem rebuilt in place each slot and the solver whose tableau buffers
-// persist across the run's near-identical solves. The zero value is ready
-// to use. These per-slot LPs are a handful of variables and one row, so
-// they deliberately stay on the dense tableau — the sparse revised
-// simplex (lp.Problem.SetSparse) only pays off on the large structured
-// horizon LPs; at this size its factorization overhead would dominate.
+// problem rebuilt in place each slot and the solver whose buffers persist
+// across the run's near-identical solves, so a slot's solve allocates
+// nothing once the first has sized them. The zero value is ready to use.
+// These per-slot LPs are a handful of variables and one row; they run on
+// lp's one solve path, the sparse revised simplex, like every LP in the
+// repository.
 type p5LPScratch struct {
 	solver lp.Solver
 	prob   *lp.Problem
@@ -39,8 +39,8 @@ func solveP5LP(in p5Input) (p5Result, error) {
 // problem/solver. flows receives the per-segment generation and becomes
 // the result's genFlows (len(in.genSegs); nil without segments). The
 // solve is cold and runs the bounded-variable simplex: every cap below is
-// a column bound, so the tableau holds a single row (the balance
-// equality) instead of one row per capped variable.
+// a column bound, so the model holds a single row (the balance equality)
+// instead of one row per capped variable.
 func (s *p5LPScratch) solve(in p5Input, flows []float64) (p5Result, error) {
 	if s.prob == nil {
 		s.prob = lp.NewProblem()

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
 // rejectsInput steps s with in and requires a *ValidationError on field
@@ -116,12 +118,68 @@ func TestStepRejectsLongTermPriceOutsideCapAtBoundary(t *testing.T) {
 	}
 }
 
+// TestStepRejectsHugeEnergies: a delay-sensitive demand near 1e300 used
+// to pass Step and then fail Commit's energy-balance check on every
+// retry, wedging the session; a delay-tolerant demand or renewable
+// output that large committed but overflowed the report accumulators to
+// +Inf, so every later Snapshot failed. Step now rejects each above
+// trace.MaxEnergyMWh, and accepts the bound itself.
+func TestStepRejectsHugeEnergies(t *testing.T) {
+	traces := dayTraces(t, 2)
+	for _, field := range []string{"DemandDS", "DemandDT", "Renewable"} {
+		t.Run(field, func(t *testing.T) {
+			s := streamArms()[0].session(t, traces.Horizon())
+			stepTo(t, s, traces, 5)
+			set := func(v float64) SlotInput {
+				in := traces.InputAt(s.Slot())
+				switch field {
+				case "DemandDS":
+					in.DemandDS = v
+				case "DemandDT":
+					in.DemandDT = v
+				case "Renewable":
+					in.Renewable = v
+				}
+				return in
+			}
+			rejectsInput(t, s, traces, set(1e300), field)
+			if _, err := s.Step(set(trace.MaxEnergyMWh)); err != nil {
+				t.Fatalf("Step at the bound: %v", err)
+			}
+			if _, err := s.Commit(); err != nil {
+				t.Fatalf("Commit at the bound: %v", err)
+			}
+			snapshot(t, s)
+		})
+	}
+}
+
+// TestTraceValidationBoundsEnergies: batch runs read the same bound
+// through trace validation, so a trace carrying an energy sample Step
+// would reject is refused before the run starts instead of mid-run.
+func TestTraceValidationBoundsEnergies(t *testing.T) {
+	for _, field := range []string{"DemandDS", "DemandDT", "Renewable"} {
+		traces := dayTraces(t, 1)
+		set := traces.Set()
+		sr := map[string]*trace.Series{"DemandDS": set.DemandDS, "DemandDT": set.DemandDT, "Renewable": set.Renewable}[field]
+		sr.Values[7] = trace.MaxEnergyMWh
+		if err := set.Validate(); err != nil {
+			t.Fatalf("%s at the bound: %v", field, err)
+		}
+		sr.Values[7] = 2 * trace.MaxEnergyMWh
+		if _, err := Simulate(PolicySmartDPSS, DefaultOptions(), traces); err == nil {
+			t.Fatalf("%s above the bound: batch run accepted the trace", field)
+		}
+	}
+}
+
 // FuzzSlotInput steps a mid-run session of the streaming arm that pick
 // selects, at a coarse boundary or just before one, with an arbitrary
 // slot input. Step must never panic. A *ValidationError must leave the
 // session's Snapshot bytes unchanged, and the trace's own input must
-// then step and commit. Commit after an accepted Step must not panic;
-// it may still fail (ROADMAP item 1 lists the known cases).
+// then step and commit. An accepted Step must commit, and the session
+// must then still snapshot: an input Step lets through may not wedge
+// the session or poison its report.
 func FuzzSlotInput(f *testing.F) {
 	traces := dayTraces(f, 2)
 	horizon := traces.Horizon()
@@ -144,6 +202,9 @@ func FuzzSlotInput(f *testing.F) {
 			f.Add(uint8(i), boundary, 0.8, 0.3, 0.2, 45.0, -1.0, 1.0)
 			f.Add(uint8(i), boundary, 0.8, nan, 0.2, 45.0, 38.0, inf)
 			f.Add(uint8(i), boundary, 1e300, 1e300, 1e300, 150.0, 0.0, 0.0)
+			f.Add(uint8(i), boundary, 1e300, 0.3, 0.2, 45.0, 38.0, 1.0)
+			f.Add(uint8(i), boundary, 0.8, 1e300, 0.2, 45.0, 38.0, 1.0)
+			f.Add(uint8(i), boundary, 0.8, 0.3, 1e300, 45.0, 38.0, 1.0)
 		}
 	}
 	f.Fuzz(func(t *testing.T, pick uint8, boundary bool, dds, ddt, r, prt, plt, fuel float64) {
@@ -171,7 +232,12 @@ func FuzzSlotInput(f *testing.F) {
 				t.Fatalf("commit after rejecting %+v: %v", in, err)
 			}
 		case err == nil:
-			_, _ = s.Commit()
+			if _, err := s.Commit(); err != nil {
+				t.Fatalf("accepted input %+v failed to commit: %v", in, err)
+			}
+			if _, err := s.Snapshot(); err != nil {
+				t.Fatalf("snapshot after committing %+v: %v", in, err)
+			}
 		}
 	})
 }

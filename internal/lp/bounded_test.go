@@ -10,13 +10,13 @@ import (
 // rowForm restates p in the row-per-bound formulation: each finite upper
 // bound of a lower-bounded, non-fixed variable becomes an explicit
 // x ≤ upper row, appended after p's constraints in variable order, and
-// the variable keeps only its lower bound. Solving the result reproduces
-// the retired row-bound solve mode bit for bit (status, pivot count,
-// objective and every value), so it is the reference formulation the
-// bounded-variable simplex is checked against.
+// the variable keeps only its lower bound. Solving the result on the
+// tableau oracle reproduces the retired row-bound solve mode bit for bit
+// (status, pivot count, objective and every value); on either solver it
+// is the reference formulation the bounded-variable simplex is checked
+// against.
 func rowForm(p *Problem) *Problem {
 	q := NewProblem()
-	q.sparse = p.sparse
 	lowered := func(v variable) bool {
 		return !math.IsInf(v.lower, -1) && v.lower < v.upper && !math.IsInf(v.upper, 1)
 	}
@@ -160,7 +160,7 @@ func TestBoundedPureBoxFlips(t *testing.T) {
 }
 
 // TestBoundedNoRows solves a bounded problem with zero constraint rows —
-// the m = 0 tableau where the ratio test can only stop at the entering
+// the m = 0 basis where the ratio test can only stop at the entering
 // variable's own bound.
 func TestBoundedNoRows(t *testing.T) {
 	p := NewProblem()
@@ -181,7 +181,8 @@ func TestBoundedNoRows(t *testing.T) {
 
 // TestBoundedReflectionPath pins the leaving-at-upper-bound case: x1
 // enters the basis degenerately at zero, then x2's entry drives the basic
-// x1 up to its bound, forcing the reflection rewrite before the pivot.
+// x1 up to its bound, so x1 leaves at its upper bound (on the tableau
+// oracle, through the reflection rewrite before the pivot).
 //
 //	min −3x1 + x2   s.t. x1 − x2 ≤ 0,  x1 ∈ [0, 2],  x2 ∈ [0, 5]
 //
@@ -192,18 +193,24 @@ func TestBoundedReflectionPath(t *testing.T) {
 	x2 := p.AddVariable("x2", 0, 5, 1)
 	p.AddConstraint(LE, 0, Term{x1, 1}, Term{x2, -1})
 
-	sol, err := p.Minimize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v", sol.Status)
-	}
-	if math.Abs(sol.Objective-(-4)) > 1e-9 {
-		t.Errorf("objective = %g, want -4", sol.Objective)
-	}
-	if math.Abs(sol.Value(x1)-2) > 1e-9 || math.Abs(sol.Value(x2)-2) > 1e-9 {
-		t.Errorf("solution (%g, %g), want (2, 2)", sol.Value(x1), sol.Value(x2))
+	var s Solver
+	for _, c := range []struct {
+		name  string
+		solve func(*Problem) (Solution, error)
+	}{{"solver", s.Solve}, {"tableau", solveTableau}} {
+		sol, err := c.solve(p)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if sol.Status != Optimal {
+			t.Fatalf("%s: status = %v", c.name, sol.Status)
+		}
+		if math.Abs(sol.Objective-(-4)) > 1e-9 {
+			t.Errorf("%s: objective = %g, want -4", c.name, sol.Objective)
+		}
+		if math.Abs(sol.Value(x1)-2) > 1e-9 || math.Abs(sol.Value(x2)-2) > 1e-9 {
+			t.Errorf("%s: solution (%g, %g), want (2, 2)", c.name, sol.Value(x1), sol.Value(x2))
+		}
 	}
 }
 
@@ -236,7 +243,7 @@ func TestBoundedBealeWithBound(t *testing.T) {
 
 // TestBoundedFixedVariables mixes variables fixed at lower == upper into a
 // bounded problem: fixed variables must keep their value, contribute their
-// constants to every row, and never enter the tableau.
+// constants to every row, and never enter the basis.
 func TestBoundedFixedVariables(t *testing.T) {
 	p := NewProblem()
 	fx := p.AddVariable("fx", 1.5, 1.5, 10) // fixed, cost contributes 15
@@ -344,30 +351,5 @@ func TestBoundedStandardFormShrinksTableau(t *testing.T) {
 	}
 	if finite != 6 {
 		t.Fatalf("bounded formulation recorded %d column bounds, want 6", finite)
-	}
-}
-
-// TestBoundedResetKeepsMode pins that Problem.Reset keeps the solver
-// mode: a problem switched to the sparse path and rebuilt in place still
-// solves sparse, with its column bounds intact.
-func TestBoundedResetKeepsMode(t *testing.T) {
-	p := NewProblem()
-	p.SetSparse(true)
-	p.AddVariable("x", 0, 1, -1)
-	first, err := p.Minimize()
-	if err != nil || first.Status != Optimal {
-		t.Fatalf("%v %v", err, first.Status)
-	}
-	p.Reset()
-	if !p.sparse {
-		t.Fatal("Reset dropped the sparse mode")
-	}
-	x := p.AddVariable("x", 0, 1, -1)
-	second, err := p.Minimize()
-	if err != nil || second.Status != Optimal {
-		t.Fatalf("%v %v", err, second.Status)
-	}
-	if second.Value(x) != 1 || second.Objective != -1 {
-		t.Fatalf("after Reset: x = %g obj %g, want 1, -1", second.Value(x), second.Objective)
 	}
 }

@@ -14,8 +14,9 @@ import (
 //	     0.50x4 - 90x5 - 0.02x6 + 3x7 <= 0
 //	     x6 <= 1,  x >= 0
 //
-// The optimum is -0.05 at x6 = 1. The solver's stall-triggered switch to
-// Bland's rule must terminate here.
+// The optimum is -0.05 at x6 = 1. The tableau oracle prices by
+// Dantzig's rule, so its stall-triggered switch to Bland's rule must
+// terminate here; the solver must reach the same optimum.
 func TestBealeCyclingExample(t *testing.T) {
 	p := NewProblem()
 	x4 := p.AddVariable("x4", 0, math.Inf(1), -0.75)
@@ -26,18 +27,24 @@ func TestBealeCyclingExample(t *testing.T) {
 	p.AddConstraint(LE, 0, Term{x4, 0.5}, Term{x5, -90}, Term{x6, -0.02}, Term{x7, 3})
 	p.AddConstraint(LE, 1, Term{x6, 1})
 
-	sol, err := p.Minimize()
-	if err != nil {
-		t.Fatalf("Beale example failed to terminate: %v", err)
-	}
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v, want optimal", sol.Status)
-	}
-	if math.Abs(sol.Objective-(-0.05)) > 1e-9 {
-		t.Errorf("objective = %g, want -0.05", sol.Objective)
-	}
-	if math.Abs(sol.Value(x6)-1) > 1e-9 {
-		t.Errorf("x6 = %g, want 1", sol.Value(x6))
+	var s Solver
+	for _, c := range []struct {
+		name  string
+		solve func(*Problem) (Solution, error)
+	}{{"solver", s.Solve}, {"tableau", solveTableau}} {
+		sol, err := c.solve(p)
+		if err != nil {
+			t.Fatalf("%s: Beale example failed to terminate: %v", c.name, err)
+		}
+		if sol.Status != Optimal {
+			t.Fatalf("%s: status = %v, want optimal", c.name, sol.Status)
+		}
+		if math.Abs(sol.Objective-(-0.05)) > 1e-9 {
+			t.Errorf("%s: objective = %g, want -0.05", c.name, sol.Objective)
+		}
+		if math.Abs(sol.Value(x6)-1) > 1e-9 {
+			t.Errorf("%s: x6 = %g, want 1", c.name, sol.Value(x6))
+		}
 	}
 }
 

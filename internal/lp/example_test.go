@@ -8,7 +8,7 @@ import (
 
 // ExampleSolver dispatches a 4 MWh demand slot across three power
 // sources with the bounded-variable simplex: every capacity limit is a
-// variable bound, so the tableau holds a single row — the demand balance
+// variable bound, so the model holds a single row — the demand balance
 // — instead of one extra row per capped source.
 func ExampleSolver() {
 	p := lp.NewProblem()

@@ -11,7 +11,6 @@ import (
 // directly against the dense reference solves.
 func newRevisedForTest(p *Problem) *Solver {
 	var s Solver
-	p.SetSparse(true)
 	p.buildStandardForm(&s.sf)
 	rs := &s.rev
 	rs.build(&s.sf)
@@ -296,7 +295,6 @@ func TestSolverReuseReproducesPivotSequence(t *testing.T) {
 		if i%2 != 0 {
 			warmup = rowForm(warmup)
 		}
-		warmup.SetSparse(true)
 		_, _ = reused.Solve(warmup) // arbitrary prior state, errors included
 
 		g := genStaircaseLP(r)
@@ -304,7 +302,6 @@ func TestSolverReuseReproducesPivotSequence(t *testing.T) {
 		if i%3 == 0 {
 			p = rowForm(p)
 		}
-		p.SetSparse(true)
 
 		var fresh Solver
 		fsol, ferr := fresh.Solve(p)
@@ -372,7 +369,6 @@ func TestSmallBasisPivotChainRefactorCadence(t *testing.T) {
 		g.fixC = -1
 		g.unbVar = false
 		p := g.build()
-		p.SetSparse(true)
 		var s Solver
 		sol, err := s.Solve(p)
 		if err != nil {

@@ -254,9 +254,8 @@ func (rs *revised) clearW() {
 // tolerance: the absolute feasTol is widened proportionally to the
 // magnitude of the value/bound, so annual-scale rows (basic values in
 // the thousands) are not flagged infeasible by plain float round-off.
-// The dense tableau keeps its absolute test; this is the sparse path
-// only. Returns -1 below the lower bound, +1 above the upper, 0 when
-// feasible.
+// Problem.feasible checks the recovered answer with the same tolerance.
+// Returns -1 below the lower bound, +1 above the upper, 0 when feasible.
 func sgnOfVal(x, ub float64) int8 {
 	if x < -feasTol*(1+math.Abs(x)) {
 		return -1

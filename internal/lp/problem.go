@@ -57,9 +57,8 @@ type constraint struct {
 // Problem is a mutable linear program under construction. The zero value is
 // not usable; create instances with NewProblem.
 type Problem struct {
-	vars   []variable
-	cons   []constraint
-	sparse bool
+	vars []variable
+	cons []constraint
 }
 
 // NewProblem returns an empty minimization problem.
@@ -69,27 +68,11 @@ func NewProblem() *Problem {
 
 // Reset empties the problem for rebuilding in place, keeping the variable
 // and constraint storage (including each retired row's term buffer) so a
-// problem rebuilt to a similar shape allocates nothing. The solver mode
-// (SetSparse) is preserved.
+// problem rebuilt to a similar shape allocates nothing.
 func (p *Problem) Reset() {
 	p.vars = p.vars[:0]
 	p.cons = p.cons[:0]
 }
-
-// SetSparse selects the sparse revised simplex: the constraint matrix is
-// kept in compressed sparse form, the basis is held as an LU
-// factorization updated by an eta file, and each pivot touches only the
-// nonzeros of the columns involved — on the staircase-structured horizon
-// LPs this repository solves, cost per pivot drops from O(rows·cols) to
-// roughly the basis fill-in. Optimal status and objective are identical
-// to the dense tableau (the property/fuzz parity harness in this package
-// gates that equivalence to 1e-9); the reported vertex may be a
-// different, equally optimal one on degenerate problems, so golden-pinned
-// paths must stay on the dense solver. The mode survives Reset. On
-// numerical trouble the solver transparently re-solves the problem with
-// the dense tableau, so results never depend on the sparse path
-// succeeding. See the package documentation for the full contract.
-func (p *Problem) SetSparse(on bool) { p.sparse = on }
 
 // AddVariable adds a decision variable with bounds [lower, upper] and the
 // given objective coefficient, returning its identifier. lower may be
@@ -125,16 +108,15 @@ func (p *Problem) NumVariables() int { return len(p.vars) }
 // NumConstraints reports the number of constraint rows added so far.
 func (p *Problem) NumConstraints() int { return len(p.cons) }
 
-// Validation errors returned by Minimize.
+// Errors returned by Solve and Minimize: the first four for structurally
+// invalid problems, the last two on numerical trouble.
 var (
-	ErrNoVariables  = errors.New("lp: problem has no variables")
-	ErrBadBounds    = errors.New("lp: variable lower bound exceeds upper bound")
-	ErrBadTerm      = errors.New("lp: constraint references unknown variable")
-	ErrNotFinite    = errors.New("lp: non-finite coefficient or right-hand side")
-	ErrIterLimit    = errors.New("lp: simplex iteration limit exceeded")
-	ErrInfeasible   = errors.New("lp: problem is infeasible")
-	ErrUnbounded    = errors.New("lp: problem is unbounded")
-	errNumericalBug = errors.New("lp: internal numerical inconsistency")
+	ErrNoVariables = errors.New("lp: problem has no variables")
+	ErrBadBounds   = errors.New("lp: variable lower bound exceeds upper bound")
+	ErrBadTerm     = errors.New("lp: constraint references unknown variable")
+	ErrNotFinite   = errors.New("lp: non-finite coefficient or right-hand side")
+	ErrIterLimit   = errors.New("lp: simplex iteration limit exceeded")
+	ErrNumerical   = errors.New("lp: numerical trouble, no verified solution")
 )
 
 // validate checks the problem for structural errors before solving.
@@ -164,6 +146,51 @@ func (p *Problem) validate() error {
 		}
 	}
 	return nil
+}
+
+// feasible reports whether x, indexed by VarID, satisfies every bound and
+// row of p within feasTol, the simplex's own feasibility tolerance,
+// scaled by the magnitudes involved: for a bound 1 + |x| plus the
+// variable's finite bound magnitudes, for a row 1 + |rhs| + Σ|aⱼxⱼ|. A
+// NaN fails every test. It allocates nothing; Solve runs it on every
+// Optimal answer.
+func (p *Problem) feasible(x []float64) bool {
+	for i, v := range p.vars {
+		tol := feasTol * (1 + math.Abs(x[i]) + finiteAbs(v.lower) + finiteAbs(v.upper))
+		if !(x[i] >= v.lower-tol && x[i] <= v.upper+tol) {
+			return false
+		}
+	}
+	for _, c := range p.cons {
+		lhs, scale := 0.0, 1+math.Abs(c.rhs)
+		for _, t := range c.terms {
+			a := t.Coeff * x[t.Var]
+			lhs += a
+			scale += math.Abs(a)
+		}
+		r, tol := lhs-c.rhs, feasTol*scale
+		var ok bool
+		switch c.rel {
+		case LE:
+			ok = r <= tol
+		case GE:
+			ok = r >= -tol
+		default:
+			ok = math.Abs(r) <= tol
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// finiteAbs is |x| for finite x and 0 for an infinite bound.
+func finiteAbs(x float64) float64 {
+	if math.IsInf(x, 0) {
+		return 0
+	}
+	return math.Abs(x)
 }
 
 func (p *Problem) varName(id VarID) string {

@@ -6,15 +6,19 @@ import (
 	"github.com/smartdpss/smartdpss/internal/scratch"
 )
 
-// ratioTieTol is the relative tie window of the sparse ratio test; see
-// ratioTest. The dense tableau keeps its historical absolute 1e-12
-// window (its pivot sequences are byte-pinned by the golden suite).
-const ratioTieTol = 1e-12
+// Numerical tolerances of the revised simplex.
+const (
+	pivotTol    = 1e-9  // minimum |pivot| accepted
+	costTol     = 1e-9  // reduced-cost optimality tolerance
+	feasTol     = 1e-7  // feasibility tolerance, scaled by magnitude (sgnOfVal, Problem.feasible)
+	ratioTieTol = 1e-12 // relative tie window of the ratio test
+	stallWin    = 256   // pivots without improvement before switching to Bland
+	improveE    = 1e-12 // minimum objective improvement counted as progress
+)
 
-// Column statuses of the revised simplex. Unlike the dense tableau's
-// complement reflection (which rewrites the column in place), a column at
-// its upper bound keeps its matrix data and is tracked by status alone;
-// its contribution moves into the effective right-hand side.
+// Column statuses of the revised simplex. A column at its upper bound
+// keeps its matrix data and is tracked by status alone; its
+// contribution moves into the effective right-hand side.
 const (
 	nbLower uint8 = iota // nonbasic at lower bound (0)
 	nbUpper              // nonbasic at finite upper bound
@@ -26,8 +30,8 @@ const (
 // slack columns, the LU-factorized basis, and the bounded-variable
 // bookkeeping. Column ids n..n+m-1 are placeholder unit columns fixed at
 // [0,0] — they cover rows the crash basis leaves uncovered and absorb
-// numerically dependent basis positions, playing the role the dense
-// path's artificial variables play, but under the composite phase-1
+// numerically dependent basis positions, playing the role a textbook
+// phase 1's artificial variables play, but under the composite phase-1
 // objective they need no artificial costs and are simply never priced.
 //
 // All slices are owned by the struct and reused across solves.
@@ -180,8 +184,8 @@ func (rs *revised) build(sf *standardForm) {
 	// Per-solve pivot-loop state. Everything a previous solve could have
 	// left behind is reset here — pricing cursor, devex framework,
 	// maintained duals, feasibility signs, eta file (cleared by the first
-	// factorize), and the zero-invariant scatter buffers, which an
-	// aborted solve (dense fallback mid-pivot) may have left dirty.
+	// factorize), and the zero-invariant scatter buffers, which a solve
+	// aborted mid-pivot by an error may have left dirty.
 	rs.rotor = 0
 	rs.w = scratch.Zeroed(rs.w, m)
 	rs.wIdx = rs.wIdx[:0]
@@ -333,8 +337,8 @@ func (rs *revised) refreshXB() bool {
 // classified by the maintained sgn) block on reaching their violated
 // bound (where the composite objective's slope changes). Ties resolve to
 // the smallest leaving column id within a scale-aware window
-// (ratioTieTol relative to the step length — the absolute window of the
-// dense tableau misbehaves on large-magnitude annual rows). When the
+// (ratioTieTol relative to the step length — an absolute window
+// misbehaves on large-magnitude annual rows). When the
 // entering variable's own upper bound binds first the move is a bound
 // flip (r < 0, flip true); θ = +Inf means no breakpoint at all. The scan
 // covers only the ftran pattern when the solve stayed hyper-sparse.
@@ -498,12 +502,11 @@ func (rs *revised) applyPivot(q int, dir float64, r int, theta float64, leaveAt 
 	}
 }
 
-// runSparse drives the revised simplex over the sparse standard form in
-// s.sf. The second return value reports whether the sparse path produced
-// a trustworthy answer; false means the caller must rebuild the standard
-// form dense and re-solve on the exact tableau path (numerical trouble,
-// or an iteration budget the dense anti-cycling machinery should
-// adjudicate).
+// simplex drives the revised simplex over the standard form in s.sf. It
+// returns ErrIterLimit when the pivot budget or the stall budget runs
+// out and ErrNumerical when the basic values stop being finite or phase
+// 1 finds no breakpoint; Solve checks an Optimal answer against the
+// problem before it returns it.
 //
 // The loop is built around incremental state: reduced costs and devex
 // weights update from each pivot row (recomputed from scratch only at
@@ -512,14 +515,14 @@ func (rs *revised) applyPivot(q int, dir float64, r int, theta float64, leaveAt 
 // hyper-sparse. Before declaring any terminal status the loop
 // refactorizes and recomputes everything once ("fresh confirmation"), so
 // accumulated drift can never produce a wrong Optimal/Infeasible answer.
-func (s *Solver) runSparse() (Solution, bool) {
+func (s *Solver) simplex() (Solution, error) {
 	sf := &s.sf
 	rs := &s.rev
 	rs.build(sf)
 	rs.crash(sf)
 	rs.lu.factorize(rs)
 	if !rs.refreshXB() {
-		return Solution{}, false
+		return Solution{}, ErrNumerical
 	}
 	rs.rescanInfeasibility()
 
@@ -530,12 +533,12 @@ func (s *Solver) runSparse() (Solution, bool) {
 	fresh := true // factors fresh and state rescanned since the last pivot
 	for {
 		if pivots >= maxIter || stall > 8*stallWin {
-			return Solution{}, false
+			return Solution{}, ErrIterLimit
 		}
 		if rs.lu.needsRefactor() {
 			rs.lu.factorize(rs)
 			if !rs.refreshXB() {
-				return Solution{}, false
+				return Solution{}, ErrNumerical
 			}
 			rs.rescanInfeasibility()
 			rs.dStale = true
@@ -552,7 +555,7 @@ func (s *Solver) runSparse() (Solution, bool) {
 				// basic values and recomputed duals.
 				rs.lu.factorize(rs)
 				if !rs.refreshXB() {
-					return Solution{}, false
+					return Solution{}, ErrNumerical
 				}
 				rs.rescanInfeasibility()
 				rs.recomputeDuals(rs.ninf > 0)
@@ -560,7 +563,7 @@ func (s *Solver) runSparse() (Solution, bool) {
 				continue
 			}
 			if rs.ninf > 0 {
-				return Solution{Status: Infeasible, Iterations: pivots}, true
+				return Solution{Status: Infeasible, Iterations: pivots}, nil
 			}
 			break // optimal
 		}
@@ -577,9 +580,9 @@ func (s *Solver) runSparse() (Solution, bool) {
 			if phase1 {
 				// The composite objective is bounded below by zero, so a
 				// breakpoint always exists in exact arithmetic.
-				return Solution{}, false
+				return Solution{}, ErrNumerical
 			}
-			return Solution{Status: Unbounded, Iterations: pivots}, true
+			return Solution{Status: Unbounded, Iterations: pivots}, nil
 		}
 		progress := theta
 		if flip {
@@ -622,5 +625,5 @@ func (s *Solver) runSparse() (Solution, bool) {
 		Objective:  obj,
 		Iterations: pivots,
 		values:     s.vals,
-	}, true
+	}, nil
 }

@@ -1,21 +1,19 @@
 package lp
 
-import "github.com/smartdpss/smartdpss/internal/scratch"
-
-// Solver owns every working buffer of the simplex — the standard-form
-// rewrite, the dense tableau arena, and the solution vector — and reuses
-// them across solves. Long sequences of similar problems (the per-slot P5
-// instances, the per-interval and receding-horizon baseline LPs) solve
-// allocation-free once the buffers have grown to the largest shape seen.
-// Every solve runs cold: no basis or pivot state carries from one solve
-// to the next, so a reused Solver reproduces a fresh one's pivot sequence.
+// Solver owns every working buffer of the sparse revised simplex — the
+// standard-form rewrite, the LU factors and pricing state, and the
+// solution vector — and reuses them across solves. Long sequences of
+// similar problems (the per-slot P5 instances, the per-interval and
+// receding-horizon baseline LPs) solve allocation-free once the buffers
+// have grown to the largest shape seen. Every solve runs cold: no basis
+// or pivot state carries from one solve to the next, so a reused Solver
+// reproduces a fresh one's pivot sequence.
 //
 // A Solver is not safe for concurrent use. The Solution returned by Solve
 // borrows the solver's buffers and is valid only until the next solve;
 // use Solution.Values (a copy) to retain results.
 type Solver struct {
 	sf  standardForm
-	t   tableau
 	rev revised
 
 	y    []float64 // standard-form solution scratch
@@ -25,87 +23,32 @@ type Solver struct {
 // NewSolver returns an empty solver; buffers grow on first use.
 func NewSolver() *Solver { return &Solver{} }
 
-// Solve runs the exact two-phase simplex with buffer reuse. The pivot
-// sequence is identical to Problem.Minimize, so results are bit-for-bit
-// the same; only the allocation behavior differs.
+// Solve runs the sparse revised simplex with buffer reuse. Before an
+// Optimal answer leaves, its values are checked against every bound and
+// row of p (Problem.feasible). On numerical trouble Solve returns an
+// error instead of a status: ErrIterLimit when the pivot or stall budget
+// runs out, ErrNumerical for anything else, including an optimum that
+// fails the check. It never returns an unverified Optimal.
 func (s *Solver) Solve(p *Problem) (Solution, error) {
 	if err := p.validate(); err != nil {
 		return Solution{}, err
 	}
 	p.buildStandardForm(&s.sf)
-	sf := &s.sf
-	if p.sparse {
-		if sol, ok := s.runSparse(); ok {
-			return sol, nil
-		}
-		// Numerical trouble on the sparse path: rebuild the rows dense
-		// and fall through to the exact tableau solver, which owns the
-		// final word on every problem.
-		p.buildStandardFormDense(sf)
-	}
-	t := &s.t
-	t.init(sf)
-
-	maxIter := 200 + 60*(t.m+t.n)
-
-	// Phase 1: minimize the sum of artificial variables.
-	t.inPhase1 = true
-	status, err := t.iterate(maxIter)
+	sol, err := s.simplex()
 	if err != nil {
 		return Solution{}, err
 	}
-	if status == Unbounded {
-		// Phase-1 objective is bounded below by 0; unbounded here means a bug.
-		return Solution{}, errNumericalBug
+	if sol.Status == Optimal && !p.feasible(sol.values) {
+		return Solution{}, ErrNumerical
 	}
-	if t.p1val > feasTol {
-		return Solution{Status: Infeasible, Iterations: t.pivots}, nil
-	}
-	t.leavePhase1()
-
-	// Phase 2: minimize the true objective.
-	status, err = t.iterate(maxIter)
-	if err != nil {
-		return Solution{}, err
-	}
-	if status == Unbounded {
-		return Solution{Status: Unbounded, Iterations: t.pivots}, nil
-	}
-
-	s.y = scratch.Zeroed(s.y, sf.ncols)
-	if t.hasUB {
-		// Nonbasic flipped columns sit at their upper bound; basic flipped
-		// columns hold the complement, undone below.
-		for j := 0; j < sf.ncols; j++ {
-			if t.flip[j] {
-				s.y[j] = t.ub[j]
-			}
-		}
-	}
-	for i := 0; i < t.m; i++ {
-		if col := t.basis[i]; col < sf.ncols {
-			if t.hasUB && t.flip[col] {
-				s.y[col] = t.ub[col] - t.rhs[i]
-			} else {
-				s.y[col] = t.rhs[i]
-			}
-		}
-	}
-	s.vals = scratch.Zeroed(s.vals, len(sf.recover))
-	sf.recoverValuesInto(s.y, s.vals)
-	return Solution{
-		Status:     Optimal,
-		Objective:  t.objVal + sf.offset,
-		Iterations: t.pivots,
-		values:     s.vals,
-	}, nil
+	return sol, nil
 }
 
 // Minimize solves the problem with a throwaway solver, returning a
 // Solution whose Status reports optimality, infeasibility or
-// unboundedness. An error is returned only for structurally invalid
-// problems or when the iteration budget is exhausted. Callers solving
-// many problems should keep a Solver instead.
+// unboundedness. An error is returned for structurally invalid problems
+// and on numerical trouble (see Solver.Solve). Callers solving many
+// problems should keep a Solver instead.
 func (p *Problem) Minimize() (*Solution, error) {
 	var s Solver
 	sol, err := s.Solve(p)

@@ -130,3 +130,51 @@ func TestProblemResetReusesStorage(t *testing.T) {
 		t.Fatalf("value changed across Reset: %v vs %v", first.Value(x1), second.Value(x1))
 	}
 }
+
+// TestFeasibleRejectsInfeasiblePoints hands the residual check behind
+// Solve points that break a bound or a row by more than its scale-aware
+// tolerance, points that sit just inside it, and a NaN. The check must
+// not allocate.
+func TestFeasibleRejectsInfeasiblePoints(t *testing.T) {
+	p := NewProblem()
+	free := math.Inf(1)
+	a := p.AddVariable("a", 0, 1e6, 1)
+	b := p.AddVariable("b", -free, 2, 1)
+	c := p.AddVariable("c", -5, -5, 0)
+	u1, u2 := p.AddVariable("u1", -free, free, 0), p.AddVariable("u2", -free, free, 0)
+	v1, v2 := p.AddVariable("v1", -free, free, 0), p.AddVariable("v2", -free, free, 0)
+	w1, w2 := p.AddVariable("w1", -free, free, 0), p.AddVariable("w2", -free, free, 0)
+	p.AddConstraint(LE, 20, Term{u1, 1}, Term{u2, 1e-2})
+	p.AddConstraint(GE, 1, Term{v1, 1}, Term{v2, -1e3})
+	p.AddConstraint(EQ, 3, Term{w1, 1}, Term{w2, 1}, Term{w1, 1})
+	base := []float64{5, 1, -5, 2, 1001.5, 1001.5, 1, 1, 1}
+	if !p.feasible(base) {
+		t.Fatalf("feasible point %v rejected", base)
+	}
+	for _, tc := range []struct {
+		name string
+		at   VarID
+		v    float64
+		ok   bool
+	}{
+		{"below a lower bound", a, -0.5, false},
+		{"within the tolerance of a 1e6-wide bound", a, -0.05, true},
+		{"above an upper bound", b, 2 + 1e-5, false},
+		{"within the tolerance of an upper bound", b, 2 + 1e-7, true},
+		{"off a fixed value", c, -5.001, false},
+		{"LE row exceeded", u1, 10, false},
+		{"GE row short", v1, 1000.5, false},
+		{"GE row within its tolerance", v1, 1000.9999999, true},
+		{"EQ row off", w2, 1.001, false},
+		{"NaN value", u2, math.NaN(), false},
+	} {
+		pt := append([]float64(nil), base...)
+		pt[tc.at] = tc.v
+		if got := p.feasible(pt); got != tc.ok {
+			t.Errorf("%s: feasible(%v) = %v, want %v", tc.name, pt, got, tc.ok)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { p.feasible(base) }); n != 0 {
+		t.Errorf("feasible allocates %v times per call, want 0", n)
+	}
+}

@@ -24,12 +24,12 @@ type varRecover struct {
 	base float64
 }
 
-// sfRow is one constraint row over standard-form columns. coeffs is a view
-// into the standardForm's shared arena.
+// sfRow is one constraint row's relation and right-hand side over
+// standard-form columns; its coefficients live in the standardForm's
+// compressed row storage.
 type sfRow struct {
-	coeffs []float64
-	rel    Relation
-	rhs    float64
+	rel Relation
+	rhs float64
 }
 
 // colSub is the per-variable substitution used while building rows.
@@ -51,20 +51,17 @@ type standardForm struct {
 	offset  float64   // constant added to the objective by substitutions
 	recover []varRecover
 
-	// Sparse row storage (sparse mode only): row i's entries are
-	// rcol/rval[rowStart[i]:rowStart[i+1]] and rows[i].coeffs is nil.
-	// The dense arena is never touched, so sparse builds stay linear in
+	// Compressed row storage: row i's entries are
+	// rcol/rval[rowStart[i]:rowStart[i+1]], so a build stays linear in
 	// the nonzero count rather than rows×cols.
-	sparse   bool
 	rowStart []int32
 	rcol     []int32
 	rval     []float64
 
 	// build scratch, reused across calls
 	subs  []colSub
-	arena []float64 // backing storage for every row's coeffs
-	stamp []int32   // sparse dedup: last row (1-based) that touched a column
-	spos  []int32   // sparse dedup: entry index of that touch
+	stamp []int32 // dedup: last row (1-based) that touched a column
+	spos  []int32 // dedup: entry index of that touch
 }
 
 // buildStandardForm rewrites the problem over non-negative variables into
@@ -73,17 +70,6 @@ type standardForm struct {
 // column bound for the bounded-variable pivot loop; it never becomes a
 // row, so sf.rows holds exactly the caller's constraints.
 func (p *Problem) buildStandardForm(sf *standardForm) {
-	p.buildStandardFormMode(sf, p.sparse)
-}
-
-// buildStandardFormDense forces a dense-row build regardless of the
-// problem's sparse flag. The sparse solver uses it to hand a numerically
-// troublesome problem to the exact dense tableau path.
-func (p *Problem) buildStandardFormDense(sf *standardForm) {
-	p.buildStandardFormMode(sf, false)
-}
-
-func (p *Problem) buildStandardFormMode(sf *standardForm, sparse bool) {
 	nv := len(p.vars)
 	if cap(sf.recover) < nv {
 		sf.recover = make([]varRecover, nv)
@@ -95,7 +81,6 @@ func (p *Problem) buildStandardFormMode(sf *standardForm, sparse bool) {
 	sf.subs = sf.subs[:nv]
 	sf.ncols = 0
 	sf.offset = 0
-	sf.sparse = sparse
 
 	// Column assignment and per-variable substitution.
 	for i, v := range p.vars {
@@ -154,38 +139,15 @@ func (p *Problem) buildStandardFormMode(sf *standardForm, sparse bool) {
 		sf.rows = make([]sfRow, nrows)
 	}
 	sf.rows = sf.rows[:nrows]
-	if sparse {
-		p.buildSparseRows(sf)
-		return
-	}
-
-	// Row storage: one arena slab per build, sliced per row.
-	n := sf.ncols
-	sf.arena = scratch.Zeroed(sf.arena, nrows*n)
-	for ci, c := range p.cons {
-		row := sfRow{coeffs: sf.arena[ci*n : (ci+1)*n : (ci+1)*n], rel: c.rel, rhs: c.rhs}
-		for _, t := range c.terms {
-			s := sf.subs[t.Var]
-			row.rhs -= t.Coeff * s.base
-			if s.col < 0 {
-				continue
-			}
-			row.coeffs[s.col] += t.Coeff * s.scale
-			if sf.recover[t.Var].kind == recSplit {
-				row.coeffs[s.col2] -= t.Coeff
-			}
-		}
-		sf.rows[ci] = row
-	}
+	p.buildRows(sf)
 }
 
-// buildSparseRows fills the compressed sparse row storage. Entry order
-// within a row is first-occurrence order of the columns; duplicate terms
-// are summed in place via the stamp/spos dedup scratch (a term pair that
-// cancels exactly leaves an explicit zero, which the revised simplex
-// treats like any other value). Relations and right-hand sides still live
-// in sf.rows; only the coefficient storage differs from the dense build.
-func (p *Problem) buildSparseRows(sf *standardForm) {
+// buildRows fills the compressed row storage. Entry order within a row
+// is first-occurrence order of the columns; duplicate terms are summed
+// in place via the stamp/spos dedup scratch (a term pair that cancels
+// exactly leaves an explicit zero, which the revised simplex treats like
+// any other value). Relations and right-hand sides live in sf.rows.
+func (p *Problem) buildRows(sf *standardForm) {
 	nrows := len(sf.rows)
 	sf.rowStart = scratch.For(sf.rowStart, nrows+1)
 	sf.rcol = sf.rcol[:0]

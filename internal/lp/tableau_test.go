@@ -6,14 +6,25 @@ import (
 	"github.com/smartdpss/smartdpss/internal/scratch"
 )
 
-// Numerical tolerances for the tableau simplex.
-const (
-	pivotTol = 1e-9  // minimum |pivot| accepted
-	costTol  = 1e-9  // reduced-cost optimality tolerance
-	feasTol  = 1e-7  // phase-1 feasibility tolerance
-	stallWin = 256   // pivots without improvement before switching to Bland
-	improveE = 1e-12 // minimum objective improvement counted as progress
-)
+// The dense two-phase tableau simplex below is the parity oracle the
+// revised simplex (Solver.Solve, the package's one solve path) is
+// checked against, and the subject of the anti-cycling regression
+// tests (Beale's example): it prices by Dantzig's rule, switches to
+// Bland's rule after stalls, and handles bounds by complement
+// reflection.
+//
+// Known defect: the tableau has no scaling, no reinversion and no
+// residual check, so on a badly scaled problem it can report Optimal at
+// an infeasible point, or at a feasible one short of the optimum. The
+// case that exposed it is an interval LP plus a dense cost-cut row
+// Σ cⱼxⱼ ≤ z*·(1+ε) whose coefficients span 0.2 to 1e6
+// (internal/baseline's TestIntervalCostCutSolvesVerified): the tableau
+// returned a point whose cut-row left-hand side was 928.8 against a
+// right-hand side of 896.6, while the revised simplex solves it to a
+// verified optimum. Parity checks therefore trust an oracle Optimal only
+// when its point passes Problem.feasible, the check Solver.Solve applies
+// to its own answers, and on that shape compare objectives one way only
+// (see parity).
 
 // tableau is a dense simplex tableau with simultaneous phase-1/phase-2
 // objective rows. All buffers are owned by the tableau and reused across
@@ -47,11 +58,12 @@ type tableau struct {
 	hasUB bool // any finite column bound
 }
 
-// init (re)builds the initial tableau from the standard form: slack
-// columns for ≤ rows, surplus+artificial for ≥ rows, artificial for =
-// rows, with rhs ≥ 0. Every cell the simplex reads is overwritten here,
-// so reusing buffers across solves cannot leak state between problems.
-func (t *tableau) init(sf *standardForm) {
+// init (re)builds the initial tableau from the standard form, whose row
+// coefficients coeffs holds densely: slack columns for ≤ rows,
+// surplus+artificial for ≥ rows, artificial for = rows, with rhs ≥ 0.
+// Every cell the simplex reads is overwritten here, so reusing buffers
+// across solves cannot leak state between problems.
+func (t *tableau) init(sf *standardForm, coeffs [][]float64) {
 	m := len(sf.rows)
 	// Count auxiliary columns.
 	slacks, arts := 0, 0
@@ -112,7 +124,7 @@ func (t *tableau) init(sf *standardForm) {
 		if rhs < 0 {
 			sign, rhs, rel = -1, -rhs, flipRel(rel)
 		}
-		for j, c := range r.coeffs {
+		for j, c := range coeffs[i] {
 			row[j] = sign * c
 		}
 		switch rel {
@@ -422,4 +434,118 @@ func (t *tableau) leavePhase1() {
 		i--
 	}
 	t.stall, t.bland = 0, false
+}
+
+// tableauSolver runs the tableau oracle with buffer reuse, the way a
+// Solver runs the revised simplex: the standard form, the dense row
+// arena, the tableau and the solution vector persist across solves.
+type tableauSolver struct {
+	sf    standardForm
+	arena []float64   // dense standard-form rows, one slab
+	rows  [][]float64 // views into arena
+	t     tableau
+	y     []float64
+	vals  []float64
+}
+
+// solveTableau solves p on the tableau oracle with a throwaway solver.
+// The returned values are the caller's.
+func solveTableau(p *Problem) (Solution, error) {
+	var o tableauSolver
+	return o.Solve(p)
+}
+
+// denseRows restates the standard form's constraint rows as dense
+// coefficient vectors over its columns, summing p's terms in the same
+// order buildRows does.
+func (o *tableauSolver) denseRows(p *Problem) {
+	sf := &o.sf
+	n := sf.ncols
+	o.arena = scratch.Zeroed(o.arena, len(p.cons)*n)
+	if cap(o.rows) < len(p.cons) {
+		o.rows = make([][]float64, len(p.cons))
+	}
+	o.rows = o.rows[:len(p.cons)]
+	for ci, c := range p.cons {
+		row := o.arena[ci*n : (ci+1)*n : (ci+1)*n]
+		for _, t := range c.terms {
+			s := sf.subs[t.Var]
+			if s.col < 0 {
+				continue
+			}
+			row[s.col] += t.Coeff * s.scale
+			if sf.recover[t.Var].kind == recSplit {
+				row[s.col2] -= t.Coeff
+			}
+		}
+		o.rows[ci] = row
+	}
+}
+
+// Solve runs the two-phase tableau simplex on p. The Solution borrows
+// o's buffers until the next solve.
+func (o *tableauSolver) Solve(p *Problem) (Solution, error) {
+	if err := p.validate(); err != nil {
+		return Solution{}, err
+	}
+	p.buildStandardForm(&o.sf)
+	o.denseRows(p)
+	sf := &o.sf
+	t := &o.t
+	t.init(sf, o.rows)
+
+	maxIter := 200 + 60*(t.m+t.n)
+
+	// Phase 1: minimize the sum of artificial variables.
+	t.inPhase1 = true
+	status, err := t.iterate(maxIter)
+	if err != nil {
+		return Solution{}, err
+	}
+	if status == Unbounded {
+		// Phase-1 objective is bounded below by 0; unbounded here means
+		// numerical trouble.
+		return Solution{}, ErrNumerical
+	}
+	if t.p1val > feasTol {
+		return Solution{Status: Infeasible, Iterations: t.pivots}, nil
+	}
+	t.leavePhase1()
+
+	// Phase 2: minimize the true objective.
+	status, err = t.iterate(maxIter)
+	if err != nil {
+		return Solution{}, err
+	}
+	if status == Unbounded {
+		return Solution{Status: Unbounded, Iterations: t.pivots}, nil
+	}
+
+	o.y = scratch.Zeroed(o.y, sf.ncols)
+	if t.hasUB {
+		// Nonbasic flipped columns sit at their upper bound; basic flipped
+		// columns hold the complement, undone below.
+		for j := 0; j < sf.ncols; j++ {
+			if t.flip[j] {
+				o.y[j] = t.ub[j]
+			}
+		}
+	}
+	for i := 0; i < t.m; i++ {
+		if col := t.basis[i]; col < sf.ncols {
+			if t.hasUB && t.flip[col] {
+				o.y[col] = t.ub[col] - t.rhs[i]
+			} else {
+				o.y[col] = t.rhs[i]
+			}
+		}
+	}
+	o.vals = scratch.Zeroed(o.vals, len(sf.recover))
+	sf.recoverValuesInto(o.y, o.vals)
+	return Solution{
+		Status:     Optimal,
+		Objective:  t.objVal + sf.offset,
+		Iterations: t.pivots,
+		values:     o.vals,
+	}, nil
 }

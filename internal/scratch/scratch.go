@@ -8,7 +8,7 @@
 //
 // The package owns nothing but the two generic helpers; it imports
 // nothing. Its consumers are the allocation-free hot paths: internal/lp
-// (tableau arena, standard-form scratch), internal/core (slot scratch)
+// (factor, pricing and standard-form scratch), internal/core (slot scratch)
 // and internal/baseline (LP model build buffers).
 package scratch
 

@@ -9,13 +9,15 @@ import (
 	"github.com/smartdpss/smartdpss/internal/generator"
 	"github.com/smartdpss/smartdpss/internal/market"
 	"github.com/smartdpss/smartdpss/internal/queue"
+	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
 // SlotInput is one fine slot's exogenous inputs as a streaming caller
 // supplies them: the trace row that batch Run reads from a trace.Set.
 // All energies are MWh per fine slot, prices USD/MWh. Step accepts only
-// finite values, non-negative energies and fuel scale, and prices in the
-// market's [0, PmaxUSD] (PriceLT only where it is read).
+// finite values, energies in [0, trace.MaxEnergyMWh], a non-negative
+// fuel scale, and prices in the market's [0, PmaxUSD] (PriceLT only
+// where it is read).
 type SlotInput struct {
 	// DemandDS is dds(τ), the delay-sensitive demand served this slot.
 	DemandDS float64 `json:"demandDS"`
@@ -40,8 +42,9 @@ type SlotInput struct {
 // validate rejects, before the session changes, every input the slot
 // model cannot execute: a non-finite value (a NaN demand would sail
 // through the slot arithmetic and poison every accumulator downstream),
-// negative demand, renewable output or fuel scale (batch runs reject
-// such traces), and a price outside the market's [0, pmax] — the
+// negative demand, renewable output or fuel scale, demand or renewable
+// output above trace.MaxEnergyMWh (batch runs reject all of these in
+// trace validation), and a price outside the market's [0, pmax] — the
 // real-time price every slot, and the long-term price at a coarse
 // boundary, the only slot that reads it.
 func (in SlotInput) validate(pmax float64, boundary bool) error {
@@ -50,13 +53,13 @@ func (in SlotInput) validate(pmax float64, boundary bool) error {
 	if boundary {
 		ltLo, ltHi = 0, pmax
 	}
-	if err := checkInput("DemandDS", in.DemandDS, 0, inf); err != nil {
+	if err := checkInput("DemandDS", in.DemandDS, 0, trace.MaxEnergyMWh); err != nil {
 		return err
 	}
-	if err := checkInput("DemandDT", in.DemandDT, 0, inf); err != nil {
+	if err := checkInput("DemandDT", in.DemandDT, 0, trace.MaxEnergyMWh); err != nil {
 		return err
 	}
-	if err := checkInput("Renewable", in.Renewable, 0, inf); err != nil {
+	if err := checkInput("Renewable", in.Renewable, 0, trace.MaxEnergyMWh); err != nil {
 		return err
 	}
 	if err := checkInput("PriceRT", in.PriceRT, 0, pmax); err != nil {

@@ -5,6 +5,15 @@ import (
 	"fmt"
 )
 
+// MaxEnergyMWh bounds every slot's energy samples — both demand classes
+// and renewable output — in trace validation and in a streaming
+// session's slot input. Demand above supply is legal (it becomes
+// emergency energy), so the bound sits far above any physical cap (a
+// terawatt-hour per slot, 250,000 times the default 4 MWh supply cap);
+// it keeps a slot's energy balance closing in float64 well within the
+// engine's 1e-6 MWh check, and a report's accumulators finite.
+const MaxEnergyMWh = 1e6
+
 // Set bundles the five input series a DPSS simulation consumes. All series
 // are at fine-slot resolution; the controller samples PriceLT at
 // coarse-slot starts (the long-term-ahead market of Sec. II-A).
@@ -51,7 +60,8 @@ func (s *Set) all() []*Series {
 }
 
 // Validate checks presence, equal lengths, matching slot sizes,
-// finiteness, and non-negativity of all series.
+// finiteness, and non-negativity of all series, and that no energy
+// sample exceeds MaxEnergyMWh.
 func (s *Set) Validate() error {
 	names := []string{"DemandDS", "DemandDT", "Renewable", "PriceLT", "PriceRT"}
 	series := s.all()
@@ -77,6 +87,9 @@ func (s *Set) Validate() error {
 		}
 		if sr.Min() < 0 {
 			return fmt.Errorf("trace: %s has negative samples", names[i])
+		}
+		if i < 3 && sr.Max() > MaxEnergyMWh { // the energy series
+			return fmt.Errorf("trace: %s has samples above %g MWh", names[i], float64(MaxEnergyMWh))
 		}
 	}
 	if fs := s.FuelScale; fs != nil {
