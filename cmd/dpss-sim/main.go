@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	dpss-sim [-policy smartdpss|impatient|offline|offline-horizon]
+//	dpss-sim [-policy smartdpss|impatient|offline|offline-horizon|lookahead|lyapunov]
 //	         [-days N] [-seed S] [-v V] [-epsilon E] [-t T]
 //	         [-battery-minutes M] [-peak-mw P] [-solar-mw S]
 //	         [-penetration F] [-noise F] [-rtm] [-use-lp]
@@ -35,7 +35,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("dpss-sim", flag.ContinueOnError)
 	var (
-		policy      = fs.String("policy", "smartdpss", "control policy: smartdpss|impatient|offline|offline-horizon")
+		policy      = fs.String("policy", "smartdpss", "control policy: smartdpss|impatient|offline|offline-horizon|lookahead|lyapunov")
 		days        = fs.Int("days", 31, "trace horizon in days")
 		seed        = fs.Int64("seed", 1, "generator seed")
 		v           = fs.Float64("v", 1.0, "Lyapunov cost-delay parameter V")
@@ -79,10 +79,12 @@ func run(args []string) error {
 	opts.UseLP = *useLP
 	opts.ObservationNoise = *noise
 	opts.NoiseSeed = *seed + 1
-	opts.GeneratorMW = *genMW
-	opts.GeneratorMinLoadFrac = *genMinLoad
-	opts.FuelUSDPerMWh = *fuel
-	opts.GeneratorStartupUSD = *genStartup
+	opts.Fleet = []dpss.UnitSpec{{
+		CapacityMW:    *genMW,
+		MinLoadFrac:   *genMinLoad,
+		FuelUSDPerMWh: *fuel,
+		StartupUSD:    *genStartup,
+	}}
 
 	if *showBounds {
 		b := dpss.Bounds(opts)

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"errors"
+	"testing"
+
+	dpss "github.com/smartdpss/smartdpss"
+)
 
 func TestRunDefaultsShortHorizon(t *testing.T) {
 	if err := run([]string{"-days", "2"}); err != nil {
@@ -9,10 +14,16 @@ func TestRunDefaultsShortHorizon(t *testing.T) {
 }
 
 func TestRunAllPolicies(t *testing.T) {
-	for _, policy := range []string{"smartdpss", "impatient", "offline"} {
+	for _, policy := range []string{"smartdpss", "impatient", "offline", "offline-horizon", "lookahead", "lyapunov"} {
 		if err := run([]string{"-days", "2", "-policy", policy}); err != nil {
 			t.Errorf("policy %s: %v", policy, err)
 		}
+	}
+}
+
+func TestRunGenerator(t *testing.T) {
+	if err := run([]string{"-days", "2", "-gen-mw", "0.5", "-fuel", "45"}); err != nil {
+		t.Fatalf("run failed: %v", err)
 	}
 }
 
@@ -50,6 +61,15 @@ func TestRunRejectsBadArgs(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+	// The generator flags build a fleet unit, so its validation applies.
+	for _, args := range [][]string{
+		{"-gen-mw", "-1", "-days", "1"},
+		{"-gen-mw", "0.5", "-fuel", "-5", "-days", "1"},
+	} {
+		if err := run(args); !errors.Is(err, dpss.ErrInvalidOptions) {
+			t.Errorf("args %v: err = %v, want ErrInvalidOptions", args, err)
 		}
 	}
 }

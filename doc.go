@@ -29,29 +29,28 @@
 //
 // # On-site generation
 //
-// Options carries a generator block (GeneratorMW, GeneratorMinLoadFrac,
-// GeneratorRampMW, FuelUSDPerMWh, FuelQuadUSD, GeneratorStartupUSD,
-// GeneratorStartupLagSlots). With GeneratorMW > 0 every optimizing
-// policy — SmartDPSS, the two offline benchmarks and the lookahead
-// controller — gains a fourth dispatch arm: fuel-priced output competing
-// with the two markets and the battery; Report gains the generator cost
-// and energy lines. The Impatient strawman ignores the unit by design
-// (it models an operator with no cost optimization at all). With
-// GeneratorMW == 0 the subsystem is inert and results are identical to
-// generator-free builds.
+// Options.Fleet configures dispatchable on-site generation
+// (arXiv:1303.6775's self-generation source), one UnitSpec per unit:
+// capacity, minimum stable load, ramp, convex fuel curve, startup
+// cost and lag, CO₂ intensity. A single generator is a one-unit Fleet.
+// With a fleet configured, every optimizing policy — SmartDPSS, the two
+// offline benchmarks and the lookahead controller — gains a fourth
+// dispatch arm: fuel-priced output of each unit, planned in merit
+// order, competing with the two markets and the battery. Report gains
+// the generator cost and energy lines, per-unit accounting (GenUnits)
+// and fleet emissions (GenCO2Kg). The Impatient strawman and the
+// Lyapunov baseline never dispatch the fleet (they model operators
+// without cost-optimizing dispatch). A unit with zero capacity is
+// dropped, so a Fleet that is empty or holds only zero-capacity units
+// is inert and results are identical to generator-free runs.
 //
-// # Generator fleets, unit commitment and emissions
+// # Unit commitment and emissions
 //
-// Options.Fleet generalizes the single unit to N heterogeneous units
-// (UnitSpec: capacity, minimum stable load, ramp, fuel curve, startup
-// cost/lag, CO₂ intensity), dispatched in merit order; the legacy
-// GeneratorMW options are exactly a one-unit fleet. Options.CommitWindow
-// W > 1 replaces the per-slot amortized-startup hysteresis with a
-// rolling unit-commitment lookahead: starts and stops weigh the
-// projected margin over the next W slots (forecast price × the demand
-// envelope) against the full startup cost, holding units through the
-// short price dips the myopic W ≤ 1 arm flaps on. Report carries
-// per-unit accounting (GenUnits) and fleet emissions (GenCO2Kg);
+// Options.CommitWindow W > 1 replaces the per-slot amortized-startup
+// hysteresis with a rolling unit-commitment lookahead: starts and
+// stops weigh the projected margin over the next W slots (forecast
+// price × the demand envelope) against the full startup cost, holding
+// units through the short price dips the myopic W ≤ 1 arm flaps on.
 // Options.CarbonUSDPerTon folds each unit's emission intensity into its
 // marginal fuel price so dispatch internalizes the carbon bill.
 //

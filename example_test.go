@@ -77,10 +77,12 @@ func ExampleSimulate_generator() {
 		log.Fatal(err)
 	}
 	opts := dpss.DefaultOptions()
-	opts.GeneratorMW = 0.5          // half a megawatt of on-site capacity
-	opts.GeneratorMinLoadFrac = 0.2 // cannot run below 20% of nameplate
-	opts.GeneratorStartupUSD = 10
-	opts.FuelUSDPerMWh = 30 // cheaper than the grid: near-baseload duty
+	opts.Fleet = []dpss.UnitSpec{{
+		CapacityMW:    0.5, // half a megawatt of on-site capacity
+		MinLoadFrac:   0.2, // cannot run below 20% of nameplate
+		StartupUSD:    10,
+		FuelUSDPerMWh: 30, // cheaper than the grid: near-baseload duty
+	}}
 	withGen, err := dpss.Simulate(dpss.PolicySmartDPSS, opts, traces)
 	if err != nil {
 		log.Fatal(err)

@@ -36,10 +36,12 @@ func main() {
 		var base float64
 		for _, capacity := range []float64{0, 0.25, 0.5, 1.0} {
 			opts := dpss.DefaultOptions()
-			opts.GeneratorMW = capacity
-			opts.GeneratorMinLoadFrac = 0.2
-			opts.GeneratorStartupUSD = 10
-			opts.FuelUSDPerMWh = fuel
+			opts.Fleet = []dpss.UnitSpec{{
+				CapacityMW:    capacity, // 0: no unit, the baseline row
+				MinLoadFrac:   0.2,
+				FuelUSDPerMWh: fuel,
+				StartupUSD:    10,
+			}}
 			rep, err := dpss.Simulate(dpss.PolicySmartDPSS, opts, traces)
 			if err != nil {
 				log.Fatal(err)

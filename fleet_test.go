@@ -1,11 +1,10 @@
 package smartdpss_test
 
-// Acceptance coverage for the multi-unit generator fleet: the one-unit
-// fleet must be indistinguishable from the legacy single-generator
-// options, the commitment lookahead must strictly beat the myopic W=1
-// arm at a near-break-even fuel point (the ROADMAP's "underuses small
-// units" note), emissions accounting must add up, and heterogeneous
-// fleets must dispatch in merit order.
+// Acceptance coverage for the multi-unit generator fleet: the
+// commitment lookahead must strictly beat the myopic W=1 arm at a
+// near-break-even fuel point (the ROADMAP's "underuses small units"
+// note), emissions accounting must add up, and heterogeneous fleets
+// must dispatch in merit order.
 
 import (
 	"math"
@@ -14,46 +13,6 @@ import (
 
 	dpss "github.com/smartdpss/smartdpss"
 )
-
-// TestFleetOneUnitMatchesLegacy: Options.Fleet with a single unit must
-// produce a report deeply equal to the legacy GeneratorMW options — the
-// one-unit fleet shim is exact, not approximate.
-func TestFleetOneUnitMatchesLegacy(t *testing.T) {
-	traces := genTraces(t)
-	for _, policy := range []dpss.Policy{
-		dpss.PolicySmartDPSS, dpss.PolicyImpatient,
-		dpss.PolicyOfflineOptimal, dpss.PolicyLookahead,
-	} {
-		legacy := dpss.DefaultOptions()
-		legacy.GeneratorMW = 0.5
-		legacy.GeneratorMinLoadFrac = 0.2
-		legacy.GeneratorRampMW = 1.0
-		legacy.FuelUSDPerMWh = 45
-		legacy.GeneratorStartupUSD = 10
-		legacy.GeneratorStartupLagSlots = 1
-		want, err := dpss.Simulate(policy, legacy, traces)
-		if err != nil {
-			t.Fatalf("%s legacy: %v", policy, err)
-		}
-
-		fleet := dpss.DefaultOptions()
-		fleet.Fleet = []dpss.UnitSpec{{
-			CapacityMW:      0.5,
-			MinLoadFrac:     0.2,
-			RampMWPerHour:   1.0,
-			FuelUSDPerMWh:   45,
-			StartupUSD:      10,
-			StartupLagSlots: 1,
-		}}
-		got, err := dpss.Simulate(policy, fleet, traces)
-		if err != nil {
-			t.Fatalf("%s fleet: %v", policy, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: one-unit fleet differs from legacy GeneratorMW:\n%v\nvs\n%v", policy, want, got)
-		}
-	}
-}
 
 // TestFleetCommitmentLookaheadBeatsMyopic is the acceptance assertion:
 // at a near-break-even fuel price (45 $/MWh, between the long-term

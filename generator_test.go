@@ -1,8 +1,8 @@
 package smartdpss_test
 
 // Edge-case coverage for the on-site generation subsystem through the
-// public API: the zero-capacity configuration must be indistinguishable
-// from a generator-free run, a minimum stable load above demand must
+// public API: a zero-capacity unit must be indistinguishable from a
+// generator-free run, a minimum stable load above demand must
 // still dispatch cleanly, and the generator must keep the system running
 // when the UPS operation budget (Nmax) is exhausted.
 
@@ -26,28 +26,32 @@ func genTraces(t *testing.T) *dpss.Traces {
 	return traces
 }
 
-// TestGeneratorZeroCapacityInert: with GeneratorMW == 0 every other
-// generator field must be ignored, and the report must be deeply equal to
-// the plain generator-free run — the seed-identical guarantee behind the
-// suite's byte-identity acceptance check.
+// TestGeneratorZeroCapacityInert: a unit with CapacityMW == 0 is no
+// unit — every other field must be ignored, and under every policy the
+// report must be deeply equal to the plain generator-free run (no LP
+// commitment column, no Report.GenUnits row). This is the guarantee
+// behind the provisioning tables' generator-free column.
 func TestGeneratorZeroCapacityInert(t *testing.T) {
 	traces := genTraces(t)
 	for _, policy := range []dpss.Policy{
 		dpss.PolicySmartDPSS, dpss.PolicyImpatient,
-		dpss.PolicyOfflineOptimal, dpss.PolicyLookahead,
+		dpss.PolicyOfflineOptimal, dpss.PolicyOfflineHorizon,
+		dpss.PolicyLookahead, dpss.PolicyLyapunov,
 	} {
 		plain, err := dpss.Simulate(policy, dpss.DefaultOptions(), traces)
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)
 		}
 		opts := dpss.DefaultOptions()
-		opts.GeneratorMW = 0 // disabled: everything below must be ignored
-		opts.GeneratorMinLoadFrac = 0.9
-		opts.GeneratorRampMW = 0.1
-		opts.FuelUSDPerMWh = 1 // absurdly cheap — but there is no unit
-		opts.FuelQuadUSD = 7
-		opts.GeneratorStartupUSD = 1e6
-		opts.GeneratorStartupLagSlots = 3
+		opts.Fleet = []dpss.UnitSpec{{
+			CapacityMW:      0, // disabled: everything below must be ignored
+			MinLoadFrac:     0.9,
+			RampMWPerHour:   0.1,
+			FuelUSDPerMWh:   1, // absurdly cheap — but there is no unit
+			FuelQuadUSD:     7,
+			StartupUSD:      1e6,
+			StartupLagSlots: 3,
+		}}
 		gated, err := dpss.Simulate(policy, opts, traces)
 		if err != nil {
 			t.Fatalf("%s with gated generator: %v", policy, err)
@@ -55,7 +59,7 @@ func TestGeneratorZeroCapacityInert(t *testing.T) {
 		if !reflect.DeepEqual(plain, gated) {
 			t.Errorf("%s: zero-capacity generator changed the report:\n%v\nvs\n%v", policy, plain, gated)
 		}
-		if gated.GenEnergyMWh != 0 || gated.GenFuelUSD != 0 || gated.GenStarts != 0 {
+		if gated.GenUnits != nil || gated.GenEnergyMWh != 0 || gated.GenFuelUSD != 0 || gated.GenStarts != 0 {
 			t.Errorf("%s: zero-capacity generator accumulated output: %+v", policy, gated)
 		}
 
@@ -83,8 +87,7 @@ func TestGeneratorZeroCapacityInert(t *testing.T) {
 func TestGeneratorDispatches(t *testing.T) {
 	traces := genTraces(t)
 	opts := dpss.DefaultOptions()
-	opts.GeneratorMW = 0.5
-	opts.FuelUSDPerMWh = 25 // below even the long-term price level
+	opts.Fleet = []dpss.UnitSpec{{CapacityMW: 0.5, FuelUSDPerMWh: 25}} // below even the long-term price level
 	rep, err := dpss.Simulate(dpss.PolicySmartDPSS, opts, traces)
 	if err != nil {
 		t.Fatal(err)
@@ -119,9 +122,11 @@ func TestGeneratorDispatches(t *testing.T) {
 func TestGeneratorMinLoadAboveDemand(t *testing.T) {
 	traces := genTraces(t)
 	opts := dpss.DefaultOptions()
-	opts.GeneratorMW = 2.0 // at the peak: min load exceeds most slots' demand
-	opts.GeneratorMinLoadFrac = 1.0
-	opts.FuelUSDPerMWh = 5 // nearly free, so dispatch is tempting
+	opts.Fleet = []dpss.UnitSpec{{
+		CapacityMW:    2.0, // at the peak: min load exceeds most slots' demand
+		MinLoadFrac:   1.0,
+		FuelUSDPerMWh: 5, // nearly free, so dispatch is tempting
+	}}
 	rep, err := dpss.Simulate(dpss.PolicySmartDPSS, opts, traces)
 	if err != nil {
 		t.Fatal(err)
@@ -149,8 +154,7 @@ func TestGeneratorWithExhaustedBatteryOps(t *testing.T) {
 	traces := genTraces(t)
 	opts := dpss.DefaultOptions()
 	opts.BatteryMaxOps = 5 // exhausted within the first day
-	opts.GeneratorMW = 0.5
-	opts.FuelUSDPerMWh = 25
+	opts.Fleet = []dpss.UnitSpec{{CapacityMW: 0.5, FuelUSDPerMWh: 25}}
 	rep, err := dpss.Simulate(dpss.PolicySmartDPSS, opts, traces)
 	if err != nil {
 		t.Fatal(err)
@@ -183,10 +187,7 @@ func TestGeneratorWithExhaustedBatteryOps(t *testing.T) {
 func TestGeneratorStartupLagAndCost(t *testing.T) {
 	traces := genTraces(t)
 	opts := dpss.DefaultOptions()
-	opts.GeneratorMW = 0.5
-	opts.FuelUSDPerMWh = 25
-	opts.GeneratorStartupUSD = 30
-	opts.GeneratorStartupLagSlots = 2
+	opts.Fleet = []dpss.UnitSpec{{CapacityMW: 0.5, FuelUSDPerMWh: 25, StartupUSD: 30, StartupLagSlots: 2}}
 	rep, err := dpss.Simulate(dpss.PolicySmartDPSS, opts, traces)
 	if err != nil {
 		t.Fatal(err)

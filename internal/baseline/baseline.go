@@ -27,18 +27,18 @@
 // at or slightly below what any physical schedule could achieve — the
 // right direction for a lower-bound benchmark.
 //
-// When an on-site generation fleet is configured (Config.Fleet, or the
-// one-unit Config.Generator shorthand), the LPs plan each unit's
-// dispatch as relaxed per-slot, per-unit variables over its convex fuel
-// curve (piecewise-linear segments priced at the slot's fuel-scaled
-// marginal), with the classical unit-commitment LP relaxation of the
-// non-convex minimum stable load: a commitment variable y ∈ [0, 1] per
-// unit and slot linking MinLoad·y ≤ g ≤ Capacity·y and carrying the
-// startup cost amortized over the window. Ramp limits and the integer
-// nature of y stay relaxed — the same relax-and-replay treatment the
-// battery proxy receives. The engine enforces the physical constraints
-// during replay, so the reported cost is the executed truth; only the
-// plan itself is optimistic.
+// When an on-site generation fleet is configured (Config.Fleet), the
+// LPs plan each unit's dispatch as relaxed per-slot, per-unit variables
+// over its convex fuel curve (piecewise-linear segments priced at the
+// slot's fuel-scaled marginal), with the classical unit-commitment LP
+// relaxation of the non-convex minimum stable load: a commitment
+// variable y ∈ [0, 1] per unit and slot linking
+// MinLoad·y ≤ g ≤ Capacity·y and carrying the startup cost amortized
+// over the window. Ramp limits and the integer nature of y stay
+// relaxed — the same relax-and-replay treatment the battery proxy
+// receives. The engine enforces the physical constraints during
+// replay, so the reported cost is the executed truth; only the plan
+// itself is optimistic.
 package baseline
 
 import (
@@ -73,12 +73,8 @@ type Config struct {
 	EmergencyCostUSD float64
 	// Battery is the UPS configuration.
 	Battery battery.Params
-	// Generator is the optional dispatchable on-site generation unit
-	// (zero value: none). It is the one-unit shorthand for Fleet;
-	// setting both is a configuration error.
-	Generator generator.Params
-	// Fleet is the multi-unit on-site generation fleet in dispatch
-	// order (nil: none). Each unit gets its own relaxed LP variables.
+	// Fleet is the on-site generation fleet in dispatch order (nil:
+	// none). Each unit gets its own relaxed LP variables.
 	Fleet []generator.Params
 }
 
@@ -113,12 +109,6 @@ func (c Config) Validate() error {
 		return errors.New("baseline: negative WasteCostUSD")
 	case c.EmergencyCostUSD <= c.PmaxUSD:
 		return errors.New("baseline: EmergencyCostUSD must dwarf PmaxUSD")
-	}
-	if err := c.Generator.Validate(); err != nil {
-		return err
-	}
-	if len(c.Fleet) > 0 && c.Generator.Enabled() {
-		return errors.New("baseline: both Generator and Fleet configured (use Fleet alone)")
 	}
 	for i, u := range c.Fleet {
 		if err := u.Validate(); err != nil {
@@ -213,19 +203,14 @@ type genUnit struct {
 	segs []generator.Segment
 }
 
-// genUnits resolves the configured fleet (the legacy single Generator
-// appears as a one-unit fleet) into LP unit descriptions; nil without
-// on-site generation.
+// genUnits resolves the configured fleet into LP unit descriptions; nil
+// without on-site generation.
 func (c Config) genUnits() []genUnit {
-	specs := c.Fleet
-	if len(specs) == 0 && c.Generator.Enabled() {
-		specs = []generator.Params{c.Generator}
-	}
-	if len(specs) == 0 {
+	if len(c.Fleet) == 0 {
 		return nil
 	}
-	units := make([]genUnit, len(specs))
-	for i, p := range specs {
+	units := make([]genUnit, len(c.Fleet))
+	for i, p := range c.Fleet {
 		units[i] = genUnit{spec: p, segs: p.Segments(0, p.CapacityMWh)}
 	}
 	return units

@@ -24,9 +24,8 @@ type Controller struct {
 	// coarse interval for P4's deficit estimate (see sim.TrailingMeans).
 	est sim.TrailingMeans
 
-	// specs is the resolved on-site generation fleet (the legacy single
-	// Generator appears as a one-unit fleet); merit holds the unit
-	// indices in ascending base-marginal-price order.
+	// specs is the on-site generation fleet (Params.Fleet); merit holds
+	// the unit indices in ascending base-marginal-price order.
 	specs []generator.Params
 	merit []int
 
@@ -86,7 +85,7 @@ func New(p Params) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Controller{params: p, delay: d, specs: p.fleetSpecs()}
+	c := &Controller{params: p, delay: d, specs: p.Fleet}
 	c.merit = generator.MeritOrder(c.specs)
 	return c, nil
 }
@@ -291,8 +290,8 @@ func (c *Controller) fleetDecision(dec *sim.Decision, obs sim.FineObs, res p5Res
 			units[ui] = req // start signal; delivers after the lag
 		}
 	}
-	// total groups as minSum + res.gen so the one-unit arm reproduces the
-	// pre-fleet scalar arithmetic bit for bit.
+	// total groups as minSum + res.gen; the goldens pin this summation
+	// order bit for bit.
 	total := minSum + res.gen
 	grt := math.Min(res.grt,
 		math.Max(0, p.SmaxMWh-obs.LongTermDue-obs.Renewable-total))
@@ -328,7 +327,7 @@ func (c *Controller) fleetDecision(dec *sim.Decision, obs sim.FineObs, res p5Res
 // all-or-nothing.
 //
 // Phase 2 — myopic per-slot arm over the remaining units (and the whole
-// fleet when W ≤ 1, the pre-fleet degenerate case). Growing the set
+// fleet when W ≤ 1, the myopic default). Growing the set
 // greedily in merit order, each unit's semi-continuous admissible set
 // {0} ∪ [min, max] is handled by committing the minimum stable load
 // into the balance (paying its exact fuel cost and collecting its queue
@@ -345,9 +344,7 @@ func (c *Controller) fleetDecision(dec *sim.Decision, obs sim.FineObs, res p5Res
 // paid start and likely triggers a fresh one when the spike returns.
 // Units off behind a synchronization lag cannot deliver this slot, so
 // the arm instead pre-starts them whenever a slot of full output at the
-// current real-time price beats fuel plus the amortized startup. For a
-// one-unit fleet with W ≤ 1 this is exactly the pre-fleet
-// single-generator arm.
+// current real-time price beats fuel plus the amortized startup.
 func (c *Controller) planFleet(dec *sim.Decision, obs sim.FineObs, in p5Input, qy, bestTotal float64) {
 	p := c.params
 	fs := fuelScale(obs.FuelScale)

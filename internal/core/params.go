@@ -40,17 +40,10 @@ type Params struct {
 	EmergencyCostUSD float64
 	// Battery is the UPS configuration.
 	Battery battery.Params
-	// Generator is the optional dispatchable on-site generation unit
-	// (zero value: none). When enabled, P5 gains a fourth source —
-	// fuel-priced segments of the unit's dispatch window — and P4's
-	// deficit estimate accounts for cheap self-generation. It is the
-	// one-unit shorthand for Fleet; setting both is a configuration
-	// error.
-	Generator generator.Params
-	// Fleet is the multi-unit on-site generation fleet in dispatch
-	// order (nil: none). Every unit contributes its own fuel-priced
-	// source legs to P5 and its committed capacity to P4's deficit
-	// estimate.
+	// Fleet is the on-site generation fleet in dispatch order (nil:
+	// none). Every unit contributes its own fuel-priced source legs to
+	// P5 — segments of the unit's dispatch window — and its committed
+	// capacity to P4's deficit estimate.
 	Fleet []generator.Params
 	// CommitWindow is the unit-commitment lookahead W in fine slots:
 	// start/stop decisions weigh the projected margin over the next W
@@ -116,12 +109,6 @@ func (p Params) Validate() error {
 	case p.EmergencyCostUSD <= p.PmaxUSD:
 		return errors.New("core: EmergencyCostUSD must dwarf PmaxUSD")
 	}
-	if err := p.Generator.Validate(); err != nil {
-		return err
-	}
-	if len(p.Fleet) > 0 && p.Generator.Enabled() {
-		return errors.New("core: both Generator and Fleet configured (use Fleet alone)")
-	}
 	for i, u := range p.Fleet {
 		if err := u.Validate(); err != nil {
 			return fmt.Errorf("core: fleet unit %d: %w", i, err)
@@ -131,18 +118,6 @@ func (p Params) Validate() error {
 		return errors.New("core: negative CommitWindow")
 	}
 	return p.Battery.Validate()
-}
-
-// fleetSpecs resolves the configured fleet: the explicit Fleet slice, or
-// the legacy single Generator wrapped as a one-unit fleet.
-func (p Params) fleetSpecs() []generator.Params {
-	if len(p.Fleet) > 0 {
-		return p.Fleet
-	}
-	if p.Generator.Enabled() {
-		return []generator.Params{p.Generator}
-	}
-	return nil
 }
 
 // QMax is the deterministic backlog bound of Theorem 2(3):

@@ -110,32 +110,11 @@ type Options struct {
 	// LyapunovTheta places PolicyLyapunov's battery target level as a
 	// fraction of the usable band [Bmin, Bmax]; zero defaults to 0.6.
 	LyapunovTheta float64
-	// GeneratorMW is the dispatchable on-site generation capacity in MW
-	// (arXiv:1303.6775's self-generation source). Zero disables the
-	// generator entirely, reproducing generator-free results exactly;
-	// every other Generator*/Fuel* field is then ignored.
-	GeneratorMW float64
-	// GeneratorMinLoadFrac is the minimum stable load as a fraction of
-	// GeneratorMW: a running unit cannot be dispatched below it.
-	GeneratorMinLoadFrac float64
-	// GeneratorRampMW bounds the unit's output increase in MW per hour
-	// while synchronized (0 means unconstrained).
-	GeneratorRampMW float64
-	// FuelUSDPerMWh is the linear fuel price of the generator's cost
-	// curve Fuel(g) = b·g + c·g². Zero means the 85 USD/MWh default.
-	FuelUSDPerMWh float64
-	// FuelQuadUSD is the quadratic fuel-curve coefficient c (USD/MWh²).
-	FuelQuadUSD float64
-	// GeneratorStartupUSD is the fixed cost per cold start.
-	GeneratorStartupUSD float64
-	// GeneratorStartupLagSlots is the synchronization delay in fine
-	// slots between a start request and the first delivered energy.
-	GeneratorStartupLagSlots int
-	// Fleet configures a multi-unit on-site generation fleet (the
-	// generalization of the single GeneratorMW unit). Units keep their
-	// order; setting both Fleet and GeneratorMW is a configuration
-	// error. A one-unit Fleet with the same parameters reproduces the
-	// GeneratorMW run exactly, and an empty Fleet is exactly
+	// Fleet configures the dispatchable on-site generation units
+	// (arXiv:1303.6775's self-generation source), one UnitSpec per
+	// unit; a single generator is a one-unit Fleet. Units keep their
+	// order. Units with zero capacity are dropped, so a Fleet that is
+	// empty or holds only zero-capacity units is exactly
 	// generation-free.
 	Fleet []UnitSpec
 	// CommitWindow is the unit-commitment lookahead W in fine slots:
@@ -161,10 +140,12 @@ type Options struct {
 }
 
 // UnitSpec describes one unit of an on-site generation fleet in
-// datacenter-level units (MW and fractions; the engine converts to
-// per-slot MWh like the single-generator options).
+// datacenter-level units (MW and fractions; the engine converts them to
+// per-slot MWh).
 type UnitSpec struct {
-	// CapacityMW is the unit's nameplate power (0 disables the unit).
+	// CapacityMW is the unit's nameplate power. Zero disables the unit:
+	// the engine drops it before any layer sees it, so Report.GenUnits
+	// lists only the units with capacity, in Fleet order.
 	CapacityMW float64
 	// MinLoadFrac is the minimum stable load as a fraction of
 	// CapacityMW.
@@ -259,7 +240,6 @@ func (o Options) coreParams() core.Params {
 	p.SdtMaxMWh = o.PeakMW / 2 * h
 	p.DdtMaxMWh = o.PeakMW / 2 * h
 	p.Battery = batteryParams(o)
-	p.Generator = generatorParams(o)
 	p.Fleet = fleetParams(o)
 	p.CommitWindow = o.CommitWindow
 	p.DisableLongTerm = o.DisableLongTerm
@@ -278,7 +258,6 @@ func (o Options) baselineConfig() baseline.Config {
 	c.SmaxMWh = 2 * o.PeakMW * h
 	c.SdtMaxMWh = o.PeakMW / 2 * h
 	c.Battery = batteryParams(o)
-	c.Generator = generatorParams(o)
 	c.Fleet = fleetParams(o)
 	return c
 }
@@ -303,60 +282,38 @@ func batteryParams(o Options) battery.Params {
 	return p
 }
 
-// generatorParams translates the generator options into slot-scaled unit
-// parameters. A zero GeneratorMW returns the zero value — no generator —
-// regardless of the other fields, so generator-free configurations are
-// reproduced exactly.
-func generatorParams(o Options) generator.Params {
-	if o.GeneratorMW <= 0 {
-		return generator.Params{}
-	}
-	h := o.slotHours()
-	fuel := o.FuelUSDPerMWh
-	if fuel <= 0 {
-		fuel = 85
-	}
-	p := generator.Params{
-		CapacityMWh: o.GeneratorMW * h,
-		MinLoadMWh:  o.GeneratorMinLoadFrac * o.GeneratorMW * h,
-		// MW/h → MWh per slot: the per-slot power step is RampMW·h,
-		// and that power sustained for one slot is another factor h.
-		RampMWh:         o.GeneratorRampMW * h * h,
-		FuelUSDPerMWh:   fuel,
-		FuelQuadUSD:     o.FuelQuadUSD,
-		StartupUSD:      o.GeneratorStartupUSD,
-		StartupLagSlots: o.GeneratorStartupLagSlots,
-	}
-	return p
-}
-
 // fleetParams translates the fleet options into slot-scaled unit
-// parameters. A configured carbon price folds each unit's emission
-// intensity into its linear fuel price, so merit order, commitment and
-// the billed fuel cost all internalize emissions.
+// parameters, dropping every zero-capacity unit (nil when none is
+// left). A configured carbon price folds each unit's emission intensity
+// into its linear fuel price, so merit order, commitment and the billed
+// fuel cost all internalize emissions.
 func fleetParams(o Options) []generator.Params {
-	if len(o.Fleet) == 0 {
-		return nil
-	}
+	var out []generator.Params
 	h := o.slotHours()
-	out := make([]generator.Params, len(o.Fleet))
-	for i, u := range o.Fleet {
+	for _, u := range o.Fleet {
+		if u.CapacityMW == 0 {
+			continue
+		}
+		if out == nil {
+			out = make([]generator.Params, 0, len(o.Fleet))
+		}
 		fuel := u.FuelUSDPerMWh
 		if fuel <= 0 {
 			fuel = 85
 		}
 		fuel += u.CO2KgPerMWh * o.CarbonUSDPerTon / 1000
-		out[i] = generator.Params{
+		out = append(out, generator.Params{
 			CapacityMWh: u.CapacityMW * h,
 			MinLoadMWh:  u.MinLoadFrac * u.CapacityMW * h,
-			// MW/h → MWh per slot, as in generatorParams.
+			// MW/h → MWh per slot: the per-slot power step is RampMW·h,
+			// and that power sustained for one slot is another factor h.
 			RampMWh:         u.RampMWPerHour * h * h,
 			FuelUSDPerMWh:   fuel,
 			FuelQuadUSD:     u.FuelQuadUSD,
 			StartupUSD:      u.StartupUSD,
 			StartupLagSlots: u.StartupLagSlots,
 			CO2KgPerMWh:     u.CO2KgPerMWh,
-		}
+		})
 	}
 	return out
 }
@@ -366,7 +323,6 @@ func (o Options) simConfig() sim.Config {
 	p := o.coreParams()
 	return sim.Config{
 		Battery:            p.Battery,
-		Generator:          p.Generator,
 		Fleet:              p.Fleet,
 		Market:             market.Params{PgridMWh: p.PgridMWh, PmaxUSD: p.PmaxUSD},
 		WasteCostUSD:       p.WasteCostUSD,

@@ -191,10 +191,7 @@ func TestOptionsCoreParamsPlumbing(t *testing.T) {
 	o := DefaultOptions()
 	o.SlotMinutes = 15 // h = 0.25
 	o.PeakMW = 4.0
-	o.GeneratorMW = 1.0
-	o.GeneratorMinLoadFrac = 0.5
-	o.GeneratorRampMW = 2.0
-	o.FuelUSDPerMWh = 60
+	o.Fleet = []UnitSpec{{CapacityMW: 1.0, MinLoadFrac: 0.5, RampMWPerHour: 2.0, FuelUSDPerMWh: 60}}
 	p := o.coreParams()
 
 	h := 0.25
@@ -204,7 +201,10 @@ func TestOptionsCoreParamsPlumbing(t *testing.T) {
 	if p.SmaxMWh != 2*o.PeakMW*h {
 		t.Errorf("SmaxMWh = %g, want %g", p.SmaxMWh, 2*o.PeakMW*h)
 	}
-	g := p.Generator
+	if len(p.Fleet) != 1 {
+		t.Fatalf("fleet has %d units, want 1", len(p.Fleet))
+	}
+	g := p.Fleet[0]
 	if g.CapacityMWh != 1.0*h || g.MinLoadMWh != 0.5*1.0*h {
 		t.Errorf("generator window = (%g, %g), want (%g, %g)", g.MinLoadMWh, g.CapacityMWh, 0.5*h, h)
 	}
@@ -216,14 +216,16 @@ func TestOptionsCoreParamsPlumbing(t *testing.T) {
 	}
 }
 
-// TestOptionsFleetPlumbing: Fleet specs must translate per unit, the
-// fuel default must apply, and a carbon price must fold each unit's
-// intensity into its marginal price.
+// TestOptionsFleetPlumbing: Fleet specs must translate per unit, a
+// zero-capacity unit must be dropped, the fuel default must apply, and
+// a carbon price must fold each unit's intensity into its marginal
+// price.
 func TestOptionsFleetPlumbing(t *testing.T) {
 	o := DefaultOptions()
 	o.Fleet = []UnitSpec{
 		{CapacityMW: 0.5, MinLoadFrac: 0.2, FuelUSDPerMWh: 45, CO2KgPerMWh: 600},
-		{CapacityMW: 0.25, StartupUSD: 10}, // fuel 0 → 85 default
+		{MinLoadFrac: 0.9, FuelUSDPerMWh: 1, StartupUSD: 1e6}, // zero capacity: dropped
+		{CapacityMW: 0.25, StartupUSD: 10},                    // fuel 0 → 85 default
 	}
 	o.CommitWindow = 12
 	o.CarbonUSDPerTon = 50
@@ -257,20 +259,14 @@ func TestOptionsFleetPlumbing(t *testing.T) {
 	}
 }
 
-// TestSimulateRejectsBadFleetOptions: conflicting or invalid fleet
-// options must error out of Simulate, not silently misconfigure.
+// TestSimulateRejectsBadFleetOptions: invalid fleet options must error
+// out of Simulate, not silently misconfigure.
 func TestSimulateRejectsBadFleetOptions(t *testing.T) {
 	tc := DefaultTraceConfig()
 	tc.Days = 1
 	traces, err := GenerateTraces(tc)
 	if err != nil {
 		t.Fatal(err)
-	}
-	both := DefaultOptions()
-	both.GeneratorMW = 0.5
-	both.Fleet = []UnitSpec{{CapacityMW: 0.5}}
-	if _, err := Simulate(PolicySmartDPSS, both, traces); err == nil {
-		t.Error("GeneratorMW+Fleet conflict accepted")
 	}
 	carbon := DefaultOptions()
 	carbon.CarbonUSDPerTon = -1

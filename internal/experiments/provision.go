@@ -25,16 +25,14 @@ var ProvisionGenMW = []float64{0, 0.25, 0.5, 1.0}
 // (minutes of peak demand, the Fig. 7 axis).
 var ProvisionBatteryMinutes = []float64{0, 15, 30, 60}
 
-// provisionGenOptions applies the family's shared generator constants:
-// a 20% minimum stable load, a modest startup charge and a fuel price of
-// 45 USD/MWh — above the long-term price level (~38) but below the
-// real-time mean (~47), so the unit substitutes real-time purchases and
-// peak prices without being free baseload.
+// provisionGenOptions equips o with the family's one-unit fleet: genMW
+// of capacity (0: none) with a 20% minimum stable load, a modest startup
+// charge and a fuel price of 45 USD/MWh — above the long-term price
+// level (~38) but below the real-time mean (~47), so the unit
+// substitutes real-time purchases and peak prices without being free
+// baseload.
 func provisionGenOptions(o dpss.Options, genMW float64) dpss.Options {
-	o.GeneratorMW = genMW
-	o.GeneratorMinLoadFrac = 0.2
-	o.GeneratorStartupUSD = 10
-	o.FuelUSDPerMWh = 45
+	o.Fleet = []dpss.UnitSpec{{CapacityMW: genMW, MinLoadFrac: 0.2, FuelUSDPerMWh: 45, StartupUSD: 10}}
 	return o
 }
 
@@ -114,7 +112,7 @@ func ProvisionFuel(cfg Config) (*Table, error) {
 	reports, err := suite.Map(cfg, jobs, func(i int) (*dpss.Report, error) {
 		o := provisionGenOptions(dpss.DefaultOptions(), 0.5)
 		if i < nf {
-			o.FuelUSDPerMWh = ProvisionFuelValues[i]
+			o.Fleet[0].FuelUSDPerMWh = ProvisionFuelValues[i]
 			return simulate(dpss.PolicySmartDPSS, o, traces)
 		}
 		// Grid-price block: same scenario, scaled price series (its own

@@ -110,7 +110,7 @@ func newTuneSpace(policy dpss.Policy, base dpss.Options) (tuneSpace, error) {
 			x0:      []float64{base.V, base.Epsilon, float64(base.T)},
 			integer: []bool{false, false, true},
 		}
-		hasFleet := len(base.Fleet) > 0 || base.GeneratorMW > 0
+		hasFleet := len(base.Fleet) > 0
 		if hasFleet {
 			s.names = append(s.names, "W")
 			s.bounds.Lo = append(s.bounds.Lo, 1)

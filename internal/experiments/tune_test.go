@@ -76,7 +76,7 @@ func TestRunTuneImproves(t *testing.T) {
 // unit-commitment window as a fourth integer dimension.
 func TestRunTuneFleetAddsCommitWindow(t *testing.T) {
 	base := dpss.DefaultOptions()
-	base.GeneratorMW = 1
+	base.Fleet = []dpss.UnitSpec{{CapacityMW: 1}}
 	space, err := newTuneSpace(dpss.PolicySmartDPSS, base)
 	if err != nil {
 		t.Fatal(err)

@@ -10,29 +10,25 @@ import (
 // self-generation source of arXiv:1303.6775, stepping toward the
 // unit-commitment formulations of the power-systems literature. Units
 // keep their individual physics (capacity, minimum stable load, ramp,
-// fuel curve, startup cost and lag, CO₂ intensity); the fleet adds
-// merit-order allocation across them and aggregate accounting.
+// fuel curve, startup cost and lag, CO₂ intensity); the fleet executes
+// one request per unit each slot and adds aggregate accounting.
 //
 // A Fleet with no units is inert: every method is a no-op returning
 // zeros, so fleet-free configurations reproduce fleet-free results
 // exactly (the empty-fleet byte-identity invariant).
 type Fleet struct {
 	units []*Generator
-	merit []int // unit indices in ascending base-marginal order
 
-	// Per-slot buffers reused across calls (see Observe, Dispatch and
-	// SplitTotal): the engine consumes each slot's views before the next
-	// slot begins, so one buffer per role suffices for a whole run.
+	// Per-slot buffers reused across calls (see Observe and Dispatch):
+	// the engine consumes each slot's views before the next slot
+	// begins, so one buffer per role suffices for a whole run.
 	obs  []UnitObs
 	outs []Outcome
-	reqs []float64
 }
 
 // MeritOrder returns the unit indices in ascending base-marginal-price
 // order; ties resolve by unit index so the order (and therefore every
-// planning and dispatch split that follows it) is deterministic. The
-// controller and the fleet share this single definition so plan and
-// execution can never order units differently.
+// plan that follows it) is deterministic.
 func MeritOrder(specs []Params) []int {
 	merit := make([]int, len(specs))
 	for i := range merit {
@@ -55,29 +51,14 @@ func NewFleet(specs []Params) (*Fleet, error) {
 		}
 		f.units[i] = g
 	}
-	f.merit = MeritOrder(specs)
 	return f, nil
 }
 
 // Size returns the number of units.
 func (f *Fleet) Size() int { return len(f.units) }
 
-// Enabled reports whether the fleet has at least one enabled unit.
-func (f *Fleet) Enabled() bool {
-	for _, u := range f.units {
-		if u.Params().Enabled() {
-			return true
-		}
-	}
-	return false
-}
-
 // Unit returns unit i (fleet order, not merit order).
 func (f *Fleet) Unit(i int) *Generator { return f.units[i] }
-
-// MeritOrder returns the fleet's unit indices in ascending
-// base-marginal-price order (ties by index).
-func (f *Fleet) MeritOrder() []int { return f.merit }
 
 // Tick advances every unit's synchronization countdown (one call per
 // fine slot, before the controller observes the fleet).
@@ -153,47 +134,6 @@ func (f *Fleet) Dispatch(requests []float64, fuelScale float64) []Outcome {
 		outs[i] = u.DispatchAt(req, fuelScale)
 	}
 	return outs
-}
-
-// SplitTotal allocates an aggregate dispatch request across the fleet in
-// merit order (cheapest base marginal first): each unit receives as much
-// of the remainder as it can meaningfully accept (its RequestMax), and a
-// remainder too small to hold a unit's minimum stable load skips that
-// unit. For a one-unit fleet the split is the identity, which keeps the
-// legacy scalar Decision.Generate path byte-identical. The returned
-// slice is fleet-owned and valid until the next SplitTotal call.
-func (f *Fleet) SplitTotal(total float64) []float64 {
-	if len(f.units) == 0 {
-		return nil
-	}
-	if cap(f.reqs) < len(f.units) {
-		f.reqs = make([]float64, len(f.units))
-	}
-	reqs := f.reqs[:len(f.units)]
-	for i := range reqs {
-		reqs[i] = 0
-	}
-	if len(f.units) == 1 {
-		reqs[0] = total
-		return reqs
-	}
-	remaining := total
-	for _, i := range f.merit {
-		if remaining <= tol {
-			break
-		}
-		u := f.units[i]
-		take := remaining
-		if max := u.RequestMax(); take > max {
-			take = max
-		}
-		if take < u.Params().MinLoadMWh-tol {
-			continue
-		}
-		reqs[i] = take
-		remaining -= take
-	}
-	return reqs
 }
 
 // State captures every unit's mutable state in fleet order for a

@@ -2,6 +2,7 @@ package generator
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -24,16 +25,18 @@ func TestNewFleetRejectsBadUnit(t *testing.T) {
 }
 
 func TestFleetMeritOrder(t *testing.T) {
-	f, err := NewFleet(fleetSpecs())
-	if err != nil {
-		t.Fatal(err)
+	specs := fleetSpecs()
+	if got, want := MeritOrder(specs), []int{0, 2, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("merit order = %v, want %v (40, 55, 90 USD/MWh)", got, want)
 	}
-	want := []int{0, 2, 1} // 40, 55, 90 USD/MWh
-	got := f.MeritOrder()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merit order = %v, want %v", got, want)
-		}
+	// Equal base marginals keep fleet order.
+	specs[2].FuelUSDPerMWh = 40
+	if got, want := MeritOrder(specs), []int{0, 2, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("tied merit order = %v, want %v", got, want)
+	}
+	specs[0].FuelUSDPerMWh = 55
+	if got, want := MeritOrder(specs), []int{2, 0, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("merit order = %v, want %v (55, 90, 40 USD/MWh)", got, want)
 	}
 }
 
@@ -42,8 +45,8 @@ func TestEmptyFleetInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Enabled() || f.Size() != 0 {
-		t.Fatalf("empty fleet not inert: size=%d enabled=%v", f.Size(), f.Enabled())
+	if f.Size() != 0 {
+		t.Fatalf("empty fleet not inert: size=%d", f.Size())
 	}
 	f.Tick()
 	if obs := f.Observe(); obs != nil {
@@ -54,28 +57,6 @@ func TestEmptyFleetInert(t *testing.T) {
 	}
 	if tot := f.Totals(); tot != (FleetTotals{}) {
 		t.Fatalf("empty fleet accumulated: %+v", tot)
-	}
-}
-
-func TestFleetSplitTotalMeritOrder(t *testing.T) {
-	f, err := NewFleet(fleetSpecs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 0.6 MWh: cheapest unit (0) takes its 0.5 cap; the next in merit
-	// order (unit 2) cannot hold its 0.6 min load on the 0.1 remainder,
-	// so the peaker (unit 1) takes it.
-	reqs := f.SplitTotal(0.6)
-	if math.Abs(reqs[0]-0.5) > 1e-12 || reqs[2] != 0 || math.Abs(reqs[1]-0.1) > 1e-12 {
-		t.Fatalf("split = %v, want [0.5, 0.1, 0]", reqs)
-	}
-	// A one-unit fleet splits by identity (legacy scalar path).
-	one, err := NewFleet(fleetSpecs()[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reqs := one.SplitTotal(7.5); reqs[0] != 7.5 {
-		t.Fatalf("one-unit split = %v, want [7.5]", reqs)
 	}
 }
 

@@ -21,8 +21,9 @@
 //     after the start request (synchronization time).
 //
 // A Generator with CapacityMWh == 0 is disabled: every method reports a
-// closed dispatch window and Dispatch is a no-op, so configurations
-// without on-site generation reproduce generator-free results exactly.
+// closed dispatch window and Dispatch is a no-op. The engine drops such
+// units before any layer sees them, so they add no LP columns and no
+// report rows either.
 package generator
 
 import (

@@ -95,7 +95,7 @@ func TestFleetStateRoundTrip(t *testing.T) {
 	ref := mk()
 	for i := 0; i < 3; i++ {
 		ref.Tick()
-		ref.Dispatch(ref.SplitTotal(1.2), 1.0)
+		ref.Dispatch([]float64{0.5, 0, 0.7}, 1.0)
 	}
 	states := ref.State()
 	if len(states) != ref.Size() {
@@ -109,8 +109,8 @@ func TestFleetStateRoundTrip(t *testing.T) {
 	if fresh.Totals() != ref.Totals() {
 		t.Fatalf("restored totals %+v, want %+v", fresh.Totals(), ref.Totals())
 	}
-	refOuts := ref.Dispatch(ref.SplitTotal(0.9), 1.0)
-	freshOuts := fresh.Dispatch(fresh.SplitTotal(0.9), 1.0)
+	refOuts := ref.Dispatch([]float64{0.5, 0.25, 0}, 1.0)
+	freshOuts := fresh.Dispatch([]float64{0.5, 0.25, 0}, 1.0)
 	for i := range refOuts {
 		if refOuts[i] != freshOuts[i] {
 			t.Fatalf("unit %d diverged after restore: %+v vs %+v", i, refOuts[i], freshOuts[i])

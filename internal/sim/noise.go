@@ -107,7 +107,6 @@ func (n *NoisyController) PlanFine(obs FineObs) Decision {
 	dec.ServeDT = clamp(dec.ServeDT, 0, math.Min(obs.Backlog, obs.SdtMax))
 	dec.Charge = clamp(dec.Charge, 0, obs.MaxCharge)
 	dec.Discharge = clamp(dec.Discharge, 0, obs.MaxDischarge)
-	dec.Generate = clamp(dec.Generate, 0, obs.GenRequest)
 	for u := range dec.GenerateUnits {
 		limit := 0.0
 		if u < len(obs.GenUnits) {

@@ -199,7 +199,7 @@ func NewSession(cfg Config, ctrl Controller, horizon, slotMinutes int, fingerpri
 	if err != nil {
 		return nil, err
 	}
-	fleet, err := generator.NewFleet(cfg.fleetSpecs())
+	fleet, err := generator.NewFleet(cfg.Fleet)
 	if err != nil {
 		return nil, err
 	}
@@ -341,7 +341,6 @@ func (s *Session) Step(in SlotInput) (Decision, error) {
 	// controller observes the fleet, so a unit coming online this slot is
 	// visible (and dispatchable) rather than silently shut down.
 	s.fleet.Tick()
-	units := s.fleet.Observe()
 	obs := FineObs{
 		Slot:         slot,
 		Horizon:      s.horizon,
@@ -358,13 +357,7 @@ func (s *Session) Step(in SlotInput) (Decision, error) {
 		SdtMax:       s.cfg.SdtMaxMWh,
 		Smax:         s.cfg.SmaxMWh,
 		FuelScale:    in.FuelScale,
-		GenUnits:     units,
-	}
-	for _, u := range units {
-		obs.GenRunning = obs.GenRunning || u.Running
-		obs.GenMinMWh += u.MinMWh
-		obs.GenMaxMWh += u.MaxMWh
-		obs.GenRequest += u.RequestMax
+		GenUnits:     s.fleet.Observe(),
 	}
 	dec := s.ctrl.PlanFine(obs)
 	if err := s.validateDecision(&dec, obs); err != nil {
@@ -426,14 +419,9 @@ func (s *Session) Commit() (SlotOutcome, error) {
 
 	// Dispatch the on-site fleet first: its delivered energy is
 	// committed supply for the balance below (a no-op when no fleet is
-	// configured). A per-unit plan is executed as given; an aggregate
-	// request is split across the units in merit order.
-	requests := dec.GenerateUnits
-	if requests == nil {
-		requests = s.fleet.SplitTotal(dec.Generate)
-	}
+	// configured).
 	var gen generator.Outcome
-	for _, out := range s.fleet.Dispatch(requests, obs.FuelScale) {
+	for _, out := range s.fleet.Dispatch(dec.GenerateUnits, obs.FuelScale) {
 		gen.DeliveredMWh += out.DeliveredMWh
 		gen.FuelUSD += out.FuelUSD
 		gen.StartupUSD += out.StartupUSD
@@ -615,27 +603,20 @@ func (s *Session) validateDecision(dec *Decision, obs FineObs) error {
 	if err := checkDecisionField("discharge", &dec.Discharge, obs.MaxDischarge); err != nil {
 		return err
 	}
-	if dec.GenerateUnits == nil {
-		if err := checkDecisionField("generate", &dec.Generate, obs.GenRequest); err != nil {
-			return err
-		}
+	if len(dec.GenerateUnits) > len(obs.GenUnits) {
+		return fmt.Errorf("generateUnits has %d entries for a %d-unit fleet",
+			len(dec.GenerateUnits), len(obs.GenUnits))
 	}
-	if dec.GenerateUnits != nil {
-		if len(dec.GenerateUnits) > len(obs.GenUnits) {
-			return fmt.Errorf("generateUnits has %d entries for a %d-unit fleet",
-				len(dec.GenerateUnits), len(obs.GenUnits))
+	for u := range dec.GenerateUnits {
+		val := &dec.GenerateUnits[u]
+		if math.IsNaN(*val) || math.IsInf(*val, 0) {
+			return fmt.Errorf("non-finite generateUnits[%d]", u)
 		}
-		for u := range dec.GenerateUnits {
-			val := &dec.GenerateUnits[u]
-			if math.IsNaN(*val) || math.IsInf(*val, 0) {
-				return fmt.Errorf("non-finite generateUnits[%d]", u)
-			}
-			limit := math.Max(0, obs.GenUnits[u].RequestMax)
-			if *val < -decisionTol || *val > limit+decisionTol {
-				return fmt.Errorf("generateUnits[%d] = %g outside [0, %g]", u, *val, limit)
-			}
-			*val = clamp(*val, 0, limit)
+		limit := math.Max(0, obs.GenUnits[u].RequestMax)
+		if *val < -decisionTol || *val > limit+decisionTol {
+			return fmt.Errorf("generateUnits[%d] = %g outside [0, %g]", u, *val, limit)
 		}
+		*val = clamp(*val, 0, limit)
 	}
 	if dec.Charge > decisionTol && dec.Discharge > decisionTol {
 		return errors.New("charge and discharge in the same slot")

@@ -67,16 +67,6 @@ type FineObs struct {
 	// fleet, in fleet order (nil when no fleet is configured). A
 	// controller addresses unit u through Decision.GenerateUnits[u].
 	GenUnits []generator.UnitObs
-
-	// Aggregate on-site generation state (all zero when no fleet is
-	// configured). For a one-unit fleet these are exactly the unit's
-	// values, matching the pre-fleet single-generator observation.
-	GenRunning bool    // at least one unit is synchronized and producing-capable
-	GenMinMWh  float64 // summed minimum stable load of the open dispatch windows
-	GenMaxMWh  float64 // summed max deliverable output this slot (0: cannot produce now)
-	GenRequest float64 // summed largest admissible dispatch request; exceeds
-	// GenMaxMWh only when units are off with a synchronization lag, where
-	// a positive request signals a cold start that delivers nothing yet
 }
 
 // Decision is a controller's fine-slot action. The engine derives waste and
@@ -88,19 +78,13 @@ type Decision struct {
 	ServeDT   float64 // backlog service sdt(τ) = γ(τ)Q(τ), MWh
 	Charge    float64 // battery charge brc(τ), MWh (grid side)
 	Discharge float64 // battery discharge bdc(τ), MWh (load side)
-	// Generate is the requested aggregate on-site generation output g(τ),
-	// MWh, split across the fleet in merit order (for a one-unit fleet it
-	// addresses the unit directly, the pre-fleet behavior). The engine
-	// clamps each unit's share to its admissible set: requests below the
-	// minimum stable load shut the unit down, and a positive request
-	// while the unit is off triggers a cold start (see FineObs.GenUnits
-	// and package generator). Ignored when no fleet is configured or when
-	// GenerateUnits is set.
-	Generate float64
-	// GenerateUnits is the per-unit dispatch request in fleet order.
-	// When non-nil it takes precedence over Generate; entries beyond the
-	// slice's length are zero (shut down). Fleet-aware controllers use
-	// this to place each unit exactly.
+	// GenerateUnits is the on-site generation request g(τ) per unit, in
+	// MWh and fleet order; entries beyond the slice's length (all of
+	// them, for a nil slice) are zero. The engine clamps each request to
+	// its unit's admissible set: a request below the minimum stable load
+	// shuts the unit down, and a positive request while the unit is off
+	// triggers a cold start (see FineObs.GenUnits and package
+	// generator).
 	GenerateUnits []float64
 }
 
@@ -135,14 +119,10 @@ type Controller interface {
 type Config struct {
 	// Battery is the UPS configuration (Sec. VI-A constants by default).
 	Battery battery.Params
-	// Generator is the optional dispatchable on-site generation unit
-	// (zero value: no generator, reproducing generator-free results
-	// exactly). It is the one-unit shorthand for Fleet; setting both is
-	// a configuration error.
-	Generator generator.Params
-	// Fleet is the multi-unit on-site generation fleet in dispatch
-	// order (nil/empty: no fleet). Each unit keeps its own physics and
-	// accounting; Decision.GenerateUnits addresses them individually.
+	// Fleet is the on-site generation fleet in dispatch order
+	// (nil/empty: no fleet, reproducing generation-free results
+	// exactly). Each unit keeps its own physics and accounting;
+	// Decision.GenerateUnits addresses them individually.
 	Fleet []generator.Params
 	// Market bounds the grid interface (Pgrid, Pmax).
 	Market market.Params
@@ -171,12 +151,6 @@ func (c Config) Validate() error {
 	if err := c.Battery.Validate(); err != nil {
 		return err
 	}
-	if err := c.Generator.Validate(); err != nil {
-		return err
-	}
-	if len(c.Fleet) > 0 && c.Generator.Enabled() {
-		return errors.New("sim: both Generator and Fleet configured (use Fleet alone)")
-	}
 	for i, u := range c.Fleet {
 		if err := u.Validate(); err != nil {
 			return fmt.Errorf("sim: fleet unit %d: %w", i, err)
@@ -203,19 +177,6 @@ func (c Config) Validate() error {
 // decisionTol absorbs controller round-off before decisions are validated;
 // anything beyond it is treated as a controller bug.
 const decisionTol = 1e-6
-
-// fleetSpecs resolves the configured fleet: the explicit Fleet slice, or
-// the legacy single Generator wrapped as a one-unit fleet (the shim that
-// keeps Generator-only configurations byte-identical).
-func (c Config) fleetSpecs() []generator.Params {
-	if len(c.Fleet) > 0 {
-		return c.Fleet
-	}
-	if c.Generator.Enabled() {
-		return []generator.Params{c.Generator}
-	}
-	return nil
-}
 
 // Run simulates the controller over the trace set and returns the report.
 // It is a thin batch loop over a Session: every slot Steps with the

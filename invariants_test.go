@@ -45,9 +45,7 @@ func invariantScenario(seed int64) (dpss.Options, dpss.TraceConfig) {
 		opts.BatteryMaxOps = 10 + r.Intn(60)
 	}
 	if r.Intn(3) == 0 {
-		opts.GeneratorMW = 0.5 + r.Float64()
-		opts.GeneratorMinLoadFrac = 0.3
-		opts.GeneratorStartupUSD = 20
+		opts.Fleet = []dpss.UnitSpec{{CapacityMW: 0.5 + r.Float64(), MinLoadFrac: 0.3, StartupUSD: 20}}
 	}
 	if r.Intn(4) == 0 {
 		opts.DisableLongTerm = true
