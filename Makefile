@@ -19,7 +19,7 @@ PERF_PKGS = . ./internal/lp ./internal/serve ./internal/engine
 # Fuzzing budget for the `fuzz` target (CI smoke uses the default).
 FUZZTIME ?= 30s
 
-.PHONY: build test race bench fuzz lint lint-docs docs suite golden cover perf serve-smoke tune-smoke
+.PHONY: build test race bench bench-check fuzz lint lint-docs docs suite golden cover perf serve-smoke tune-smoke
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,13 @@ race:
 # timeout keeps a hung benchmark from stalling CI silently.
 bench:
 	$(GO) test -bench=. -benchtime=1x -short -timeout 15m -run '^$$' .
+
+# The end-to-end benchmark in bench/ is a separate module (its go.mod
+# replaces the main module with ../) that calls main-module APIs, so
+# `go build ./...` at the root never compiles it. Vet and test it here
+# so an API rename fails this target, not only the benchmark run.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Native fuzzing, one target per run (go test -fuzz takes one target):
 # FuzzSparseSolveParity — random box LPs and badly scaled cost-cut

@@ -15,6 +15,9 @@
 //     used on short horizons to measure how much the per-interval
 //     decomposition gives up (cross-interval battery planning).
 //
+// Config embeds sim.Plant, so every baseline plans against the plant
+// the session executes and bills, as SmartDPSS does.
+//
 // Every LP here — the interval, whole-horizon, receding-horizon and
 // coupled geo LPs — solves on internal/lp's one solve path, the sparse
 // revised simplex. A solver error leaves OfflineOptimal an empty
@@ -46,76 +49,35 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/smartdpss/smartdpss/internal/battery"
 	"github.com/smartdpss/smartdpss/internal/generator"
 	"github.com/smartdpss/smartdpss/internal/lp"
 	"github.com/smartdpss/smartdpss/internal/scratch"
 	"github.com/smartdpss/smartdpss/internal/sim"
 )
 
-// Config holds the system constants shared by the baseline policies.
-// Semantics match core.Params field for field.
+// Config configures the baseline policies: the plant they plan against
+// (the one the session executes) and the coarse-slot length. In the
+// offline LPs the plant's EmergencyCostUSD prices unserved
+// delay-sensitive energy, and each fleet unit gets its own relaxed LP
+// variables.
 type Config struct {
+	sim.Plant
 	// T is the number of fine slots per coarse slot.
 	T int
-	// PgridMWh is the per-slot grid draw cap (Eq. 5).
-	PgridMWh float64
-	// PmaxUSD is the market price cap.
-	PmaxUSD float64
-	// SmaxMWh is the per-slot supply cap (Eq. 1).
-	SmaxMWh float64
-	// SdtMaxMWh is the per-slot delay-tolerant service cap.
-	SdtMaxMWh float64
-	// WasteCostUSD prices wasted energy per MWh.
-	WasteCostUSD float64
-	// EmergencyCostUSD is the shadow price for unserved delay-sensitive
-	// energy inside the offline LPs.
-	EmergencyCostUSD float64
-	// Battery is the UPS configuration.
-	Battery battery.Params
-	// Fleet is the on-site generation fleet in dispatch order (nil:
-	// none). Each unit gets its own relaxed LP variables.
-	Fleet []generator.Params
 }
 
-// DefaultConfig mirrors core.DefaultParams for the shared constants.
+// DefaultConfig returns sim.DefaultPlant with T = 24 one-hour slots, the
+// constants core.DefaultParams uses.
 func DefaultConfig() Config {
-	return Config{
-		T:                24,
-		PgridMWh:         2.0,
-		PmaxUSD:          150,
-		SmaxMWh:          4.0,
-		SdtMaxMWh:        1.0,
-		WasteCostUSD:     1.0,
-		EmergencyCostUSD: 1e6,
-		Battery:          battery.Sized(2.0, 15, 1),
-	}
+	return Config{Plant: sim.DefaultPlant(), T: 24}
 }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	switch {
-	case c.T <= 0:
+	if c.T <= 0 {
 		return errors.New("baseline: T must be positive")
-	case c.PgridMWh <= 0:
-		return errors.New("baseline: PgridMWh must be positive")
-	case c.PmaxUSD <= 0:
-		return errors.New("baseline: PmaxUSD must be positive")
-	case c.SmaxMWh <= 0:
-		return errors.New("baseline: SmaxMWh must be positive")
-	case c.SdtMaxMWh <= 0:
-		return errors.New("baseline: SdtMaxMWh must be positive")
-	case c.WasteCostUSD < 0:
-		return errors.New("baseline: negative WasteCostUSD")
-	case c.EmergencyCostUSD <= c.PmaxUSD:
-		return errors.New("baseline: EmergencyCostUSD must dwarf PmaxUSD")
 	}
-	for i, u := range c.Fleet {
-		if err := u.Validate(); err != nil {
-			return fmt.Errorf("baseline: fleet unit %d: %w", i, err)
-		}
-	}
-	return c.Battery.Validate()
+	return c.Plant.Validate()
 }
 
 // lpState is the reusable LP substrate a baseline controller owns: the
@@ -283,19 +245,9 @@ func genPlanUnits(sol *lp.Solution, vars [][]lp.VarID) []float64 {
 	return out
 }
 
-// clampUnits clamps a planned per-unit dispatch to the live admissible
-// requests (the engine enforces min-load and startup physics on
-// execution).
-func clampUnits(plan []float64, units []generator.UnitObs) []float64 {
-	if plan == nil {
-		return nil
-	}
-	return clampUnitsInto(make([]float64, len(plan)), plan, units)
-}
-
-// clampUnitsInto is clampUnits writing into a caller-owned buffer (which
-// must have len(plan)), so per-slot replay clamping reuses one slice per
-// controller.
+// clampUnitsInto clamps a planned per-unit dispatch to the live
+// admissible requests (the engine enforces min-load and startup physics
+// on execution), writing into dst, which must have len(plan).
 func clampUnitsInto(dst, plan []float64, units []generator.UnitObs) []float64 {
 	for u, v := range plan {
 		if u < len(units) {

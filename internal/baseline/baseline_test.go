@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/smartdpss/smartdpss/internal/market"
 	"github.com/smartdpss/smartdpss/internal/pricing"
 	"github.com/smartdpss/smartdpss/internal/sim"
 	"github.com/smartdpss/smartdpss/internal/solar"
@@ -39,17 +38,8 @@ func testTraces(t testing.TB, days int) *trace.Set {
 	return set
 }
 
-func simConfig(cfg Config) sim.Config {
-	return sim.Config{
-		Battery:          cfg.Battery,
-		Market:           market.Params{PgridMWh: cfg.PgridMWh, PmaxUSD: cfg.PmaxUSD},
-		WasteCostUSD:     cfg.WasteCostUSD,
-		EmergencyCostUSD: cfg.EmergencyCostUSD,
-		SdtMaxMWh:        cfg.SdtMaxMWh,
-		SmaxMWh:          cfg.SmaxMWh,
-		KeepSeries:       true,
-	}
-}
+// simConfig is the session configuration over the policy's plant.
+func simConfig(cfg Config) sim.Config { return sim.Config{Plant: cfg.Plant, KeepSeries: true} }
 
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
@@ -62,12 +52,8 @@ func TestConfigValidate(t *testing.T) {
 	}
 	bad := []Config{
 		mut(func(c *Config) { c.T = 0 }),
-		mut(func(c *Config) { c.PgridMWh = 0 }),
-		mut(func(c *Config) { c.PmaxUSD = 0 }),
-		mut(func(c *Config) { c.SmaxMWh = 0 }),
-		mut(func(c *Config) { c.SdtMaxMWh = 0 }),
-		mut(func(c *Config) { c.WasteCostUSD = -1 }),
-		mut(func(c *Config) { c.EmergencyCostUSD = 1 }),
+		// The plant's own rules are sim.TestPlantValidate's; one case
+		// shows Config applies them.
 		mut(func(c *Config) { c.Battery.DischargeEff = 0.5 }),
 	}
 	for i, c := range bad {

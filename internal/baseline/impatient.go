@@ -53,16 +53,22 @@ func (i *Impatient) PlanCoarse(obs sim.CoarseObs) float64 {
 	return perSlot * float64(obs.Slots)
 }
 
-// PlanFine serves all delay-sensitive demand plus as much backlog as the
+// PlanFine feeds the trailing-mean estimator and serves the slot with
+// serveNow.
+func (i *Impatient) PlanFine(obs sim.FineObs) sim.Decision {
+	i.est.Observe(obs.DemandDS, obs.DemandDT, obs.Renewable)
+	return i.serveNow(obs)
+}
+
+// serveNow serves all delay-sensitive demand plus as much backlog as the
 // remaining supply capacity allows, buying real-time power for any
 // shortfall and falling back to the battery only when the grid is
 // exhausted. Delay-sensitive demand has strict priority: backlog service
-// never claims capacity that dds needs.
-func (i *Impatient) PlanFine(obs sim.FineObs) sim.Decision {
-	i.est.Observe(obs.DemandDS, obs.DemandDT, obs.Renewable)
+// never claims capacity that dds needs. Surplus charges the battery.
+func (i *Impatient) serveNow(obs sim.FineObs) sim.Decision {
 	base := obs.LongTermDue + obs.Renewable
-	grtCapacity := math.Max(0, math.Min(obs.RTHeadroom, i.cfg.SmaxMWh-base))
-	capacity := base + grtCapacity + obs.MaxDischarge
+	grtCap := math.Max(0, math.Min(obs.RTHeadroom, i.cfg.SmaxMWh-base))
+	capacity := base + grtCap + obs.MaxDischarge
 	serve := math.Min(math.Min(obs.Backlog, obs.SdtMax),
 		math.Max(0, capacity-obs.DemandDS))
 	deficit := obs.DemandDS + serve - base
@@ -70,15 +76,12 @@ func (i *Impatient) PlanFine(obs sim.FineObs) sim.Decision {
 	var dec sim.Decision
 	dec.ServeDT = serve
 	if deficit > 0 {
-		grtCap := math.Max(0, math.Min(obs.RTHeadroom, i.cfg.SmaxMWh-base))
 		dec.Grt = math.Min(deficit, grtCap)
-		remaining := deficit - dec.Grt
-		if remaining > 0 {
+		if remaining := deficit - dec.Grt; remaining > 0 {
 			dec.Discharge = math.Min(remaining, obs.MaxDischarge)
 		}
 		return dec
 	}
-	// Surplus: absorb into the battery instead of wasting.
 	dec.Charge = math.Min(-deficit, obs.MaxCharge)
 	return dec
 }
@@ -88,25 +91,19 @@ func (i *Impatient) RecordOutcome(sim.Outcome) {}
 
 var _ sim.Snapshotter = (*Impatient)(nil)
 
-// impatientState is the policy's checkpoint form: only the trailing-mean
-// estimator survives across slots (Config is pinned by the session
-// checkpoint's config hash).
+// impatientState is the checkpoint form of Impatient and Lyapunov: only
+// the trailing-mean estimator survives across slots (Config, V and θ
+// are pinned by the session checkpoint's config hash).
 type impatientState struct {
 	Est sim.TrailingMeansState `json:"est"`
 }
 
-// AppendState implements sim.Snapshotter.
+// AppendState implements sim.Snapshotter, as json.Marshal encodes
+// impatientState.
 func (i *Impatient) AppendState(dst []byte) ([]byte, error) {
-	return appendEstState(dst, i.est.State())
-}
-
-// appendEstState appends the checkpoint form shared by Impatient and
-// Lyapunov, an estimator alone, as json.Marshal encodes impatientState
-// and lyapunovState.
-func appendEstState(dst []byte, est sim.TrailingMeansState) ([]byte, error) {
 	e := jsonenc.NewEncoder(dst)
 	e.Open()
-	est.AppendJSON(e.Key("est"))
+	i.est.State().AppendJSON(e.Key("est"))
 	e.Close()
 	return e.Bytes()
 }

@@ -195,9 +195,7 @@ func TestIntervalStairMatchesChainObjective(t *testing.T) {
 			t.Fatal(err)
 		}
 		check := &chainIntervalCheck{OfflineOptimal: o, t: t}
-		sc := simConfig(cfg)
-		sc.Fleet = cfg.Fleet
-		if _, err := sim.Run(sc, set, check); err != nil {
+		if _, err := sim.Run(simConfig(cfg), set, check); err != nil {
 			t.Fatal(err)
 		}
 		if want := set.Horizon() / cfg.T; check.checks != want {

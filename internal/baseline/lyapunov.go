@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -23,17 +22,20 @@ import (
 // at θ (queue-dominated); large V chases price spreads aggressively. The
 // policy observes only the current slot — no price or demand forecast —
 // which makes it the canonical competitor for SmartDPSS's forecast-driven
-// dispatch. Workload service mirrors Impatient (everything now, trailing-
-// mean coarse purchase) so the comparison isolates the storage policy;
-// like Impatient it never dispatches on-site generation.
+// dispatch. Workload service is Impatient's (everything now, trailing-
+// mean coarse purchase, the same checkpoint state), embedded so the
+// comparison isolates the storage policy; like Impatient it never
+// dispatches on-site generation.
 type Lyapunov struct {
-	cfg   Config
+	Impatient
 	v     float64
 	theta float64
-	est   sim.TrailingMeans
 }
 
-var _ sim.Controller = (*Lyapunov)(nil)
+var (
+	_ sim.Controller  = (*Lyapunov)(nil)
+	_ sim.Snapshotter = (*Lyapunov)(nil)
+)
 
 // NewLyapunov returns the Lyapunov battery policy. v is the
 // cost-vs-queue weight (non-positive selects the scale-aware default
@@ -58,32 +60,14 @@ func NewLyapunov(cfg Config, v, thetaFrac float64) (*Lyapunov, error) {
 		return nil, fmt.Errorf("baseline: lyapunov V %g is not finite", v)
 	}
 	return &Lyapunov{
-		cfg:   cfg,
-		v:     v,
-		theta: cfg.Battery.MinLevelMWh + thetaFrac*span,
+		Impatient: Impatient{cfg: cfg},
+		v:         v,
+		theta:     cfg.Battery.MinLevelMWh + thetaFrac*span,
 	}, nil
 }
 
 // Name implements sim.Controller.
 func (l *Lyapunov) Name() string { return "Lyapunov" }
-
-// CoarseSlots implements sim.Controller.
-func (l *Lyapunov) CoarseSlots() int { return l.cfg.T }
-
-// PlanCoarse mirrors Impatient: buy the trailing-mean net demand for
-// every slot of the interval. The Lyapunov policy is forecast-free by
-// construction, so the coarse arm uses no price information either — all
-// cost strategy lives in the battery thresholds.
-func (l *Lyapunov) PlanCoarse(obs sim.CoarseObs) float64 {
-	dds, ddt, ren := obs.DemandDS, obs.DemandDT, obs.Renewable
-	if l.est.Ready() {
-		dds, ddt, ren = l.est.Means()
-	}
-	l.est.Reset()
-	need := dds + ddt - ren
-	perSlot := clamp(need, 0, l.cfg.PgridMWh)
-	return perSlot * float64(obs.Slots)
-}
 
 // PlanFine serves all demand now (delay-sensitive first, then backlog up
 // to capacity, exactly as Impatient) and sets the battery direction from
@@ -135,46 +119,6 @@ func (l *Lyapunov) PlanFine(obs sim.FineObs) sim.Decision {
 	default:
 		// Deadband: no arbitrage. Serve like Impatient — grid first,
 		// battery only as the last-resort UPS — and absorb surplus.
-		capacity := base + grtCap + obs.MaxDischarge
-		serve := math.Min(math.Min(obs.Backlog, obs.SdtMax),
-			math.Max(0, capacity-obs.DemandDS))
-		dec.ServeDT = serve
-		deficit := obs.DemandDS + serve - base
-		if deficit > 0 {
-			dec.Grt = math.Min(deficit, grtCap)
-			if remaining := deficit - dec.Grt; remaining > 0 {
-				dec.Discharge = math.Min(remaining, obs.MaxDischarge)
-			}
-			return dec
-		}
-		dec.Charge = math.Min(-deficit, obs.MaxCharge)
-		return dec
+		return l.serveNow(obs)
 	}
-}
-
-// RecordOutcome implements sim.Controller; the thresholds need no
-// feedback beyond the observable battery level.
-func (l *Lyapunov) RecordOutcome(sim.Outcome) {}
-
-var _ sim.Snapshotter = (*Lyapunov)(nil)
-
-// lyapunovState is the checkpoint form: V and θ are pinned by the
-// session checkpoint's config hash, so only the estimator survives.
-type lyapunovState struct {
-	Est sim.TrailingMeansState `json:"est"`
-}
-
-// AppendState implements sim.Snapshotter.
-func (l *Lyapunov) AppendState(dst []byte) ([]byte, error) {
-	return appendEstState(dst, l.est.State())
-}
-
-// RestoreState implements sim.Snapshotter.
-func (l *Lyapunov) RestoreState(data []byte) error {
-	var s lyapunovState
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("baseline: decode lyapunov state: %w", err)
-	}
-	l.est.Restore(s.Est)
-	return nil
 }

@@ -10,10 +10,12 @@
 // (brc(τ)·bdc(τ) ≡ 0).
 //
 // The package owns the battery state machine and its parameter
-// validation. internal/sim executes charge/discharge decisions against
-// it, internal/core reads its limits for the P5 weights and the shifted
-// tracker X(t), internal/baseline copies the same limits into its LP
-// bounds, and internal/engine sizes it from Options (battery.Sized).
+// validation. Params travel in sim.Plant, the plant every layer shares:
+// internal/sim executes charge/discharge decisions against them,
+// internal/core reads the limits for the P5 weights and the battery
+// queue X(t) = b(t) − core.Params.XShift, internal/baseline turns them
+// into LP bounds, and internal/engine sizes them from Options
+// (battery.SizedSlot).
 package battery
 
 import (
@@ -74,8 +76,15 @@ func SizedSlot(peakMW, maxMinutes, minMinutes float64, slotMinutes int) Params {
 	}
 }
 
-// Validate reports parameter errors.
+// Validate reports parameter errors, non-finite values first (a sizing
+// that overflows, such as Sized(1e308, 15, 1), yields +Inf levels).
 func (p Params) Validate() error {
+	for _, v := range [...]float64{p.CapacityMWh, p.MinLevelMWh, p.MaxChargeMWh,
+		p.MaxDischargeMWh, p.ChargeEff, p.DischargeEff, p.OpCostUSD, p.InitialMWh} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return errors.New("battery: non-finite parameter")
+		}
+	}
 	switch {
 	case p.CapacityMWh < 0:
 		return errors.New("battery: negative capacity")

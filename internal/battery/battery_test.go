@@ -195,6 +195,11 @@ func TestParamsValidate(t *testing.T) {
 		mut(func(p *Params) { p.MaxOps = -1 }),
 		mut(func(p *Params) { p.InitialMWh = p.CapacityMWh + 1 }),
 		mut(func(p *Params) { p.InitialMWh = p.MinLevelMWh - 0.01 }),
+		mut(func(p *Params) { p.DischargeEff = math.NaN() }),
+		mut(func(p *Params) { p.OpCostUSD = math.NaN() }),
+		mut(func(p *Params) { p.MaxChargeMWh = math.Inf(1) }),
+		Sized(1e308, 15, 1),  // Bmax and b(0) overflow to +Inf
+		Sized(2.0, 1e308, 1), // likewise
 	}
 	for i, p := range bad {
 		if _, err := New(p); err == nil {

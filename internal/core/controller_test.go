@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/smartdpss/smartdpss/internal/market"
 	"github.com/smartdpss/smartdpss/internal/pricing"
 	"github.com/smartdpss/smartdpss/internal/sim"
 	"github.com/smartdpss/smartdpss/internal/solar"
@@ -40,21 +39,8 @@ func testTraces(t *testing.T, days int) *trace.Set {
 	return set
 }
 
-func simMarket(p Params) market.Params {
-	return market.Params{PgridMWh: p.PgridMWh, PmaxUSD: p.PmaxUSD}
-}
-
-func simConfig(p Params) sim.Config {
-	return sim.Config{
-		Battery:          p.Battery,
-		Market:           simMarket(p),
-		WasteCostUSD:     p.WasteCostUSD,
-		EmergencyCostUSD: p.EmergencyCostUSD,
-		SdtMaxMWh:        p.SdtMaxMWh,
-		SmaxMWh:          p.SmaxMWh,
-		KeepSeries:       true,
-	}
-}
+// simConfig is the session configuration over the controller's plant.
+func simConfig(p Params) sim.Config { return sim.Config{Plant: p.Plant, KeepSeries: true} }
 
 func TestNewRejectsInvalidParams(t *testing.T) {
 	p := DefaultParams()

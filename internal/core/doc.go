@@ -54,6 +54,13 @@
 // objectives; the analytic path is roughly two orders of magnitude
 // faster (see the ablation benchmark).
 //
+// # The plant
+//
+// Params embeds sim.Plant, the plant the session executes: P4 and P5
+// plan against exactly the grid cap, supply and service caps, UPS and
+// generation fleet that the engine bills. Params adds only the
+// controller's own knobs (V, ε, T, Ddtmax and the ablation switches).
+//
 // The controller is deliberately single-site: it owns no global state, so
 // a geo-distributed fleet (internal/geo) composes per-site Controller
 // instances stepped concurrently, one per site, coupled only through the

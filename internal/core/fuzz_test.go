@@ -71,9 +71,7 @@ func TestFuzzControllerInvariants(t *testing.T) {
 			t.Logf("New: %v", err)
 			return false
 		}
-		cfg := simConfig(p)
-		cfg.KeepSeries = true
-		rep, err := sim.Run(cfg, set, ctrl)
+		rep, err := sim.Run(simConfig(p), set, ctrl)
 		if err != nil {
 			t.Logf("Run: %v (V=%g eps=%g T=%d)", err, p.V, p.Epsilon, p.T)
 			return false
@@ -239,9 +237,7 @@ func TestFuzzFleetControllerInvariants(t *testing.T) {
 			t.Logf("New: %v", err)
 			return false
 		}
-		cfg := simConfig(p)
-		cfg.Fleet = p.Fleet
-		rep, err := sim.Run(cfg, set, ctrl)
+		rep, err := sim.Run(simConfig(p), set, ctrl)
 		if err != nil {
 			t.Logf("Run: %v (W=%d n=%d)", err, p.CommitWindow, n)
 			return false

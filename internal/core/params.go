@@ -5,13 +5,18 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/smartdpss/smartdpss/internal/battery"
-	"github.com/smartdpss/smartdpss/internal/generator"
+	"github.com/smartdpss/smartdpss/internal/sim"
 )
 
-// Params configures a SmartDPSS controller. Energy is in MWh per fine
-// slot, prices in USD/MWh.
+// Params configures a SmartDPSS controller: the plant it plans
+// against (shared with the session that executes its decisions) plus
+// the controller's own knobs. Energy is in MWh per fine slot, prices in
+// USD/MWh. Inside P5 the plant's EmergencyCostUSD is the shadow price
+// of unserved delay-sensitive demand, and every fleet unit contributes
+// its own fuel-priced source legs — segments of the unit's dispatch
+// window — and its committed capacity to P4's deficit estimate.
 type Params struct {
+	sim.Plant
 	// V is the Lyapunov cost–delay tradeoff parameter: larger V weights
 	// cost reduction over queue (delay) control, giving the
 	// [O(1/V), O(V)] tradeoff of Theorem 2.
@@ -22,29 +27,8 @@ type Params struct {
 	// T is the number of fine slots per coarse slot (the long-term-ahead
 	// market period).
 	T int
-	// PmaxUSD is the market price cap (both markets).
-	PmaxUSD float64
-	// PgridMWh is the per-slot grid draw cap Pgrid (Eq. 5).
-	PgridMWh float64
-	// SmaxMWh is the per-slot total supply cap Smax (Eq. 1).
-	SmaxMWh float64
-	// SdtMaxMWh is the per-slot delay-tolerant service cap Sdtmax.
-	SdtMaxMWh float64
 	// DdtMaxMWh is the per-slot delay-tolerant arrival bound Ddtmax.
 	DdtMaxMWh float64
-	// WasteCostUSD prices each wasted MWh (the paper's Cost(τ) adds W
-	// directly, an implicit unit price).
-	WasteCostUSD float64
-	// EmergencyCostUSD is the shadow price per MWh of unserved
-	// delay-sensitive demand inside P5 (must dwarf PmaxUSD).
-	EmergencyCostUSD float64
-	// Battery is the UPS configuration.
-	Battery battery.Params
-	// Fleet is the on-site generation fleet in dispatch order (nil:
-	// none). Every unit contributes its own fuel-priced source legs to
-	// P5 — segments of the unit's dispatch window — and its committed
-	// capacity to P4's deficit estimate.
-	Fleet []generator.Params
 	// CommitWindow is the unit-commitment lookahead W in fine slots:
 	// start/stop decisions weigh the projected margin over the next W
 	// slots (forecast long-term price and demand envelope) against the
@@ -68,56 +52,30 @@ type Params struct {
 }
 
 // DefaultParams returns the paper's Sec. VI-A configuration: V = 1,
-// ε = 0.5, T = 24 one-hour slots, Pgrid = 2 MW, and a 15-minute UPS.
+// ε = 0.5, T = 24 one-hour slots, Ddtmax = 1 MWh and sim.DefaultPlant
+// (Pgrid = 2 MW, a 15-minute UPS).
 func DefaultParams() Params {
-	return Params{
-		V:                1.0,
-		Epsilon:          0.5,
-		T:                24,
-		PmaxUSD:          150,
-		PgridMWh:         2.0,
-		SmaxMWh:          4.0,
-		SdtMaxMWh:        1.0,
-		DdtMaxMWh:        1.0,
-		WasteCostUSD:     1.0,
-		EmergencyCostUSD: 1e6,
-		Battery:          battery.Sized(2.0, 15, 1),
-	}
+	return Params{Plant: sim.DefaultPlant(), V: 1.0, Epsilon: 0.5, T: 24, DdtMaxMWh: 1.0}
 }
 
-// Validate reports parameter errors.
+// Validate reports parameter errors: the controller's own fields, then
+// the plant.
 func (p Params) Validate() error {
-	switch {
-	case p.V <= 0:
-		return errors.New("core: V must be positive")
-	case p.Epsilon <= 0:
-		return errors.New("core: Epsilon must be positive")
-	case p.T <= 0:
-		return errors.New("core: T must be positive")
-	case p.PmaxUSD <= 0:
-		return errors.New("core: PmaxUSD must be positive")
-	case p.PgridMWh <= 0:
-		return errors.New("core: PgridMWh must be positive")
-	case p.SmaxMWh <= 0:
-		return errors.New("core: SmaxMWh must be positive")
-	case p.SdtMaxMWh <= 0:
-		return errors.New("core: SdtMaxMWh must be positive")
-	case p.DdtMaxMWh <= 0:
-		return errors.New("core: DdtMaxMWh must be positive")
-	case p.WasteCostUSD < 0:
-		return errors.New("core: negative WasteCostUSD")
-	case p.EmergencyCostUSD <= p.PmaxUSD:
-		return errors.New("core: EmergencyCostUSD must dwarf PmaxUSD")
-	}
-	for i, u := range p.Fleet {
-		if err := u.Validate(); err != nil {
-			return fmt.Errorf("core: fleet unit %d: %w", i, err)
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"V", p.V}, {"Epsilon", p.Epsilon}, {"DdtMaxMWh", p.DdtMaxMWh}} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("core: %s must be positive and finite", f.name)
 		}
 	}
-	if p.CommitWindow < 0 {
+	switch {
+	case p.T <= 0:
+		return errors.New("core: T must be positive")
+	case p.CommitWindow < 0:
 		return errors.New("core: negative CommitWindow")
 	}
-	return p.Battery.Validate()
+	return p.Plant.Validate()
 }
 
 // QMax is the deterministic backlog bound of Theorem 2(3):

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"testing"
+
+	"github.com/smartdpss/smartdpss/internal/sim"
 )
 
 func TestDefaultParamsValid(t *testing.T) {
@@ -19,16 +21,15 @@ func TestParamsValidateRejects(t *testing.T) {
 	}
 	bad := []Params{
 		mut(func(p *Params) { p.V = 0 }),
+		mut(func(p *Params) { p.V = math.NaN() }),
 		mut(func(p *Params) { p.Epsilon = 0 }),
+		mut(func(p *Params) { p.Epsilon = math.Inf(1) }),
 		mut(func(p *Params) { p.T = 0 }),
-		mut(func(p *Params) { p.PmaxUSD = 0 }),
-		mut(func(p *Params) { p.PgridMWh = 0 }),
-		mut(func(p *Params) { p.SmaxMWh = 0 }),
-		mut(func(p *Params) { p.SdtMaxMWh = 0 }),
 		mut(func(p *Params) { p.DdtMaxMWh = 0 }),
-		mut(func(p *Params) { p.WasteCostUSD = -1 }),
+		mut(func(p *Params) { p.CommitWindow = -1 }),
+		// The plant's own rules are sim.TestPlantValidate's; one case
+		// shows Params applies them.
 		mut(func(p *Params) { p.EmergencyCostUSD = 10 }),
-		mut(func(p *Params) { p.Battery.ChargeEff = 2 }),
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -113,5 +114,34 @@ func TestXShift(t *testing.T) {
 	want := p.UMax() + p.Battery.MinLevelMWh + p.Battery.MaxDischargeMWh*p.Battery.DischargeEff
 	if got := p.XShift(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("XShift = %g, want %g", got, want)
+	}
+}
+
+// TestBatteryQueueX pins the battery virtual queue of Eq. (14),
+// X(t) = b(t) − (Umax + Bmin + Bdmax·ηd), as the controller freezes it
+// at a coarse slot: the shift's value at the defaults, X = level − shift,
+// and X increasing with the battery level.
+func TestBatteryQueueX(t *testing.T) {
+	p := DefaultParams()
+	// At the defaults: Umax = 150/24 + 1 + 0.5, Bmin = 2/60 MWh (one
+	// minute at 2 MW) and Bdmax·ηd = 0.5·1.25.
+	shift := 7.75 + 2.0/60 + 0.625
+	if got := p.XShift(); math.Abs(got-shift) > 1e-12 {
+		t.Fatalf("default XShift = %g, want %g", got, shift)
+	}
+	frozenX := func(level float64) float64 {
+		c, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.PlanCoarse(sim.CoarseObs{Slots: 24, PriceLT: 40, DemandDS: 1, Battery: level})
+		_, x, _ := c.FrozenState()
+		return x
+	}
+	if got := frozenX(0.5); math.Abs(got-(0.5-shift)) > 1e-12 {
+		t.Errorf("X(0.5) = %g, want %g", got, 0.5-shift)
+	}
+	if frozenX(0.4) <= frozenX(0.1) {
+		t.Error("X must increase with the battery level")
 	}
 }

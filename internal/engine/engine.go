@@ -17,7 +17,6 @@ import (
 	"github.com/smartdpss/smartdpss/internal/battery"
 	"github.com/smartdpss/smartdpss/internal/core"
 	"github.com/smartdpss/smartdpss/internal/generator"
-	"github.com/smartdpss/smartdpss/internal/market"
 	"github.com/smartdpss/smartdpss/internal/pricing"
 	"github.com/smartdpss/smartdpss/internal/sim"
 	"github.com/smartdpss/smartdpss/internal/solar"
@@ -58,7 +57,9 @@ const (
 // delay statistics, battery and availability accounting.
 type Report = sim.Report
 
-// Options tunes the controller and the simulated plant.
+// Options tunes the controller and the simulated plant. Every float
+// field must be finite: Simulate and the session constructors reject
+// NaN and ±Inf with ErrInvalidOptions.
 type Options struct {
 	// V is the Lyapunov cost–delay tradeoff parameter (paper Fig. 6(a,b)).
 	V float64
@@ -224,42 +225,41 @@ func (o Options) slotHours() float64 {
 	return float64(o.SlotMinutes) / 60
 }
 
-// coreParams translates Options into the controller configuration.
-func (o Options) coreParams() core.Params {
+// plant translates Options into the physical system every layer shares:
+// the controller plans against it and the session bills it.
+func (o Options) plant() sim.Plant {
 	h := o.slotHours()
-	p := core.DefaultParams()
-	p.V = o.V
-	p.Epsilon = o.Epsilon
-	p.T = o.T
+	p := sim.DefaultPlant()
 	p.PmaxUSD = o.PmaxUSD
 	p.PgridMWh = o.PeakMW * h
 	p.SmaxMWh = 2 * o.PeakMW * h
-	// Service and arrival caps are datacenter capabilities: they scale
-	// with the installation (Fig. 10 grows the system while the UPS
-	// stays fixed).
+	// The service cap is a datacenter capability: it scales with the
+	// installation (Fig. 10 grows the system while the UPS stays fixed).
 	p.SdtMaxMWh = o.PeakMW / 2 * h
-	p.DdtMaxMWh = o.PeakMW / 2 * h
 	p.Battery = batteryParams(o)
 	p.Fleet = fleetParams(o)
-	p.CommitWindow = o.CommitWindow
-	p.DisableLongTerm = o.DisableLongTerm
-	p.UseLP = o.UseLP
-	p.SnapshotPlanning = o.SnapshotPlanning
 	return p
+}
+
+// coreParams translates Options into the controller configuration.
+func (o Options) coreParams() core.Params {
+	return core.Params{
+		Plant:   o.plant(),
+		V:       o.V,
+		Epsilon: o.Epsilon,
+		T:       o.T,
+		// The arrival cap scales with the installation, like Sdtmax.
+		DdtMaxMWh:        o.PeakMW / 2 * o.slotHours(),
+		CommitWindow:     o.CommitWindow,
+		DisableLongTerm:  o.DisableLongTerm,
+		UseLP:            o.UseLP,
+		SnapshotPlanning: o.SnapshotPlanning,
+	}
 }
 
 // baselineConfig translates Options into the baseline configuration.
 func (o Options) baselineConfig() baseline.Config {
-	h := o.slotHours()
-	c := baseline.DefaultConfig()
-	c.T = o.T
-	c.PgridMWh = o.PeakMW * h
-	c.PmaxUSD = o.PmaxUSD
-	c.SmaxMWh = 2 * o.PeakMW * h
-	c.SdtMaxMWh = o.PeakMW / 2 * h
-	c.Battery = batteryParams(o)
-	c.Fleet = fleetParams(o)
-	return c
+	return baseline.Config{Plant: o.plant(), T: o.T}
 }
 
 // BaselineConfig exposes the options→baseline translation for internal
@@ -320,15 +320,8 @@ func fleetParams(o Options) []generator.Params {
 
 // simConfig translates Options into the engine configuration.
 func (o Options) simConfig() sim.Config {
-	p := o.coreParams()
 	return sim.Config{
-		Battery:            p.Battery,
-		Fleet:              p.Fleet,
-		Market:             market.Params{PgridMWh: p.PgridMWh, PmaxUSD: p.PmaxUSD},
-		WasteCostUSD:       p.WasteCostUSD,
-		EmergencyCostUSD:   p.EmergencyCostUSD,
-		SdtMaxMWh:          p.SdtMaxMWh,
-		SmaxMWh:            p.SmaxMWh,
+		Plant:              o.plant(),
 		PeakChargeUSDPerMW: o.PeakChargeUSDPerMW,
 		KeepSeries:         o.KeepSeries,
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -250,12 +251,12 @@ func TestOptionsFleetPlumbing(t *testing.T) {
 	if p.Fleet[0].CapacityMWh != 0.5 || p.Fleet[0].MinLoadMWh != 0.2*0.5 {
 		t.Errorf("unit 0 window = (%g, %g)", p.Fleet[0].MinLoadMWh, p.Fleet[0].CapacityMWh)
 	}
-	// The same fleet must reach the engine and baseline configurations.
-	if sc := o.simConfig(); len(sc.Fleet) != 2 {
-		t.Errorf("simConfig fleet has %d units", len(sc.Fleet))
+	// Every layer must plan against, and bill, the same plant.
+	if sc := o.simConfig(); !reflect.DeepEqual(sc.Plant, p.Plant) {
+		t.Errorf("simConfig plant %+v differs from coreParams plant %+v", sc.Plant, p.Plant)
 	}
-	if bc := o.baselineConfig(); len(bc.Fleet) != 2 {
-		t.Errorf("baselineConfig fleet has %d units", len(bc.Fleet))
+	if bc := o.baselineConfig(); !reflect.DeepEqual(bc.Plant, p.Plant) {
+		t.Errorf("baselineConfig plant %+v differs from coreParams plant %+v", bc.Plant, p.Plant)
 	}
 }
 

@@ -103,9 +103,34 @@ func optionsFingerprint(policy Policy, opts Options) string {
 }
 
 // validateSimulateOptions is the shared option screen of Simulate and
-// the session constructors.
+// the session constructors. It rejects every non-finite float field
+// before any layer sees it: each later range check compares, and every
+// comparison is false for NaN. Finite values that overflow once scaled
+// (PeakMW = 1e308 doubles to Smax = +Inf) fail the plant's validation.
 func validateSimulateOptions(opts Options) error {
-	if opts.CarbonUSDPerTon < 0 || math.IsNaN(opts.CarbonUSDPerTon) || math.IsInf(opts.CarbonUSDPerTon, 0) {
+	fields := [...]struct {
+		name string
+		v    float64
+	}{
+		{"V", opts.V},
+		{"Epsilon", opts.Epsilon},
+		{"PeakMW", opts.PeakMW},
+		{"BatteryMinutes", opts.BatteryMinutes},
+		{"BatteryMinMinutes", opts.BatteryMinMinutes},
+		{"BatteryReferenceMW", opts.BatteryReferenceMW},
+		{"PmaxUSD", opts.PmaxUSD},
+		{"PeakChargeUSDPerMW", opts.PeakChargeUSDPerMW},
+		{"LyapunovV", opts.LyapunovV},
+		{"LyapunovTheta", opts.LyapunovTheta},
+		{"CarbonUSDPerTon", opts.CarbonUSDPerTon},
+		{"ObservationNoise", opts.ObservationNoise},
+	}
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return invalidOptions(fmt.Errorf("smartdpss: %s is not finite", f.name))
+		}
+	}
+	if opts.CarbonUSDPerTon < 0 {
 		return invalidOptions(errors.New("smartdpss: CarbonUSDPerTon must be finite and non-negative"))
 	}
 	for i, u := range opts.Fleet {

@@ -3,9 +3,11 @@ package engine
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -237,6 +239,51 @@ func TestErrInvalidOptions(t *testing.T) {
 			t.Errorf("valid session rejected: %v", err)
 		}
 	})
+}
+
+// TestNonFiniteOptionsRejected: every float field of Options at NaN or
+// +Inf, and the three sizing fields at 1e308 (finite, but +Inf once
+// scaled into Smax or Bmax), must fail session construction with
+// ErrInvalidOptions on every policy. A NaN V or ε used to reach P5's
+// pair loop and spin forever; the test never steps, so it cannot hang.
+func TestNonFiniteOptionsRejected(t *testing.T) {
+	tc := DefaultTraceConfig()
+	tc.Days = 2
+	traces, err := GenerateTraces(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type poison struct {
+		field string
+		v     float64
+	}
+	var cases []poison
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() == reflect.Float64 {
+			cases = append(cases, poison{f.Name, math.NaN()}, poison{f.Name, math.Inf(1)})
+		}
+	}
+	if len(cases) != 2*12 {
+		t.Fatalf("Options has %d float fields, want 12", len(cases)/2)
+	}
+	for _, f := range []string{"PeakMW", "BatteryMinutes", "BatteryReferenceMW"} {
+		cases = append(cases, poison{f, 1e308})
+	}
+	for _, c := range cases {
+		opts := DefaultOptions()
+		reflect.ValueOf(&opts).Elem().FieldByName(c.field).SetFloat(c.v)
+		for _, policy := range []Policy{PolicySmartDPSS, PolicyImpatient, PolicyLyapunov} {
+			if _, err := NewSession(policy, opts, traces.Horizon()); !errors.Is(err, ErrInvalidOptions) {
+				t.Errorf("%s = %g, %s: err = %v, want ErrInvalidOptions", c.field, c.v, policy, err)
+			}
+		}
+		for _, policy := range []Policy{PolicyOfflineOptimal, PolicyOfflineHorizon, PolicyLookahead} {
+			if _, err := NewReplaySession(policy, opts, traces); !errors.Is(err, ErrInvalidOptions) {
+				t.Errorf("%s = %g, %s: err = %v, want ErrInvalidOptions", c.field, c.v, policy, err)
+			}
+		}
+	}
 }
 
 // TestCrossProcessRestore proves the checkpoint survives process death:

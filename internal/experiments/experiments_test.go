@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/smartdpss/smartdpss/internal/suite"
 )
 
 // fastConfig keeps experiment tests quick: one week, no offline columns
@@ -287,16 +289,19 @@ func TestAllRunners(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short mode")
 	}
-	cfg := fastConfig()
-	tables, err := All(cfg)
+	scns, err := suite.Select(TagPaper)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 7 {
-		t.Fatalf("tables = %d, want 7", len(tables))
+	if len(scns) != 7 {
+		t.Fatalf("paper scenarios = %d, want 7", len(scns))
 	}
 	var buf bytes.Buffer
-	for _, tbl := range tables {
+	for _, s := range scns {
+		tbl, err := s.Run(fastConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
 		if err := tbl.Fprint(&buf); err != nil {
 			t.Fatal(err)
 		}

@@ -52,25 +52,3 @@ func Fig10Scaling(cfg Config) (*Table, error) {
 	t.Rows = rows
 	return t, nil
 }
-
-// All runs every paper figure's experiment sequentially in this
-// goroutine (each runner still fans its sweep out on the pool) and
-// returns the tables in paper order. The figure list is the registry's
-// TagPaper selection — one source of truth with cmd/experiments and
-// RunSuite. Suite-level fan-out lives in suite.RunSuite; this helper
-// remains for callers that want just the paper figures as a slice.
-func All(cfg Config) ([]*Table, error) {
-	scns, err := suite.Select(TagPaper)
-	if err != nil {
-		return nil, err
-	}
-	tables := make([]*Table, 0, len(scns))
-	for _, s := range scns {
-		tbl, err := s.Run(cfg)
-		if err != nil {
-			return tables, err
-		}
-		tables = append(tables, tbl)
-	}
-	return tables, nil
-}

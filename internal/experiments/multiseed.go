@@ -55,12 +55,12 @@ func MultiSeedSummary(cfg Config, seeds int) (*Table, error) {
 	}
 
 	var (
-		smartCost = metrics.NewStream(false)
+		smartCost = metrics.NewStream()
 		smartWins = 0
-		impCost   = metrics.NewStream(false)
-		offCost   = metrics.NewStream(false)
-		saving    = metrics.NewStream(false)
-		delay     = metrics.NewStream(false)
+		impCost   = metrics.NewStream()
+		offCost   = metrics.NewStream()
+		saving    = metrics.NewStream()
+		delay     = metrics.NewStream()
 		orderOK   = 0
 	)
 	for _, r := range runs {

@@ -1,8 +1,6 @@
-// Package metrics provides streaming statistics used by the simulation
-// reports and experiments: Welford mean/variance, extrema and exact
-// quantiles over retained samples. Horizons in this repository are small
-// (hundreds to tens of thousands of slots), so retaining samples for exact
-// quantiles is cheaper than approximate sketches.
+// Package metrics provides the streaming statistic used by the
+// simulation reports and experiments: Welford mean/variance and extrema
+// in O(1) memory.
 //
 // The package owns the accumulator types only — no simulation semantics.
 // internal/sim feeds them while building its per-run Report, and
@@ -10,11 +8,7 @@
 // them; nothing below those two layers imports this package.
 package metrics
 
-import (
-	"errors"
-	"math"
-	"sort"
-)
+import "math"
 
 // Stream accumulates scalar samples with O(1) updates.
 type Stream struct {
@@ -22,14 +16,11 @@ type Stream struct {
 	mean     float64
 	m2       float64
 	min, max float64
-	keep     bool
-	samples  []float64
 }
 
-// NewStream returns an empty stream. When keepSamples is true, samples are
-// retained so that Quantile is available.
-func NewStream(keepSamples bool) *Stream {
-	return &Stream{min: math.Inf(1), max: math.Inf(-1), keep: keepSamples}
+// NewStream returns an empty stream.
+func NewStream() *Stream {
+	return &Stream{min: math.Inf(1), max: math.Inf(-1)}
 }
 
 // Add records one sample.
@@ -40,9 +31,6 @@ func (s *Stream) Add(x float64) {
 	s.m2 += d * (x - s.mean)
 	s.min = math.Min(s.min, x)
 	s.max = math.Max(s.max, x)
-	if s.keep {
-		s.samples = append(s.samples, x)
-	}
 }
 
 // Count returns the number of samples.
@@ -55,9 +43,6 @@ func (s *Stream) Mean() float64 {
 	}
 	return s.mean
 }
-
-// Sum returns n·mean.
-func (s *Stream) Sum() float64 { return s.mean * float64(s.n) }
 
 // Variance returns the population variance (0 when empty).
 func (s *Stream) Variance() float64 {
@@ -81,12 +66,11 @@ func (s *Stream) Max() float64 { return s.max }
 // sentinels do not survive JSON); Restore reinstates the sentinels from
 // N == 0, so the round trip is exact in both cases.
 type StreamState struct {
-	N       int       `json:"n"`
-	Mean    float64   `json:"mean"`
-	M2      float64   `json:"m2"`
-	Min     float64   `json:"min"`
-	Max     float64   `json:"max"`
-	Samples []float64 `json:"samples,omitempty"`
+	N    int     `json:"n"`
+	Mean float64 `json:"mean"`
+	M2   float64 `json:"m2"`
+	Min  float64 `json:"min"`
+	Max  float64 `json:"max"`
 }
 
 // State captures the stream's mutable state for a checkpoint.
@@ -95,15 +79,10 @@ func (s *Stream) State() StreamState {
 	if st.N == 0 {
 		st.Min, st.Max = 0, 0
 	}
-	if s.keep && len(s.samples) > 0 {
-		st.Samples = make([]float64, len(s.samples))
-		copy(st.Samples, s.samples)
-	}
 	return st
 }
 
-// Restore overwrites the stream's mutable state from a checkpoint,
-// keeping the stream's own keep-samples configuration.
+// Restore overwrites the stream's mutable state from a checkpoint.
 func (s *Stream) Restore(st StreamState) {
 	s.n = st.N
 	s.mean = st.Mean
@@ -113,36 +92,4 @@ func (s *Stream) Restore(st StreamState) {
 	if st.N == 0 {
 		s.min, s.max = math.Inf(1), math.Inf(-1)
 	}
-	s.samples = s.samples[:0]
-	if s.keep {
-		s.samples = append(s.samples, st.Samples...)
-	}
-}
-
-// ErrNoSamples is returned by Quantile on an empty or sample-less stream.
-var ErrNoSamples = errors.New("metrics: no retained samples")
-
-// Quantile returns the p-quantile (p in [0, 1]) using linear interpolation
-// between retained samples.
-func (s *Stream) Quantile(p float64) (float64, error) {
-	if !s.keep || len(s.samples) == 0 {
-		return 0, ErrNoSamples
-	}
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return 0, errors.New("metrics: quantile p outside [0, 1]")
-	}
-	sorted := make([]float64, len(s.samples))
-	copy(sorted, s.samples)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestStreamBasics(t *testing.T) {
-	s := NewStream(false)
+	s := NewStream()
 	if s.Count() != 0 || s.Mean() != 0 || s.Variance() != 0 {
 		t.Fatal("empty stream must report zeros")
 	}
@@ -27,58 +27,6 @@ func TestStreamBasics(t *testing.T) {
 	if s.Min() != 2 || s.Max() != 9 {
 		t.Errorf("Min/Max = %g/%g, want 2/9", s.Min(), s.Max())
 	}
-	if math.Abs(s.Sum()-40) > 1e-12 {
-		t.Errorf("Sum = %g, want 40", s.Sum())
-	}
-}
-
-func TestStreamQuantile(t *testing.T) {
-	s := NewStream(true)
-	for i := 1; i <= 5; i++ {
-		s.Add(float64(i))
-	}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1},
-		{0.25, 2},
-		{0.5, 3},
-		{0.75, 4},
-		{1, 5},
-	}
-	for _, tt := range tests {
-		got, err := s.Quantile(tt.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("Quantile(%g) = %g, want %g", tt.p, got, tt.want)
-		}
-	}
-}
-
-func TestStreamQuantileErrors(t *testing.T) {
-	noKeep := NewStream(false)
-	noKeep.Add(1)
-	if _, err := noKeep.Quantile(0.5); err == nil {
-		t.Error("want error when samples are not retained")
-	}
-	empty := NewStream(true)
-	if _, err := empty.Quantile(0.5); err == nil {
-		t.Error("want error for empty stream")
-	}
-	s := NewStream(true)
-	s.Add(1)
-	if _, err := s.Quantile(-0.1); err == nil {
-		t.Error("want error for p < 0")
-	}
-	if _, err := s.Quantile(1.1); err == nil {
-		t.Error("want error for p > 1")
-	}
-	if got, err := s.Quantile(0.5); err != nil || got != 1 {
-		t.Errorf("single sample quantile = %g, %v", got, err)
-	}
 }
 
 // TestPropertyWelfordMatchesDirect: streaming mean/variance must match the
@@ -88,7 +36,7 @@ func TestPropertyWelfordMatchesDirect(t *testing.T) {
 	f := func() bool {
 		n := 1 + r.Intn(500)
 		vals := make([]float64, n)
-		s := NewStream(false)
+		s := NewStream()
 		for i := range vals {
 			vals[i] = r.NormFloat64() * 100
 			s.Add(vals[i])
@@ -105,34 +53,6 @@ func TestPropertyWelfordMatchesDirect(t *testing.T) {
 		variance := varSum / float64(n)
 		return math.Abs(s.Mean()-mean) < 1e-8*math.Max(1, math.Abs(mean)) &&
 			math.Abs(s.Variance()-variance) < 1e-6*math.Max(1, variance)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPropertyQuantileMonotone: quantiles are monotone in p and bracketed
-// by min/max.
-func TestPropertyQuantileMonotone(t *testing.T) {
-	r := rand.New(rand.NewSource(22))
-	f := func() bool {
-		s := NewStream(true)
-		n := 1 + r.Intn(200)
-		for i := 0; i < n; i++ {
-			s.Add(r.Float64() * 50)
-		}
-		prev := math.Inf(-1)
-		for p := 0.0; p <= 1.0; p += 0.1 {
-			q, err := s.Quantile(p)
-			if err != nil {
-				return false
-			}
-			if q < prev-1e-12 || q < s.Min()-1e-12 || q > s.Max()+1e-12 {
-				return false
-			}
-			prev = q
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -1,13 +1,15 @@
 // Package queue implements the queueing substrate of SmartDPSS: the
 // delay-tolerant demand backlog Q(τ) (Eq. 2) with FIFO cohort tracking for
-// exact delay measurement, the ε-persistent delay-aware virtual queue Y(τ)
-// (Eq. 12), and the shifted battery tracker X(t) (Eq. 14).
+// exact delay measurement, and the ε-persistent delay-aware virtual queue
+// Y(τ) (Eq. 12).
 //
-// The package owns all queue state and its update rules; the backlog's
+// The package owns both queues' state and update rules; the backlog's
 // cohort ring is the allocation-free compacting buffer the PR-4 hot path
 // introduced. internal/sim owns a Backlog per run for arrivals, service
 // and delay accounting; internal/core additionally drives the virtual
-// queues Y and X that steer the Lyapunov drift-plus-penalty weights.
+// queue Y that, with Q and the battery queue X(t) (an affine shift of the
+// battery level, core.Params.XShift), steers the Lyapunov
+// drift-plus-penalty weights.
 package queue
 
 import (
@@ -152,15 +154,6 @@ func (q *Backlog) Restore(s BacklogState) {
 	q.maxDelay = s.MaxDelay
 }
 
-// OldestArrival returns the arrival slot of the oldest queued energy and
-// true, or 0 and false when the queue is empty.
-func (q *Backlog) OldestArrival() (int, bool) {
-	if q.head == len(q.cohorts) {
-		return 0, false
-	}
-	return q.cohorts[q.head].arrivalSlot, true
-}
-
 // ServedTotal returns the lifetime energy served from the queue in MWh.
 func (q *Backlog) ServedTotal() float64 { return q.servedMWh }
 
@@ -216,25 +209,3 @@ func (d *Delay) Update(served float64, backlogPositive bool) {
 	}
 	d.value = math.Max(0, d.value-served+inc)
 }
-
-// BatteryTracker computes the shifted battery queue X(t) of Eq. (14):
-//
-//	X(t) = b(t) − Umax − Bmin − Bdmax·ηd
-//
-// Because b(t) evolves by Eq. (3) and X is an affine shift, tracking X
-// separately (Eq. 15) is equivalent to deriving it from the actual level;
-// we derive it to keep a single source of truth.
-type BatteryTracker struct {
-	shift float64
-}
-
-// NewBatteryTracker builds a tracker for the given bound parameters.
-func NewBatteryTracker(umax, bmin, bdmax, etaD float64) *BatteryTracker {
-	return &BatteryTracker{shift: umax + bmin + bdmax*etaD}
-}
-
-// Shift returns the constant Umax + Bmin + Bdmax·ηd.
-func (x *BatteryTracker) Shift() float64 { return x.shift }
-
-// Value maps a battery level b(t) to X(t).
-func (x *BatteryTracker) Value(level float64) float64 { return level - x.shift }

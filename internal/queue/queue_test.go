@@ -65,22 +65,6 @@ func TestBacklogServeEmpty(t *testing.T) {
 	}
 }
 
-func TestBacklogOldestArrival(t *testing.T) {
-	q := NewBacklog()
-	if _, ok := q.OldestArrival(); ok {
-		t.Fatal("empty queue reported an oldest arrival")
-	}
-	q.Arrive(7, 1)
-	q.Arrive(9, 1)
-	if slot, ok := q.OldestArrival(); !ok || slot != 7 {
-		t.Fatalf("OldestArrival = %d, %v; want 7, true", slot, ok)
-	}
-	q.Serve(10, 1)
-	if slot, ok := q.OldestArrival(); !ok || slot != 9 {
-		t.Fatalf("after serve OldestArrival = %d, %v; want 9, true", slot, ok)
-	}
-}
-
 func TestBacklogClampedDelay(t *testing.T) {
 	q := NewBacklog()
 	q.Arrive(10, 1)
@@ -191,20 +175,5 @@ func TestPropertyDelayQueueGrowthBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBatteryTracker(t *testing.T) {
-	x := NewBatteryTracker(2.0, 0.0333, 0.5, 1.25)
-	wantShift := 2.0 + 0.0333 + 0.5*1.25
-	if math.Abs(x.Shift()-wantShift) > 1e-12 {
-		t.Fatalf("Shift = %g, want %g", x.Shift(), wantShift)
-	}
-	if got := x.Value(0.5); math.Abs(got-(0.5-wantShift)) > 1e-12 {
-		t.Errorf("Value(0.5) = %g, want %g", got, 0.5-wantShift)
-	}
-	// X is monotone in the battery level.
-	if x.Value(0.6) <= x.Value(0.1) {
-		t.Error("X must increase with the battery level")
 	}
 }

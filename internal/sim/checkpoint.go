@@ -399,8 +399,5 @@ func appendStream(e *jsonenc.Encoder, st *metrics.StreamState) {
 	e.Key("m2").Float(st.M2)
 	e.Key("min").Float(st.Min)
 	e.Key("max").Float(st.Max)
-	if len(st.Samples) > 0 {
-		e.Key("samples").Floats(st.Samples)
-	}
 	e.Close()
 }

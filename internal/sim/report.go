@@ -129,8 +129,8 @@ type GenUnitReport struct {
 func newReport(controller string, horizon int, keepSeries bool) *Report {
 	r := &Report{
 		Controller:    controller,
-		costStream:    metrics.NewStream(false),
-		backlogStream: metrics.NewStream(false),
+		costStream:    metrics.NewStream(),
+		backlogStream: metrics.NewStream(),
 	}
 	if keepSeries {
 		r.CostSeries = make([]float64, 0, horizon)

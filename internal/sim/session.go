@@ -203,7 +203,7 @@ func NewSession(cfg Config, ctrl Controller, horizon, slotMinutes int, fingerpri
 	if err != nil {
 		return nil, err
 	}
-	acct, err := market.NewAccount(cfg.Market)
+	acct, err := market.NewAccount(market.Params{PgridMWh: cfg.PgridMWh, PmaxUSD: cfg.PmaxUSD})
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +328,7 @@ func (s *Session) Step(in SlotInput) (Decision, error) {
 	}
 	slot := s.slot
 	T := s.ctrl.CoarseSlots()
-	if err := in.validate(s.cfg.Market.PmaxUSD, slot%T == 0); err != nil {
+	if err := in.validate(s.cfg.PmaxUSD, slot%T == 0); err != nil {
 		return Decision{}, err
 	}
 	if slot%T == 0 {
@@ -389,7 +389,7 @@ func (s *Session) coarseBoundary(in SlotInput, slot, slots int) error {
 	if math.IsNaN(gbef) || math.IsInf(gbef, 0) {
 		return fmt.Errorf("sim: controller %q returned non-finite gbef", s.ctrl.Name())
 	}
-	gbef = clamp(gbef, 0, s.cfg.Market.PgridMWh*float64(slots))
+	gbef = clamp(gbef, 0, s.cfg.PgridMWh*float64(slots))
 	if err := s.acct.BeginCoarse(gbef, obs.PriceLT, slots); err != nil {
 		return fmt.Errorf("sim: coarse plan at slot %d: %w", slot, err)
 	}
@@ -518,7 +518,7 @@ func (s *Session) Commit() (SlotOutcome, error) {
 	s.rep.recordSlot(slotRecord{
 		slot:          slot,
 		gridDrawMW:    gridDraw / slotHours,
-		nearPeak:      gridDraw > 0.95*s.cfg.Market.PgridMWh,
+		nearPeak:      gridDraw > 0.95*s.cfg.PgridMWh,
 		cost:          slotCost,
 		ltCost:        ltCost,
 		rtCost:        rtCost,

@@ -6,8 +6,11 @@
 // (Eqs. 7–8), and the per-slot service cap Sdtmax.
 //
 // Controllers (SmartDPSS, Impatient, the offline benchmarks) implement the
-// Controller interface; because every algorithm runs through the same
-// engine and accounting, their reported costs are directly comparable.
+// Controller interface and plan against the same Plant — the caps, UPS
+// and generation fleet that Config embeds and the session executes.
+// Because every algorithm plans against one plant and runs through the
+// same engine and accounting, their reported costs are directly
+// comparable.
 package sim
 
 import (
@@ -17,7 +20,6 @@ import (
 
 	"github.com/smartdpss/smartdpss/internal/battery"
 	"github.com/smartdpss/smartdpss/internal/generator"
-	"github.com/smartdpss/smartdpss/internal/market"
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
@@ -115,8 +117,28 @@ type Controller interface {
 	RecordOutcome(out Outcome)
 }
 
-// Config parameterizes the engine.
-type Config struct {
+// Plant is the physical system every policy plans against and the
+// session bills: the grid interface, the supply and service caps, the
+// UPS and the on-site generation fleet. Config, core.Params and
+// baseline.Config all embed it, so a controller's plan and the engine's
+// execution read the same numbers.
+type Plant struct {
+	// PgridMWh is the per-slot grid draw cap Pgrid (Eq. 5).
+	PgridMWh float64
+	// PmaxUSD is the price cap of both markets.
+	PmaxUSD float64
+	// SmaxMWh is Smax, the per-slot cap on total supply s(τ) (Eq. 1).
+	SmaxMWh float64
+	// SdtMaxMWh is Sdtmax, the per-slot cap on delay-tolerant service.
+	SdtMaxMWh float64
+	// WasteCostUSD prices wasted energy per MWh (the paper adds W(τ) to
+	// Cost(τ) directly, i.e. an implicit unit price).
+	WasteCostUSD float64
+	// EmergencyCostUSD prices unserved delay-sensitive energy per MWh.
+	// The session reports it separately from the paper's Cost(τ); the
+	// planners use it as the shadow price of shedding, so it must
+	// exceed PmaxUSD.
+	EmergencyCostUSD float64
 	// Battery is the UPS configuration (Sec. VI-A constants by default).
 	Battery battery.Params
 	// Fleet is the on-site generation fleet in dispatch order
@@ -124,18 +146,70 @@ type Config struct {
 	// exactly). Each unit keeps its own physics and accounting;
 	// Decision.GenerateUnits addresses them individually.
 	Fleet []generator.Params
-	// Market bounds the grid interface (Pgrid, Pmax).
-	Market market.Params
-	// WasteCostUSD prices wasted energy per MWh (the paper adds W(τ) to
-	// Cost(τ) directly, i.e. an implicit unit price).
-	WasteCostUSD float64
-	// EmergencyCostUSD prices unserved delay-sensitive energy per MWh.
-	// It is reported separately from the paper's Cost(τ).
-	EmergencyCostUSD float64
-	// SdtMaxMWh is Sdtmax, the per-slot cap on delay-tolerant service.
-	SdtMaxMWh float64
-	// SmaxMWh is Smax, the per-slot cap on total supply s(τ) (Eq. 1).
-	SmaxMWh float64
+}
+
+// DefaultPlant returns the paper's Sec. VI-A plant: Pgrid = 2 MWh and
+// Smax = 4 MWh per one-hour slot, Sdtmax = 1 MWh, Pmax = 150 USD/MWh,
+// a 15-minute UPS and no on-site generation.
+func DefaultPlant() Plant {
+	return Plant{
+		PgridMWh:         2.0,
+		PmaxUSD:          150,
+		SmaxMWh:          4.0,
+		SdtMaxMWh:        1.0,
+		WasteCostUSD:     1.0,
+		EmergencyCostUSD: 1e6,
+		Battery:          battery.Sized(2.0, 15, 1),
+	}
+}
+
+// Validate reports plant errors, non-finite values first.
+func (p Plant) Validate() error {
+	fields := [...]struct {
+		name string
+		v    float64
+	}{
+		{"PgridMWh", p.PgridMWh},
+		{"PmaxUSD", p.PmaxUSD},
+		{"SmaxMWh", p.SmaxMWh},
+		{"SdtMaxMWh", p.SdtMaxMWh},
+		{"WasteCostUSD", p.WasteCostUSD},
+		{"EmergencyCostUSD", p.EmergencyCostUSD},
+	}
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("sim: %s is not finite", f.name)
+		}
+	}
+	switch {
+	case p.PgridMWh <= 0:
+		return errors.New("sim: PgridMWh must be positive")
+	case p.PmaxUSD <= 0:
+		return errors.New("sim: PmaxUSD must be positive")
+	case p.SmaxMWh <= 0:
+		return errors.New("sim: SmaxMWh must be positive")
+	case p.SdtMaxMWh <= 0:
+		return errors.New("sim: SdtMaxMWh must be positive")
+	case p.WasteCostUSD < 0:
+		return errors.New("sim: negative WasteCostUSD")
+	case p.EmergencyCostUSD <= p.PmaxUSD:
+		return errors.New("sim: EmergencyCostUSD must dwarf PmaxUSD")
+	}
+	if err := p.Battery.Validate(); err != nil {
+		return err
+	}
+	for i, u := range p.Fleet {
+		if err := u.Validate(); err != nil {
+			return fmt.Errorf("sim: fleet unit %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// Config parameterizes the engine: the plant it executes, plus what
+// only the engine's accounting reads.
+type Config struct {
+	Plant
 	// PeakChargeUSDPerMW is an optional demand charge applied once per run
 	// to the peak grid draw (in MW). Peak/demand-charge management is the
 	// paper's declared future work (Sec. IV-C); the engine measures it and
@@ -148,28 +222,11 @@ type Config struct {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if err := c.Battery.Validate(); err != nil {
+	if err := c.Plant.Validate(); err != nil {
 		return err
 	}
-	for i, u := range c.Fleet {
-		if err := u.Validate(); err != nil {
-			return fmt.Errorf("sim: fleet unit %d: %w", i, err)
-		}
-	}
-	if err := c.Market.Validate(); err != nil {
-		return err
-	}
-	switch {
-	case c.WasteCostUSD < 0:
-		return errors.New("sim: negative WasteCostUSD")
-	case c.EmergencyCostUSD < 0:
-		return errors.New("sim: negative EmergencyCostUSD")
-	case c.SdtMaxMWh <= 0:
-		return errors.New("sim: SdtMaxMWh must be positive")
-	case c.SmaxMWh <= 0:
-		return errors.New("sim: SmaxMWh must be positive")
-	case c.PeakChargeUSDPerMW < 0:
-		return errors.New("sim: negative PeakChargeUSDPerMW")
+	if !(c.PeakChargeUSDPerMW >= 0) || math.IsInf(c.PeakChargeUSDPerMW, 1) {
+		return errors.New("sim: PeakChargeUSDPerMW must be finite and non-negative")
 	}
 	return nil
 }

@@ -1,12 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"github.com/smartdpss/smartdpss/internal/battery"
-	"github.com/smartdpss/smartdpss/internal/market"
+	"github.com/smartdpss/smartdpss/internal/generator"
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
@@ -56,15 +57,58 @@ func flatSet(n int, dds, ddt, ren, plt, prt float64) *trace.Set {
 	}
 }
 
-func testConfig() Config {
-	return Config{
-		Battery:          battery.Sized(2.0, 15, 1),
-		Market:           market.Params{PgridMWh: 2.0, PmaxUSD: 150},
-		WasteCostUSD:     1.0,
-		EmergencyCostUSD: 1e6,
-		SdtMaxMWh:        1.0,
-		SmaxMWh:          4.0,
-		KeepSeries:       true,
+func testConfig() Config { return Config{Plant: DefaultPlant(), KeepSeries: true} }
+
+// TestPlantValidate covers every rule of the one plant validation that
+// sim.Config, core.Params and baseline.Config share, and the checks
+// Config adds on top.
+func TestPlantValidate(t *testing.T) {
+	if err := DefaultPlant().Validate(); err != nil {
+		t.Fatalf("DefaultPlant invalid: %v", err)
+	}
+	mut := func(f func(*Plant)) Plant {
+		p := DefaultPlant()
+		f(&p)
+		return p
+	}
+	bad := map[string]Plant{
+		"PgridMWh zero":            mut(func(p *Plant) { p.PgridMWh = 0 }),
+		"PmaxUSD zero":             mut(func(p *Plant) { p.PmaxUSD = 0 }),
+		"SmaxMWh zero":             mut(func(p *Plant) { p.SmaxMWh = 0 }),
+		"SdtMaxMWh zero":           mut(func(p *Plant) { p.SdtMaxMWh = 0 }),
+		"WasteCostUSD negative":    mut(func(p *Plant) { p.WasteCostUSD = -1 }),
+		"EmergencyCostUSD at Pmax": mut(func(p *Plant) { p.EmergencyCostUSD = p.PmaxUSD }),
+		"battery invalid":          mut(func(p *Plant) { p.Battery.ChargeEff = 2 }),
+		"battery overflowed":       mut(func(p *Plant) { p.Battery = battery.Sized(1e308, 15, 1) }),
+		"fleet unit invalid": mut(func(p *Plant) {
+			p.Fleet = []generator.Params{{CapacityMWh: 1}, {CapacityMWh: -1}}
+		}),
+	}
+	fields := map[string]func(*Plant) *float64{
+		"PgridMWh":         func(p *Plant) *float64 { return &p.PgridMWh },
+		"PmaxUSD":          func(p *Plant) *float64 { return &p.PmaxUSD },
+		"SmaxMWh":          func(p *Plant) *float64 { return &p.SmaxMWh },
+		"SdtMaxMWh":        func(p *Plant) *float64 { return &p.SdtMaxMWh },
+		"WasteCostUSD":     func(p *Plant) *float64 { return &p.WasteCostUSD },
+		"EmergencyCostUSD": func(p *Plant) *float64 { return &p.EmergencyCostUSD },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			bad[fmt.Sprintf("%s %g", name, v)] = mut(func(p *Plant) { *field(p) = v })
+		}
+	}
+	for name, p := range bad {
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: invalid plant accepted", name)
+		}
+		if err := (Config{Plant: p}).Validate(); err == nil {
+			t.Errorf("%s: Config over an invalid plant accepted", name)
+		}
+	}
+	for _, peak := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if err := (Config{Plant: DefaultPlant(), PeakChargeUSDPerMW: peak}).Validate(); err == nil {
+			t.Errorf("PeakChargeUSDPerMW %g accepted", peak)
+		}
 	}
 }
 

@@ -67,14 +67,6 @@ func Scenarios() []Scenario {
 	return out
 }
 
-// Lookup returns the scenario registered under name.
-func Lookup(name string) (Scenario, bool) {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	s, ok := registry.byName[name]
-	return s, ok
-}
-
 // Tags returns every distinct tag in use, sorted.
 func Tags() []string {
 	registry.mu.RLock()

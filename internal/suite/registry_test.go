@@ -38,13 +38,14 @@ func TestRegisterLookup(t *testing.T) {
 	testScenario(t, "reg-a", "reg-test")
 	testScenario(t, "reg-b", "reg-test", "reg-extra")
 
-	s, ok := Lookup("reg-a")
-	if !ok || s.Name != "reg-a" {
-		t.Fatalf("Lookup(reg-a) = %+v, %v", s, ok)
+	got, err := Select("reg-a")
+	if err != nil || len(got) != 1 || got[0].Name != "reg-a" {
+		t.Fatalf("Select(reg-a) = %+v, %v", got, err)
 	}
-	if _, ok := Lookup("reg-missing"); ok {
-		t.Error("Lookup(reg-missing) found a scenario")
+	if _, err := Select("reg-missing"); err == nil {
+		t.Error("Select(reg-missing) found a scenario")
 	}
+	s := got[0]
 	if !s.HasTag("reg-test") || s.HasTag("reg-extra") {
 		t.Errorf("HasTag wrong for %+v", s)
 	}
