@@ -76,7 +76,7 @@ type SessionStatus = sim.Status
 // streaming counterpart of Simulate. Each slot is Step(input) →
 // Decision, then Commit() → SlotOutcome; Finish() returns the Report.
 // Between slots the full state — controller, battery, fleet, market
-// account, backlog, report accumulators — can be checkpointed with
+// account, backlog, running totals — can be checkpointed with
 // Snapshot and reinstated with Restore on an identically configured
 // session, in this process or another one; the resumed run is
 // byte-identical to an uninterrupted one.

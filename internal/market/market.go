@@ -209,6 +209,3 @@ func (a *Account) LongTermCost() float64 { return a.ltCostUSD }
 
 // RealTimeCost returns the lifetime real-time bill in USD.
 func (a *Account) RealTimeCost() float64 { return a.rtCostUSD }
-
-// TotalCost returns the lifetime grid bill in USD.
-func (a *Account) TotalCost() float64 { return a.ltCostUSD + a.rtCostUSD }

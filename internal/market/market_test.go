@@ -94,8 +94,8 @@ func TestBuyRealTime(t *testing.T) {
 	if a.RealTimeEnergy() != 0.5 || a.RealTimeCost() != 30 {
 		t.Errorf("totals: energy=%g cost=%g", a.RealTimeEnergy(), a.RealTimeCost())
 	}
-	if a.TotalCost() != 30 {
-		t.Errorf("TotalCost = %g, want 30 (no LT settled yet)", a.TotalCost())
+	if a.LongTermCost() != 0 {
+		t.Errorf("LongTermCost = %g, want 0 (no LT settled yet)", a.LongTermCost())
 	}
 }
 

@@ -1,11 +1,9 @@
-// Package metrics provides the streaming statistic used by the
-// simulation reports and experiments: Welford mean/variance and extrema
-// in O(1) memory.
+// Package metrics provides the streaming statistic the experiments
+// aggregate with: Welford mean/variance and extrema in O(1) memory.
 //
 // The package owns the accumulator types only — no simulation semantics.
-// internal/sim feeds them while building its per-run Report, and
 // internal/experiments aggregates across seeds and sweep points with
-// them; nothing below those two layers imports this package.
+// them; no other package imports this one.
 package metrics
 
 import "math"
@@ -60,36 +58,3 @@ func (s *Stream) Min() float64 { return s.min }
 
 // Max returns the largest sample (-Inf when empty).
 func (s *Stream) Max() float64 { return s.max }
-
-// StreamState is a stream's mutable state, exported for session
-// checkpoints. An empty stream stores zero Min/Max (the live ±Inf
-// sentinels do not survive JSON); Restore reinstates the sentinels from
-// N == 0, so the round trip is exact in both cases.
-type StreamState struct {
-	N    int     `json:"n"`
-	Mean float64 `json:"mean"`
-	M2   float64 `json:"m2"`
-	Min  float64 `json:"min"`
-	Max  float64 `json:"max"`
-}
-
-// State captures the stream's mutable state for a checkpoint.
-func (s *Stream) State() StreamState {
-	st := StreamState{N: s.n, Mean: s.mean, M2: s.m2, Min: s.min, Max: s.max}
-	if st.N == 0 {
-		st.Min, st.Max = 0, 0
-	}
-	return st
-}
-
-// Restore overwrites the stream's mutable state from a checkpoint.
-func (s *Stream) Restore(st StreamState) {
-	s.n = st.N
-	s.mean = st.Mean
-	s.m2 = st.M2
-	s.min = st.Min
-	s.max = st.Max
-	if st.N == 0 {
-		s.min, s.max = math.Inf(1), math.Inf(-1)
-	}
-}

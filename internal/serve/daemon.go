@@ -22,7 +22,7 @@ type Config struct {
 	// CheckpointPath, when non-empty, enables crash recovery: the daemon
 	// restores from this file at construction if it exists, rewrites it
 	// atomically every CheckpointEvery slots, and writes a final
-	// checkpoint on shutdown.
+	// checkpoint on shutdown unless the file already holds that slot.
 	CheckpointPath string
 	// CheckpointEvery is the number of committed slots between periodic
 	// checkpoint writes (default 24 — once per simulated day at hourly
@@ -47,6 +47,7 @@ type Daemon struct {
 	sess        *engine.Session
 	checkpoints uint64 // checkpoint files written
 	resumed     bool   // whether New restored from an existing checkpoint
+	saved       int    // slot the checkpoint file holds, -1 before one exists
 }
 
 // New validates cfg and builds the daemon. If cfg.CheckpointPath names
@@ -63,7 +64,7 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 24
 	}
-	d := &Daemon{cfg: cfg, sess: cfg.Session}
+	d := &Daemon{cfg: cfg, sess: cfg.Session, saved: -1}
 	if cfg.CheckpointPath != "" {
 		data, err := os.ReadFile(cfg.CheckpointPath)
 		switch {
@@ -79,6 +80,7 @@ func New(cfg Config) (*Daemon, error) {
 				return nil, err
 			}
 			d.resumed = true
+			d.saved = d.sess.Slot()
 			d.logf("resumed from %s at slot %d/%d",
 				cfg.CheckpointPath, d.sess.Slot(), d.sess.Horizon())
 		}
@@ -110,8 +112,11 @@ func (d *Daemon) logf(format string, args ...any) {
 // Run executes the ingest loop until the source drains (io.EOF), the
 // session's horizon is exhausted, or ctx is cancelled — SIGTERM handling
 // belongs to the caller, which cancels ctx. On every exit path with
-// checkpointing enabled, a final checkpoint is written so the next
-// process resumes exactly one slot boundary behind the shutdown.
+// checkpointing enabled, the daemon leaves the last committed slot in
+// the checkpoint file — writing it at shutdown unless the last periodic
+// write already holds it — so the next process resumes exactly where
+// this one stopped. A failed final write is Run's error unless the loop
+// already failed.
 func (d *Daemon) Run(ctx context.Context) error {
 	for !d.sess.Done() {
 		if d.cfg.Interval > 0 {
@@ -156,10 +161,11 @@ func (d *Daemon) Run(ctx context.Context) error {
 	return d.shutdown(nil)
 }
 
-// shutdown writes the final checkpoint (when enabled) and folds any
-// checkpoint failure into the loop's own exit error.
+// shutdown writes the final checkpoint (when enabled and the file does
+// not already hold the current slot) and folds any checkpoint failure
+// into the loop's own exit error.
 func (d *Daemon) shutdown(cause error) error {
-	if d.cfg.CheckpointPath != "" {
+	if d.cfg.CheckpointPath != "" && d.saved != d.sess.Slot() {
 		if err := d.writeCheckpoint(); err != nil && cause == nil {
 			cause = err
 		}
@@ -173,6 +179,7 @@ func (d *Daemon) shutdown(cause error) error {
 func (d *Daemon) writeCheckpoint() error {
 	d.mu.Lock()
 	data, err := d.sess.Snapshot()
+	slot := d.sess.Slot()
 	d.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("serve: snapshot: %w", err)
@@ -197,10 +204,11 @@ func (d *Daemon) writeCheckpoint() error {
 	if err := os.Rename(tmp.Name(), d.cfg.CheckpointPath); err != nil {
 		return fmt.Errorf("serve: publish checkpoint: %w", err)
 	}
+	d.saved = slot
 	d.mu.Lock()
 	d.checkpoints++
 	n := d.checkpoints
 	d.mu.Unlock()
-	d.logf("checkpoint %d written at slot %d", n, d.sess.Slot())
+	d.logf("checkpoint %d written at slot %d", n, slot)
 	return nil
 }

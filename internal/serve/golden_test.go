@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -157,6 +159,50 @@ func TestEncodingsPinned(t *testing.T) {
 				t.Error("run resumed from the pinned checkpoint differs from the uninterrupted run")
 			}
 		})
+	}
+}
+
+// TestVersionOneCheckpointRefused: a checkpoint in the version-1 format
+// (the golden SmartDPSS checkpoint at slot 36, whose report block held
+// a copy of the in-progress Report) is refused with ErrSnapshotMismatch
+// by a session of the same configuration, which it leaves as it was.
+func TestVersionOneCheckpointRefused(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "checkpoint-v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := shortTraces(t, goldenDays)
+	s := streamArms()[0].session(t, traces.Horizon())
+	for s.Slot() < 12 {
+		step(t, s, traces)
+	}
+	before, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old, cur struct {
+		Version    int    `json:"version"`
+		ConfigHash string `json:"configHash"`
+	}
+	if err := json.Unmarshal(v1, &old); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(before, &cur); err != nil {
+		t.Fatal(err)
+	}
+	if old.Version != 1 || old.ConfigHash != cur.ConfigHash {
+		t.Fatalf("fixture is version %d with hash %.12s; want version 1 of this configuration (%.12s)",
+			old.Version, old.ConfigHash, cur.ConfigHash)
+	}
+	if err := s.Restore(v1); !errors.Is(err, engine.ErrSnapshotMismatch) {
+		t.Fatalf("err = %v, want ErrSnapshotMismatch", err)
+	}
+	after, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Error("refused checkpoint changed the session")
 	}
 }
 

@@ -361,7 +361,8 @@ func TestValidateExpositionRejects(t *testing.T) {
 }
 
 // TestPeriodicCheckpoints: the daemon writes on the configured cadence,
-// not just at shutdown.
+// not just at shutdown, and does not rewrite at shutdown the slot the
+// last periodic write already holds.
 func TestPeriodicCheckpoints(t *testing.T) {
 	traces := shortTraces(t, 2) // 48 slots
 	ckpt := filepath.Join(t.TempDir(), "dpss.ckpt")
@@ -369,8 +370,40 @@ func TestPeriodicCheckpoints(t *testing.T) {
 	if err := d.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	// 48/12 periodic writes plus the final shutdown write.
-	if got := d.Checkpoints(); got != 5 {
-		t.Errorf("checkpoints = %d, want 5", got)
+	// 48/12 periodic writes; the last one is also the final checkpoint.
+	if got := d.Checkpoints(); got != 4 {
+		t.Errorf("checkpoints = %d, want 4", got)
+	}
+}
+
+// TestFinalCheckpointBetweenBoundaries: a daemon stopped between two
+// periodic writes still writes the slot it stopped at, and a daemon
+// that resumes from that file and stops again at once rewrites nothing.
+func TestFinalCheckpointBetweenBoundaries(t *testing.T) {
+	traces := shortTraces(t, 2)
+	ckpt := filepath.Join(t.TempDir(), "dpss.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	d := newDaemon(t, traces, Config{CheckpointPath: ckpt, CheckpointEvery: 12})
+	d.cfg.Source = &interruptSource{Source: d.cfg.Source, n: 30, cancel: cancel}
+	if err := d.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// Periodic writes at slots 12 and 24, the final one at 30.
+	if got := d.Checkpoints(); got != 3 {
+		t.Errorf("checkpoints = %d, want 3", got)
+	}
+
+	stopped, cancel2 := context.WithCancel(context.Background())
+	cancel2()
+	again := newDaemon(t, traces, Config{CheckpointPath: ckpt, CheckpointEvery: 12})
+	if got := again.Session().Slot(); got != 30 {
+		t.Fatalf("resumed at slot %d, want 30", got)
+	}
+	if err := again.Run(stopped); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := again.Checkpoints(); got != 0 {
+		t.Errorf("resumed daemon rewrote the checkpoint it resumed from (%d writes)", got)
 	}
 }

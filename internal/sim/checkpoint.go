@@ -10,17 +10,18 @@ import (
 	"github.com/smartdpss/smartdpss/internal/generator"
 	"github.com/smartdpss/smartdpss/internal/jsonenc"
 	"github.com/smartdpss/smartdpss/internal/market"
-	"github.com/smartdpss/smartdpss/internal/metrics"
 	"github.com/smartdpss/smartdpss/internal/queue"
 )
 
 // CheckpointVersion is the on-disk checkpoint format version. Restore
 // rejects any other value with ErrSnapshotMismatch: a format change gets
 // a new version, never a silent reinterpretation.
-const CheckpointVersion = 1
+const CheckpointVersion = 2
 
 // Checkpoint is the JSON image of a session between two slots: every
-// mutable component state plus the controller's own blob. Configuration
+// mutable component state, the session's running Totals as its report
+// block (the Report itself is built only at Finish), and the
+// controller's own blob. Configuration
 // is NOT stored — it is pinned by ConfigHash, a digest of the session's
 // Config, controller name, horizon, slot length and the caller's
 // fingerprint. Restore therefore requires an identically configured
@@ -46,7 +47,7 @@ type Checkpoint struct {
 	Market  market.State       `json:"market"`
 	Backlog queue.BacklogState `json:"backlog"`
 	Fleet   []generator.State  `json:"fleet,omitempty"`
-	Report  ReportState        `json:"report"`
+	Report  Totals             `json:"report"`
 
 	// ControllerState is the controller's Snapshotter blob
 	// (policy-specific: virtual queues, trailing means, RNG position).
@@ -116,7 +117,7 @@ func (s *Session) Checkpoint() (Checkpoint, error) {
 		Market:          s.acct.State(),
 		Backlog:         s.backlog.State(),
 		Fleet:           s.fleet.State(),
-		Report:          s.rep.state(),
+		Report:          s.tot,
 		ControllerState: ctrlState,
 	}, nil
 }
@@ -188,7 +189,7 @@ func (s *Session) Restore(data []byte) error {
 		return fmt.Errorf("sim: restore fleet: %w", err)
 	}
 	s.backlog.Restore(cp.Backlog)
-	s.rep = restoreReport(cp.Report, s.ctrl.Name(), s.horizon, s.cfg.KeepSeries)
+	s.tot = cp.Report.withSeries(s.cfg.KeepSeries, s.horizon)
 	s.slot = cp.Slot
 	s.finished = false
 	return nil
@@ -299,11 +300,44 @@ func (cp *Checkpoint) appendJSON(dst []byte) ([]byte, error) {
 		e.CloseArray()
 	}
 
+	t := &cp.Report
 	e.Key("report").Open()
-	appendReport(e.Key("summary"), &cp.Report.Summary)
-	appendStream(e.Key("costStream"), &cp.Report.CostStream)
-	appendStream(e.Key("backlogStream"), &cp.Report.BacklogStream)
-	e.Key("unavailable").Int(cp.Report.Unavailable)
+	e.Key("totalCostUSD").Float(t.TotalCostUSD)
+	e.Key("batteryOpUSD").Float(t.BatteryOpUSD)
+	e.Key("wasteCostUSD").Float(t.WasteCostUSD)
+	if t.GenFuelUSD != 0 {
+		e.Key("genFuelUSD").Float(t.GenFuelUSD)
+	}
+	if t.GenStartupUSD != 0 {
+		e.Key("genStartupUSD").Float(t.GenStartupUSD)
+	}
+	e.Key("emergencyCostUSD").Float(t.EmergencyCostUSD)
+	e.Key("renewableMWh").Float(t.RenewableMWh)
+	if t.GenEnergyMWh != 0 {
+		e.Key("genEnergyMWh").Float(t.GenEnergyMWh)
+	}
+	e.Key("wasteMWh").Float(t.WasteMWh)
+	e.Key("unservedMWh").Float(t.UnservedMWh)
+	e.Key("servedDTMWh").Float(t.ServedDTMWh)
+	if t.GenCO2Kg != 0 {
+		e.Key("genCO2Kg").Float(t.GenCO2Kg)
+	}
+	e.Key("backlogMeanMWh").Float(t.BacklogMeanMWh)
+	e.Key("backlogMaxMWh").Float(t.BacklogMaxMWh)
+	e.Key("batteryMinMWh").Float(t.BatteryMinMWh)
+	e.Key("batteryMaxMWh").Float(t.BatteryMaxMWh)
+	e.Key("peakGridMW").Float(t.PeakGridMW)
+	e.Key("nearPeakSlots").Int(t.NearPeakSlots)
+	e.Key("unavailable").Int(t.Unavailable)
+	if len(t.CostSeries) > 0 {
+		e.Key("costSeries").Floats(t.CostSeries)
+	}
+	if len(t.BacklogSeries) > 0 {
+		e.Key("backlogSeries").Floats(t.BacklogSeries)
+	}
+	if len(t.BatterySeries) > 0 {
+		e.Key("batterySeries").Floats(t.BatterySeries)
+	}
 	e.Close()
 
 	if len(cp.ControllerState) > 0 {
@@ -311,93 +345,4 @@ func (cp *Checkpoint) appendJSON(dst []byte) ([]byte, error) {
 	}
 	e.Close()
 	return e.Bytes()
-}
-
-// appendReport appends the exported fields of an in-progress report.
-func appendReport(e *jsonenc.Encoder, r *Report) {
-	e.Open()
-	e.Key("controller").String(r.Controller)
-	e.Key("slots").Int(r.Slots)
-	e.Key("totalCostUSD").Float(r.TotalCostUSD)
-	e.Key("ltCostUSD").Float(r.LTCostUSD)
-	e.Key("rtCostUSD").Float(r.RTCostUSD)
-	e.Key("batteryOpUSD").Float(r.BatteryOpUSD)
-	e.Key("wasteCostUSD").Float(r.WasteCostUSD)
-	if r.GenFuelUSD != 0 {
-		e.Key("genFuelUSD").Float(r.GenFuelUSD)
-	}
-	if r.GenStartupUSD != 0 {
-		e.Key("genStartupUSD").Float(r.GenStartupUSD)
-	}
-	e.Key("emergencyCostUSD").Float(r.EmergencyCostUSD)
-	e.Key("timeAvgCostUSD").Float(r.TimeAvgCostUSD)
-	e.Key("ltEnergyMWh").Float(r.LTEnergyMWh)
-	e.Key("rtEnergyMWh").Float(r.RTEnergyMWh)
-	e.Key("renewableMWh").Float(r.RenewableMWh)
-	if r.GenEnergyMWh != 0 {
-		e.Key("genEnergyMWh").Float(r.GenEnergyMWh)
-	}
-	e.Key("wasteMWh").Float(r.WasteMWh)
-	e.Key("unservedMWh").Float(r.UnservedMWh)
-	e.Key("servedDTMWh").Float(r.ServedDTMWh)
-	e.Key("batteryInMWh").Float(r.BatteryInMWh)
-	e.Key("batteryOutMWh").Float(r.BatteryOutMWh)
-	if r.GenStarts != 0 {
-		e.Key("genStarts").Int(r.GenStarts)
-	}
-	if r.GenSlots != 0 {
-		e.Key("genSlots").Int(r.GenSlots)
-	}
-	if r.GenCO2Kg != 0 {
-		e.Key("genCO2Kg").Float(r.GenCO2Kg)
-	}
-	if len(r.GenUnits) > 0 {
-		e.Key("genUnits").OpenArray()
-		for i := range r.GenUnits {
-			u := &r.GenUnits[i]
-			e.Open()
-			e.Key("capacityMWh").Float(u.CapacityMWh)
-			e.Key("energyMWh").Float(u.EnergyMWh)
-			e.Key("fuelUSD").Float(u.FuelUSD)
-			e.Key("startupUSD").Float(u.StartupUSD)
-			e.Key("co2Kg").Float(u.CO2Kg)
-			e.Key("starts").Int(u.Starts)
-			e.Key("opSlots").Int(u.OpSlots)
-			e.Close()
-		}
-		e.CloseArray()
-	}
-	e.Key("meanDelaySlots").Float(r.MeanDelaySlots)
-	e.Key("maxDelaySlots").Int(r.MaxDelaySlots)
-	e.Key("backlogMaxMWh").Float(r.BacklogMaxMWh)
-	e.Key("backlogMeanMWh").Float(r.BacklogMeanMWh)
-	e.Key("batteryMinMWh").Float(r.BatteryMinMWh)
-	e.Key("batteryMaxMWh").Float(r.BatteryMaxMWh)
-	e.Key("batteryOps").Int(r.BatteryOps)
-	e.Key("peakGridMW").Float(r.PeakGridMW)
-	e.Key("peakChargeUSD").Float(r.PeakChargeUSD)
-	e.Key("nearPeakSlots").Int(r.NearPeakSlots)
-	e.Key("availability").Float(r.Availability)
-	e.Key("availabilityViolations").Int(r.AvailabilityViolations)
-	if len(r.CostSeries) > 0 {
-		e.Key("costSeries").Floats(r.CostSeries)
-	}
-	if len(r.BacklogSeries) > 0 {
-		e.Key("backlogSeries").Floats(r.BacklogSeries)
-	}
-	if len(r.BatterySeries) > 0 {
-		e.Key("batterySeries").Floats(r.BatterySeries)
-	}
-	e.Close()
-}
-
-// appendStream appends a streaming statistic's checkpoint state.
-func appendStream(e *jsonenc.Encoder, st *metrics.StreamState) {
-	e.Open()
-	e.Key("n").Int(st.N)
-	e.Key("mean").Float(st.Mean)
-	e.Key("m2").Float(st.M2)
-	e.Key("min").Float(st.Min)
-	e.Key("max").Float(st.Max)
-	e.Close()
 }

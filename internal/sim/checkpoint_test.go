@@ -11,7 +11,7 @@ import (
 )
 
 // TestCheckpointEncoderMatchesMarshal fills every exported field of a
-// Checkpoint — battery, market, backlog, fleet, report and streams —
+// Checkpoint — battery, market, backlog, fleet and the session totals —
 // through reflection and requires the append encoder to write exactly
 // json.Marshal's bytes, so a field added to any state type without its
 // encoder fails here.
@@ -73,9 +73,9 @@ func TestSnapshotRejectsNonFinite(t *testing.T) {
 		name   string
 		poison func(*Session)
 	}{
-		{"summary NaN", func(s *Session) { s.rep.TotalCostUSD = math.NaN() }},
-		{"series +Inf", func(s *Session) { s.rep.CostSeries[1] = math.Inf(1) }},
-		{"stream -Inf", func(s *Session) { s.rep.costStream.Add(math.Inf(-1)) }},
+		{"summary NaN", func(s *Session) { s.tot.TotalCostUSD = math.NaN() }},
+		{"series +Inf", func(s *Session) { s.tot.CostSeries[1] = math.Inf(1) }},
+		{"stream -Inf", func(s *Session) { s.tot.BacklogMeanMWh = math.Inf(-1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := NewSession(testConfig(), &snapController{scriptController{name: "nf", gbef: 3}}, set.Horizon(), 60, nil)

@@ -3,43 +3,16 @@ package sim
 import (
 	"fmt"
 	"strings"
-
-	"github.com/smartdpss/smartdpss/internal/battery"
-	"github.com/smartdpss/smartdpss/internal/generator"
-	"github.com/smartdpss/smartdpss/internal/market"
-	"github.com/smartdpss/smartdpss/internal/metrics"
-	"github.com/smartdpss/smartdpss/internal/queue"
 )
-
-// slotRecord carries one executed slot into the report.
-type slotRecord struct {
-	slot          int
-	gridDrawMW    float64
-	nearPeak      bool
-	cost          float64
-	ltCost        float64
-	rtCost        float64
-	opCost        float64
-	wasteCost     float64
-	waste         float64
-	unserved      float64
-	emergencyCost float64
-	backlog       float64
-	battery       float64
-	renewable     float64
-	served        float64
-	genMWh        float64
-	genFuelUSD    float64
-	genStartUSD   float64
-	genCO2Kg      float64
-	batteryMoved  bool
-	available     bool
-}
 
 // Report summarizes one simulation run. Cost fields follow the paper's
 // Cost(τ) decomposition: long-term grid, real-time grid, UPS operation and
 // wasted energy. The emergency penalty (unserved delay-sensitive demand) is
 // reported separately because the paper's model assumes it never happens.
+//
+// A Report is plain output: Session.Finish builds it once from the
+// session's Totals and the market, battery, backlog and fleet ledgers,
+// and nothing updates it afterwards.
 type Report struct {
 	Controller string `json:"controller"`
 	Slots      int    `json:"slots"`
@@ -84,7 +57,9 @@ type Report struct {
 	MeanDelaySlots float64 `json:"meanDelaySlots"`
 	MaxDelaySlots  int     `json:"maxDelaySlots"`
 
-	// Queue and battery extremes.
+	// Queue and battery extremes over the post-slot states. A report of
+	// zero slots has a zero backlog and the current battery level as
+	// both battery extremes.
 	BacklogMaxMWh  float64 `json:"backlogMaxMWh"`
 	BacklogMeanMWh float64 `json:"backlogMeanMWh"`
 	BatteryMinMWh  float64 `json:"batteryMinMWh"`
@@ -109,10 +84,6 @@ type Report struct {
 	CostSeries    []float64 `json:"costSeries,omitempty"`
 	BacklogSeries []float64 `json:"backlogSeries,omitempty"`
 	BatterySeries []float64 `json:"batterySeries,omitempty"`
-
-	costStream    *metrics.Stream
-	backlogStream *metrics.Stream
-	unavailable   int
 }
 
 // GenUnitReport is one fleet unit's lifetime accounting.
@@ -126,115 +97,129 @@ type GenUnitReport struct {
 	OpSlots     int     `json:"opSlots"`
 }
 
-func newReport(controller string, horizon int, keepSeries bool) *Report {
+// Totals are the running totals of a session that no component keeps:
+// the per-slot sum of Cost(τ) and of its parts the market does not
+// bill, the slot energy flows, the backlog mean and maximum, the
+// post-slot battery extremes, the peak grid draw, the availability
+// count and, with Config.KeepSeries, the per-slot series. Commit
+// updates them, a Checkpoint carries them as its report block, and
+// Status and Finish read them together with the market, battery,
+// backlog and fleet ledgers.
+//
+// Some totals have a component counterpart that groups or counts the
+// same flows differently, so the report keeps the session's sums:
+// TotalCostUSD is the per-slot sum of Cost(τ), not the sum of its
+// parts; the Gen* totals sum the fleet's per-slot outcomes, not the
+// units' ledgers; ServedDTMWh sums the slot service, not the backlog's
+// ledger; and BatteryOpUSD bills every slot with a positive executed
+// charge or discharge, where the battery counts an operation only
+// above 1e-9 MWh. Before the first slot the battery extremes are zero;
+// Finish then reports the current level as both.
+type Totals struct {
+	TotalCostUSD     float64 `json:"totalCostUSD"`
+	BatteryOpUSD     float64 `json:"batteryOpUSD"`
+	WasteCostUSD     float64 `json:"wasteCostUSD"`
+	GenFuelUSD       float64 `json:"genFuelUSD,omitempty"`
+	GenStartupUSD    float64 `json:"genStartupUSD,omitempty"`
+	EmergencyCostUSD float64 `json:"emergencyCostUSD"`
+
+	RenewableMWh float64 `json:"renewableMWh"`
+	GenEnergyMWh float64 `json:"genEnergyMWh,omitempty"`
+	WasteMWh     float64 `json:"wasteMWh"`
+	UnservedMWh  float64 `json:"unservedMWh"`
+	ServedDTMWh  float64 `json:"servedDTMWh"`
+	GenCO2Kg     float64 `json:"genCO2Kg,omitempty"`
+
+	// BacklogMeanMWh is the running (Welford) mean of the post-slot
+	// backlog.
+	BacklogMeanMWh float64 `json:"backlogMeanMWh"`
+	BacklogMaxMWh  float64 `json:"backlogMaxMWh"`
+	BatteryMinMWh  float64 `json:"batteryMinMWh"`
+	BatteryMaxMWh  float64 `json:"batteryMaxMWh"`
+	PeakGridMW     float64 `json:"peakGridMW"`
+	NearPeakSlots  int     `json:"nearPeakSlots"`
+	// Unavailable counts slots with unserved delay-sensitive demand or
+	// the battery below its reserve.
+	Unavailable int `json:"unavailable"`
+
+	CostSeries    []float64 `json:"costSeries,omitempty"`
+	BacklogSeries []float64 `json:"backlogSeries,omitempty"`
+	BatterySeries []float64 `json:"batterySeries,omitempty"`
+}
+
+// withSeries returns t with its series copied into fresh buffers of
+// capacity horizon, so appends stay allocation-free for the rest of
+// the run, or with no series when keep is false.
+func (t Totals) withSeries(keep bool, horizon int) Totals {
+	if !keep {
+		t.CostSeries, t.BacklogSeries, t.BatterySeries = nil, nil, nil
+		return t
+	}
+	t.CostSeries = append(make([]float64, 0, horizon), t.CostSeries...)
+	t.BacklogSeries = append(make([]float64, 0, horizon), t.BacklogSeries...)
+	t.BatterySeries = append(make([]float64, 0, horizon), t.BatterySeries...)
+	return t
+}
+
+// report builds the Report of the committed slots from the session's
+// totals and its component ledgers.
+func (s *Session) report() *Report {
+	t := &s.tot
+	fleet := s.fleet.Totals()
 	r := &Report{
-		Controller:    controller,
-		costStream:    metrics.NewStream(),
-		backlogStream: metrics.NewStream(),
-	}
-	if keepSeries {
-		r.CostSeries = make([]float64, 0, horizon)
-		r.BacklogSeries = make([]float64, 0, horizon)
-		r.BatterySeries = make([]float64, 0, horizon)
-	}
-	return r
-}
+		Controller:       s.ctrl.Name(),
+		Slots:            s.slot,
+		TotalCostUSD:     t.TotalCostUSD,
+		LTCostUSD:        s.acct.LongTermCost(),
+		RTCostUSD:        s.acct.RealTimeCost(),
+		BatteryOpUSD:     t.BatteryOpUSD,
+		WasteCostUSD:     t.WasteCostUSD,
+		GenFuelUSD:       t.GenFuelUSD,
+		GenStartupUSD:    t.GenStartupUSD,
+		EmergencyCostUSD: t.EmergencyCostUSD,
 
-// ReportState is the in-progress report in checkpoint form: the running
-// accumulators (the exported Report fields, finalize-derived ones still
-// zero mid-run) plus the streaming statistics and the availability
-// counter that live in unexported fields.
-type ReportState struct {
-	Summary       Report              `json:"summary"`
-	CostStream    metrics.StreamState `json:"costStream"`
-	BacklogStream metrics.StreamState `json:"backlogStream"`
-	Unavailable   int                 `json:"unavailable"`
-}
+		LTEnergyMWh:   s.acct.LongTermEnergy(),
+		RTEnergyMWh:   s.acct.RealTimeEnergy(),
+		RenewableMWh:  t.RenewableMWh,
+		GenEnergyMWh:  t.GenEnergyMWh,
+		WasteMWh:      t.WasteMWh,
+		UnservedMWh:   t.UnservedMWh,
+		ServedDTMWh:   t.ServedDTMWh,
+		BatteryInMWh:  s.batt.ChargedTotal(),
+		BatteryOutMWh: s.batt.DischargedTotal(),
 
-// state captures the in-progress report for a checkpoint.
-func (r *Report) state() ReportState {
-	return ReportState{
-		Summary:       *r,
-		CostStream:    r.costStream.State(),
-		BacklogStream: r.backlogStream.State(),
-		Unavailable:   r.unavailable,
-	}
-}
+		GenStarts: fleet.Starts,
+		GenSlots:  fleet.OpSlots,
+		GenCO2Kg:  t.GenCO2Kg,
 
-// restoreReport rebuilds an in-progress report from a checkpoint. The
-// session's own keepSeries setting governs the series (the config hash
-// pins it to the snapshotting session's anyway); with series kept, the
-// recorded prefix is copied into fresh capacity-horizon buffers so
-// appends stay allocation-free for the rest of the run.
-func restoreReport(s ReportState, controller string, horizon int, keepSeries bool) *Report {
-	r := newReport(controller, horizon, keepSeries)
-	costs, backlogs, batteries := r.CostSeries, r.BacklogSeries, r.BatterySeries
-	costStream, backlogStream := r.costStream, r.backlogStream
-	*r = s.Summary
-	r.Controller = controller
-	r.costStream, r.backlogStream = costStream, backlogStream
-	r.costStream.Restore(s.CostStream)
-	r.backlogStream.Restore(s.BacklogStream)
-	r.unavailable = s.Unavailable
-	if keepSeries {
-		r.CostSeries = append(costs[:0], s.Summary.CostSeries...)
-		r.BacklogSeries = append(backlogs[:0], s.Summary.BacklogSeries...)
-		r.BatterySeries = append(batteries[:0], s.Summary.BatterySeries...)
-	} else {
-		r.CostSeries, r.BacklogSeries, r.BatterySeries = nil, nil, nil
-	}
-	return r
-}
+		MeanDelaySlots: s.backlog.MeanDelay(),
+		MaxDelaySlots:  s.backlog.MaxDelay(),
 
-func (r *Report) recordSlot(rec slotRecord) {
-	r.Slots++
-	r.TotalCostUSD += rec.cost
-	r.LTCostUSD += rec.ltCost
-	r.RTCostUSD += rec.rtCost
-	r.BatteryOpUSD += rec.opCost
-	r.WasteCostUSD += rec.wasteCost
-	r.EmergencyCostUSD += rec.emergencyCost
-	r.GenFuelUSD += rec.genFuelUSD
-	r.GenStartupUSD += rec.genStartUSD
-	r.GenEnergyMWh += rec.genMWh
-	r.GenCO2Kg += rec.genCO2Kg
-	r.WasteMWh += rec.waste
-	r.UnservedMWh += rec.unserved
-	r.RenewableMWh += rec.renewable
-	r.ServedDTMWh += rec.served
-	r.costStream.Add(rec.cost)
-	r.backlogStream.Add(rec.backlog)
-	if rec.gridDrawMW > r.PeakGridMW {
-		r.PeakGridMW = rec.gridDrawMW
-	}
-	if rec.nearPeak {
-		r.NearPeakSlots++
-	}
-	if !rec.available {
-		r.unavailable++
-	}
-	if r.CostSeries != nil {
-		r.CostSeries = append(r.CostSeries, rec.cost)
-		r.BacklogSeries = append(r.BacklogSeries, rec.backlog)
-		r.BatterySeries = append(r.BatterySeries, rec.battery)
-	}
-}
+		BacklogMaxMWh:  t.BacklogMaxMWh,
+		BacklogMeanMWh: t.BacklogMeanMWh,
+		BatteryMinMWh:  t.BatteryMinMWh,
+		BatteryMaxMWh:  t.BatteryMaxMWh,
+		BatteryOps:     s.batt.Ops(),
 
-func (r *Report) finalize(batt *battery.Battery, fleet *generator.Fleet, acct *market.Account, backlog *queue.Backlog) {
+		PeakGridMW:    t.PeakGridMW,
+		NearPeakSlots: t.NearPeakSlots,
+
+		AvailabilityViolations: t.Unavailable,
+
+		CostSeries:    t.CostSeries,
+		BacklogSeries: t.BacklogSeries,
+		BatterySeries: t.BatterySeries,
+	}
 	if r.Slots > 0 {
 		r.TimeAvgCostUSD = r.TotalCostUSD / float64(r.Slots)
-		r.Availability = 1 - float64(r.unavailable)/float64(r.Slots)
+		r.Availability = 1 - float64(t.Unavailable)/float64(r.Slots)
+	} else {
+		r.BatteryMinMWh, r.BatteryMaxMWh = s.batt.Level(), s.batt.Level()
 	}
-	r.AvailabilityViolations = r.unavailable
-	r.LTEnergyMWh = acct.LongTermEnergy()
-	r.RTEnergyMWh = acct.RealTimeEnergy()
-	totals := fleet.Totals()
-	r.GenStarts = totals.Starts
-	r.GenSlots = totals.OpSlots
-	if fleet.Size() > 0 {
-		r.GenUnits = make([]GenUnitReport, fleet.Size())
+	if s.fleet.Size() > 0 {
+		r.GenUnits = make([]GenUnitReport, s.fleet.Size())
 		for i := range r.GenUnits {
-			u := fleet.Unit(i)
+			u := s.fleet.Unit(i)
 			r.GenUnits[i] = GenUnitReport{
 				CapacityMWh: u.Params().CapacityMWh,
 				EnergyMWh:   u.EnergyTotal(),
@@ -246,29 +231,9 @@ func (r *Report) finalize(batt *battery.Battery, fleet *generator.Fleet, acct *m
 			}
 		}
 	}
-	r.BatteryOps = batt.Ops()
-	r.BatteryInMWh = batt.ChargedTotal()
-	r.BatteryOutMWh = batt.DischargedTotal()
-	r.MeanDelaySlots = backlog.MeanDelay()
-	r.MaxDelaySlots = backlog.MaxDelay()
-	r.BacklogMaxMWh = r.backlogStream.Max()
-	r.BacklogMeanMWh = r.backlogStream.Mean()
-	if r.BatterySeries != nil && len(r.BatterySeries) > 0 {
-		min, max := r.BatterySeries[0], r.BatterySeries[0]
-		for _, v := range r.BatterySeries {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		r.BatteryMinMWh, r.BatteryMaxMWh = min, max
-	} else {
-		r.BatteryMinMWh = batt.Level()
-		r.BatteryMaxMWh = batt.Level()
-	}
 	r.scrubZeros()
+	r.PeakChargeUSD = r.PeakGridMW * s.cfg.PeakChargeUSDPerMW
+	return r
 }
 
 // zeroEps is the residual magnitude below which an accumulated report
@@ -300,7 +265,7 @@ func (r *Report) scrubZeros() {
 		&r.GenEnergyMWh, &r.WasteMWh, &r.UnservedMWh, &r.ServedDTMWh,
 		&r.BatteryInMWh, &r.BatteryOutMWh, &r.GenCO2Kg, &r.MeanDelaySlots,
 		&r.BacklogMaxMWh, &r.BacklogMeanMWh, &r.BatteryMinMWh, &r.BatteryMaxMWh,
-		&r.PeakGridMW, &r.PeakChargeUSD,
+		&r.PeakGridMW,
 	} {
 		*f = cleanZero(*f)
 	}

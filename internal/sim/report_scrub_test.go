@@ -31,29 +31,36 @@ func TestCleanZero(t *testing.T) {
 	}
 }
 
-// TestReportScrubsNegativeZero feeds a report per-slot records whose
-// residuals are IEEE negative zeros and sub-epsilon noise — the exact
+// TestReportScrubsNegativeZero sets a session's running totals and
+// series to IEEE negative zeros and sub-epsilon noise — the exact
 // garbage the balance residual can produce — and asserts neither the
-// printed lines nor the JSON export can ever show "-0".
+// printed lines nor the JSON export of the Finish report can ever show
+// "-0".
 func TestReportScrubsNegativeZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	r := newReport("scrub", 4, true)
-	for i := 0; i < 4; i++ {
-		r.recordSlot(slotRecord{
-			slot:      i,
-			cost:      negZero,
-			wasteCost: negZero,
-			waste:     negZero,
-			unserved:  -1e-15,
-			backlog:   negZero,
-			battery:   negZero,
-			available: true,
-		})
+	set := flatSet(4, 0, 0, 0, 0, 0)
+	s, err := NewSession(testConfig(), &scriptController{name: "scrub"}, 4, 60, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// finalize needs live subsystem handles; scrub directly instead,
-	// exactly as finalize does as its last step.
-	r.TimeAvgCostUSD = r.TotalCostUSD / 4
-	r.scrubZeros()
+	for s.Slot() < 4 {
+		if _, err := s.Step(InputAt(set, s.Slot())); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tot := &s.tot
+	tot.TotalCostUSD, tot.WasteCostUSD, tot.WasteMWh = negZero, negZero, negZero
+	tot.UnservedMWh, tot.BacklogMeanMWh = -1e-15, negZero
+	for i := range tot.CostSeries {
+		tot.CostSeries[i], tot.BacklogSeries[i], tot.BatterySeries[i] = negZero, negZero, negZero
+	}
+	r, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for name, v := range map[string]float64{
 		"TotalCostUSD":   r.TotalCostUSD,

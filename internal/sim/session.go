@@ -133,9 +133,9 @@ type Snapshotter interface {
 // (PlanCoarse → market commitment), advances the fleet's synchronization
 // countdowns, builds the controller's observation and validates the
 // planned decision. Commit executes: fleet dispatch, the physical rescue
-// chain, battery/market/backlog updates, report accounting and the
-// controller's outcome callback. After the last Commit (or earlier, for
-// a truncated run), Finish() finalizes and returns the Report.
+// chain, battery/market/backlog updates, the session's running totals
+// and the controller's outcome callback. After the last Commit (or
+// earlier, for a truncated run), Finish() builds and returns the Report.
 //
 // Between slots — never between a Step and its Commit — the full
 // simulation state can be captured with Snapshot and later reinstated
@@ -159,7 +159,7 @@ type Session struct {
 	fleet   *generator.Fleet
 	acct    *market.Account
 	backlog *queue.Backlog
-	rep     *Report
+	tot     Totals
 
 	slot     int
 	finished bool
@@ -220,7 +220,7 @@ func NewSession(cfg Config, ctrl Controller, horizon, slotMinutes int, fingerpri
 		fleet:       fleet,
 		acct:        acct,
 		backlog:     queue.NewBacklog(),
-		rep:         newReport(ctrl.Name(), horizon, cfg.KeepSeries),
+		tot:         Totals{}.withSeries(cfg.KeepSeries, horizon),
 	}, nil
 }
 
@@ -248,9 +248,9 @@ func (s *Session) ControllerName() string { return s.ctrl.Name() }
 func (s *Session) Controller() Controller { return s.ctrl }
 
 // Status is a live mid-run view of the session for monitoring surfaces:
-// running report accumulators plus the current physical state. It reads
-// from the in-progress report, so derived figures (time averages,
-// availability ratios) are intentionally absent — Finish computes those.
+// the running totals and ledgers Finish reports, unscrubbed, plus the
+// current physical state. Derived figures (time averages, availability
+// ratios) are intentionally absent — Finish computes those.
 type Status struct {
 	Slot    int `json:"slot"`
 	Horizon int `json:"horizon"`
@@ -285,27 +285,27 @@ func (s *Session) Status() Status {
 	return Status{
 		Slot:             s.slot,
 		Horizon:          s.horizon,
-		TotalCostUSD:     s.rep.TotalCostUSD,
-		LTCostUSD:        s.rep.LTCostUSD,
-		RTCostUSD:        s.rep.RTCostUSD,
-		BatteryOpUSD:     s.rep.BatteryOpUSD,
-		WasteCostUSD:     s.rep.WasteCostUSD,
-		GenFuelUSD:       s.rep.GenFuelUSD,
-		GenStartupUSD:    s.rep.GenStartupUSD,
-		EmergencyCostUSD: s.rep.EmergencyCostUSD,
+		TotalCostUSD:     s.tot.TotalCostUSD,
+		LTCostUSD:        s.acct.LongTermCost(),
+		RTCostUSD:        s.acct.RealTimeCost(),
+		BatteryOpUSD:     s.tot.BatteryOpUSD,
+		WasteCostUSD:     s.tot.WasteCostUSD,
+		GenFuelUSD:       s.tot.GenFuelUSD,
+		GenStartupUSD:    s.tot.GenStartupUSD,
+		EmergencyCostUSD: s.tot.EmergencyCostUSD,
 		LTEnergyMWh:      s.acct.LongTermEnergy(),
 		RTEnergyMWh:      s.acct.RealTimeEnergy(),
-		RenewableMWh:     s.rep.RenewableMWh,
-		GenEnergyMWh:     s.rep.GenEnergyMWh,
-		WasteMWh:         s.rep.WasteMWh,
-		UnservedMWh:      s.rep.UnservedMWh,
-		ServedDTMWh:      s.rep.ServedDTMWh,
-		GenCO2Kg:         s.rep.GenCO2Kg,
+		RenewableMWh:     s.tot.RenewableMWh,
+		GenEnergyMWh:     s.tot.GenEnergyMWh,
+		WasteMWh:         s.tot.WasteMWh,
+		UnservedMWh:      s.tot.UnservedMWh,
+		ServedDTMWh:      s.tot.ServedDTMWh,
+		GenCO2Kg:         s.tot.GenCO2Kg,
 		BacklogMWh:       s.backlog.Len(),
 		BatteryMWh:       s.batt.Level(),
 		BatteryOps:       s.batt.Ops(),
-		PeakGridMW:       s.rep.PeakGridMW,
-		Unavailable:      s.rep.unavailable,
+		PeakGridMW:       s.tot.PeakGridMW,
+		Unavailable:      s.tot.Unavailable,
 	}
 }
 
@@ -513,40 +513,55 @@ func (s *Session) Commit() (SlotOutcome, error) {
 	wasteCost := waste * s.cfg.WasteCostUSD
 	slotCost := ltCost + rtCost + opCost + wasteCost + gen.FuelUSD + gen.StartupUSD
 
-	slotHours := float64(s.slotMinutes) / 60
 	gridDraw := obs.LongTermDue + dec.Grt
-	s.rep.recordSlot(slotRecord{
-		slot:          slot,
-		gridDrawMW:    gridDraw / slotHours,
-		nearPeak:      gridDraw > 0.95*s.cfg.PgridMWh,
-		cost:          slotCost,
-		ltCost:        ltCost,
-		rtCost:        rtCost,
-		opCost:        opCost,
-		wasteCost:     wasteCost,
-		waste:         waste,
-		unserved:      unserved,
-		emergencyCost: unserved * s.cfg.EmergencyCostUSD,
-		backlog:       s.backlog.Len(),
-		battery:       s.batt.Level(),
-		renewable:     r,
-		served:        served,
-		genMWh:        gen.DeliveredMWh,
-		genFuelUSD:    gen.FuelUSD,
-		genStartUSD:   gen.StartupUSD,
-		genCO2Kg:      gen.CO2Kg,
-		batteryMoved:  dec.Charge > 0 || dec.Discharge > 0,
-		available:     s.batt.Available() && unserved <= decisionTol,
-	})
+	backlog, level := s.backlog.Len(), s.batt.Level()
+
+	// Accrue the totals no component keeps. The backlog mean and the
+	// extremes range over the post-slot backlog and battery level.
+	t := &s.tot
+	t.TotalCostUSD += slotCost
+	t.BatteryOpUSD += opCost
+	t.WasteCostUSD += wasteCost
+	t.EmergencyCostUSD += unserved * s.cfg.EmergencyCostUSD
+	t.GenFuelUSD += gen.FuelUSD
+	t.GenStartupUSD += gen.StartupUSD
+	t.GenEnergyMWh += gen.DeliveredMWh
+	t.GenCO2Kg += gen.CO2Kg
+	t.WasteMWh += waste
+	t.UnservedMWh += unserved
+	t.RenewableMWh += r
+	t.ServedDTMWh += served
+	t.BacklogMeanMWh += (backlog - t.BacklogMeanMWh) / float64(slot+1)
+	t.BacklogMaxMWh = math.Max(t.BacklogMaxMWh, backlog)
+	if slot == 0 || level < t.BatteryMinMWh {
+		t.BatteryMinMWh = level
+	}
+	if slot == 0 || level > t.BatteryMaxMWh {
+		t.BatteryMaxMWh = level
+	}
+	if mw := gridDraw / (float64(s.slotMinutes) / 60); mw > t.PeakGridMW {
+		t.PeakGridMW = mw
+	}
+	if gridDraw > 0.95*s.cfg.PgridMWh {
+		t.NearPeakSlots++
+	}
+	if !(s.batt.Available() && unserved <= decisionTol) {
+		t.Unavailable++
+	}
+	if s.cfg.KeepSeries {
+		t.CostSeries = append(t.CostSeries, slotCost)
+		t.BacklogSeries = append(t.BacklogSeries, backlog)
+		t.BatterySeries = append(t.BatterySeries, level)
+	}
 
 	out := Outcome{
 		Slot:          slot,
 		ServedDT:      served,
 		BacklogBefore: backlogBefore,
-		BacklogAfter:  s.backlog.Len(),
+		BacklogAfter:  backlog,
 		Waste:         waste,
 		Unserved:      unserved,
-		Battery:       s.batt.Level(),
+		Battery:       level,
 	}
 	s.ctrl.RecordOutcome(out)
 
@@ -555,7 +570,7 @@ func (s *Session) Commit() (SlotOutcome, error) {
 	return SlotOutcome{Outcome: out, Executed: dec, CostUSD: slotCost, GridMWh: gridDraw, GenMWh: gen.DeliveredMWh}, nil
 }
 
-// Finish finalizes and returns the report. It may run before the horizon
+// Finish builds and returns the report. It may run before the horizon
 // is exhausted (a truncated run reports the committed slots); afterwards
 // the session accepts no further calls.
 func (s *Session) Finish() (*Report, error) {
@@ -566,9 +581,7 @@ func (s *Session) Finish() (*Report, error) {
 		return nil, ErrPendingDecision
 	}
 	s.finished = true
-	s.rep.finalize(s.batt, s.fleet, s.acct, s.backlog)
-	s.rep.PeakChargeUSD = s.rep.PeakGridMW * s.cfg.PeakChargeUSDPerMW
-	return s.rep, nil
+	return s.report(), nil
 }
 
 // checkDecisionField validates one decision field against its admissible

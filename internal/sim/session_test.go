@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -233,6 +234,13 @@ func TestSessionSnapshotRestoreTail(t *testing.T) {
 	if second.Slot() != horizon/2 {
 		t.Fatalf("restored slot = %d, want %d", second.Slot(), horizon/2)
 	}
+	// The restored series sit in capacity-horizon buffers, so the tail's
+	// appends never reallocate.
+	for _, series := range [][]float64{second.tot.CostSeries, second.tot.BacklogSeries, second.tot.BatterySeries} {
+		if len(series) != horizon/2 || cap(series) != horizon {
+			t.Errorf("restored series len/cap = %d/%d, want %d/%d", len(series), cap(series), horizon/2, horizon)
+		}
+	}
 	run(second, horizon/2, horizon)
 	got, err := second.Finish()
 	if err != nil {
@@ -303,7 +311,7 @@ func TestSessionSnapshotErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tampered := strings.Replace(string(blob), `"version":1`, `"version":99`, 1)
+		tampered := strings.Replace(string(blob), fmt.Sprintf(`"version":%d`, CheckpointVersion), `"version":99`, 1)
 		if tampered == string(blob) {
 			t.Fatal("version field not found in checkpoint")
 		}

@@ -5,6 +5,12 @@
 // balance (Eq. 4), the grid cap (Eq. 5), battery bounds and rate limits
 // (Eqs. 7–8), and the per-slot service cap Sdtmax.
 //
+// Each run keeps one set of running totals. The market account bills
+// the long-term and real-time purchases, the battery, backlog and fleet
+// keep their own ledgers, and the session's Totals hold what no
+// component keeps. Status reads them live, a Checkpoint carries them,
+// and Finish builds the Report from them once.
+//
 // Controllers (SmartDPSS, Impatient, the offline benchmarks) implement the
 // Controller interface and plan against the same Plant — the caps, UPS
 // and generation fleet that Config embeds and the session executes.

@@ -1,13 +1,12 @@
 // Package trace provides the time-series substrate for the SmartDPSS
-// evaluation: slot-indexed series, CSV import/export, resampling and
-// summary statistics. All of the paper's evaluation (Sec. VI) is
+// evaluation: slot-indexed series, CSV import/export and summary
+// statistics. All of the paper's evaluation (Sec. VI) is
 // trace-driven; the synthetic generators in internal/solar,
 // internal/pricing and internal/workload produce Series values defined
 // here.
 package trace
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -76,14 +75,6 @@ func (s *Series) Scale(k float64) *Series {
 	return s
 }
 
-// Clip limits every sample to [lo, hi] in place and returns the receiver.
-func (s *Series) Clip(lo, hi float64) *Series {
-	for i, v := range s.Values {
-		s.Values[i] = math.Min(hi, math.Max(lo, v))
-	}
-	return s
-}
-
 // AddSeries adds other element-wise in place and returns the receiver.
 // The series must have equal length.
 func (s *Series) AddSeries(other *Series) (*Series, error) {
@@ -145,42 +136,6 @@ func (s *Series) StdDev() float64 {
 		acc += d * d
 	}
 	return math.Sqrt(acc / float64(n))
-}
-
-// Slice returns a copy of slots [from, to).
-func (s *Series) Slice(from, to int) (*Series, error) {
-	if from < 0 || to > len(s.Values) || from > to {
-		return nil, fmt.Errorf("trace: slice [%d, %d) out of range 0..%d", from, to, len(s.Values))
-	}
-	return FromValues(s.Name, s.Unit, s.SlotMinutes, s.Values[from:to]), nil
-}
-
-// Coarsen aggregates the series into windows of w slots using the given
-// reducer ("mean" or "sum"). The series length must be a multiple of w.
-func (s *Series) Coarsen(w int, reducer string) (*Series, error) {
-	if w <= 0 {
-		return nil, errors.New("trace: window must be positive")
-	}
-	if len(s.Values)%w != 0 {
-		return nil, fmt.Errorf("trace: length %d not a multiple of window %d", len(s.Values), w)
-	}
-	n := len(s.Values) / w
-	out := New(s.Name, s.Unit, s.SlotMinutes*w, n)
-	for i := 0; i < n; i++ {
-		acc := 0.0
-		for j := 0; j < w; j++ {
-			acc += s.Values[i*w+j]
-		}
-		switch reducer {
-		case "sum":
-			out.Values[i] = acc
-		case "mean":
-			out.Values[i] = acc / float64(w)
-		default:
-			return nil, fmt.Errorf("trace: unknown reducer %q", reducer)
-		}
-	}
-	return out, nil
 }
 
 // Validate reports an error for NaN/Inf samples or a non-positive slot size.

@@ -52,20 +52,13 @@ func TestSeriesCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestSeriesScaleClip(t *testing.T) {
+func TestSeriesScale(t *testing.T) {
 	s := FromValues("x", "", 60, []float64{1, -2, 5})
 	s.Scale(2)
 	want := []float64{2, -4, 10}
 	for i, w := range want {
 		if s.Values[i] != w {
 			t.Fatalf("after Scale: Values[%d] = %g, want %g", i, s.Values[i], w)
-		}
-	}
-	s.Clip(0, 6)
-	want = []float64{2, 0, 6}
-	for i, w := range want {
-		if s.Values[i] != w {
-			t.Fatalf("after Clip: Values[%d] = %g, want %g", i, s.Values[i], w)
 		}
 	}
 }
@@ -93,53 +86,6 @@ func TestSeriesStdDev(t *testing.T) {
 	empty := New("e", "", 60, 0)
 	if got := empty.StdDev(); got != 0 {
 		t.Errorf("empty StdDev = %g, want 0", got)
-	}
-}
-
-func TestSeriesSlice(t *testing.T) {
-	s := FromValues("x", "", 60, []float64{0, 1, 2, 3, 4})
-	sub, err := s.Slice(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Len() != 2 || sub.Values[0] != 1 || sub.Values[1] != 2 {
-		t.Errorf("Slice = %v", sub.Values)
-	}
-	if _, err := s.Slice(3, 1); err == nil {
-		t.Error("want error for inverted range")
-	}
-	if _, err := s.Slice(0, 6); err == nil {
-		t.Error("want error for out-of-range")
-	}
-}
-
-func TestSeriesCoarsen(t *testing.T) {
-	s := FromValues("x", "MWh", 60, []float64{1, 3, 5, 7})
-	mean, err := s.Coarsen(2, "mean")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean.Values[0] != 2 || mean.Values[1] != 6 {
-		t.Errorf("mean coarsen = %v", mean.Values)
-	}
-	if mean.SlotMinutes != 120 {
-		t.Errorf("SlotMinutes = %d, want 120", mean.SlotMinutes)
-	}
-	sum, err := s.Coarsen(2, "sum")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Values[0] != 4 || sum.Values[1] != 12 {
-		t.Errorf("sum coarsen = %v", sum.Values)
-	}
-	if _, err := s.Coarsen(3, "mean"); err == nil {
-		t.Error("want error for non-divisible window")
-	}
-	if _, err := s.Coarsen(0, "mean"); err == nil {
-		t.Error("want error for zero window")
-	}
-	if _, err := s.Coarsen(2, "median"); err == nil {
-		t.Error("want error for unknown reducer")
 	}
 }
 
@@ -182,32 +128,6 @@ func TestPropertyScaleThenSumMatches(t *testing.T) {
 		s.Scale(k)
 		after := s.Sum()
 		return math.Abs(after-k*before) <= 1e-6*math.Max(1, math.Abs(k*before))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyCoarsenPreservesSum(t *testing.T) {
-	f := func(raw []float64) bool {
-		vals := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e9 {
-				continue
-			}
-			vals = append(vals, v)
-		}
-		// Truncate to a multiple of 4.
-		vals = vals[:len(vals)/4*4]
-		if len(vals) == 0 {
-			return true
-		}
-		s := FromValues("x", "", 60, vals)
-		c, err := s.Coarsen(4, "sum")
-		if err != nil {
-			return false
-		}
-		return math.Abs(c.Sum()-s.Sum()) <= 1e-6*math.Max(1, math.Abs(s.Sum()))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

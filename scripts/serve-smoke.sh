@@ -6,7 +6,8 @@
 #    and validate the OpenMetrics exposition (serve.ValidateExposition:
 #    TYPE-before-samples, counter _total suffixes, final `# EOF`).
 # 2. Crash recovery: run half the horizon with a checkpoint file, then
-#    restart and confirm the resumed process completes the full horizon.
+#    restart and confirm the resumed process completes the full horizon
+#    with the report of an uninterrupted run.
 #
 # CI runs this via `make serve-smoke`.
 set -eu
@@ -39,4 +40,15 @@ grep -q '^slots       48$' "$tmpdir/second.out" || {
     cat "$tmpdir/second.out" >&2
     exit 1
 }
-echo "serve-smoke: checkpoint resume ok"
+go run ./cmd/dpss-serve -oneshot -days 2 >"$tmpdir/whole.out" 2>&1
+for key in 'policy' 'slots' 'total cost' 'avg cost' 'avg delay'; do
+    want="$(grep "^$key " "$tmpdir/whole.out" || true)"
+    got="$(grep "^$key " "$tmpdir/second.out" || true)"
+    if [ -z "$want" ] || [ "$got" != "$want" ]; then
+        echo "serve-smoke: resumed run's '$key' line differs from the uninterrupted run's" >&2
+        echo "  resumed:       $got" >&2
+        echo "  uninterrupted: $want" >&2
+        exit 1
+    fi
+done
+echo "serve-smoke: checkpoint resume ok (report equals the uninterrupted run)"
