@@ -12,8 +12,11 @@ GO ?= go
 # BenchmarkGeoStep carries the geo fan-out's allocs/op gate at every
 # fleet size; the dpss-serve rungs — one /metrics scrape
 # (internal/serve), one checkpoint and one resume (internal/engine) —
-# sit in the packages that own them.
-PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineDayLP|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair|BenchmarkWriteExposition|BenchmarkSnapshot|BenchmarkRestore
+# sit in the packages that own them. BenchmarkTraceGeneration (one
+# default month of synthetic traces) and BenchmarkSessionSlot (one
+# Step+Commit of a SmartDPSS session, internal/engine) are the two
+# layers a geo site-month pays for.
+PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineDayLP|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair|BenchmarkWriteExposition|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceGeneration|BenchmarkSessionSlot
 PERF_PKGS = . ./internal/lp ./internal/serve ./internal/engine
 
 # Fuzzing budget for the `fuzz` target (CI smoke uses the default).
@@ -51,13 +54,17 @@ bench-check:
 # mutated and truncated checkpoints must never panic Restore nor leave a
 # session partly restored; FuzzSlotInput — arbitrary slot inputs must
 # never panic Step, a rejected input must leave the session unchanged,
-# and an accepted one must commit and leave the session snapshottable.
+# and an accepted one must commit and leave the session snapshottable;
+# FuzzPolicyInvariants — all six policies over random plants, batteries
+# and fleets must close the energy balance, keep the state of charge in
+# bounds, follow the backlog recurrence and reconcile their reports.
 # FUZZTIME is each target's budget (e.g.
 # FUZZTIME=5m).
 fuzz:
 	$(GO) test ./internal/lp -run '^$$' -fuzz FuzzSparseSolveParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzSlotInput -fuzztime $(FUZZTIME)
+	$(GO) test . -run '^$$' -fuzz FuzzPolicyInvariants -fuzztime $(FUZZTIME)
 
 lint:
 	@unformatted=$$(gofmt -l .); \

@@ -47,7 +47,6 @@ package baseline
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/smartdpss/smartdpss/internal/generator"
 	"github.com/smartdpss/smartdpss/internal/lp"
@@ -251,7 +250,7 @@ func genPlanUnits(sol *lp.Solution, vars [][]lp.VarID) []float64 {
 func clampUnitsInto(dst, plan []float64, units []generator.UnitObs) []float64 {
 	for u, v := range plan {
 		if u < len(units) {
-			dst[u] = math.Min(v, units[u].RequestMax)
+			dst[u] = min(v, units[u].RequestMax)
 		} else {
 			dst[u] = 0
 		}

@@ -66,9 +66,9 @@ func (o *OfflineHorizon) PlanFine(obs sim.FineObs) sim.Decision {
 		return sim.Decision{}
 	}
 	dec := o.plan[obs.Slot]
-	dec.ServeDT = math.Min(dec.ServeDT, math.Min(obs.Backlog, obs.SdtMax))
-	dec.Charge = math.Min(dec.Charge, obs.MaxCharge)
-	dec.Discharge = math.Min(dec.Discharge, obs.MaxDischarge)
+	dec.ServeDT = min(dec.ServeDT, min(obs.Backlog, obs.SdtMax))
+	dec.Charge = min(dec.Charge, obs.MaxCharge)
+	dec.Discharge = min(dec.Discharge, obs.MaxDischarge)
 	dec.GenerateUnits = o.st.clampPlan(dec.GenerateUnits, obs.GenUnits)
 	return dec
 }
@@ -207,7 +207,7 @@ func (st *lpState) addStairBlock(prob *lp.Problem, cfg Config, set *trace.Set, w
 	}
 	proxy := 0.0
 	if bat.MaxChargeMWh > 0 {
-		proxy = bat.OpCostUSD / math.Max(bat.MaxChargeMWh, bat.MaxDischargeMWh)
+		proxy = bat.OpCostUSD / max(bat.MaxChargeMWh, bat.MaxDischargeMWh)
 	}
 	avail := win.q0
 	for i := 0; i < H; i++ {

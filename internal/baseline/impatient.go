@@ -3,7 +3,6 @@ package baseline
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"github.com/smartdpss/smartdpss/internal/jsonenc"
 	"github.com/smartdpss/smartdpss/internal/sim"
@@ -67,22 +66,22 @@ func (i *Impatient) PlanFine(obs sim.FineObs) sim.Decision {
 // never claims capacity that dds needs. Surplus charges the battery.
 func (i *Impatient) serveNow(obs sim.FineObs) sim.Decision {
 	base := obs.LongTermDue + obs.Renewable
-	grtCap := math.Max(0, math.Min(obs.RTHeadroom, i.cfg.SmaxMWh-base))
+	grtCap := max(0, min(obs.RTHeadroom, i.cfg.SmaxMWh-base))
 	capacity := base + grtCap + obs.MaxDischarge
-	serve := math.Min(math.Min(obs.Backlog, obs.SdtMax),
-		math.Max(0, capacity-obs.DemandDS))
+	serve := min(min(obs.Backlog, obs.SdtMax),
+		max(0, capacity-obs.DemandDS))
 	deficit := obs.DemandDS + serve - base
 
 	var dec sim.Decision
 	dec.ServeDT = serve
 	if deficit > 0 {
-		dec.Grt = math.Min(deficit, grtCap)
+		dec.Grt = min(deficit, grtCap)
 		if remaining := deficit - dec.Grt; remaining > 0 {
-			dec.Discharge = math.Min(remaining, obs.MaxDischarge)
+			dec.Discharge = min(remaining, obs.MaxDischarge)
 		}
 		return dec
 	}
-	dec.Charge = math.Min(-deficit, obs.MaxCharge)
+	dec.Charge = min(-deficit, obs.MaxCharge)
 	return dec
 }
 
@@ -118,4 +117,4 @@ func (i *Impatient) RestoreState(data []byte) error {
 	return nil
 }
 
-func clamp(x, lo, hi float64) float64 { return math.Min(hi, math.Max(lo, x)) }
+func clamp(x, lo, hi float64) float64 { return min(hi, max(lo, x)) }

@@ -78,8 +78,8 @@ func (l *Lookahead) PlanFine(obs sim.FineObs) sim.Decision {
 	dec, err := l.solveWindow(obs)
 	if err != nil {
 		// Degrade to a safe myopic decision: cover dds from the grid.
-		need := math.Max(0, obs.DemandDS-obs.LongTermDue-obs.Renewable)
-		return sim.Decision{Grt: math.Min(need, obs.RTHeadroom)}
+		need := max(0, obs.DemandDS-obs.LongTermDue-obs.Renewable)
+		return sim.Decision{Grt: min(need, obs.RTHeadroom)}
 	}
 	return dec
 }
@@ -113,12 +113,12 @@ func (l *Lookahead) solveWindow(obs sim.FineObs) (sim.Decision, error) {
 	}
 	proxy := 0.0
 	if bat.MaxChargeMWh > 0 {
-		proxy = bat.OpCostUSD / math.Max(bat.MaxChargeMWh, bat.MaxDischargeMWh)
+		proxy = bat.OpCostUSD / max(bat.MaxChargeMWh, bat.MaxDischargeMWh)
 	}
 	for i := 0; i < n; i++ {
 		slot := obs.Slot + i
 		prt := l.set.PriceRT.At(slot)
-		grt[i] = prob.AddVariable("", 0, math.Max(0, obs.RTHeadroom), prt)
+		grt[i] = prob.AddVariable("", 0, max(0, obs.RTHeadroom), prt)
 		u[i] = prob.AddVariable("", 0, l.cfg.SdtMaxMWh, 0)
 		c[i] = prob.AddVariable("", 0, bat.MaxChargeMWh, proxy)
 		d[i] = prob.AddVariable("", 0, bat.MaxDischargeMWh, proxy)
@@ -198,9 +198,9 @@ func (l *Lookahead) solveWindow(obs sim.FineObs) (sim.Decision, error) {
 
 	dec := sim.Decision{
 		Grt:       sol.Value(grt[0]),
-		ServeDT:   math.Min(sol.Value(u[0]), math.Min(obs.Backlog, obs.SdtMax)),
-		Charge:    math.Min(sol.Value(c[0]), obs.MaxCharge),
-		Discharge: math.Min(sol.Value(d[0]), obs.MaxDischarge),
+		ServeDT:   min(sol.Value(u[0]), min(obs.Backlog, obs.SdtMax)),
+		Charge:    min(sol.Value(c[0]), obs.MaxCharge),
+		Discharge: min(sol.Value(d[0]), obs.MaxDischarge),
 	}
 	if g != nil {
 		dec.GenerateUnits = st.clampPlan(genPlanUnits(&sol, g[0]), obs.GenUnits)

@@ -75,7 +75,7 @@ func (l *Lyapunov) Name() string { return "Lyapunov" }
 func (l *Lyapunov) PlanFine(obs sim.FineObs) sim.Decision {
 	l.est.Observe(obs.DemandDS, obs.DemandDT, obs.Renewable)
 	base := obs.LongTermDue + obs.Renewable
-	grtCap := math.Max(0, math.Min(obs.RTHeadroom, l.cfg.SmaxMWh-base))
+	grtCap := max(0, min(obs.RTHeadroom, l.cfg.SmaxMWh-base))
 	x := obs.Battery - l.theta
 	etaC := l.cfg.Battery.ChargeEff
 	etaD := l.cfg.Battery.DischargeEff
@@ -88,31 +88,31 @@ func (l *Lyapunov) PlanFine(obs sim.FineObs) sim.Decision {
 		// useful discharge is scheduled — energy pushed past demand would
 		// be wasted, which no drift bound rewards.
 		capacity := base + obs.MaxDischarge + grtCap
-		serve := math.Min(math.Min(obs.Backlog, obs.SdtMax),
-			math.Max(0, capacity-obs.DemandDS))
+		serve := min(min(obs.Backlog, obs.SdtMax),
+			max(0, capacity-obs.DemandDS))
 		dec.ServeDT = serve
 		need := obs.DemandDS + serve - base
 		if need > 0 {
-			dec.Discharge = math.Min(need, obs.MaxDischarge)
-			dec.Grt = math.Min(need-dec.Discharge, grtCap)
+			dec.Discharge = min(need, obs.MaxDischarge)
+			dec.Grt = min(need-dec.Discharge, grtCap)
 			return dec
 		}
 		// Long-term surplus: absorb it rather than waste it (free energy
 		// beats the threshold's grid-price calculus either way).
-		dec.Charge = math.Min(-need, obs.MaxCharge)
+		dec.Charge = min(-need, obs.MaxCharge)
 		return dec
 	case l.v*obs.PriceRT+etaC*x < 0:
 		// Charge regime: serve demand from the grid and spend any spare
 		// real-time headroom filling the battery at this price.
 		capacity := base + grtCap
-		serve := math.Min(math.Min(obs.Backlog, obs.SdtMax),
-			math.Max(0, capacity-obs.DemandDS))
+		serve := min(min(obs.Backlog, obs.SdtMax),
+			max(0, capacity-obs.DemandDS))
 		dec.ServeDT = serve
 		deficit := obs.DemandDS + serve - base
 		grt := clamp(deficit, 0, grtCap)
-		surplus := math.Max(0, -deficit)
-		fromSurplus := math.Min(surplus, obs.MaxCharge)
-		fromGrid := math.Min(obs.MaxCharge-fromSurplus, grtCap-grt)
+		surplus := max(0, -deficit)
+		fromSurplus := min(surplus, obs.MaxCharge)
+		fromGrid := min(obs.MaxCharge-fromSurplus, grtCap-grt)
 		dec.Grt = grt + fromGrid
 		dec.Charge = fromSurplus + fromGrid
 		return dec

@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/smartdpss/smartdpss/internal/lp"
 	"github.com/smartdpss/smartdpss/internal/sim"
@@ -84,9 +83,9 @@ func (o *OfflineOptimal) PlanFine(obs sim.FineObs) sim.Decision {
 	// clamp the relaxed per-unit fleet plan to the units' admissible
 	// requests (the engine enforces min-load and startup physics on
 	// execution).
-	dec.ServeDT = math.Min(dec.ServeDT, math.Min(obs.Backlog, obs.SdtMax))
-	dec.Charge = math.Min(dec.Charge, obs.MaxCharge)
-	dec.Discharge = math.Min(dec.Discharge, obs.MaxDischarge)
+	dec.ServeDT = min(dec.ServeDT, min(obs.Backlog, obs.SdtMax))
+	dec.Charge = min(dec.Charge, obs.MaxCharge)
+	dec.Discharge = min(dec.Discharge, obs.MaxDischarge)
 	dec.GenerateUnits = o.st.clampPlan(dec.GenerateUnits, obs.GenUnits)
 	return dec
 }

@@ -167,7 +167,7 @@ func (b *Battery) MaxChargeNow() float64 {
 		return 0
 	}
 	room := (b.params.CapacityMWh - b.level) / b.params.ChargeEff
-	return math.Max(0, math.Min(b.params.MaxChargeMWh, room))
+	return max(0, min(b.params.MaxChargeMWh, room))
 }
 
 // MaxDischargeNow returns the largest load-side energy the battery can
@@ -177,7 +177,7 @@ func (b *Battery) MaxDischargeNow() float64 {
 		return 0
 	}
 	avail := (b.level - b.params.MinLevelMWh) / b.params.DischargeEff
-	return math.Max(0, math.Min(b.params.MaxDischargeMWh, avail))
+	return max(0, min(b.params.MaxDischargeMWh, avail))
 }
 
 // State is the battery's mutable state, exported for session checkpoints
@@ -241,8 +241,8 @@ func (b *Battery) Apply(charge, discharge float64) error {
 	if charge < -eps || discharge < -eps {
 		return ErrNegative
 	}
-	charge = math.Max(0, charge)
-	discharge = math.Max(0, discharge)
+	charge = max(0, charge)
+	discharge = max(0, discharge)
 	if charge > eps && discharge > eps {
 		return ErrBothDirections
 	}
@@ -260,7 +260,7 @@ func (b *Battery) Apply(charge, discharge float64) error {
 		return fmt.Errorf("%w: level %g -> %g outside [%g, %g]",
 			ErrBounds, b.level, next, b.params.MinLevelMWh, b.params.CapacityMWh)
 	}
-	b.level = math.Min(b.params.CapacityMWh, math.Max(b.params.MinLevelMWh, next))
+	b.level = min(b.params.CapacityMWh, max(b.params.MinLevelMWh, next))
 	b.ops++
 	b.opCostUSD += b.params.OpCostUSD
 	b.chargedMWh += charge

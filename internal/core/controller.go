@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"github.com/smartdpss/smartdpss/internal/generator"
 	"github.com/smartdpss/smartdpss/internal/queue"
 	"github.com/smartdpss/smartdpss/internal/scratch"
@@ -170,15 +168,15 @@ func (c *Controller) PlanCoarse(obs sim.CoarseObs) float64 {
 		// of P3; retaining it caps the purchase at estimated serviceable
 		// load — demand, backlog drain at the service rate, and battery
 		// headroom — instead of flooding the plant (see doc.go).
-		drain := math.Min(p.SdtMaxMWh, obs.Backlog/slots+ddt)
-		chargeable := math.Max(0, (p.Battery.CapacityMWh-obs.Battery)/p.Battery.ChargeEff) / slots
-		usable := dds - ren + drain + math.Min(chargeable, p.Battery.MaxChargeMWh)
+		drain := min(p.SdtMaxMWh, obs.Backlog/slots+ddt)
+		chargeable := max(0, (p.Battery.CapacityMWh-obs.Battery)/p.Battery.ChargeEff) / slots
+		usable := dds - ren + drain + min(chargeable, p.Battery.MaxChargeMWh)
 		return slots * clamp(usable, 0, p.PgridMWh)
 	}
 	// Deliverable battery energy spread across the interval, respecting
 	// the per-slot discharge cap.
-	avail := math.Max(0, (obs.Battery-p.Battery.MinLevelMWh)/p.Battery.DischargeEff)
-	battPerSlot := math.Min(p.Battery.MaxDischargeMWh, avail/slots)
+	avail := max(0, (obs.Battery-p.Battery.MinLevelMWh)/p.Battery.DischargeEff)
+	battPerSlot := min(p.Battery.MaxDischargeMWh, avail/slots)
 	deficit := dds - ren - battPerSlot - selfGen
 	return slots * clamp(deficit, 0, p.PgridMWh)
 }
@@ -197,10 +195,10 @@ func (c *Controller) PlanFine(obs sim.FineObs) sim.Decision {
 	in := p5Input{
 		dds:          obs.DemandDS,
 		base:         obs.LongTermDue + obs.Renewable,
-		grtMax:       math.Max(0, math.Min(obs.RTHeadroom, p.SmaxMWh-obs.LongTermDue-obs.Renewable)),
-		sdtMax:       math.Max(0, math.Min(obs.Backlog, obs.SdtMax)),
-		chargeMax:    math.Max(0, obs.MaxCharge),
-		dischargeMax: math.Max(0, obs.MaxDischarge),
+		grtMax:       max(0, min(obs.RTHeadroom, p.SmaxMWh-obs.LongTermDue-obs.Renewable)),
+		sdtMax:       max(0, min(obs.Backlog, obs.SdtMax)),
+		chargeMax:    max(0, obs.MaxCharge),
+		dischargeMax: max(0, obs.MaxDischarge),
 		etaC:         p.Battery.ChargeEff,
 		etaD:         p.Battery.DischargeEff,
 		wGrt:         p.V*obs.PriceRT - qy,
@@ -293,8 +291,8 @@ func (c *Controller) fleetDecision(dec *sim.Decision, obs sim.FineObs, res p5Res
 	// total groups as minSum + res.gen; the goldens pin this summation
 	// order bit for bit.
 	total := minSum + res.gen
-	grt := math.Min(res.grt,
-		math.Max(0, p.SmaxMWh-obs.LongTermDue-obs.Renewable-total))
+	grt := min(res.grt,
+		max(0, p.SmaxMWh-obs.LongTermDue-obs.Renewable-total))
 	*dec = sim.Decision{
 		Grt:           grt,
 		ServeDT:       res.sdt,
@@ -377,7 +375,7 @@ func (c *Controller) planFleet(dec *sim.Decision, obs sim.FineObs, in p5Input, q
 		if c.prtReady {
 			phat = c.prtMean
 		}
-		env := math.Max(0, c.envDDS+c.envDDT-c.envRen-obs.LongTermDue)
+		env := max(0, c.envDDS+c.envDDT-c.envRen-obs.LongTermDue)
 		for _, ui := range c.merit {
 			gp := c.specs[ui]
 			u := obs.GenUnits[ui]
@@ -388,7 +386,7 @@ func (c *Controller) planFleet(dec *sim.Decision, obs sim.FineObs, in p5Input, q
 			// Dispatch level if committed; only envelope-covered energy
 			// earns the forecast price.
 			gstar := clamp(env, gp.MinLoadMWh, gp.CapacityMWh)
-			profit := phat*math.Min(gstar, env) - m*gstar
+			profit := phat*min(gstar, env) - m*gstar
 			switch {
 			case u.MaxMWh > 0 && u.Running:
 				if W*profit < -gp.StartupUSD {
@@ -416,7 +414,7 @@ func (c *Controller) planFleet(dec *sim.Decision, obs sim.FineObs, in p5Input, q
 			cur.genSegs = c.unitSegs(cur.genSegs, ui, u, qy, fs)
 			committedMin[ui] = u.MinMWh
 			committed[ui] = true
-			env = math.Max(0, env-gstar)
+			env = max(0, env-gstar)
 			adopted = true
 		}
 		if adopted {
@@ -528,4 +526,4 @@ func (c *Controller) RecordOutcome(out sim.Outcome) {
 	c.delay.Update(out.ServedDT, out.BacklogBefore > 1e-12)
 }
 
-func clamp(x, lo, hi float64) float64 { return math.Min(hi, math.Max(lo, x)) }
+func clamp(x, lo, hi float64) float64 { return min(hi, max(lo, x)) }

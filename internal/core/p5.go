@@ -153,7 +153,7 @@ func (s *p5Scratch) solveAnalytic(in p5Input, flows []float64) p5Result {
 		if src.cost+snk.cost >= -1e-12 {
 			break
 		}
-		room := math.Min(src.cap-src.flow, snk.cap-snk.flow)
+		room := min(src.cap-src.flow, snk.cap-snk.flow)
 		if room <= 0 {
 			if src.cap-src.flow <= 0 {
 				si++
@@ -256,7 +256,7 @@ func allocate(legs []leg, order []int, amount float64) float64 {
 			break
 		}
 		l := &legs[i]
-		take := math.Min(amount, l.cap-l.flow)
+		take := min(amount, l.cap-l.flow)
 		if take <= 0 {
 			continue
 		}

@@ -47,17 +47,17 @@ func (s *p5LPScratch) solve(in p5Input, flows []float64) (p5Result, error) {
 	}
 	prob := s.prob
 	prob.Reset()
-	grt := prob.AddVariable("grt", 0, math.Max(0, in.grtMax), in.wGrt)
-	sdt := prob.AddVariable("sdt", 0, math.Max(0, in.sdtMax), in.wSdt)
-	brc := prob.AddVariable("brc", 0, math.Max(0, in.chargeMax), in.wCharge)
-	bdc := prob.AddVariable("bdc", 0, math.Max(0, in.dischargeMax), -in.wCharge)
+	grt := prob.AddVariable("grt", 0, max(0, in.grtMax), in.wGrt)
+	sdt := prob.AddVariable("sdt", 0, max(0, in.sdtMax), in.wSdt)
+	brc := prob.AddVariable("brc", 0, max(0, in.chargeMax), in.wCharge)
+	bdc := prob.AddVariable("bdc", 0, max(0, in.dischargeMax), -in.wCharge)
 	waste := prob.AddVariable("waste", 0, math.Inf(1), in.wWaste)
 	emerg := prob.AddVariable("unserved", 0, math.Inf(1), in.wEmergency)
 	// One variable per generator fuel-curve segment, mirroring the
 	// analytic path's extra source legs.
 	gen := s.gen[:0]
 	for _, seg := range in.genSegs {
-		gen = append(gen, prob.AddVariable("", 0, math.Max(0, seg.cap), seg.w))
+		gen = append(gen, prob.AddVariable("", 0, max(0, seg.cap), seg.w))
 	}
 	s.gen = gen
 

@@ -304,11 +304,15 @@ func FuzzRestore(f *testing.F) {
 }
 
 // BenchmarkSnapshot measures one checkpoint of a mid-week SmartDPSS
-// session: the sim rung of dpss-serve's periodic checkpoint.
+// session: the sim rung of dpss-serve's periodic checkpoint. A warm-up
+// checkpoint outside the timed loop pays the session's one-time costs
+// (the options fingerprint, the encoder's first buffer), so even a short
+// run records the steady state that TestSnapshotAllocs pins.
 func BenchmarkSnapshot(b *testing.B) {
 	traces := dayTraces(b, 7)
 	s := streamArms()[0].session(b, traces.Horizon())
 	stepTo(b, s, traces, traces.Horizon()/2)
+	snapshot(b, s)
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := s.Snapshot(); err != nil {
@@ -318,15 +322,41 @@ func BenchmarkSnapshot(b *testing.B) {
 }
 
 // BenchmarkRestore measures restoring that checkpoint onto a session of
-// the same configuration: the cost of a dpss-serve resume.
+// the same configuration: the cost of a dpss-serve resume. As in
+// BenchmarkSnapshot, one warm-up restore runs outside the timed loop.
 func BenchmarkRestore(b *testing.B) {
 	traces := dayTraces(b, 7)
 	s := streamArms()[0].session(b, traces.Horizon())
 	stepTo(b, s, traces, traces.Horizon()/2)
 	blob := snapshot(b, s)
+	if err := s.Restore(blob); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for b.Loop() {
 		if err := s.Restore(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSessionSlot measures one Step+Commit of a streaming SmartDPSS
+// session from mid-month on: the session-slot rung beneath every batch
+// replay, geo site and dpss-serve ingest. The month's inputs repeat past
+// its end, so any iteration count stays in the steady state, where a
+// slot allocates nothing.
+func BenchmarkSessionSlot(b *testing.B) {
+	traces := dayTraces(b, 31)
+	month := traces.Horizon()
+	s := streamArms()[0].session(b, month/2+b.N)
+	stepTo(b, s, traces, month/2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := s.Step(traces.InputAt(s.Slot() % month)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Commit(); err != nil {
 			b.Fatal(err)
 		}
 	}

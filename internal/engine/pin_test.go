@@ -1,0 +1,163 @@
+package engine
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"github.com/smartdpss/smartdpss/internal/trace"
+)
+
+// update regenerates the bit pins instead of diffing against them:
+//
+//	go test ./internal/engine -run Pinned -update
+//
+// Regenerate ONLY when an output change is intended and reviewed: the
+// pins exist so that performance work on the generators and the slot
+// loop reproduces every output bit.
+var update = flag.Bool("update", false, "rewrite testdata/golden pins")
+
+// checkPin diffs got against the pin file name, or rewrites it under
+// -update. A mismatch reports each differing line.
+func checkPin(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing pin %s (run with -update to create): %v", path, err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	if len(gl) != len(wl) {
+		t.Fatalf("%s: %d lines, pin has %d", path, len(gl), len(wl))
+	}
+	bad := 0
+	for i := range gl {
+		if !bytes.Equal(gl[i], wl[i]) {
+			if bad++; bad <= 10 {
+				t.Errorf("%s line %d:\n got: %s\nwant: %s", path, i+1, gl[i], wl[i])
+			}
+		}
+	}
+	t.Errorf("%s: %d of %d lines differ", path, bad, len(wl))
+}
+
+// seriesHash is the first 64 bits of the SHA-256 of a series' length
+// and the IEEE-754 bits of every sample, in hex.
+func seriesHash(sr *trace.Series) string {
+	h := sha256.New()
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(sr.Len()))
+	h.Write(b[:])
+	for _, v := range sr.Values {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// TestGeneratedTracesPinned pins every bit of every series
+// GenerateTraces returns, over horizons from one day to a year, slot
+// lengths that divide the day and one that does not (90 minutes), with
+// and without wind, a fuel walk and a grid price scale, and start days
+// that include the leap day 366. Each configuration draws its own seed.
+func TestGeneratedTracesPinned(t *testing.T) {
+	t.Parallel()
+	var buf bytes.Buffer
+	seed := int64(0)
+	for _, days := range []int{1, 2, 31, 365} {
+		for _, slot := range []int{60, 30, 15, 5, 90, 1440} {
+			for _, windMW := range []float64{0, 0.7} {
+				for _, fuel := range []bool{false, true} {
+					for _, priceScale := range []float64{0, 1.25} {
+						for _, start := range []int{1, 100, 366} {
+							seed++
+							tc := DefaultTraceConfig()
+							tc.Days, tc.SlotMinutes, tc.Seed = days, slot, seed
+							tc.WindCapacityMW, tc.PriceScale, tc.StartDayOfYear = windMW, priceScale, start
+							if fuel {
+								tc.FuelPriceScale, tc.FuelVolatility = 1.1, 0.03
+							}
+							traces, err := GenerateTraces(tc)
+							if err != nil {
+								t.Fatalf("%+v: %v", tc, err)
+							}
+							set := traces.Set()
+							fmt.Fprintf(&buf, "days=%d slot=%d wind=%g fuel=%t scale=%g start=%d seed=%d",
+								days, slot, windMW, fuel, priceScale, start, seed)
+							for _, sr := range []*trace.Series{set.DemandDS, set.DemandDT, set.Renewable, set.PriceLT, set.PriceRT, set.FuelScale} {
+								if sr != nil {
+									fmt.Fprintf(&buf, " %s=%s", sr.Name, seriesHash(sr))
+								}
+							}
+							buf.WriteByte('\n')
+						}
+					}
+				}
+			}
+		}
+	}
+	checkPin(t, "traces.txt", buf.Bytes())
+}
+
+// TestReportsPinned pins the JSON of every policy's Finish report over
+// the default month, per-slot series included: without on-site
+// generation, with the four-unit fleet of BenchmarkFleetDispatch under
+// a 12-slot commitment window, and SmartDPSS with observation noise.
+func TestReportsPinned(t *testing.T) {
+	t.Parallel()
+	traces := dayTraces(t, 31)
+	base := DefaultOptions()
+	base.KeepSeries = true
+	fleet := base
+	fleet.CommitWindow = 12
+	fleet.Fleet = []UnitSpec{
+		{CapacityMW: 0.5, MinLoadFrac: 0.3, FuelUSDPerMWh: 38, StartupUSD: 20, CO2KgPerMWh: 700},
+		{CapacityMW: 0.25, MinLoadFrac: 0.2, FuelUSDPerMWh: 45, StartupUSD: 10, CO2KgPerMWh: 500},
+		{CapacityMW: 0.25, MinLoadFrac: 0.2, FuelUSDPerMWh: 52, FuelQuadUSD: 4, CO2KgPerMWh: 400},
+		{CapacityMW: 0.1, FuelUSDPerMWh: 60, StartupLagSlots: 1, CO2KgPerMWh: 300},
+	}
+	noise := base
+	noise.ObservationNoise = 0.3
+	type arm struct {
+		name   string
+		policy Policy
+		opts   Options
+	}
+	var arms []arm
+	for _, p := range allPolicies {
+		arms = append(arms, arm{string(p), p, base}, arm{string(p) + "-fleet", p, fleet})
+	}
+	arms = append(arms, arm{"smartdpss-noise", PolicySmartDPSS, noise})
+
+	var buf bytes.Buffer
+	for _, a := range arms {
+		_, rep := replayReport(t, a.policy, a.opts, traces)
+		js, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatalf("%s: %v", a.name, err)
+		}
+		sum := sha256.Sum256(js)
+		fmt.Fprintf(&buf, "%s total=%v %s\n", a.name, rep.TotalCostUSD, hex.EncodeToString(sum[:16]))
+	}
+	checkPin(t, "reports.txt", buf.Bytes())
+}

@@ -214,21 +214,21 @@ func (g *Generator) OpSlots() int { return g.opSlots }
 // Window returns the deliverable output band for the current slot:
 // (0, 0) when the unit is disabled, still synchronizing, or off behind
 // a startup lag (a start requested now delivers nothing this slot);
-// otherwise [MinLoadMWh, max] where max respects the nameplate and,
+// otherwise [MinLoadMWh, hi] where hi respects the nameplate and,
 // while synchronized, the up-ramp limit. Zero output (shutdown / stay
 // off) is always admissible in addition to the band.
-func (g *Generator) Window() (min, max float64) {
+func (g *Generator) Window() (lo, hi float64) {
 	p := g.params
 	if !p.Enabled() || g.countdown > 0 || (!g.running && p.StartupLagSlots > 0) {
 		return 0, 0
 	}
-	max = p.CapacityMWh
+	hi = p.CapacityMWh
 	if g.running && p.RampMWh > 0 && !g.fresh {
-		max = math.Min(max, g.output+p.RampMWh)
+		hi = min(hi, g.output+p.RampMWh)
 		// A synchronized unit can always hold its minimum stable load.
-		max = math.Max(max, p.MinLoadMWh)
+		hi = max(hi, p.MinLoadMWh)
 	}
-	return p.MinLoadMWh, max
+	return p.MinLoadMWh, hi
 }
 
 // RequestMax returns the largest meaningful dispatch request this slot:
@@ -244,8 +244,8 @@ func (g *Generator) RequestMax() float64 {
 	if !g.running && p.StartupLagSlots > 0 {
 		return p.CapacityMWh
 	}
-	_, max := g.Window()
-	return max
+	_, hi := g.Window()
+	return hi
 }
 
 // State is one unit's mutable state, exported for session checkpoints
@@ -376,7 +376,7 @@ func (g *Generator) DispatchAt(request, fuelScale float64) Outcome {
 		g.fresh = false
 		return Outcome{}
 	}
-	_, max := g.Window()
+	_, hi := g.Window()
 	var out Outcome
 	if !g.running {
 		out.StartupUSD = p.StartupUSD
@@ -388,7 +388,7 @@ func (g *Generator) DispatchAt(request, fuelScale float64) Outcome {
 		}
 		g.running = true
 	}
-	delivered := math.Min(request, max)
+	delivered := min(request, hi)
 	out.DeliveredMWh = delivered
 	out.FuelUSD = fuelScale * p.FuelCost(delivered)
 	out.CO2Kg = p.CO2KgPerMWh * delivered

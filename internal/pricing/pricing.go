@@ -15,6 +15,13 @@
 // calls it once per run, stores the result in a trace.Set, and everything
 // downstream (policies, baselines, the simulator) reads prices from that
 // set, never from here.
+//
+// Generate tabulates the diurnal price shape, which depends only on the
+// slot of the day, once per call in a table on the stack instead of
+// evaluating its three exponentials twice per slot. Each entry is the
+// same expression on the same operands as the per-slot evaluation, and
+// the random source is drawn in the same order, so the table changes no
+// output bit (internal/engine pins every bit of the generated traces).
 package pricing
 
 import (
@@ -125,33 +132,41 @@ func Generate(c Config) (lt, rt *trace.Series, err error) {
 		dayLevel[d] = clamp(level*weekly, c.PFloor, 0.9*c.Pmax)
 	}
 
+	// The diurnal shape, once per slot of the day (see the package doc);
+	// SlotMinutes ≥ 1 bounds a day at 1440 slots.
+	var shape [24 * 60]float64
+	for s := range slotsPerDay {
+		shape[s] = diurnalShape((float64(s) + 0.5) * slotHours)
+	}
+
 	noise := 0.0 // mean-reverting real-time deviation
 	spikeLeft := 0
 	spikeMul := 1.0
-	for i := 0; i < n; i++ {
-		day := i / slotsPerDay
-		hour := (float64(i%slotsPerDay) + 0.5) * slotHours
+	for day, dl := range dayLevel {
+		for s := range slotsPerDay {
+			i := day*slotsPerDay + s
 
-		// Long-term price: the day's level with a faint diurnal tilt so
-		// that intraday coarse intervals (T < 24h) still see structure.
-		ltP := dayLevel[day] * (1 + 0.05*diurnalShape(hour))
-		lt.Values[i] = clamp(ltP, c.PFloor, c.Pmax)
+			// Long-term price: the day's level with a faint diurnal tilt so
+			// that intraday coarse intervals (T < 24h) still see structure.
+			ltP := dl * (1 + 0.05*shape[s])
+			lt.Values[i] = clamp(ltP, c.PFloor, c.Pmax)
 
-		// Real-time price: premium level, stronger diurnal shape,
-		// mean-reverting noise and occasional multiplicative spikes.
-		noise += -0.5*noise + c.NoiseSigma*rng.NormFloat64()
-		if spikeLeft > 0 {
-			spikeLeft--
-		} else if rng.Float64() < c.SpikeProb {
-			spikeLeft = 1 + rng.Intn(3)
-			spikeMul = 1 + (c.SpikeFactor-1)*(0.5+rng.Float64())
+			// Real-time price: premium level, stronger diurnal shape,
+			// mean-reverting noise and occasional multiplicative spikes.
+			noise += -0.5*noise + c.NoiseSigma*rng.NormFloat64()
+			if spikeLeft > 0 {
+				spikeLeft--
+			} else if rng.Float64() < c.SpikeProb {
+				spikeLeft = 1 + rng.Intn(3)
+				spikeMul = 1 + (c.SpikeFactor-1)*(0.5+rng.Float64())
+			}
+			mul := 1.0
+			if spikeLeft > 0 {
+				mul = spikeMul
+			}
+			rtP := dl*c.RTPremium*(1+c.DiurnalAmp*shape[s])*mul + noise
+			rt.Values[i] = clamp(rtP, c.PFloor, c.Pmax)
 		}
-		mul := 1.0
-		if spikeLeft > 0 {
-			mul = spikeMul
-		}
-		rtP := dayLevel[day]*c.RTPremium*(1+c.DiurnalAmp*diurnalShape(hour))*mul + noise
-		rt.Values[i] = clamp(rtP, c.PFloor, c.Pmax)
 	}
 	return lt, rt, nil
 }
@@ -167,4 +182,4 @@ func diurnalShape(hour float64) float64 {
 
 func sq(x float64) float64 { return x * x }
 
-func clamp(x, lo, hi float64) float64 { return math.Min(hi, math.Max(lo, x)) }
+func clamp(x, lo, hi float64) float64 { return min(hi, max(lo, x)) }

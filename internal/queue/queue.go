@@ -12,10 +12,7 @@
 // drift-plus-penalty weights.
 package queue
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // cohort is demand energy that arrived together in one slot.
 type cohort struct {
@@ -82,7 +79,7 @@ func (q *Backlog) Serve(slot int, amount float64) float64 {
 	served := 0.0
 	for q.head < len(q.cohorts) && amount > 1e-12 {
 		c := &q.cohorts[q.head]
-		take := math.Min(c.remaining, amount)
+		take := min(c.remaining, amount)
 		c.remaining -= take
 		amount -= take
 		served += take
@@ -99,7 +96,7 @@ func (q *Backlog) Serve(slot int, amount float64) float64 {
 			q.head++
 		}
 	}
-	q.total = math.Max(0, q.total-served)
+	q.total = max(0, q.total-served)
 	return served
 }
 
@@ -197,7 +194,7 @@ func (d *Delay) Value() float64 { return d.value }
 // Restore overwrites Y(τ) from a checkpoint (negative values clamp to 0,
 // the queue's own floor).
 func (d *Delay) Restore(value float64) {
-	d.value = math.Max(0, value)
+	d.value = max(0, value)
 }
 
 // Update advances Y given the energy served this slot and whether the
@@ -207,5 +204,5 @@ func (d *Delay) Update(served float64, backlogPositive bool) {
 	if backlogPositive {
 		inc = d.epsilon
 	}
-	d.value = math.Max(0, d.value-served+inc)
+	d.value = max(0, d.value-served+inc)
 }

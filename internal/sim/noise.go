@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"github.com/smartdpss/smartdpss/internal/jsonenc"
@@ -102,9 +101,9 @@ func (n *NoisyController) PlanFine(obs FineObs) Decision {
 	}
 	dec := n.inner.PlanFine(noisy)
 
-	dec.Grt = clamp(dec.Grt, 0, math.Max(0,
-		math.Min(obs.RTHeadroom, obs.Smax-obs.LongTermDue-obs.Renewable)))
-	dec.ServeDT = clamp(dec.ServeDT, 0, math.Min(obs.Backlog, obs.SdtMax))
+	dec.Grt = clamp(dec.Grt, 0, max(0,
+		min(obs.RTHeadroom, obs.Smax-obs.LongTermDue-obs.Renewable)))
+	dec.ServeDT = clamp(dec.ServeDT, 0, min(obs.Backlog, obs.SdtMax))
 	dec.Charge = clamp(dec.Charge, 0, obs.MaxCharge)
 	dec.Discharge = clamp(dec.Discharge, 0, obs.MaxDischarge)
 	for u := range dec.GenerateUnits {
@@ -112,7 +111,7 @@ func (n *NoisyController) PlanFine(obs FineObs) Decision {
 		if u < len(obs.GenUnits) {
 			limit = obs.GenUnits[u].RequestMax
 		}
-		dec.GenerateUnits[u] = clamp(dec.GenerateUnits[u], 0, math.Max(0, limit))
+		dec.GenerateUnits[u] = clamp(dec.GenerateUnits[u], 0, max(0, limit))
 	}
 	return dec
 }

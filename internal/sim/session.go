@@ -442,14 +442,14 @@ func (s *Session) Commit() (SlotOutcome, error) {
 	// shed (the availability role the paper assigns to the Bmin reserve,
 	// Sec. II-B.4).
 	if net < 0 && dec.Charge > 0 {
-		cancel := math.Min(dec.Charge, -net)
+		cancel := min(dec.Charge, -net)
 		dec.Charge -= cancel
 		net += cancel
 	}
 	if net < 0 {
 		headroom := s.acct.RealTimeHeadroom() - dec.Grt
 		smaxRoom := s.cfg.SmaxMWh - (obs.LongTermDue + dec.Grt + r + gen.DeliveredMWh)
-		topup := math.Min(-net, math.Max(0, math.Min(headroom, smaxRoom)))
+		topup := min(-net, max(0, min(headroom, smaxRoom)))
 		if topup > 0 {
 			dec.Grt += topup
 			supply += topup
@@ -457,13 +457,13 @@ func (s *Session) Commit() (SlotOutcome, error) {
 		}
 	}
 	if net < 0 && dec.ServeDT > 0 {
-		cut := math.Min(dec.ServeDT, -net)
+		cut := min(dec.ServeDT, -net)
 		dec.ServeDT -= cut
 		net += cut
 	}
 	if net < 0 && dec.Charge <= decisionTol {
 		dec.Charge = 0
-		extra := math.Min(obs.MaxDischarge-dec.Discharge, -net)
+		extra := min(obs.MaxDischarge-dec.Discharge, -net)
 		if extra > 0 {
 			dec.Discharge += extra
 			net += extra
@@ -532,7 +532,7 @@ func (s *Session) Commit() (SlotOutcome, error) {
 	t.RenewableMWh += r
 	t.ServedDTMWh += served
 	t.BacklogMeanMWh += (backlog - t.BacklogMeanMWh) / float64(slot+1)
-	t.BacklogMaxMWh = math.Max(t.BacklogMaxMWh, backlog)
+	t.BacklogMaxMWh = max(t.BacklogMaxMWh, backlog)
 	if slot == 0 || level < t.BatteryMinMWh {
 		t.BatteryMinMWh = level
 	}
@@ -588,11 +588,11 @@ func (s *Session) Finish() (*Report, error) {
 // maximum, clamping sub-tolerance overshoot and rejecting anything
 // larger. Field-by-field calls keep the decision off the heap — the old
 // pointer-table formulation forced every slot's Decision to escape.
-func checkDecisionField(name string, val *float64, max float64) error {
+func checkDecisionField(name string, val *float64, bound float64) error {
 	if math.IsNaN(*val) || math.IsInf(*val, 0) {
 		return fmt.Errorf("non-finite %s", name)
 	}
-	limit := math.Max(0, max)
+	limit := max(0, bound)
 	if *val < -decisionTol || *val > limit+decisionTol {
 		return fmt.Errorf("%s = %g outside [0, %g]", name, *val, limit)
 	}
@@ -604,10 +604,10 @@ func checkDecisionField(name string, val *float64, max float64) error {
 // clamping sub-tolerance overshoot and rejecting anything larger.
 func (s *Session) validateDecision(dec *Decision, obs FineObs) error {
 	if err := checkDecisionField("grt", &dec.Grt,
-		math.Min(obs.RTHeadroom, s.cfg.SmaxMWh-obs.LongTermDue-obs.Renewable)); err != nil {
+		min(obs.RTHeadroom, s.cfg.SmaxMWh-obs.LongTermDue-obs.Renewable)); err != nil {
 		return err
 	}
-	if err := checkDecisionField("serveDT", &dec.ServeDT, math.Min(obs.Backlog, obs.SdtMax)); err != nil {
+	if err := checkDecisionField("serveDT", &dec.ServeDT, min(obs.Backlog, obs.SdtMax)); err != nil {
 		return err
 	}
 	if err := checkDecisionField("charge", &dec.Charge, obs.MaxCharge); err != nil {
@@ -625,7 +625,7 @@ func (s *Session) validateDecision(dec *Decision, obs FineObs) error {
 		if math.IsNaN(*val) || math.IsInf(*val, 0) {
 			return fmt.Errorf("non-finite generateUnits[%d]", u)
 		}
-		limit := math.Max(0, obs.GenUnits[u].RequestMax)
+		limit := max(0, obs.GenUnits[u].RequestMax)
 		if *val < -decisionTol || *val > limit+decisionTol {
 			return fmt.Errorf("generateUnits[%d] = %g outside [0, %g]", u, *val, limit)
 		}

@@ -280,7 +280,7 @@ func InputAt(set *trace.Set, slot int) SlotInput {
 	}
 }
 
-func clamp(x, lo, hi float64) float64 { return math.Min(hi, math.Max(lo, x)) }
+func clamp(x, lo, hi float64) float64 { return min(hi, max(lo, x)) }
 
 func minInt(a, b int) int {
 	if a < b {

@@ -14,6 +14,15 @@
 // internal/engine is its sole consumer: trace generation scales the
 // output by the configured capacity and merges it with wind into the
 // renewable series of the trace.Set that everything downstream reads.
+//
+// Generate evaluates each pure term of the solar geometry as rarely as
+// it changes: the latitude's sine and cosine once per call, the
+// declination's once per day, and the hour angle's cosine once per slot
+// of the day, in a table on the stack. The sun's elevation is then the
+// same expression on the same operands as a per-slot evaluation, and
+// the weather chain draws the random source in the same order, so the
+// tabulation changes no output bit (internal/engine pins every bit of
+// the generated traces).
 package solar
 
 import (
@@ -105,50 +114,68 @@ func Generate(c Config) (*trace.Series, error) {
 	cloudy := rng.Float64() < 0.4 // initial weather state
 	atten := 1.0                  // AR(1) attenuation level
 
-	for i := 0; i < n; i++ {
-		day := c.StartDayOfYear + i/slotsPerDay
-		hour := (float64(i%slotsPerDay) + 0.5) * slotHours // slot midpoint
+	// The clear-sky geometry, each term as rarely as it changes (see the
+	// package doc); SlotMinutes ≥ 1 bounds a day at 1440 slots.
+	sinLat, cosLat := latitudeTerms(c.LatitudeDeg)
+	var cosHourAngle [24 * 60]float64
+	for s := range slotsPerDay {
+		cosHourAngle[s] = math.Cos(hourAngle((float64(s) + 0.5) * slotHours)) // slot midpoint
+	}
 
-		// Weather chain steps once per slot, scaled to per-hour rates.
-		pFlip := c.PClearToCloudy
-		if cloudy {
-			pFlip = c.PCloudyToClear
-		}
-		if rng.Float64() < pFlip*slotHours {
-			cloudy = !cloudy
-		}
-		target := 1.0
-		if cloudy {
-			target = c.CloudyAttenuation
-		}
-		// Mean-reverting attenuation with small noise, bounded to [0.05, 1].
-		atten += 0.45*(target-atten) + 0.05*rng.NormFloat64()
-		atten = math.Min(1, math.Max(0.05, atten))
+	for d := range c.Days {
+		sinDecl, cosDecl := declinationTerms(c.StartDayOfYear + d)
+		for s := range slotsPerDay {
+			// Weather chain steps once per slot, scaled to per-hour rates.
+			pFlip := c.PClearToCloudy
+			if cloudy {
+				pFlip = c.PCloudyToClear
+			}
+			if rng.Float64() < pFlip*slotHours {
+				cloudy = !cloudy
+			}
+			target := 1.0
+			if cloudy {
+				target = c.CloudyAttenuation
+			}
+			// Mean-reverting attenuation with small noise, bounded to [0.05, 1].
+			atten += 0.45*(target-atten) + 0.05*rng.NormFloat64()
+			atten = min(1, max(0.05, atten))
 
-		irr := clearSkyIrradiance(c.LatitudeDeg, day, hour)
-		powerMW := c.CapacityMW * c.PerformanceRatio * (irr / 1000.0) * atten
-		out.Values[i] = math.Max(0, powerMW*slotHours)
+			irr := clearSkyIrradiance(sinLat*sinDecl + cosLat*cosDecl*cosHourAngle[s])
+			powerMW := c.CapacityMW * c.PerformanceRatio * (irr / 1000.0) * atten
+			out.Values[d*slotsPerDay+s] = max(0, powerMW*slotHours)
+		}
 	}
 	return out, nil
 }
 
-// clearSkyIrradiance returns the clear-sky global horizontal irradiance in
-// W/m² for the given latitude (degrees), day of year and local solar hour.
-func clearSkyIrradiance(latDeg float64, dayOfYear int, hour float64) float64 {
-	const solarConstant = 1361.0 // W/m²
-
+// latitudeTerms returns the sine and cosine of the site latitude given
+// in degrees.
+func latitudeTerms(latDeg float64) (sin, cos float64) {
 	latRad := latDeg * math.Pi / 180
-	// Cooper's declination formula.
-	declRad := 23.45 * math.Pi / 180 * math.Sin(2*math.Pi*float64(284+dayOfYear)/365)
-	hourAngle := (hour - 12) * 15 * math.Pi / 180
+	return math.Sin(latRad), math.Cos(latRad)
+}
 
-	sinElev := math.Sin(latRad)*math.Sin(declRad) +
-		math.Cos(latRad)*math.Cos(declRad)*math.Cos(hourAngle)
+// declinationTerms returns the sine and cosine of the solar declination
+// on the given day of the year (Cooper's formula).
+func declinationTerms(dayOfYear int) (sin, cos float64) {
+	declRad := 23.45 * math.Pi / 180 * math.Sin(2*math.Pi*float64(284+dayOfYear)/365)
+	return math.Sin(declRad), math.Cos(declRad)
+}
+
+// hourAngle returns the hour angle in radians of the local solar hour.
+func hourAngle(hour float64) float64 { return (hour - 12) * 15 * math.Pi / 180 }
+
+// clearSkyIrradiance returns the clear-sky global horizontal irradiance
+// in W/m² for the sine of the sun's elevation,
+// sin(lat)·sin(decl) + cos(lat)·cos(decl)·cos(hour angle).
+func clearSkyIrradiance(sinElev float64) float64 {
+	const solarConstant = 1361.0 // W/m²
 	if sinElev <= 0 {
 		return 0 // sun below the horizon
 	}
 	// Kasten–Young style air-mass attenuation, simplified.
-	airMass := 1 / math.Max(sinElev, 0.01)
+	airMass := 1 / max(sinElev, 0.01)
 	transmission := math.Pow(0.7, math.Pow(airMass, 0.678))
 	return solarConstant * sinElev * transmission
 }

@@ -190,16 +190,24 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// irradianceAt composes the clear-sky terms Generate tabulates for one
+// latitude (degrees), day of year and local solar hour.
+func irradianceAt(latDeg float64, dayOfYear int, hour float64) float64 {
+	sinLat, cosLat := latitudeTerms(latDeg)
+	sinDecl, cosDecl := declinationTerms(dayOfYear)
+	return clearSkyIrradiance(sinLat*sinDecl + cosLat*cosDecl*math.Cos(hourAngle(hour)))
+}
+
 func TestClearSkyIrradiance(t *testing.T) {
-	if irr := clearSkyIrradiance(39, 1, 0); irr != 0 {
+	if irr := irradianceAt(39, 1, 0); irr != 0 {
 		t.Errorf("midnight irradiance = %g, want 0", irr)
 	}
-	noon := clearSkyIrradiance(39, 1, 12)
+	noon := irradianceAt(39, 1, 12)
 	if noon < 200 || noon > 900 {
 		t.Errorf("January noon irradiance at 39°N = %g, expected a few hundred W/m²", noon)
 	}
 	// Equator in March should beat 39°N January noon.
-	eq := clearSkyIrradiance(0, 80, 12)
+	eq := irradianceAt(0, 80, 12)
 	if eq <= noon {
 		t.Errorf("equator equinox %g not above winter mid-latitude %g", eq, noon)
 	}

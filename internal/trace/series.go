@@ -140,13 +140,22 @@ func (s *Series) StdDev() float64 {
 
 // Validate reports an error for NaN/Inf samples or a non-positive slot size.
 func (s *Series) Validate() error {
+	_, _, err := s.validRange()
+	return err
+}
+
+// validRange is Validate that also returns, from the same pass, the
+// smallest and largest sample (+Inf and −Inf for an empty series).
+func (s *Series) validRange() (lo, hi float64, err error) {
 	if s.SlotMinutes <= 0 {
-		return fmt.Errorf("trace: %s has non-positive slot duration", s.Name)
+		return 0, 0, fmt.Errorf("trace: %s has non-positive slot duration", s.Name)
 	}
+	lo, hi = math.Inf(1), math.Inf(-1)
 	for i, v := range s.Values {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("trace: %s[%d] is %v", s.Name, i, v)
+			return 0, 0, fmt.Errorf("trace: %s[%d] is %v", s.Name, i, v)
 		}
+		lo, hi = min(lo, v), max(hi, v)
 	}
-	return nil
+	return lo, hi, nil
 }

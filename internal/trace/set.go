@@ -54,17 +54,12 @@ func (s *Set) Horizon() int {
 	return s.DemandDS.Len()
 }
 
-// all returns the series in a fixed order for uniform processing.
-func (s *Set) all() []*Series {
-	return []*Series{s.DemandDS, s.DemandDT, s.Renewable, s.PriceLT, s.PriceRT}
-}
-
 // Validate checks presence, equal lengths, matching slot sizes,
 // finiteness, and non-negativity of all series, and that no energy
-// sample exceeds MaxEnergyMWh.
+// sample exceeds MaxEnergyMWh. It reads each series once.
 func (s *Set) Validate() error {
-	names := []string{"DemandDS", "DemandDT", "Renewable", "PriceLT", "PriceRT"}
-	series := s.all()
+	names := [...]string{"DemandDS", "DemandDT", "Renewable", "PriceLT", "PriceRT"}
+	series := [...]*Series{s.DemandDS, s.DemandDT, s.Renewable, s.PriceLT, s.PriceRT}
 	for i, sr := range series {
 		if sr == nil {
 			return fmt.Errorf("trace: set is missing %s", names[i])
@@ -76,7 +71,8 @@ func (s *Set) Validate() error {
 		return errors.New("trace: set has zero horizon")
 	}
 	for i, sr := range series {
-		if err := sr.Validate(); err != nil {
+		lo, hi, err := sr.validRange()
+		if err != nil {
 			return err
 		}
 		if sr.Len() != n {
@@ -85,15 +81,16 @@ func (s *Set) Validate() error {
 		if sr.SlotMinutes != slot {
 			return fmt.Errorf("trace: %s has %d-minute slots, want %d", names[i], sr.SlotMinutes, slot)
 		}
-		if sr.Min() < 0 {
+		if lo < 0 {
 			return fmt.Errorf("trace: %s has negative samples", names[i])
 		}
-		if i < 3 && sr.Max() > MaxEnergyMWh { // the energy series
+		if i < 3 && hi > MaxEnergyMWh { // the energy series
 			return fmt.Errorf("trace: %s has samples above %g MWh", names[i], float64(MaxEnergyMWh))
 		}
 	}
 	if fs := s.FuelScale; fs != nil {
-		if err := fs.Validate(); err != nil {
+		lo, _, err := fs.validRange()
+		if err != nil {
 			return err
 		}
 		if fs.Len() != n {
@@ -102,7 +99,7 @@ func (s *Set) Validate() error {
 		if fs.SlotMinutes != slot {
 			return fmt.Errorf("trace: FuelScale has %d-minute slots, want %d", fs.SlotMinutes, slot)
 		}
-		if fs.Min() < 0 {
+		if lo < 0 {
 			return errors.New("trace: FuelScale has negative samples")
 		}
 	}

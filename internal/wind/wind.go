@@ -117,7 +117,7 @@ func Generate(c Config) (*trace.Series, error) {
 		// Fast fluctuations: mean reversion towards the modulated mean.
 		target := (c.MeanSpeedMS + front) * (1 + c.DiurnalAmp*math.Sin(2*math.Pi*(hour-15)/24))
 		speed += 0.35*(target-speed) + c.SpeedStdMS*math.Sqrt(slotHours)*0.6*rng.NormFloat64()
-		speed = math.Max(0, speed)
+		speed = max(0, speed)
 
 		powerMW := c.CapacityMW * powerCurve(speed, c.CutInMS, c.RatedMS, c.CutOutMS)
 		out.Values[i] = powerMW * slotHours
@@ -140,4 +140,4 @@ func powerCurve(speed, cutIn, rated, cutOut float64) float64 {
 	}
 }
 
-func clamp(x, lo, hi float64) float64 { return math.Min(hi, math.Max(lo, x)) }
+func clamp(x, lo, hi float64) float64 { return min(hi, max(lo, x)) }

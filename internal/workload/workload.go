@@ -21,6 +21,15 @@
 // internal/engine is its sole consumer: trace generation materializes the
 // two demand series into a trace.Set that the simulator and every policy
 // read from.
+//
+// Generate tabulates the model's pure diurnal terms — the interactive
+// shape at each slot midpoint, the batch arrival rate λ and Knuth's
+// Poisson threshold exp(−λ) — once per slot of the day, in a table on
+// the stack, instead of re-evaluating their exponentials every slot.
+// Each entry is the same expression on the same operands as the
+// per-slot evaluation, and the random source is drawn in the same
+// order, so the tables change no output bit (internal/engine pins every
+// bit of the generated traces).
 package workload
 
 import (
@@ -117,44 +126,52 @@ func Generate(c Config) (ds, dt *trace.Series, err error) {
 	dt = trace.New("demand_dt", "MWh", c.SlotMinutes, n)
 	slotHours := float64(c.SlotMinutes) / 60.0
 
-	// --- Delay-sensitive interactive curve ---
-	noise := 0.0
-	flashLeft := 0
-	flashMul := 1.0
-	for i := 0; i < n; i++ {
-		day := i / slotsPerDay
-		hour := (float64(i%slotsPerDay) + 0.5) * slotHours
-
-		shape := interactiveShape(hour) // in [0, 1]
-		level := c.InteractivePeakMW * (c.InteractiveBase + (1-c.InteractiveBase)*shape)
-		if day%7 == 5 || day%7 == 6 {
-			level *= c.WeekendFactor
-		}
-		noise += -0.4*noise + c.NoiseSigma*rng.NormFloat64()
-		if flashLeft > 0 {
-			flashLeft--
-		} else if rng.Float64() < c.FlashProb {
-			flashLeft = 2 + rng.Intn(4)
-			flashMul = 1.3 + 0.7*rng.Float64()
-		}
-		mul := 1.0
-		if flashLeft > 0 {
-			mul = flashMul
-		}
-		powerMW := math.Max(0, level*(1+noise)*mul)
-		ds.Values[i] = math.Min(powerMW, c.PgridMW) * slotHours
-	}
-
-	// --- Delay-tolerant batch arrivals ---
 	// Jobs arrive in bursts; each job deposits energy over several slots.
 	// Expected arrivals are tuned so the long-run mean matches BatchMeanMW.
 	meanJobMWh := 1.5 * slotHours // average total energy per job
 	jobsPerSlot := c.BatchMeanMW * slotHours / meanJobMWh
-	for i := 0; i < n; i++ {
-		hour := (float64(i%slotsPerDay) + 0.5) * slotHours
+
+	// The diurnal terms, once per slot of the day (see the package doc);
+	// SlotMinutes ≥ 1 bounds a day at 1440 slots.
+	var terms [24 * 60]slotTerms
+	for s := range slotsPerDay {
+		hour := (float64(s) + 0.5) * slotHours
+		shape := interactiveShape(hour) // in [0, 1]
 		// Batch submissions skew towards working hours.
-		rate := jobsPerSlot * (0.6 + 0.8*interactiveShape(hour))
-		for j := poisson(rng, rate); j > 0; j-- {
+		rate := jobsPerSlot * (0.6 + 0.8*shape)
+		terms[s] = slotTerms{shape: shape, rate: rate, expNegRate: math.Exp(-rate)}
+	}
+
+	// --- Delay-sensitive interactive curve ---
+	noise := 0.0
+	flashLeft := 0
+	flashMul := 1.0
+	for day := range c.Days {
+		for s := range slotsPerDay {
+			level := c.InteractivePeakMW * (c.InteractiveBase + (1-c.InteractiveBase)*terms[s].shape)
+			if day%7 == 5 || day%7 == 6 {
+				level *= c.WeekendFactor
+			}
+			noise += -0.4*noise + c.NoiseSigma*rng.NormFloat64()
+			if flashLeft > 0 {
+				flashLeft--
+			} else if rng.Float64() < c.FlashProb {
+				flashLeft = 2 + rng.Intn(4)
+				flashMul = 1.3 + 0.7*rng.Float64()
+			}
+			mul := 1.0
+			if flashLeft > 0 {
+				mul = flashMul
+			}
+			powerMW := max(0, level*(1+noise)*mul)
+			ds.Values[day*slotsPerDay+s] = min(powerMW, c.PgridMW) * slotHours
+		}
+	}
+
+	// --- Delay-tolerant batch arrivals ---
+	for i := 0; i < n; i++ {
+		term := &terms[i%slotsPerDay]
+		for j := poisson(rng, term.rate, term.expNegRate); j > 0; j-- {
 			energy := meanJobMWh * (0.4 + 1.2*rng.Float64())
 			duration := 1 + rng.Intn(4)
 			per := energy / float64(duration)
@@ -164,14 +181,14 @@ func Generate(c Config) (ds, dt *trace.Series, err error) {
 		}
 	}
 	for i := range dt.Values {
-		dt.Values[i] = math.Min(dt.Values[i], c.DdtMax)
+		dt.Values[i] = min(dt.Values[i], c.DdtMax)
 	}
 
 	// Clip combined demand at Pgrid (the paper removes peaks above Pgrid).
 	budget := c.PgridMW * slotHours
 	for i := 0; i < n; i++ {
 		if over := ds.Values[i] + dt.Values[i] - budget; over > 0 {
-			dt.Values[i] = math.Max(0, dt.Values[i]-over)
+			dt.Values[i] = max(0, dt.Values[i]-over)
 			if ds.Values[i]+dt.Values[i] > budget {
 				ds.Values[i] = budget - dt.Values[i]
 			}
@@ -180,22 +197,28 @@ func Generate(c Config) (ds, dt *trace.Series, err error) {
 	return ds, dt, nil
 }
 
+// slotTerms are the demand model's pure functions of the slot of the day.
+type slotTerms struct {
+	shape      float64 // interactiveShape at the slot midpoint
+	rate       float64 // expected batch job submissions λ
+	expNegRate float64 // exp(−λ), the threshold of Knuth's Poisson draw
+}
+
 // interactiveShape is a smooth [0, 1] diurnal curve with a midday plateau
 // and evening peak, lowest around 4am.
 func interactiveShape(hour float64) float64 {
 	midday := math.Exp(-sq(hour-14) / (2 * sq(3.5)))
 	evening := math.Exp(-sq(hour-20) / (2 * sq(1.8)))
 	v := 0.85*midday + 0.55*evening
-	return math.Min(1, v)
+	return min(1, v)
 }
 
 // poisson draws a Poisson variate via Knuth's method; adequate for the
-// small rates used here.
-func poisson(rng *rand.Rand, lambda float64) int {
+// small rates used here. l is exp(−lambda), which the caller tabulates.
+func poisson(rng *rand.Rand, lambda, l float64) int {
 	if lambda <= 0 {
 		return 0
 	}
-	l := math.Exp(-lambda)
 	k := 0
 	p := 1.0
 	for {
