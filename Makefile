@@ -15,9 +15,13 @@ GO ?= go
 # sit in the packages that own them. BenchmarkTraceGeneration (one
 # default month of synthetic traces) and BenchmarkSessionSlot (one
 # Step+Commit of a SmartDPSS session, internal/engine) are the two
-# layers a geo site-month pays for.
-PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineDayLP|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair|BenchmarkWriteExposition|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceGeneration|BenchmarkSessionSlot
-PERF_PKGS = . ./internal/lp ./internal/serve ./internal/engine
+# layers a geo site-month pays for. Beneath the session slot sit the
+# controller-planning rungs in internal/core: BenchmarkSolveBest (one P5
+# pair) and BenchmarkPlanFine/BenchmarkPlanFineFleet (one fine slot of
+# planning without and with BenchmarkFleetDispatch's fleet). cmd/perf
+# holds the session slot and these three to exactly 0 allocs/op.
+PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineDayLP|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair|BenchmarkWriteExposition|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceGeneration|BenchmarkSessionSlot|BenchmarkSolveBest|BenchmarkPlanFine
+PERF_PKGS = . ./internal/lp ./internal/serve ./internal/engine ./internal/core
 
 # Fuzzing budget for the `fuzz` target (CI smoke uses the default).
 FUZZTIME ?= 30s
@@ -57,14 +61,16 @@ bench-check:
 # and an accepted one must commit and leave the session snapshottable;
 # FuzzPolicyInvariants — all six policies over random plants, batteries
 # and fleets must close the energy balance, keep the state of charge in
-# bounds, follow the backlog recurrence and reconcile their reports.
-# FUZZTIME is each target's budget (e.g.
-# FUZZTIME=5m).
+# bounds, follow the backlog recurrence and reconcile their reports;
+# FuzzSolveBestParity — random and edge-case P5 instances, where the
+# controller's shared-sort P5 pair must match two full solves bit for
+# bit. FUZZTIME is each target's budget (e.g. FUZZTIME=5m).
 fuzz:
 	$(GO) test ./internal/lp -run '^$$' -fuzz FuzzSparseSolveParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzSlotInput -fuzztime $(FUZZTIME)
 	$(GO) test . -run '^$$' -fuzz FuzzPolicyInvariants -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSolveBestParity -fuzztime $(FUZZTIME)
 
 lint:
 	@unformatted=$$(gofmt -l .); \

@@ -15,15 +15,15 @@
 //
 // With -check FILE the parsed results are additionally compared against
 // FILE's "current" block: the run fails (exit 1) when the allocation
-// count of any gated benchmark regresses beyond the tolerance.
-// Allocations per op are deterministic — unlike ns/op they do not
-// depend on CI machine load — which makes them the right regression
-// signal for an allocation-free hot path. Two further gate families run
-// on the -check path: same-run speedup ratios (sparse vs dense
-// staircase LP, load-independent) and coarse absolute wall-clock budgets
-// (the annual LP's ≤20 s hyper-sparsity pin). Every benchmark a gate
-// names must appear in the input, so a renamed or moved benchmark fails
-// the check instead of silently disabling its gate.
+// count of any gated benchmark regresses beyond the tolerance, or when a
+// slot-loop rung allocates at all. Allocations per op are deterministic
+// — unlike ns/op they do not depend on CI machine load — which makes
+// them the right regression signal for an allocation-free hot path. Two
+// further gate families run on the -check path: same-run speedup ratios
+// (sparse vs dense staircase LP, load-independent) and coarse absolute
+// wall-clock budgets (the annual LP's ≤20 s hyper-sparsity pin). Every
+// benchmark a gate names must appear in the input, so a renamed or moved
+// benchmark fails the check instead of silently disabling its gate.
 package main
 
 import (
@@ -78,6 +78,19 @@ var gated = map[string]float64{
 	// for its whole budget, so a per-evaluation allocation regression
 	// multiplies across every tuning run.
 	"BenchmarkTuneEvaluate": 1.10,
+}
+
+// zeroAllocGates are the slot-loop rungs, which must allocate nothing:
+// their limit is exactly 0 allocs/op, not the committed count plus
+// headroom, so a single allocation per slot fails the check. The session
+// slot (Step+Commit, internal/engine) sits on the controller-planning
+// rungs (internal/core): one P5 pair and one fine slot of planning,
+// without and with a generation fleet.
+var zeroAllocGates = []string{
+	"BenchmarkSessionSlot",
+	"BenchmarkSolveBest",
+	"BenchmarkPlanFine",
+	"BenchmarkPlanFineFleet",
 }
 
 // speedupGates are same-run ns/op ratio assertions: each entry requires
@@ -146,6 +159,9 @@ func main() {
 			fatalf("%v", err)
 		}
 		fmt.Printf("perf: allocation gate passed against %s\n", *check)
+		if err := gateZeroAllocs(results); err != nil {
+			fatalf("%v", err)
+		}
 		if err := gateSpeedups(results); err != nil {
 			fatalf("%v", err)
 		}
@@ -213,6 +229,23 @@ func gate(fresh map[string]Result, committed *File) error {
 		}
 		fmt.Printf("perf: %s at %d allocs/op (committed %d, limit %d)\n",
 			name, got.AllocsPerOp, want.AllocsPerOp, limit)
+	}
+	return nil
+}
+
+// gateZeroAllocs enforces zeroAllocGates. Every gated benchmark must have
+// been measured in this run.
+func gateZeroAllocs(fresh map[string]Result) error {
+	for _, name := range zeroAllocGates {
+		got, ok := fresh[name]
+		if !ok {
+			return fmt.Errorf("zero-allocation gated benchmark %s missing from this run", name)
+		}
+		if got.AllocsPerOp != 0 {
+			return fmt.Errorf("%s allocates %d times per op; a slot-loop rung must allocate nothing",
+				name, got.AllocsPerOp)
+		}
+		fmt.Printf("perf: %s at 0 allocs/op (limit 0)\n", name)
 	}
 	return nil
 }

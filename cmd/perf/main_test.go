@@ -5,10 +5,13 @@ import (
 	"testing"
 )
 
-// passingRun returns measurements that satisfy every speedup and
-// wall-clock gate.
+// passingRun returns measurements that satisfy every zero-allocation,
+// speedup and wall-clock gate.
 func passingRun() map[string]Result {
 	fresh := make(map[string]Result)
+	for _, name := range zeroAllocGates {
+		fresh[name] = Result{NsPerOp: 100}
+	}
 	for _, g := range speedupGates {
 		fresh[g.fast] = Result{NsPerOp: 10}
 		fresh[g.slow] = Result{NsPerOp: 100}
@@ -69,6 +72,30 @@ func TestGateWall(t *testing.T) {
 		slow[name] = Result{NsPerOp: budget * 1.5}
 		if err := gateWall(slow); err == nil || !strings.Contains(err.Error(), "exceeds") {
 			t.Fatalf("over-budget %s: got %v, want a budget error", name, err)
+		}
+	}
+}
+
+func TestGateZeroAllocs(t *testing.T) {
+	if len(zeroAllocGates) == 0 {
+		t.Fatal("no zero-allocation gates configured")
+	}
+	if err := gateZeroAllocs(passingRun()); err != nil {
+		t.Fatalf("gate failed on a passing run: %v", err)
+	}
+	for _, name := range zeroAllocGates {
+		missing := passingRun()
+		delete(missing, name)
+		if err := gateZeroAllocs(missing); err == nil || !strings.Contains(err.Error(), name+" missing") {
+			t.Fatalf("missing %s: got %v, want a missing-benchmark error", name, err)
+		}
+
+		// One allocation per op fails: the limit is exactly zero, with
+		// none of the headroom the committed-count gate allows.
+		one := passingRun()
+		one[name] = Result{NsPerOp: 100, AllocsPerOp: 1}
+		if err := gateZeroAllocs(one); err == nil || !strings.Contains(err.Error(), "allocates 1 times") {
+			t.Fatalf("%s at 1 alloc/op: got %v, want an allocation error", name, err)
 		}
 	}
 }

@@ -28,13 +28,11 @@ type OfflineHorizon struct {
 
 var _ sim.Controller = (*OfflineHorizon)(nil)
 
-// NewOfflineHorizon solves the horizon LP eagerly and returns the
-// replaying controller.
+// NewOfflineHorizon solves the horizon LP eagerly over the given trace
+// set and returns the replaying controller. The set must have passed
+// trace.Set.Validate: engine.NewReplaySession validates each set once.
 func NewOfflineHorizon(cfg Config, set *trace.Set) (*OfflineHorizon, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := set.Validate(); err != nil {
 		return nil, err
 	}
 	o := &OfflineHorizon{cfg: cfg, set: set}

@@ -36,12 +36,11 @@ type Lookahead struct {
 
 var _ sim.Controller = (*Lookahead)(nil)
 
-// NewLookahead returns an MPC controller with a W-slot foresight window.
+// NewLookahead returns an MPC controller with a W-slot foresight window
+// over the given trace set, which must have passed trace.Set.Validate
+// (engine.NewReplaySession validates each set once).
 func NewLookahead(cfg Config, set *trace.Set, window int) (*Lookahead, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := set.Validate(); err != nil {
 		return nil, err
 	}
 	if window < 1 {

@@ -39,12 +39,10 @@ type OfflineOptimal struct {
 var _ sim.Controller = (*OfflineOptimal)(nil)
 
 // NewOfflineOptimal returns the per-interval clairvoyant benchmark over
-// the given (already validated) trace set.
+// the given trace set, which must have passed trace.Set.Validate
+// (engine.NewReplaySession validates each set once).
 func NewOfflineOptimal(cfg Config, set *trace.Set) (*OfflineOptimal, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := set.Validate(); err != nil {
 		return nil, err
 	}
 	return &OfflineOptimal{cfg: cfg, set: set}, nil

@@ -61,6 +61,13 @@ type slotScratch struct {
 	flowsFrozen []float64 // per-segment flows of the battery-frozen solve
 	adopted     []float64 // flows of the adopted fleet solve (survives later solves)
 
+	in     p5Input  // the slot's P5 instance; planFleet grows it into the committed fleet's
+	best   p5Result // PlanFine's solve without the fleet arm
+	frozen p5Result // the battery-frozen side of the last solveBest
+	// planFleet's candidate and adopted solves; adoption swaps their
+	// roles instead of copying.
+	cand, adopt p5Result
+
 	segsCur  []genSeg // committed segment set under construction
 	segsCand []genSeg // candidate segment set (ping-pongs with segsCur on adoption)
 	segTmp   []generator.Segment
@@ -115,7 +122,7 @@ func (c *Controller) LPFailures() int { return c.lpFailures }
 // negative (grid cheap relative to queue pressure), otherwise buy exactly
 // the deficit not coverable by renewables and the battery.
 func (c *Controller) PlanCoarse(obs sim.CoarseObs) float64 {
-	p := c.params
+	p := &c.params
 	c.qT = obs.Backlog
 	c.yT = c.delay.Value()
 	c.xT = obs.Battery - p.XShift()
@@ -150,7 +157,8 @@ func (c *Controller) PlanCoarse(obs sim.CoarseObs) float64 {
 	// capacity sums across every unit that passes it.
 	selfGen := 0.0
 	fs := fuelScale(obs.FuelScale)
-	for _, gp := range c.specs {
+	for i := range c.specs {
+		gp := &c.specs[i]
 		if !gp.Enabled() {
 			continue
 		}
@@ -187,28 +195,31 @@ func (c *Controller) PlanCoarse(obs sim.CoarseObs) float64 {
 // borrows controller-owned scratch and is valid until the next PlanFine
 // call — the engine consumes each decision within its slot.
 func (c *Controller) PlanFine(obs sim.FineObs) sim.Decision {
-	p := c.params
+	p := &c.params
 	c.est.Observe(obs.DemandDS, obs.DemandDT, obs.Renewable)
 	c.prtSum += obs.PriceRT
 	c.prtN++
 	qy := c.qT + c.yT
-	in := p5Input{
-		dds:          obs.DemandDS,
-		base:         obs.LongTermDue + obs.Renewable,
-		grtMax:       max(0, min(obs.RTHeadroom, p.SmaxMWh-obs.LongTermDue-obs.Renewable)),
-		sdtMax:       max(0, min(obs.Backlog, obs.SdtMax)),
-		chargeMax:    max(0, obs.MaxCharge),
-		dischargeMax: max(0, obs.MaxDischarge),
-		etaC:         p.Battery.ChargeEff,
-		etaD:         p.Battery.DischargeEff,
-		wGrt:         p.V*obs.PriceRT - qy,
-		wSdt:         -qy,
-		wCharge:      c.qT + c.xT + c.yT,
-		wWaste:       p.V*p.WasteCostUSD + qy,
-		wEmergency:   p.V * p.EmergencyCostUSD,
-	}
+	// The instance and its result live in controller scratch, written
+	// field by field: a composite literal would be built in a temporary
+	// and block-copied.
+	in, best := &c.scr.in, &c.scr.best
+	in.dds = obs.DemandDS
+	in.base = obs.LongTermDue + obs.Renewable
+	in.grtMax = max(0, min(obs.RTHeadroom, p.SmaxMWh-obs.LongTermDue-obs.Renewable))
+	in.sdtMax = max(0, min(obs.Backlog, obs.SdtMax))
+	in.chargeMax = max(0, obs.MaxCharge)
+	in.dischargeMax = max(0, obs.MaxDischarge)
+	in.etaC = p.Battery.ChargeEff
+	in.etaD = p.Battery.DischargeEff
+	in.wGrt = p.V*obs.PriceRT - qy
+	in.wSdt = -qy
+	in.wCharge = c.qT + c.xT + c.yT
+	in.wWaste = p.V*p.WasteCostUSD + qy
+	in.wEmergency = p.V * p.EmergencyCostUSD
+	in.genSegs = nil
 
-	best, bestTotal := c.solveBest(in)
+	bestTotal := c.solveBest(in, best)
 	dec := sim.Decision{
 		Grt:       best.grt,
 		ServeDT:   best.sdt,
@@ -216,7 +227,7 @@ func (c *Controller) PlanFine(obs sim.FineObs) sim.Decision {
 		Discharge: best.discharge,
 	}
 	if len(c.specs) > 0 && len(obs.GenUnits) == len(c.specs) {
-		c.planFleet(&dec, obs, in, qy, bestTotal)
+		c.planFleet(&dec, &obs, in, qy, bestTotal)
 	}
 	return dec
 }
@@ -234,8 +245,8 @@ func fuelScale(v float64) float64 {
 
 // unitSegs appends unit ui's dispatch band above its committed minimum
 // as fuel-curve segments with drift weights V·(scaled marginal) − (Q+Y).
-func (c *Controller) unitSegs(dst []genSeg, ui int, u generator.UnitObs, qy, fs float64) []genSeg {
-	p := c.params
+func (c *Controller) unitSegs(dst []genSeg, ui int, u *generator.UnitObs, qy, fs float64) []genSeg {
+	p := &c.params
 	c.scr.segTmp = c.specs[ui].AppendSegments(c.scr.segTmp[:0], u.MinMWh, u.MaxMWh)
 	for _, s := range c.scr.segTmp {
 		dst = append(dst, genSeg{cap: s.Cap, w: p.V*(s.USDPerMWh*fs) - qy, unit: ui})
@@ -243,25 +254,44 @@ func (c *Controller) unitSegs(dst []genSeg, ui int, u generator.UnitObs, qy, fs 
 	return dst
 }
 
-// solveBest runs the battery-free/battery-frozen pair for one P5
-// instance and returns the better result with its total (including the
-// UPS fixed charge when the battery moves). The result's genFlows borrow
-// a scratch buffer valid until the next solveBest call; adopters copy.
-func (c *Controller) solveBest(in p5Input) (p5Result, float64) {
-	p := c.params
+// solveBest solves one P5 instance with the UPS fixed charge priced
+// exactly (see doc.go): it keeps the cheaper of the battery-free and the
+// battery-frozen optima after adding V·Cb to the side that moves the
+// battery, preferring the frozen side on a tie. It writes the winner
+// into res and returns its total. The analytic path builds and sorts
+// the legs once for both solves and skips the frozen one when the free
+// optimum leaves both battery legs at exactly zero flow, since it would
+// return the same point; the UseLP reference path runs both solves in
+// full. res.genFlows borrows a scratch buffer valid until the next
+// solveBest call; adopters copy.
+func (c *Controller) solveBest(in *p5Input, res *p5Result) float64 {
+	p := &c.params
 	n := len(in.genSegs)
 	c.scr.flowsFree = scratch.For(c.scr.flowsFree, n)
 	c.scr.flowsFrozen = scratch.For(c.scr.flowsFrozen, n)
-	free := c.solve(in, c.scr.flowsFree)
-	frozen := c.solve(in.frozen(), c.scr.flowsFrozen)
-	freeTotal := free.obj
-	if free.batteryUsed() {
+	frozen := &c.scr.frozen
+	if p.UseLP {
+		c.solveLP(in, c.scr.flowsFree, res)
+		fin := in.frozen()
+		c.solveLP(&fin, c.scr.flowsFrozen, frozen)
+	} else {
+		s := &c.scr.p5
+		s.prepare(in)
+		s.greedy(in, in.chargeMax, in.dischargeMax, c.scr.flowsFree, res)
+		if !s.batteryFlowed() {
+			return res.obj
+		}
+		s.greedy(in, 0, 0, c.scr.flowsFrozen, frozen)
+	}
+	freeTotal := res.obj
+	if res.batteryUsed() {
 		freeTotal += p.V * p.Battery.OpCostUSD
 	}
 	if freeTotal < frozen.obj-1e-12 {
-		return free, freeTotal
+		return freeTotal
 	}
-	return frozen, frozen.obj
+	*res = *frozen
+	return frozen.obj
 }
 
 // fleetDecision rewrites dec from the solved committed-fleet P5: every
@@ -269,9 +299,9 @@ func (c *Controller) solveBest(in p5Input) (p5Result, float64) {
 // flows, pre-starting units carry their start signals, and the flexible
 // real-time purchase is trimmed so committed supply stays inside the
 // Smax cap (Eq. 1) the offline benchmarks optimize over.
-func (c *Controller) fleetDecision(dec *sim.Decision, obs sim.FineObs, res p5Result,
+func (c *Controller) fleetDecision(dec *sim.Decision, obs *sim.FineObs, res *p5Result,
 	segs []genSeg, committedMin, starts []float64) {
-	p := c.params
+	p := &c.params
 	units := scratch.Zeroed(c.scr.units, len(c.specs))
 	above := scratch.Zeroed(c.scr.above, len(c.specs))
 	c.scr.units, c.scr.above = units, above
@@ -343,8 +373,8 @@ func (c *Controller) fleetDecision(dec *sim.Decision, obs sim.FineObs, res p5Res
 // Units off behind a synchronization lag cannot deliver this slot, so
 // the arm instead pre-starts them whenever a slot of full output at the
 // current real-time price beats fuel plus the amortized startup.
-func (c *Controller) planFleet(dec *sim.Decision, obs sim.FineObs, in p5Input, qy, bestTotal float64) {
-	p := c.params
+func (c *Controller) planFleet(dec *sim.Decision, obs *sim.FineObs, in *p5Input, qy, bestTotal float64) {
+	p := &c.params
 	fs := fuelScale(obs.FuelScale)
 	committedMin := scratch.Zeroed(c.scr.committedMin, len(c.specs))
 	starts := scratch.Zeroed(c.scr.starts, len(c.specs))
@@ -352,10 +382,12 @@ func (c *Controller) planFleet(dec *sim.Decision, obs sim.FineObs, in p5Input, q
 	committed := scratch.Zeroed(c.scr.committed, len(c.specs))
 	c.scr.committed = committed
 
-	cur := in
-	cur.genSegs = c.scr.segsCur[:0]
+	// in becomes the committed instance: its base collects the committed
+	// units' minimum loads and its segments their dispatch bands. A
+	// candidate is tried in place and undone when it is not adopted.
+	in.genSegs = c.scr.segsCur[:0]
 	curBest := bestTotal
-	var lastRes p5Result
+	res, last := &c.scr.cand, &c.scr.adopt
 	var lastSegs []genSeg
 	adopted, preStart := false, false
 
@@ -377,8 +409,8 @@ func (c *Controller) planFleet(dec *sim.Decision, obs sim.FineObs, in p5Input, q
 		}
 		env := max(0, c.envDDS+c.envDDT-c.envRen-obs.LongTermDue)
 		for _, ui := range c.merit {
-			gp := c.specs[ui]
-			u := obs.GenUnits[ui]
+			gp := &c.specs[ui]
+			u := &obs.GenUnits[ui]
 			if !gp.Enabled() {
 				continue
 			}
@@ -408,19 +440,19 @@ func (c *Controller) planFleet(dec *sim.Decision, obs sim.FineObs, in p5Input, q
 			default:
 				continue
 			}
-			cur.base += u.MinMWh
+			in.base += u.MinMWh
 			// Committed segments grow monotonically in phase 1, so they
 			// append in place into the scratch-backed set.
-			cur.genSegs = c.unitSegs(cur.genSegs, ui, u, qy, fs)
+			in.genSegs = c.unitSegs(in.genSegs, ui, u, qy, fs)
 			committedMin[ui] = u.MinMWh
 			committed[ui] = true
 			env = max(0, env-gstar)
 			adopted = true
 		}
 		if adopted {
-			lastRes, curBest = c.solveBest(cur)
-			lastSegs = cur.genSegs
-			c.adoptFlows(&lastRes)
+			curBest = c.solveBest(in, last)
+			lastSegs = in.genSegs
+			c.adoptFlows(last)
 		}
 	}
 
@@ -435,8 +467,8 @@ func (c *Controller) planFleet(dec *sim.Decision, obs sim.FineObs, in p5Input, q
 		if committed[ui] || starts[ui] > 0 {
 			continue
 		}
-		gp := c.specs[ui]
-		u := obs.GenUnits[ui]
+		gp := &c.specs[ui]
+		u := &obs.GenUnits[ui]
 		amortized := p.V * gp.StartupUSD / float64(p.T)
 		if u.MaxMWh <= 0 {
 			// Off behind a synchronization lag: pre-start when a slot of
@@ -451,10 +483,10 @@ func (c *Controller) planFleet(dec *sim.Decision, obs sim.FineObs, in p5Input, q
 			continue
 		}
 
-		cand := cur
-		cand.base = cur.base + u.MinMWh
-		cand.genSegs = c.unitSegs(append(candBuf[:0], cur.genSegs...), ui, u, qy, fs)
-		candBuf = cand.genSegs
+		base, segs := in.base, in.genSegs
+		in.base = base + u.MinMWh
+		in.genSegs = c.unitSegs(append(candBuf[:0], segs...), ui, u, qy, fs)
+		candBuf = in.genSegs
 		offset := p.V*(fs*gp.FuelCost(u.MinMWh)) - u.MinMWh*qy
 		if u.Running {
 			offset -= amortized
@@ -462,33 +494,35 @@ func (c *Controller) planFleet(dec *sim.Decision, obs sim.FineObs, in p5Input, q
 			offset += amortized
 		}
 
-		bestG, bestGTotal := c.solveBest(cand)
-		if bestGTotal+offset < curBest-1e-12 {
+		total := c.solveBest(in, res)
+		if total+offset < curBest-1e-12 {
 			// Swap storage: the candidate set becomes the committed set
 			// and the old committed backing hosts the next candidate
 			// (nothing references it anymore).
-			candBuf = cur.genSegs
-			cur = cand
+			candBuf = segs
 			// The adopted unit's offset is part of both sides of every
 			// later comparison, so the rolling baseline carries the bare
 			// solve total: adding the NEXT unit is judged purely on its
 			// own offset against the marginal solve improvement.
-			curBest = bestGTotal
+			curBest = total
 			committedMin[ui] = u.MinMWh
-			lastRes, lastSegs = bestG, cand.genSegs
-			c.adoptFlows(&lastRes)
+			res, last = last, res
+			lastSegs = in.genSegs
+			c.adoptFlows(last)
 			adopted = true
+		} else {
+			in.base, in.genSegs = base, segs
 		}
 	}
 	// Persist the (possibly regrown) backings for the next slot. Only the
 	// slice headers shrink; lastSegs keeps its own view of the data until
 	// the decision below is assembled.
-	c.scr.segsCur = cur.genSegs[:0]
+	c.scr.segsCur = in.genSegs[:0]
 	c.scr.segsCand = candBuf[:0]
 
 	switch {
 	case adopted:
-		c.fleetDecision(dec, obs, lastRes, lastSegs, committedMin, starts)
+		c.fleetDecision(dec, obs, last, lastSegs, committedMin, starts)
 	case preStart:
 		dec.GenerateUnits = starts
 	}
@@ -505,19 +539,15 @@ func (c *Controller) adoptFlows(res *p5Result) {
 	res.genFlows = c.scr.adopted
 }
 
-// solve runs the configured P5 solver, falling back to the analytic path
-// if the LP reference path fails (it cannot, short of a numerical bug).
-// flows is the caller-owned buffer that receives the per-segment
-// generation (see p5Scratch.solveAnalytic).
-func (c *Controller) solve(in p5Input, flows []float64) p5Result {
-	if c.params.UseLP {
-		res, err := c.scr.lp.solve(in, flows)
-		if err == nil {
-			return res
-		}
+// solveLP solves one P5 instance on the simplex reference path into
+// res, falling back to the analytic solver if the LP fails (it cannot,
+// short of a numerical bug). flows is the caller-owned buffer that
+// receives the per-segment generation (see p5Scratch.solveAnalytic).
+func (c *Controller) solveLP(in *p5Input, flows []float64, res *p5Result) {
+	if err := c.scr.lp.solve(in, flows, res); err != nil {
 		c.lpFailures++
+		c.scr.p5.solveAnalytic(in, flows, res)
 	}
-	return c.scr.p5.solveAnalytic(in, flows)
 }
 
 // RecordOutcome implements sim.Controller: it advances the delay virtual

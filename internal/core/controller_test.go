@@ -12,7 +12,7 @@ import (
 )
 
 // testTraces builds a deterministic paper-like trace set.
-func testTraces(t *testing.T, days int) *trace.Set {
+func testTraces(t testing.TB, days int) *trace.Set {
 	t.Helper()
 	wc := workload.Defaults()
 	wc.Days = days

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // p5Input is one fine-slot instance of subproblem P5 after the queue
@@ -57,7 +57,7 @@ type p5Result struct {
 }
 
 // batteryUsed reports whether the battery moves in this result.
-func (r p5Result) batteryUsed() bool {
+func (r *p5Result) batteryUsed() bool {
 	return r.charge > 1e-12 || r.discharge > 1e-12
 }
 
@@ -76,6 +76,12 @@ type leg struct {
 	flow float64
 }
 
+// The battery legs' positions in p5Scratch.srcs and p5Scratch.snks.
+const (
+	dischargeLeg = 1
+	chargeLeg    = 1
+)
+
 // p5Scratch holds the merit-order solver's working buffers. A Controller
 // owns one and reuses it every fine slot, so steady-state solves allocate
 // nothing; the zero value is ready to use (buffers grow on first solve).
@@ -86,19 +92,21 @@ type p5Scratch struct {
 }
 
 // solveP5Analytic solves P5 exactly by merit order with throwaway
-// buffers. The simulation hot path goes through p5Scratch.solveAnalytic
-// instead; this wrapper serves tests and one-off callers.
+// buffers. The simulation hot path goes through p5Scratch instead; this
+// wrapper serves tests and one-off callers.
 func solveP5Analytic(in p5Input) p5Result {
 	var s p5Scratch
 	var flows []float64
 	if len(in.genSegs) > 0 {
 		flows = make([]float64, len(in.genSegs))
 	}
-	return s.solveAnalytic(in, flows)
+	var res p5Result
+	s.solveAnalytic(&in, flows, &res)
+	return res
 }
 
-// solveAnalytic solves P5 exactly by merit order. P5 is a single balance
-// node with per-leg linear costs:
+// solveAnalytic solves one P5 instance exactly by merit order into res.
+// P5 is a single balance node with per-leg linear costs:
 //
 //	sources: grt (wGrt), bdc (−wCharge), emergency (wEmergency),
 //	         plus one leg per generator fuel-curve segment (genSegs)
@@ -116,7 +124,16 @@ func solveP5Analytic(in p5Input) p5Result {
 // flows receives the per-segment generation and becomes the result's
 // genFlows (it must have len(in.genSegs); nil is fine without segments) —
 // caller-owned so results can outlive the scratch's next solve.
-func (s *p5Scratch) solveAnalytic(in p5Input, flows []float64) p5Result {
+func (s *p5Scratch) solveAnalytic(in *p5Input, flows []float64, res *p5Result) {
+	s.prepare(in)
+	s.greedy(in, in.chargeMax, in.dischargeMax, flows, res)
+}
+
+// prepare builds in's source and sink legs and sorts each side by cost.
+// The order depends on the costs alone, so one prepare serves greedy runs
+// with any battery capacities: the battery-free and battery-frozen
+// solves of a P5 pair share it.
+func (s *p5Scratch) prepare(in *p5Input) {
 	sources := append(s.srcs[:0],
 		leg{cost: in.wGrt, cap: in.grtMax},
 		leg{cost: -in.wCharge, cap: in.dischargeMax},
@@ -131,9 +148,25 @@ func (s *p5Scratch) solveAnalytic(in p5Input, flows []float64) p5Result {
 		leg{cost: in.wWaste, cap: math.Inf(1)},
 	)
 	s.srcs, s.snks = sources, sinks
-	srcOrder := sortedIdxInto(s.srcIdx, sources)
-	sinkOrder := sortedIdxInto(s.snkIdx, sinks)
-	s.srcIdx, s.snkIdx = srcOrder, sinkOrder
+	s.srcIdx = sortedIdxInto(s.srcIdx, sources)
+	s.snkIdx = sortedIdxInto(s.snkIdx, sinks)
+}
+
+// greedy runs the merit-order solve on the prepared legs with the
+// battery's charge and discharge capacities set to chargeMax and
+// dischargeMax, and writes the result into res (see solveAnalytic for
+// flows).
+func (s *p5Scratch) greedy(in *p5Input, chargeMax, dischargeMax float64, flows []float64, res *p5Result) {
+	sources, sinks := s.srcs, s.snks
+	srcOrder, sinkOrder := s.srcIdx, s.snkIdx
+	for i := range sources {
+		sources[i].flow = 0
+	}
+	for i := range sinks {
+		sinks[i].flow = 0
+	}
+	sources[dischargeLeg].cap = dischargeMax
+	sinks[chargeLeg].cap = chargeMax
 
 	obj := 0.0
 	// Mandatory flow: cover the net deficit from the cheapest sources, or
@@ -167,15 +200,16 @@ func (s *p5Scratch) solveAnalytic(in p5Input, flows []float64) p5Result {
 		obj += room * (src.cost + snk.cost)
 	}
 
-	res := p5Result{
-		grt:       sources[0].flow,
-		discharge: sources[1].flow,
-		unserved:  sources[2].flow,
-		sdt:       sinks[0].flow,
-		charge:    sinks[1].flow,
-		waste:     sinks[2].flow,
-		obj:       obj,
-	}
+	// Field by field: a composite literal would be built in a temporary
+	// and block-copied into *res.
+	res.grt = sources[0].flow
+	res.discharge = sources[dischargeLeg].flow
+	res.unserved = sources[2].flow
+	res.sdt = sinks[0].flow
+	res.charge = sinks[chargeLeg].flow
+	res.waste = sinks[2].flow
+	res.obj = obj
+	res.gen, res.genFlows = 0, nil
 	if len(in.genSegs) > 0 {
 		res.genFlows = flows[:len(in.genSegs)]
 		for i, src := range sources[3:] {
@@ -183,8 +217,16 @@ func (s *p5Scratch) solveAnalytic(in p5Input, flows []float64) p5Result {
 			res.genFlows[i] = src.flow
 		}
 	}
-	netChargeDischarge(&res, in.etaC, in.etaD)
-	return res
+	netChargeDischarge(res, in.etaC, in.etaD)
+}
+
+// batteryFlowed reports whether the last greedy run left any flow, however
+// small, on a battery leg. It reads the raw leg flows, before
+// netChargeDischarge, and tests for exact zero, not batteryUsed's
+// threshold: the battery-frozen run reproduces the free one bit for bit
+// if, and only if, both battery legs carried nothing (see doc.go).
+func (s *p5Scratch) batteryFlowed() bool {
+	return s.srcs[dischargeLeg].flow != 0 || s.snks[chargeLeg].flow != 0
 }
 
 // netChargeDischarge restores the paper's brc(τ)·bdc(τ) ≡ 0 requirement
@@ -213,20 +255,24 @@ func netChargeDischarge(res *p5Result, etaC, etaD float64) {
 	}
 }
 
-// maxInsertionLegs mirrors Go's sort-internal insertion-sort cutoff: a
-// sort.Slice over at most this many elements runs exactly the insertion
-// pass below.
+// maxInsertionLegs mirrors Go's pdqsort insertion-sort cutoff: a sort
+// over at most this many elements runs exactly the insertion pass below.
 const maxInsertionLegs = 12
 
 // sortedIdxInto fills idx (reusing its storage) with leg indices in
 // ascending cost order, reproducing the historical sort.Slice ordering
-// bit for bit: up to maxInsertionLegs legs (three fixed legs plus a
-// handful of fuel-curve segments — every shipped configuration) the
-// allocation-free stable insertion sort below is exactly the pass Go's
-// sort runs on slices that short, and larger leg counts (a fleet of
-// many quadratic-curve units) fall back to sort.Slice itself so
-// tie-breaks between equal-cost legs — and therefore dispatch splits
-// among identical units — never diverge from the pre-refactor order.
+// bit for bit, ties included, so dispatch splits among identical units
+// never diverge from it. Up to maxInsertionLegs legs (three fixed legs
+// plus a handful of fuel-curve segments, every shipped configuration)
+// it runs the stable insertion sort below, which is exactly the pass
+// Go's sort runs on slices that short and two to three times faster
+// than a library call there. Larger leg counts (a fleet of many
+// quadratic-curve units) go through slices.SortFunc with a three-way
+// cost comparison: it is generated from the same pdqsort template as
+// sort.Slice and calls the comparison only as "less than zero", so it
+// makes the same comparisons and swaps and yields the same permutation
+// (TestSortedIdxMatchesSortSlice), without sort.Slice's two allocations
+// per call.
 func sortedIdxInto(idx []int, legs []leg) []int {
 	if cap(idx) < len(legs) {
 		idx = make([]int, len(legs))
@@ -236,7 +282,15 @@ func sortedIdxInto(idx []int, legs []leg) []int {
 		idx[i] = i
 	}
 	if len(idx) > maxInsertionLegs {
-		sort.Slice(idx, func(a, b int) bool { return legs[idx[a]].cost < legs[idx[b]].cost })
+		slices.SortFunc(idx, func(a, b int) int {
+			switch ca, cb := legs[a].cost, legs[b].cost; {
+			case ca < cb:
+				return -1
+			case ca > cb:
+				return 1
+			}
+			return 0
+		})
 		return idx
 	}
 	for i := 1; i < len(idx); i++ {

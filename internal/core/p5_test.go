@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -318,15 +320,258 @@ func TestP5LPSolveAllocatesNothing(t *testing.T) {
 		in = genP5(r)
 	}
 	var s p5LPScratch
+	var res p5Result
 	flows := make([]float64, len(in.genSegs))
-	if _, err := s.solve(in, flows); err != nil {
+	if err := s.solve(&in, flows, &res); err != nil {
 		t.Fatal(err)
 	}
 	var err error
-	if n := testing.AllocsPerRun(100, func() { _, err = s.solve(in, flows) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { err = s.solve(&in, flows, &res) }); n != 0 {
 		t.Errorf("P5 LP solve allocates %v times per call, want 0", n)
 	}
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// oracleSolve is the merit-order P5 solve as it stood before the
+// battery-free and battery-frozen solves shared one leg sort: fresh legs
+// and a sort.Slice order for every instance (for at most twelve legs
+// sort.Slice runs the same insertion pass as sortedIdxInto). The
+// oracles below hold the production kernel to it bit for bit.
+func oracleSolve(in p5Input, flows []float64) p5Result {
+	sources := []leg{
+		{cost: in.wGrt, cap: in.grtMax},
+		{cost: -in.wCharge, cap: in.dischargeMax},
+		{cost: in.wEmergency, cap: math.Inf(1)},
+	}
+	for _, g := range in.genSegs {
+		sources = append(sources, leg{cost: g.w, cap: g.cap})
+	}
+	sinks := []leg{
+		{cost: in.wSdt, cap: in.sdtMax},
+		{cost: in.wCharge, cap: in.chargeMax},
+		{cost: in.wWaste, cap: math.Inf(1)},
+	}
+	srcOrder, sinkOrder := sortSliceOrder(sources), sortSliceOrder(sinks)
+	obj := 0.0
+	if net := in.dds - in.base; net > 0 {
+		obj += allocate(sources, srcOrder, net)
+	} else if net < 0 {
+		obj += allocate(sinks, sinkOrder, -net)
+	}
+	si, ki := 0, 0
+	for si < len(srcOrder) && ki < len(sinkOrder) {
+		src := &sources[srcOrder[si]]
+		snk := &sinks[sinkOrder[ki]]
+		if src.cost+snk.cost >= -1e-12 {
+			break
+		}
+		room := min(src.cap-src.flow, snk.cap-snk.flow)
+		if room <= 0 {
+			if src.cap-src.flow <= 0 {
+				si++
+			} else {
+				ki++
+			}
+			continue
+		}
+		src.flow += room
+		snk.flow += room
+		obj += room * (src.cost + snk.cost)
+	}
+	res := p5Result{
+		grt:       sources[0].flow,
+		discharge: sources[1].flow,
+		unserved:  sources[2].flow,
+		sdt:       sinks[0].flow,
+		charge:    sinks[1].flow,
+		waste:     sinks[2].flow,
+		obj:       obj,
+	}
+	if len(in.genSegs) > 0 {
+		res.genFlows = flows[:len(in.genSegs)]
+		for i, src := range sources[3:] {
+			res.gen += src.flow
+			res.genFlows[i] = src.flow
+		}
+	}
+	netChargeDischarge(&res, in.etaC, in.etaD)
+	return res
+}
+
+// sortSliceOrder is the leg order the solver used to take from sort.Slice.
+func sortSliceOrder(legs []leg) []int {
+	idx := make([]int, len(legs))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return legs[idx[a]].cost < legs[idx[b]].cost })
+	return idx
+}
+
+// oracleSolveBest is solveBest as two full solves: the battery-free and
+// the battery-frozen instance, each solved from scratch, the cheaper
+// kept after V·Cb is added to the side that moves the battery, and the
+// frozen side kept on a tie.
+func oracleSolveBest(p *Params, in p5Input) (p5Result, float64) {
+	n := len(in.genSegs)
+	free := oracleSolve(in, make([]float64, n))
+	frozen := oracleSolve(in.frozen(), make([]float64, n))
+	freeTotal := free.obj
+	if free.batteryUsed() {
+		freeTotal += p.V * p.Battery.OpCostUSD
+	}
+	if freeTotal < frozen.obj-1e-12 {
+		return free, freeTotal
+	}
+	return frozen, frozen.obj
+}
+
+// parityInput draws a P5 instance from seed with genP5 and bends it
+// toward the edge cases of the shared-sort kernel, one per bit of edges:
+// zero battery caps, a zero net (base = dds), a zero battery weight,
+// segment costs tied with the battery legs, a fleet past the
+// insertion-sort cutoff with tie-heavy costs, a grid-to-backlog pair
+// cost on the −1e-12 threshold, and a mandatory deficit the grid covers
+// but for a 1e-13 MWh sliver, which falls to the battery ahead of a
+// barely dearer emergency leg: a flow below batteryUsed's threshold that
+// still makes the frozen solve differ, and win the tie. The
+// Params carry the V and UPS operation cost the fixed charge is priced
+// with; bit 6 zeroes the latter, so a battery-moving optimum ties its
+// frozen alternative.
+func parityInput(seed int64, edges uint8) (Params, p5Input) {
+	r := rand.New(rand.NewSource(seed))
+	in := genP5(r)
+	p := DefaultParams()
+	p.V = 0.05 + 3*r.Float64()
+	p.Battery.OpCostUSD = 10 * r.Float64()
+	if edges&1 != 0 {
+		in.chargeMax, in.dischargeMax = 0, 0
+	}
+	if edges&2 != 0 {
+		in.base = in.dds
+	}
+	if edges&4 != 0 {
+		in.wCharge = 0
+	}
+	if edges&8 != 0 {
+		for i := range in.genSegs {
+			in.genSegs[i].w = -in.wCharge // the discharge leg's cost
+			if i%2 == 1 {
+				in.genSegs[i].w = in.wCharge // the charge leg's
+			}
+		}
+	}
+	if edges&16 != 0 {
+		for i := 10 + r.Intn(30); i > 0; i-- {
+			w := float64(r.Intn(5))*20 - in.wCharge
+			in.genSegs = append(in.genSegs, genSeg{cap: 0.3 * r.Float64(), w: w, unit: i})
+		}
+	}
+	if edges&32 != 0 {
+		in.wGrt = -1e-12 - in.wSdt
+	}
+	if edges&64 != 0 {
+		p.Battery.OpCostUSD = 0
+	}
+	if edges&128 != 0 {
+		in.wGrt = -in.wCharge - 1
+		in.wEmergency = -in.wCharge + 1 // the frozen solve's sliver costs 1e-13 more
+		in.dds = in.base + 0.5
+		in.grtMax = in.dds - in.base - 1e-13
+	}
+	return p, in
+}
+
+// FuzzSolveBestParity holds Controller.solveBest — one leg sort per
+// pair, and the battery-frozen solve only when the free one moved the
+// battery — to oracleSolveBest's two full solves: every result field,
+// every per-segment flow and the returned total must match bit for bit.
+func FuzzSolveBestParity(f *testing.F) {
+	r := rand.New(rand.NewSource(43))
+	for range 64 {
+		f.Add(r.Int63(), uint8(0))
+	}
+	for edges := range 256 {
+		f.Add(r.Int63(), uint8(edges))
+	}
+	c := &Controller{}
+	f.Fuzz(func(t *testing.T, seed int64, edges uint8) {
+		p, in := parityInput(seed, edges)
+		want, wantTotal := oracleSolveBest(&p, in)
+		c.params = p
+		var got p5Result
+		gotTotal := c.solveBest(&in, &got)
+		if err := sameResult(got, gotTotal, want, wantTotal); err != "" {
+			t.Fatalf("seed %d edges %#x: %s\nin  %+v\ngot %+v\nwant %+v", seed, edges, err, in, got, want)
+		}
+	})
+}
+
+// sameResult compares two solveBest outcomes bit for bit and names the
+// first field that differs ("" when none does).
+func sameResult(got p5Result, gotTotal float64, want p5Result, wantTotal float64) string {
+	fields := []struct {
+		name      string
+		got, want float64
+	}{
+		{"grt", got.grt, want.grt},
+		{"sdt", got.sdt, want.sdt},
+		{"charge", got.charge, want.charge},
+		{"discharge", got.discharge, want.discharge},
+		{"waste", got.waste, want.waste},
+		{"unserved", got.unserved, want.unserved},
+		{"gen", got.gen, want.gen},
+		{"obj", got.obj, want.obj},
+		{"total", gotTotal, wantTotal},
+	}
+	for _, f := range fields {
+		if math.Float64bits(f.got) != math.Float64bits(f.want) {
+			return fmt.Sprintf("%s = %v, want %v", f.name, f.got, f.want)
+		}
+	}
+	if len(got.genFlows) != len(want.genFlows) {
+		return fmt.Sprintf("%d segment flows, want %d", len(got.genFlows), len(want.genFlows))
+	}
+	for i := range got.genFlows {
+		if math.Float64bits(got.genFlows[i]) != math.Float64bits(want.genFlows[i]) {
+			return fmt.Sprintf("genFlows[%d] = %v, want %v", i, got.genFlows[i], want.genFlows[i])
+		}
+	}
+	return ""
+}
+
+// TestSortedIdxMatchesSortSlice pins sortedIdxInto's permutation to
+// sort.Slice's on tie-heavy leg sets on both sides of the insertion-sort
+// cutoff, so dispatch splits among equal-cost legs stay where the
+// historical order put them, and pins that the large-fleet path
+// allocates nothing once its index buffer has grown.
+func TestSortedIdxMatchesSortSlice(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	var idx []int
+	for trial := range 20000 {
+		legs := make([]leg, 1+trial%72)
+		for i := range legs {
+			legs[i].cost = float64(r.Intn(4)) // ties galore
+			if r.Intn(8) == 0 {
+				legs[i].cost = r.NormFloat64()
+			}
+		}
+		idx = sortedIdxInto(idx, legs)
+		want := sortSliceOrder(legs)
+		for i := range want {
+			if idx[i] != want[i] {
+				t.Fatalf("%d legs %v: order %v, sort.Slice %v", len(legs), legs, idx, want)
+			}
+		}
+	}
+	legs := make([]leg, 20)
+	for i := range legs {
+		legs[i].cost = float64(r.Intn(3))
+	}
+	idx = sortedIdxInto(idx, legs)
+	if n := testing.AllocsPerRun(100, func() { idx = sortedIdxInto(idx, legs) }); n != 0 {
+		t.Errorf("sorting 20 legs allocates %v times per call, want 0", n)
 	}
 }

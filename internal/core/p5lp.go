@@ -32,16 +32,19 @@ func solveP5LP(in p5Input) (p5Result, error) {
 	if len(in.genSegs) > 0 {
 		flows = make([]float64, len(in.genSegs))
 	}
-	return s.solve(in, flows)
+	var res p5Result
+	err := s.solve(&in, flows, &res)
+	return res, err
 }
 
 // solve builds and solves the P5 linear program in the scratch's reusable
-// problem/solver. flows receives the per-segment generation and becomes
+// problem/solver and writes the optimum into res; on an error res is
+// left as it was. flows receives the per-segment generation and becomes
 // the result's genFlows (len(in.genSegs); nil without segments). The
 // solve is cold and runs the bounded-variable simplex: every cap below is
 // a column bound, so the model holds a single row (the balance equality)
 // instead of one row per capped variable.
-func (s *p5LPScratch) solve(in p5Input, flows []float64) (p5Result, error) {
+func (s *p5LPScratch) solve(in *p5Input, flows []float64, res *p5Result) error {
 	if s.prob == nil {
 		s.prob = lp.NewProblem()
 	}
@@ -78,12 +81,12 @@ func (s *p5LPScratch) solve(in p5Input, flows []float64) (p5Result, error) {
 
 	sol, err := s.solver.Solve(prob)
 	if err != nil {
-		return p5Result{}, fmt.Errorf("core: P5 solve: %w", err)
+		return fmt.Errorf("core: P5 solve: %w", err)
 	}
 	if sol.Status != lp.Optimal {
-		return p5Result{}, fmt.Errorf("core: P5 status %v", sol.Status)
+		return fmt.Errorf("core: P5 status %v", sol.Status)
 	}
-	res := p5Result{
+	*res = p5Result{
 		grt:       sol.Value(grt),
 		sdt:       sol.Value(sdt),
 		charge:    sol.Value(brc),
@@ -100,6 +103,6 @@ func (s *p5LPScratch) solve(in p5Input, flows []float64) (p5Result, error) {
 			res.genFlows[i] = v
 		}
 	}
-	netChargeDischarge(&res, in.etaC, in.etaD)
-	return res, nil
+	netChargeDischarge(res, in.etaC, in.etaD)
+	return nil
 }

@@ -340,6 +340,41 @@ func BenchmarkRestore(b *testing.B) {
 	}
 }
 
+// TestSessionSlotAllocatesNothing pins the steady-state slot loop at zero
+// allocations per Step+Commit: for the default SmartDPSS session, for
+// the fleet arm of BenchmarkFleetDispatch, and for eight quadratic-curve
+// units under a 12-slot commitment window, whose 19 source legs take
+// the merit-order sort past its insertion-sort cutoff.
+func TestSessionSlotAllocatesNothing(t *testing.T) {
+	quad := DefaultOptions()
+	quad.CommitWindow = 12
+	for i := range 8 {
+		quad.Fleet = append(quad.Fleet, UnitSpec{
+			CapacityMW: 0.15, MinLoadFrac: 0.2, FuelUSDPerMWh: 30 + 4*float64(i), FuelQuadUSD: 6, StartupUSD: 5,
+		})
+	}
+	arms := []streamArm{streamArms()[0], streamArms()[1], {"smartdpss-quad8", PolicySmartDPSS, quad}}
+	traces := dayTraces(t, 31)
+	month := traces.Horizon()
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			s := arm.session(t, month)
+			stepTo(t, s, traces, month/2)
+			allocs := testing.AllocsPerRun(200, func() {
+				if _, err := s.Step(traces.InputAt(s.Slot())); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("a slot allocates %v times, want 0", allocs)
+			}
+		})
+	}
+}
+
 // BenchmarkSessionSlot measures one Step+Commit of a streaming SmartDPSS
 // session from mid-month on: the session-slot rung beneath every batch
 // replay, geo site and dpss-serve ingest. The month's inputs repeat past

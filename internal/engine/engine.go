@@ -379,6 +379,12 @@ func DefaultTraceConfig() TraceConfig {
 // Traces bundles the five input series of a simulation.
 type Traces struct {
 	set *trace.Set
+	// valid records that set passed trace.Set.Validate and has not been
+	// rewritten since, so NewReplaySession need not validate it again.
+	// GenerateTraces sets it, Clone and CloneInto copy it, and every
+	// method that rewrites the set or hands it out for writing (Set)
+	// clears it.
+	valid bool
 }
 
 // TracesFromSet wraps an existing trace set as engine traces. Internal
@@ -387,10 +393,21 @@ type Traces struct {
 // the set is validated when a session is built over it.
 func TracesFromSet(set *trace.Set) *Traces { return &Traces{set: set} }
 
-// Set exposes the underlying trace set for internal consumers (the geo
-// router reads demand and price series directly). The root facade does
-// not re-export it; external callers stay behind the Traces methods.
-func (t *Traces) Set() *trace.Set { return t.set }
+// Set exposes the underlying trace set for internal consumers that may
+// rewrite it. Since the set can then change behind the Traces' back, Set
+// drops the validation record: the next session over these traces
+// validates them again. The root facade does not re-export it; external
+// callers stay behind the Traces methods.
+func (t *Traces) Set() *trace.Set {
+	t.valid = false
+	return t.set
+}
+
+// View exposes the underlying trace set for reading and keeps the
+// validation record: the geo router reads demand and price series
+// through it. The caller must not modify the set; Set is the accessor
+// for callers that may.
+func (t *Traces) View() *trace.Set { return t.set }
 
 // GenerateTraces builds the synthetic trace set: interactive plus batch
 // demand, solar production, and two-timescale prices.
@@ -476,7 +493,7 @@ func GenerateTraces(tc TraceConfig) (*Traces, error) {
 	if err := set.Validate(); err != nil {
 		return nil, fmt.Errorf("smartdpss: traces: %w", err)
 	}
-	return &Traces{set: set}, nil
+	return &Traces{set: set, valid: true}, nil
 }
 
 // fuelScaleSeries builds the per-slot fuel-price multiplier: a seeded
@@ -506,7 +523,7 @@ func fuelScaleSeries(tc TraceConfig, slotMinutes, slots int, seed int64) *trace.
 func (t *Traces) Horizon() int { return t.set.Horizon() }
 
 // Clone deep-copies the traces.
-func (t *Traces) Clone() *Traces { return &Traces{set: t.set.Clone()} }
+func (t *Traces) Clone() *Traces { return &Traces{set: t.set.Clone(), valid: t.valid} }
 
 // CloneInto deep-copies the traces into dst, reusing dst's buffers where
 // the shapes allow, and returns dst (freshly allocated when nil). Sweep
@@ -517,12 +534,14 @@ func (t *Traces) CloneInto(dst *Traces) *Traces {
 		dst = &Traces{}
 	}
 	dst.set = t.set.CloneInto(dst.set)
+	dst.valid = t.valid
 	return dst
 }
 
 // ScaleSystem multiplies demand and renewables by β (the system expansion
 // of Sec. V-C / Fig. 10); prices are unchanged.
 func (t *Traces) ScaleSystem(beta float64) *Traces {
+	t.valid = false
 	t.set.ScaleSystem(beta)
 	return t
 }
@@ -531,11 +550,17 @@ func (t *Traces) ScaleSystem(beta float64) *Traces {
 func (t *Traces) RenewablePenetration() float64 { return t.set.RenewablePenetration() }
 
 // SetPenetration rescales the renewable series to the target penetration.
-func (t *Traces) SetPenetration(p float64) error { return t.set.SetPenetration(p) }
+func (t *Traces) SetPenetration(p float64) error {
+	t.valid = false
+	return t.set.SetPenetration(p)
+}
 
 // ScaleDemandVariation stretches demand around its mean by factor k
 // (Fig. 8's demand-variation axis); the mean is preserved up to clipping.
-func (t *Traces) ScaleDemandVariation(k float64) error { return t.set.ScaleDemandVariation(k) }
+func (t *Traces) ScaleDemandVariation(k float64) error {
+	t.valid = false
+	return t.set.ScaleDemandVariation(k)
+}
 
 // PerturbUniform returns a copy of the traces with every sample of every
 // series multiplied by an independent factor drawn uniformly from
@@ -548,6 +573,7 @@ func (t *Traces) PerturbUniform(seed int64, frac, pmax float64) (*Traces, error)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	out := t.Clone()
+	out.valid = false
 	perturb := func(sr *trace.Series, hi float64) {
 		for i, v := range sr.Values {
 			nv := v * (1 + frac*(2*rng.Float64()-1))
@@ -589,6 +615,7 @@ type CoolingConfig struct {
 // base PUE, above it chiller load grows with temperature. It returns the
 // average applied PUE.
 func (t *Traces) ApplyCooling(cc CoolingConfig) (float64, error) {
+	t.valid = false
 	tc := thermal.Defaults()
 	tc.Days = t.set.Horizon() * t.set.DemandDS.SlotMinutes / (24 * 60)
 	if tc.Days <= 0 {

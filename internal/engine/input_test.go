@@ -173,6 +173,70 @@ func TestTraceValidationBoundsEnergies(t *testing.T) {
 	}
 }
 
+// TestRewrittenTracesRevalidated: NewReplaySession trusts the record
+// that a trace set passed validation unchanged, so every way of
+// rewriting the set must drop it. Each poison is written past the
+// record (straight into the set), then a rewrite runs; the session must
+// still refuse the set with the validation error the poison earns.
+func TestRewrittenTracesRevalidated(t *testing.T) {
+	poisons := []struct {
+		name   string
+		poison func(*trace.Set)
+		want   string
+	}{
+		{"NaN", func(s *trace.Set) { s.PriceRT.Values[5] = math.NaN() }, "trace: price_rt[5] is NaN"},
+		{"negative", func(s *trace.Set) { s.PriceLT.Values[5] = -1 }, "trace: PriceLT has negative samples"},
+		{"above bound", func(s *trace.Set) { s.Renewable.Values[5] = 2 * trace.MaxEnergyMWh },
+			"trace: Renewable has samples above 1e+06 MWh"},
+	}
+	// Each rewrite leaves the poisoned sample as it is (or, for
+	// ApplyCooling, refuses the set whole), and returns the traces a
+	// session would then be built over.
+	rewrites := []struct {
+		name    string
+		rewrite func(*Traces) *Traces
+	}{
+		{"ScaleSystem", func(tr *Traces) *Traces { return tr.ScaleSystem(1) }},
+		{"SetPenetration", func(tr *Traces) *Traces { _ = tr.SetPenetration(tr.RenewablePenetration()); return tr }},
+		{"ScaleDemandVariation", func(tr *Traces) *Traces { _ = tr.ScaleDemandVariation(1); return tr }},
+		{"ApplyCooling", func(tr *Traces) *Traces { _, _ = tr.ApplyCooling(CoolingConfig{MeanTempC: 20}); return tr }},
+		{"PerturbUniform", func(tr *Traces) *Traces {
+			out, err := tr.PerturbUniform(3, 0, 1e9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}},
+		{"Set", func(tr *Traces) *Traces { tr.Set(); return tr }},
+		{"TracesFromSet", func(tr *Traces) *Traces { return TracesFromSet(tr.View()) }},
+	}
+	for _, p := range poisons {
+		t.Run(p.name+"/recorded", func(t *testing.T) {
+			// The control: an unrewritten set keeps its record, and its
+			// clone too, so the poison goes unseen. Without it this test
+			// could not fail.
+			tr := dayTraces(t, 1)
+			p.poison(tr.View())
+			if _, err := NewReplaySession(PolicySmartDPSS, DefaultOptions(), tr.Clone()); err != nil {
+				t.Fatalf("recorded traces revalidated: %v", err)
+			}
+		})
+		for _, r := range rewrites {
+			if r.name == "PerturbUniform" && p.name == "negative" {
+				continue // it clips every sample at zero itself
+			}
+			t.Run(p.name+"/"+r.name, func(t *testing.T) {
+				tr := dayTraces(t, 1)
+				p.poison(tr.View())
+				_, err := NewReplaySession(PolicySmartDPSS, DefaultOptions(), r.rewrite(tr))
+				if err == nil || err.Error() != p.want {
+					t.Fatalf("got %v, want %q", err, p.want)
+				}
+			})
+		}
+	}
+}
+
 // FuzzSlotInput steps a mid-run session of the streaming arm that pick
 // selects, at a coarse boundary or just before one, with an arbitrary
 // slot input. Step must never panic. A *ValidationError must leave the

@@ -196,13 +196,18 @@ func NewSession(policy Policy, opts Options, horizon int) (*Session, error) {
 // NewReplaySession builds a session bound to a trace set: StepReplay
 // feeds the next trace row each slot, which is exactly what batch
 // Simulate does. All policies qualify, including the clairvoyant
-// offline benchmarks (which read the traces at construction).
+// offline benchmarks (which read the traces at construction). The
+// traces are validated here unless they still carry the record that
+// they passed validation unchanged (see Traces), so sweeps over
+// generated or cached traces validate each set once.
 func NewReplaySession(policy Policy, opts Options, traces *Traces) (*Session, error) {
 	if traces == nil {
 		return nil, errors.New("smartdpss: nil traces")
 	}
-	if err := traces.set.Validate(); err != nil {
-		return nil, err
+	if !traces.valid {
+		if err := traces.set.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	return newSession(policy, opts, traces, traces.set.Horizon(), traces.set.DemandDS.SlotMinutes)
 }

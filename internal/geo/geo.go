@@ -176,7 +176,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	sets := make([]*trace.Set, n)
 	for s := range traces {
-		sets[s] = traces[s].Set()
+		sets[s] = traces[s].View()
 	}
 	H := sets[0].Horizon()
 	for s := 1; s < n; s++ {
@@ -265,7 +265,7 @@ type slotTotals struct {
 func runSite(spec *SiteSpec, policy engine.Policy, traces *engine.Traces, routed []float64, out []slotTotals) (SiteResult, error) {
 	var imported, exported float64
 	if routed != nil {
-		home := traces.Set().DemandDS
+		home := traces.View().DemandDS
 		moved := false
 		for i, v := range routed {
 			delta := v - home.At(i)
@@ -279,7 +279,7 @@ func runSite(spec *SiteSpec, policy engine.Policy, traces *engine.Traces, routed
 		}
 		if moved {
 			series := trace.FromValues(home.Name, home.Unit, home.SlotMinutes, routed)
-			routedSet, err := traces.Set().WithDemandDS(series)
+			routedSet, err := traces.View().WithDemandDS(series)
 			if err != nil {
 				return SiteResult{}, err
 			}
