@@ -20,6 +20,9 @@ GO ?= go
 # pair) and BenchmarkPlanFine/BenchmarkPlanFineFleet (one fine slot of
 # planning without and with BenchmarkFleetDispatch's fleet). cmd/perf
 # holds the session slot and these three to exactly 0 allocs/op.
+# BenchmarkAblationP5LP (internal/core) solves BenchmarkSolveBest's P5
+# pairs on the tests' simplex model of P5, the merit-order solver's
+# oracle.
 PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineDayLP|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair|BenchmarkWriteExposition|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceGeneration|BenchmarkSessionSlot|BenchmarkSolveBest|BenchmarkPlanFine
 PERF_PKGS = . ./internal/lp ./internal/serve ./internal/engine ./internal/core
 

@@ -88,37 +88,6 @@ func BenchmarkDefaultsSimulation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationP5Analytic measures the closed-form P5 solver path
-// (the default). Compare with BenchmarkAblationP5LP: the merit-order
-// solver should be orders of magnitude faster at identical decisions.
-func BenchmarkAblationP5Analytic(b *testing.B) {
-	benchP5Path(b, false)
-}
-
-// BenchmarkAblationP5LP measures the simplex-based P5 reference path.
-func BenchmarkAblationP5LP(b *testing.B) {
-	benchP5Path(b, true)
-}
-
-func benchP5Path(b *testing.B, useLP bool) {
-	b.Helper()
-	tc := dpss.DefaultTraceConfig()
-	tc.Days = 7
-	traces, err := dpss.GenerateTraces(tc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := dpss.DefaultOptions()
-	opts.UseLP = useLP
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dpss.Simulate(dpss.PolicySmartDPSS, opts, traces); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationOfflineDayLP measures the paper's per-interval offline
 // benchmark, the interval-LP rung: six 12-slot staircase interval LPs
 // over three days, solved on the sparse revised simplex, plus their

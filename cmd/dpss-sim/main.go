@@ -5,7 +5,7 @@
 //	dpss-sim [-policy smartdpss|impatient|offline|offline-horizon|lookahead|lyapunov]
 //	         [-days N] [-seed S] [-v V] [-epsilon E] [-t T]
 //	         [-battery-minutes M] [-peak-mw P] [-solar-mw S]
-//	         [-penetration F] [-noise F] [-rtm] [-use-lp]
+//	         [-penetration F] [-noise F] [-rtm]
 //	         [-gen-mw G] [-gen-min-load F] [-fuel C] [-gen-startup U]
 //
 // Examples:
@@ -51,7 +51,6 @@ func run(args []string) error {
 		fuel        = fs.Float64("fuel", 0, "generator fuel price in USD/MWh (0 uses the 85 default)")
 		genStartup  = fs.Float64("gen-startup", 10, "generator cold-start cost in USD")
 		rtm         = fs.Bool("rtm", false, "disable the long-term-ahead market (real-time only)")
-		useLP       = fs.Bool("use-lp", false, "use the simplex P5 solver instead of the closed form")
 		showBounds  = fs.Bool("bounds", false, "print the Theorem 2 bounds for these options")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -76,7 +75,6 @@ func run(args []string) error {
 	opts.BatteryMinutes = *battMinutes
 	opts.PeakMW = *peakMW
 	opts.DisableLongTerm = *rtm
-	opts.UseLP = *useLP
 	opts.ObservationNoise = *noise
 	opts.NoiseSeed = *seed + 1
 	opts.Fleet = []dpss.UnitSpec{{

@@ -19,7 +19,6 @@
 //	               (e.g. "fig6v", "ext", "provision", "fig5,ext-cycle");
 //	               default is the "paper" tag — the seven figures in
 //	               paper order
-//	-fig           deprecated alias for -run (kept for old scripts)
 //	-parallel      worker-pool width; 0 (default) uses GOMAXPROCS, 1
 //	               forces sequential execution; results are
 //	               byte-identical at every level
@@ -63,7 +62,6 @@ func run(args []string) error {
 	parallel := fs.Int("parallel", 0, "worker-pool width (0 = GOMAXPROCS, 1 = sequential)")
 	list := fs.Bool("list", false, "list registered scenarios and exit")
 	runSel := fs.String("run", "", "comma-separated scenario names and/or tags (default: the paper figures)")
-	fig := fs.String("fig", "", "deprecated alias for -run")
 	asJSON := fs.Bool("json", false, "emit tables as JSON instead of aligned text")
 	csvPath := fs.String("csv", "", "export the Fig. 5 raw traces to this CSV file")
 	outDir := fs.String("out-dir", "", "also write each table as CSV into this directory")
@@ -84,7 +82,6 @@ func run(args []string) error {
 	}
 
 	selectors := splitSelectors(*runSel)
-	selectors = append(selectors, splitSelectors(*fig)...)
 	if len(selectors) == 0 {
 		selectors = []string{experiments.TagPaper}
 	}

@@ -10,8 +10,8 @@ import (
 
 func TestRunSingleFigure(t *testing.T) {
 	for _, fig := range []string{"fig5", "ext-cycle"} {
-		if err := run([]string{"-days", "2", "-skip-offline", "-fig", fig}); err != nil {
-			t.Errorf("fig %s: %v", fig, err)
+		if err := run([]string{"-days", "2", "-skip-offline", "-run", fig}); err != nil {
+			t.Errorf("-run %s: %v", fig, err)
 		}
 	}
 }
@@ -74,14 +74,14 @@ func TestRunParallelLevels(t *testing.T) {
 }
 
 func TestRunUnknownFigure(t *testing.T) {
-	if err := run([]string{"-days", "2", "-fig", "fig99"}); err == nil {
+	if err := run([]string{"-days", "2", "-run", "fig99"}); err == nil {
 		t.Error("unknown figure accepted")
 	}
 }
 
 func TestRunCSVExport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "fig5.csv")
-	if err := run([]string{"-days", "2", "-fig", "fig5", "-csv", out}); err != nil {
+	if err := run([]string{"-days", "2", "-run", "fig5", "-csv", out}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -104,7 +104,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 
 func TestRunOutDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "tables")
-	if err := run([]string{"-days", "2", "-fig", "fig5", "-out-dir", dir}); err != nil {
+	if err := run([]string{"-days", "2", "-run", "fig5", "-out-dir", dir}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "fig5.csv"))

@@ -14,7 +14,9 @@ import (
 // They replay the controller inputs of one recorded SmartDPSS month, so
 // they time the planner alone, beneath BenchmarkSessionSlot's slot
 // physics. Each runs one warm-up month before b.Loop, which grows every
-// scratch buffer: the timed loop allocates nothing.
+// scratch buffer: the timed loop allocates nothing. The P5 pair's
+// ablation partner, BenchmarkAblationP5LP, solves the same pairs on the
+// tests' simplex model of P5.
 
 // benchFleet is BenchmarkFleetDispatch's four-unit fleet in hourly-slot
 // units, run under its 12-slot commitment window.
@@ -64,19 +66,19 @@ func (r monthRecorder) RecordOutcome(out sim.Outcome) {
 
 // recordMonth runs SmartDPSS over a 31-day trace with the given fleet
 // (nil for none) and returns its recorded inputs.
-func recordMonth(b *testing.B, fleet []generator.Params) *plannerMonth {
-	b.Helper()
+func recordMonth(tb testing.TB, fleet []generator.Params) *plannerMonth {
+	tb.Helper()
 	p := DefaultParams()
 	if fleet != nil {
 		p.Fleet, p.CommitWindow = fleet, 12
 	}
 	c, err := New(p)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	m := &plannerMonth{params: p}
-	if _, err := sim.Run(simConfig(p), testTraces(b, 31), monthRecorder{c, m}); err != nil {
-		b.Fatal(err)
+	if _, err := sim.Run(simConfig(p), testTraces(tb, 31), monthRecorder{c, m}); err != nil {
+		tb.Fatal(err)
 	}
 	return m
 }
@@ -98,6 +100,28 @@ func BenchmarkSolveBest(b *testing.B) {
 	i := 0
 	for b.Loop() {
 		c.solveBest(&m.pairs[i%len(m.pairs)], &res)
+		i++
+	}
+}
+
+// BenchmarkAblationP5LP times BenchmarkSolveBest's P5 pairs solved on the
+// tests' simplex model of P5 instead: the battery-free and the
+// battery-frozen LP, each solved in full, with the UPS fixed charge
+// priced as solveBest prices it.
+func BenchmarkAblationP5LP(b *testing.B) {
+	m := recordMonth(b, nil)
+	var s p5LPScratch
+	for i := range m.pairs {
+		if _, err := s.pairValue(&m.params, &m.pairs[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, err := s.pairValue(&m.params, &m.pairs[i%len(m.pairs)]); err != nil {
+			b.Fatal(err)
+		}
 		i++
 	}
 }

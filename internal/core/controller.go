@@ -40,12 +40,8 @@ type Controller struct {
 	// within an interval instead of flapping on partial trailing means.
 	envDDS, envDDT, envRen float64
 
-	// lpFailures counts LP-path failures recovered by the analytic path
-	// (expected to stay zero; exported for tests via LPFailures).
-	lpFailures int
-
 	// scr is the per-controller slot-loop scratch: every buffer the P5
-	// solvers and the fleet planner need is owned here and reused across
+	// solver and the fleet planner need is owned here and reused across
 	// fine slots, so steady-state planning allocates nothing.
 	scr slotScratch
 }
@@ -54,8 +50,7 @@ type Controller struct {
 // grow to the fleet's size on first use and are reused verbatim after
 // that; the zero value is ready.
 type slotScratch struct {
-	p5 p5Scratch   // merit-order solver legs and order buffers
-	lp p5LPScratch // simplex reference path problem/solver
+	p5 p5Scratch // merit-order solver legs and order buffers
 
 	flowsFree   []float64 // per-segment flows of the battery-free solve
 	flowsFrozen []float64 // per-segment flows of the battery-frozen solve
@@ -110,10 +105,6 @@ func (c *Controller) QueueY() float64 { return c.delay.Value() }
 // FrozenState returns the queue state Θ(t) = [Q(t), X(t), Y(t)] captured at
 // the last coarse boundary.
 func (c *Controller) FrozenState() (q, x, y float64) { return c.qT, c.xT, c.yT }
-
-// LPFailures reports how many fine slots fell back from the LP path to the
-// analytic path. It should be zero.
-func (c *Controller) LPFailures() int { return c.lpFailures }
 
 // PlanCoarse solves P4: pick gbef(t) minimizing
 // gbef·[V·plt − Q(t) − Y(t)] subject to covering the observed
@@ -258,31 +249,24 @@ func (c *Controller) unitSegs(dst []genSeg, ui int, u *generator.UnitObs, qy, fs
 // exactly (see doc.go): it keeps the cheaper of the battery-free and the
 // battery-frozen optima after adding V·Cb to the side that moves the
 // battery, preferring the frozen side on a tie. It writes the winner
-// into res and returns its total. The analytic path builds and sorts
-// the legs once for both solves and skips the frozen one when the free
-// optimum leaves both battery legs at exactly zero flow, since it would
-// return the same point; the UseLP reference path runs both solves in
-// full. res.genFlows borrows a scratch buffer valid until the next
-// solveBest call; adopters copy.
+// into res and returns its total. It builds and sorts the legs once for
+// both solves and skips the frozen one when the free optimum leaves
+// both battery legs at exactly zero flow, since it would return the
+// same point. res.genFlows borrows a scratch buffer valid until the
+// next solveBest call; adopters copy.
 func (c *Controller) solveBest(in *p5Input, res *p5Result) float64 {
 	p := &c.params
 	n := len(in.genSegs)
 	c.scr.flowsFree = scratch.For(c.scr.flowsFree, n)
 	c.scr.flowsFrozen = scratch.For(c.scr.flowsFrozen, n)
 	frozen := &c.scr.frozen
-	if p.UseLP {
-		c.solveLP(in, c.scr.flowsFree, res)
-		fin := in.frozen()
-		c.solveLP(&fin, c.scr.flowsFrozen, frozen)
-	} else {
-		s := &c.scr.p5
-		s.prepare(in)
-		s.greedy(in, in.chargeMax, in.dischargeMax, c.scr.flowsFree, res)
-		if !s.batteryFlowed() {
-			return res.obj
-		}
-		s.greedy(in, 0, 0, c.scr.flowsFrozen, frozen)
+	s := &c.scr.p5
+	s.prepare(in)
+	s.greedy(in, in.chargeMax, in.dischargeMax, c.scr.flowsFree, res)
+	if !s.batteryFlowed() {
+		return res.obj
 	}
+	s.greedy(in, 0, 0, c.scr.flowsFrozen, frozen)
 	freeTotal := res.obj
 	if res.batteryUsed() {
 		freeTotal += p.V * p.Battery.OpCostUSD
@@ -537,17 +521,6 @@ func (c *Controller) adoptFlows(res *p5Result) {
 	}
 	c.scr.adopted = append(c.scr.adopted[:0], res.genFlows...)
 	res.genFlows = c.scr.adopted
-}
-
-// solveLP solves one P5 instance on the simplex reference path into
-// res, falling back to the analytic solver if the LP fails (it cannot,
-// short of a numerical bug). flows is the caller-owned buffer that
-// receives the per-segment generation (see p5Scratch.solveAnalytic).
-func (c *Controller) solveLP(in *p5Input, flows []float64, res *p5Result) {
-	if err := c.scr.lp.solve(in, flows, res); err != nil {
-		c.lpFailures++
-		c.scr.p5.solveAnalytic(in, flows, res)
-	}
 }
 
 // RecordOutcome implements sim.Controller: it advances the delay virtual

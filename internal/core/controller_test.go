@@ -202,9 +202,6 @@ func TestEndToEndSimulation(t *testing.T) {
 	if rep.BatteryMaxMWh > p.Battery.CapacityMWh+1e-9 {
 		t.Errorf("battery rose to %g above Bmax %g", rep.BatteryMaxMWh, p.Battery.CapacityMWh)
 	}
-	if ctrl.LPFailures() != 0 {
-		t.Errorf("LP fallbacks = %d, want 0", ctrl.LPFailures())
-	}
 }
 
 func TestEndToEndBacklogWithinTheorem2Bound(t *testing.T) {
@@ -230,30 +227,6 @@ func TestEndToEndBacklogWithinTheorem2Bound(t *testing.T) {
 	}
 	t.Logf("max backlog %.3f vs strict Qmax %.3f (freezing slack %.3f)",
 		rep.BacklogMaxMWh, strict, rep.BacklogMaxMWh-strict)
-}
-
-func TestLPAndAnalyticControllersAgree(t *testing.T) {
-	set := testTraces(t, 3)
-
-	run := func(useLP bool) *sim.Report {
-		p := DefaultParams()
-		p.UseLP = useLP
-		ctrl, err := New(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := sim.Run(simConfig(p), set, ctrl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	a := run(false)
-	l := run(true)
-	// Decisions can differ on exact ties, so compare the aggregate cost.
-	if math.Abs(a.TotalCostUSD-l.TotalCostUSD) > 1e-3*math.Max(1, a.TotalCostUSD) {
-		t.Errorf("analytic run $%.4f != LP run $%.4f", a.TotalCostUSD, l.TotalCostUSD)
-	}
 }
 
 func TestHigherVReducesCostRaisesDelay(t *testing.T) {

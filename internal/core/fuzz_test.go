@@ -55,7 +55,6 @@ func TestFuzzControllerInvariants(t *testing.T) {
 		p.V = 0.02 + r.Float64()*5
 		p.Epsilon = 0.1 + r.Float64()*2
 		p.T = []int{3, 6, 12, 24, 48}[r.Intn(5)]
-		p.UseLP = r.Intn(4) == 0 // occasionally exercise the LP path
 		if r.Intn(3) == 0 {
 			p.DisableLongTerm = true
 		}
@@ -87,10 +86,6 @@ func TestFuzzControllerInvariants(t *testing.T) {
 		}
 		if math.IsNaN(rep.TotalCostUSD) || math.IsInf(rep.TotalCostUSD, 0) || rep.TotalCostUSD < 0 {
 			t.Logf("cost = %g", rep.TotalCostUSD)
-			return false
-		}
-		if ctrl.LPFailures() != 0 {
-			t.Logf("LP fallbacks = %d", ctrl.LPFailures())
 			return false
 		}
 		return true
@@ -204,17 +199,14 @@ func TestFuzzFleetUnitDispatchInvariants(t *testing.T) {
 // heterogeneous fleets (random unit specs, commitment windows, fuel
 // traces) over random spiky traces and checks the run-level invariants:
 // clean execution, served delay-sensitive demand, finite non-negative
-// cost, zero LP fallbacks (the analytic P5 path with fleet source legs
-// must keep matching the simplex reference the controller cross-runs
-// under UseLP), battery bounds, and per-unit accounting that stays
-// within nameplate physics.
+// cost, battery bounds, and per-unit accounting that stays within
+// nameplate physics.
 func TestFuzzFleetControllerInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(74))
 	f := func() bool {
 		p := DefaultParams()
 		p.V = 0.1 + r.Float64()*3
 		p.T = []int{6, 12, 24}[r.Intn(3)]
-		p.UseLP = r.Intn(3) == 0
 		p.CommitWindow = []int{0, 1, 4, 12, 48}[r.Intn(5)]
 		n := 1 + r.Intn(4)
 		p.Fleet = make([]generator.Params, n)
@@ -248,10 +240,6 @@ func TestFuzzFleetControllerInvariants(t *testing.T) {
 		}
 		if math.IsNaN(rep.TotalCostUSD) || math.IsInf(rep.TotalCostUSD, 0) || rep.TotalCostUSD < 0 {
 			t.Logf("cost = %g", rep.TotalCostUSD)
-			return false
-		}
-		if ctrl.LPFailures() != 0 {
-			t.Logf("LP fallbacks = %d", ctrl.LPFailures())
 			return false
 		}
 		if rep.GenFuelUSD < 0 || rep.GenStartupUSD < 0 || rep.GenCO2Kg < 0 {

@@ -61,14 +61,6 @@ func (r *p5Result) batteryUsed() bool {
 	return r.charge > 1e-12 || r.discharge > 1e-12
 }
 
-// frozen returns a copy of the input with the battery disabled.
-func (in p5Input) frozen() p5Input {
-	out := in
-	out.chargeMax = 0
-	out.dischargeMax = 0
-	return out
-}
-
 // leg is one source or sink of the single-node balance in P5.
 type leg struct {
 	cost float64
@@ -91,22 +83,8 @@ type p5Scratch struct {
 	snkIdx     []int
 }
 
-// solveP5Analytic solves P5 exactly by merit order with throwaway
-// buffers. The simulation hot path goes through p5Scratch instead; this
-// wrapper serves tests and one-off callers.
-func solveP5Analytic(in p5Input) p5Result {
-	var s p5Scratch
-	var flows []float64
-	if len(in.genSegs) > 0 {
-		flows = make([]float64, len(in.genSegs))
-	}
-	var res p5Result
-	s.solveAnalytic(&in, flows, &res)
-	return res
-}
-
-// solveAnalytic solves one P5 instance exactly by merit order into res.
-// P5 is a single balance node with per-leg linear costs:
+// prepare and greedy solve one P5 instance exactly by merit order. P5
+// is a single balance node with per-leg linear costs:
 //
 //	sources: grt (wGrt), bdc (−wCharge), emergency (wEmergency),
 //	         plus one leg per generator fuel-curve segment (genSegs)
@@ -119,16 +97,8 @@ func solveP5Analytic(in p5Input) p5Result {
 // greedy exchange argument makes this optimal (the generator's convex fuel
 // curve yields non-decreasing segment costs, so merit order fills its
 // segments in curve order); TestPropertyAnalyticMatchesLP cross-checks it
-// against the simplex solver.
+// against a simplex model of P5 kept in the tests.
 //
-// flows receives the per-segment generation and becomes the result's
-// genFlows (it must have len(in.genSegs); nil is fine without segments) —
-// caller-owned so results can outlive the scratch's next solve.
-func (s *p5Scratch) solveAnalytic(in *p5Input, flows []float64, res *p5Result) {
-	s.prepare(in)
-	s.greedy(in, in.chargeMax, in.dischargeMax, flows, res)
-}
-
 // prepare builds in's source and sink legs and sorts each side by cost.
 // The order depends on the costs alone, so one prepare serves greedy runs
 // with any battery capacities: the battery-free and battery-frozen
@@ -154,8 +124,10 @@ func (s *p5Scratch) prepare(in *p5Input) {
 
 // greedy runs the merit-order solve on the prepared legs with the
 // battery's charge and discharge capacities set to chargeMax and
-// dischargeMax, and writes the result into res (see solveAnalytic for
-// flows).
+// dischargeMax, and writes the result into res. flows receives the
+// per-segment generation and becomes the result's genFlows (it must have
+// len(in.genSegs); nil is fine without segments) — caller-owned so
+// results can outlive the scratch's next solve.
 func (s *p5Scratch) greedy(in *p5Input, chargeMax, dischargeMax float64, flows []float64, res *p5Result) {
 	sources, sinks := s.srcs, s.snks
 	srcOrder, sinkOrder := s.srcIdx, s.snkIdx

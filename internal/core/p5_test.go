@@ -9,6 +9,29 @@ import (
 	"testing/quick"
 )
 
+// solveP5Analytic solves one P5 instance by merit order with throwaway
+// buffers: the free greedy run of a P5 pair, without the UPS fixed
+// charge.
+func solveP5Analytic(in p5Input) p5Result {
+	var s p5Scratch
+	var flows []float64
+	if len(in.genSegs) > 0 {
+		flows = make([]float64, len(in.genSegs))
+	}
+	var res p5Result
+	s.prepare(&in)
+	s.greedy(&in, in.chargeMax, in.dischargeMax, flows, &res)
+	return res
+}
+
+// frozen returns a copy of the input with the battery disabled.
+func (in p5Input) frozen() p5Input {
+	out := in
+	out.chargeMax = 0
+	out.dischargeMax = 0
+	return out
+}
+
 // baseInput is a neutral P5 instance used as a mutation base in unit tests.
 func baseInput() p5Input {
 	return p5Input{
@@ -246,9 +269,9 @@ func genP5(r *rand.Rand) p5Input {
 	return in
 }
 
-// TestPropertyAnalyticMatchesLP is the central solver cross-check: both P5
-// paths must agree on the objective for random instances, and both must be
-// balanced and within caps.
+// TestPropertyAnalyticMatchesLP is the central solver cross-check: the
+// merit-order solver and the simplex oracle must agree on the objective
+// for random instances, and both must be balanced and within caps.
 func TestPropertyAnalyticMatchesLP(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	f := func() bool {
@@ -309,10 +332,10 @@ func TestPropertyAnalyticObjectiveBeatsRandomFeasible(t *testing.T) {
 	}
 }
 
-// TestP5LPSolveAllocatesNothing pins the UseLP path's steady state: once
+// TestP5LPSolveAllocatesNothing pins the LP oracle's steady state: once
 // the scratch has solved one instance, re-solving instances of the same
-// shape allocates nothing. Its per-run allocations are the solver's
-// one-time buffer growth, not a per-slot cost.
+// shape allocates nothing, so BenchmarkAblationP5LP times the simplex
+// and not buffer growth.
 func TestP5LPSolveAllocatesNothing(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	var in p5Input

@@ -39,10 +39,6 @@ type Params struct {
 	// DisableLongTerm removes the long-term-ahead market, leaving only
 	// real-time purchases (the "RTM" configuration of Fig. 7).
 	DisableLongTerm bool
-	// UseLP selects the simplex-based P5 solver instead of the
-	// closed-form merit-order solver. Both produce identical decisions;
-	// the LP path is the reference implementation.
-	UseLP bool
 	// SnapshotPlanning makes P4 estimate the upcoming interval from the
 	// single boundary slot, as Algorithm 1 literally reads ("observing
 	// ... the demand d(t) and renewable r(t) generated during time slot

@@ -10,11 +10,11 @@ import (
 
 // controllerState is the SmartDPSS controller's mutable state in
 // checkpoint form: the virtual-queue freeze Θ(t), the delay queue Y, the
-// trailing-mean estimators (demand/renewable and real-time price), the
-// frozen demand envelope and the LP fallback counter. The slot-loop
-// scratch buffers are deliberately absent — they carry no information
-// across slots. Configuration (Params) is pinned by the session
-// checkpoint's config hash.
+// trailing-mean estimators (demand/renewable and real-time price) and
+// the frozen demand envelope. The slot-loop scratch buffers are
+// deliberately absent — they carry no information across slots.
+// Configuration (Params) is pinned by the session checkpoint's config
+// hash.
 type controllerState struct {
 	QT float64 `json:"qT"`
 	YT float64 `json:"yT"`
@@ -31,8 +31,6 @@ type controllerState struct {
 	EnvDDS float64 `json:"envDDS"`
 	EnvDDT float64 `json:"envDDT"`
 	EnvRen float64 `json:"envRen"`
-
-	LPFailures int `json:"lpFailures"`
 }
 
 var _ sim.Snapshotter = (*Controller)(nil)
@@ -42,19 +40,18 @@ var _ sim.Snapshotter = (*Controller)(nil)
 // stopped.
 func (c *Controller) state() controllerState {
 	return controllerState{
-		QT:         c.qT,
-		YT:         c.yT,
-		XT:         c.xT,
-		DelayY:     c.delay.Value(),
-		Est:        c.est.State(),
-		PrtSum:     c.prtSum,
-		PrtN:       c.prtN,
-		PrtMean:    c.prtMean,
-		PrtReady:   c.prtReady,
-		EnvDDS:     c.envDDS,
-		EnvDDT:     c.envDDT,
-		EnvRen:     c.envRen,
-		LPFailures: c.lpFailures,
+		QT:       c.qT,
+		YT:       c.yT,
+		XT:       c.xT,
+		DelayY:   c.delay.Value(),
+		Est:      c.est.State(),
+		PrtSum:   c.prtSum,
+		PrtN:     c.prtN,
+		PrtMean:  c.prtMean,
+		PrtReady: c.prtReady,
+		EnvDDS:   c.envDDS,
+		EnvDDT:   c.envDDT,
+		EnvRen:   c.envRen,
 	}
 }
 
@@ -81,7 +78,6 @@ func (s *controllerState) appendJSON(e *jsonenc.Encoder) {
 	e.Key("envDDS").Float(s.EnvDDS)
 	e.Key("envDDT").Float(s.EnvDDT)
 	e.Key("envRen").Float(s.EnvRen)
-	e.Key("lpFailures").Int(s.LPFailures)
 	e.Close()
 }
 
@@ -98,6 +94,5 @@ func (c *Controller) RestoreState(data []byte) error {
 	c.prtSum, c.prtN = s.PrtSum, s.PrtN
 	c.prtMean, c.prtReady = s.PrtMean, s.PrtReady
 	c.envDDS, c.envDDT, c.envRen = s.EnvDDS, s.EnvDDT, s.EnvRen
-	c.lpFailures = s.LPFailures
 	return nil
 }

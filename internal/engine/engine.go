@@ -86,9 +86,6 @@ type Options struct {
 	PmaxUSD float64
 	// DisableLongTerm removes the long-term-ahead market ("RTM" in Fig. 7).
 	DisableLongTerm bool
-	// UseLP selects the simplex-based subproblem solver over the
-	// closed-form one (identical decisions, slower; for validation).
-	UseLP bool
 	// BatteryMaxOps is Nmax, the UPS operation budget over the horizon
 	// (Eq. 9); zero means unlimited. Once exhausted the battery freezes
 	// and the controller falls back to grid-only operation.
@@ -252,7 +249,6 @@ func (o Options) coreParams() core.Params {
 		DdtMaxMWh:        o.PeakMW / 2 * o.slotHours(),
 		CommitWindow:     o.CommitWindow,
 		DisableLongTerm:  o.DisableLongTerm,
-		UseLP:            o.UseLP,
 		SnapshotPlanning: o.SnapshotPlanning,
 	}
 }

@@ -235,14 +235,11 @@ func (s *Session) Pending() bool { return s.inner.Pending() }
 // ControllerName returns the policy's report name.
 func (s *Session) ControllerName() string { return s.inner.ControllerName() }
 
-// LPFailures returns the controller's LP-fallback count, or 0 when the
-// policy has no LP path (a solver-health counter for metrics surfaces).
-func (s *Session) LPFailures() int {
-	if c, ok := s.inner.Controller().(interface{ LPFailures() int }); ok {
-		return c.LPFailures()
-	}
-	return 0
-}
+// LPFailures returns 0: no streaming policy solves an LP.
+//
+// Deprecated: it stays only because the end-to-end benchmark in bench/
+// (bench/stream.go) still reads it; it goes with that read.
+func (s *Session) LPFailures() int { return 0 }
 
 // Status returns the live mid-run view (running cost/energy totals and
 // physical state) for monitoring surfaces.

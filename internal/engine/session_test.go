@@ -407,9 +407,6 @@ func TestSessionAccessors(t *testing.T) {
 	if st.Slot != 48 || st.TotalCostUSD <= 0 {
 		t.Errorf("status slot=%d cost=%g", st.Slot, st.TotalCostUSD)
 	}
-	if s.LPFailures() != 0 {
-		t.Errorf("LPFailures = %d, want 0 for the closed-form path", s.LPFailures())
-	}
 	if name := s.ControllerName(); name == "" {
 		t.Error("empty controller name")
 	}

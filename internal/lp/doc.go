@@ -27,8 +27,9 @@
 // constants. A finite upper bound on a shifted variable becomes the
 // column bound y ≤ hi − lo, handled natively by the bounded-variable
 // pivot loop, so the basis spans only the caller's constraint rows (the
-// one-row P5 LP has 1 row where a row per bound would give 5). The
-// constraint matrix is built in compressed sparse row and column form.
+// P5 model that internal/core's tests hold the merit-order solver to has
+// 1 row where a row per bound would give 5). The constraint matrix is
+// built in compressed sparse row and column form.
 //
 // This bounded-variable formulation is the only one. The row-per-bound
 // formulation, which lowers each such bound to an explicit y ≤ hi − lo
@@ -66,11 +67,12 @@
 // anything else — basic values that stop being finite, a phase 1 with no
 // breakpoint, or an optimum that fails the check. Every caller in the
 // repository handles the error: the per-interval and receding-horizon
-// controllers degrade to an empty plan or a myopic decision, the P5
-// reference path to the analytic P5 solver, and the whole-horizon and
-// geo constructors return it. Over the whole scenario set (paper, ext,
-// provision, fleet, tune, geo and annual: 2,912 solves) no solve
-// returned an error, and the worst scale-relative residual was 6e-13.
+// controllers degrade to an empty plan or a myopic decision, the
+// whole-horizon and geo constructors return it, and internal/core's P5
+// oracle fails the test that called it. Over the whole scenario set
+// (paper, ext, provision, fleet, tune, geo and annual: 2,912 solves) no
+// solve returned an error, and the worst scale-relative residual was
+// 6e-13.
 //
 // # Determinism
 //

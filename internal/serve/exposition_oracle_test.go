@@ -109,9 +109,6 @@ func writeExpositionFmt(w io.Writer, m MetricsSnapshot) error {
 	e.family("smartdpss_unavailable_slots", "counter", "Slots with unserved delay-sensitive demand.")
 	e.sample("smartdpss_unavailable_slots_total", "", float64(s.Unavailable))
 
-	e.family("smartdpss_lp_failures", "counter", "LP solves that fell back to the closed form.")
-	e.sample("smartdpss_lp_failures_total", "", float64(m.LPFailures))
-
 	e.family("smartdpss_checkpoints", "counter", "Checkpoint files written.")
 	e.sample("smartdpss_checkpoints_total", "", float64(m.Checkpoints))
 

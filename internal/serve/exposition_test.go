@@ -19,7 +19,6 @@ func randomMetrics(r *rand.Rand) MetricsSnapshot {
 	names := []string{"smartdpss", "SmartDPSS", "SmartDPSS+noise", "lyapunov", "Impatient", "offline-horizon", ""}
 	m.Policy = names[r.Intn(len(names))]
 	m.Controller = names[r.Intn(len(names))]
-	m.LPFailures = r.Intn(1000)
 	m.Checkpoints = uint64(r.Int63n(1 << 40))
 	return m
 }

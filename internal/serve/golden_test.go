@@ -71,7 +71,6 @@ func metricsOf(s *engine.Session, checkpoints uint64) MetricsSnapshot {
 		Policy:      string(s.Policy()),
 		Controller:  s.ControllerName(),
 		Status:      s.Status(),
-		LPFailures:  s.LPFailures(),
 		Checkpoints: checkpoints,
 	}
 }

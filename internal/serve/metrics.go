@@ -20,8 +20,13 @@ type MetricsSnapshot struct {
 	Policy      string
 	Controller  string
 	Status      engine.SessionStatus
-	LPFailures  int
 	Checkpoints uint64
+
+	// LPFailures is ignored: no streaming policy solves an LP.
+	//
+	// Deprecated: it stays only because the end-to-end benchmark in
+	// bench/ (bench/stream.go) still sets it; it goes with that write.
+	LPFailures int
 }
 
 // snapshotMetrics captures a consistent MetricsSnapshot.
@@ -32,7 +37,6 @@ func (d *Daemon) snapshotMetrics() MetricsSnapshot {
 		Policy:      string(d.sess.Policy()),
 		Controller:  d.sess.ControllerName(),
 		Status:      d.sess.Status(),
-		LPFailures:  d.sess.LPFailures(),
 		Checkpoints: d.checkpoints,
 	}
 }
@@ -109,9 +113,6 @@ func appendExposition(b []byte, m *MetricsSnapshot) []byte {
 	b = appendFamily(b, "smartdpss_unavailable_slots", "counter", "Slots with unserved delay-sensitive demand.")
 	b = appendSample(b, "smartdpss_unavailable_slots_total", float64(s.Unavailable))
 
-	b = appendFamily(b, "smartdpss_lp_failures", "counter", "LP solves that fell back to the closed form.")
-	b = appendSample(b, "smartdpss_lp_failures_total", float64(m.LPFailures))
-
 	b = appendFamily(b, "smartdpss_checkpoints", "counter", "Checkpoint files written.")
 	b = appendSample(b, "smartdpss_checkpoints_total", float64(m.Checkpoints))
 
@@ -183,9 +184,8 @@ func (d *Daemon) Handler() http.Handler {
 			Policy      string               `json:"policy"`
 			Controller  string               `json:"controller"`
 			Checkpoints uint64               `json:"checkpoints"`
-			LPFailures  int                  `json:"lpFailures"`
 			Status      engine.SessionStatus `json:"status"`
-		}{m.Policy, m.Controller, m.Checkpoints, m.LPFailures, m.Status})
+		}{m.Policy, m.Controller, m.Checkpoints, m.Status})
 	})
 	return mux
 }

@@ -253,7 +253,6 @@ func TestExpositionValidates(t *testing.T) {
 		`smartdpss_cost_usd_total{component="longterm"}`,
 		`smartdpss_energy_mwh_total{source="renewable"}`,
 		"smartdpss_backlog_mwh ",
-		"smartdpss_lp_failures_total ",
 		"# EOF\n",
 	} {
 		if !strings.Contains(buf.String(), want) {

@@ -164,9 +164,9 @@ type Session struct {
 	slot     int
 	finished bool
 
-	// pending Step awaiting Commit
+	// pending Step awaiting Commit: the controller's observation (it
+	// carries the slot's demand, renewable and price) and its decision
 	pending bool
-	pIn     SlotInput
 	pObs    FineObs
 	pDec    Decision
 }
@@ -242,10 +242,6 @@ func (s *Session) Finished() bool { return s.finished }
 
 // ControllerName returns the controller's report name.
 func (s *Session) ControllerName() string { return s.ctrl.Name() }
-
-// Controller returns the session's controller (for capability probing,
-// e.g. solver-failure counters on a metrics surface).
-func (s *Session) Controller() Controller { return s.ctrl }
 
 // Status is a live mid-run view of the session for monitoring surfaces:
 // the running totals and ledgers Finish reports, unscrubbed, plus the
@@ -365,7 +361,6 @@ func (s *Session) Step(in SlotInput) (Decision, error) {
 	}
 
 	s.pending = true
-	s.pIn = in
 	s.pObs = obs
 	s.pDec = dec
 	return dec, nil
@@ -408,13 +403,12 @@ func (s *Session) Commit() (SlotOutcome, error) {
 
 	var (
 		slot = s.slot
-		in   = s.pIn
 		obs  = s.pObs
 		dec  = s.pDec
-		dds  = in.DemandDS
-		ddt  = in.DemandDT
-		r    = in.Renewable
-		prt  = in.PriceRT
+		dds  = obs.DemandDS
+		ddt  = obs.DemandDT
+		r    = obs.Renewable
+		prt  = obs.PriceRT
 	)
 
 	// Dispatch the on-site fleet first: its delivered energy is

@@ -58,8 +58,8 @@ type Session = engine.Session
 // NewSession builds a streaming session over horizon fine slots: the
 // caller supplies every slot's inputs through Step, so live telemetry
 // can drive the controller online. Only trace-free policies qualify
-// (PolicySmartDPSS, PolicyImpatient) — the clairvoyant benchmarks need
-// the full future and go through NewReplaySession.
+// (PolicySmartDPSS, PolicyImpatient, PolicyLyapunov) — the clairvoyant
+// benchmarks need the full future and go through NewReplaySession.
 func NewSession(policy Policy, opts Options, horizon int) (*Session, error) {
 	return engine.NewSession(policy, opts, horizon)
 }
