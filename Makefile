@@ -99,11 +99,19 @@ docs: lint lint-docs
 suite:
 	$(GO) run ./cmd/experiments -run paper,ext,provision,fleet,annual,geo,tune
 
-# Golden-file regression gate: diff the paper suite against the
-# committed snapshots. Regenerate intentionally with:
+# Output-pin regression gate, uncached: the paper suite against its
+# committed snapshots (internal/experiments) and fig6v's offline delay,
+# the bit pins beneath them — every generated trace and every policy's
+# report (internal/engine), the whole-horizon and geo LP plans
+# (internal/baseline) — and the daemon's exposition and checkpoint bytes
+# with the refused version-1 checkpoint (internal/serve). Regenerate a
+# pin only for an intended output change, with -update on its package,
+# e.g.:
 #   go test ./internal/experiments -run TestSuiteGolden -update
+GOLDEN_PINS = TestGeneratedTracesPinned|TestReportsPinned|TestStaircasePlansPinned|TestFig6vOfflineDelayPinned|TestSuiteGolden|TestGoldenFilesComplete|TestEncodingsPinned|TestVersionOneCheckpointRefused
+
 golden:
-	$(GO) test ./internal/experiments -run 'TestSuiteGolden|TestGoldenFilesComplete' -v
+	$(GO) test -count=1 -run '^($(GOLDEN_PINS))$$' -v ./internal/engine ./internal/baseline ./internal/experiments ./internal/serve
 
 # Per-package coverage, mirroring the CI floors (suite 70%, generator 85%,
 # baseline 70%, lp 95%, sim 70%, optimize 85%, serve 80%).

@@ -97,7 +97,7 @@ func run(args []string) error {
 	}
 	limit := *maxSlots
 	if *smoke && limit == 0 {
-		limit = minInt(48, sess.Horizon()) // two simulated days is plenty for a scrape
+		limit = min(48, sess.Horizon()) // two simulated days is plenty for a scrape
 	}
 	if limit > 0 {
 		src = &limitedSource{Source: src, remaining: limit}
@@ -250,11 +250,4 @@ func (l *limitedSource) Next(ctx context.Context) (serve.Observation, error) {
 		l.remaining--
 	}
 	return obs, err
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

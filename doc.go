@@ -57,14 +57,11 @@
 // # Price scaling: grid vs fuel
 //
 // TraceConfig.PriceScale multiplies the two GRID price series
-// (long-term and real-time) only — fuel costs never move with it. The
-// fuel side has its own axis: TraceConfig.FuelPriceScale sets the mean
-// level of a per-slot fuel-price multiplier series applied to every
-// unit's fuel curve, and TraceConfig.FuelVolatility adds a seeded
-// mean-reverting walk around that level, so fuel can vary over time
-// like the gas markets of arXiv:1308.0585. Leaving both at their zero
-// values generates no fuel series and reproduces static-fuel runs
-// exactly.
+// (long-term and real-time) only. Fuel has no market: every unit burns
+// fuel at its configured curve (UnitSpec.FuelUSDPerMWh and FuelQuadUSD,
+// plus the carbon price), in the controllers' plans and in the bill
+// alike, so PriceScale moves the grid-price level against a fixed fuel
+// price.
 //
 // # Scenario suite
 //

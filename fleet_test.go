@@ -167,29 +167,3 @@ func TestFleetMeritOrderDispatch(t *testing.T) {
 			rep.GenUnits[1].EnergyMWh, rep.GenUnits[0].EnergyMWh)
 	}
 }
-
-// TestFleetWithFuelPriceTrace: a fuel-price series must move the fuel
-// bill with it — the scaled marginal is what dispatch decisions and
-// billing both see.
-func TestFleetWithFuelPriceTrace(t *testing.T) {
-	tc := dpss.DefaultTraceConfig()
-	tc.Days = 7
-	tc.FuelPriceScale = 1.5
-	traces, err := dpss.GenerateTraces(tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := dpss.DefaultOptions()
-	o.Fleet = []dpss.UnitSpec{{CapacityMW: 0.5, FuelUSDPerMWh: 20}}
-	rep, err := dpss.Simulate(dpss.PolicySmartDPSS, o, traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.GenEnergyMWh <= 0 {
-		t.Fatal("cheap unit never ran")
-	}
-	// Flat 1.5 multiplier on a linear 20 $/MWh curve: exactly 30 $/MWh.
-	if got := rep.GenFuelUSD / rep.GenEnergyMWh; math.Abs(got-30) > 1e-9 {
-		t.Fatalf("fuel bill %g USD/MWh, want 30 under the 1.5x fuel trace", got)
-	}
-}

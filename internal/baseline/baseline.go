@@ -15,6 +15,9 @@
 //     used on short horizons to measure how much the per-interval
 //     decomposition gives up (cross-interval battery planning).
 //
+// The two offline benchmarks are one controller, Offline, over two plan
+// windows.
+//
 // Config embeds sim.Plant, so every baseline plans against the plant
 // the session executes and bills, as SmartDPSS does.
 //
@@ -32,8 +35,8 @@
 //
 // When an on-site generation fleet is configured (Config.Fleet), the
 // LPs plan each unit's dispatch as relaxed per-slot, per-unit variables
-// over its convex fuel curve (piecewise-linear segments priced at the
-// slot's fuel-scaled marginal), with the classical unit-commitment LP
+// over its convex fuel curve (piecewise-linear segments priced at their
+// marginal fuel cost), with the classical unit-commitment LP
 // relaxation of the non-convex minimum stable load: a commitment
 // variable y ∈ [0, 1] per unit and slot linking
 // MinLoad·y ≤ g ≤ Capacity·y and carrying the startup cost amortized
@@ -98,9 +101,9 @@ type lpState struct {
 	plan    []sim.Decision
 	clamped []float64
 
-	// lastObjective records the most recent solve's optimal objective —
-	// observability for the parity tests.
-	lastObjective float64
+	// sol is the most recent solve that returned no error. Its values
+	// borrow the solver's buffers and stay readable until the next solve.
+	sol lp.Solution
 }
 
 // problem returns the reusable problem, reset for rebuilding, and
@@ -114,11 +117,11 @@ func (st *lpState) problem() *lp.Problem {
 	return st.prob
 }
 
-// solve solves prob and records the objective for the parity tests.
+// solve solves prob and records the solution in st.sol.
 func (st *lpState) solve(prob *lp.Problem) (lp.Solution, error) {
 	sol, err := st.solver.Solve(prob)
 	if err == nil {
-		st.lastObjective = sol.Objective
+		st.sol = sol
 	}
 	return sol, err
 }
@@ -178,13 +181,12 @@ func (c Config) genUnits() []genUnit {
 }
 
 // addFleetVars adds the relaxed dispatch variables of every unit for
-// slot i: one variable per fuel-curve segment, priced at the slot's
-// fuel-scaled marginal, plus a commitment variable y ∈ [0, 1] carrying
-// the startup cost amortized over the amortSlots-long window and
-// linking the unit's minimum-stable-load semi-continuity
-// (MinLoad·y ≤ Σg ≤ Capacity·y). The returned slice holds each unit's
+// slot i: one variable per fuel-curve segment, priced at its marginal,
+// plus a commitment variable y ∈ [0, 1] carrying the startup cost
+// amortized over the amortSlots-long window and linking the unit's
+// minimum-stable-load semi-continuity (MinLoad·y ≤ Σg ≤ Capacity·y). The returned slice holds each unit's
 // segment variables; nil when no fleet is configured.
-func addFleetVars(prob *lp.Problem, units []genUnit, i, amortSlots int, fuelScale float64) [][]lp.VarID {
+func addFleetVars(prob *lp.Problem, units []genUnit, i, amortSlots int) [][]lp.VarID {
 	if len(units) == 0 {
 		return nil
 	}
@@ -193,7 +195,7 @@ func addFleetVars(prob *lp.Problem, units []genUnit, i, amortSlots int, fuelScal
 		vars[u] = make([]lp.VarID, len(unit.segs))
 		for k, s := range unit.segs {
 			vars[u][k] = prob.AddVariable(fmt.Sprintf("g%d_%d_%d", i, u, k),
-				0, s.Cap, s.USDPerMWh*fuelScale)
+				0, s.Cap, s.USDPerMWh)
 		}
 		spec := unit.spec
 		if spec.StartupUSD == 0 && spec.MinLoadMWh == 0 {

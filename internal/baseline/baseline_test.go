@@ -237,12 +237,15 @@ func TestOfflineIntervalPlanIsBalanced(t *testing.T) {
 	set := testTraces(t, 2)
 	b0 := cfg.Battery.InitialMWh
 	var st lpState
-	gbef, plan, err := st.solveInterval(cfg, set, 0, cfg.T, b0, 0)
+	gbef, plan, err := st.solveStair(cfg, set, stairWindow{start: 0, n: cfg.T, b0: b0, q0: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gbef < 0 || gbef > float64(cfg.T)*cfg.PgridMWh {
-		t.Fatalf("gbef = %g outside [0, %g]", gbef, float64(cfg.T)*cfg.PgridMWh)
+	if len(gbef) != 1 {
+		t.Fatalf("%d purchases for one interval", len(gbef))
+	}
+	if v := st.sol.Value(gbef[0]); v < 0 || v > float64(cfg.T)*cfg.PgridMWh {
+		t.Fatalf("gbef = %g outside [0, %g]", v, float64(cfg.T)*cfg.PgridMWh)
 	}
 	level := b0
 	served := 0.0

@@ -10,8 +10,8 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-// solveIntervalChain is the chain-form interval LP that solveInterval's
-// staircase block replaced, kept verbatim as the model oracle the
+// solveIntervalChain is the chain-form interval LP that the staircase
+// block (solveStair over one interval) replaced, kept verbatim as the model oracle the
 // staircase interval LP is checked against. It builds and solves the
 // clairvoyant LP for slots [start, start+n), returning the long-term
 // purchase and per-slot plan (the plan borrows st's buffer and is valid
@@ -56,7 +56,7 @@ func (st *lpState) solveIntervalChain(cfg Config, set *trace.Set, start, n int, 
 		w[i] = prob.AddVariable("", 0, inf, cfg.WasteCostUSD)
 		e[i] = prob.AddVariable("", 0, inf, cfg.EmergencyCostUSD)
 		if g != nil {
-			g[i] = addFleetVars(prob, units, i, n, set.FuelScaleAt(slot))
+			g[i] = addFleetVars(prob, units, i, n)
 		}
 		totalArrivals += set.DemandDT.At(slot)
 	}
@@ -154,22 +154,22 @@ func (st *lpState) solveIntervalChain(cfg Config, set *trace.Set, start, n int, 
 	return sol.Value(gbef), plan, nil
 }
 
-// chainIntervalCheck wraps an OfflineOptimal and solves the chain-form
+// chainIntervalCheck wraps an OfflineOptimal controller and solves the chain-form
 // oracle at every coarse boundary from the same state, requiring the
 // objective the staircase interval LP reached.
 type chainIntervalCheck struct {
-	*OfflineOptimal
+	*Offline
 	t      *testing.T
 	chain  lpState
 	checks int
 }
 
 func (c *chainIntervalCheck) PlanCoarse(obs sim.CoarseObs) float64 {
-	gbef := c.OfflineOptimal.PlanCoarse(obs)
+	gbef := c.Offline.PlanCoarse(obs)
 	if _, _, err := c.chain.solveIntervalChain(c.cfg, c.set, obs.Slot, obs.Slots, obs.Battery, obs.Backlog); err != nil {
 		c.t.Fatalf("slot %d: chain oracle: %v", obs.Slot, err)
 	}
-	so, co := c.st.lastObjective, c.chain.lastObjective
+	so, co := c.st.sol.Objective, c.chain.sol.Objective
 	if math.Abs(so-co) > 1e-7*(1+math.Abs(co)) {
 		c.t.Errorf("slot %d: staircase interval objective %.10g != chain objective %.10g (diff %g)",
 			obs.Slot, so, co, so-co)
@@ -194,7 +194,7 @@ func TestIntervalStairMatchesChainObjective(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check := &chainIntervalCheck{OfflineOptimal: o, t: t}
+		check := &chainIntervalCheck{Offline: o, t: t}
 		if _, err := sim.Run(simConfig(cfg), set, check); err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,8 @@ func TestIntervalSolveAllocatesNothing(t *testing.T) {
 	set := testTraces(t, 2)
 	var st lpState
 	solve := func(start int) {
-		if _, _, err := st.solveInterval(cfg, set, start, cfg.T, cfg.Battery.InitialMWh, 0.5); err != nil {
+		win := stairWindow{start: start, n: cfg.T, b0: cfg.Battery.InitialMWh, q0: 0.5}
+		if _, _, err := st.solveStair(cfg, set, win); err != nil {
 			t.Fatal(err)
 		}
 	}

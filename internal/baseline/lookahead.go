@@ -61,13 +61,14 @@ func (l *Lookahead) Window() int { return l.window }
 // PlanCoarse picks gbef from the interval LP over the visible window,
 // scaled up to the full interval when the window is shorter.
 func (l *Lookahead) PlanCoarse(obs sim.CoarseObs) float64 {
-	visible := minInt(l.window, obs.Slots)
-	gbef, _, err := l.coarse.solveInterval(l.cfg, l.set, obs.Slot, visible, obs.Battery, obs.Backlog)
+	visible := min(l.window, obs.Slots)
+	win := stairWindow{start: obs.Slot, n: visible, b0: obs.Battery, q0: obs.Backlog}
+	gbef, _, err := l.coarse.solveStair(l.cfg, l.set, win)
 	if err != nil {
 		return 0
 	}
 	// Extrapolate the per-slot rate across the whole interval.
-	perSlot := gbef / float64(visible)
+	perSlot := l.coarse.sol.Value(gbef[0]) / float64(visible)
 	return perSlot * float64(obs.Slots)
 }
 
@@ -98,7 +99,7 @@ func (l *Lookahead) solveWindow(obs sim.FineObs) (sim.Decision, error) {
 	st := &l.fine
 	bat := l.cfg.Battery
 	inf := math.Inf(1)
-	n := minInt(l.window, l.set.Horizon()-obs.Slot)
+	n := min(l.window, l.set.Horizon()-obs.Slot)
 	if n < 1 {
 		return sim.Decision{}, fmt.Errorf("baseline: empty window")
 	}
@@ -124,7 +125,7 @@ func (l *Lookahead) solveWindow(obs sim.FineObs) (sim.Decision, error) {
 		w[i] = prob.AddVariable("", 0, inf, l.cfg.WasteCostUSD)
 		e[i] = prob.AddVariable("", 0, inf, l.cfg.EmergencyCostUSD)
 		if g != nil {
-			g[i] = addFleetVars(prob, units, i, n, l.set.FuelScaleAt(slot))
+			g[i] = addFleetVars(prob, units, i, n)
 		}
 	}
 

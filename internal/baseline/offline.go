@@ -8,71 +8,111 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-// OfflineOptimal is the paper's clairvoyant benchmark (Sec. II-D): at each
-// coarse boundary it solves one linear program over the upcoming interval
-// with full knowledge of demand, renewable production and prices, then
-// replays the per-slot plan. Battery state and any unserved backlog carry
-// across intervals; every interval must serve its arrivals (plus inherited
-// backlog) by its end, mirroring the single-interval scope of problem P2.
+// Offline is the clairvoyant plan-and-replay benchmark: it solves one
+// staircase LP (addStairBlock) over a window of fine slots with full
+// knowledge of demand, renewable production and prices, replays the
+// plan's long-term purchases and per-slot decisions, and plans the next
+// window from the live battery level and backlog when the plan runs out
+// (a replay session's horizon is its trace set's). Two windows give the
+// two benchmarks:
 //
-// Each interval LP is one staircase block over the interval
-// (solveInterval), the same addStairBlock OfflineHorizon uses for the
-// whole horizon, solved like every LP here on lp's sparse revised
-// simplex. Consecutive interval LPs share one shape, so the controller's
-// solver reuses every model and solver buffer across intervals and the
-// whole sequence solves allocation-free after the first interval. These
-// interval LPs are degenerate (serving the backlog earlier or later can
-// be cost-neutral), and the golden paper figures pin the vertex the
-// solver picks through the replayed mean delay: any change of pivot
-// rule or model order can move that delay at equal cost (see the lp
-// package documentation).
-type OfflineOptimal struct {
-	cfg Config
-	set *trace.Set
-	st  lpState
+//   - NewOfflineOptimal plans each coarse interval at its boundary, the
+//     paper's benchmark (Sec. II-D). Battery state and any unserved
+//     backlog carry across intervals; every interval must serve its
+//     arrivals (plus inherited backlog) by its end, mirroring the
+//     single-interval scope of problem P2. Consecutive interval LPs
+//     share one shape, so the solver reuses every model and solver
+//     buffer and the sequence solves allocation-free after the first
+//     interval. These LPs are degenerate (serving the backlog earlier or
+//     later can be cost-neutral), and the golden paper figures pin the
+//     vertex the solver picks through the replayed mean delay: any
+//     change of pivot rule or model order can move that delay at equal
+//     cost (see the lp package documentation).
+//   - NewOfflineHorizon plans the whole horizon once, in the
+//     constructor, with a long-term purchase per coarse interval and
+//     cross-interval battery planning; it lower-bounds the per-interval
+//     plan. The staircase keeps the constraint matrix linear in the
+//     horizon, so lp's sparse revised simplex reaches annual (8760 slot)
+//     studies.
+type Offline struct {
+	name   string
+	cfg    Config
+	set    *trace.Set
+	window int // fine slots one plan covers
+	st     lpState
 
-	// plan for the current interval, indexed by slot offset
-	plan      []sim.Decision
-	planStart int
+	// The current plan from slot start: the long-term purchase variable
+	// per coarse interval, whose value st.sol holds, and the decision per
+	// fine slot. Both borrow st's buffers.
+	start int
+	gbef  []lp.VarID
+	plan  []sim.Decision
 }
 
-var _ sim.Controller = (*OfflineOptimal)(nil)
+var _ sim.Controller = (*Offline)(nil)
 
 // NewOfflineOptimal returns the per-interval clairvoyant benchmark over
 // the given trace set, which must have passed trace.Set.Validate
 // (engine.NewReplaySession validates each set once).
-func NewOfflineOptimal(cfg Config, set *trace.Set) (*OfflineOptimal, error) {
+func NewOfflineOptimal(cfg Config, set *trace.Set) (*Offline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &OfflineOptimal{cfg: cfg, set: set}, nil
+	return &Offline{name: "OfflineOptimal", cfg: cfg, set: set, window: cfg.T}, nil
+}
+
+// NewOfflineHorizon solves the whole-horizon LP over the given trace set
+// and returns the replaying controller, or the solver's error. The set
+// must have passed trace.Set.Validate.
+func NewOfflineHorizon(cfg Config, set *trace.Set) (*Offline, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	o := &Offline{name: "OfflineHorizon", cfg: cfg, set: set, window: set.Horizon()}
+	if err := o.replan(0, cfg.Battery.InitialMWh, 0); err != nil {
+		return nil, err
+	}
+	return o, nil
 }
 
 // Name implements sim.Controller.
-func (o *OfflineOptimal) Name() string { return "OfflineOptimal" }
+func (o *Offline) Name() string { return o.name }
 
 // CoarseSlots implements sim.Controller.
-func (o *OfflineOptimal) CoarseSlots() int { return o.cfg.T }
+func (o *Offline) CoarseSlots() int { return o.cfg.T }
 
-// PlanCoarse solves the interval LP and returns its long-term purchase.
-func (o *OfflineOptimal) PlanCoarse(obs sim.CoarseObs) float64 {
-	gbef, plan, err := o.st.solveInterval(o.cfg, o.set, obs.Slot, obs.Slots, obs.Battery, obs.Backlog)
-	if err != nil {
+// PlanCoarse plans the next window when the current plan has run out and
+// returns the plan's long-term purchase for this interval.
+func (o *Offline) PlanCoarse(obs sim.CoarseObs) float64 {
+	if obs.Slot >= o.start+len(o.plan) {
 		// A solver failure leaves a defensive empty plan; the engine's
 		// passive UPS and the emergency accounting absorb the slots.
-		o.plan = o.st.decisions(obs.Slots)
-		o.planStart = obs.Slot
+		_ = o.replan(obs.Slot, obs.Battery, obs.Backlog)
+	}
+	k := (obs.Slot - o.start) / o.cfg.T
+	if k < 0 || k >= len(o.gbef) {
 		return 0
 	}
-	o.plan = plan
-	o.planStart = obs.Slot
-	return gbef
+	return o.st.sol.Value(o.gbef[k])
+}
+
+// replan solves the window from slot, entered with battery level b0 and
+// backlog q0. On a solver error the plan is empty: no purchase and zero
+// decisions over the window.
+func (o *Offline) replan(slot int, b0, q0 float64) error {
+	win := stairWindow{start: slot, n: min(o.window, o.set.Horizon()-slot), b0: b0, q0: q0}
+	o.start = slot
+	var err error
+	if o.gbef, o.plan, err = o.st.solveStair(o.cfg, o.set, win); err != nil {
+		o.gbef, o.plan = nil, o.st.decisions(win.n)
+	}
+	return err
 }
 
 // PlanFine replays the solved plan. The returned Decision's GenerateUnits
 // borrows a controller-owned buffer valid until the next PlanFine call.
-func (o *OfflineOptimal) PlanFine(obs sim.FineObs) sim.Decision {
-	idx := obs.Slot - o.planStart
+func (o *Offline) PlanFine(obs sim.FineObs) sim.Decision {
+	idx := obs.Slot - o.start
 	if idx < 0 || idx >= len(o.plan) {
 		return sim.Decision{}
 	}
@@ -89,29 +129,28 @@ func (o *OfflineOptimal) PlanFine(obs sim.FineObs) sim.Decision {
 }
 
 // RecordOutcome implements sim.Controller; the plan is precomputed.
-func (o *OfflineOptimal) RecordOutcome(sim.Outcome) {}
+func (o *Offline) RecordOutcome(sim.Outcome) {}
 
-// solveInterval solves the clairvoyant LP for the interval of n ≤ T
-// slots from slot start, entered with battery level b0 and backlog q0:
-// one staircase block over that window. It returns the long-term
-// purchase and the per-slot plan (the plan borrows st's buffer and is
-// valid until the next solve). By Lemma 1 the plan's
-// real-time purchases are essentially unused at the optimum, but keeping
-// them preserves feasibility when the flat gbef/n delivery cannot track
-// peaky intra-interval demand.
-func (st *lpState) solveInterval(cfg Config, set *trace.Set, start, n int, b0, q0 float64) (float64, []sim.Decision, error) {
+// solveStair solves one staircase block over win. It returns the
+// block's long-term purchase variable per coarse interval, whose values
+// st.sol holds, and its per-slot plan; both borrow st's buffers and are
+// valid until the next solve. By Lemma 1 the plan's real-time purchases
+// are essentially unused at the optimum, but keeping them preserves
+// feasibility when the flat gbef/n delivery cannot track peaky
+// intra-interval demand.
+func (st *lpState) solveStair(cfg Config, set *trace.Set, win stairWindow) ([]lp.VarID, []sim.Decision, error) {
 	prob := st.problem()
-	blk := st.addStairBlock(prob, cfg, set, stairWindow{start: start, n: n, b0: b0, q0: q0}, nil)
+	blk := st.addStairBlock(prob, cfg, set, win, nil)
 	sol, err := st.solve(prob)
 	if err != nil {
-		return 0, nil, fmt.Errorf("baseline: interval LP at %d: %w", start, err)
+		return nil, nil, fmt.Errorf("baseline: staircase LP from slot %d: %w", win.start, err)
 	}
 	if sol.Status != lp.Optimal {
-		return 0, nil, fmt.Errorf("baseline: interval LP at %d: %v", start, sol.Status)
+		return nil, nil, fmt.Errorf("baseline: staircase LP from slot %d: %v", win.start, sol.Status)
 	}
-	plan := st.decisions(n)
+	plan := st.decisions(win.n)
 	blk.readPlan(&sol, cfg.Battery, plan)
-	return sol.Value(blk.gbef[0]), plan, nil
+	return blk.gbef, plan, nil
 }
 
 // netPlanChargeDischarge replaces a simultaneous charge+discharge by the

@@ -94,10 +94,10 @@ func TestStaircasePlansPinned(t *testing.T) {
 
 func pinFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-func writeHorizonPin(w io.Writer, name string, o *OfflineHorizon) {
-	fmt.Fprintf(w, "## %s\nobjective %s\n", name, pinFloat(o.st.lastObjective))
+func writeHorizonPin(w io.Writer, name string, o *Offline) {
+	fmt.Fprintf(w, "## %s\nobjective %s\n", name, pinFloat(o.st.sol.Objective))
 	for k, v := range o.gbef {
-		fmt.Fprintf(w, "gbef %d %s\n", k, pinFloat(v))
+		fmt.Fprintf(w, "gbef %d %s\n", k, pinFloat(o.st.sol.Value(v)))
 	}
 	for i, dec := range o.plan {
 		fmt.Fprintf(w, "slot %d grt %s serve %s charge %s discharge %s",

@@ -23,9 +23,9 @@ func testFleet() []generator.Params {
 // newChainHorizon solves the whole-horizon LP in the legacy chain
 // formulation (solveChain below), the model oracle the staircase form
 // is checked against.
-func newChainHorizon(t *testing.T, cfg Config, set *trace.Set) *OfflineHorizon {
+func newChainHorizon(t *testing.T, cfg Config, set *trace.Set) *Offline {
 	t.Helper()
-	o := &OfflineHorizon{cfg: cfg, set: set}
+	o := &Offline{cfg: cfg, set: set}
 	if err := o.solveChain(); err != nil {
 		t.Fatal(err)
 	}
@@ -33,12 +33,12 @@ func newChainHorizon(t *testing.T, cfg Config, set *trace.Set) *OfflineHorizon {
 }
 
 // solveChain builds and solves the legacy chain formulation. The
-// structure matches solveInterval, with one gbef per coarse interval,
+// structure matches the interval LP, with one gbef per coarse interval,
 // battery dynamics and service causality chained across the whole
 // horizon as j ≤ i prefix rows, and the same "served by interval end"
 // deadline so the two offline benchmarks differ only in cross-interval
 // planning.
-func (o *OfflineHorizon) solveChain() error {
+func (o *Offline) solveChain() error {
 	cfg, set := o.cfg, o.set
 	st := &o.st
 	bat := cfg.Battery
@@ -52,7 +52,7 @@ func (o *OfflineHorizon) solveChain() error {
 	gbef := make([]lp.VarID, K)
 	intervalLen := make([]int, K)
 	for k := 0; k < K; k++ {
-		n := minInt(T, H-k*T)
+		n := min(T, H-k*T)
 		intervalLen[k] = n
 		plt := set.PriceLT.At(k * T)
 		gbef[k] = prob.AddVariable("gbef", 0, float64(n)*cfg.PgridMWh, plt)
@@ -77,7 +77,7 @@ func (o *OfflineHorizon) solveChain() error {
 		w[i] = prob.AddVariable("", 0, inf, cfg.WasteCostUSD)
 		e[i] = prob.AddVariable("", 0, inf, cfg.EmergencyCostUSD)
 		if g != nil {
-			g[i] = addFleetVars(prob, units, i, T, set.FuelScaleAt(i))
+			g[i] = addFleetVars(prob, units, i, T)
 		}
 	}
 
@@ -157,10 +157,7 @@ func (o *OfflineHorizon) solveChain() error {
 		return fmt.Errorf("baseline: horizon LP: %v", sol.Status)
 	}
 
-	o.gbef = make([]float64, K)
-	for k := 0; k < K; k++ {
-		o.gbef[k] = sol.Value(gbef[k])
-	}
+	o.gbef = gbef
 	o.plan = make([]sim.Decision, H)
 	for i := 0; i < H; i++ {
 		dec := sim.Decision{
@@ -199,8 +196,8 @@ func TestHorizonStairMatchesChainObjective(t *testing.T) {
 			}
 			chain := newChainHorizon(t, cfg, set)
 
-			so := stair.st.lastObjective
-			co := chain.st.lastObjective
+			so := stair.st.sol.Objective
+			co := chain.st.sol.Objective
 			tol := 1e-7 * (1 + math.Abs(co))
 			if math.Abs(so-co) > tol {
 				t.Errorf("days=%d fleet=%v: staircase objective %.10g != chain objective %.10g (diff %g)",

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/smartdpss/smartdpss/internal/battery"
@@ -9,94 +8,6 @@ import (
 	"github.com/smartdpss/smartdpss/internal/sim"
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
-
-// OfflineHorizon is the fully clairvoyant benchmark: one linear program
-// spanning the entire horizon, with a long-term purchase variable per
-// coarse interval and cross-interval battery planning. It lower-bounds
-// the per-interval OfflineOptimal. The LP is the staircase
-// state-variable formulation (addStairBlock), which keeps the constraint
-// matrix linear in the horizon, so lp's sparse revised simplex reaches
-// annual (8760 slot) studies.
-type OfflineHorizon struct {
-	cfg Config
-	set *trace.Set
-	st  lpState
-
-	gbef []float64      // per coarse interval
-	plan []sim.Decision // per fine slot
-}
-
-var _ sim.Controller = (*OfflineHorizon)(nil)
-
-// NewOfflineHorizon solves the horizon LP eagerly over the given trace
-// set and returns the replaying controller. The set must have passed
-// trace.Set.Validate: engine.NewReplaySession validates each set once.
-func NewOfflineHorizon(cfg Config, set *trace.Set) (*OfflineHorizon, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	o := &OfflineHorizon{cfg: cfg, set: set}
-	if err := o.solveStair(); err != nil {
-		return nil, err
-	}
-	return o, nil
-}
-
-// Name implements sim.Controller.
-func (o *OfflineHorizon) Name() string { return "OfflineHorizon" }
-
-// CoarseSlots implements sim.Controller.
-func (o *OfflineHorizon) CoarseSlots() int { return o.cfg.T }
-
-// PlanCoarse replays the precomputed interval purchase.
-func (o *OfflineHorizon) PlanCoarse(obs sim.CoarseObs) float64 {
-	if obs.Interval < 0 || obs.Interval >= len(o.gbef) {
-		return 0
-	}
-	return o.gbef[obs.Interval]
-}
-
-// PlanFine replays the precomputed slot decision. The returned Decision's
-// GenerateUnits borrows a controller-owned buffer valid until the next
-// PlanFine call.
-func (o *OfflineHorizon) PlanFine(obs sim.FineObs) sim.Decision {
-	if obs.Slot < 0 || obs.Slot >= len(o.plan) {
-		return sim.Decision{}
-	}
-	dec := o.plan[obs.Slot]
-	dec.ServeDT = min(dec.ServeDT, min(obs.Backlog, obs.SdtMax))
-	dec.Charge = min(dec.Charge, obs.MaxCharge)
-	dec.Discharge = min(dec.Discharge, obs.MaxDischarge)
-	dec.GenerateUnits = o.st.clampPlan(dec.GenerateUnits, obs.GenUnits)
-	return dec
-}
-
-// RecordOutcome implements sim.Controller; the plan is precomputed.
-func (o *OfflineHorizon) RecordOutcome(sim.Outcome) {}
-
-// solveStair solves the whole-horizon staircase LP (addStairBlock) and
-// stores the replayed plan.
-func (o *OfflineHorizon) solveStair() error {
-	st := &o.st
-	prob := st.problem()
-	blk := st.addStairBlock(prob, o.cfg, o.set, horizonWindow(o.cfg, o.set), nil)
-
-	sol, err := st.solve(prob)
-	if err != nil {
-		return fmt.Errorf("baseline: horizon LP: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		return fmt.Errorf("baseline: horizon LP: %v", sol.Status)
-	}
-
-	o.gbef = make([]float64, len(blk.gbef))
-	for k, v := range blk.gbef {
-		o.gbef[k] = sol.Value(v)
-	}
-	o.plan = make([]sim.Decision, len(blk.grt))
-	blk.readPlan(&sol, o.cfg.Battery, o.plan)
-	return nil
-}
 
 // stairBlock holds the variable ids of one site's staircase block that
 // callers read back after the solve.
@@ -172,7 +83,7 @@ func (st *lpState) addStairBlock(prob *lp.Problem, cfg Config, set *trace.Set, w
 	inf := math.Inf(1)
 	H, T := win.n, cfg.T
 	K := (H + T - 1) / T
-	intervalLen := func(k int) int { return minInt(T, H-k*T) }
+	intervalLen := func(k int) int { return min(T, H-k*T) }
 
 	perSlot := 8
 	if route != nil {
@@ -218,7 +129,7 @@ func (st *lpState) addStairBlock(prob *lp.Problem, cfg Config, set *trace.Set, w
 		w[i] = prob.AddVariable("", 0, inf, cfg.WasteCostUSD)
 		e[i] = prob.AddVariable("", 0, inf, cfg.EmergencyCostUSD)
 		if g != nil {
-			g[i] = addFleetVars(prob, units, i, intervalLen(i/T), set.FuelScaleAt(slot))
+			g[i] = addFleetVars(prob, units, i, intervalLen(i/T))
 		}
 		avail += set.DemandDT.At(slot)
 		bl[i] = prob.AddVariable("B", bat.MinLevelMWh, bat.CapacityMWh, 0)
@@ -332,11 +243,4 @@ func (st *lpState) addStairBlock(prob *lp.Problem, cfg Config, set *trace.Set, w
 		)
 	}
 	return stairBlock{gbef: gbef, grt: grt, u: u, c: c, d: d, g: g, out: out, in: in}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -28,7 +28,7 @@ func commitTestController(t *testing.T, window int) *Controller {
 	c.PlanCoarse(sim.CoarseObs{
 		Slot: 720, Interval: 30, Slots: 24,
 		PriceLT: 60, DemandDS: 1.5, DemandDT: 0.2, Renewable: 0,
-		Battery: 0.3, FuelScale: 1,
+		Battery: 0.3,
 	})
 	return c
 }
@@ -39,7 +39,7 @@ func commitObs(slot, horizon int) sim.FineObs {
 	return sim.FineObs{
 		Slot: slot, Horizon: horizon,
 		PriceRT: 55, DemandDS: 1.5, DemandDT: 0.2,
-		RTHeadroom: 2, SdtMax: 1, Smax: 4, FuelScale: 1,
+		RTHeadroom: 2, SdtMax: 1, Smax: 4,
 		GenUnits: []generator.UnitObs{{
 			MinMWh: 0.2, MaxMWh: 1.0, RequestMax: 1.0, MarginalUSDPerMWh: 40,
 		}},

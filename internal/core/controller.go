@@ -139,7 +139,7 @@ func (c *Controller) PlanCoarse(obs sim.CoarseObs) float64 {
 	if p.DisableLongTerm {
 		return 0
 	}
-	// On-site generation arm: when a unit's base fuel price undercuts
+	// On-site generation arm: when a unit's marginal fuel price undercuts
 	// the offered long-term price — by enough that a full interval of
 	// self-generation also recovers a cold start — P5 will prefer
 	// self-generation, so the ahead-purchase should not cover the share
@@ -147,13 +147,12 @@ func (c *Controller) PlanCoarse(obs sim.CoarseObs) float64 {
 	// around a unit whose startup economics P5 will veto. The committed
 	// capacity sums across every unit that passes it.
 	selfGen := 0.0
-	fs := fuelScale(obs.FuelScale)
 	for i := range c.specs {
 		gp := &c.specs[i]
 		if !gp.Enabled() {
 			continue
 		}
-		margin := obs.PriceLT - gp.MarginalAt(0)*fs
+		margin := obs.PriceLT - gp.MarginalAt(0)
 		if margin > 0 && margin*gp.CapacityMWh*float64(p.T) > gp.StartupUSD {
 			selfGen += gp.CapacityMWh
 		}
@@ -223,24 +222,13 @@ func (c *Controller) PlanFine(obs sim.FineObs) sim.Decision {
 	return dec
 }
 
-// fuelScale normalizes an observation's fuel-price multiplier: the
-// engine sends 1 when no fuel trace is configured, and a non-positive
-// value (an unset field on a hand-built observation) falls back to the
-// configured curve.
-func fuelScale(v float64) float64 {
-	if v <= 0 {
-		return 1
-	}
-	return v
-}
-
 // unitSegs appends unit ui's dispatch band above its committed minimum
-// as fuel-curve segments with drift weights V·(scaled marginal) − (Q+Y).
-func (c *Controller) unitSegs(dst []genSeg, ui int, u *generator.UnitObs, qy, fs float64) []genSeg {
+// as fuel-curve segments with drift weights V·(marginal) − (Q+Y).
+func (c *Controller) unitSegs(dst []genSeg, ui int, u *generator.UnitObs, qy float64) []genSeg {
 	p := &c.params
 	c.scr.segTmp = c.specs[ui].AppendSegments(c.scr.segTmp[:0], u.MinMWh, u.MaxMWh)
 	for _, s := range c.scr.segTmp {
-		dst = append(dst, genSeg{cap: s.Cap, w: p.V*(s.USDPerMWh*fs) - qy, unit: ui})
+		dst = append(dst, genSeg{cap: s.Cap, w: p.V*s.USDPerMWh - qy, unit: ui})
 	}
 	return dst
 }
@@ -359,7 +347,6 @@ func (c *Controller) fleetDecision(dec *sim.Decision, obs *sim.FineObs, res *p5R
 // current real-time price beats fuel plus the amortized startup.
 func (c *Controller) planFleet(dec *sim.Decision, obs *sim.FineObs, in *p5Input, qy, bestTotal float64) {
 	p := &c.params
-	fs := fuelScale(obs.FuelScale)
 	committedMin := scratch.Zeroed(c.scr.committedMin, len(c.specs))
 	starts := scratch.Zeroed(c.scr.starts, len(c.specs))
 	c.scr.committedMin, c.scr.starts = committedMin, starts
@@ -398,7 +385,7 @@ func (c *Controller) planFleet(dec *sim.Decision, obs *sim.FineObs, in *p5Input,
 			if !gp.Enabled() {
 				continue
 			}
-			m := gp.MarginalAt(0) * fs
+			m := gp.MarginalAt(0)
 			// Dispatch level if committed; only envelope-covered energy
 			// earns the forecast price.
 			gstar := clamp(env, gp.MinLoadMWh, gp.CapacityMWh)
@@ -427,7 +414,7 @@ func (c *Controller) planFleet(dec *sim.Decision, obs *sim.FineObs, in *p5Input,
 			in.base += u.MinMWh
 			// Committed segments grow monotonically in phase 1, so they
 			// append in place into the scratch-backed set.
-			in.genSegs = c.unitSegs(in.genSegs, ui, u, qy, fs)
+			in.genSegs = c.unitSegs(in.genSegs, ui, u, qy)
 			committedMin[ui] = u.MinMWh
 			committed[ui] = true
 			env = max(0, env-gstar)
@@ -460,7 +447,7 @@ func (c *Controller) planFleet(dec *sim.Decision, obs *sim.FineObs, in *p5Input,
 			// the fuel bill and the amortized startup — the same
 			// economics the lag-free arm applies through its offset.
 			if u.RequestMax > 0 && !u.Running &&
-				p.V*(obs.PriceRT-gp.MarginalAt(0)*fs)*gp.CapacityMWh > amortized {
+				p.V*(obs.PriceRT-gp.MarginalAt(0))*gp.CapacityMWh > amortized {
 				starts[ui] = u.RequestMax
 				preStart = true
 			}
@@ -469,9 +456,9 @@ func (c *Controller) planFleet(dec *sim.Decision, obs *sim.FineObs, in *p5Input,
 
 		base, segs := in.base, in.genSegs
 		in.base = base + u.MinMWh
-		in.genSegs = c.unitSegs(append(candBuf[:0], segs...), ui, u, qy, fs)
+		in.genSegs = c.unitSegs(append(candBuf[:0], segs...), ui, u, qy)
 		candBuf = in.genSegs
-		offset := p.V*(fs*gp.FuelCost(u.MinMWh)) - u.MinMWh*qy
+		offset := p.V*gp.FuelCost(u.MinMWh) - u.MinMWh*qy
 		if u.Running {
 			offset -= amortized
 		} else {

@@ -121,9 +121,9 @@ func randomUnitSpec(r *rand.Rand) generator.Params {
 }
 
 // TestFuzzFleetUnitDispatchInvariants drives single units through
-// random request/fuel-scale sequences and checks the physics every
-// controller relies on: output is {0} ∪ [minload, window max] within
-// the nameplate, the up-ramp bound holds, fuel cost is the scaled curve
+// random request sequences and checks the physics every controller
+// relies on: output is {0} ∪ [minload, window max] within the
+// nameplate, the up-ramp bound holds, fuel cost is the unit's curve
 // (never negative), emissions track energy, and every cold start is
 // billed exactly once.
 func TestFuzzFleetUnitDispatchInvariants(t *testing.T) {
@@ -142,10 +142,9 @@ func TestFuzzFleetUnitDispatchInvariants(t *testing.T) {
 			g.Tick()
 			min, max := g.Window()
 			request := r.Float64() * p.CapacityMWh * 1.5
-			scale := 0.25 + r.Float64()*2
 			wasRunning, wasStarting := g.Running(), g.Starting()
 			startsBefore := g.Starts()
-			out := g.DispatchAt(request, scale)
+			out := g.Dispatch(request)
 
 			d := out.DeliveredMWh
 			if d != 0 && (d < min-1e-9 || d > max+1e-9) {
@@ -160,7 +159,7 @@ func TestFuzzFleetUnitDispatchInvariants(t *testing.T) {
 				t.Logf("slot %d: ramp violated: %g -> %g (limit %g)", slot, prev, d, p.RampMWh)
 				return false
 			}
-			if want := scale * p.FuelCost(d); out.FuelUSD < 0 || math.Abs(out.FuelUSD-want) > 1e-9 {
+			if want := p.FuelCost(d); out.FuelUSD < 0 || math.Abs(out.FuelUSD-want) > 1e-9 {
 				t.Logf("slot %d: fuel %g, want %g", slot, out.FuelUSD, want)
 				return false
 			}
@@ -196,8 +195,8 @@ func TestFuzzFleetUnitDispatchInvariants(t *testing.T) {
 }
 
 // TestFuzzFleetControllerInvariants drives SmartDPSS with random
-// heterogeneous fleets (random unit specs, commitment windows, fuel
-// traces) over random spiky traces and checks the run-level invariants:
+// heterogeneous fleets (random unit specs and commitment windows) over
+// random spiky traces and checks the run-level invariants:
 // clean execution, served delay-sensitive demand, finite non-negative
 // cost, battery bounds, and per-unit accounting that stays within
 // nameplate physics.
@@ -216,13 +215,6 @@ func TestFuzzFleetControllerInvariants(t *testing.T) {
 
 		slots := 48 + r.Intn(96)
 		set := randomTraceSet(r, slots, p.PgridMWh, p.PmaxUSD)
-		if r.Intn(2) == 0 {
-			fs := trace.New("fuel_scale", "x", 60, slots)
-			for i := range fs.Values {
-				fs.Values[i] = 0.25 + r.Float64()*2
-			}
-			set.FuelScale = fs
-		}
 
 		ctrl, err := New(p)
 		if err != nil {

@@ -345,24 +345,13 @@ type TraceConfig struct {
 	StartDayOfYear int
 	// PriceScale multiplies both generated GRID price series (long-term
 	// and real-time) after generation; 0 or 1 leaves them unchanged. It
-	// never touches fuel costs — fuel has its own axis below — so it
-	// moves the grid-price level against fixed fuel prices, the axis of
-	// the on-site provisioning economics (arXiv:1303.6775): at
-	// PriceScale below the fuel/grid break-even the generator is idle
-	// capital, above it self-generation displaces the markets.
+	// never touches fuel costs — each generation unit burns fuel at its
+	// configured curve — so it moves the grid-price level against fixed
+	// fuel prices, the axis of the on-site provisioning economics
+	// (arXiv:1303.6775): at PriceScale below the fuel/grid break-even the
+	// generator is idle capital, above it self-generation displaces the
+	// markets.
 	PriceScale float64
-	// FuelPriceScale is the fuel-side counterpart of PriceScale: the
-	// mean level of a per-slot fuel-price multiplier series applied to
-	// every generation unit's fuel curve (grid prices are untouched).
-	// 0 or 1 with zero FuelVolatility leaves fuel at the configured
-	// static price and generates no series, reproducing fuel-trace-free
-	// runs exactly.
-	FuelPriceScale float64
-	// FuelVolatility adds a seeded mean-reverting walk around the
-	// FuelPriceScale level (fractional per-slot step, e.g. 0.02), so
-	// fuel prices vary over time like the volatile gas markets of
-	// arXiv:1308.0585. Zero keeps the multiplier flat.
-	FuelVolatility float64
 }
 
 // DefaultTraceConfig returns the one-month default scenario. The solar
@@ -472,47 +461,10 @@ func GenerateTraces(tc TraceConfig) (*Traces, error) {
 		}
 	}
 	set := &trace.Set{DemandDS: ds, DemandDT: dt, Renewable: renewable, PriceLT: lt, PriceRT: rt}
-	// NaN needs explicit rejection in both guards: every comparison below
-	// is false for NaN, so a NaN scale would otherwise slip through as "no
-	// fuel market configured" and a NaN volatility as "flat multiplier".
-	if tc.FuelPriceScale < 0 || math.IsNaN(tc.FuelPriceScale) || math.IsInf(tc.FuelPriceScale, 0) {
-		return nil, errors.New("smartdpss: FuelPriceScale must be finite and non-negative")
-	}
-	if !(tc.FuelVolatility >= 0 && tc.FuelVolatility < 1) {
-		return nil, errors.New("smartdpss: FuelVolatility must be in [0, 1)")
-	}
-	if (tc.FuelPriceScale > 0 && tc.FuelPriceScale != 1) || tc.FuelVolatility > 0 {
-		// The fuel seed is drawn last so that configurations without a
-		// fuel market consume exactly the pre-fuel-trace seed sequence.
-		set.FuelScale = fuelScaleSeries(tc, slotMinutes, ds.Len(), rng.Int63())
-	}
 	if err := set.Validate(); err != nil {
 		return nil, fmt.Errorf("smartdpss: traces: %w", err)
 	}
 	return &Traces{set: set, valid: true}, nil
-}
-
-// fuelScaleSeries builds the per-slot fuel-price multiplier: a seeded
-// mean-reverting walk (reversion 0.05 per slot) around the
-// FuelPriceScale level, clipped to stay strictly positive. With zero
-// volatility the series is flat at the level — a pure static rescale of
-// every unit's fuel curve over time.
-func fuelScaleSeries(tc TraceConfig, slotMinutes, slots int, seed int64) *trace.Series {
-	level := tc.FuelPriceScale
-	if level <= 0 {
-		level = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	sr := trace.New("fuel_scale", "x", slotMinutes, slots)
-	x := 1.0
-	for i := range sr.Values {
-		sr.Values[i] = level * x
-		x += 0.05*(1-x) + tc.FuelVolatility*(2*rng.Float64()-1)
-		if x < 0.1 {
-			x = 0.1
-		}
-	}
-	return sr
 }
 
 // Horizon returns the number of fine slots.

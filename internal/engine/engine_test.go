@@ -16,16 +16,10 @@ func TestGenerateTracesValidation(t *testing.T) {
 		{"zero days", func(tc *TraceConfig) { tc.Days = 0 }},
 		{"negative days", func(tc *TraceConfig) { tc.Days = -3 }},
 		{"negative price scale", func(tc *TraceConfig) { tc.PriceScale = -0.5 }},
-		{"negative fuel price scale", func(tc *TraceConfig) { tc.FuelPriceScale = -1 }},
-		{"negative fuel volatility", func(tc *TraceConfig) { tc.FuelVolatility = -0.1 }},
-		{"fuel volatility >= 1", func(tc *TraceConfig) { tc.FuelVolatility = 1.0 }},
 		// NaN makes every ordered comparison false: without explicit
 		// finite checks these poisoned configs sailed through the guards.
 		{"NaN price scale", func(tc *TraceConfig) { tc.PriceScale = math.NaN() }},
 		{"Inf price scale", func(tc *TraceConfig) { tc.PriceScale = math.Inf(1) }},
-		{"NaN fuel price scale", func(tc *TraceConfig) { tc.FuelPriceScale = math.NaN() }},
-		{"Inf fuel price scale", func(tc *TraceConfig) { tc.FuelPriceScale = math.Inf(1) }},
-		{"NaN fuel volatility", func(tc *TraceConfig) { tc.FuelVolatility = math.NaN() }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -84,64 +78,10 @@ func TestUnitSpecValidation(t *testing.T) {
 	}
 }
 
-// TestFuelScaleSeriesGating: the fuel series must exist exactly when the
-// fuel market is configured, and stay strictly positive.
-func TestFuelScaleSeriesGating(t *testing.T) {
-	tc := DefaultTraceConfig()
-	tc.Days = 2
-	plain, err := GenerateTraces(tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.set.FuelScale != nil {
-		t.Fatal("fuel series generated without a fuel market configured")
-	}
-	if got := plain.set.FuelScaleAt(0); got != 1 {
-		t.Fatalf("FuelScaleAt without series = %g, want 1", got)
-	}
-
-	tc.FuelPriceScale = 1.5
-	tc.FuelVolatility = 0.05
-	fueled, err := GenerateTraces(tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := fueled.set.FuelScale
-	if fs == nil {
-		t.Fatal("no fuel series despite FuelPriceScale=1.5")
-	}
-	if fs.Len() != plain.set.Horizon() {
-		t.Fatalf("fuel series has %d slots, want %d", fs.Len(), plain.set.Horizon())
-	}
-	if fs.Min() <= 0 {
-		t.Fatalf("fuel series has non-positive samples: min=%g", fs.Min())
-	}
-	if m := fs.Mean(); m < 1.0 || m > 2.0 {
-		t.Fatalf("fuel series mean %g far from the 1.5 level", m)
-	}
-	// The fuel market must not disturb the other generators' seeds.
-	if fueled.set.PriceRT.Values[7] != plain.set.PriceRT.Values[7] ||
-		fueled.set.DemandDS.Values[7] != plain.set.DemandDS.Values[7] {
-		t.Fatal("adding a fuel market changed the grid/demand traces")
-	}
-
-	// Zero volatility: flat at the level.
-	tc.FuelVolatility = 0
-	flat, err := GenerateTraces(tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range flat.set.FuelScale.Values {
-		if math.Abs(v-1.5) > 1e-12 {
-			t.Fatalf("flat fuel series sample %d = %g, want 1.5", i, v)
-		}
-	}
-}
-
 // TestPriceScaleLeavesFuelUntouched pins the PriceScale contract (see
 // TraceConfig and doc.go): it multiplies the two GRID price series and
-// nothing else — in particular it must not create or scale the fuel
-// multiplier series, whose axis is FuelPriceScale.
+// nothing else — in particular not a generation unit's fuel bill, which
+// is always the unit's configured curve.
 func TestPriceScaleLeavesFuelUntouched(t *testing.T) {
 	base := DefaultTraceConfig()
 	base.Days = 2
@@ -154,9 +94,6 @@ func TestPriceScaleLeavesFuelUntouched(t *testing.T) {
 	doubled, err := GenerateTraces(scaled)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if doubled.set.FuelScale != nil {
-		t.Fatal("PriceScale generated a fuel series")
 	}
 	for i := range plain.set.PriceLT.Values {
 		if doubled.set.PriceLT.Values[i] != 2*plain.set.PriceLT.Values[i] ||

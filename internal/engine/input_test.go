@@ -35,12 +35,12 @@ func rejectsInput(t *testing.T, s *Session, traces *Traces, in SlotInput, field 
 }
 
 // TestStepRejectsNegativeInputs: batch Simulate refuses traces with
-// negative demand, renewable or fuel-scale samples, so a streaming Step
+// negative demand or renewable samples, so a streaming Step
 // must refuse them too instead of reporting, for example, zero delay for
 // a negative delay-tolerant arrival.
 func TestStepRejectsNegativeInputs(t *testing.T) {
 	traces := dayTraces(t, 2)
-	for _, field := range []string{"DemandDS", "DemandDT", "Renewable", "FuelScale"} {
+	for _, field := range []string{"DemandDS", "DemandDT", "Renewable"} {
 		t.Run(field, func(t *testing.T) {
 			s := streamArms()[0].session(t, traces.Horizon())
 			stepTo(t, s, traces, 5)
@@ -52,8 +52,6 @@ func TestStepRejectsNegativeInputs(t *testing.T) {
 				in.DemandDT = -5
 			case "Renewable":
 				in.Renewable = -5
-			case "FuelScale":
-				in.FuelScale = -5
 			}
 			rejectsInput(t, s, traces, in, field)
 		})
@@ -260,18 +258,19 @@ func FuzzSlotInput(f *testing.F) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for i := range arms {
 		for _, boundary := range []bool{false, true} {
-			f.Add(uint8(i), boundary, 0.8, 0.3, 0.2, 45.0, 38.0, 1.0)
-			f.Add(uint8(i), boundary, -5.0, 0.3, 0.2, 45.0, 38.0, 1.0)
-			f.Add(uint8(i), boundary, 0.8, 0.3, 0.2, 151.0, 38.0, 1.0)
-			f.Add(uint8(i), boundary, 0.8, 0.3, 0.2, 45.0, -1.0, 1.0)
-			f.Add(uint8(i), boundary, 0.8, nan, 0.2, 45.0, 38.0, inf)
-			f.Add(uint8(i), boundary, 1e300, 1e300, 1e300, 150.0, 0.0, 0.0)
-			f.Add(uint8(i), boundary, 1e300, 0.3, 0.2, 45.0, 38.0, 1.0)
-			f.Add(uint8(i), boundary, 0.8, 1e300, 0.2, 45.0, 38.0, 1.0)
-			f.Add(uint8(i), boundary, 0.8, 0.3, 1e300, 45.0, 38.0, 1.0)
+			f.Add(uint8(i), boundary, 0.8, 0.3, 0.2, 45.0, 38.0)
+			f.Add(uint8(i), boundary, -5.0, 0.3, 0.2, 45.0, 38.0)
+			f.Add(uint8(i), boundary, 0.8, 0.3, 0.2, 151.0, 38.0)
+			f.Add(uint8(i), boundary, 0.8, 0.3, 0.2, 45.0, -1.0)
+			f.Add(uint8(i), boundary, 0.8, nan, 0.2, 45.0, 38.0)
+			f.Add(uint8(i), boundary, 0.8, 0.3, inf, 45.0, 38.0)
+			f.Add(uint8(i), boundary, 1e300, 1e300, 1e300, 150.0, 0.0)
+			f.Add(uint8(i), boundary, 1e300, 0.3, 0.2, 45.0, 38.0)
+			f.Add(uint8(i), boundary, 0.8, 1e300, 0.2, 45.0, 38.0)
+			f.Add(uint8(i), boundary, 0.8, 0.3, 1e300, 45.0, 38.0)
 		}
 	}
-	f.Fuzz(func(t *testing.T, pick uint8, boundary bool, dds, ddt, r, prt, plt, fuel float64) {
+	f.Fuzz(func(t *testing.T, pick uint8, boundary bool, dds, ddt, r, prt, plt float64) {
 		i := int(pick) % len(arms)
 		base := bases[i][0]
 		if boundary {
@@ -281,7 +280,7 @@ func FuzzSlotInput(f *testing.F) {
 		if err := s.Restore(base); err != nil {
 			t.Fatal(err)
 		}
-		in := SlotInput{DemandDS: dds, DemandDT: ddt, Renewable: r, PriceRT: prt, PriceLT: plt, FuelScale: fuel}
+		in := SlotInput{DemandDS: dds, DemandDT: ddt, Renewable: r, PriceRT: prt, PriceLT: plt}
 		_, err := s.Step(in)
 		var verr *ValidationError
 		switch {

@@ -58,9 +58,9 @@ func invalidOptions(err error) error {
 // struct, with the field name machine-readable (match via errors.As).
 type ValidationError = sim.ValidationError
 
-// SlotInput is one fine slot's exogenous inputs for streaming sessions
-// (demands, renewable production, both market prices and the fuel-price
-// multiplier — pass FuelScale 1 without a fuel market).
+// SlotInput is one fine slot's exogenous inputs for streaming sessions:
+// demands, renewable production and both market prices. Fuel is priced
+// by each generation unit's configured curve, not by the input.
 type SlotInput = sim.SlotInput
 
 // Decision is a controller's planned fine-slot action.

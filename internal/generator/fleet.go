@@ -115,10 +115,9 @@ func (f *Fleet) Observe() []UnitObs {
 
 // Dispatch executes one slot: requests[i] goes to unit i (missing
 // entries are zero, so a short — or nil — slice shuts the tail of the
-// fleet down), with the slot's fuel-price multiplier applied to every
-// unit's fuel bill. Outcomes come back in fleet order, in a fleet-owned
-// slice valid until the next Dispatch call.
-func (f *Fleet) Dispatch(requests []float64, fuelScale float64) []Outcome {
+// fleet down). Outcomes come back in fleet order, in a fleet-owned slice
+// valid until the next Dispatch call.
+func (f *Fleet) Dispatch(requests []float64) []Outcome {
 	if len(f.units) == 0 {
 		return nil
 	}
@@ -131,7 +130,7 @@ func (f *Fleet) Dispatch(requests []float64, fuelScale float64) []Outcome {
 		if i < len(requests) {
 			req = requests[i]
 		}
-		outs[i] = u.DispatchAt(req, fuelScale)
+		outs[i] = u.Dispatch(req)
 	}
 	return outs
 }

@@ -52,7 +52,7 @@ func TestEmptyFleetInert(t *testing.T) {
 	if obs := f.Observe(); obs != nil {
 		t.Fatalf("empty fleet observed units: %+v", obs)
 	}
-	if outs := f.Dispatch([]float64{1, 2}, 1); outs != nil {
+	if outs := f.Dispatch([]float64{1, 2}); outs != nil {
 		t.Fatalf("empty fleet dispatched: %+v", outs)
 	}
 	if tot := f.Totals(); tot != (FleetTotals{}) {
@@ -66,7 +66,7 @@ func TestFleetDispatchAccountsPerUnit(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Tick()
-	outs := f.Dispatch([]float64{0.5, 0.25, 0}, 1)
+	outs := f.Dispatch([]float64{0.5, 0.25, 0})
 	if outs[0].DeliveredMWh != 0.5 || outs[1].DeliveredMWh != 0.25 || outs[2].DeliveredMWh != 0 {
 		t.Fatalf("delivered = %+v", outs)
 	}
@@ -86,31 +86,14 @@ func TestFleetDispatchAccountsPerUnit(t *testing.T) {
 	}
 }
 
-func TestFleetDispatchFuelScale(t *testing.T) {
-	f, err := NewFleet(fleetSpecs()[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Tick()
-	outs := f.Dispatch([]float64{0.5}, 1.5)
-	want := 1.5 * (40 * 0.5)
-	if math.Abs(outs[0].FuelUSD-want) > 1e-9 {
-		t.Fatalf("scaled fuel = %g, want %g", outs[0].FuelUSD, want)
-	}
-	// CO2 does not scale with the fuel price.
-	if math.Abs(outs[0].CO2Kg-0.5*500) > 1e-9 {
-		t.Fatalf("CO2 = %g, want %g", outs[0].CO2Kg, 0.5*500)
-	}
-}
-
 func TestFleetShortRequestSliceShutsTail(t *testing.T) {
 	f, err := NewFleet(fleetSpecs())
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Tick()
-	f.Dispatch([]float64{0.5, 0.25, 1.0}, 1)
-	outs := f.Dispatch([]float64{0.5}, 1) // units 1 and 2 get implicit zeros
+	f.Dispatch([]float64{0.5, 0.25, 1.0})
+	outs := f.Dispatch([]float64{0.5}) // units 1 and 2 get implicit zeros
 	if outs[1].DeliveredMWh != 0 || outs[2].DeliveredMWh != 0 {
 		t.Fatalf("tail units kept producing: %+v", outs)
 	}

@@ -341,22 +341,15 @@ func (g *Generator) Tick() {
 	}
 }
 
-// Dispatch executes one slot with the requested output at the unit's
-// configured fuel price; see DispatchAt.
+// Dispatch executes one slot with the requested output and returns what
+// was delivered and charged at the unit's configured fuel curve.
+// Requests are clamped to the admissible set: below the minimum stable
+// load the unit shuts down (or stays off), and a positive request while
+// off triggers a cold start — paying StartupUSD once and, with a
+// synchronization lag, delivering its first energy StartupLagSlots slots
+// later. Requests during an in-progress start are ignored (the start is
+// already committed).
 func (g *Generator) Dispatch(request float64) Outcome {
-	return g.DispatchAt(request, 1)
-}
-
-// DispatchAt executes one slot with the requested output and returns what
-// was delivered and charged, with the whole fuel curve scaled by the
-// slot's fuel-price multiplier (1 reproduces the configured curve
-// exactly). Requests are clamped to the admissible set:
-// below the minimum stable load the unit shuts down (or stays off), and
-// a positive request while off triggers a cold start — paying StartupUSD
-// once and, with a synchronization lag, delivering its first energy
-// StartupLagSlots slots later. Requests during an in-progress start are
-// ignored (the start is already committed).
-func (g *Generator) DispatchAt(request, fuelScale float64) Outcome {
 	p := g.params
 	if !p.Enabled() {
 		return Outcome{}
@@ -390,7 +383,7 @@ func (g *Generator) DispatchAt(request, fuelScale float64) Outcome {
 	}
 	delivered := min(request, hi)
 	out.DeliveredMWh = delivered
-	out.FuelUSD = fuelScale * p.FuelCost(delivered)
+	out.FuelUSD = p.FuelCost(delivered)
 	out.CO2Kg = p.CO2KgPerMWh * delivered
 	g.output = delivered
 	g.fresh = false

@@ -11,7 +11,7 @@ func driveUnit(t *testing.T, g *Generator) {
 	t.Helper()
 	for i := 0; i < 4; i++ {
 		g.Tick()
-		g.DispatchAt(0.4, 1.1)
+		g.Dispatch(0.4)
 	}
 	if g.EnergyTotal() == 0 || g.Starts() == 0 {
 		t.Fatalf("unit did not run: energy=%g starts=%d", g.EnergyTotal(), g.Starts())
@@ -49,8 +49,8 @@ func TestGeneratorStateRoundTrip(t *testing.T) {
 	}
 
 	// The restored unit must evolve identically to the original.
-	refOut := ref.DispatchAt(0.6, 1.0)
-	freshOut := fresh.DispatchAt(0.6, 1.0)
+	refOut := ref.Dispatch(0.6)
+	freshOut := fresh.Dispatch(0.6)
 	if refOut != freshOut {
 		t.Fatalf("post-restore dispatch diverged: %+v vs %+v", refOut, freshOut)
 	}
@@ -95,7 +95,7 @@ func TestFleetStateRoundTrip(t *testing.T) {
 	ref := mk()
 	for i := 0; i < 3; i++ {
 		ref.Tick()
-		ref.Dispatch([]float64{0.5, 0, 0.7}, 1.0)
+		ref.Dispatch([]float64{0.5, 0, 0.7})
 	}
 	states := ref.State()
 	if len(states) != ref.Size() {
@@ -109,8 +109,8 @@ func TestFleetStateRoundTrip(t *testing.T) {
 	if fresh.Totals() != ref.Totals() {
 		t.Fatalf("restored totals %+v, want %+v", fresh.Totals(), ref.Totals())
 	}
-	refOuts := ref.Dispatch([]float64{0.5, 0.25, 0}, 1.0)
-	freshOuts := fresh.Dispatch([]float64{0.5, 0.25, 0}, 1.0)
+	refOuts := ref.Dispatch([]float64{0.5, 0.25, 0})
+	freshOuts := fresh.Dispatch([]float64{0.5, 0.25, 0})
 	for i := range refOuts {
 		if refOuts[i] != freshOuts[i] {
 			t.Fatalf("unit %d diverged after restore: %+v vs %+v", i, refOuts[i], freshOuts[i])

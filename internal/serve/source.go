@@ -33,7 +33,6 @@ type Observation struct {
 type Source interface {
 	Next(ctx context.Context) (Observation, error)
 	Seek(slot int) error
-	Close() error
 }
 
 // ReplaySource replays a generated trace set slot by slot — the ingest
@@ -77,6 +76,3 @@ func (r *ReplaySource) Seek(slot int) error {
 	r.next = slot
 	return nil
 }
-
-// Close implements Source; replay holds no external resources.
-func (r *ReplaySource) Close() error { return nil }

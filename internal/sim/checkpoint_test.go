@@ -108,9 +108,29 @@ func TestSnapshotRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestNoiseDrawBoundIsExact: a noisy session run to its horizon
+// consumes exactly maxNoiseDraws draws, so the restore bound is what a
+// plan consumes and not a loose ceiling; a horizon that ends mid-interval
+// covers the short last interval.
+func TestNoiseDrawBoundIsExact(t *testing.T) {
+	for _, horizon := range []int{8, 10} {
+		noisy, err := WithObservationNoise(&scriptController{name: "n", gbef: 3}, 1, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := flatSet(horizon, 1, 0.2, 0.3, 40, 50)
+		if _, err := Run(testConfig(), set, noisy); err != nil {
+			t.Fatal(err)
+		}
+		if want := maxNoiseDraws(horizon, noisy.CoarseSlots()); noisy.draws != want {
+			t.Errorf("horizon %d: %d draws, maxNoiseDraws = %d", horizon, noisy.draws, want)
+		}
+	}
+}
+
 // TestRestoreBoundsNoiseDraws: the draw count a noise state may replay
-// is bounded by what the session's horizon consumes, five draws per
-// fine slot and five per coarse interval.
+// is bounded by what the session's horizon consumes, four draws per
+// fine slot and four per coarse interval.
 func TestRestoreBoundsNoiseDraws(t *testing.T) {
 	inner := &snapController{scriptController{name: "n", gbef: 3}}
 	noisy, err := WithObservationNoise(inner, 1, 0.5)
@@ -120,11 +140,11 @@ func TestRestoreBoundsNoiseDraws(t *testing.T) {
 	if _, err := NewSession(testConfig(), noisy, 10, 60, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Horizon 10 in coarse intervals of 4: 5·10 + 5·3 draws at most.
-	if noisy.maxDraws != 65 {
-		t.Fatalf("maxDraws = %d, want 65", noisy.maxDraws)
+	// Horizon 10 in coarse intervals of 4: 4·10 + 4·3 draws at most.
+	if noisy.maxDraws != 52 {
+		t.Fatalf("maxDraws = %d, want 52", noisy.maxDraws)
 	}
-	for draws, ok := range map[uint64]bool{0: true, 65: true, 66: false, math.MaxUint64: false} {
+	for draws, ok := range map[uint64]bool{0: true, 52: true, 53: false, math.MaxUint64: false} {
 		blob, err := json.Marshal(noisyState{Seed: 1, Draws: draws, Inner: json.RawMessage(`{"Outcomes":0}`)})
 		if err != nil {
 			t.Fatal(err)

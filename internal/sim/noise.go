@@ -33,12 +33,12 @@ type NoisyController struct {
 	maxDraws uint64
 }
 
-// noiseDrawsPerPlan is the most draws one PlanFine or PlanCoarse call
-// consumes: four exogenous fields plus the fuel-price multiplier.
-const noiseDrawsPerPlan = 5
+// noiseDrawsPerPlan is the number of draws one PlanFine or PlanCoarse
+// call consumes: one per exogenous field it perturbs.
+const noiseDrawsPerPlan = 4
 
-// maxNoiseDraws is the most draws a horizon of fine slots, planned in
-// coarse intervals of T slots, can consume.
+// maxNoiseDraws is the number of draws a horizon of fine slots, planned
+// in coarse intervals of T slots, consumes.
 func maxNoiseDraws(horizon, T int) uint64 {
 	coarse := (horizon + T - 1) / T
 	return noiseDrawsPerPlan * uint64(horizon+coarse)
@@ -76,13 +76,6 @@ func (n *NoisyController) PlanCoarse(obs CoarseObs) float64 {
 	obs.DemandDS *= n.factor()
 	obs.DemandDT *= n.factor()
 	obs.Renewable *= n.factor()
-	// The fuel-price multiplier is a market signal like the grid prices
-	// and gets the same error treatment — but only when a fuel market is
-	// configured (scale ≠ 1), so fuel-trace-free runs consume exactly
-	// the pre-fuel-trace noise stream.
-	if obs.FuelScale != 1 && obs.FuelScale != 0 {
-		obs.FuelScale *= n.factor()
-	}
 	return n.inner.PlanCoarse(obs)
 }
 
@@ -96,9 +89,6 @@ func (n *NoisyController) PlanFine(obs FineObs) Decision {
 	noisy.DemandDS *= n.factor()
 	noisy.DemandDT *= n.factor()
 	noisy.Renewable *= n.factor()
-	if noisy.FuelScale != 1 && noisy.FuelScale != 0 {
-		noisy.FuelScale *= n.factor() // see PlanCoarse: fuel market only
-	}
 	dec := n.inner.PlanFine(noisy)
 
 	dec.Grt = clamp(dec.Grt, 0, max(0,

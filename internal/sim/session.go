@@ -15,9 +15,8 @@ import (
 // SlotInput is one fine slot's exogenous inputs as a streaming caller
 // supplies them: the trace row that batch Run reads from a trace.Set.
 // All energies are MWh per fine slot, prices USD/MWh. Step accepts only
-// finite values, energies in [0, trace.MaxEnergyMWh], a non-negative
-// fuel scale, and prices in the market's [0, PmaxUSD] (PriceLT only
-// where it is read).
+// finite values, energies in [0, trace.MaxEnergyMWh] and prices in the
+// market's [0, PmaxUSD] (PriceLT only where it is read).
 type SlotInput struct {
 	// DemandDS is dds(τ), the delay-sensitive demand served this slot.
 	DemandDS float64 `json:"demandDS"`
@@ -32,21 +31,15 @@ type SlotInput struct {
 	// slot so a snapshot/restore cycle never changes what a boundary
 	// sees.
 	PriceLT float64 `json:"priceLT"`
-	// FuelScale is the slot's fuel-price multiplier. Callers without a
-	// fuel market MUST pass 1 (the engine honors the value verbatim —
-	// including 0, which means free fuel — exactly as batch Run honors
-	// trace.Set.FuelScaleAt).
-	FuelScale float64 `json:"fuelScale"`
 }
 
 // validate rejects, before the session changes, every input the slot
 // model cannot execute: a non-finite value (a NaN demand would sail
 // through the slot arithmetic and poison every accumulator downstream),
-// negative demand, renewable output or fuel scale, demand or renewable
-// output above trace.MaxEnergyMWh (batch runs reject all of these in
-// trace validation), and a price outside the market's [0, pmax] — the
-// real-time price every slot, and the long-term price at a coarse
-// boundary, the only slot that reads it.
+// demand or renewable output below zero or above trace.MaxEnergyMWh
+// (batch runs reject all of these in trace validation), and a price
+// outside the market's [0, pmax] — the real-time price every slot, and
+// the long-term price at a coarse boundary, the only slot that reads it.
 func (in SlotInput) validate(pmax float64, boundary bool) error {
 	inf := math.Inf(1)
 	ltLo, ltHi := -inf, inf
@@ -65,10 +58,7 @@ func (in SlotInput) validate(pmax float64, boundary bool) error {
 	if err := checkInput("PriceRT", in.PriceRT, 0, pmax); err != nil {
 		return err
 	}
-	if err := checkInput("PriceLT", in.PriceLT, ltLo, ltHi); err != nil {
-		return err
-	}
-	return checkInput("FuelScale", in.FuelScale, 0, inf)
+	return checkInput("PriceLT", in.PriceLT, ltLo, ltHi)
 }
 
 // checkInput returns a *ValidationError for field unless v is finite and
@@ -231,9 +221,6 @@ func (s *Session) Slot() int { return s.slot }
 // Horizon returns the total number of fine slots.
 func (s *Session) Horizon() int { return s.horizon }
 
-// SlotMinutes returns the fine-slot length in minutes.
-func (s *Session) SlotMinutes() int { return s.slotMinutes }
-
 // Pending reports whether a planned decision awaits Commit.
 func (s *Session) Pending() bool { return s.pending }
 
@@ -328,7 +315,7 @@ func (s *Session) Step(in SlotInput) (Decision, error) {
 		return Decision{}, err
 	}
 	if slot%T == 0 {
-		if err := s.coarseBoundary(in, slot, minInt(T, s.horizon-slot)); err != nil {
+		if err := s.coarseBoundary(in, slot, min(T, s.horizon-slot)); err != nil {
 			return Decision{}, err
 		}
 	}
@@ -352,7 +339,6 @@ func (s *Session) Step(in SlotInput) (Decision, error) {
 		Backlog:      s.backlog.Len(),
 		SdtMax:       s.cfg.SdtMaxMWh,
 		Smax:         s.cfg.SmaxMWh,
-		FuelScale:    in.FuelScale,
 		GenUnits:     s.fleet.Observe(),
 	}
 	dec := s.ctrl.PlanFine(obs)
@@ -378,7 +364,6 @@ func (s *Session) coarseBoundary(in SlotInput, slot, slots int) error {
 		Battery:      s.batt.Level(),
 		MaxDischarge: s.batt.MaxDischargeNow(),
 		Backlog:      s.backlog.Len(),
-		FuelScale:    in.FuelScale,
 	}
 	gbef := s.ctrl.PlanCoarse(obs)
 	if math.IsNaN(gbef) || math.IsInf(gbef, 0) {
@@ -415,7 +400,7 @@ func (s *Session) Commit() (SlotOutcome, error) {
 	// committed supply for the balance below (a no-op when no fleet is
 	// configured).
 	var gen generator.Outcome
-	for _, out := range s.fleet.Dispatch(dec.GenerateUnits, obs.FuelScale) {
+	for _, out := range s.fleet.Dispatch(dec.GenerateUnits) {
 		gen.DeliveredMWh += out.DeliveredMWh
 		gen.FuelUSD += out.FuelUSD
 		gen.StartupUSD += out.StartupUSD

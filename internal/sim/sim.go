@@ -43,7 +43,6 @@ type CoarseObs struct {
 	Battery      float64 // b(t) in MWh
 	MaxDischarge float64 // deliverable battery energy this slot, MWh
 	Backlog      float64 // Q(t) in MWh
-	FuelScale    float64 // fuel-price multiplier at the boundary slot (1 without a fuel trace)
 }
 
 // FineObs is what a controller sees each fine slot τ.
@@ -66,10 +65,6 @@ type FineObs struct {
 	Backlog      float64 // Q(τ) before this slot's arrivals
 	SdtMax       float64 // per-slot service cap Sdtmax
 	Smax         float64 // per-slot supply cap (Eq. 1)
-
-	// FuelScale is the slot's fuel-price multiplier (1 without a fuel
-	// trace): every generation unit's fuel curve is scaled by it.
-	FuelScale float64
 
 	// GenUnits is the per-unit dispatch state of the on-site generation
 	// fleet, in fleet order (nil when no fleet is configured). A
@@ -276,15 +271,7 @@ func InputAt(set *trace.Set, slot int) SlotInput {
 		Renewable: set.Renewable.At(slot),
 		PriceRT:   set.PriceRT.At(slot),
 		PriceLT:   set.PriceLT.At(slot),
-		FuelScale: set.FuelScaleAt(slot),
 	}
 }
 
 func clamp(x, lo, hi float64) float64 { return min(hi, max(lo, x)) }
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 )
 
 // WriteCSV writes the series side by side as CSV with a header row of
@@ -42,50 +41,4 @@ func WriteCSV(w io.Writer, series ...*Series) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses CSV produced by WriteCSV, reconstructing names and units
-// from the header. slotMinutes is supplied by the caller because the CSV
-// format does not carry it.
-func ReadCSV(r io.Reader, slotMinutes int) ([]*Series, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("trace: read csv: %w", err)
-	}
-	if len(records) < 1 {
-		return nil, fmt.Errorf("trace: empty csv")
-	}
-	header := records[0]
-	if len(header) < 2 || header[0] != "slot" {
-		return nil, fmt.Errorf("trace: malformed header %v", header)
-	}
-	nSeries := len(header) - 1
-	out := make([]*Series, nSeries)
-	for j := 0; j < nSeries; j++ {
-		name, unit := splitHeader(header[j+1])
-		out[j] = New(name, unit, slotMinutes, len(records)-1)
-	}
-	for i, rec := range records[1:] {
-		if len(rec) != nSeries+1 {
-			return nil, fmt.Errorf("trace: row %d has %d fields, want %d", i, len(rec), nSeries+1)
-		}
-		for j := 0; j < nSeries; j++ {
-			v, err := strconv.ParseFloat(rec[j+1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: row %d col %d: %w", i, j, err)
-			}
-			out[j].Values[i] = v
-		}
-	}
-	return out, nil
-}
-
-// splitHeader parses "name (unit)" into its parts; a missing unit yields "".
-func splitHeader(h string) (name, unit string) {
-	open := strings.LastIndex(h, " (")
-	if open < 0 || !strings.HasSuffix(h, ")") {
-		return h, ""
-	}
-	return h[:open], h[open+2 : len(h)-1]
 }

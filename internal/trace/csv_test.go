@@ -2,10 +2,35 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math"
-	"strings"
+	"strconv"
 	"testing"
 )
+
+// parseCSV reads WriteCSV's output back: its records, header row first,
+// and each series column's values parsed with strconv.ParseFloat.
+func parseCSV(t *testing.T, b []byte) (records [][]string, cols [][]float64) {
+	t.Helper()
+	records, err := csv.NewReader(bytes.NewReader(b)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols = make([][]float64, len(records[0])-1)
+	for i, rec := range records[1:] {
+		if rec[0] != strconv.Itoa(i) {
+			t.Fatalf("row %d has slot index %q", i, rec[0])
+		}
+		for j, field := range rec[1:] {
+			v, err := strconv.ParseFloat(field, 64)
+			if err != nil {
+				t.Fatalf("row %d col %d: %v", i, j, err)
+			}
+			cols[j] = append(cols[j], v)
+		}
+	}
+	return records, cols
+}
 
 func TestCSVRoundTrip(t *testing.T) {
 	a := FromValues("demand_ds", "MWh", 60, []float64{1.5, 2.25, 0})
@@ -15,25 +40,23 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, a, b); err != nil {
 		t.Fatal(err)
 	}
-	series, err := ReadCSV(&buf, 60)
-	if err != nil {
-		t.Fatal(err)
+	records, cols := parseCSV(t, buf.Bytes())
+	header := records[0]
+	want := []string{"slot", "demand_ds (MWh)", "price_rt (USD/MWh)"}
+	if len(header) != len(want) {
+		t.Fatalf("header = %q, want %q", header, want)
 	}
-	if len(series) != 2 {
-		t.Fatalf("got %d series, want 2", len(series))
-	}
-	if series[0].Name != "demand_ds" || series[0].Unit != "MWh" {
-		t.Errorf("series[0] identity = %q (%q)", series[0].Name, series[0].Unit)
-	}
-	if series[1].Name != "price_rt" || series[1].Unit != "USD/MWh" {
-		t.Errorf("series[1] identity = %q (%q)", series[1].Name, series[1].Unit)
+	for i := range want {
+		if header[i] != want[i] {
+			t.Errorf("header[%d] = %q, want %q", i, header[i], want[i])
+		}
 	}
 	for i := range a.Values {
-		if series[0].Values[i] != a.Values[i] {
-			t.Errorf("round trip a[%d] = %g, want %g", i, series[0].Values[i], a.Values[i])
+		if cols[0][i] != a.Values[i] {
+			t.Errorf("round trip a[%d] = %g, want %g", i, cols[0][i], a.Values[i])
 		}
-		if series[1].Values[i] != b.Values[i] {
-			t.Errorf("round trip b[%d] = %g, want %g", i, series[1].Values[i], b.Values[i])
+		if cols[1][i] != b.Values[i] {
+			t.Errorf("round trip b[%d] = %g, want %g", i, cols[1][i], b.Values[i])
 		}
 	}
 }
@@ -45,13 +68,14 @@ func TestCSVRoundTripPreservesPrecision(t *testing.T) {
 	if err := WriteCSV(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
+	records, cols := parseCSV(t, buf.Bytes())
 	for i, v := range vals {
-		if back[0].Values[i] != v {
-			t.Errorf("precision lost at %d: %v != %v", i, back[0].Values[i], v)
+		if cols[0][i] != v {
+			t.Errorf("precision lost at %d: %v != %v", i, cols[0][i], v)
+		}
+		// The shortest text that round-trips: no digit beyond what v needs.
+		if got, want := records[i+1][1], strconv.FormatFloat(v, 'g', -1, 64); got != want {
+			t.Errorf("value %d written as %q, want %q", i, got, want)
 		}
 	}
 }
@@ -64,43 +88,5 @@ func TestWriteCSVErrors(t *testing.T) {
 	b := New("b", "", 60, 3)
 	if err := WriteCSV(&bytes.Buffer{}, a, b); err == nil {
 		t.Error("want error for mismatched lengths")
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	tests := []struct {
-		name string
-		in   string
-	}{
-		{"empty", ""},
-		{"bad header", "time,a\n0,1\n"},
-		{"no columns", "slot\n0\n"},
-		{"bad float", "slot,a ()\n0,notanumber\n"},
-		{"ragged", "slot,a (),b ()\n0,1\n"},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ReadCSV(strings.NewReader(tt.in), 60); err == nil {
-				t.Errorf("want error for %q", tt.in)
-			}
-		})
-	}
-}
-
-func TestSplitHeader(t *testing.T) {
-	tests := []struct {
-		in, name, unit string
-	}{
-		{"demand (MWh)", "demand", "MWh"},
-		{"price (USD/MWh)", "price", "USD/MWh"},
-		{"plain", "plain", ""},
-		{"odd (x", "odd (x", ""},
-		{"two (a) (b)", "two (a)", "b"},
-	}
-	for _, tt := range tests {
-		name, unit := splitHeader(tt.in)
-		if name != tt.name || unit != tt.unit {
-			t.Errorf("splitHeader(%q) = (%q, %q), want (%q, %q)", tt.in, name, unit, tt.name, tt.unit)
-		}
 	}
 }

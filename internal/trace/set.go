@@ -28,22 +28,6 @@ type Set struct {
 	PriceLT *Series
 	// PriceRT is the real-time market price prt in USD/MWh.
 	PriceRT *Series
-	// FuelScale is an optional sixth series: a per-slot multiplier on
-	// every on-site generation unit's fuel cost curve (dimensionless;
-	// 1.0 is the configured curve). Nil means a constant 1 — the static
-	// fuel price of configurations without a fuel market — and keeps
-	// fuel-trace-free runs byte-identical to earlier versions. Grid
-	// prices are never touched by this series (they have PriceScale).
-	FuelScale *Series
-}
-
-// FuelScaleAt returns the fuel-price multiplier for the slot (1 when no
-// fuel series is configured).
-func (s *Set) FuelScaleAt(slot int) float64 {
-	if s.FuelScale == nil {
-		return 1
-	}
-	return s.FuelScale.At(slot)
 }
 
 // Horizon returns the number of fine slots covered by the set.
@@ -88,21 +72,6 @@ func (s *Set) Validate() error {
 			return fmt.Errorf("trace: %s has samples above %g MWh", names[i], float64(MaxEnergyMWh))
 		}
 	}
-	if fs := s.FuelScale; fs != nil {
-		lo, _, err := fs.validRange()
-		if err != nil {
-			return err
-		}
-		if fs.Len() != n {
-			return fmt.Errorf("trace: FuelScale has %d slots, want %d", fs.Len(), n)
-		}
-		if fs.SlotMinutes != slot {
-			return fmt.Errorf("trace: FuelScale has %d-minute slots, want %d", fs.SlotMinutes, slot)
-		}
-		if lo < 0 {
-			return errors.New("trace: FuelScale has negative samples")
-		}
-	}
 	return nil
 }
 
@@ -124,11 +93,6 @@ func (s *Set) CloneInto(dst *Set) *Set {
 	dst.Renewable = s.Renewable.CopyInto(dst.Renewable)
 	dst.PriceLT = s.PriceLT.CopyInto(dst.PriceLT)
 	dst.PriceRT = s.PriceRT.CopyInto(dst.PriceRT)
-	if s.FuelScale != nil {
-		dst.FuelScale = s.FuelScale.CopyInto(dst.FuelScale)
-	} else {
-		dst.FuelScale = nil
-	}
 	return dst
 }
 

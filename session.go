@@ -26,8 +26,9 @@ var (
 type ValidationError = engine.ValidationError
 
 // SlotInput is one fine slot's exogenous inputs for streaming sessions:
-// both demand classes, renewable production, the two market prices and
-// the fuel-price multiplier (pass FuelScale 1 without a fuel market).
+// both demand classes, renewable production and the two market prices.
+// On-site generation burns fuel at each unit's configured curve, so no
+// fuel price enters here.
 type SlotInput = engine.SlotInput
 
 // Decision is a controller's planned fine-slot action: real-time
