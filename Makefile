@@ -22,8 +22,9 @@ GO ?= go
 # holds the session slot and these three to exactly 0 allocs/op.
 # BenchmarkAblationP5LP (internal/core) solves BenchmarkSolveBest's P5
 # pairs on the tests' simplex model of P5, the merit-order solver's
-# oracle.
-PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineDayLP|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair|BenchmarkWriteExposition|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceGeneration|BenchmarkSessionSlot|BenchmarkSolveBest|BenchmarkPlanFine
+# oracle. BenchmarkSuiteTune is the tune family on one worker, the layer
+# above BenchmarkTuneEvaluate (one objective evaluation).
+PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineDayLP|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkSuiteTune|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair|BenchmarkWriteExposition|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceGeneration|BenchmarkSessionSlot|BenchmarkSolveBest|BenchmarkPlanFine
 PERF_PKGS = . ./internal/lp ./internal/serve ./internal/engine ./internal/core
 
 # Fuzzing budget for the `fuzz` target (CI smoke uses the default).
@@ -67,13 +68,18 @@ bench-check:
 # bounds, follow the backlog recurrence and reconcile their reports;
 # FuzzSolveBestParity — random and edge-case P5 instances, where the
 # controller's shared-sort P5 pair must match two full solves bit for
-# bit. FUZZTIME is each target's budget (e.g. FUZZTIME=5m).
+# bit. FUZZTIME is each target's budget (e.g. FUZZTIME=5m). Every target
+# runs even after one fails, so one open defect cannot hide the others;
+# the recipe then names each failed target and exits non-zero.
 fuzz:
-	$(GO) test ./internal/lp -run '^$$' -fuzz FuzzSparseSolveParity -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzRestore -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzSlotInput -fuzztime $(FUZZTIME)
-	$(GO) test . -run '^$$' -fuzz FuzzPolicyInvariants -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSolveBestParity -fuzztime $(FUZZTIME)
+	@failed=""; \
+	for t in ./internal/lp:FuzzSparseSolveParity ./internal/engine:FuzzRestore \
+		./internal/engine:FuzzSlotInput .:FuzzPolicyInvariants ./internal/core:FuzzSolveBestParity; do \
+		pkg=$${t%%:*}; name=$${t#*:}; \
+		echo "fuzz: $$name ($$pkg)"; \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) || failed="$$failed $$name"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "fuzz: failed targets:$$failed" >&2; exit 1; fi
 
 lint:
 	@unformatted=$$(gofmt -l .); \
@@ -121,9 +127,20 @@ cover:
 # Tuning-family smoke: the three tune scenarios (tuned-vs-default gap,
 # seed/regime transfer, SmartDPSS-vs-Lyapunov frontier) on a two-day
 # horizon with two seeds through a two-worker pool — fast enough for CI,
-# wide enough to exercise the nested tuner fan-out.
+# wide enough to exercise the nested tuner fan-out. The family run
+# searches each policy arm once and shares the result (suite.Once); each
+# scenario then runs alone, searching for itself, and the concatenated
+# tables must equal the family run byte for byte.
 tune-smoke:
-	$(GO) run ./cmd/experiments -run tune -days 2 -seeds 2 -parallel 2
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/experiments" ./cmd/experiments && \
+	"$$dir/experiments" -run tune -days 2 -seeds 2 -parallel 2 > "$$dir/family" && \
+	cat "$$dir/family" && \
+	for s in tune-gap tune-xfer tune-frontier; do \
+		"$$dir/experiments" -run $$s -days 2 -seeds 2 -parallel 2 >> "$$dir/alone" || exit 1; \
+	done && \
+	cmp "$$dir/family" "$$dir/alone" && \
+	echo "tune-smoke: each tune scenario run alone matches the family run"
 
 # Service-mode smoke: start dpss-serve on a replay source, scrape
 # /metrics over HTTP, validate the OpenMetrics exposition, and prove a

@@ -310,6 +310,25 @@ func BenchmarkSuiteSequential(b *testing.B) {
 	benchSuite(b, 1)
 }
 
+// BenchmarkSuiteTune runs the tune family (TUNE-1..3) through the
+// registry on one worker: the layer above BenchmarkTuneEvaluate, where
+// a run searches each policy arm once and the three scenarios share the
+// searches, so its time is about two searches' evaluations plus TUNE-2's
+// and TUNE-3's replays.
+func BenchmarkSuiteTune(b *testing.B) {
+	cfg := dpss.SuiteConfig{Days: 2, Seed: 1, Seeds: 2, Parallel: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tables, err := dpss.RunSuite(cfg, "tune")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(tables) != 3 {
+			b.Fatalf("tune family printed %d tables, want 3", len(tables))
+		}
+	}
+}
+
 // BenchmarkSuiteParallel fans scenarios and sweep points across
 // GOMAXPROCS; the ratio to BenchmarkSuiteSequential is the suite
 // engine's speedup on this machine.

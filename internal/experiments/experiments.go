@@ -21,6 +21,9 @@
 // byte-identical at any parallelism level. Trace sets come from the
 // shared suite cache: concurrent scenarios that need the same synthetic
 // month get private clones of one generation instead of regenerating it.
+// Results that several scenarios compute from the same inputs — the tune
+// family's two searches, the base month's default-options OfflineOptimal
+// replay — are computed once per suite run (suite.Once) and shared.
 package experiments
 
 import (
@@ -44,6 +47,21 @@ type Table = suite.Table
 // cache.
 func baseTraces(cfg Config) (*dpss.Traces, error) {
 	return suite.Traces(cfg.TraceConfig())
+}
+
+// offlineKey names a default-options OfflineOptimal replay by the trace
+// configuration of its month.
+type offlineKey struct{ tc dpss.TraceConfig }
+
+// defaultOffline replays OfflineOptimal at the default options on
+// traces, the unmodified cached set for tc. fig6v, ext-mpc and ext-seeds
+// all replay the base month this way, so within a suite run each month
+// is replayed once (suite.Once) and the report, which callers only
+// read, is shared; outside a run every call replays.
+func defaultOffline(cfg Config, tc dpss.TraceConfig, traces *dpss.Traces) (*dpss.Report, error) {
+	return suite.Once(cfg, offlineKey{tc}, func() (*dpss.Report, error) {
+		return simulate(dpss.PolicyOfflineOptimal, dpss.DefaultOptions(), traces)
+	})
 }
 
 // fmtUSD formats a dollar amount.

@@ -33,7 +33,7 @@ func Fig6VSweep(cfg Config) (*Table, error) {
 			if cfg.SkipOffline {
 				return nil, nil
 			}
-			return simulate(dpss.PolicyOfflineOptimal, opts, traces)
+			return defaultOffline(cfg, cfg.TraceConfig(), traces)
 		default:
 			o := opts
 			o.V = Fig6VValues[i]

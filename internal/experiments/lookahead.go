@@ -38,7 +38,7 @@ func ExtForesight(cfg Config) (*Table, error) {
 			if cfg.SkipOffline {
 				return nil, nil
 			}
-			return simulate(dpss.PolicyOfflineOptimal, opts, traces)
+			return defaultOffline(cfg, cfg.TraceConfig(), traces)
 		default:
 			o := opts
 			o.LookaheadWindow = ExtForesightValues[i-1]

@@ -44,7 +44,7 @@ func MultiSeedSummary(cfg Config, seeds int) (*Table, error) {
 			return r, err
 		}
 		if !cfg.SkipOffline {
-			if r.off, err = simulate(dpss.PolicyOfflineOptimal, opts, traces); err != nil {
+			if r.off, err = defaultOffline(cfg, tc, traces); err != nil {
 				return r, err
 			}
 		}

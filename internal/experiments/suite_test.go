@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	dpss "github.com/smartdpss/smartdpss/internal/engine"
 	"github.com/smartdpss/smartdpss/internal/suite"
 )
 
@@ -137,5 +138,70 @@ func TestSuiteMatchesDirectRunners(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Fatalf("registry run differs from direct call:\n%s\nvs\n%s", a.String(), b.String())
+	}
+}
+
+// TestSuiteSearchesEachTuneArmOnce: within one run the tune family
+// searches each policy arm once and TUNE-2 and TUNE-3 reuse TUNE-1's
+// searches. Every objective evaluation requests one trace set per seed,
+// so the run's trace requests are exactly the two searches' evaluations
+// per seed, plus TUNE-2's held-out seeds in three price regimes and
+// TUNE-3's base trace.
+func TestSuiteSearchesEachTuneArmOnce(t *testing.T) {
+	cfg := Config{Days: 2, Seed: 1, SkipOffline: true, Seeds: 2, Parallel: 2}
+	evals := 0
+	for _, policy := range []dpss.Policy{dpss.PolicySmartDPSS, dpss.PolicyLyapunov} {
+		res, err := RunTune(TuneOptions{Policy: policy, Base: dpss.DefaultOptions(), Suite: cfg, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		evals += res.Evals
+	}
+	suite.ResetTraceCache()
+	if _, err := suite.RunSuite(cfg, TagTune); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := suite.TraceCacheStats()
+	s := cfg.SeedCount()
+	if got, want := hits+misses, int64(evals*s+3*s+1); got != want {
+		t.Fatalf("tune family made %d trace requests, want %d: (%d evals)·%d seeds + 3·%d + 1",
+			got, want, evals, s, s)
+	}
+}
+
+// TestSharedResultsMatchOwnRuns: a scenario that reads a result shared
+// within a run — the tune family's searches, the base month's
+// OfflineOptimal replay in fig6v, ext-mpc and ext-seeds — prints the
+// same table as when it runs alone and computes that result itself.
+func TestSharedResultsMatchOwnRuns(t *testing.T) {
+	render := func(tbl *Table) string {
+		var buf bytes.Buffer
+		if err := tbl.Fprint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for _, parallel := range []int{1, 8} {
+		cfg := Config{Days: 2, Seed: 1, Seeds: 2, Parallel: parallel}
+		for _, selectors := range [][]string{{TagTune}, {"fig6v", "ext-mpc", "ext-seeds"}} {
+			scns, err := suite.Select(selectors...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			together, err := suite.RunSuite(cfg, selectors...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sc := range scns {
+				alone, err := suite.RunSuite(cfg, sc.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := render(together[i]), render(alone[0]); got != want {
+					t.Errorf("parallel=%d: %s run with %v differs from its own run:\n%s\nvs\n%s",
+						parallel, sc.Name, selectors, got, want)
+				}
+			}
+		}
 	}
 }

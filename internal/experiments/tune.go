@@ -253,6 +253,28 @@ func RunTune(topts TuneOptions) (*TuneResult, error) {
 	}, nil
 }
 
+// tuneKey names one of defaultTune's searches by every input that
+// defaultTune does not fix; Suite.Parallel and SkipOffline never change
+// a search's result.
+type tuneKey struct {
+	policy dpss.Policy
+	days   int
+	seed   int64
+	seeds  int
+}
+
+// defaultTune is the tune family's search of one policy arm: RunTune
+// from the default options with optimizer seed 1 over cfg's seed family.
+// Within a suite run each arm is searched once (suite.Once) and TUNE-1,
+// TUNE-2 and TUNE-3 share the result, which they only read; outside a
+// run every call searches.
+func defaultTune(cfg Config, policy dpss.Policy) (*TuneResult, error) {
+	key := tuneKey{policy: policy, days: cfg.Days, seed: cfg.Seed, seeds: cfg.SeedCount()}
+	return suite.Once(cfg, key, func() (*TuneResult, error) {
+		return RunTune(TuneOptions{Policy: policy, Base: dpss.DefaultOptions(), Suite: cfg, Seed: 1})
+	})
+}
+
 // TuneGap (TUNE-1) tunes both tunable policy arms against the suite's
 // seed family and reports the tuned-vs-default cost gap — the measured
 // value of simulator-in-the-loop parameter search over the paper's
@@ -265,12 +287,7 @@ func TuneGap(cfg Config) (*Table, error) {
 		Columns: []string{"policy", "default $/slot", "tuned $/slot", "gap", "tuned params", "evals"},
 	}
 	for _, policy := range []dpss.Policy{dpss.PolicySmartDPSS, dpss.PolicyLyapunov} {
-		res, err := RunTune(TuneOptions{
-			Policy: policy,
-			Base:   dpss.DefaultOptions(),
-			Suite:  cfg,
-			Seed:   1,
-		})
+		res, err := defaultTune(cfg, policy)
 		if err != nil {
 			return nil, err
 		}
@@ -280,18 +297,14 @@ func TuneGap(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// TuneTransfer (TUNE-2) tests whether tuned parameters generalize: tune
-// SmartDPSS on the suite's training seeds at the base price regime, then
-// replay default-vs-tuned on held-out seeds under scaled price series.
-// The claim under test: the tuned point is not an artifact of the
-// training traces.
+// TuneTransfer (TUNE-2) tests whether tuned parameters generalize: take
+// SmartDPSS tuned on the suite's training seeds at the base price regime
+// (TUNE-1's search, shared within a suite run), then replay
+// default-vs-tuned on held-out seeds under scaled price series. The
+// claim under test: the tuned point is not an artifact of the training
+// traces.
 func TuneTransfer(cfg Config) (*Table, error) {
-	res, err := RunTune(TuneOptions{
-		Policy: dpss.PolicySmartDPSS,
-		Base:   dpss.DefaultOptions(),
-		Suite:  cfg,
-		Seed:   1,
-	})
+	res, err := defaultTune(cfg, dpss.PolicySmartDPSS)
 	if err != nil {
 		return nil, err
 	}
@@ -354,9 +367,10 @@ func TuneTransfer(cfg Config) (*Table, error) {
 
 // TuneFrontier (TUNE-3) traces the SmartDPSS-vs-Lyapunov cost frontier:
 // each arm's V swept over its range on the base trace, plus the tuned
-// point of each arm — the head-to-head answer to whether forecast-driven
-// multi-source dispatch beats forecast-free battery control, and by how
-// much at the knee.
+// point of each arm from TUNE-1's searches (shared within a suite run)
+// — the head-to-head answer to whether forecast-driven multi-source
+// dispatch beats forecast-free battery control, and by how much at the
+// knee.
 func TuneFrontier(cfg Config) (*Table, error) {
 	traces, err := baseTraces(cfg)
 	if err != nil {
@@ -405,9 +419,7 @@ func TuneFrontier(cfg Config) (*Table, error) {
 		t.AddRow("lyapunov", fmt.Sprintf("vscale=%.1f", s), fmtUSD(p.cost), fmtF(p.delay))
 	}
 	for _, policy := range []dpss.Policy{dpss.PolicySmartDPSS, dpss.PolicyLyapunov} {
-		res, err := RunTune(TuneOptions{
-			Policy: policy, Base: dpss.DefaultOptions(), Suite: cfg, Seed: 1,
-		})
+		res, err := defaultTune(cfg, policy)
 		if err != nil {
 			return nil, err
 		}

@@ -131,13 +131,17 @@ type Result struct {
 }
 
 // Run executes the scenarios as pool jobs — sharing one worker budget
-// with every nested Map the scenario runners issue — and returns one
-// Result per scenario, in input order. Unlike Map it does not stop at
-// the first failure: drivers like cmd/experiments want every table that
-// did succeed plus the per-scenario errors.
+// and one memo (Once) with every nested Map the scenario runners
+// issue — and returns one Result per scenario, in input order. Unlike
+// Map it does not stop at the first failure: drivers like
+// cmd/experiments want every table that did succeed plus the
+// per-scenario errors.
 func Run(cfg Config, scns []Scenario) []Result {
 	if cfg.tokens == nil {
 		cfg.tokens = newTokens(cfg.poolWidth())
+	}
+	if cfg.memo == nil {
+		cfg.memo = &runMemo{entries: make(map[any]any)}
 	}
 	results, _ := Map(cfg, len(scns), func(i int) (Result, error) {
 		tbl, err := scns[i].Run(cfg)

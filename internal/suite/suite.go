@@ -1,7 +1,7 @@
 // Package suite is the parallel scenario-suite engine behind
 // cmd/experiments and the public smartdpss.RunSuite API.
 //
-// It provides four pieces:
+// It provides five pieces:
 //
 //   - a Scenario registry (registry.go): every experiment runner in
 //     internal/experiments registers itself under a stable name with
@@ -18,6 +18,18 @@
 //     of the synthetic trace set for a TraceConfig, generating each
 //     distinct configuration exactly once even when many scenarios
 //     request it concurrently;
+//
+//   - a run memo (memo.go): Once computes a result that several
+//     scenarios of one run share — a tuning search, a replayed month —
+//     once per key, with concurrent callers waiting for it. Unlike the
+//     trace cache it is scoped to one Run: Run installs it in the Config
+//     it hands its scenarios, and it dies with the run. A trace set is
+//     generated off the pool, so no Parallel level can change it and
+//     the cache may outlive runs; a memoized result is computed on the
+//     pool, and a memo that outlived its run would let a second run —
+//     a determinism check at another Parallel, or a re-run after
+//     ResetTraceCache — read the first run's results and compare a
+//     result with itself;
 //
 //   - the suite driver (RunSuite): resolves name/tag selectors and runs
 //     whole scenarios as pool jobs, propagating the first failure by
@@ -61,6 +73,9 @@ type Config struct {
 	// in the Config keeps nested fan-outs bounded by Parallel without
 	// any global state.
 	tokens chan struct{}
+	// memo is the run's memo of shared results (Once), installed by Run
+	// beside tokens and for the same reason: it ends with the run.
+	memo *runMemo
 }
 
 // SpawnBudget returns the run's shared worker-token channel (nil outside
