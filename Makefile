@@ -152,9 +152,10 @@ serve-smoke:
 # benchmarks with -benchmem and rewrites BENCH_10.json's "current" block
 # (its "baseline" block — the pre-tuner PR-9 reference — is carried over
 # unchanged; older trajectories survive in BENCH_9/8/7/5/4.json). The
-# year-long annual LP joins at one iteration: ~10 s per solve on the
-# hyper-sparse kernels, and cmd/perf gates it against a 20 s wall-clock
-# budget on the CI -check path. The bench output goes through a file, not
+# year-long annual LP joins at one iteration, and cmd/perf gates it
+# against a 20 s wall-clock budget on the CI -check path; BENCH_10.json
+# records it at 9.62 s (baseline block) and 19.86 s (current block), so
+# that budget has almost no headroom (ROADMAP item 7). The bench output goes through a file, not
 # a pipe, so a failing benchmark run fails the target instead of being
 # masked by the parser's exit status.
 perf:

@@ -39,7 +39,7 @@ func testTraces(t testing.TB, days int) *trace.Set {
 }
 
 // simConfig is the session configuration over the policy's plant.
-func simConfig(cfg Config) sim.Config { return sim.Config{Plant: cfg.Plant, KeepSeries: true} }
+func simConfig(cfg Config) sim.Config { return sim.Config{Plant: cfg.Plant} }
 
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {

@@ -40,7 +40,7 @@ func testTraces(t testing.TB, days int) *trace.Set {
 }
 
 // simConfig is the session configuration over the controller's plant.
-func simConfig(p Params) sim.Config { return sim.Config{Plant: p.Plant, KeepSeries: true} }
+func simConfig(p Params) sim.Config { return sim.Config{Plant: p.Plant} }
 
 func TestNewRejectsInvalidParams(t *testing.T) {
 	p := DefaultParams()

@@ -84,34 +84,30 @@ func snapshot(t testing.TB, s *Session) []byte {
 }
 
 // TestSnapshotMatchesMarshalEverySlot: at every slot of every streaming
-// arm, with and without kept series, Snapshot writes exactly the bytes
-// json.Marshal writes for the session's Checkpoint value.
+// arm, Snapshot writes exactly the bytes json.Marshal writes for the
+// session's Checkpoint value.
 func TestSnapshotMatchesMarshalEverySlot(t *testing.T) {
 	traces := dayTraces(t, 3)
 	for _, arm := range streamArms() {
-		for _, keep := range []bool{false, true} {
-			arm := arm
-			arm.opts.KeepSeries = keep
-			s := arm.session(t, traces.Horizon())
-			for {
-				got := snapshot(t, s)
-				cp, err := s.inner.Checkpoint()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := json.Marshal(&cp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s keep=%v slot %d: Snapshot differs from json.Marshal:\n got: %s\nwant: %s",
-						arm.name, keep, s.Slot(), got, want)
-				}
-				if s.Done() {
-					break
-				}
-				stepTo(t, s, traces, s.Slot()+1)
+		s := arm.session(t, traces.Horizon())
+		for {
+			got := snapshot(t, s)
+			cp, err := s.inner.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
 			}
+			want, err := json.Marshal(&cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s slot %d: Snapshot differs from json.Marshal:\n got: %s\nwant: %s",
+					arm.name, s.Slot(), got, want)
+			}
+			if s.Done() {
+				break
+			}
+			stepTo(t, s, traces, s.Slot()+1)
 		}
 	}
 }

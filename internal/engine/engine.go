@@ -68,7 +68,9 @@ type Options struct {
 	// T is the number of fine slots per coarse slot (paper Fig. 6(c,d)).
 	T int
 	// SlotMinutes is the fine-slot length; the paper uses 15 or 60 minutes
-	// (Sec. II). Zero means 60. It must match the traces' resolution.
+	// (Sec. II). Zero means 60. It must match the traces' resolution:
+	// NewReplaySession and Simulate reject a mismatch with
+	// ErrInvalidOptions.
 	SlotMinutes int
 	// PeakMW sizes the datacenter (grid cap Pgrid and battery sizing).
 	PeakMW float64
@@ -132,9 +134,6 @@ type Options struct {
 	ObservationNoise float64
 	// NoiseSeed seeds the observation noise stream.
 	NoiseSeed int64
-	// KeepSeries retains per-slot cost/backlog/battery series in the
-	// report.
-	KeepSeries bool
 }
 
 // UnitSpec describes one unit of an on-site generation fleet in
@@ -214,13 +213,16 @@ func DefaultOptions() Options {
 	}
 }
 
-// slotHours returns the fine-slot duration in hours (default 1).
-func (o Options) slotHours() float64 {
+// slotMinutes returns the fine-slot length in minutes (default 60).
+func (o Options) slotMinutes() int {
 	if o.SlotMinutes <= 0 {
-		return 1
+		return 60
 	}
-	return float64(o.SlotMinutes) / 60
+	return o.SlotMinutes
 }
+
+// slotHours returns the fine-slot duration in hours (default 1).
+func (o Options) slotHours() float64 { return float64(o.slotMinutes()) / 60 }
 
 // plant translates Options into the physical system every layer shares:
 // the controller plans against it and the session bills it.
@@ -269,11 +271,7 @@ func batteryParams(o Options) battery.Params {
 	if o.BatteryReferenceMW > 0 {
 		ref = o.BatteryReferenceMW
 	}
-	slotMinutes := o.SlotMinutes
-	if slotMinutes <= 0 {
-		slotMinutes = 60
-	}
-	p := battery.SizedSlot(ref, o.BatteryMinutes, o.BatteryMinMinutes, slotMinutes)
+	p := battery.SizedSlot(ref, o.BatteryMinutes, o.BatteryMinMinutes, o.slotMinutes())
 	p.MaxOps = o.BatteryMaxOps
 	return p
 }
@@ -319,7 +317,6 @@ func (o Options) simConfig() sim.Config {
 	return sim.Config{
 		Plant:              o.plant(),
 		PeakChargeUSDPerMW: o.PeakChargeUSDPerMW,
-		KeepSeries:         o.KeepSeries,
 	}
 }
 

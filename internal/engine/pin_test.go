@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash"
 	"math"
 	"os"
 	"path/filepath"
@@ -115,15 +116,17 @@ func TestGeneratedTracesPinned(t *testing.T) {
 	checkPin(t, "traces.txt", buf.Bytes())
 }
 
-// TestReportsPinned pins the JSON of every policy's Finish report over
-// the default month, per-slot series included: without on-site
-// generation, with the four-unit fleet of BenchmarkFleetDispatch under
-// a 12-slot commitment window, and SmartDPSS with observation noise.
+// TestReportsPinned pins every policy's Finish report over the default
+// month — without on-site generation, with the four-unit fleet of
+// BenchmarkFleetDispatch under a 12-slot commitment window, and
+// SmartDPSS with observation noise — twice: the report's JSON, and the
+// IEEE bits of every slot's SlotOutcome as StepReplay returns it
+// (unscrubbed), so the per-slot cost, backlog and battery trajectories
+// are pinned without the report carrying them.
 func TestReportsPinned(t *testing.T) {
 	t.Parallel()
 	traces := dayTraces(t, 31)
 	base := DefaultOptions()
-	base.KeepSeries = true
 	fleet := base
 	fleet.CommitWindow = 12
 	fleet.Fleet = []UnitSpec{
@@ -147,13 +150,39 @@ func TestReportsPinned(t *testing.T) {
 
 	var buf bytes.Buffer
 	for _, a := range arms {
-		_, rep := replayReport(t, a.policy, a.opts, traces)
+		slots := sha256.New()
+		_, rep := replayReport(t, a.policy, a.opts, traces, func(out *SlotOutcome) { writeOutcome(slots, out) })
 		js, err := json.Marshal(rep)
 		if err != nil {
 			t.Fatalf("%s: %v", a.name, err)
 		}
 		sum := sha256.Sum256(js)
-		fmt.Fprintf(&buf, "%s total=%v %s\n", a.name, rep.TotalCostUSD, hex.EncodeToString(sum[:16]))
+		fmt.Fprintf(&buf, "%s total=%v report=%s slots=%s\n", a.name, rep.TotalCostUSD,
+			hex.EncodeToString(sum[:16]), hex.EncodeToString(slots.Sum(nil)[:16]))
 	}
 	checkPin(t, "reports.txt", buf.Bytes())
+}
+
+// writeOutcome writes the IEEE-754 bits of every field of out to h, in
+// declaration order, with the slot index and the per-unit generation
+// request count as 64-bit integers.
+func writeOutcome(h hash.Hash, out *SlotOutcome) {
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	o, d := &out.Outcome, &out.Executed
+	put(uint64(o.Slot))
+	for _, v := range []float64{o.ServedDT, o.BacklogBefore, o.BacklogAfter, o.Waste, o.Unserved, o.Battery,
+		d.Grt, d.ServeDT, d.Charge, d.Discharge} {
+		put(math.Float64bits(v))
+	}
+	put(uint64(len(d.GenerateUnits)))
+	for _, v := range d.GenerateUnits {
+		put(math.Float64bits(v))
+	}
+	for _, v := range []float64{out.CostUSD, out.GridMWh, out.GenMWh} {
+		put(math.Float64bits(v))
+	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -13,17 +14,22 @@ var allPolicies = []Policy{
 	PolicyOfflineHorizon, PolicyLookahead, PolicyLyapunov,
 }
 
-// replayReport runs policy over traces through a replay session and
-// returns the session's last Status next to its Finish report.
-func replayReport(t *testing.T, policy Policy, opts Options, traces *Traces) (SessionStatus, *Report) {
+// replayReport runs policy over traces through a replay session,
+// handing every slot's outcome to visit (when not nil), and returns the
+// session's last Status next to its Finish report.
+func replayReport(t *testing.T, policy Policy, opts Options, traces *Traces, visit func(*SlotOutcome)) (SessionStatus, *Report) {
 	t.Helper()
 	s, err := NewReplaySession(policy, opts, traces)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for !s.Done() {
-		if _, err := s.StepReplay(); err != nil {
+		out, err := s.StepReplay()
+		if err != nil {
 			t.Fatalf("%s slot %d: %v", policy, s.Slot(), err)
+		}
+		if visit != nil {
+			visit(&out)
 		}
 	}
 	st := s.Status()
@@ -62,30 +68,56 @@ func TestZeroSlotReportIsFinite(t *testing.T) {
 	}
 }
 
-// TestReportIgnoresKeepSeries: KeepSeries adds the three per-slot series
-// to the report and changes nothing else — in particular not the battery
-// extremes, which range over every post-slot level either way.
-func TestReportIgnoresKeepSeries(t *testing.T) {
+// twoUnitFleet is the small fleet the report tests run with, so the
+// generation totals are live.
+var twoUnitFleet = []UnitSpec{
+	{CapacityMW: 0.5, MinLoadFrac: 0.3, FuelUSDPerMWh: 38, StartupUSD: 20, CO2KgPerMWh: 700},
+	{CapacityMW: 0.25, FuelUSDPerMWh: 45, StartupLagSlots: 1, CO2KgPerMWh: 500},
+}
+
+// scrub is the report's sub-1e-9 zero scrub.
+func scrub(v float64) float64 {
+	if v > -1e-9 && v < 1e-9 {
+		return 0
+	}
+	return v
+}
+
+// TestReportMatchesSlotOutcomes: the report's battery extremes, backlog
+// maximum and total cost are exactly what the slots StepReplay returns
+// add up to — the battery extremes range over every post-slot level,
+// the backlog maximum over every post-slot backlog, and the total is
+// the in-order sum of the slot costs — bit for bit after the report's
+// zero scrub, for every policy, with and without a fleet.
+func TestReportMatchesSlotOutcomes(t *testing.T) {
 	traces := dayTraces(t, 7)
-	for _, policy := range allPolicies {
-		opts := DefaultOptions()
-		_, without := replayReport(t, policy, opts, traces)
-		opts.KeepSeries = true
-		_, with := replayReport(t, policy, opts, traces)
-		if len(with.BatterySeries) != traces.Horizon() {
-			t.Fatalf("%s: %d battery series points, want %d", policy, len(with.BatterySeries), traces.Horizon())
-		}
-		lo, hi := with.BatterySeries[0], with.BatterySeries[0]
-		for _, v := range with.BatterySeries {
-			lo, hi = math.Min(lo, v), math.Max(hi, v)
-		}
-		if with.BatteryMinMWh != lo || with.BatteryMaxMWh != hi {
-			t.Errorf("%s: battery extremes [%g, %g], series ranges over [%g, %g]",
-				policy, with.BatteryMinMWh, with.BatteryMaxMWh, lo, hi)
-		}
-		with.CostSeries, with.BacklogSeries, with.BatterySeries = nil, nil, nil
-		if a, b := reportJSON(t, without), reportJSON(t, with); a != b {
-			t.Errorf("%s: report depends on KeepSeries beyond the series:\n off: %s\n  on: %s", policy, a, b)
+	fleet := DefaultOptions()
+	fleet.Fleet = twoUnitFleet
+	for _, opts := range []Options{DefaultOptions(), fleet} {
+		for _, policy := range allPolicies {
+			var lo, hi, backlogMax, cost float64
+			_, rep := replayReport(t, policy, opts, traces, func(out *SlotOutcome) {
+				if out.Slot == 0 {
+					lo, hi = out.Battery, out.Battery
+				}
+				lo, hi = min(lo, out.Battery), max(hi, out.Battery)
+				backlogMax = max(backlogMax, out.BacklogAfter)
+				cost += out.CostUSD
+			})
+			name := fmt.Sprintf("%s (%d units)", policy, len(opts.Fleet))
+			for _, c := range []struct {
+				field     string
+				got, want float64
+			}{
+				{"BatteryMinMWh", rep.BatteryMinMWh, lo},
+				{"BatteryMaxMWh", rep.BatteryMaxMWh, hi},
+				{"BacklogMaxMWh", rep.BacklogMaxMWh, backlogMax},
+				{"TotalCostUSD", rep.TotalCostUSD, cost},
+			} {
+				if math.Float64bits(c.got) != math.Float64bits(scrub(c.want)) {
+					t.Errorf("%s: report %s = %v, slot outcomes give %v", name, c.field, c.got, c.want)
+				}
+			}
 		}
 	}
 }
@@ -98,13 +130,10 @@ func TestReportIgnoresKeepSeries(t *testing.T) {
 func TestStatusMatchesFinish(t *testing.T) {
 	traces := dayTraces(t, 3)
 	opts := DefaultOptions()
-	opts.Fleet = []UnitSpec{
-		{CapacityMW: 0.5, MinLoadFrac: 0.3, FuelUSDPerMWh: 38, StartupUSD: 20, CO2KgPerMWh: 700},
-		{CapacityMW: 0.25, FuelUSDPerMWh: 45, StartupLagSlots: 1, CO2KgPerMWh: 500},
-	}
+	opts.Fleet = twoUnitFleet
 	renamed := map[string]string{"Slot": "Slots", "Unavailable": "AvailabilityViolations"}
 	for _, policy := range allPolicies {
-		st, rep := replayReport(t, policy, opts, traces)
+		st, rep := replayReport(t, policy, opts, traces, nil)
 		sv, rv := reflect.ValueOf(st), reflect.ValueOf(*rep)
 		shared := 0
 		for i := 0; i < sv.NumField(); i++ {
@@ -120,11 +149,7 @@ func TestStatusMatchesFinish(t *testing.T) {
 			got, want := sv.Field(i), rv.FieldByIndex(f.Index)
 			switch got.Kind() {
 			case reflect.Float64:
-				v := got.Float()
-				if v > -1e-9 && v < 1e-9 {
-					v = 0
-				}
-				if math.Float64bits(v) != math.Float64bits(want.Float()) {
+				if math.Float64bits(scrub(got.Float())) != math.Float64bits(want.Float()) {
 					t.Errorf("%s: Status %s = %v, report has %v", policy, sv.Type().Field(i).Name, got.Float(), want.Float())
 				}
 			case reflect.Int:

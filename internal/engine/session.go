@@ -186,11 +186,7 @@ func NewSession(policy Policy, opts Options, horizon int) (*Session, error) {
 	if horizon <= 0 {
 		return nil, invalidOptions(errors.New("smartdpss: horizon must be positive"))
 	}
-	slotMinutes := opts.SlotMinutes
-	if slotMinutes <= 0 {
-		slotMinutes = 60
-	}
-	return newSession(policy, opts, nil, horizon, slotMinutes)
+	return newSession(policy, opts, nil, horizon, opts.slotMinutes())
 }
 
 // NewReplaySession builds a session bound to a trace set: StepReplay
@@ -199,7 +195,10 @@ func NewSession(policy Policy, opts Options, horizon int) (*Session, error) {
 // offline benchmarks (which read the traces at construction). The
 // traces are validated here unless they still carry the record that
 // they passed validation unchanged (see Traces), so sweeps over
-// generated or cached traces validate each set once.
+// generated or cached traces validate each set once. Options whose
+// slot length (SlotMinutes, 0 = 60) differs from the traces' fail with
+// ErrInvalidOptions before any controller is built: the plant would be
+// scaled to one slot length while the session steps another.
 func NewReplaySession(policy Policy, opts Options, traces *Traces) (*Session, error) {
 	if traces == nil {
 		return nil, errors.New("smartdpss: nil traces")
@@ -209,7 +208,12 @@ func NewReplaySession(policy Policy, opts Options, traces *Traces) (*Session, er
 			return nil, err
 		}
 	}
-	return newSession(policy, opts, traces, traces.set.Horizon(), traces.set.DemandDS.SlotMinutes)
+	slotMinutes := traces.set.DemandDS.SlotMinutes
+	if opts.slotMinutes() != slotMinutes {
+		return nil, invalidOptions(fmt.Errorf("smartdpss: SlotMinutes %d (0 = 60) differs from the traces' %d-minute slots",
+			opts.SlotMinutes, slotMinutes))
+	}
+	return newSession(policy, opts, traces, traces.set.Horizon(), slotMinutes)
 }
 
 // InputAt reads slot's row of the traces as a session input — the

@@ -234,6 +234,31 @@ func TestErrInvalidOptions(t *testing.T) {
 			t.Errorf("err = %v, want ErrInvalidOptions", err)
 		}
 	})
+	t.Run("slot length differs from traces", func(t *testing.T) {
+		tc := DefaultTraceConfig()
+		tc.Days, tc.SlotMinutes = 1, 15
+		quarter, err := GenerateTraces(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions()
+		for _, c := range []struct {
+			slotMinutes int
+			traces      *Traces
+		}{{0, quarter}, {60, quarter}, {15, traces}, {30, quarter}} {
+			opts.SlotMinutes = c.slotMinutes
+			for _, policy := range allPolicies {
+				if _, err := NewReplaySession(policy, opts, c.traces); !errors.Is(err, ErrInvalidOptions) {
+					t.Errorf("%s, SlotMinutes %d over %d-minute traces: err = %v, want ErrInvalidOptions",
+						policy, c.slotMinutes, c.traces.set.DemandDS.SlotMinutes, err)
+				}
+			}
+		}
+		opts.SlotMinutes = 15
+		if _, err := Simulate(PolicySmartDPSS, opts, quarter); err != nil {
+			t.Errorf("matching slot length rejected: %v", err)
+		}
+	})
 	t.Run("valid options pass", func(t *testing.T) {
 		if _, err := NewSession(PolicySmartDPSS, DefaultOptions(), 24); err != nil {
 			t.Errorf("valid session rejected: %v", err)

@@ -35,8 +35,10 @@ import (
 )
 
 // SiteSpec declares one site of the fleet: its supply-side engine
-// options, its trace scope, and the routing constraints the front end
-// applies to it.
+// options, its trace scope, and the latency penalty the front end
+// charges for routing demand to it. Both routers cap a site's
+// post-routing delay-sensitive demand at its Options.PeakMW per slot
+// hour.
 type SiteSpec struct {
 	// Name labels the site in results.
 	Name string
@@ -45,9 +47,6 @@ type SiteSpec struct {
 	// Trace is the site's trace request; per-site seeds and price scales
 	// are the knobs that make sites diverge.
 	Trace engine.TraceConfig
-	// RouteCapMW caps the site's post-routing delay-sensitive demand in
-	// MW. Zero defaults to Options.PeakMW; negative is invalid.
-	RouteCapMW float64
 	// ImportPenaltyUSDPerMWh is the latency-penalty price of serving a
 	// request away from its home region, charged per imported MWh.
 	ImportPenaltyUSDPerMWh float64
@@ -154,9 +153,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 		if cfg.Sites[s].Trace.SlotMinutes != cfg.Sites[0].Trace.SlotMinutes {
 			return nil, fmt.Errorf("geo: site %d slot length differs from site 0", s)
-		}
-		if cfg.Sites[s].RouteCapMW < 0 {
-			return nil, fmt.Errorf("geo: site %d has negative RouteCapMW", s)
 		}
 		if cfg.Sites[s].ImportPenaltyUSDPerMWh < 0 {
 			return nil, fmt.Errorf("geo: site %d has negative ImportPenaltyUSDPerMWh", s)
@@ -310,16 +306,6 @@ func runSite(spec *SiteSpec, policy engine.Policy, traces *engine.Traces, routed
 	}, nil
 }
 
-// routeCapMWh resolves a site's per-slot routing capacity in MWh (0
-// means uncapped, matching the LP's convention).
-func routeCapMWh(site *SiteSpec, slotHours float64) float64 {
-	capMW := site.RouteCapMW
-	if capMW == 0 {
-		capMW = site.Options.PeakMW
-	}
-	return capMW * slotHours
-}
-
 // routeLP runs the coupled routing+supply LP and returns its routing
 // projection.
 func routeLP(sites []SiteSpec, sets []*trace.Set, slotHours float64) ([][]float64, error) {
@@ -329,7 +315,7 @@ func routeLP(sites []SiteSpec, sets []*trace.Set, slotHours float64) ([][]float6
 			Config:           sites[s].Options.BaselineConfig(),
 			Set:              sets[s],
 			ImportPenaltyUSD: sites[s].ImportPenaltyUSDPerMWh,
-			RouteCapMWh:      routeCapMWh(&sites[s], slotHours),
+			RouteCapMWh:      sites[s].Options.PeakMW * slotHours,
 		}
 	}
 	plan, err := baseline.SolveGeoHorizon(geoSites)

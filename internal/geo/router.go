@@ -26,7 +26,7 @@ func routeGreedy(sites []SiteSpec, sets []*trace.Set, slotHours float64) [][]flo
 	capMWh := make([]float64, n)
 	penalty := make([]float64, n)
 	for s := range sites {
-		capMWh[s] = routeCapMWh(&sites[s], slotHours)
+		capMWh[s] = sites[s].Options.PeakMW * slotHours
 		penalty[s] = sites[s].ImportPenaltyUSDPerMWh
 	}
 

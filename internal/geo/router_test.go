@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/smartdpss/smartdpss/internal/engine"
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
@@ -18,8 +19,8 @@ func routerSet(ds, rt []float64) *trace.Set {
 
 func TestGreedyMovesTowardCheapSite(t *testing.T) {
 	sites := []SiteSpec{
-		{Name: "cheap", RouteCapMW: 2, ImportPenaltyUSDPerMWh: 5},
-		{Name: "dear", RouteCapMW: 2, ImportPenaltyUSDPerMWh: 5},
+		{Name: "cheap", Options: engine.Options{PeakMW: 2}, ImportPenaltyUSDPerMWh: 5},
+		{Name: "dear", Options: engine.Options{PeakMW: 2}, ImportPenaltyUSDPerMWh: 5},
 	}
 	sets := []*trace.Set{
 		routerSet([]float64{1.0, 1.0}, []float64{20, 20}),
@@ -51,8 +52,8 @@ func TestGreedyMovesTowardCheapSite(t *testing.T) {
 
 func TestGreedyRespectsProhibitivePenalty(t *testing.T) {
 	sites := []SiteSpec{
-		{Name: "cheap", RouteCapMW: 10, ImportPenaltyUSDPerMWh: 500},
-		{Name: "dear", RouteCapMW: 10, ImportPenaltyUSDPerMWh: 500},
+		{Name: "cheap", Options: engine.Options{PeakMW: 10}, ImportPenaltyUSDPerMWh: 500},
+		{Name: "dear", Options: engine.Options{PeakMW: 10}, ImportPenaltyUSDPerMWh: 500},
 	}
 	sets := []*trace.Set{
 		routerSet([]float64{1.0}, []float64{20}),
@@ -68,10 +69,10 @@ func TestGreedyOrderIsDeterministicOnPriceTies(t *testing.T) {
 	// Three equally cheap importers: the exporter must fill them in site
 	// order (index tie-break), not map order or arrival order.
 	sites := []SiteSpec{
-		{Name: "a", RouteCapMW: 1.2, ImportPenaltyUSDPerMWh: 1},
-		{Name: "b", RouteCapMW: 1.2, ImportPenaltyUSDPerMWh: 1},
-		{Name: "c", RouteCapMW: 1.2, ImportPenaltyUSDPerMWh: 1},
-		{Name: "x", RouteCapMW: 10, ImportPenaltyUSDPerMWh: 1},
+		{Name: "a", Options: engine.Options{PeakMW: 1.2}, ImportPenaltyUSDPerMWh: 1},
+		{Name: "b", Options: engine.Options{PeakMW: 1.2}, ImportPenaltyUSDPerMWh: 1},
+		{Name: "c", Options: engine.Options{PeakMW: 1.2}, ImportPenaltyUSDPerMWh: 1},
+		{Name: "x", Options: engine.Options{PeakMW: 10}, ImportPenaltyUSDPerMWh: 1},
 	}
 	sets := []*trace.Set{
 		routerSet([]float64{1.0}, []float64{20}),
@@ -98,7 +99,7 @@ func TestGreedyOrderIsDeterministicOnPriceTies(t *testing.T) {
 }
 
 func TestGreedySingleSiteIsIdentity(t *testing.T) {
-	sites := []SiteSpec{{Name: "solo", RouteCapMW: 2, ImportPenaltyUSDPerMWh: 5}}
+	sites := []SiteSpec{{Name: "solo", Options: engine.Options{PeakMW: 2}, ImportPenaltyUSDPerMWh: 5}}
 	sets := []*trace.Set{routerSet([]float64{1.0, 0.5}, []float64{20, 100})}
 	routed := routeGreedy(sites, sets, 1)
 	for i, v := range routed[0] {

@@ -120,15 +120,6 @@ func (e *Encoder) Float(v float64) {
 	e.buf = b
 }
 
-// Floats writes a float64 slice as an array.
-func (e *Encoder) Floats(vs []float64) {
-	e.OpenArray()
-	for _, v := range vs {
-		e.Float(v)
-	}
-	e.CloseArray()
-}
-
 // Int writes an int.
 func (e *Encoder) Int(v int) { e.Int64(int64(v)) }
 

@@ -19,7 +19,6 @@ type sample struct {
 	U   uint64          `json:"u"`
 	B   bool            `json:"b"`
 	S   string          `json:"s"`
-	Fs  []float64       `json:"fs"`
 	Raw json.RawMessage `json:"raw,omitempty"`
 	In  []struct {
 		G float64 `json:"g"`
@@ -35,11 +34,6 @@ func (s *sample) appendJSON(dst []byte) ([]byte, error) {
 	e.Key("u").Uint64(s.U)
 	e.Key("b").Bool(s.B)
 	e.Key("s").String(s.S)
-	if s.Fs == nil {
-		e.Key("fs").Raw([]byte("null"))
-	} else {
-		e.Key("fs").Floats(s.Fs)
-	}
 	if len(s.Raw) > 0 {
 		e.Key("raw").Raw(s.Raw)
 	}

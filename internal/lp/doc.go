@@ -147,10 +147,13 @@
 //
 // Whole-horizon solve time therefore grows near-linearly with the
 // horizon on the staircase LPs: measured on the synthetic horizon
-// family, 72 slots solve in ~11 ms, 1440 in ~0.9 s and the 8760-slot
-// year in under 10 s, where an earlier dense-vector revised simplex took
-// ~200 s. The per-pivot cost splits between the eta-file stages and the
-// rotating devex pricing scan (a fixed 1/32 fraction of the columns).
+// family, 72 slots solve in ~11 ms and 1440 in ~0.9 s. The 8760-slot
+// year took ~200 s on an earlier dense-vector revised simplex; on this
+// one it is recorded at 9.62 s (BENCH_10.json's PR-9 baseline block) and
+// at 19.86 s (its current block), against cmd/perf's 20 s wall gate.
+// ROADMAP item 7 is the plan to halve it. The per-pivot cost splits
+// between the eta-file stages and the rotating devex pricing scan (a
+// fixed 1/32 fraction of the columns).
 //
 // # The tableau oracle (tests only)
 //

@@ -133,7 +133,7 @@ func (s *Session) Snapshot() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Checkpoints grow slowly (backlog cohorts, kept series), so the last
+	// Checkpoints grow slowly (backlog cohorts), so the last
 	// one's size plus a quarter fits the next in a single allocation.
 	out, err := cp.appendJSON(make([]byte, 0, s.snapshotSize+s.snapshotSize/4+512))
 	if err != nil {
@@ -189,7 +189,7 @@ func (s *Session) Restore(data []byte) error {
 		return fmt.Errorf("sim: restore fleet: %w", err)
 	}
 	s.backlog.Restore(cp.Backlog)
-	s.tot = cp.Report.withSeries(s.cfg.KeepSeries, s.horizon)
+	s.tot = cp.Report
 	s.slot = cp.Slot
 	s.finished = false
 	return nil
@@ -329,15 +329,6 @@ func (cp *Checkpoint) appendJSON(dst []byte) ([]byte, error) {
 	e.Key("peakGridMW").Float(t.PeakGridMW)
 	e.Key("nearPeakSlots").Int(t.NearPeakSlots)
 	e.Key("unavailable").Int(t.Unavailable)
-	if len(t.CostSeries) > 0 {
-		e.Key("costSeries").Floats(t.CostSeries)
-	}
-	if len(t.BacklogSeries) > 0 {
-		e.Key("backlogSeries").Floats(t.BacklogSeries)
-	}
-	if len(t.BatterySeries) > 0 {
-		e.Key("batterySeries").Floats(t.BatterySeries)
-	}
 	e.Close()
 
 	if len(cp.ControllerState) > 0 {

@@ -12,7 +12,9 @@ import (
 //
 // A Report is plain output: Session.Finish builds it once from the
 // session's Totals and the market, battery, backlog and fleet ledgers,
-// and nothing updates it afterwards.
+// and nothing updates it afterwards. It holds run-level figures only;
+// a slot's cost, backlog and battery level are in the SlotOutcome that
+// Session.Commit returns for that slot.
 type Report struct {
 	Controller string `json:"controller"`
 	Slots      int    `json:"slots"`
@@ -79,11 +81,6 @@ type Report struct {
 	// service and the battery at or above its reserve.
 	Availability           float64 `json:"availability"`
 	AvailabilityViolations int     `json:"availabilityViolations"`
-
-	// Optional per-slot series (see Config.KeepSeries).
-	CostSeries    []float64 `json:"costSeries,omitempty"`
-	BacklogSeries []float64 `json:"backlogSeries,omitempty"`
-	BatterySeries []float64 `json:"batterySeries,omitempty"`
 }
 
 // GenUnitReport is one fleet unit's lifetime accounting.
@@ -100,11 +97,10 @@ type GenUnitReport struct {
 // Totals are the running totals of a session that no component keeps:
 // the per-slot sum of Cost(τ) and of its parts the market does not
 // bill, the slot energy flows, the backlog mean and maximum, the
-// post-slot battery extremes, the peak grid draw, the availability
-// count and, with Config.KeepSeries, the per-slot series. Commit
-// updates them, a Checkpoint carries them as its report block, and
-// Status and Finish read them together with the market, battery,
-// backlog and fleet ledgers.
+// post-slot battery extremes, the peak grid draw and the availability
+// count. Commit updates them, a Checkpoint carries them as its report
+// block, and Status and Finish read them together with the market,
+// battery, backlog and fleet ledgers.
 //
 // Some totals have a component counterpart that groups or counts the
 // same flows differently, so the report keeps the session's sums:
@@ -141,24 +137,6 @@ type Totals struct {
 	// Unavailable counts slots with unserved delay-sensitive demand or
 	// the battery below its reserve.
 	Unavailable int `json:"unavailable"`
-
-	CostSeries    []float64 `json:"costSeries,omitempty"`
-	BacklogSeries []float64 `json:"backlogSeries,omitempty"`
-	BatterySeries []float64 `json:"batterySeries,omitempty"`
-}
-
-// withSeries returns t with its series copied into fresh buffers of
-// capacity horizon, so appends stay allocation-free for the rest of
-// the run, or with no series when keep is false.
-func (t Totals) withSeries(keep bool, horizon int) Totals {
-	if !keep {
-		t.CostSeries, t.BacklogSeries, t.BatterySeries = nil, nil, nil
-		return t
-	}
-	t.CostSeries = append(make([]float64, 0, horizon), t.CostSeries...)
-	t.BacklogSeries = append(make([]float64, 0, horizon), t.BacklogSeries...)
-	t.BatterySeries = append(make([]float64, 0, horizon), t.BatterySeries...)
-	return t
 }
 
 // report builds the Report of the committed slots from the session's
@@ -205,10 +183,6 @@ func (s *Session) report() *Report {
 		NearPeakSlots: t.NearPeakSlots,
 
 		AvailabilityViolations: t.Unavailable,
-
-		CostSeries:    t.CostSeries,
-		BacklogSeries: t.BacklogSeries,
-		BatterySeries: t.BatterySeries,
 	}
 	if r.Slots > 0 {
 		r.TimeAvgCostUSD = r.TotalCostUSD / float64(r.Slots)
@@ -254,8 +228,7 @@ func cleanZero(v float64) float64 {
 }
 
 // scrubZeros normalizes every accumulated float the report exports —
-// summary fields, per-unit breakdowns and the optional per-slot series —
-// so sequential/parallel and pre/post-refactor runs can never differ by
+// summary fields and per-unit breakdowns — so sequential/parallel and pre/post-refactor runs can never differ by
 // a sign bit on a zero, in text or JSON output.
 func (r *Report) scrubZeros() {
 	for _, f := range []*float64{
@@ -275,11 +248,6 @@ func (r *Report) scrubZeros() {
 		u.FuelUSD = cleanZero(u.FuelUSD)
 		u.StartupUSD = cleanZero(u.StartupUSD)
 		u.CO2Kg = cleanZero(u.CO2Kg)
-	}
-	for _, series := range [][]float64{r.CostSeries, r.BacklogSeries, r.BatterySeries} {
-		for i, v := range series {
-			series[i] = cleanZero(v)
-		}
 	}
 }
 

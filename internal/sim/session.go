@@ -210,7 +210,6 @@ func NewSession(cfg Config, ctrl Controller, horizon, slotMinutes int, fingerpri
 		fleet:       fleet,
 		acct:        acct,
 		backlog:     queue.NewBacklog(),
-		tot:         Totals{}.withSeries(cfg.KeepSeries, horizon),
 	}, nil
 }
 
@@ -526,11 +525,6 @@ func (s *Session) Commit() (SlotOutcome, error) {
 	}
 	if !(s.batt.Available() && unserved <= decisionTol) {
 		t.Unavailable++
-	}
-	if s.cfg.KeepSeries {
-		t.CostSeries = append(t.CostSeries, slotCost)
-		t.BacklogSeries = append(t.BacklogSeries, backlog)
-		t.BatterySeries = append(t.BatterySeries, level)
 	}
 
 	out := Outcome{

@@ -216,9 +216,6 @@ type Config struct {
 	// paper's declared future work (Sec. IV-C); the engine measures it and
 	// reports the charge separately from the paper's Cost(τ).
 	PeakChargeUSDPerMW float64
-	// KeepSeries retains per-slot series (cost, backlog, battery) in the
-	// report for plotting and robustness analysis.
-	KeepSeries bool
 }
 
 // Validate reports configuration errors.

@@ -57,7 +57,7 @@ func flatSet(n int, dds, ddt, ren, plt, prt float64) *trace.Set {
 	}
 }
 
-func testConfig() Config { return Config{Plant: DefaultPlant(), KeepSeries: true} }
+func testConfig() Config { return Config{Plant: DefaultPlant()} }
 
 // TestPlantValidate covers every rule of the one plant validation that
 // sim.Config, core.Params and baseline.Config share, and the checks
@@ -317,28 +317,6 @@ func TestRunBacklogAndOutcomes(t *testing.T) {
 	}
 	if math.Abs(rep.ServedDTMWh-5*served) > 1e-9 {
 		t.Errorf("served total = %g, want %g", rep.ServedDTMWh, 5*served)
-	}
-}
-
-func TestRunKeepSeries(t *testing.T) {
-	set := flatSet(5, 1, 0, 0, 40, 50)
-	ctrl := &scriptController{name: "series", gbef: 5}
-	cfg := testConfig()
-	rep, err := Run(cfg, set, ctrl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.CostSeries) != 5 || len(rep.BacklogSeries) != 5 || len(rep.BatterySeries) != 5 {
-		t.Errorf("series lengths = %d/%d/%d, want 5",
-			len(rep.CostSeries), len(rep.BacklogSeries), len(rep.BatterySeries))
-	}
-	cfg.KeepSeries = false
-	rep2, err := Run(cfg, set, ctrl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.CostSeries != nil {
-		t.Error("series retained despite KeepSeries=false")
 	}
 }
 

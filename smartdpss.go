@@ -131,7 +131,8 @@ type TuneResult = experiments.TuneResult
 func RunTune(topts TuneOptions) (*TuneResult, error) { return experiments.RunTune(topts) }
 
 // GeoSiteSpec declares one site of a geo-distributed fleet: engine
-// options, trace scope, routing capacity and latency penalty.
+// options, trace scope and latency penalty. Routing never places more
+// delay-sensitive demand on a site than its peak, Options.PeakMW.
 type GeoSiteSpec = geo.SiteSpec
 
 // GeoRouter selects the workload-routing arm of a geo run.
