@@ -24,8 +24,10 @@ GO ?= go
 # pairs on the tests' simplex model of P5, the merit-order solver's
 # oracle. BenchmarkSuiteTune is the tune family on one worker, the layer
 # above BenchmarkTuneEvaluate (one objective evaluation).
-PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineDayLP|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkSuiteTune|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair|BenchmarkWriteExposition|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceGeneration|BenchmarkSessionSlot|BenchmarkSolveBest|BenchmarkPlanFine
-PERF_PKGS = . ./internal/lp ./internal/serve ./internal/engine ./internal/core
+# BenchmarkRouteGreedy (internal/geo) is a geo step's third layer: the
+# greedy router over an 8-site month on the pool.
+PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineDayLP|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkSuiteTune|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair|BenchmarkWriteExposition|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceGeneration|BenchmarkSessionSlot|BenchmarkSolveBest|BenchmarkPlanFine|BenchmarkRouteGreedy
+PERF_PKGS = . ./internal/lp ./internal/serve ./internal/engine ./internal/core ./internal/geo
 
 # Fuzzing budget for the `fuzz` target (CI smoke uses the default).
 FUZZTIME ?= 30s

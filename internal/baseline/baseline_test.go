@@ -101,7 +101,7 @@ func TestImpatientPlanFineDeficitOrder(t *testing.T) {
 		LongTermDue: 0.5, Renewable: 0.1,
 		RTHeadroom: 1.5, MaxCharge: 0.5, MaxDischarge: 0.4,
 	}
-	dec := imp.PlanFine(obs)
+	dec := imp.PlanFine(&obs)
 	// Need 1.2 + 0.4 = 1.6; base 0.6; deficit 1.0 → all from the grid.
 	if math.Abs(dec.ServeDT-0.4) > 1e-12 {
 		t.Errorf("ServeDT = %g, want 0.4", dec.ServeDT)
@@ -124,7 +124,7 @@ func TestImpatientFallsBackToBattery(t *testing.T) {
 		DemandDS: 1.2, LongTermDue: 0.2, Renewable: 0,
 		RTHeadroom: 0.5, MaxDischarge: 0.4, SdtMax: 1.0,
 	}
-	dec := imp.PlanFine(obs)
+	dec := imp.PlanFine(&obs)
 	// Deficit 1.0; grid gives 0.5; battery covers 0.4; 0.1 shed by engine.
 	if math.Abs(dec.Grt-0.5) > 1e-12 || math.Abs(dec.Discharge-0.4) > 1e-12 {
 		t.Errorf("dec = %+v, want grt=0.5 discharge=0.4", dec)
@@ -141,7 +141,7 @@ func TestImpatientAbsorbsSurplus(t *testing.T) {
 		DemandDS: 0.3, LongTermDue: 0.5, Renewable: 0.6,
 		MaxCharge: 0.5, SdtMax: 1.0,
 	}
-	dec := imp.PlanFine(obs)
+	dec := imp.PlanFine(&obs)
 	if math.Abs(dec.Charge-0.5) > 1e-12 {
 		t.Errorf("Charge = %g, want 0.5 (surplus 0.8 capped at 0.5)", dec.Charge)
 	}

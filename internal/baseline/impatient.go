@@ -54,7 +54,7 @@ func (i *Impatient) PlanCoarse(obs sim.CoarseObs) float64 {
 
 // PlanFine feeds the trailing-mean estimator and serves the slot with
 // serveNow.
-func (i *Impatient) PlanFine(obs sim.FineObs) sim.Decision {
+func (i *Impatient) PlanFine(obs *sim.FineObs) sim.Decision {
 	i.est.Observe(obs.DemandDS, obs.DemandDT, obs.Renewable)
 	return i.serveNow(obs)
 }
@@ -64,7 +64,7 @@ func (i *Impatient) PlanFine(obs sim.FineObs) sim.Decision {
 // shortfall and falling back to the battery only when the grid is
 // exhausted. Delay-sensitive demand has strict priority: backlog service
 // never claims capacity that dds needs. Surplus charges the battery.
-func (i *Impatient) serveNow(obs sim.FineObs) sim.Decision {
+func (i *Impatient) serveNow(obs *sim.FineObs) sim.Decision {
 	base := obs.LongTermDue + obs.Renewable
 	grtCap := max(0, min(obs.RTHeadroom, i.cfg.SmaxMWh-base))
 	capacity := base + grtCap + obs.MaxDischarge

@@ -74,7 +74,7 @@ func (l *Lookahead) PlanCoarse(obs sim.CoarseObs) float64 {
 
 // PlanFine re-solves the window LP from the current state (receding
 // horizon) and executes its first slot.
-func (l *Lookahead) PlanFine(obs sim.FineObs) sim.Decision {
+func (l *Lookahead) PlanFine(obs *sim.FineObs) sim.Decision {
 	dec, err := l.solveWindow(obs)
 	if err != nil {
 		// Degrade to a safe myopic decision: cover dds from the grid.
@@ -95,7 +95,7 @@ func (l *Lookahead) RecordOutcome(sim.Outcome) {}
 // Consecutive windows share one shape until the horizon truncates them,
 // so every model and solver buffer is reused across the receding
 // horizon and steady-state solves allocate nothing.
-func (l *Lookahead) solveWindow(obs sim.FineObs) (sim.Decision, error) {
+func (l *Lookahead) solveWindow(obs *sim.FineObs) (sim.Decision, error) {
 	st := &l.fine
 	bat := l.cfg.Battery
 	inf := math.Inf(1)

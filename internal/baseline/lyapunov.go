@@ -72,7 +72,7 @@ func (l *Lyapunov) Name() string { return "Lyapunov" }
 // PlanFine serves all demand now (delay-sensitive first, then backlog up
 // to capacity, exactly as Impatient) and sets the battery direction from
 // the drift-plus-penalty thresholds on slot-observable state only.
-func (l *Lyapunov) PlanFine(obs sim.FineObs) sim.Decision {
+func (l *Lyapunov) PlanFine(obs *sim.FineObs) sim.Decision {
 	l.est.Observe(obs.DemandDS, obs.DemandDT, obs.Renewable)
 	base := obs.LongTermDue + obs.Renewable
 	grtCap := max(0, min(obs.RTHeadroom, l.cfg.SmaxMWh-base))

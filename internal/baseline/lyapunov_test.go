@@ -69,7 +69,7 @@ func TestLyapunovThresholdRegimes(t *testing.T) {
 				DemandDS: 0.6, LongTermDue: 0.2, SdtMax: 1.0,
 				RTHeadroom: 2.0, MaxCharge: 0.5, MaxDischarge: 0.5,
 			}
-			dec := l.PlanFine(obs)
+			dec := l.PlanFine(&obs)
 			if (dec.Charge > 1e-12) != tc.charge {
 				t.Errorf("Charge = %g, want charging=%v", dec.Charge, tc.charge)
 			}
@@ -91,7 +91,7 @@ func TestLyapunovDischargeCoversDemandBeforeGrid(t *testing.T) {
 		LongTermDue: 0.2, RTHeadroom: 2.0,
 		MaxCharge: 0.5, MaxDischarge: 0.5,
 	}
-	dec := l.PlanFine(obs)
+	dec := l.PlanFine(&obs)
 	// Need 0.9 + 0.3 = 1.2, base 0.2, deficit 1.0: battery first (0.5),
 	// grid covers the rest (0.5).
 	if math.Abs(dec.ServeDT-0.3) > 1e-12 {
@@ -109,7 +109,7 @@ func TestLyapunovDischargeOnlyWhatIsUseful(t *testing.T) {
 		DemandDS: 0.3, LongTermDue: 0.2, SdtMax: 1.0,
 		RTHeadroom: 2.0, MaxCharge: 0.5, MaxDischarge: 0.5,
 	}
-	dec := l.PlanFine(obs)
+	dec := l.PlanFine(&obs)
 	// Need 0.3, base 0.2 → only 0.1 of discharge is useful; pushing the
 	// full 0.5 would be wasted energy.
 	if math.Abs(dec.Discharge-0.1) > 1e-12 || dec.Grt != 0 {
@@ -124,7 +124,7 @@ func TestLyapunovChargesFromSpareGridCapacity(t *testing.T) {
 		DemandDS: 0.6, LongTermDue: 0.2, SdtMax: 1.0,
 		RTHeadroom: 2.0, MaxCharge: 0.5, MaxDischarge: 0.5,
 	}
-	dec := l.PlanFine(obs)
+	dec := l.PlanFine(&obs)
 	// Deficit 0.4 from the grid, plus 0.5 more grid draw to fill the
 	// battery at the cheap price.
 	if math.Abs(dec.Charge-0.5) > 1e-12 {
@@ -155,7 +155,7 @@ func TestLyapunovAbsorbsSurplusInEveryRegime(t *testing.T) {
 				DemandDS: 0.2, LongTermDue: 0.5, Renewable: 0.4,
 				SdtMax: 1.0, MaxCharge: 0.5, MaxDischarge: 0.5,
 			}
-			dec := l.PlanFine(obs)
+			dec := l.PlanFine(&obs)
 			// Surplus 0.7 capped at MaxCharge 0.5; free energy is stored,
 			// never wasted, whatever the price says.
 			if math.Abs(dec.Charge-0.5) > 1e-12 {
@@ -180,7 +180,7 @@ func TestLyapunovThresholdsDisjoint(t *testing.T) {
 				DemandDS: 0.6, LongTermDue: 0.3, SdtMax: 1.0,
 				RTHeadroom: 2.0, MaxCharge: 0.5, MaxDischarge: 0.5,
 			}
-			dec := l.PlanFine(obs)
+			dec := l.PlanFine(&obs)
 			if dec.Charge > 1e-12 && dec.Discharge > 1e-12 {
 				t.Fatalf("b=%g p=%g: charge %g and discharge %g both fired",
 					b, p, dec.Charge, dec.Discharge)
@@ -222,7 +222,7 @@ func TestLyapunovEndToEnd(t *testing.T) {
 func TestLyapunovSnapshotRoundTrip(t *testing.T) {
 	l := newTestLyapunov(t)
 	for i := 0; i < 5; i++ {
-		l.PlanFine(sim.FineObs{
+		l.PlanFine(&sim.FineObs{
 			DemandDS: 0.5 + 0.1*float64(i), DemandDT: 0.2, Renewable: 0.1,
 			Battery: 0.5, SdtMax: 1.0,
 		})

@@ -111,7 +111,7 @@ func (o *Offline) replan(slot int, b0, q0 float64) error {
 
 // PlanFine replays the solved plan. The returned Decision's GenerateUnits
 // borrows a controller-owned buffer valid until the next PlanFine call.
-func (o *Offline) PlanFine(obs sim.FineObs) sim.Decision {
+func (o *Offline) PlanFine(obs *sim.FineObs) sim.Decision {
 	idx := obs.Slot - o.start
 	if idx < 0 || idx >= len(o.plan) {
 		return sim.Decision{}

@@ -49,9 +49,10 @@ func (r monthRecorder) PlanCoarse(obs sim.CoarseObs) float64 {
 	return r.Controller.PlanCoarse(obs)
 }
 
-func (r monthRecorder) PlanFine(obs sim.FineObs) sim.Decision {
-	obs.GenUnits = slices.Clone(obs.GenUnits) // the fleet reuses its view buffer
-	r.m.fine = append(r.m.fine, obs)
+func (r monthRecorder) PlanFine(obs *sim.FineObs) sim.Decision {
+	rec := *obs
+	rec.GenUnits = slices.Clone(obs.GenUnits) // the fleet reuses its view buffer
+	r.m.fine = append(r.m.fine, rec)
 	dec := r.Controller.PlanFine(obs)
 	if len(r.specs) == 0 {
 		r.m.pairs = append(r.m.pairs, r.scr.in)
@@ -147,7 +148,7 @@ func benchPlanFine(b *testing.B, fleet []generator.Params) {
 		if k%T == 0 {
 			c.PlanCoarse(m.coarse[k/T])
 		}
-		c.PlanFine(m.fine[k])
+		c.PlanFine(&m.fine[k])
 		c.RecordOutcome(m.out[k])
 		i++
 	}

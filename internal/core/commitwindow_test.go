@@ -35,8 +35,8 @@ func commitTestController(t *testing.T, window int) *Controller {
 
 // commitObs is a fine-slot observation near the end of a 744-slot trace
 // with the unit off but startable.
-func commitObs(slot, horizon int) sim.FineObs {
-	return sim.FineObs{
+func commitObs(slot, horizon int) *sim.FineObs {
+	return &sim.FineObs{
 		Slot: slot, Horizon: horizon,
 		PriceRT: 55, DemandDS: 1.5, DemandDT: 0.2,
 		RTHeadroom: 2, SdtMax: 1, Smax: 4,

@@ -184,7 +184,7 @@ func (c *Controller) PlanCoarse(obs sim.CoarseObs) float64 {
 // battery-free optima (see doc.go). The returned Decision's GenerateUnits
 // borrows controller-owned scratch and is valid until the next PlanFine
 // call — the engine consumes each decision within its slot.
-func (c *Controller) PlanFine(obs sim.FineObs) sim.Decision {
+func (c *Controller) PlanFine(obs *sim.FineObs) sim.Decision {
 	p := &c.params
 	c.est.Observe(obs.DemandDS, obs.DemandDT, obs.Renewable)
 	c.prtSum += obs.PriceRT
@@ -217,7 +217,7 @@ func (c *Controller) PlanFine(obs sim.FineObs) sim.Decision {
 		Discharge: best.discharge,
 	}
 	if len(c.specs) > 0 && len(obs.GenUnits) == len(c.specs) {
-		c.planFleet(&dec, &obs, in, qy, bestTotal)
+		c.planFleet(&dec, obs, in, qy, bestTotal)
 	}
 	return dec
 }

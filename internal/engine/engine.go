@@ -369,11 +369,24 @@ type Traces struct {
 	valid bool
 }
 
-// TracesFromSet wraps an existing trace set as engine traces. Internal
-// consumers that derive new sets from generated ones — the geo router
-// rewrites per-site demand series — use it to re-enter the engine API;
-// the set is validated when a session is built over it.
-func TracesFromSet(set *trace.Set) *Traces { return &Traces{set: set} }
+// WithDemandDS returns traces whose delay-sensitive demand samples are
+// values, kept without a copy, and whose other four series are t's,
+// shared. trace.Set.WithDemandDS checks the new series against trace
+// validation's rules, so only that series is read and the result keeps
+// t's record of having passed validation: a session over it validates
+// nothing again. It is a function, not a method, so that the root
+// package, which aliases Traces, does not export it; the geo router
+// swaps each site's routed demand in through it.
+func WithDemandDS(t *Traces, values []float64) (*Traces, error) {
+	home := t.set.DemandDS
+	set, err := t.set.WithDemandDS(&trace.Series{
+		Name: home.Name, Unit: home.Unit, SlotMinutes: home.SlotMinutes, Values: values,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Traces{set: set, valid: t.valid}, nil
+}
 
 // Set exposes the underlying trace set for internal consumers that may
 // rewrite it. Since the set can then change behind the Traces' back, Set
@@ -393,14 +406,29 @@ func (t *Traces) View() *trace.Set { return t.set }
 
 // GenerateTraces builds the synthetic trace set: interactive plus batch
 // demand, solar production, and two-timescale prices.
-func GenerateTraces(tc TraceConfig) (*Traces, error) {
+func GenerateTraces(tc TraceConfig) (*Traces, error) { return GenerateTracesWith(tc, nil) }
+
+// SolarEnvelope computes the clear-sky envelope of tc's solar trace. It
+// depends only on tc's Days, SlotMinutes and StartDayOfYear (the
+// latitude is the solar generator's default), so one envelope serves
+// every configuration that agrees on those three.
+func SolarEnvelope(tc TraceConfig) (*solar.Envelope, error) {
+	env, err := solar.NewEnvelope(solarConfig(tc))
+	if err != nil {
+		return nil, fmt.Errorf("smartdpss: solar: %w", err)
+	}
+	return env, nil
+}
+
+// GenerateTracesWith is GenerateTraces over a shared clear-sky envelope:
+// env must be SolarEnvelope of a configuration with tc's Days,
+// SlotMinutes and StartDayOfYear. A nil env computes tc's own, which
+// makes it GenerateTraces. The traces are the same bits either way.
+func GenerateTracesWith(tc TraceConfig, env *solar.Envelope) (*Traces, error) {
 	if tc.Days <= 0 {
 		return nil, errors.New("smartdpss: Days must be positive")
 	}
-	slotMinutes := tc.SlotMinutes
-	if slotMinutes <= 0 {
-		slotMinutes = 60
-	}
+	slotMinutes := traceSlotMinutes(tc)
 	rng := rand.New(rand.NewSource(tc.Seed))
 	wc := workload.Defaults()
 	wc.Days = tc.Days
@@ -411,15 +439,9 @@ func GenerateTraces(tc TraceConfig) (*Traces, error) {
 	if err != nil {
 		return nil, fmt.Errorf("smartdpss: workload: %w", err)
 	}
-	sc := solar.Defaults()
-	sc.Days = tc.Days
-	sc.SlotMinutes = slotMinutes
-	sc.CapacityMW = tc.SolarCapacityMW
-	if tc.StartDayOfYear > 0 {
-		sc.StartDayOfYear = tc.StartDayOfYear
-	}
+	sc := solarConfig(tc)
 	sc.Seed = rng.Int63()
-	sun, err := solar.Generate(sc)
+	sun, err := solar.GenerateWith(sc, env)
 	if err != nil {
 		return nil, fmt.Errorf("smartdpss: solar: %w", err)
 	}
@@ -462,6 +484,27 @@ func GenerateTraces(tc TraceConfig) (*Traces, error) {
 		return nil, fmt.Errorf("smartdpss: traces: %w", err)
 	}
 	return &Traces{set: set, valid: true}, nil
+}
+
+// traceSlotMinutes returns tc's slot length (0 means 60).
+func traceSlotMinutes(tc TraceConfig) int {
+	if tc.SlotMinutes <= 0 {
+		return 60
+	}
+	return tc.SlotMinutes
+}
+
+// solarConfig returns the solar generator's configuration for tc, less
+// the seed that GenerateTracesWith draws in sequence.
+func solarConfig(tc TraceConfig) solar.Config {
+	sc := solar.Defaults()
+	sc.Days = tc.Days
+	sc.SlotMinutes = traceSlotMinutes(tc)
+	sc.CapacityMW = tc.SolarCapacityMW
+	if tc.StartDayOfYear > 0 {
+		sc.StartDayOfYear = tc.StartDayOfYear
+	}
+	return sc
 }
 
 // Horizon returns the number of fine slots.
@@ -648,7 +691,7 @@ func Simulate(policy Policy, opts Options, traces *Traces) (*Report, error) {
 		return nil, err
 	}
 	for !s.Done() {
-		if _, err := s.StepReplay(); err != nil {
+		if _, err := s.replay(); err != nil {
 			return nil, err
 		}
 	}

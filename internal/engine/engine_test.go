@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
 // TestGenerateTracesValidation: every invalid TraceConfig axis must be
@@ -215,5 +217,81 @@ func TestSimulateRejectsBadFleetOptions(t *testing.T) {
 	window.CommitWindow = -2
 	if _, err := Simulate(PolicySmartDPSS, window, traces); err == nil {
 		t.Error("negative CommitWindow accepted")
+	}
+}
+
+// GenerateTracesWith over a shared envelope gives GenerateTraces' bits
+// for every configuration that agrees on Days, SlotMinutes and
+// StartDayOfYear, and refuses an envelope of any other.
+func TestGenerateTracesWithSharedEnvelope(t *testing.T) {
+	base := DefaultTraceConfig()
+	base.Days = 3
+	env, err := SolarEnvelope(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []TraceConfig{
+		base,
+		{Days: 3, Seed: 9, SolarCapacityMW: 1, WindCapacityMW: 2, PeakMW: 3, PriceScale: 1.4},
+		{Days: 3, Seed: 2, SolarCapacityMW: 5, PeakMW: 2, SlotMinutes: 60, StartDayOfYear: 1},
+	} {
+		want, err := GenerateTraces(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := GenerateTracesWith(tc, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, w := got.View(), want.View()
+		gs := [...]*trace.Series{g.DemandDS, g.DemandDT, g.Renewable, g.PriceLT, g.PriceRT}
+		ws := [...]*trace.Series{w.DemandDS, w.DemandDT, w.Renewable, w.PriceLT, w.PriceRT}
+		for k := range gs {
+			if gs[k].Name != ws[k].Name || len(gs[k].Values) != len(ws[k].Values) {
+				t.Fatalf("%+v: series %d shape differs", tc, k)
+			}
+			for i, v := range gs[k].Values {
+				if math.Float64bits(v) != math.Float64bits(ws[k].Values[i]) {
+					t.Fatalf("%+v: %s[%d] = %v over the shared envelope, %v alone", tc, gs[k].Name, i, v, ws[k].Values[i])
+				}
+			}
+		}
+		if got.valid != want.valid {
+			t.Fatalf("%+v: validation record differs", tc)
+		}
+	}
+	for _, mut := range []func(*TraceConfig){
+		func(tc *TraceConfig) { tc.Days = 4 },
+		func(tc *TraceConfig) { tc.SlotMinutes = 30 },
+		func(tc *TraceConfig) { tc.StartDayOfYear = 2 },
+	} {
+		tc := base
+		mut(&tc)
+		if _, err := GenerateTracesWith(tc, env); err == nil {
+			t.Fatalf("%+v: envelope of another configuration accepted", tc)
+		}
+	}
+}
+
+// WithDemandDS checks the routed series alone: a poisoned sample in one
+// of the four shared series goes unseen, since those passed validation
+// when generated, while a poisoned routed sample is refused.
+func TestWithDemandDSChecksOnlyTheRoutedSeries(t *testing.T) {
+	tr := dayTraces(t, 1)
+	tr.View().PriceRT.Values[3] = math.NaN()
+	routed := append([]float64(nil), tr.View().DemandDS.Values...)
+	out, err := WithDemandDS(tr, routed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.valid || &out.View().DemandDS.Values[0] != &routed[0] {
+		t.Fatal("routed traces must keep the validation record and the routed samples")
+	}
+	if _, err := NewReplaySession(PolicySmartDPSS, DefaultOptions(), out); err != nil {
+		t.Fatalf("a session revalidated the shared series: %v", err)
+	}
+	routed[7] = math.Inf(1)
+	if _, err := WithDemandDS(tr, routed); err == nil {
+		t.Fatal("non-finite routed demand accepted")
 	}
 }

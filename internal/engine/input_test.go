@@ -206,7 +206,6 @@ func TestRewrittenTracesRevalidated(t *testing.T) {
 			return out
 		}},
 		{"Set", func(tr *Traces) *Traces { tr.Set(); return tr }},
-		{"TracesFromSet", func(tr *Traces) *Traces { return TracesFromSet(tr.View()) }},
 	}
 	for _, p := range poisons {
 		t.Run(p.name+"/recorded", func(t *testing.T) {

@@ -262,13 +262,31 @@ func (s *Session) Commit() (SlotOutcome, error) { return s.inner.Commit() }
 // StepReplay plans and commits the next slot from the bound traces (the
 // batch path; only valid on replay sessions).
 func (s *Session) StepReplay() (SlotOutcome, error) {
-	if s.traces == nil {
-		return SlotOutcome{}, errors.New("smartdpss: streaming session has no traces; use Step")
-	}
-	if _, err := s.inner.Step(sim.InputAt(s.traces.set, s.inner.Slot())); err != nil {
+	o, err := s.replay()
+	if err != nil {
 		return SlotOutcome{}, err
 	}
-	return s.inner.Commit()
+	return *o, nil
+}
+
+// ReplaySlot is StepReplay for replay loops that read the outcome in
+// place: it returns the session's own record of the committed slot,
+// valid until the session's next slot, instead of a copy. It is a
+// function, not a method, so that the root package, which aliases
+// Session, does not export it; geo's per-site loop steps through it.
+func ReplaySlot(s *Session) (*SlotOutcome, error) { return s.replay() }
+
+// replay plans the next slot from the bound traces, discarding no
+// returned decision, and executes it in place.
+func (s *Session) replay() (*SlotOutcome, error) {
+	if s.traces == nil {
+		return nil, errors.New("smartdpss: streaming session has no traces; use Step")
+	}
+	in := sim.InputAt(s.traces.set, s.inner.Slot())
+	if err := s.inner.Plan(&in); err != nil {
+		return nil, err
+	}
+	return s.inner.Execute()
 }
 
 // Finish finalizes the session and returns its report. A session may

@@ -15,6 +15,15 @@
 // per-slot aggregates are reduced afterwards in fixed site order, so the
 // output is byte-identical at every parallelism level.
 //
+// Trace generation, greedy routing and stepping each run on the suite
+// pool, with no work repeated across sites. Sites that share
+// StartDayOfYear share one clear-sky solar envelope, computed once per
+// run; the greedy router routes contiguous slot ranges as pool jobs;
+// and each site's replay loop reads its session's slot values in place
+// rather than copying them. None of this moves an output bit: the
+// envelope is the one each site would compute, and the router resets
+// its state every slot.
+//
 // Routing has two arms. The greedy router is the online arm: per slot it
 // observes only that slot's real-time prices and home demands, and moves
 // load from the most expensive site to cheaper ones while the price gap
@@ -27,9 +36,11 @@ package geo
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/smartdpss/smartdpss/internal/baseline"
 	"github.com/smartdpss/smartdpss/internal/engine"
+	"github.com/smartdpss/smartdpss/internal/solar"
 	"github.com/smartdpss/smartdpss/internal/suite"
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
@@ -48,7 +59,8 @@ type SiteSpec struct {
 	// are the knobs that make sites diverge.
 	Trace engine.TraceConfig
 	// ImportPenaltyUSDPerMWh is the latency-penalty price of serving a
-	// request away from its home region, charged per imported MWh.
+	// request away from its home region, charged per imported MWh. It
+	// must be finite and non-negative.
 	ImportPenaltyUSDPerMWh float64
 }
 
@@ -124,10 +136,14 @@ type Result struct {
 }
 
 // Run executes the geo fleet in four steps: it generates every site's
-// traces in parallel, computes the routing for the whole horizon on the
-// caller, runs each site's session to its horizon as one pool job (a
-// site never changes worker mid-run), and reduces the recorded per-slot
-// grid draw and backlog across sites in fixed site order.
+// traces on the suite pool over one shared clear-sky envelope (when the
+// sites share StartDayOfYear), computes the routing for the whole
+// horizon (the greedy router in slot-range jobs on the pool, the LP
+// router on the caller; a one-site fleet has nothing to route), runs
+// each site's session to its horizon as one pool job (a site never
+// changes worker mid-run), and reduces the recorded per-slot grid draw
+// and backlog across sites in fixed site order. Every site penalty must
+// be finite and non-negative.
 //
 // Errors are deterministic too: Run reports the failing site with the
 // lowest index, even when a later site failed at an earlier slot.
@@ -154,19 +170,16 @@ func Run(cfg Config) (*Result, error) {
 		if cfg.Sites[s].Trace.SlotMinutes != cfg.Sites[0].Trace.SlotMinutes {
 			return nil, fmt.Errorf("geo: site %d slot length differs from site 0", s)
 		}
+		if p := cfg.Sites[s].ImportPenaltyUSDPerMWh; math.IsNaN(p) || math.IsInf(p, 0) {
+			return nil, fmt.Errorf("geo: site %d has non-finite ImportPenaltyUSDPerMWh", s)
+		}
 		if cfg.Sites[s].ImportPenaltyUSDPerMWh < 0 {
 			return nil, fmt.Errorf("geo: site %d has negative ImportPenaltyUSDPerMWh", s)
 		}
 	}
 
 	n := len(cfg.Sites)
-	traces, err := suite.MapBudget(cfg.Parallel, cfg.Tokens, n, func(s int) (*engine.Traces, error) {
-		tr, err := engine.GenerateTraces(cfg.Sites[s].Trace)
-		if err != nil {
-			return nil, fmt.Errorf("geo: site %d: %w", s, err)
-		}
-		return tr, nil
-	})
+	traces, err := generateFleet(&cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +205,9 @@ func Run(cfg Config) (*Result, error) {
 	switch router {
 	case RouterNone:
 	case RouterGreedy:
-		routedDS = routeGreedy(cfg.Sites, sets, slotHours)
+		if n > 1 { // one site has nowhere to send its demand
+			routedDS = routeGreedy(cfg.Sites, sets, slotHours, cfg.Parallel, cfg.Tokens)
+		}
 	case RouterLP:
 		routedDS, err = routeLP(cfg.Sites, sets, slotHours)
 		if err != nil {
@@ -248,6 +263,40 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// generateFleet generates every site's traces on the suite pool. When
+// the sites share StartDayOfYear (Run already requires equal Days and
+// SlotMinutes) they share one clear-sky envelope, computed here once;
+// otherwise, or when it cannot be computed, each site computes its own
+// and reports its own errors. Either way each site's traces are the
+// bits engine.GenerateTraces returns for its TraceConfig.
+func generateFleet(cfg *Config) ([]*engine.Traces, error) {
+	env := fleetEnvelope(cfg.Sites)
+	return suite.MapBudget(cfg.Parallel, cfg.Tokens, len(cfg.Sites), func(s int) (*engine.Traces, error) {
+		tr, err := engine.GenerateTracesWith(cfg.Sites[s].Trace, env)
+		if err != nil {
+			return nil, fmt.Errorf("geo: site %d: %w", s, err)
+		}
+		return tr, nil
+	})
+}
+
+// fleetEnvelope returns the clear-sky envelope every site can share, or
+// nil when the sites' StartDayOfYear differ or site 0's trace
+// configuration yields none. It belongs to one run: a cache outliving
+// the run would keep state between runs.
+func fleetEnvelope(sites []SiteSpec) *solar.Envelope {
+	for s := range sites {
+		if sites[s].Trace.StartDayOfYear != sites[0].Trace.StartDayOfYear {
+			return nil
+		}
+	}
+	env, err := engine.SolarEnvelope(sites[0].Trace)
+	if err != nil {
+		return nil
+	}
+	return env
+}
+
 // slotTotals is one site's contribution to one slot of the fleet-level
 // aggregates.
 type slotTotals struct {
@@ -257,7 +306,9 @@ type slotTotals struct {
 // runSite replays one site's session over its whole horizon, recording
 // each slot's grid draw and backlog into out (one entry per slot).
 // routed, when non-nil, is the site's post-routing delay-sensitive
-// demand; the traces pass through unmodified when routing moved nothing.
+// demand; the traces pass through unmodified when routing moved nothing,
+// and otherwise only the routed series is validated, since the other
+// four were validated when generated.
 func runSite(spec *SiteSpec, policy engine.Policy, traces *engine.Traces, routed []float64, out []slotTotals) (SiteResult, error) {
 	var imported, exported float64
 	if routed != nil {
@@ -274,12 +325,10 @@ func runSite(spec *SiteSpec, policy engine.Policy, traces *engine.Traces, routed
 			}
 		}
 		if moved {
-			series := trace.FromValues(home.Name, home.Unit, home.SlotMinutes, routed)
-			routedSet, err := traces.View().WithDemandDS(series)
-			if err != nil {
+			var err error
+			if traces, err = engine.WithDemandDS(traces, routed); err != nil {
 				return SiteResult{}, err
 			}
-			traces = engine.TracesFromSet(routedSet)
 		}
 	}
 	sess, err := engine.NewReplaySession(policy, spec.Options, traces)
@@ -287,7 +336,7 @@ func runSite(spec *SiteSpec, policy engine.Policy, traces *engine.Traces, routed
 		return SiteResult{}, err
 	}
 	for i := range out {
-		o, err := sess.StepReplay()
+		o, err := engine.ReplaySlot(sess)
 		if err != nil {
 			return SiteResult{}, err
 		}

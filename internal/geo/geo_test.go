@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -11,9 +12,10 @@ import (
 	"testing"
 
 	"github.com/smartdpss/smartdpss/internal/engine"
+	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-func testSites(t *testing.T, n, days int) []SiteSpec {
+func testSites(t testing.TB, n, days int) []SiteSpec {
 	t.Helper()
 	sites := make([]SiteSpec, n)
 	for i := range sites {
@@ -265,4 +267,93 @@ func TestGeoConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Sites: sites, Policy: engine.PolicySmartDPSS}); err == nil {
 		t.Fatal("expected error for negative penalty")
 	}
+	// A non-finite penalty is refused before any trace is generated:
+	// site 1's trace configuration cannot be generated, yet the error
+	// names site 0's penalty, under every router.
+	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, router := range []Router{RouterNone, RouterGreedy, RouterLP} {
+			sites := testSites(t, 2, 2)
+			sites[0].ImportPenaltyUSDPerMWh = p
+			sites[1].Trace.SolarCapacityMW = -1
+			_, err := Run(Config{Sites: sites, Policy: engine.PolicySmartDPSS, Router: router})
+			want := "geo: site 0 has non-finite ImportPenaltyUSDPerMWh"
+			if err == nil || err.Error() != want {
+				t.Fatalf("penalty %g, router %s: error %v, want %q", p, router, err, want)
+			}
+		}
+	}
+}
+
+// geo.Run generates each site's traces through the fleet's shared
+// clear-sky envelope when the sites share StartDayOfYear and through
+// their own otherwise; either way every sample must carry the bits
+// engine.GenerateTraces gives the site's TraceConfig alone.
+func TestGeoFleetTracesMatchGenerateTraces(t *testing.T) {
+	summer := testSites(t, 3, 3)
+	quarter := testSites(t, 4, 2)
+	fine := testSites(t, 3, 2)
+	for s := range summer {
+		summer[s].Trace.StartDayOfYear = 172
+		summer[s].Trace.WindCapacityMW = float64(s)
+	}
+	for s := range quarter {
+		quarter[s].Trace.StartDayOfYear = 1 + 91*s
+	}
+	for s := range fine {
+		fine[s].Trace.SlotMinutes = 15
+		fine[s].Trace.SolarCapacityMW = 1 + float64(s)
+	}
+	fleets := []struct {
+		name   string
+		sites  []SiteSpec
+		shared bool
+	}{
+		{"default", testSites(t, 4, 3), true},
+		{"summer", summer, true},
+		{"15-minute", fine, true},
+		{"quarterly-start-days", quarter, false},
+		{"one-site", testSites(t, 1, 2), true},
+	}
+	for _, f := range fleets {
+		t.Run(f.name, func(t *testing.T) {
+			if shared := fleetEnvelope(f.sites) != nil; shared != f.shared {
+				t.Fatalf("shared envelope %t, want %t", shared, f.shared)
+			}
+			for _, parallel := range []int{1, 2, 8} {
+				got, err := generateFleet(&Config{Sites: f.sites, Parallel: parallel})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := range f.sites {
+					want, err := engine.GenerateTraces(f.sites[s].Trace)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if diff := setBitsDiff(got[s].View(), want.View()); diff != "" {
+						t.Fatalf("parallel %d, site %d: %s", parallel, s, diff)
+					}
+				}
+			}
+		})
+	}
+}
+
+// setBitsDiff describes the first difference between two trace sets,
+// comparing every sample's IEEE bits, or returns "".
+func setBitsDiff(a, b *trace.Set) string {
+	as := [...]*trace.Series{a.DemandDS, a.DemandDT, a.Renewable, a.PriceLT, a.PriceRT}
+	bs := [...]*trace.Series{b.DemandDS, b.DemandDT, b.Renewable, b.PriceLT, b.PriceRT}
+	for k := range as {
+		x, y := as[k], bs[k]
+		if x.Name != y.Name || x.Unit != y.Unit || x.SlotMinutes != y.SlotMinutes || len(x.Values) != len(y.Values) {
+			return fmt.Sprintf("series %d shape %s/%s/%d/%d, want %s/%s/%d/%d", k,
+				x.Name, x.Unit, x.SlotMinutes, len(x.Values), y.Name, y.Unit, y.SlotMinutes, len(y.Values))
+		}
+		for i := range x.Values {
+			if math.Float64bits(x.Values[i]) != math.Float64bits(y.Values[i]) {
+				return fmt.Sprintf("%s[%d] = %v, want %v", x.Name, i, x.Values[i], y.Values[i])
+			}
+		}
+	}
+	return ""
 }

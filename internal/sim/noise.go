@@ -31,6 +31,11 @@ type NoisyController struct {
 	seed     int64
 	draws    uint64
 	maxDraws uint64
+
+	// noisy is PlanFine's perturbed copy of the observation. It lives
+	// here, not on PlanFine's stack, because the pointer the inner
+	// controller receives would otherwise escape to the heap every slot.
+	noisy FineObs
 }
 
 // noiseDrawsPerPlan is the number of draws one PlanFine or PlanCoarse
@@ -83,8 +88,9 @@ func (n *NoisyController) PlanCoarse(obs CoarseObs) float64 {
 // the inner decision back to the true admissible set (the inner controller
 // sized its decision against mis-estimated inputs; physical limits still
 // come from the truth).
-func (n *NoisyController) PlanFine(obs FineObs) Decision {
-	noisy := obs
+func (n *NoisyController) PlanFine(obs *FineObs) Decision {
+	noisy := &n.noisy
+	*noisy = *obs
 	noisy.PriceRT *= n.factor()
 	noisy.DemandDS *= n.factor()
 	noisy.DemandDT *= n.factor()

@@ -18,8 +18,8 @@ func (r *recordingController) PlanCoarse(obs CoarseObs) float64 {
 	r.coarseObs = append(r.coarseObs, obs)
 	return 0
 }
-func (r *recordingController) PlanFine(obs FineObs) Decision {
-	r.fineObs = append(r.fineObs, obs)
+func (r *recordingController) PlanFine(obs *FineObs) Decision {
+	r.fineObs = append(r.fineObs, *obs)
 	return Decision{}
 }
 func (r *recordingController) RecordOutcome(out Outcome) { r.outcomes = append(r.outcomes, out) }
@@ -55,7 +55,7 @@ func TestNoisyControllerPerturbsExogenousOnly(t *testing.T) {
 		Backlog: 2, Battery: 0.4, RTHeadroom: 1, SdtMax: 1, Smax: 4,
 		MaxCharge: 0.5, MaxDischarge: 0.5,
 	}
-	noisy.PlanFine(obs)
+	noisy.PlanFine(&obs)
 	got := inner.fineObs[0]
 	// Exogenous fields perturbed within ±50%.
 	for _, f := range []struct {
@@ -94,7 +94,7 @@ func TestNoisyControllerClampsDecisions(t *testing.T) {
 		PriceRT: 50, DemandDS: 1, Backlog: 0.7, RTHeadroom: 1.2,
 		SdtMax: 1, Smax: 4, MaxCharge: 0.5, MaxDischarge: 0.4,
 	}
-	dec := noisy.PlanFine(obs)
+	dec := noisy.PlanFine(&obs)
 	if dec.Grt > obs.RTHeadroom+1e-12 {
 		t.Errorf("Grt = %g beyond true headroom", dec.Grt)
 	}
@@ -148,7 +148,7 @@ func TestNoisyControllerZeroFraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := FineObs{PriceRT: 50, DemandDS: 1, Smax: 4, RTHeadroom: 2}
-	noisy.PlanFine(obs)
+	noisy.PlanFine(&obs)
 	got := inner.fineObs[0]
 	if math.Abs(got.PriceRT-50) > 1e-12 || math.Abs(got.DemandDS-1) > 1e-12 {
 		t.Error("zero fraction perturbed observations")

@@ -126,6 +126,8 @@ type Snapshotter interface {
 // chain, battery/market/backlog updates, the session's running totals
 // and the controller's outcome callback. After the last Commit (or
 // earlier, for a truncated run), Finish() builds and returns the Report.
+// Plan and Execute are the same two halves for callers that do not
+// need the decision and the outcome as copies: batch replay loops.
 //
 // Between slots — never between a Step and its Commit — the full
 // simulation state can be captured with Snapshot and later reinstated
@@ -155,10 +157,13 @@ type Session struct {
 	finished bool
 
 	// pending Step awaiting Commit: the controller's observation (it
-	// carries the slot's demand, renewable and price) and its decision
+	// carries the slot's demand, renewable and price) and its decision,
+	// built in place by Plan and read in place by Execute
 	pending bool
 	pObs    FineObs
 	pDec    Decision
+	// out is the last committed slot, written in place by Execute
+	out SlotOutcome
 }
 
 // NewSession builds a session over horizon fine slots of slotMinutes
@@ -299,23 +304,34 @@ func (s *Session) Status() Status {
 // controller's plan after validation clamps but before the rescue chain;
 // the decision actually executed comes back from Commit.
 func (s *Session) Step(in SlotInput) (Decision, error) {
+	if err := s.Plan(&in); err != nil {
+		return Decision{}, err
+	}
+	return s.pDec, nil
+}
+
+// Plan is Step for callers that do not read the planned decision, such
+// as replay loops: it plans the next slot from *in, which it reads and
+// does not keep. The observation and the decision are built in the
+// session's pending slot, so no slot value is copied on the way.
+func (s *Session) Plan(in *SlotInput) error {
 	if s.finished {
-		return Decision{}, ErrSessionFinished
+		return ErrSessionFinished
 	}
 	if s.pending {
-		return Decision{}, ErrPendingDecision
+		return ErrPendingDecision
 	}
 	if s.slot >= s.horizon {
-		return Decision{}, fmt.Errorf("%w: slot %d of horizon %d", ErrHorizonExhausted, s.slot, s.horizon)
+		return fmt.Errorf("%w: slot %d of horizon %d", ErrHorizonExhausted, s.slot, s.horizon)
 	}
 	slot := s.slot
 	T := s.ctrl.CoarseSlots()
 	if err := in.validate(s.cfg.PmaxUSD, slot%T == 0); err != nil {
-		return Decision{}, err
+		return err
 	}
 	if slot%T == 0 {
 		if err := s.coarseBoundary(in, slot, min(T, s.horizon-slot)); err != nil {
-			return Decision{}, err
+			return err
 		}
 	}
 
@@ -323,35 +339,31 @@ func (s *Session) Step(in SlotInput) (Decision, error) {
 	// controller observes the fleet, so a unit coming online this slot is
 	// visible (and dispatchable) rather than silently shut down.
 	s.fleet.Tick()
-	obs := FineObs{
-		Slot:         slot,
-		Horizon:      s.horizon,
-		PriceRT:      in.PriceRT,
-		DemandDS:     in.DemandDS,
-		DemandDT:     in.DemandDT,
-		Renewable:    in.Renewable,
-		LongTermDue:  s.acct.LongTermDue(),
-		RTHeadroom:   s.acct.RealTimeHeadroom(),
-		Battery:      s.batt.Level(),
-		MaxCharge:    s.batt.MaxChargeNow(),
-		MaxDischarge: s.batt.MaxDischargeNow(),
-		Backlog:      s.backlog.Len(),
-		SdtMax:       s.cfg.SdtMaxMWh,
-		Smax:         s.cfg.SmaxMWh,
-		GenUnits:     s.fleet.Observe(),
+	obs := &s.pObs
+	obs.Slot = slot
+	obs.Horizon = s.horizon
+	obs.PriceRT = in.PriceRT
+	obs.DemandDS = in.DemandDS
+	obs.DemandDT = in.DemandDT
+	obs.Renewable = in.Renewable
+	obs.LongTermDue = s.acct.LongTermDue()
+	obs.RTHeadroom = s.acct.RealTimeHeadroom()
+	obs.Battery = s.batt.Level()
+	obs.MaxCharge = s.batt.MaxChargeNow()
+	obs.MaxDischarge = s.batt.MaxDischargeNow()
+	obs.Backlog = s.backlog.Len()
+	obs.SdtMax = s.cfg.SdtMaxMWh
+	obs.Smax = s.cfg.SmaxMWh
+	obs.GenUnits = s.fleet.Observe()
+	s.pDec = s.ctrl.PlanFine(obs)
+	if err := s.validateDecision(&s.pDec, obs); err != nil {
+		return fmt.Errorf("sim: slot %d controller %q: %w", slot, s.ctrl.Name(), err)
 	}
-	dec := s.ctrl.PlanFine(obs)
-	if err := s.validateDecision(&dec, obs); err != nil {
-		return Decision{}, fmt.Errorf("sim: slot %d controller %q: %w", slot, s.ctrl.Name(), err)
-	}
-
 	s.pending = true
-	s.pObs = obs
-	s.pDec = dec
-	return dec, nil
+	return nil
 }
 
-func (s *Session) coarseBoundary(in SlotInput, slot, slots int) error {
+func (s *Session) coarseBoundary(in *SlotInput, slot, slots int) error {
 	obs := CoarseObs{
 		Slot:         slot,
 		Interval:     slot / s.ctrl.CoarseSlots(),
@@ -378,17 +390,32 @@ func (s *Session) coarseBoundary(in SlotInput, slot, slots int) error {
 // Commit executes the pending decision against the physical state and
 // advances the session to the next slot.
 func (s *Session) Commit() (SlotOutcome, error) {
+	o, err := s.Execute()
+	if err != nil {
+		return SlotOutcome{}, err
+	}
+	return *o, nil
+}
+
+// Execute is Commit for callers that read the outcome in place: it
+// returns the session's own record of the committed slot, valid until
+// the next Execute or Commit. It reads the pending observation and
+// decision in place and executes the decision in the record, so the
+// planned decision stays as Plan left it.
+func (s *Session) Execute() (*SlotOutcome, error) {
 	if s.finished {
-		return SlotOutcome{}, ErrSessionFinished
+		return nil, ErrSessionFinished
 	}
 	if !s.pending {
-		return SlotOutcome{}, ErrNoPendingDecision
+		return nil, ErrNoPendingDecision
 	}
 
+	o := &s.out
+	o.Executed = s.pDec
 	var (
 		slot = s.slot
-		obs  = s.pObs
-		dec  = s.pDec
+		obs  = &s.pObs
+		dec  = &o.Executed
 		dds  = obs.DemandDS
 		ddt  = obs.DemandDT
 		r    = obs.Renewable
@@ -459,21 +486,21 @@ func (s *Session) Commit() (SlotOutcome, error) {
 	}
 
 	if err := s.batt.Apply(dec.Charge, dec.Discharge); err != nil {
-		return SlotOutcome{}, fmt.Errorf("sim: slot %d battery: %w", slot, err)
+		return nil, fmt.Errorf("sim: slot %d battery: %w", slot, err)
 	}
 	ltCost, err := s.acct.SettleLongTermSlot()
 	if err != nil {
-		return SlotOutcome{}, fmt.Errorf("sim: slot %d settle: %w", slot, err)
+		return nil, fmt.Errorf("sim: slot %d settle: %w", slot, err)
 	}
 	rtCost, err := s.acct.BuyRealTime(dec.Grt, prt)
 	if err != nil {
-		return SlotOutcome{}, fmt.Errorf("sim: slot %d real-time buy: %w", slot, err)
+		return nil, fmt.Errorf("sim: slot %d real-time buy: %w", slot, err)
 	}
 
 	backlogBefore := s.backlog.Len()
 	served := s.backlog.Serve(slot, dec.ServeDT)
 	if math.Abs(served-dec.ServeDT) > decisionTol {
-		return SlotOutcome{}, fmt.Errorf("sim: slot %d served %g != requested %g", slot, served, dec.ServeDT)
+		return nil, fmt.Errorf("sim: slot %d served %g != requested %g", slot, served, dec.ServeDT)
 	}
 	s.backlog.Arrive(slot, ddt)
 
@@ -481,7 +508,7 @@ func (s *Session) Commit() (SlotOutcome, error) {
 	lhs := supply + dec.Discharge - dec.Charge
 	rhs := (dds - unserved) + served + waste
 	if math.Abs(lhs-rhs) > 1e-6 {
-		return SlotOutcome{}, fmt.Errorf("sim: slot %d energy balance violated: %g != %g", slot, lhs, rhs)
+		return nil, fmt.Errorf("sim: slot %d energy balance violated: %g != %g", slot, lhs, rhs)
 	}
 
 	opCost := 0.0
@@ -527,7 +554,7 @@ func (s *Session) Commit() (SlotOutcome, error) {
 		t.Unavailable++
 	}
 
-	out := Outcome{
+	o.Outcome = Outcome{
 		Slot:          slot,
 		ServedDT:      served,
 		BacklogBefore: backlogBefore,
@@ -536,11 +563,14 @@ func (s *Session) Commit() (SlotOutcome, error) {
 		Unserved:      unserved,
 		Battery:       level,
 	}
-	s.ctrl.RecordOutcome(out)
+	o.CostUSD = slotCost
+	o.GridMWh = gridDraw
+	o.GenMWh = gen.DeliveredMWh
+	s.ctrl.RecordOutcome(o.Outcome)
 
 	s.pending = false
 	s.slot++
-	return SlotOutcome{Outcome: out, Executed: dec, CostUSD: slotCost, GridMWh: gridDraw, GenMWh: gen.DeliveredMWh}, nil
+	return o, nil
 }
 
 // Finish builds and returns the report. It may run before the horizon
@@ -575,7 +605,7 @@ func checkDecisionField(name string, val *float64, bound float64) error {
 
 // validateDecision checks the decision against the slot's admissible set,
 // clamping sub-tolerance overshoot and rejecting anything larger.
-func (s *Session) validateDecision(dec *Decision, obs FineObs) error {
+func (s *Session) validateDecision(dec *Decision, obs *FineObs) error {
 	if err := checkDecisionField("grt", &dec.Grt,
 		min(obs.RTHeadroom, s.cfg.SmaxMWh-obs.LongTermDue-obs.Renewable)); err != nil {
 		return err

@@ -112,8 +112,10 @@ type Controller interface {
 	// PlanCoarse returns gbef(t), the total long-term-ahead purchase for
 	// the upcoming interval (delivered evenly across its slots).
 	PlanCoarse(obs CoarseObs) float64
-	// PlanFine returns the fine-slot decision.
-	PlanFine(obs FineObs) Decision
+	// PlanFine returns the fine-slot decision. The observation is the
+	// session's own: a controller reads it during the call and neither
+	// writes through the pointer nor keeps it.
+	PlanFine(obs *FineObs) Decision
 	// RecordOutcome delivers the executed slot for internal bookkeeping.
 	RecordOutcome(out Outcome)
 }
@@ -249,10 +251,11 @@ func Run(cfg Config, set *trace.Set, ctrl Controller) (*Report, error) {
 		return nil, err
 	}
 	for slot := 0; slot < s.horizon; slot++ {
-		if _, err := s.Step(InputAt(set, slot)); err != nil {
+		in := InputAt(set, slot)
+		if err := s.Plan(&in); err != nil {
 			return nil, err
 		}
-		if _, err := s.Commit(); err != nil {
+		if _, err := s.Execute(); err != nil {
 			return nil, err
 		}
 	}

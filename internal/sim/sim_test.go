@@ -32,11 +32,11 @@ func (s *scriptController) PlanCoarse(obs CoarseObs) float64 {
 	s.coarseObs = append(s.coarseObs, obs)
 	return s.gbef
 }
-func (s *scriptController) PlanFine(obs FineObs) Decision {
+func (s *scriptController) PlanFine(obs *FineObs) Decision {
 	if s.decide == nil {
 		return Decision{}
 	}
-	return s.decide(obs)
+	return s.decide(*obs)
 }
 func (s *scriptController) RecordOutcome(out Outcome) { s.outcomes = append(s.outcomes, out) }
 

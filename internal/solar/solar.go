@@ -11,18 +11,24 @@
 // and hour-scale autocorrelation — as documented in DESIGN.md.
 //
 // The package owns the irradiance model and its weather chain.
-// internal/engine is its sole consumer: trace generation scales the
-// output by the configured capacity and merges it with wind into the
-// renewable series of the trace.Set that everything downstream reads.
+// internal/engine is its consumer (internal/geo only hands engine's
+// envelopes back to it): trace generation scales the output by the
+// configured capacity and merges it with wind into the renewable series
+// of the trace.Set that everything downstream reads.
 //
-// Generate evaluates each pure term of the solar geometry as rarely as
-// it changes: the latitude's sine and cosine once per call, the
+// Generation has two parts. The clear-sky Envelope is the solar
+// geometry alone: it depends only on the latitude, the first day, the
+// number of days and the slot length, so a fleet of sites that agree on
+// those computes it once and shares it (internal/geo does). The weather
+// chain then scales the envelope slot by slot with its own seed.
+// NewEnvelope evaluates each pure term of the geometry as rarely as it
+// changes: the latitude's sine and cosine once per envelope, the
 // declination's once per day, and the hour angle's cosine once per slot
-// of the day, in a table on the stack. The sun's elevation is then the
-// same expression on the same operands as a per-slot evaluation, and
-// the weather chain draws the random source in the same order, so the
-// tabulation changes no output bit (internal/engine pins every bit of
-// the generated traces).
+// of the day, in a table on the stack. Generate and GenerateWith read
+// one envelope through one code path, whether computed for the call or
+// shared, and the weather chain draws the random source in the same
+// order either way, so sharing changes no output bit (internal/engine
+// pins every bit of the generated traces).
 package solar
 
 import (
@@ -100,51 +106,108 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Generate produces the production series in MWh per slot.
-func Generate(c Config) (*trace.Series, error) {
+// Envelope is the clear-sky irradiance of every slot of a trace, in
+// W/m²: Generate's solar geometry without its weather chain. It depends
+// only on a Config's LatitudeDeg, StartDayOfYear, Days and SlotMinutes,
+// so generators whose configurations agree on those four can share one
+// through GenerateWith. It is read-only once built, so concurrent
+// generators may share it.
+type Envelope struct {
+	latitudeDeg    float64
+	startDayOfYear int
+	days           int
+	slotMinutes    int
+	irradiance     []float64 // W/m², one per slot
+}
+
+// NewEnvelope computes c's clear-sky envelope. It validates the whole
+// configuration, as Generate does.
+func NewEnvelope(c Config) (*Envelope, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(c.Seed))
+	e := newEnvelope(c)
+	return &e, nil
+}
+
+// newEnvelope computes the envelope of a validated configuration, each
+// term of the geometry as rarely as it changes (see the package doc);
+// SlotMinutes ≥ 1 bounds a day at 1440 slots.
+func newEnvelope(c Config) Envelope {
 	slotsPerDay := 24 * 60 / c.SlotMinutes
-	n := c.Days * slotsPerDay
-	out := trace.New("solar", "MWh", c.SlotMinutes, n)
-
 	slotHours := float64(c.SlotMinutes) / 60.0
-	cloudy := rng.Float64() < 0.4 // initial weather state
-	atten := 1.0                  // AR(1) attenuation level
-
-	// The clear-sky geometry, each term as rarely as it changes (see the
-	// package doc); SlotMinutes ≥ 1 bounds a day at 1440 slots.
+	e := Envelope{
+		latitudeDeg:    c.LatitudeDeg,
+		startDayOfYear: c.StartDayOfYear,
+		days:           c.Days,
+		slotMinutes:    c.SlotMinutes,
+		irradiance:     make([]float64, c.Days*slotsPerDay),
+	}
 	sinLat, cosLat := latitudeTerms(c.LatitudeDeg)
 	var cosHourAngle [24 * 60]float64
 	for s := range slotsPerDay {
 		cosHourAngle[s] = math.Cos(hourAngle((float64(s) + 0.5) * slotHours)) // slot midpoint
 	}
-
 	for d := range c.Days {
 		sinDecl, cosDecl := declinationTerms(c.StartDayOfYear + d)
-		for s := range slotsPerDay {
-			// Weather chain steps once per slot, scaled to per-hour rates.
-			pFlip := c.PClearToCloudy
-			if cloudy {
-				pFlip = c.PCloudyToClear
-			}
-			if rng.Float64() < pFlip*slotHours {
-				cloudy = !cloudy
-			}
-			target := 1.0
-			if cloudy {
-				target = c.CloudyAttenuation
-			}
-			// Mean-reverting attenuation with small noise, bounded to [0.05, 1].
-			atten += 0.45*(target-atten) + 0.05*rng.NormFloat64()
-			atten = min(1, max(0.05, atten))
-
-			irr := clearSkyIrradiance(sinLat*sinDecl + cosLat*cosDecl*cosHourAngle[s])
-			powerMW := c.CapacityMW * c.PerformanceRatio * (irr / 1000.0) * atten
-			out.Values[d*slotsPerDay+s] = max(0, powerMW*slotHours)
+		day := e.irradiance[d*slotsPerDay : (d+1)*slotsPerDay]
+		for s := range day {
+			day[s] = clearSkyIrradiance(sinLat*sinDecl + cosLat*cosDecl*cosHourAngle[s])
 		}
+	}
+	return e
+}
+
+// fits reports whether e was computed for c's latitude, first day, days
+// and slot length.
+func (e *Envelope) fits(c Config) bool {
+	return e.latitudeDeg == c.LatitudeDeg && e.startDayOfYear == c.StartDayOfYear &&
+		e.days == c.Days && e.slotMinutes == c.SlotMinutes
+}
+
+// Generate produces the production series in MWh per slot.
+func Generate(c Config) (*trace.Series, error) { return GenerateWith(c, nil) }
+
+// GenerateWith is Generate over a shared clear-sky envelope: env must
+// come from NewEnvelope of a configuration with c's LatitudeDeg,
+// StartDayOfYear, Days and SlotMinutes, and any other envelope is an
+// error. A nil env computes c's own, which makes it Generate. The
+// series is the same bits either way.
+func GenerateWith(c Config, env *Envelope) (*trace.Series, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	if env == nil {
+		own := newEnvelope(c)
+		env = &own
+	} else if !env.fits(c) {
+		return nil, errors.New("solar: envelope computed for another latitude, season or slot length")
+	}
+	rng := rand.New(rand.NewSource(c.Seed))
+	out := trace.New("solar", "MWh", c.SlotMinutes, len(env.irradiance))
+
+	slotHours := float64(c.SlotMinutes) / 60.0
+	cloudy := rng.Float64() < 0.4 // initial weather state
+	atten := 1.0                  // AR(1) attenuation level
+	for i, irr := range env.irradiance {
+		// Weather chain steps once per slot, scaled to per-hour rates.
+		pFlip := c.PClearToCloudy
+		if cloudy {
+			pFlip = c.PCloudyToClear
+		}
+		if rng.Float64() < pFlip*slotHours {
+			cloudy = !cloudy
+		}
+		target := 1.0
+		if cloudy {
+			target = c.CloudyAttenuation
+		}
+		// Mean-reverting attenuation with small noise, bounded to [0.05, 1].
+		atten += 0.45*(target-atten) + 0.05*rng.NormFloat64()
+		atten = min(1, max(0.05, atten))
+
+		powerMW := c.CapacityMW * c.PerformanceRatio * (irr / 1000.0) * atten
+		out.Values[i] = max(0, powerMW*slotHours)
 	}
 	return out, nil
 }

@@ -215,3 +215,41 @@ func TestClearSkyIrradiance(t *testing.T) {
 		t.Error("irradiance not finite")
 	}
 }
+
+// A shared envelope changes no bit: generating over another
+// configuration's envelope of the same latitude, season and slot grid
+// gives exactly Generate's series, whatever the seed, capacity and
+// weather parameters. An envelope of another grid is refused.
+func TestGenerateWithSharedEnvelope(t *testing.T) {
+	for _, base := range []Config{Defaults(), {LatitudeDeg: -20, StartDayOfYear: 300, Days: 3, SlotMinutes: 15,
+		CapacityMW: 2, PerformanceRatio: 0.9, PClearToCloudy: 0.2, PCloudyToClear: 0.3, CloudyAttenuation: 0.5}} {
+		env, err := NewEnvelope(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := base
+		c.Seed, c.CapacityMW, c.CloudyAttenuation = 42, 5, 0.1
+		want := mustGenerate(t, c)
+		got, err := GenerateWith(c, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got.Values[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("slot %d: %v over the shared envelope, %v alone", i, got.Values[i], want[i])
+			}
+		}
+		for _, mut := range []func(*Config){
+			func(c *Config) { c.LatitudeDeg++ },
+			func(c *Config) { c.StartDayOfYear++ },
+			func(c *Config) { c.Days++ },
+			func(c *Config) { c.SlotMinutes *= 2 },
+		} {
+			other := c
+			mut(&other)
+			if _, err := GenerateWith(other, env); err == nil {
+				t.Fatalf("envelope of %+v accepted for %+v", base, other)
+			}
+		}
+	}
+}

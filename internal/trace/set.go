@@ -55,22 +55,32 @@ func (s *Set) Validate() error {
 		return errors.New("trace: set has zero horizon")
 	}
 	for i, sr := range series {
-		lo, hi, err := sr.validRange()
-		if err != nil {
+		if err := checkSeries(names[i], i < 3, sr, n, slot); err != nil {
 			return err
 		}
-		if sr.Len() != n {
-			return fmt.Errorf("trace: %s has %d slots, want %d", names[i], sr.Len(), n)
-		}
-		if sr.SlotMinutes != slot {
-			return fmt.Errorf("trace: %s has %d-minute slots, want %d", names[i], sr.SlotMinutes, slot)
-		}
-		if lo < 0 {
-			return fmt.Errorf("trace: %s has negative samples", names[i])
-		}
-		if i < 3 && hi > MaxEnergyMWh { // the energy series
-			return fmt.Errorf("trace: %s has samples above %g MWh", names[i], float64(MaxEnergyMWh))
-		}
+	}
+	return nil
+}
+
+// checkSeries applies Validate's rules to one series of a set of n
+// slots of slot minutes: finite samples, n of them at that slot length,
+// none negative, and for an energy series none above MaxEnergyMWh.
+func checkSeries(name string, energy bool, sr *Series, n, slot int) error {
+	lo, hi, err := sr.validRange()
+	if err != nil {
+		return err
+	}
+	if sr.Len() != n {
+		return fmt.Errorf("trace: %s has %d slots, want %d", name, sr.Len(), n)
+	}
+	if sr.SlotMinutes != slot {
+		return fmt.Errorf("trace: %s has %d-minute slots, want %d", name, sr.SlotMinutes, slot)
+	}
+	if lo < 0 {
+		return fmt.Errorf("trace: %s has negative samples", name)
+	}
+	if energy && hi > MaxEnergyMWh {
+		return fmt.Errorf("trace: %s has samples above %g MWh", name, float64(MaxEnergyMWh))
 	}
 	return nil
 }
@@ -99,18 +109,15 @@ func (s *Set) CloneInto(dst *Set) *Set {
 // WithDemandDS returns a shallow copy of the set with the delay-sensitive
 // demand series replaced. Every other series is shared with the receiver,
 // so a router that reassigns demand across sites pays one new series per
-// site, not a deep copy of the whole set. The replacement must match the
-// set's horizon and slot length.
+// site, not a deep copy of the whole set. The replacement must pass
+// Validate's rules for DemandDS against the set's horizon and slot
+// length, so the copy of a valid set is valid too.
 func (s *Set) WithDemandDS(ds *Series) (*Set, error) {
-	if ds == nil {
-		return nil, errors.New("trace: nil replacement DemandDS")
+	if ds == nil || s.DemandDS == nil {
+		return nil, errors.New("trace: WithDemandDS needs a DemandDS on both sides")
 	}
-	if ds.Len() != s.Horizon() {
-		return nil, fmt.Errorf("trace: replacement DemandDS has %d slots, want %d", ds.Len(), s.Horizon())
-	}
-	if s.DemandDS != nil && ds.SlotMinutes != s.DemandDS.SlotMinutes {
-		return nil, fmt.Errorf("trace: replacement DemandDS has %d-minute slots, want %d",
-			ds.SlotMinutes, s.DemandDS.SlotMinutes)
+	if err := checkSeries("DemandDS", true, ds, s.Horizon(), s.DemandDS.SlotMinutes); err != nil {
+		return nil, err
 	}
 	out := *s
 	out.DemandDS = ds

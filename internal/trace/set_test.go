@@ -133,3 +133,36 @@ func TestSetPenetration(t *testing.T) {
 		t.Errorf("zero target on zero series should succeed: %v", err)
 	}
 }
+
+// WithDemandDS holds the replacement to Validate's rules for DemandDS,
+// so the copy of a valid set is valid, and shares every other series.
+func TestSetWithDemandDS(t *testing.T) {
+	s := testSet(5)
+	ds := New("routed", "MWh", 60, 5)
+	out, err := s.WithDemandDS(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.DemandDS != ds || out.PriceRT != s.PriceRT || s.DemandDS == ds {
+		t.Fatal("WithDemandDS must swap DemandDS in a copy and share the rest")
+	}
+	if err := out.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		name string
+		ds   *Series
+	}{
+		{"nil", nil},
+		{"short", New("routed", "MWh", 60, 4)},
+		{"slot length", New("routed", "MWh", 30, 5)},
+		{"NaN", FromValues("routed", "MWh", 60, []float64{0, math.NaN(), 0, 0, 0})},
+		{"infinite", FromValues("routed", "MWh", 60, []float64{0, 0, math.Inf(1), 0, 0})},
+		{"negative", FromValues("routed", "MWh", 60, []float64{0, 0, 0, -1, 0})},
+		{"above bound", FromValues("routed", "MWh", 60, []float64{0, 0, 0, 0, 2 * MaxEnergyMWh})},
+	} {
+		if _, err := s.WithDemandDS(bad.ds); err == nil {
+			t.Errorf("%s replacement accepted", bad.name)
+		}
+	}
+}
