@@ -31,8 +31,8 @@
 //
 // Options.Fleet configures dispatchable on-site generation
 // (arXiv:1303.6775's self-generation source), one UnitSpec per unit:
-// capacity, minimum stable load, ramp, convex fuel curve, startup
-// cost and lag, CO₂ intensity. A single generator is a one-unit Fleet.
+// capacity, minimum stable load, convex fuel curve, startup cost and
+// lag, CO₂ intensity. A single generator is a one-unit Fleet.
 // With a fleet configured, every optimizing policy — SmartDPSS, the two
 // offline benchmarks and the lookahead controller — gains a fourth
 // dispatch arm: fuel-priced output of each unit, planned in merit
@@ -40,9 +40,10 @@
 // the generator cost and energy lines, per-unit accounting (GenUnits)
 // and fleet emissions (GenCO2Kg). The Impatient strawman and the
 // Lyapunov baseline never dispatch the fleet (they model operators
-// without cost-optimizing dispatch). A unit with zero capacity is
-// dropped, so a Fleet that is empty or holds only zero-capacity units
-// is inert and results are identical to generator-free runs.
+// without cost-optimizing dispatch). A unit whose capacity is zero, or
+// rounds to zero MWh per slot, is dropped, so a Fleet that is empty or
+// holds only such units is inert and results are identical to
+// generator-free runs.
 //
 // # Unit commitment and emissions
 //

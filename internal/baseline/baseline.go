@@ -40,11 +40,10 @@
 // relaxation of the non-convex minimum stable load: a commitment
 // variable y ∈ [0, 1] per unit and slot linking
 // MinLoad·y ≤ g ≤ Capacity·y and carrying the startup cost amortized
-// over the window. Ramp limits and the integer nature of y stay
-// relaxed — the same relax-and-replay treatment the battery proxy
-// receives. The engine enforces the physical constraints during
-// replay, so the reported cost is the executed truth; only the plan
-// itself is optimistic.
+// over the window. The integer nature of y stays relaxed — the same
+// relax-and-replay treatment the battery proxy receives. The engine
+// enforces the physical constraints during replay, so the reported
+// cost is the executed truth; only the plan itself is optimistic.
 package baseline
 
 import (

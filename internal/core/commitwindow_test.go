@@ -26,7 +26,7 @@ func commitTestController(t *testing.T, window int) *Controller {
 		t.Fatal(err)
 	}
 	c.PlanCoarse(sim.CoarseObs{
-		Slot: 720, Interval: 30, Slots: 24,
+		Slot: 720, Slots: 24,
 		PriceLT: 60, DemandDS: 1.5, DemandDT: 0.2, Renewable: 0,
 		Battery: 0.3,
 	})
@@ -41,7 +41,7 @@ func commitObs(slot, horizon int) *sim.FineObs {
 		PriceRT: 55, DemandDS: 1.5, DemandDT: 0.2,
 		RTHeadroom: 2, SdtMax: 1, Smax: 4,
 		GenUnits: []generator.UnitObs{{
-			MinMWh: 0.2, MaxMWh: 1.0, RequestMax: 1.0, MarginalUSDPerMWh: 40,
+			MinMWh: 0.2, MaxMWh: 1.0, RequestMax: 1.0,
 		}},
 	}
 }

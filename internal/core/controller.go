@@ -149,9 +149,6 @@ func (c *Controller) PlanCoarse(obs sim.CoarseObs) float64 {
 	selfGen := 0.0
 	for i := range c.specs {
 		gp := &c.specs[i]
-		if !gp.Enabled() {
-			continue
-		}
 		margin := obs.PriceLT - gp.MarginalAt(0)
 		if margin > 0 && margin*gp.CapacityMWh*float64(p.T) > gp.StartupUSD {
 			selfGen += gp.CapacityMWh
@@ -382,9 +379,6 @@ func (c *Controller) planFleet(dec *sim.Decision, obs *sim.FineObs, in *p5Input,
 		for _, ui := range c.merit {
 			gp := &c.specs[ui]
 			u := &obs.GenUnits[ui]
-			if !gp.Enabled() {
-				continue
-			}
 			m := gp.MarginalAt(0)
 			// Dispatch level if committed; only envelope-covered energy
 			// earns the forecast price.

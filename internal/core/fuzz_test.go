@@ -96,7 +96,7 @@ func TestFuzzControllerInvariants(t *testing.T) {
 }
 
 // randomUnitSpec draws one admissible fleet unit: capacity, minimum
-// stable load, ramp, convex fuel curve, startup cost and lag.
+// stable load, convex fuel curve, startup cost and lag.
 func randomUnitSpec(r *rand.Rand) generator.Params {
 	cap := 0.05 + r.Float64()*0.95
 	p := generator.Params{
@@ -104,9 +104,6 @@ func randomUnitSpec(r *rand.Rand) generator.Params {
 		MinLoadMWh:    r.Float64() * 0.6 * cap,
 		FuelUSDPerMWh: 5 + r.Float64()*120,
 		CO2KgPerMWh:   r.Float64() * 1000,
-	}
-	if r.Intn(2) == 0 {
-		p.RampMWh = 0.1 + r.Float64()*cap
 	}
 	if r.Intn(2) == 0 {
 		p.FuelQuadUSD = r.Float64() * 10
@@ -123,9 +120,8 @@ func randomUnitSpec(r *rand.Rand) generator.Params {
 // TestFuzzFleetUnitDispatchInvariants drives single units through
 // random request sequences and checks the physics every controller
 // relies on: output is {0} ∪ [minload, window max] within the
-// nameplate, the up-ramp bound holds, fuel cost is the unit's curve
-// (never negative), emissions track energy, and every cold start is
-// billed exactly once.
+// nameplate, fuel cost is the unit's curve (never negative), emissions
+// track energy, and every cold start is billed exactly once.
 func TestFuzzFleetUnitDispatchInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	f := func() bool {
@@ -135,8 +131,6 @@ func TestFuzzFleetUnitDispatchInvariants(t *testing.T) {
 			t.Logf("New(%+v): %v", p, err)
 			return false
 		}
-		prev := 0.0
-		running := false
 		starts := 0
 		for slot := 0; slot < 60; slot++ {
 			g.Tick()
@@ -153,10 +147,6 @@ func TestFuzzFleetUnitDispatchInvariants(t *testing.T) {
 			}
 			if d > p.CapacityMWh+1e-9 {
 				t.Logf("slot %d: delivered %g above nameplate %g", slot, d, p.CapacityMWh)
-				return false
-			}
-			if p.RampMWh > 0 && wasRunning && running && d > prev+p.RampMWh+1e-9 {
-				t.Logf("slot %d: ramp violated: %g -> %g (limit %g)", slot, prev, d, p.RampMWh)
 				return false
 			}
 			if want := p.FuelCost(d); out.FuelUSD < 0 || math.Abs(out.FuelUSD-want) > 1e-9 {
@@ -181,7 +171,6 @@ func TestFuzzFleetUnitDispatchInvariants(t *testing.T) {
 				t.Logf("slot %d: startup billed without a start", slot)
 				return false
 			}
-			prev, running = d, g.Running() && d > 0
 		}
 		if g.Starts() != starts || math.Abs(g.StartupCostTotal()-float64(starts)*p.StartupUSD) > 1e-9 {
 			t.Logf("starts %d billed %g, observed %d", g.Starts(), g.StartupCostTotal(), starts)
@@ -279,7 +268,6 @@ func TestFuzzUnitSpecErrorPath(t *testing.T) {
 	corrupt := []func(*generator.Params, float64){
 		func(p *generator.Params, v float64) { p.CapacityMWh = v },
 		func(p *generator.Params, v float64) { p.MinLoadMWh = v },
-		func(p *generator.Params, v float64) { p.RampMWh = v },
 		func(p *generator.Params, v float64) { p.FuelUSDPerMWh = v },
 		func(p *generator.Params, v float64) { p.FuelQuadUSD = v },
 		func(p *generator.Params, v float64) { p.StartupUSD = v },

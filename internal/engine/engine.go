@@ -113,9 +113,9 @@ type Options struct {
 	// Fleet configures the dispatchable on-site generation units
 	// (arXiv:1303.6775's self-generation source), one UnitSpec per
 	// unit; a single generator is a one-unit Fleet. Units keep their
-	// order. Units with zero capacity are dropped, so a Fleet that is
-	// empty or holds only zero-capacity units is exactly
-	// generation-free.
+	// order. A unit whose capacity rounds to zero MWh per slot is
+	// dropped, so a Fleet that is empty or holds only such units is
+	// exactly generation-free.
 	Fleet []UnitSpec
 	// CommitWindow is the unit-commitment lookahead W in fine slots:
 	// with W > 1 the controller decides fleet starts/stops from the
@@ -140,16 +140,14 @@ type Options struct {
 // datacenter-level units (MW and fractions; the engine converts them to
 // per-slot MWh).
 type UnitSpec struct {
-	// CapacityMW is the unit's nameplate power. Zero disables the unit:
-	// the engine drops it before any layer sees it, so Report.GenUnits
-	// lists only the units with capacity, in Fleet order.
+	// CapacityMW is the unit's nameplate power. A unit whose capacity
+	// is zero, or rounds to zero MWh per slot, is dropped before any
+	// layer sees it, so Report.GenUnits lists only the units with
+	// capacity, in Fleet order.
 	CapacityMW float64
 	// MinLoadFrac is the minimum stable load as a fraction of
 	// CapacityMW.
 	MinLoadFrac float64
-	// RampMWPerHour bounds the output increase while synchronized
-	// (0 means unconstrained).
-	RampMWPerHour float64
 	// FuelUSDPerMWh is the linear fuel price b of Fuel(g) = b·g + c·g².
 	// Zero means the 85 USD/MWh default.
 	FuelUSDPerMWh float64
@@ -176,7 +174,6 @@ func (u UnitSpec) Validate() error {
 	}{
 		{"CapacityMW", u.CapacityMW},
 		{"MinLoadFrac", u.MinLoadFrac},
-		{"RampMWPerHour", u.RampMWPerHour},
 		{"FuelUSDPerMWh", u.FuelUSDPerMWh},
 		{"FuelQuadUSD", u.FuelQuadUSD},
 		{"StartupUSD", u.StartupUSD},
@@ -277,15 +274,16 @@ func batteryParams(o Options) battery.Params {
 }
 
 // fleetParams translates the fleet options into slot-scaled unit
-// parameters, dropping every zero-capacity unit (nil when none is
-// left). A configured carbon price folds each unit's emission intensity
-// into its linear fuel price, so merit order, commitment and the billed
-// fuel cost all internalize emissions.
+// parameters, dropping every unit whose slot-scaled capacity is zero
+// (nil when none is left). A configured carbon price folds each unit's
+// emission intensity into its linear fuel price, so merit order,
+// commitment and the billed fuel cost all internalize emissions.
 func fleetParams(o Options) []generator.Params {
 	var out []generator.Params
 	h := o.slotHours()
 	for _, u := range o.Fleet {
-		if u.CapacityMW == 0 {
+		capMWh := u.CapacityMW * h
+		if capMWh == 0 {
 			continue
 		}
 		if out == nil {
@@ -297,11 +295,8 @@ func fleetParams(o Options) []generator.Params {
 		}
 		fuel += u.CO2KgPerMWh * o.CarbonUSDPerTon / 1000
 		out = append(out, generator.Params{
-			CapacityMWh: u.CapacityMW * h,
-			MinLoadMWh:  u.MinLoadFrac * u.CapacityMW * h,
-			// MW/h → MWh per slot: the per-slot power step is RampMW·h,
-			// and that power sustained for one slot is another factor h.
-			RampMWh:         u.RampMWPerHour * h * h,
+			CapacityMWh:     capMWh,
+			MinLoadMWh:      u.MinLoadFrac * u.CapacityMW * h,
 			FuelUSDPerMWh:   fuel,
 			FuelQuadUSD:     u.FuelQuadUSD,
 			StartupUSD:      u.StartupUSD,
@@ -415,7 +410,7 @@ func GenerateTraces(tc TraceConfig) (*Traces, error) { return GenerateTracesWith
 func SolarEnvelope(tc TraceConfig) (*solar.Envelope, error) {
 	env, err := solar.NewEnvelope(solarConfig(tc))
 	if err != nil {
-		return nil, fmt.Errorf("smartdpss: solar: %w", err)
+		return nil, fmt.Errorf("smartdpss: %w", err)
 	}
 	return env, nil
 }
@@ -428,7 +423,7 @@ func GenerateTracesWith(tc TraceConfig, env *solar.Envelope) (*Traces, error) {
 	if tc.Days <= 0 {
 		return nil, errors.New("smartdpss: Days must be positive")
 	}
-	slotMinutes := traceSlotMinutes(tc)
+	slotMinutes := TraceSlotMinutes(tc)
 	rng := rand.New(rand.NewSource(tc.Seed))
 	wc := workload.Defaults()
 	wc.Days = tc.Days
@@ -437,13 +432,13 @@ func GenerateTracesWith(tc TraceConfig, env *solar.Envelope) (*Traces, error) {
 	wc.Seed = rng.Int63()
 	ds, dt, err := workload.Generate(wc)
 	if err != nil {
-		return nil, fmt.Errorf("smartdpss: workload: %w", err)
+		return nil, fmt.Errorf("smartdpss: %w", err)
 	}
 	sc := solarConfig(tc)
 	sc.Seed = rng.Int63()
 	sun, err := solar.GenerateWith(sc, env)
 	if err != nil {
-		return nil, fmt.Errorf("smartdpss: solar: %w", err)
+		return nil, fmt.Errorf("smartdpss: %w", err)
 	}
 	renewable := sun
 	renewable.Name = "renewable"
@@ -455,7 +450,7 @@ func GenerateTracesWith(tc TraceConfig, env *solar.Envelope) (*Traces, error) {
 		wcfg.Seed = rng.Int63()
 		gusts, err := wind.Generate(wcfg)
 		if err != nil {
-			return nil, fmt.Errorf("smartdpss: wind: %w", err)
+			return nil, fmt.Errorf("smartdpss: %w", err)
 		}
 		if _, err := renewable.AddSeries(gusts); err != nil {
 			return nil, fmt.Errorf("smartdpss: renewable mix: %w", err)
@@ -467,7 +462,7 @@ func GenerateTracesWith(tc TraceConfig, env *solar.Envelope) (*Traces, error) {
 	pc.Seed = rng.Int63()
 	lt, rt, err := pricing.Generate(pc)
 	if err != nil {
-		return nil, fmt.Errorf("smartdpss: pricing: %w", err)
+		return nil, fmt.Errorf("smartdpss: %w", err)
 	}
 	if tc.PriceScale < 0 || math.IsNaN(tc.PriceScale) || math.IsInf(tc.PriceScale, 0) {
 		return nil, errors.New("smartdpss: PriceScale must be finite and non-negative")
@@ -486,8 +481,11 @@ func GenerateTracesWith(tc TraceConfig, env *solar.Envelope) (*Traces, error) {
 	return &Traces{set: set, valid: true}, nil
 }
 
-// traceSlotMinutes returns tc's slot length (0 means 60).
-func traceSlotMinutes(tc TraceConfig) int {
+// TraceSlotMinutes returns the slot length of the traces tc generates
+// (SlotMinutes, where 0 means 60). It is a function, not a method, so
+// that the root package, which aliases TraceConfig, does not export it;
+// geo compares its sites' slot lengths through it.
+func TraceSlotMinutes(tc TraceConfig) int {
 	if tc.SlotMinutes <= 0 {
 		return 60
 	}
@@ -499,7 +497,7 @@ func traceSlotMinutes(tc TraceConfig) int {
 func solarConfig(tc TraceConfig) solar.Config {
 	sc := solar.Defaults()
 	sc.Days = tc.Days
-	sc.SlotMinutes = traceSlotMinutes(tc)
+	sc.SlotMinutes = TraceSlotMinutes(tc)
 	sc.CapacityMW = tc.SolarCapacityMW
 	if tc.StartDayOfYear > 0 {
 		sc.StartDayOfYear = tc.StartDayOfYear
@@ -620,7 +618,7 @@ func (t *Traces) ApplyCooling(cc CoolingConfig) (float64, error) {
 	}
 	temps, err := thermal.GenerateTemperature(tc)
 	if err != nil {
-		return 0, fmt.Errorf("smartdpss: temperature: %w", err)
+		return 0, fmt.Errorf("smartdpss: %w", err)
 	}
 	slotHours := float64(t.set.DemandDS.SlotMinutes) / 60
 	return thermal.ApplyCooling(t.set, temps, tc, pgrid*slotHours)

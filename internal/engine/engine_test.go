@@ -34,6 +34,31 @@ func TestGenerateTracesValidation(t *testing.T) {
 	}
 }
 
+// TestTraceErrorsNameTheirLayerOnce: a generator's error already starts
+// with the generator's name, so the engine prefixes only "smartdpss: ".
+func TestTraceErrorsNameTheirLayerOnce(t *testing.T) {
+	cases := []struct {
+		mut  func(*TraceConfig)
+		want string
+	}{
+		{func(tc *TraceConfig) { tc.PeakMW = 0 }, "smartdpss: workload: PgridMW must be positive"},
+		{func(tc *TraceConfig) { tc.SlotMinutes = 2000 }, "smartdpss: workload: SlotMinutes out of range"},
+		{func(tc *TraceConfig) { tc.SolarCapacityMW = -1 }, "smartdpss: solar: negative capacity"},
+	}
+	for _, c := range cases {
+		tc := DefaultTraceConfig()
+		c.mut(&tc)
+		if _, err := GenerateTraces(tc); err == nil || err.Error() != c.want {
+			t.Errorf("GenerateTraces(%+v) = %v, want %q", tc, err, c.want)
+		}
+	}
+	tc := DefaultTraceConfig()
+	tc.SolarCapacityMW = -1
+	if _, err := SolarEnvelope(tc); err == nil || err.Error() != "smartdpss: solar: negative capacity" {
+		t.Errorf("SolarEnvelope(%+v) = %v, want %q", tc, err, "smartdpss: solar: negative capacity")
+	}
+}
+
 // TestUnitSpecValidation: every poisoned UnitSpec field must be rejected
 // by Simulate before it reaches the per-slot physics.
 func TestUnitSpecValidation(t *testing.T) {
@@ -46,7 +71,6 @@ func TestUnitSpecValidation(t *testing.T) {
 		{"negative capacity", func(u *UnitSpec) { u.CapacityMW = -1 }},
 		{"NaN min load", func(u *UnitSpec) { u.MinLoadFrac = math.NaN() }},
 		{"min load above 1", func(u *UnitSpec) { u.MinLoadFrac = 1.5 }},
-		{"negative ramp", func(u *UnitSpec) { u.RampMWPerHour = -1 }},
 		{"NaN fuel", func(u *UnitSpec) { u.FuelUSDPerMWh = math.NaN() }},
 		{"negative fuel", func(u *UnitSpec) { u.FuelUSDPerMWh = -20 }},
 		{"Inf fuel quad", func(u *UnitSpec) { u.FuelQuadUSD = math.Inf(1) }},
@@ -131,7 +155,7 @@ func TestOptionsCoreParamsPlumbing(t *testing.T) {
 	o := DefaultOptions()
 	o.SlotMinutes = 15 // h = 0.25
 	o.PeakMW = 4.0
-	o.Fleet = []UnitSpec{{CapacityMW: 1.0, MinLoadFrac: 0.5, RampMWPerHour: 2.0, FuelUSDPerMWh: 60}}
+	o.Fleet = []UnitSpec{{CapacityMW: 1.0, MinLoadFrac: 0.5, FuelUSDPerMWh: 60}}
 	p := o.coreParams()
 
 	h := 0.25
@@ -147,9 +171,6 @@ func TestOptionsCoreParamsPlumbing(t *testing.T) {
 	g := p.Fleet[0]
 	if g.CapacityMWh != 1.0*h || g.MinLoadMWh != 0.5*1.0*h {
 		t.Errorf("generator window = (%g, %g), want (%g, %g)", g.MinLoadMWh, g.CapacityMWh, 0.5*h, h)
-	}
-	if g.RampMWh != 2.0*h*h {
-		t.Errorf("RampMWh = %g, want %g", g.RampMWh, 2.0*h*h)
 	}
 	if g.FuelUSDPerMWh != 60 {
 		t.Errorf("fuel = %g, want 60", g.FuelUSDPerMWh)

@@ -9,9 +9,9 @@ import (
 // units dispatched together: the multi-unit generalization of the single
 // self-generation source of arXiv:1303.6775, stepping toward the
 // unit-commitment formulations of the power-systems literature. Units
-// keep their individual physics (capacity, minimum stable load, ramp,
-// fuel curve, startup cost and lag, CO₂ intensity); the fleet executes
-// one request per unit each slot and adds aggregate accounting.
+// keep their individual physics (capacity, minimum stable load, fuel
+// curve, startup cost and lag, CO₂ intensity); the fleet executes one
+// request per unit each slot.
 //
 // A Fleet with no units is inert: every method is a no-op returning
 // zeros, so fleet-free configurations reproduce fleet-free results
@@ -83,9 +83,6 @@ type UnitObs struct {
 	// MaxMWh only for an off unit behind a startup lag, where a positive
 	// request signals a cold start delivering nothing yet).
 	RequestMax float64
-	// MarginalUSDPerMWh is the unit's base marginal fuel price at zero
-	// output, before any slot fuel-price scaling.
-	MarginalUSDPerMWh float64
 }
 
 // Observe returns every unit's dispatch state in fleet order (nil for an
@@ -102,12 +99,11 @@ func (f *Fleet) Observe() []UnitObs {
 	for i, u := range f.units {
 		min, max := u.Window()
 		obs[i] = UnitObs{
-			Running:           u.Running(),
-			Starting:          u.Starting(),
-			MinMWh:            min,
-			MaxMWh:            max,
-			RequestMax:        u.RequestMax(),
-			MarginalUSDPerMWh: u.Params().MarginalAt(0),
+			Running:    u.Running(),
+			Starting:   u.Starting(),
+			MinMWh:     min,
+			MaxMWh:     max,
+			RequestMax: u.RequestMax(),
 		}
 	}
 	return obs
@@ -177,28 +173,4 @@ func (f *Fleet) Restore(states []State) error {
 		}
 	}
 	return nil
-}
-
-// FleetTotals aggregates lifetime accounting across the units.
-type FleetTotals struct {
-	EnergyMWh  float64
-	FuelUSD    float64
-	StartupUSD float64
-	CO2Kg      float64
-	Starts     int
-	OpSlots    int
-}
-
-// Totals returns the fleet-wide lifetime accounting.
-func (f *Fleet) Totals() FleetTotals {
-	var t FleetTotals
-	for _, u := range f.units {
-		t.EnergyMWh += u.EnergyTotal()
-		t.FuelUSD += u.FuelCostTotal()
-		t.StartupUSD += u.StartupCostTotal()
-		t.CO2Kg += u.CO2Total()
-		t.Starts += u.Starts()
-		t.OpSlots += u.OpSlots()
-	}
-	return t
 }

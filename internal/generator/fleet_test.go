@@ -17,10 +17,12 @@ func fleetSpecs() []Params {
 }
 
 func TestNewFleetRejectsBadUnit(t *testing.T) {
-	specs := fleetSpecs()
-	specs[1].CapacityMWh = -1
-	if _, err := NewFleet(specs); err == nil {
-		t.Fatal("negative-capacity unit accepted")
+	for _, capMWh := range []float64{-1, 0} {
+		specs := fleetSpecs()
+		specs[1].CapacityMWh = capMWh
+		if _, err := NewFleet(specs); err == nil {
+			t.Fatalf("unit of capacity %g accepted", capMWh)
+		}
 	}
 }
 
@@ -55,9 +57,6 @@ func TestEmptyFleetInert(t *testing.T) {
 	if outs := f.Dispatch([]float64{1, 2}); outs != nil {
 		t.Fatalf("empty fleet dispatched: %+v", outs)
 	}
-	if tot := f.Totals(); tot != (FleetTotals{}) {
-		t.Fatalf("empty fleet accumulated: %+v", tot)
-	}
 }
 
 func TestFleetDispatchAccountsPerUnit(t *testing.T) {
@@ -76,13 +75,19 @@ func TestFleetDispatchAccountsPerUnit(t *testing.T) {
 	if math.Abs(outs[0].CO2Kg-0.5*500) > 1e-9 || math.Abs(outs[1].CO2Kg-0.25*700) > 1e-9 {
 		t.Fatalf("CO2 = %g, %g", outs[0].CO2Kg, outs[1].CO2Kg)
 	}
-	tot := f.Totals()
-	if tot.Starts != 2 || math.Abs(tot.EnergyMWh-0.75) > 1e-9 {
-		t.Fatalf("totals = %+v", tot)
+	starts, energy, co2 := 0, 0.0, 0.0
+	for i := 0; i < f.Size(); i++ {
+		u := f.Unit(i)
+		starts += u.Starts()
+		energy += u.EnergyTotal()
+		co2 += u.CO2Total()
+	}
+	if starts != 2 || math.Abs(energy-0.75) > 1e-9 {
+		t.Fatalf("fleet starts = %d, energy = %g; want 2, 0.75", starts, energy)
 	}
 	wantCO2 := 0.5*500 + 0.25*700
-	if math.Abs(tot.CO2Kg-wantCO2) > 1e-9 {
-		t.Fatalf("fleet CO2 = %g, want %g", tot.CO2Kg, wantCO2)
+	if math.Abs(co2-wantCO2) > 1e-9 {
+		t.Fatalf("fleet CO2 = %g, want %g", co2, wantCO2)
 	}
 }
 

@@ -10,9 +10,7 @@
 //   - a nameplate capacity per fine slot (CapacityMWh);
 //   - a minimum stable load (MinLoadMWh): a running unit cannot be
 //     dispatched below it — the admissible output set is {0} ∪
-//     [MinLoadMWh, max];
-//   - an up-ramp limit (RampMWh) while synchronized: output may rise by
-//     at most RampMWh per slot (shutdown is instantaneous);
+//     [MinLoadMWh, CapacityMWh];
 //   - a convex fuel cost curve Fuel(g) = FuelUSDPerMWh·g +
 //     FuelQuadUSD·g², the classical linear-plus-quadratic heat-rate
 //     approximation;
@@ -20,10 +18,10 @@
 //     StartupUSD and delivers its first energy StartupLagSlots slots
 //     after the start request (synchronization time).
 //
-// A Generator with CapacityMWh == 0 is disabled: every method reports a
-// closed dispatch window and Dispatch is a no-op. The engine drops such
-// units before any layer sees them, so they add no LP columns and no
-// report rows either.
+// Shutdown is instantaneous, and a synchronized unit may be dispatched
+// anywhere in its band from one slot to the next. Every unit has a
+// positive capacity: Validate refuses a zero one, and the engine drops
+// a zero-capacity unit before it reaches this package.
 package generator
 
 import (
@@ -37,18 +35,11 @@ const tol = 1e-9
 
 // Params describes one dispatchable on-site generation unit.
 type Params struct {
-	// CapacityMWh is the nameplate output per fine slot (0 disables the
-	// generator entirely).
+	// CapacityMWh is the nameplate output per fine slot (positive).
 	CapacityMWh float64
 	// MinLoadMWh is the minimum stable load: a running unit produces at
 	// least this much. Requests below it shut the unit down.
 	MinLoadMWh float64
-	// RampMWh bounds the per-slot output increase while synchronized
-	// (0 means unconstrained). Shutdown is instantaneous, and the first
-	// producing slot after a start may sit anywhere in
-	// [MinLoadMWh, CapacityMWh] (synchronization brings the unit to its
-	// dispatch point).
-	RampMWh float64
 	// FuelUSDPerMWh is the linear fuel price b of the cost curve
 	// Fuel(g) = b·g + c·g².
 	FuelUSDPerMWh float64
@@ -68,29 +59,24 @@ type Params struct {
 	CO2KgPerMWh float64
 }
 
-// Enabled reports whether the unit exists at all.
-func (p Params) Enabled() bool { return p.CapacityMWh > 0 }
-
 // Validate reports parameter errors. NaN and ±Inf are rejected up front:
 // every comparison below is false for NaN, so without the explicit check
 // a NaN field would sail through validation and poison dispatch, fuel
 // and emission series downstream.
 func (p Params) Validate() error {
 	for _, v := range [...]float64{
-		p.CapacityMWh, p.MinLoadMWh, p.RampMWh,
-		p.FuelUSDPerMWh, p.FuelQuadUSD, p.StartupUSD, p.CO2KgPerMWh,
+		p.CapacityMWh, p.MinLoadMWh, p.FuelUSDPerMWh,
+		p.FuelQuadUSD, p.StartupUSD, p.CO2KgPerMWh,
 	} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return errors.New("generator: non-finite parameter")
 		}
 	}
 	switch {
-	case p.CapacityMWh < 0:
-		return errors.New("generator: negative capacity")
+	case p.CapacityMWh <= 0:
+		return errors.New("generator: capacity not positive")
 	case p.MinLoadMWh < 0 || p.MinLoadMWh > p.CapacityMWh:
 		return errors.New("generator: MinLoadMWh outside [0, CapacityMWh]")
-	case p.RampMWh < 0:
-		return errors.New("generator: negative ramp limit")
 	case p.FuelUSDPerMWh < 0:
 		return errors.New("generator: negative fuel price")
 	case p.FuelQuadUSD < 0:
@@ -160,9 +146,7 @@ type Generator struct {
 	params Params
 
 	running   bool
-	output    float64 // energy delivered in the previous slot
-	countdown int     // startup-lag slots remaining
-	fresh     bool    // first slot after synchronization: ramp-free
+	countdown int // startup-lag slots remaining
 
 	// lifetime accounting
 	energyMWh  float64
@@ -190,9 +174,6 @@ func (g *Generator) Running() bool { return g.running }
 // Starting reports whether a start is pending (lag not yet elapsed).
 func (g *Generator) Starting() bool { return g.countdown > 0 }
 
-// Output returns the energy delivered in the previous slot.
-func (g *Generator) Output() float64 { return g.output }
-
 // EnergyTotal returns lifetime delivered energy in MWh.
 func (g *Generator) EnergyTotal() float64 { return g.energyMWh }
 
@@ -212,49 +193,34 @@ func (g *Generator) Starts() int { return g.starts }
 func (g *Generator) OpSlots() int { return g.opSlots }
 
 // Window returns the deliverable output band for the current slot:
-// (0, 0) when the unit is disabled, still synchronizing, or off behind
-// a startup lag (a start requested now delivers nothing this slot);
-// otherwise [MinLoadMWh, hi] where hi respects the nameplate and,
-// while synchronized, the up-ramp limit. Zero output (shutdown / stay
-// off) is always admissible in addition to the band.
+// (0, 0) while the unit is still synchronizing or off behind a startup
+// lag (a start requested now delivers nothing this slot), otherwise
+// [MinLoadMWh, CapacityMWh]. Zero output (shutdown / stay off) is
+// always admissible in addition to the band.
 func (g *Generator) Window() (lo, hi float64) {
-	p := g.params
-	if !p.Enabled() || g.countdown > 0 || (!g.running && p.StartupLagSlots > 0) {
+	p := &g.params
+	if g.countdown > 0 || (!g.running && p.StartupLagSlots > 0) {
 		return 0, 0
 	}
-	hi = p.CapacityMWh
-	if g.running && p.RampMWh > 0 && !g.fresh {
-		hi = min(hi, g.output+p.RampMWh)
-		// A synchronized unit can always hold its minimum stable load.
-		hi = max(hi, p.MinLoadMWh)
-	}
-	return p.MinLoadMWh, hi
+	return p.MinLoadMWh, p.CapacityMWh
 }
 
 // RequestMax returns the largest meaningful dispatch request this slot:
-// the deliverable maximum while running or startable without lag, the
-// nameplate capacity when off with a pending synchronization lag (the
-// request then signals a start and delivers nothing yet), and 0 while a
-// start is already in progress or the unit is disabled.
+// the nameplate capacity, which an off unit behind a synchronization
+// lag may also request (the request then signals a start and delivers
+// nothing yet), and 0 while a start is already in progress.
 func (g *Generator) RequestMax() float64 {
-	p := g.params
-	if !p.Enabled() || g.countdown > 0 {
+	if g.countdown > 0 {
 		return 0
 	}
-	if !g.running && p.StartupLagSlots > 0 {
-		return p.CapacityMWh
-	}
-	_, hi := g.Window()
-	return hi
+	return g.params.CapacityMWh
 }
 
 // State is one unit's mutable state, exported for session checkpoints
 // (Params are pinned by the checkpoint's config hash, not stored here).
 type State struct {
 	Running    bool    `json:"running"`
-	OutputMWh  float64 `json:"outputMWh"`
 	Countdown  int     `json:"countdown"`
-	Fresh      bool    `json:"fresh"`
 	EnergyMWh  float64 `json:"energyMWh"`
 	FuelUSD    float64 `json:"fuelUSD"`
 	StartupUSD float64 `json:"startupUSD"`
@@ -267,9 +233,7 @@ type State struct {
 func (g *Generator) State() State {
 	return State{
 		Running:    g.running,
-		OutputMWh:  g.output,
 		Countdown:  g.countdown,
-		Fresh:      g.fresh,
 		EnergyMWh:  g.energyMWh,
 		FuelUSD:    g.fuelUSD,
 		StartupUSD: g.startupUSD,
@@ -280,15 +244,11 @@ func (g *Generator) State() State {
 }
 
 // CheckState reports whether Restore accepts s: the startup countdown
-// within the unit's lag and the output within its capacity.
+// within the unit's lag.
 func (g *Generator) CheckState(s State) error {
 	if s.Countdown < 0 || s.Countdown > g.params.StartupLagSlots {
 		return fmt.Errorf("generator: restored countdown %d outside [0, %d]",
 			s.Countdown, g.params.StartupLagSlots)
-	}
-	if s.OutputMWh < 0 || s.OutputMWh > g.params.CapacityMWh+tol {
-		return fmt.Errorf("generator: restored output %g outside [0, %g]",
-			s.OutputMWh, g.params.CapacityMWh)
 	}
 	return nil
 }
@@ -300,9 +260,7 @@ func (g *Generator) Restore(s State) error {
 		return err
 	}
 	g.running = s.Running
-	g.output = s.OutputMWh
 	g.countdown = s.Countdown
-	g.fresh = s.Fresh
 	g.energyMWh = s.EnergyMWh
 	g.fuelUSD = s.FuelUSD
 	g.startupUSD = s.StartupUSD
@@ -336,8 +294,6 @@ func (g *Generator) Tick() {
 	g.countdown--
 	if g.countdown == 0 {
 		g.running = true
-		g.output = 0
-		g.fresh = true
 	}
 }
 
@@ -351,9 +307,6 @@ func (g *Generator) Tick() {
 // already committed).
 func (g *Generator) Dispatch(request float64) Outcome {
 	p := g.params
-	if !p.Enabled() {
-		return Outcome{}
-	}
 	if g.countdown > 0 {
 		// Still synchronizing: no output yet, no further charges.
 		return Outcome{}
@@ -365,11 +318,8 @@ func (g *Generator) Dispatch(request float64) Outcome {
 	if request <= tol || request < p.MinLoadMWh-tol {
 		// Below minimum stable load: shut down (or stay off).
 		g.running = false
-		g.output = 0
-		g.fresh = false
 		return Outcome{}
 	}
-	_, hi := g.Window()
 	var out Outcome
 	if !g.running {
 		out.StartupUSD = p.StartupUSD
@@ -381,12 +331,10 @@ func (g *Generator) Dispatch(request float64) Outcome {
 		}
 		g.running = true
 	}
-	delivered := min(request, hi)
+	delivered := min(request, p.CapacityMWh)
 	out.DeliveredMWh = delivered
 	out.FuelUSD = p.FuelCost(delivered)
 	out.CO2Kg = p.CO2KgPerMWh * delivered
-	g.output = delivered
-	g.fresh = false
 	g.energyMWh += delivered
 	g.fuelUSD += out.FuelUSD
 	g.co2Kg += out.CO2Kg

@@ -9,7 +9,6 @@ func testParams() Params {
 	return Params{
 		CapacityMWh:   1.0,
 		MinLoadMWh:    0.2,
-		RampMWh:       0.4,
 		FuelUSDPerMWh: 80,
 		StartupUSD:    25,
 	}
@@ -22,10 +21,9 @@ func TestValidate(t *testing.T) {
 		ok     bool
 	}{
 		{"default", func(p *Params) {}, true},
-		{"disabled", func(p *Params) { *p = Params{} }, true},
+		{"zero capacity", func(p *Params) { *p = Params{} }, false},
 		{"negative capacity", func(p *Params) { p.CapacityMWh = -1 }, false},
 		{"min above capacity", func(p *Params) { p.MinLoadMWh = 2 }, false},
-		{"negative ramp", func(p *Params) { p.RampMWh = -0.1 }, false},
 		{"negative fuel", func(p *Params) { p.FuelUSDPerMWh = -1 }, false},
 		{"concave curve", func(p *Params) { p.FuelQuadUSD = -1 }, false},
 		{"negative startup", func(p *Params) { p.StartupUSD = -1 }, false},
@@ -90,27 +88,6 @@ func TestSegments(t *testing.T) {
 	}
 	if got := p.Segments(0.5, 0.5); got != nil {
 		t.Fatalf("empty band must yield no segments, got %v", got)
-	}
-}
-
-func TestDisabledIsInert(t *testing.T) {
-	g, err := New(Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Tick()
-	if min, max := g.Window(); min != 0 || max != 0 {
-		t.Fatalf("disabled window = (%g, %g)", min, max)
-	}
-	if g.RequestMax() != 0 {
-		t.Fatal("disabled RequestMax must be 0")
-	}
-	out := g.Dispatch(5)
-	if out != (Outcome{}) {
-		t.Fatalf("disabled dispatch produced %+v", out)
-	}
-	if g.Starts() != 0 || g.EnergyTotal() != 0 || g.FuelCostTotal() != 0 {
-		t.Fatal("disabled generator accumulated state")
 	}
 }
 
@@ -212,37 +189,19 @@ func TestSubMinRequestWithLagStaysOff(t *testing.T) {
 	}
 }
 
-// TestRampLimit: while synchronized, output may rise by at most RampMWh
-// per slot; shutdown is instantaneous.
-func TestRampLimit(t *testing.T) {
-	g, _ := New(testParams()) // ramp 0.4
-	g.Dispatch(0.3)
-	g.Tick()
-	if _, max := g.Window(); math.Abs(max-0.7) > 1e-12 {
-		t.Fatalf("ramped max = %g, want 0.7", max)
-	}
-	out := g.Dispatch(1.0) // clamped to 0.3+0.4
-	if math.Abs(out.DeliveredMWh-0.7) > 1e-12 {
-		t.Fatalf("delivered = %g, want 0.7", out.DeliveredMWh)
-	}
-	g.Tick()
-	out = g.Dispatch(0) // instantaneous shutdown
-	if out.DeliveredMWh != 0 || g.Running() {
-		t.Fatalf("shutdown failed: %+v running=%v", out, g.Running())
-	}
-}
-
-// TestMinLoad: requests below the minimum stable load shut the unit down
-// instead of producing, and a running unit's window never collapses
-// below its minimum load even with a tight ramp.
+// TestMinLoad: a running unit's window is its whole band
+// [MinLoadMWh, CapacityMWh], a request above the nameplate delivers the
+// nameplate, and a request below the minimum stable load shuts the unit
+// down at once instead of producing.
 func TestMinLoad(t *testing.T) {
-	p := testParams()
-	p.RampMWh = 0.05 // tighter than MinLoadMWh
-	g, _ := New(p)
+	g, _ := New(testParams())
 	g.Dispatch(0.2)
 	g.Tick()
-	if min, max := g.Window(); min != 0.2 || max < min {
-		t.Fatalf("window (%g, %g) collapsed below min load", min, max)
+	if min, max := g.Window(); min != 0.2 || max != 1.0 {
+		t.Fatalf("running window = (%g, %g), want (0.2, 1)", min, max)
+	}
+	if out := g.Dispatch(1.5); out.DeliveredMWh != 1.0 {
+		t.Fatalf("over-nameplate request delivered %g, want 1", out.DeliveredMWh)
 	}
 	g.Tick()
 	out := g.Dispatch(0.1) // below min stable load

@@ -1,6 +1,7 @@
 package generator
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -36,9 +37,6 @@ func TestGeneratorStateRoundTrip(t *testing.T) {
 	if !snap.Running || snap.EnergyMWh == 0 || snap.StartupUSD == 0 || snap.CO2Kg == 0 {
 		t.Fatalf("snapshot missed state: %+v", snap)
 	}
-	if snap.OutputMWh != ref.Output() {
-		t.Fatalf("snapshot output %g, unit reports %g", snap.OutputMWh, ref.Output())
-	}
 
 	fresh := mk()
 	if err := fresh.Restore(snap); err != nil {
@@ -70,8 +68,6 @@ func TestGeneratorRestoreRejectsCorruptState(t *testing.T) {
 	}{
 		{"negative countdown", func(s *State) { s.Countdown = -1 }, "countdown"},
 		{"countdown beyond lag", func(s *State) { s.Countdown = 3 }, "countdown"},
-		{"negative output", func(s *State) { s.OutputMWh = -0.1 }, "output"},
-		{"output beyond capacity", func(s *State) { s.OutputMWh = 2 }, "output"},
 	}
 	for _, tc := range cases {
 		s := g.State()
@@ -106,8 +102,8 @@ func TestFleetStateRoundTrip(t *testing.T) {
 	if err := fresh.Restore(states); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Totals() != ref.Totals() {
-		t.Fatalf("restored totals %+v, want %+v", fresh.Totals(), ref.Totals())
+	if !reflect.DeepEqual(fresh.State(), states) {
+		t.Fatalf("restored states %+v, want %+v", fresh.State(), states)
 	}
 	refOuts := ref.Dispatch([]float64{0.5, 0.25, 0})
 	freshOuts := fresh.Dispatch([]float64{0.5, 0.25, 0})
@@ -139,7 +135,7 @@ func TestFleetStateEmptyAndMismatch(t *testing.T) {
 	}
 	// A corrupt per-unit state surfaces the unit index.
 	states := f.State()
-	states[1].OutputMWh = -1
+	states[1].Countdown = -1
 	if err := f.Restore(states); err == nil || !strings.Contains(err.Error(), "unit 1") {
 		t.Fatalf("corrupt unit state: Restore() = %v, want unit 1 error", err)
 	}

@@ -282,6 +282,37 @@ func TestGeoConfigValidation(t *testing.T) {
 			}
 		}
 	}
+	// Sites compare the slot lengths their traces resolve to (0 means
+	// 60): a {0, 60} fleet is the {60, 60} fleet bit for bit under every
+	// router, and a {30, 60} fleet is refused.
+	for _, router := range []Router{RouterNone, RouterGreedy, RouterLP} {
+		var runs [2]*Result
+		var reports [2][]string
+		for k, first := range []int{0, 60} {
+			sites := testSites(t, 2, 2)
+			sites[0].Trace.SlotMinutes = first
+			sites[1].Trace.SlotMinutes = 60
+			res, err := Run(Config{Sites: sites, Policy: engine.PolicySmartDPSS, Router: router})
+			if err != nil {
+				t.Fatalf("router %s, slot lengths {%d, 60}: %v", router, first, err)
+			}
+			for s := range res.Sites {
+				reports[k] = append(reports[k], reportBytes(t, res.Sites[s].Report))
+				res.Sites[s].Report = nil
+			}
+			runs[k] = res
+		}
+		if !reflect.DeepEqual(reports[0], reports[1]) || !reflect.DeepEqual(runs[0], runs[1]) {
+			t.Fatalf("router %s: the {0, 60} fleet differs from the {60, 60} fleet", router)
+		}
+	}
+	sites = testSites(t, 2, 2)
+	sites[0].Trace.SlotMinutes = 30
+	sites[1].Trace.SlotMinutes = 60
+	_, err := Run(Config{Sites: sites, Policy: engine.PolicySmartDPSS})
+	if want := "geo: site 1 slot length differs from site 0"; err == nil || err.Error() != want {
+		t.Fatalf("slot lengths {30, 60}: error %v, want %q", err, want)
+	}
 }
 
 // geo.Run generates each site's traces through the fleet's shared

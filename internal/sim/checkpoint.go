@@ -286,9 +286,7 @@ func (cp *Checkpoint) appendJSON(dst []byte) ([]byte, error) {
 			u := &cp.Fleet[i]
 			e.Open()
 			e.Key("running").Bool(u.Running)
-			e.Key("outputMWh").Float(u.OutputMWh)
 			e.Key("countdown").Int(u.Countdown)
-			e.Key("fresh").Bool(u.Fresh)
 			e.Key("energyMWh").Float(u.EnergyMWh)
 			e.Key("fuelUSD").Float(u.FuelUSD)
 			e.Key("startupUSD").Float(u.StartupUSD)

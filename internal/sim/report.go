@@ -143,7 +143,6 @@ type Totals struct {
 // totals and its component ledgers.
 func (s *Session) report() *Report {
 	t := &s.tot
-	fleet := s.fleet.Totals()
 	r := &Report{
 		Controller:       s.ctrl.Name(),
 		Slots:            s.slot,
@@ -166,9 +165,7 @@ func (s *Session) report() *Report {
 		BatteryInMWh:  s.batt.ChargedTotal(),
 		BatteryOutMWh: s.batt.DischargedTotal(),
 
-		GenStarts: fleet.Starts,
-		GenSlots:  fleet.OpSlots,
-		GenCO2Kg:  t.GenCO2Kg,
+		GenCO2Kg: t.GenCO2Kg,
 
 		MeanDelaySlots: s.backlog.MeanDelay(),
 		MaxDelaySlots:  s.backlog.MaxDelay(),
@@ -203,6 +200,8 @@ func (s *Session) report() *Report {
 				Starts:      u.Starts(),
 				OpSlots:     u.OpSlots(),
 			}
+			r.GenStarts += u.Starts()
+			r.GenSlots += u.OpSlots()
 		}
 	}
 	r.scrubZeros()

@@ -366,7 +366,6 @@ func (s *Session) Plan(in *SlotInput) error {
 func (s *Session) coarseBoundary(in *SlotInput, slot, slots int) error {
 	obs := CoarseObs{
 		Slot:         slot,
-		Interval:     slot / s.ctrl.CoarseSlots(),
 		Slots:        slots,
 		PriceLT:      in.PriceLT,
 		DemandDS:     in.DemandDS,

@@ -34,7 +34,6 @@ import (
 // the long-term price for the upcoming interval, and system state.
 type CoarseObs struct {
 	Slot         int     // fine-slot index of the interval start
-	Interval     int     // coarse interval index k
 	Slots        int     // fine slots in this interval (T, shorter at horizon end)
 	PriceLT      float64 // plt(t) in USD/MWh
 	DemandDS     float64 // dds observed during the current fine slot, MWh

@@ -30,7 +30,7 @@ var invariantPolicies = []dpss.Policy{
 
 // invariantScenario derives a randomized-but-valid configuration from a
 // seed: the same seed always builds the same scenario, so fuzz crashes
-// reproduce.
+// reproduce. A third of the scenarios carry a fleet (invariantFleet).
 func invariantScenario(seed int64) (dpss.Options, dpss.TraceConfig) {
 	r := rand.New(rand.NewSource(seed))
 	opts := dpss.DefaultOptions()
@@ -45,7 +45,7 @@ func invariantScenario(seed int64) (dpss.Options, dpss.TraceConfig) {
 		opts.BatteryMaxOps = 10 + r.Intn(60)
 	}
 	if r.Intn(3) == 0 {
-		opts.Fleet = []dpss.UnitSpec{{CapacityMW: 0.5 + r.Float64(), MinLoadFrac: 0.3, StartupUSD: 20}}
+		opts.Fleet, opts.CommitWindow, opts.CarbonUSDPerTon = invariantFleet(seed, 0.5+r.Float64())
 	}
 	if r.Intn(4) == 0 {
 		opts.DisableLongTerm = true
@@ -58,6 +58,38 @@ func invariantScenario(seed int64) (dpss.Options, dpss.TraceConfig) {
 	tc.Days = 2
 	tc.Seed = seed
 	return opts, tc
+}
+
+// invariantFleet draws one to four units with startup lags, quadratic
+// fuel curves and emission intensities, sometimes one of zero capacity
+// (which the engine drops), a commitment window from {0, 1, 12, 24} and
+// sometimes a carbon price. It draws from its own stream, seeded from
+// the scenario seed, so the scenario's own draws keep their values;
+// unit 0 takes capMW, the scenario's one fleet draw.
+func invariantFleet(seed int64, capMW float64) (fleet []dpss.UnitSpec, commitWindow int, carbonUSDPerTon float64) {
+	r := rand.New(rand.NewSource(seed ^ 0x5eedf1ee7))
+	fleet = make([]dpss.UnitSpec, 1+r.Intn(4))
+	for i := range fleet {
+		u := &fleet[i]
+		u.CapacityMW = 0.2 + 1.3*r.Float64()
+		u.MinLoadFrac = 0.6 * r.Float64()
+		u.FuelUSDPerMWh = 20 + 100*r.Float64()
+		if r.Intn(2) == 0 {
+			u.FuelQuadUSD = 20 * r.Float64()
+		}
+		u.StartupUSD = 50 * r.Float64()
+		u.StartupLagSlots = r.Intn(4)
+		u.CO2KgPerMWh = 900 * r.Float64()
+	}
+	fleet[0].CapacityMW = capMW
+	if r.Intn(4) == 0 {
+		fleet[r.Intn(len(fleet))].CapacityMW = 0
+	}
+	commitWindow = []int{0, 1, 12, 24}[r.Intn(4)]
+	if r.Intn(2) == 0 {
+		carbonUSDPerTon = 100 * r.Float64()
+	}
+	return fleet, commitWindow, carbonUSDPerTon
 }
 
 // checkPolicyInvariants replays the policy slot by slot and asserts the

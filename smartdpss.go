@@ -40,8 +40,9 @@ type Report = engine.Report
 type Options = engine.Options
 
 // UnitSpec describes one unit of an on-site generation fleet
-// (Options.Fleet): capacity, minimum stable load, ramp, fuel curve,
-// startup cost/lag and CO₂ intensity.
+// (Options.Fleet): capacity, minimum stable load, fuel curve,
+// startup cost/lag and CO₂ intensity. A unit whose capacity is zero,
+// or rounds to zero MWh per slot, is dropped.
 type UnitSpec = engine.UnitSpec
 
 // DefaultOptions mirrors the paper's Sec. VI-A defaults: V = 1, ε = 0.5,
