@@ -25,9 +25,14 @@ GO ?= go
 # oracle. BenchmarkSuiteTune is the tune family on one worker, the layer
 # above BenchmarkTuneEvaluate (one objective evaluation).
 # BenchmarkRouteGreedy (internal/geo) is a geo step's third layer: the
-# greedy router over an 8-site month on the pool.
-PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineDayLP|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkSuiteTune|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair|BenchmarkWriteExposition|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceGeneration|BenchmarkSessionSlot|BenchmarkSolveBest|BenchmarkPlanFine|BenchmarkRouteGreedy
-PERF_PKGS = . ./internal/lp ./internal/serve ./internal/engine ./internal/core ./internal/geo
+# greedy router over an 8-site month on the pool. Beneath trace
+# generation sits the seeding rung in internal/rng: BenchmarkNewSource
+# seeds a source (math/rand's stream, lane-parallel seeding) from 32
+# varying seeds an op, drawing once after each, and
+# BenchmarkAblationMathRandSource does the same on math/rand's own
+# source; cmd/perf gates their same-run ratio at 0.50.
+PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineDayLP|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkSuiteTune|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair|BenchmarkWriteExposition|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceGeneration|BenchmarkSessionSlot|BenchmarkSolveBest|BenchmarkPlanFine|BenchmarkRouteGreedy|BenchmarkNewSource|BenchmarkAblationMathRandSource
+PERF_PKGS = . ./internal/lp ./internal/serve ./internal/engine ./internal/core ./internal/geo ./internal/rng
 
 # Fuzzing budget for the `fuzz` target (CI smoke uses the default).
 FUZZTIME ?= 30s
@@ -70,13 +75,16 @@ bench-check:
 # bounds, follow the backlog recurrence and reconcile their reports;
 # FuzzSolveBestParity — random and edge-case P5 instances, where the
 # controller's shared-sort P5 pair must match two full solves bit for
-# bit. FUZZTIME is each target's budget (e.g. FUZZTIME=5m). Every target
+# bit; FuzzSourceParity — for any seed, internal/rng's source must yield
+# math/rand's stream (2,500 Uint64 draws, and Float64, NormFloat64 and
+# Intn through rand.New). FUZZTIME is each target's budget (e.g. FUZZTIME=5m). Every target
 # runs even after one fails, so one open defect cannot hide the others;
 # the recipe then names each failed target and exits non-zero.
 fuzz:
 	@failed=""; \
 	for t in ./internal/lp:FuzzSparseSolveParity ./internal/engine:FuzzRestore \
-		./internal/engine:FuzzSlotInput .:FuzzPolicyInvariants ./internal/core:FuzzSolveBestParity; do \
+		./internal/engine:FuzzSlotInput .:FuzzPolicyInvariants ./internal/core:FuzzSolveBestParity \
+		./internal/rng:FuzzSourceParity; do \
 		pkg=$${t%%:*}; name=$${t#*:}; \
 		echo "fuzz: $$name ($$pkg)"; \
 		$(GO) test $$pkg -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) || failed="$$failed $$name"; \
@@ -187,7 +195,8 @@ perf: perf-bench
 # The perf gate CI runs: the same benchmark run, checked against the
 # committed BENCH_10.json — allocs/op per gated benchmark, exactly 0 for
 # the session slot and the core planning rungs, the sparse/dense
-# staircase speedup ratio and the annual LP's wall-clock budget; a gated
+# staircase and rng/math/rand seeding speedup ratios and the annual LP's
+# wall-clock budget; a gated
 # benchmark missing from the run fails the check. The measurements land
 # in bench-run.json, tagged with PERF_NOTE.
 PERF_NOTE ?= make perf-check

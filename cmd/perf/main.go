@@ -20,7 +20,8 @@
 // — unlike ns/op they do not depend on CI machine load — which makes
 // them the right regression signal for an allocation-free hot path. Two
 // further gate families run on the -check path: same-run speedup ratios
-// (sparse vs dense staircase LP, load-independent) and coarse absolute
+// (sparse vs dense staircase LP, and internal/rng's seeding vs
+// math/rand's; load-independent) and coarse absolute
 // wall-clock budgets (the annual LP's ≤20 s hyper-sparsity pin). Every
 // benchmark a gate names must appear in the input, so a renamed or moved
 // benchmark fails the check instead of silently disabling its gate.
@@ -94,18 +95,30 @@ var zeroAllocGates = []string{
 }
 
 // speedupGates are same-run ns/op ratio assertions: each entry requires
-// fast ≤ maxRatio × slow. Comparing two measurements from the same run
-// keeps the gate machine-load independent (both sides see the same CPU),
-// unlike an absolute ns/op threshold. The staircase entry is the sparse
-// revised simplex's reason to exist: internal/lp solves the same 72-slot
+// fast ≤ maxRatio × slow, and a breach reports the entry's reason.
+// Comparing two measurements from the same run keeps the gate
+// machine-load independent (both sides see the same CPU), unlike an
+// absolute ns/op threshold. The staircase entry is the sparse revised
+// simplex's reason to exist: internal/lp solves the same 72-slot
 // staircase LP on it and on the tests' dense tableau oracle, and if the
 // sparse side stops clearly beating the dense one, the solver has
-// regressed.
-var speedupGates = []struct {
+// regressed. The seeding entry is internal/rng's: its source must seed
+// math/rand's state in well under half of math/rand's own time (about
+// a quarter when measured), or trace generation pays the seeding cost
+// again.
+var speedupGates = []speedupGate{
+	{"BenchmarkHorizonStairSparse", "BenchmarkHorizonStairDense", 0.70,
+		"the sparse path no longer beats the dense tableau"},
+	{"BenchmarkNewSource", "BenchmarkAblationMathRandSource", 0.50,
+		"the lane-parallel seeding takes over half of math/rand's time"},
+}
+
+// speedupGate requires fast ≤ maxRatio × slow; reason says what a
+// breach means.
+type speedupGate struct {
 	fast, slow string
 	maxRatio   float64
-}{
-	{"BenchmarkHorizonStairSparse", "BenchmarkHorizonStairDense", 0.70},
+	reason     string
 }
 
 // wallGates are absolute wall-clock budgets in ns/op. Unlike the alloc
@@ -268,8 +281,8 @@ func gateSpeedups(fresh map[string]Result) error {
 		}
 		ratio := fast.NsPerOp / slow.NsPerOp
 		if ratio > g.maxRatio {
-			return fmt.Errorf("%s/%s ratio %.3f exceeds %.2f: the sparse path no longer beats the dense tableau",
-				g.fast, g.slow, ratio, g.maxRatio)
+			return fmt.Errorf("%s/%s ratio %.3f exceeds %.2f: %s",
+				g.fast, g.slow, ratio, g.maxRatio, g.reason)
 		}
 		fmt.Printf("perf: %s at %.3fx of %s (gate %.2f)\n", g.fast, ratio, g.slow, g.maxRatio)
 	}

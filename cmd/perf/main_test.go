@@ -22,37 +22,55 @@ func passingRun() map[string]Result {
 	return fresh
 }
 
+// TestGateSpeedups covers every ratio gate: a passing run, a ratio at
+// the limit, each side missing, and a breach, which must name the gate's
+// own reason.
 func TestGateSpeedups(t *testing.T) {
-	if len(speedupGates) == 0 {
-		t.Fatal("no speedup gates configured")
+	if len(speedupGates) < 2 {
+		t.Fatal("want the staircase and the seeding speedup gates")
 	}
-	g := speedupGates[0]
 	cases := []struct {
 		name    string
-		edit    func(map[string]Result)
-		wantErr string // empty: the gate passes
+		edit    func(map[string]Result, speedupGate)
+		wantErr func(speedupGate) string // empty: the gate passes
 	}{
-		{"pass", func(map[string]Result) {}, ""},
-		{"missing fast side", func(m map[string]Result) { delete(m, g.fast) }, g.fast + " missing"},
-		{"missing slow side", func(m map[string]Result) { delete(m, g.slow) }, g.slow + " missing"},
-		{"ratio breach", func(m map[string]Result) {
+		{"pass", func(map[string]Result, speedupGate) {}, func(speedupGate) string { return "" }},
+		{"at the limit", func(m map[string]Result, g speedupGate) {
+			m[g.fast] = Result{NsPerOp: m[g.slow].NsPerOp * g.maxRatio}
+		}, func(speedupGate) string { return "" }},
+		{"missing fast side", func(m map[string]Result, g speedupGate) { delete(m, g.fast) },
+			func(g speedupGate) string { return g.fast + " missing" }},
+		{"missing slow side", func(m map[string]Result, g speedupGate) { delete(m, g.slow) },
+			func(g speedupGate) string { return g.slow + " missing" }},
+		{"ratio breach", func(m map[string]Result, g speedupGate) {
 			m[g.fast] = Result{NsPerOp: m[g.slow].NsPerOp * (g.maxRatio + 0.01)}
-		}, "exceeds"},
+		}, func(g speedupGate) string { return g.reason }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fresh := passingRun()
-			tc.edit(fresh)
-			err := gateSpeedups(fresh)
-			switch {
-			case tc.wantErr == "" && err != nil:
-				t.Fatalf("gate failed on a passing run: %v", err)
-			case tc.wantErr != "" && err == nil:
-				t.Fatalf("gate passed, want an error containing %q", tc.wantErr)
-			case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
-				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
+			for _, g := range speedupGates {
+				fresh := passingRun()
+				tc.edit(fresh, g)
+				err := gateSpeedups(fresh)
+				want := tc.wantErr(g)
+				switch {
+				case want == "" && err != nil:
+					t.Fatalf("%s: gate failed on a passing run: %v", g.fast, err)
+				case want != "" && err == nil:
+					t.Fatalf("%s: gate passed, want an error containing %q", g.fast, want)
+				case want != "" && !strings.Contains(err.Error(), want):
+					t.Fatalf("%s: error %q does not contain %q", g.fast, err, want)
+				}
 			}
 		})
+	}
+	// Each gate words its own failure.
+	reasons := make(map[string]bool)
+	for _, g := range speedupGates {
+		if g.reason == "" || reasons[g.reason] {
+			t.Errorf("gate %s/%s needs a reason of its own, has %q", g.fast, g.slow, g.reason)
+		}
+		reasons[g.reason] = true
 	}
 }
 

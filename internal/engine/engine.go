@@ -18,6 +18,7 @@ import (
 	"github.com/smartdpss/smartdpss/internal/core"
 	"github.com/smartdpss/smartdpss/internal/generator"
 	"github.com/smartdpss/smartdpss/internal/pricing"
+	"github.com/smartdpss/smartdpss/internal/rng"
 	"github.com/smartdpss/smartdpss/internal/sim"
 	"github.com/smartdpss/smartdpss/internal/solar"
 	"github.com/smartdpss/smartdpss/internal/thermal"
@@ -325,7 +326,8 @@ type TraceConfig struct {
 	// SolarCapacityMW is the solar plant size.
 	SolarCapacityMW float64
 	// WindCapacityMW is the wind farm size (0 disables wind; the paper
-	// names both "solar and wind energies" as DPSS renewable sources).
+	// names both "solar and wind energies" as DPSS renewable sources). A
+	// negative size is an error.
 	WindCapacityMW float64
 	// PeakMW is the datacenter peak (grid cap for clipping).
 	PeakMW float64
@@ -333,7 +335,8 @@ type TraceConfig struct {
 	// or 60 minutes).
 	SlotMinutes int
 	// StartDayOfYear shifts the season (0 means Jan 1, the paper's month;
-	// 172 is late June for summer solar studies).
+	// 172 is late June for summer solar studies). Any other value outside
+	// 1–366 is an error.
 	StartDayOfYear int
 	// PriceScale multiplies both generated GRID price series (long-term
 	// and real-time) after generation; 0 or 1 leaves them unchanged. It
@@ -420,34 +423,34 @@ func SolarEnvelope(tc TraceConfig) (*solar.Envelope, error) {
 // SlotMinutes and StartDayOfYear. A nil env computes tc's own, which
 // makes it GenerateTraces. The traces are the same bits either way.
 func GenerateTracesWith(tc TraceConfig, env *solar.Envelope) (*Traces, error) {
-	if tc.Days <= 0 {
-		return nil, errors.New("smartdpss: Days must be positive")
+	if err := validateTraceConfig(tc); err != nil {
+		return nil, err
 	}
 	slotMinutes := TraceSlotMinutes(tc)
-	rng := rand.New(rand.NewSource(tc.Seed))
+	r := rand.New(rng.NewSource(tc.Seed))
 	wc := workload.Defaults()
 	wc.Days = tc.Days
 	wc.SlotMinutes = slotMinutes
 	wc.PgridMW = tc.PeakMW
-	wc.Seed = rng.Int63()
+	wc.Seed = r.Int63()
 	ds, dt, err := workload.Generate(wc)
 	if err != nil {
 		return nil, fmt.Errorf("smartdpss: %w", err)
 	}
 	sc := solarConfig(tc)
-	sc.Seed = rng.Int63()
+	sc.Seed = r.Int63()
 	sun, err := solar.GenerateWith(sc, env)
 	if err != nil {
 		return nil, fmt.Errorf("smartdpss: %w", err)
 	}
 	renewable := sun
 	renewable.Name = "renewable"
-	if tc.WindCapacityMW > 0 {
+	if tc.WindCapacityMW != 0 {
 		wcfg := wind.Defaults()
 		wcfg.Days = tc.Days
 		wcfg.SlotMinutes = slotMinutes
 		wcfg.CapacityMW = tc.WindCapacityMW
-		wcfg.Seed = rng.Int63()
+		wcfg.Seed = r.Int63()
 		gusts, err := wind.Generate(wcfg)
 		if err != nil {
 			return nil, fmt.Errorf("smartdpss: %w", err)
@@ -459,13 +462,10 @@ func GenerateTracesWith(tc TraceConfig, env *solar.Envelope) (*Traces, error) {
 	pc := pricing.Defaults()
 	pc.Days = tc.Days
 	pc.SlotMinutes = slotMinutes
-	pc.Seed = rng.Int63()
+	pc.Seed = r.Int63()
 	lt, rt, err := pricing.Generate(pc)
 	if err != nil {
 		return nil, fmt.Errorf("smartdpss: %w", err)
-	}
-	if tc.PriceScale < 0 || math.IsNaN(tc.PriceScale) || math.IsInf(tc.PriceScale, 0) {
-		return nil, errors.New("smartdpss: PriceScale must be finite and non-negative")
 	}
 	if tc.PriceScale > 0 && tc.PriceScale != 1 {
 		for _, sr := range []*trace.Series{lt, rt} {
@@ -479,6 +479,34 @@ func GenerateTracesWith(tc TraceConfig, env *solar.Envelope) (*Traces, error) {
 		return nil, fmt.Errorf("smartdpss: traces: %w", err)
 	}
 	return &Traces{set: set, valid: true}, nil
+}
+
+// validateTraceConfig is GenerateTracesWith's screen before any draw.
+// It refuses the values every later range check would let through: a
+// comparison is false for NaN, and an infinite size would only surface
+// as a non-finite sample after generation. The generators range-check
+// the rest of their configurations themselves.
+func validateTraceConfig(tc TraceConfig) error {
+	if tc.Days <= 0 {
+		return errors.New("smartdpss: Days must be positive")
+	}
+	fields := [...]struct {
+		name string
+		v    float64
+	}{
+		{"PeakMW", tc.PeakMW},
+		{"SolarCapacityMW", tc.SolarCapacityMW},
+		{"WindCapacityMW", tc.WindCapacityMW},
+	}
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("smartdpss: %s is not finite", f.name)
+		}
+	}
+	if tc.PriceScale < 0 || math.IsNaN(tc.PriceScale) || math.IsInf(tc.PriceScale, 0) {
+		return errors.New("smartdpss: PriceScale must be finite and non-negative")
+	}
+	return nil
 }
 
 // TraceSlotMinutes returns the slot length of the traces tc generates
@@ -499,7 +527,7 @@ func solarConfig(tc TraceConfig) solar.Config {
 	sc.Days = tc.Days
 	sc.SlotMinutes = TraceSlotMinutes(tc)
 	sc.CapacityMW = tc.SolarCapacityMW
-	if tc.StartDayOfYear > 0 {
+	if tc.StartDayOfYear != 0 {
 		sc.StartDayOfYear = tc.StartDayOfYear
 	}
 	return sc
@@ -557,12 +585,12 @@ func (t *Traces) PerturbUniform(seed int64, frac, pmax float64) (*Traces, error)
 	if frac < 0 || frac >= 1 {
 		return nil, errors.New("smartdpss: perturbation fraction must be in [0, 1)")
 	}
-	rng := rand.New(rand.NewSource(seed))
+	r := rand.New(rng.NewSource(seed))
 	out := t.Clone()
 	out.valid = false
 	perturb := func(sr *trace.Series, hi float64) {
 		for i, v := range sr.Values {
-			nv := v * (1 + frac*(2*rng.Float64()-1))
+			nv := v * (1 + frac*(2*r.Float64()-1))
 			if nv < 0 {
 				nv = 0
 			}

@@ -9,26 +9,58 @@ import (
 )
 
 // TestGenerateTracesValidation: every invalid TraceConfig axis must be
-// rejected with an error, not a bad trace set.
+// rejected with an error naming it, not a bad trace set. A non-finite
+// size or PriceScale is refused by name before any generator runs, and a
+// negative wind size or start day reaches the wind or solar generator's
+// own check instead of silently meaning "no wind" or "January 1".
 func TestGenerateTracesValidation(t *testing.T) {
+	const (
+		days      = "smartdpss: Days must be positive"
+		peak      = "smartdpss: PeakMW is not finite"
+		sun       = "smartdpss: SolarCapacityMW is not finite"
+		gust      = "smartdpss: WindCapacityMW is not finite"
+		priceText = "smartdpss: PriceScale must be finite and non-negative"
+		startDay  = "smartdpss: solar: StartDayOfYear out of range"
+	)
+	// NaN makes every ordered comparison false: without explicit
+	// finite checks these poisoned configs sailed through the guards.
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
 		name string
 		mut  func(*TraceConfig)
+		want string
 	}{
-		{"zero days", func(tc *TraceConfig) { tc.Days = 0 }},
-		{"negative days", func(tc *TraceConfig) { tc.Days = -3 }},
-		{"negative price scale", func(tc *TraceConfig) { tc.PriceScale = -0.5 }},
-		// NaN makes every ordered comparison false: without explicit
-		// finite checks these poisoned configs sailed through the guards.
-		{"NaN price scale", func(tc *TraceConfig) { tc.PriceScale = math.NaN() }},
-		{"Inf price scale", func(tc *TraceConfig) { tc.PriceScale = math.Inf(1) }},
+		{"zero days", func(tc *TraceConfig) { tc.Days = 0 }, days},
+		{"negative days", func(tc *TraceConfig) { tc.Days = -3 }, days},
+		{"NaN peak", func(tc *TraceConfig) { tc.PeakMW = nan }, peak},
+		{"+Inf peak", func(tc *TraceConfig) { tc.PeakMW = inf }, peak},
+		{"-Inf peak", func(tc *TraceConfig) { tc.PeakMW = -inf }, peak},
+		{"negative peak", func(tc *TraceConfig) { tc.PeakMW = -1 }, "smartdpss: workload: PgridMW must be positive"},
+		{"NaN solar", func(tc *TraceConfig) { tc.SolarCapacityMW = nan }, sun},
+		{"+Inf solar", func(tc *TraceConfig) { tc.SolarCapacityMW = inf }, sun},
+		{"-Inf solar", func(tc *TraceConfig) { tc.SolarCapacityMW = -inf }, sun},
+		{"negative solar", func(tc *TraceConfig) { tc.SolarCapacityMW = -1 }, "smartdpss: solar: negative capacity"},
+		{"NaN wind", func(tc *TraceConfig) { tc.WindCapacityMW = nan }, gust},
+		{"+Inf wind", func(tc *TraceConfig) { tc.WindCapacityMW = inf }, gust},
+		{"-Inf wind", func(tc *TraceConfig) { tc.WindCapacityMW = -inf }, gust},
+		{"negative wind", func(tc *TraceConfig) { tc.WindCapacityMW = -1 }, "smartdpss: wind: negative capacity"},
+		{"negative start day", func(tc *TraceConfig) { tc.StartDayOfYear = -5 }, startDay},
+		{"start day 400", func(tc *TraceConfig) { tc.StartDayOfYear = 400 }, startDay},
+		{"negative price scale", func(tc *TraceConfig) { tc.PriceScale = -0.5 }, priceText},
+		{"NaN price scale", func(tc *TraceConfig) { tc.PriceScale = nan }, priceText},
+		{"Inf price scale", func(tc *TraceConfig) { tc.PriceScale = inf }, priceText},
+		// Screened before any generator runs: the workload generator
+		// would refuse SlotMinutes 2000 first.
+		{"NaN peak before workload", func(tc *TraceConfig) { tc.PeakMW, tc.SlotMinutes = nan, 2000 }, peak},
+		{"price scale before workload", func(tc *TraceConfig) { tc.PriceScale, tc.SlotMinutes = -1, 2000 }, priceText},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			tc := DefaultTraceConfig()
+			tc.Days = 2
 			c.mut(&tc)
-			if _, err := GenerateTraces(tc); err == nil {
-				t.Fatalf("invalid config accepted: %+v", tc)
+			if _, err := GenerateTraces(tc); err == nil || err.Error() != c.want {
+				t.Fatalf("GenerateTraces(%+v) = %v, want %q", tc, err, c.want)
 			}
 		})
 	}

@@ -23,6 +23,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"github.com/smartdpss/smartdpss/internal/rng"
 )
 
 // Objective evaluates one candidate point and returns the scalar cost to
@@ -161,7 +163,7 @@ func Minimize(obj Objective, start []float64, b Bounds, opts Options) (*Result, 
 		return nil, fmt.Errorf("optimize: start has %d dimensions, bounds have %d", len(start), dim)
 	}
 	opts = opts.withDefaults(dim)
-	rng := rand.New(rand.NewSource(opts.Seed))
+	r := rand.New(rng.NewSource(opts.Seed))
 
 	x0 := make([]float64, dim)
 	if start == nil {
@@ -173,7 +175,7 @@ func Minimize(obj Objective, start []float64, b Bounds, opts Options) (*Result, 
 	}
 	b.Clamp(x0)
 
-	m := &minimizer{obj: obj, bounds: b, opts: opts, rng: rng, res: &Result{}}
+	m := &minimizer{obj: obj, bounds: b, opts: opts, rng: r, res: &Result{}}
 	best, err := m.run(x0)
 	if err != nil {
 		return nil, err

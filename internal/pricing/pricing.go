@@ -29,6 +29,7 @@ import (
 	"math"
 	"math/rand"
 
+	"github.com/smartdpss/smartdpss/internal/rng"
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
@@ -110,7 +111,7 @@ func Generate(c Config) (lt, rt *trace.Series, err error) {
 	if err := c.Validate(); err != nil {
 		return nil, nil, err
 	}
-	rng := rand.New(rand.NewSource(c.Seed))
+	r := rand.New(rng.NewSource(c.Seed))
 	slotsPerDay := 24 * 60 / c.SlotMinutes
 	n := c.Days * slotsPerDay
 	lt = trace.New("price_lt", "USD/MWh", c.SlotMinutes, n)
@@ -123,7 +124,7 @@ func Generate(c Config) (lt, rt *trace.Series, err error) {
 	dayLevel := make([]float64, c.Days)
 	level := c.BaseLT
 	for d := range dayLevel {
-		level += 0.3*(c.BaseLT-level) + 0.06*c.BaseLT*rng.NormFloat64()
+		level += 0.3*(c.BaseLT-level) + 0.06*c.BaseLT*r.NormFloat64()
 		weekly := 1.0
 		switch d % 7 {
 		case 5, 6: // weekend
@@ -153,12 +154,12 @@ func Generate(c Config) (lt, rt *trace.Series, err error) {
 
 			// Real-time price: premium level, stronger diurnal shape,
 			// mean-reverting noise and occasional multiplicative spikes.
-			noise += -0.5*noise + c.NoiseSigma*rng.NormFloat64()
+			noise += -0.5*noise + c.NoiseSigma*r.NormFloat64()
 			if spikeLeft > 0 {
 				spikeLeft--
-			} else if rng.Float64() < c.SpikeProb {
-				spikeLeft = 1 + rng.Intn(3)
-				spikeMul = 1 + (c.SpikeFactor-1)*(0.5+rng.Float64())
+			} else if r.Float64() < c.SpikeProb {
+				spikeLeft = 1 + r.Intn(3)
+				spikeMul = 1 + (c.SpikeFactor-1)*(0.5+r.Float64())
 			}
 			mul := 1.0
 			if spikeLeft > 0 {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"github.com/smartdpss/smartdpss/internal/jsonenc"
+	"github.com/smartdpss/smartdpss/internal/rng"
 )
 
 // NoisyController wraps a controller and perturbs the exogenous fields of
@@ -22,7 +23,7 @@ type NoisyController struct {
 	rng   *rand.Rand
 	frac  float64
 
-	// seed and draws position the RNG for checkpoints: math/rand exposes
+	// seed and draws position the RNG for checkpoints: a rand.Rand exposes
 	// no state extraction, but the stream is fully determined by the seed
 	// and the number of draws consumed, so a restore re-seeds and replays
 	// draws discards (see RestoreState). maxDraws bounds what a restore
@@ -63,7 +64,7 @@ func WithObservationNoise(inner Controller, seed int64, frac float64) (*NoisyCon
 	}
 	return &NoisyController{
 		inner: inner,
-		rng:   rand.New(rand.NewSource(seed)),
+		rng:   rand.New(rng.NewSource(seed)),
 		frac:  frac,
 		seed:  seed,
 	}, nil
@@ -185,11 +186,11 @@ func (n *NoisyController) RestoreState(data []byte) error {
 	if err := snap.RestoreState(s.Inner); err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(s.Seed))
+	r := rand.New(rng.NewSource(s.Seed))
 	for i := uint64(0); i < s.Draws; i++ {
-		rng.Float64()
+		r.Float64()
 	}
-	n.rng = rng
+	n.rng = r
 	n.draws = s.Draws
 	return nil
 }

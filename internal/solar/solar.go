@@ -36,6 +36,7 @@ import (
 	"math"
 	"math/rand"
 
+	"github.com/smartdpss/smartdpss/internal/rng"
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
@@ -183,19 +184,19 @@ func GenerateWith(c Config, env *Envelope) (*trace.Series, error) {
 	} else if !env.fits(c) {
 		return nil, errors.New("solar: envelope computed for another latitude, season or slot length")
 	}
-	rng := rand.New(rand.NewSource(c.Seed))
+	r := rand.New(rng.NewSource(c.Seed))
 	out := trace.New("solar", "MWh", c.SlotMinutes, len(env.irradiance))
 
 	slotHours := float64(c.SlotMinutes) / 60.0
-	cloudy := rng.Float64() < 0.4 // initial weather state
-	atten := 1.0                  // AR(1) attenuation level
+	cloudy := r.Float64() < 0.4 // initial weather state
+	atten := 1.0                // AR(1) attenuation level
 	for i, irr := range env.irradiance {
 		// Weather chain steps once per slot, scaled to per-hour rates.
 		pFlip := c.PClearToCloudy
 		if cloudy {
 			pFlip = c.PCloudyToClear
 		}
-		if rng.Float64() < pFlip*slotHours {
+		if r.Float64() < pFlip*slotHours {
 			cloudy = !cloudy
 		}
 		target := 1.0
@@ -203,7 +204,7 @@ func GenerateWith(c Config, env *Envelope) (*trace.Series, error) {
 			target = c.CloudyAttenuation
 		}
 		// Mean-reverting attenuation with small noise, bounded to [0.05, 1].
-		atten += 0.45*(target-atten) + 0.05*rng.NormFloat64()
+		atten += 0.45*(target-atten) + 0.05*r.NormFloat64()
 		atten = min(1, max(0.05, atten))
 
 		powerMW := c.CapacityMW * c.PerformanceRatio * (irr / 1000.0) * atten

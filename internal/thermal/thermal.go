@@ -24,6 +24,7 @@ import (
 	"math"
 	"math/rand"
 
+	"github.com/smartdpss/smartdpss/internal/rng"
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
@@ -95,7 +96,7 @@ func GenerateTemperature(c Config) (*trace.Series, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(c.Seed))
+	r := rand.New(rng.NewSource(c.Seed))
 	slotsPerDay := 24 * 60 / c.SlotMinutes
 	n := c.Days * slotsPerDay
 	out := trace.New("temperature", "C", c.SlotMinutes, n)
@@ -106,7 +107,7 @@ func GenerateTemperature(c Config) (*trace.Series, error) {
 		hour := (float64(i%slotsPerDay) + 0.5) * slotHours
 		// Coldest around 5am, warmest mid-afternoon.
 		diurnal := c.DiurnalAmpC * math.Sin(2*math.Pi*(hour-11)/24)
-		weather += 0.05*(0-weather) + 0.3*c.WeatherStdC*math.Sqrt(slotHours)*rng.NormFloat64()
+		weather += 0.05*(0-weather) + 0.3*c.WeatherStdC*math.Sqrt(slotHours)*r.NormFloat64()
 		out.Values[i] = c.MeanC + diurnal + weather
 	}
 	return out, nil

@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // MaxEnergyMWh bounds every slot's energy samples — both demand classes
@@ -64,8 +65,35 @@ func (s *Set) Validate() error {
 
 // checkSeries applies Validate's rules to one series of a set of n
 // slots of slot minutes: finite samples, n of them at that slot length,
-// none negative, and for an energy series none above MaxEnergyMWh.
+// none negative, and for an energy series none above MaxEnergyMWh. A
+// valid series costs one pass of plain comparisons; only a failing one
+// goes through seriesError, which words the first broken rule.
 func checkSeries(name string, energy bool, sr *Series, n, slot int) error {
+	limit := math.MaxFloat64
+	if energy {
+		limit = MaxEnergyMWh
+	}
+	if sr.SlotMinutes > 0 && sr.SlotMinutes == slot && sr.Len() == n && inRange(sr.Values, limit) {
+		return nil
+	}
+	return seriesError(name, energy, sr, n, slot)
+}
+
+// inRange reports whether every value lies in [0, limit]. NaN fails
+// both comparisons, and a finite limit refuses +Inf.
+func inRange(values []float64, limit float64) bool {
+	for _, v := range values {
+		if !(v >= 0 && v <= limit) {
+			return false
+		}
+	}
+	return true
+}
+
+// seriesError returns the error checkSeries reports for sr, checking
+// the rules in their reporting order: slot length, finiteness, length,
+// slot match, sign and the energy bound.
+func seriesError(name string, energy bool, sr *Series, n, slot int) error {
 	lo, hi, err := sr.validRange()
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -163,6 +164,105 @@ func TestSetWithDemandDS(t *testing.T) {
 	} {
 		if _, err := s.WithDemandDS(bad.ds); err == nil {
 			t.Errorf("%s replacement accepted", bad.name)
+		}
+	}
+}
+
+// checkSeriesOracle is checkSeries without its one-pass acceptance:
+// every series goes through validRange and the rules in reporting order.
+func checkSeriesOracle(name string, energy bool, sr *Series, n, slot int) error {
+	lo, hi, err := sr.validRange()
+	if err != nil {
+		return err
+	}
+	if sr.Len() != n {
+		return fmt.Errorf("trace: %s has %d slots, want %d", name, sr.Len(), n)
+	}
+	if sr.SlotMinutes != slot {
+		return fmt.Errorf("trace: %s has %d-minute slots, want %d", name, sr.SlotMinutes, slot)
+	}
+	if lo < 0 {
+		return fmt.Errorf("trace: %s has negative samples", name)
+	}
+	if energy && hi > MaxEnergyMWh {
+		return fmt.Errorf("trace: %s has samples above %g MWh", name, float64(MaxEnergyMWh))
+	}
+	return nil
+}
+
+// TestCheckSeriesMatchesOracle holds checkSeries to the oracle's verdict
+// and error text on edge samples at the first, a middle and the last
+// index, and on wrong lengths and slot lengths, for energy and price
+// series alike.
+func TestCheckSeriesMatchesOracle(t *testing.T) {
+	const n, slot = 5, 60
+	above := math.Nextafter(MaxEnergyMWh, math.Inf(1))
+	samples := []float64{
+		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		MaxEnergyMWh, above, math.MaxFloat64, -1,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	type input struct {
+		desc        string
+		values      []float64
+		slotMinutes int
+		slot        int
+	}
+	base := func() []float64 { return []float64{1, 2, 3, 4, 5} }
+	inputs := []input{{"valid", base(), slot, slot}}
+	for _, v := range samples {
+		for _, at := range []int{0, n / 2, n - 1} {
+			vals := base()
+			vals[at] = v
+			inputs = append(inputs, input{fmt.Sprintf("%v at %d", v, at), vals, slot, slot})
+		}
+	}
+	nan := base()
+	nan[3] = math.NaN()
+	neg := base()
+	neg[1] = -2
+	inputs = append(inputs,
+		input{"short", base()[:n-1], slot, slot},
+		input{"long", append(base(), 6), slot, slot},
+		input{"short with NaN", nan[:n-1], slot, slot},
+		input{"slot length 30", base(), 30, slot},
+		input{"slot length 30 with negative", neg, 30, slot},
+		input{"slot length 0", base(), 0, slot},
+		input{"slot length 0 on both sides", base(), 0, 0},
+		input{"slot length 0 with NaN", nan, 0, slot},
+		input{"negative slot length", base(), -60, -60},
+	)
+	for _, in := range inputs {
+		for _, energy := range []bool{true, false} {
+			sr := FromValues("s", "MWh", in.slotMinutes, in.values)
+			got := checkSeries("DemandDS", energy, sr, n, in.slot)
+			want := checkSeriesOracle("DemandDS", energy, sr, n, in.slot)
+			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+				t.Errorf("%s (energy %v): checkSeries = %v, oracle = %v", in.desc, energy, got, want)
+			}
+		}
+	}
+
+	// The bounds themselves, so an oracle drift cannot pass unseen.
+	for _, c := range []struct {
+		v      float64
+		energy bool
+		ok     bool
+	}{
+		{math.Copysign(0, -1), true, true},
+		{math.SmallestNonzeroFloat64, true, true},
+		{MaxEnergyMWh, true, true},
+		{above, true, false},
+		{above, false, true},
+		{math.MaxFloat64, false, true},
+		{math.Inf(1), false, false},
+		{math.NaN(), false, false},
+	} {
+		vals := base()
+		vals[2] = c.v
+		err := checkSeries("DemandDS", c.energy, FromValues("s", "MWh", slot, vals), n, slot)
+		if (err == nil) != c.ok {
+			t.Errorf("sample %v (energy %v): checkSeries = %v, want ok=%v", c.v, c.energy, err, c.ok)
 		}
 	}
 }

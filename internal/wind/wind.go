@@ -25,6 +25,7 @@ import (
 	"math"
 	"math/rand"
 
+	"github.com/smartdpss/smartdpss/internal/rng"
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
@@ -99,7 +100,7 @@ func Generate(c Config) (*trace.Series, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(c.Seed))
+	r := rand.New(rng.NewSource(c.Seed))
 	slotsPerDay := 24 * 60 / c.SlotMinutes
 	n := c.Days * slotsPerDay
 	out := trace.New("wind", "MWh", c.SlotMinutes, n)
@@ -111,12 +112,12 @@ func Generate(c Config) (*trace.Series, error) {
 		hour := (float64(i%slotsPerDay) + 0.5) * slotHours
 
 		// Weather fronts: a bounded random walk updated each slot.
-		front += c.FrontStdMS * math.Sqrt(slotHours) * rng.NormFloat64()
+		front += c.FrontStdMS * math.Sqrt(slotHours) * r.NormFloat64()
 		front = clamp(front, -0.5*c.MeanSpeedMS, c.MeanSpeedMS)
 
 		// Fast fluctuations: mean reversion towards the modulated mean.
 		target := (c.MeanSpeedMS + front) * (1 + c.DiurnalAmp*math.Sin(2*math.Pi*(hour-15)/24))
-		speed += 0.35*(target-speed) + c.SpeedStdMS*math.Sqrt(slotHours)*0.6*rng.NormFloat64()
+		speed += 0.35*(target-speed) + c.SpeedStdMS*math.Sqrt(slotHours)*0.6*r.NormFloat64()
 		speed = max(0, speed)
 
 		powerMW := c.CapacityMW * powerCurve(speed, c.CutInMS, c.RatedMS, c.CutOutMS)

@@ -37,6 +37,7 @@ import (
 	"math"
 	"math/rand"
 
+	"github.com/smartdpss/smartdpss/internal/rng"
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
@@ -119,7 +120,7 @@ func Generate(c Config) (ds, dt *trace.Series, err error) {
 	if err := c.Validate(); err != nil {
 		return nil, nil, err
 	}
-	rng := rand.New(rand.NewSource(c.Seed))
+	r := rand.New(rng.NewSource(c.Seed))
 	slotsPerDay := 24 * 60 / c.SlotMinutes
 	n := c.Days * slotsPerDay
 	ds = trace.New("demand_ds", "MWh", c.SlotMinutes, n)
@@ -152,12 +153,12 @@ func Generate(c Config) (ds, dt *trace.Series, err error) {
 			if day%7 == 5 || day%7 == 6 {
 				level *= c.WeekendFactor
 			}
-			noise += -0.4*noise + c.NoiseSigma*rng.NormFloat64()
+			noise += -0.4*noise + c.NoiseSigma*r.NormFloat64()
 			if flashLeft > 0 {
 				flashLeft--
-			} else if rng.Float64() < c.FlashProb {
-				flashLeft = 2 + rng.Intn(4)
-				flashMul = 1.3 + 0.7*rng.Float64()
+			} else if r.Float64() < c.FlashProb {
+				flashLeft = 2 + r.Intn(4)
+				flashMul = 1.3 + 0.7*r.Float64()
 			}
 			mul := 1.0
 			if flashLeft > 0 {
@@ -171,9 +172,9 @@ func Generate(c Config) (ds, dt *trace.Series, err error) {
 	// --- Delay-tolerant batch arrivals ---
 	for i := 0; i < n; i++ {
 		term := &terms[i%slotsPerDay]
-		for j := poisson(rng, term.rate, term.expNegRate); j > 0; j-- {
-			energy := meanJobMWh * (0.4 + 1.2*rng.Float64())
-			duration := 1 + rng.Intn(4)
+		for j := poisson(r, term.rate, term.expNegRate); j > 0; j-- {
+			energy := meanJobMWh * (0.4 + 1.2*r.Float64())
+			duration := 1 + r.Intn(4)
 			per := energy / float64(duration)
 			for k := 0; k < duration && i+k < n; k++ {
 				dt.Values[i+k] += per
@@ -215,14 +216,14 @@ func interactiveShape(hour float64) float64 {
 
 // poisson draws a Poisson variate via Knuth's method; adequate for the
 // small rates used here. l is exp(−lambda), which the caller tabulates.
-func poisson(rng *rand.Rand, lambda, l float64) int {
+func poisson(r *rand.Rand, lambda, l float64) int {
 	if lambda <= 0 {
 		return 0
 	}
 	k := 0
 	p := 1.0
 	for {
-		p *= rng.Float64()
+		p *= r.Float64()
 		if p <= l {
 			return k
 		}
