@@ -117,14 +117,14 @@ suite:
 
 # Output-pin regression gate, uncached: the paper suite against its
 # committed snapshots (internal/experiments) and fig6v's offline delay,
-# the bit pins beneath them — every generated trace and every policy's
-# report (internal/engine), the whole-horizon and geo LP plans
+# the bit pins beneath them — every generated trace, the cooled demand
+# and every policy's report (internal/engine), the whole-horizon and geo LP plans
 # (internal/baseline) — and the daemon's exposition and checkpoint bytes
 # with the refused version-1 checkpoint (internal/serve). Regenerate a
 # pin only for an intended output change, with -update on its package,
 # e.g.:
 #   go test ./internal/experiments -run TestSuiteGolden -update
-GOLDEN_PINS = TestGeneratedTracesPinned|TestReportsPinned|TestStaircasePlansPinned|TestFig6vOfflineDelayPinned|TestSuiteGolden|TestGoldenFilesComplete|TestEncodingsPinned|TestVersionOneCheckpointRefused
+GOLDEN_PINS = TestGeneratedTracesPinned|TestCooledTracesPinned|TestReportsPinned|TestStaircasePlansPinned|TestFig6vOfflineDelayPinned|TestSuiteGolden|TestGoldenFilesComplete|TestEncodingsPinned|TestVersionOneCheckpointRefused
 
 golden:
 	$(GO) test -count=1 -run '^($(GOLDEN_PINS))$$' -v ./internal/engine ./internal/baseline ./internal/experiments ./internal/serve

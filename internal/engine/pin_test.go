@@ -116,6 +116,41 @@ func TestGeneratedTracesPinned(t *testing.T) {
 	checkPin(t, "traces.txt", buf.Bytes())
 }
 
+// TestCooledTracesPinned pins every bit ApplyCooling writes: the two
+// demand series of the default traces coupled through the cooling model
+// and the IEEE bits of the average PUE it returns, over mean
+// temperatures from deep winter to past the curve's cap (45 °C), the
+// temperature generator's default seed (0) and another, hourly and
+// 15-minute slots, and one day and a month.
+func TestCooledTracesPinned(t *testing.T) {
+	t.Parallel()
+	var buf bytes.Buffer
+	for _, days := range []int{1, 31} {
+		for _, slot := range []int{60, 15} {
+			tc := DefaultTraceConfig()
+			tc.Days, tc.SlotMinutes = days, slot
+			base, err := GenerateTraces(tc)
+			if err != nil {
+				t.Fatalf("%+v: %v", tc, err)
+			}
+			for _, meanC := range []float64{-10, 2, 16, 26, 45} {
+				for _, seed := range []int64{0, 5} {
+					traces := base.Clone()
+					pue, err := traces.ApplyCooling(CoolingConfig{MeanTempC: meanC, Seed: seed})
+					if err != nil {
+						t.Fatalf("days %d, slot %d, %g C, seed %d: %v", days, slot, meanC, seed, err)
+					}
+					set := traces.View()
+					fmt.Fprintf(&buf, "days=%d slot=%d mean=%g seed=%d %s=%s %s=%s pue=%016x\n",
+						days, slot, meanC, seed, set.DemandDS.Name, seriesHash(set.DemandDS),
+						set.DemandDT.Name, seriesHash(set.DemandDT), math.Float64bits(pue))
+				}
+			}
+		}
+	}
+	checkPin(t, "cooling.txt", buf.Bytes())
+}
+
 // TestReportsPinned pins every policy's Finish report over the default
 // month — without on-site generation, with the four-unit fleet of
 // BenchmarkFleetDispatch under a 12-slot commitment window, and
