@@ -98,8 +98,9 @@ lint:
 	fi
 	$(GO) vet ./...
 
-# Package-comment lint: every package must carry a godoc package comment
-# (see scripts/lint-docs.sh for the exact rule).
+# Package-comment lint: every package must carry a godoc package comment,
+# and every Markdown file a Go comment names must exist (see
+# scripts/lint-docs.sh for the exact rules).
 lint-docs:
 	./scripts/lint-docs.sh
 

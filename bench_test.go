@@ -1,8 +1,9 @@
 package smartdpss_test
 
 // One benchmark per reproduced table/figure of the paper's evaluation
-// (Sec. VI), plus ablation benches for the design choices called out in
-// DESIGN.md. Each figure bench runs its experiment end to end on a
+// (Sec. VI), plus ablation benches for the clairvoyant benchmark's plan
+// windows: the paper's per-interval LPs against one whole-horizon LP, up
+// to a year long. Each figure bench runs its experiment end to end on a
 // shortened horizon so `go test -bench=.` regenerates every row the paper
 // reports in bounded time; `cmd/experiments` prints the full-month
 // versions.

@@ -25,7 +25,12 @@
 // clairvoyant offline benchmarks and a receding-horizon lookahead),
 // synthetic trace generators standing in for the paper's MIDC solar,
 // NYISO price and Google-cluster workload datasets, and an experiment
-// harness reproducing every figure of the paper's evaluation.
+// harness reproducing every figure of the paper's evaluation. Every
+// generated trace is a January like the paper's: TraceConfig sets the
+// horizon, slot length, seed, plant sizes and grid-price scale, and the
+// models' parameters are fixed. CoolingConfig sets the cooling
+// coupling's mean outside temperature and seed; the coupled demand is
+// clipped at the default 2 MW grid connection.
 //
 // # On-site generation
 //
@@ -136,7 +141,7 @@
 //	  │     ├── internal/generator  dispatchable on-site generation
 //	  │     ├── internal/market     the two-timescale grid account
 //	  │     └── internal/{workload,solar,wind,pricing,thermal,trace}
-//	  │                           synthetic input generators
+//	  │                           synthetic January input traces
 //	  ├── internal/geo          geo-distributed fleet: per-site
 //	  │                         sessions stepped concurrently behind a
 //	  │                         deterministic reduce, workload routers

@@ -11,24 +11,20 @@ import (
 	"github.com/smartdpss/smartdpss/internal/workload"
 )
 
-// testTraces builds a deterministic paper-like trace set.
+// testTraces builds a deterministic paper-like trace set: hourly slots,
+// a 2 MW grid cap, 1 MW of solar and no wind, with seeds 3, 1 and 2 for
+// demand, solar and prices. The recorded-month tests pin its bits.
 func testTraces(t testing.TB, days int) *trace.Set {
 	t.Helper()
-	wc := workload.Defaults()
-	wc.Days = days
-	ds, dt, err := workload.Generate(wc)
+	ds, dt, err := workload.Generate(workload.Config{Days: days, SlotMinutes: 60, PgridMW: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := solar.Defaults()
-	sc.Days = days
-	sun, err := solar.Generate(sc)
+	sun, err := solar.Generate(solar.Config{Days: days, SlotMinutes: 60, CapacityMW: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := pricing.Defaults()
-	pc.Days = days
-	lt, rt, err := pricing.Generate(pc)
+	lt, rt, err := pricing.Generate(pricing.Config{Days: days, SlotMinutes: 60, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,8 @@ type Options struct {
 	// T is the number of fine slots per coarse slot (paper Fig. 6(c,d)).
 	T int
 	// SlotMinutes is the fine-slot length; the paper uses 15 or 60 minutes
-	// (Sec. II). Zero means 60. It must match the traces' resolution:
+	// (Sec. II). Zero means 60, and a negative length is refused with
+	// ErrInvalidOptions. It must match the traces' resolution:
 	// NewReplaySession and Simulate reject a mismatch with
 	// ErrInvalidOptions.
 	SlotMinutes int
@@ -318,6 +319,9 @@ func (o Options) simConfig() sim.Config {
 
 // TraceConfig parameterizes the synthetic January scenario standing in for
 // the paper's MIDC solar, NYISO price and Google-cluster workload traces.
+// Every trace starts on January 1, as the paper's month does; the models'
+// parameters are their generators' constants, so a TraceConfig sets only
+// the horizon, the seed and the sizes.
 type TraceConfig struct {
 	// Days is the horizon length (the paper uses 31).
 	Days int
@@ -332,12 +336,8 @@ type TraceConfig struct {
 	// PeakMW is the datacenter peak (grid cap for clipping).
 	PeakMW float64
 	// SlotMinutes is the trace resolution (0 means 60; the paper uses 15
-	// or 60 minutes).
+	// or 60 minutes). A negative length is an error.
 	SlotMinutes int
-	// StartDayOfYear shifts the season (0 means Jan 1, the paper's month;
-	// 172 is late June for summer solar studies). Any other value outside
-	// 1–366 is an error.
-	StartDayOfYear int
 	// PriceScale multiplies both generated GRID price series (long-term
 	// and real-time) after generation; 0 or 1 leaves them unchanged. It
 	// never touches fuel costs — each generation unit burns fuel at its
@@ -407,9 +407,8 @@ func (t *Traces) View() *trace.Set { return t.set }
 func GenerateTraces(tc TraceConfig) (*Traces, error) { return GenerateTracesWith(tc, nil) }
 
 // SolarEnvelope computes the clear-sky envelope of tc's solar trace. It
-// depends only on tc's Days, SlotMinutes and StartDayOfYear (the
-// latitude is the solar generator's default), so one envelope serves
-// every configuration that agrees on those three.
+// depends only on tc's Days and SlotMinutes, so one envelope serves
+// every configuration that agrees on those two.
 func SolarEnvelope(tc TraceConfig) (*solar.Envelope, error) {
 	env, err := solar.NewEnvelope(solarConfig(tc))
 	if err != nil {
@@ -419,21 +418,18 @@ func SolarEnvelope(tc TraceConfig) (*solar.Envelope, error) {
 }
 
 // GenerateTracesWith is GenerateTraces over a shared clear-sky envelope:
-// env must be SolarEnvelope of a configuration with tc's Days,
-// SlotMinutes and StartDayOfYear. A nil env computes tc's own, which
-// makes it GenerateTraces. The traces are the same bits either way.
+// env must be SolarEnvelope of a configuration with tc's Days and
+// SlotMinutes. A nil env computes tc's own, which makes it
+// GenerateTraces. The traces are the same bits either way.
 func GenerateTracesWith(tc TraceConfig, env *solar.Envelope) (*Traces, error) {
 	if err := validateTraceConfig(tc); err != nil {
 		return nil, err
 	}
 	slotMinutes := TraceSlotMinutes(tc)
 	r := rand.New(rng.NewSource(tc.Seed))
-	wc := workload.Defaults()
-	wc.Days = tc.Days
-	wc.SlotMinutes = slotMinutes
-	wc.PgridMW = tc.PeakMW
-	wc.Seed = r.Int63()
-	ds, dt, err := workload.Generate(wc)
+	ds, dt, err := workload.Generate(workload.Config{
+		Days: tc.Days, SlotMinutes: slotMinutes, PgridMW: tc.PeakMW, Seed: r.Int63(),
+	})
 	if err != nil {
 		return nil, fmt.Errorf("smartdpss: %w", err)
 	}
@@ -446,12 +442,9 @@ func GenerateTracesWith(tc TraceConfig, env *solar.Envelope) (*Traces, error) {
 	renewable := sun
 	renewable.Name = "renewable"
 	if tc.WindCapacityMW != 0 {
-		wcfg := wind.Defaults()
-		wcfg.Days = tc.Days
-		wcfg.SlotMinutes = slotMinutes
-		wcfg.CapacityMW = tc.WindCapacityMW
-		wcfg.Seed = r.Int63()
-		gusts, err := wind.Generate(wcfg)
+		gusts, err := wind.Generate(wind.Config{
+			Days: tc.Days, SlotMinutes: slotMinutes, CapacityMW: tc.WindCapacityMW, Seed: r.Int63(),
+		})
 		if err != nil {
 			return nil, fmt.Errorf("smartdpss: %w", err)
 		}
@@ -459,11 +452,7 @@ func GenerateTracesWith(tc TraceConfig, env *solar.Envelope) (*Traces, error) {
 			return nil, fmt.Errorf("smartdpss: renewable mix: %w", err)
 		}
 	}
-	pc := pricing.Defaults()
-	pc.Days = tc.Days
-	pc.SlotMinutes = slotMinutes
-	pc.Seed = r.Int63()
-	lt, rt, err := pricing.Generate(pc)
+	lt, rt, err := pricing.Generate(pricing.Config{Days: tc.Days, SlotMinutes: slotMinutes, Seed: r.Int63()})
 	if err != nil {
 		return nil, fmt.Errorf("smartdpss: %w", err)
 	}
@@ -510,11 +499,12 @@ func validateTraceConfig(tc TraceConfig) error {
 }
 
 // TraceSlotMinutes returns the slot length of the traces tc generates
-// (SlotMinutes, where 0 means 60). It is a function, not a method, so
-// that the root package, which aliases TraceConfig, does not export it;
-// geo compares its sites' slot lengths through it.
+// (SlotMinutes, where 0 means 60; a negative length reaches the
+// generators' range check). It is a function, not a method, so that the
+// root package, which aliases TraceConfig, does not export it; geo
+// compares its sites' slot lengths through it.
 func TraceSlotMinutes(tc TraceConfig) int {
-	if tc.SlotMinutes <= 0 {
+	if tc.SlotMinutes == 0 {
 		return 60
 	}
 	return tc.SlotMinutes
@@ -523,14 +513,7 @@ func TraceSlotMinutes(tc TraceConfig) int {
 // solarConfig returns the solar generator's configuration for tc, less
 // the seed that GenerateTracesWith draws in sequence.
 func solarConfig(tc TraceConfig) solar.Config {
-	sc := solar.Defaults()
-	sc.Days = tc.Days
-	sc.SlotMinutes = TraceSlotMinutes(tc)
-	sc.CapacityMW = tc.SolarCapacityMW
-	if tc.StartDayOfYear != 0 {
-		sc.StartDayOfYear = tc.StartDayOfYear
-	}
-	return sc
+	return solar.Config{Days: tc.Days, SlotMinutes: TraceSlotMinutes(tc), CapacityMW: tc.SolarCapacityMW}
 }
 
 // Horizon returns the number of fine slots.
@@ -612,44 +595,51 @@ func (t *Traces) PerturbUniform(seed int64, frac, pmax float64) (*Traces, error)
 // (Fig. 8's demand-variation axis).
 func (t *Traces) DemandStdDev() float64 { return t.set.TotalDemand().StdDev() }
 
-// CoolingConfig parameterizes the cooling coupling of ApplyCooling.
+// CoolingConfig parameterizes the cooling coupling of ApplyCooling: the
+// climate and the weather's seed. The PUE curve is the thermal model's,
+// and the coupled demand is clipped at a 2 MW grid connection.
 type CoolingConfig struct {
 	// MeanTempC is the long-run outside temperature (2 = winter site,
 	// ~26 = summer chiller regime).
 	MeanTempC float64
-	// Seed drives the temperature generator.
+	// Seed drives the temperature generator (0 uses seed 8).
 	Seed int64
-	// PgridMW caps the coupled facility demand (0 uses 2 MW).
-	PgridMW float64
 }
+
+// The cooling coupling's fixed terms: the temperature generator's seed
+// when CoolingConfig.Seed is 0, and the grid connection, in MW, that
+// caps the coupled facility demand (the default scenario's 2 MW peak).
+const (
+	coolingSeed            = 8
+	coolingPgridMW float64 = 2
+)
 
 // ApplyCooling couples the demand traces through an outside-temperature
 // trace and a PUE curve (the paper's declared cooling-cost future work,
 // Sec. IV-C): below the free-cooling threshold the facility runs at the
-// base PUE, above it chiller load grows with temperature. It returns the
-// average applied PUE.
+// base PUE, above it chiller load grows with temperature. The combined
+// demand is clipped at 2 MW. It returns the average applied PUE.
 func (t *Traces) ApplyCooling(cc CoolingConfig) (float64, error) {
 	t.valid = false
-	tc := thermal.Defaults()
-	tc.Days = t.set.Horizon() * t.set.DemandDS.SlotMinutes / (24 * 60)
+	slotMinutes := t.set.DemandDS.SlotMinutes
+	tc := thermal.Config{SlotMinutes: slotMinutes, MeanC: cc.MeanTempC, Seed: cc.Seed}
+	if slotMinutes > 0 && slotMinutes <= 24*60 {
+		// The generators lay out ⌊1440/SlotMinutes⌋ slots a day, whether
+		// or not the slot length divides the day.
+		tc.Days = t.set.Horizon() / (24 * 60 / slotMinutes)
+	}
 	if tc.Days <= 0 {
 		return 0, errors.New("smartdpss: horizon shorter than one day")
 	}
-	tc.SlotMinutes = t.set.DemandDS.SlotMinutes
-	tc.MeanC = cc.MeanTempC
-	if cc.Seed != 0 {
-		tc.Seed = cc.Seed
-	}
-	pgrid := cc.PgridMW
-	if pgrid <= 0 {
-		pgrid = 2.0
+	if tc.Seed == 0 {
+		tc.Seed = coolingSeed
 	}
 	temps, err := thermal.GenerateTemperature(tc)
 	if err != nil {
 		return 0, fmt.Errorf("smartdpss: %w", err)
 	}
-	slotHours := float64(t.set.DemandDS.SlotMinutes) / 60
-	return thermal.ApplyCooling(t.set, temps, tc, pgrid*slotHours)
+	slotHours := float64(slotMinutes) / 60
+	return thermal.ApplyCooling(t.set, temps, coolingPgridMW*slotHours)
 }
 
 // RenewableNightSplit returns the renewable energy produced at night

@@ -11,8 +11,9 @@ import (
 // TestGenerateTracesValidation: every invalid TraceConfig axis must be
 // rejected with an error naming it, not a bad trace set. A non-finite
 // size or PriceScale is refused by name before any generator runs, and a
-// negative wind size or start day reaches the wind or solar generator's
-// own check instead of silently meaning "no wind" or "January 1".
+// negative wind size or slot length reaches the wind or workload
+// generator's own check instead of silently meaning "no wind" or
+// "hourly".
 func TestGenerateTracesValidation(t *testing.T) {
 	const (
 		days      = "smartdpss: Days must be positive"
@@ -20,7 +21,6 @@ func TestGenerateTracesValidation(t *testing.T) {
 		sun       = "smartdpss: SolarCapacityMW is not finite"
 		gust      = "smartdpss: WindCapacityMW is not finite"
 		priceText = "smartdpss: PriceScale must be finite and non-negative"
-		startDay  = "smartdpss: solar: StartDayOfYear out of range"
 	)
 	// NaN makes every ordered comparison false: without explicit
 	// finite checks these poisoned configs sailed through the guards.
@@ -44,8 +44,7 @@ func TestGenerateTracesValidation(t *testing.T) {
 		{"+Inf wind", func(tc *TraceConfig) { tc.WindCapacityMW = inf }, gust},
 		{"-Inf wind", func(tc *TraceConfig) { tc.WindCapacityMW = -inf }, gust},
 		{"negative wind", func(tc *TraceConfig) { tc.WindCapacityMW = -1 }, "smartdpss: wind: negative capacity"},
-		{"negative start day", func(tc *TraceConfig) { tc.StartDayOfYear = -5 }, startDay},
-		{"start day 400", func(tc *TraceConfig) { tc.StartDayOfYear = 400 }, startDay},
+		{"negative slot length", func(tc *TraceConfig) { tc.SlotMinutes = -15 }, "smartdpss: workload: SlotMinutes out of range"},
 		{"negative price scale", func(tc *TraceConfig) { tc.PriceScale = -0.5 }, priceText},
 		{"NaN price scale", func(tc *TraceConfig) { tc.PriceScale = nan }, priceText},
 		{"Inf price scale", func(tc *TraceConfig) { tc.PriceScale = inf }, priceText},
@@ -63,6 +62,33 @@ func TestGenerateTracesValidation(t *testing.T) {
 				t.Fatalf("GenerateTraces(%+v) = %v, want %q", tc, err, c.want)
 			}
 		})
+	}
+}
+
+// TestApplyCoolingSlotsThatDoNotDivideTheDay: the generators lay out
+// ⌊1440/SlotMinutes⌋ slots a day, so at a slot length that does not
+// divide the day the cooled horizon is a whole number of those days,
+// not of 1440-minute spans.
+func TestApplyCoolingSlotsThatDoNotDivideTheDay(t *testing.T) {
+	for _, slot := range []int{7, 11} {
+		for _, days := range []int{1, 31} {
+			tc := DefaultTraceConfig()
+			tc.Days, tc.SlotMinutes = days, slot
+			traces, err := GenerateTraces(tc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := traces.View().DemandDS.Sum()
+			pue, err := traces.ApplyCooling(CoolingConfig{MeanTempC: 26})
+			if err != nil {
+				t.Errorf("%d-minute slots, %d days: %v", slot, days, err)
+				continue
+			}
+			if pue <= 1.12 || traces.View().DemandDS.Sum() <= before {
+				t.Errorf("%d-minute slots, %d days: average PUE %g, demand %g → %g; summer must raise both",
+					slot, days, pue, before, traces.View().DemandDS.Sum())
+			}
+		}
 	}
 }
 
@@ -274,8 +300,8 @@ func TestSimulateRejectsBadFleetOptions(t *testing.T) {
 }
 
 // GenerateTracesWith over a shared envelope gives GenerateTraces' bits
-// for every configuration that agrees on Days, SlotMinutes and
-// StartDayOfYear, and refuses an envelope of any other.
+// for every configuration that agrees on Days and SlotMinutes, and
+// refuses an envelope of any other.
 func TestGenerateTracesWithSharedEnvelope(t *testing.T) {
 	base := DefaultTraceConfig()
 	base.Days = 3
@@ -286,7 +312,7 @@ func TestGenerateTracesWithSharedEnvelope(t *testing.T) {
 	for _, tc := range []TraceConfig{
 		base,
 		{Days: 3, Seed: 9, SolarCapacityMW: 1, WindCapacityMW: 2, PeakMW: 3, PriceScale: 1.4},
-		{Days: 3, Seed: 2, SolarCapacityMW: 5, PeakMW: 2, SlotMinutes: 60, StartDayOfYear: 1},
+		{Days: 3, Seed: 2, SolarCapacityMW: 5, PeakMW: 2, SlotMinutes: 60},
 	} {
 		want, err := GenerateTraces(tc)
 		if err != nil {
@@ -316,7 +342,6 @@ func TestGenerateTracesWithSharedEnvelope(t *testing.T) {
 	for _, mut := range []func(*TraceConfig){
 		func(tc *TraceConfig) { tc.Days = 4 },
 		func(tc *TraceConfig) { tc.SlotMinutes = 30 },
-		func(tc *TraceConfig) { tc.StartDayOfYear = 2 },
 	} {
 		tc := base
 		mut(&tc)

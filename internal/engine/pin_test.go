@@ -78,9 +78,8 @@ func seriesHash(sr *trace.Series) string {
 
 // TestGeneratedTracesPinned pins every bit of every series
 // GenerateTraces returns, over horizons from one day to a year, slot
-// lengths that divide the day and one that does not (90 minutes), with
-// and without wind and a grid price scale, and start days that include
-// the leap day 366. Each configuration draws its own seed.
+// lengths from 5 minutes to a day, and with and without wind and a grid
+// price scale. Each configuration draws its own seed.
 func TestGeneratedTracesPinned(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
@@ -89,23 +88,24 @@ func TestGeneratedTracesPinned(t *testing.T) {
 		for _, slot := range []int{60, 30, 15, 5, 90, 1440} {
 			for _, windMW := range []float64{0, 0.7} {
 				for _, priceScale := range []float64{0, 1.25} {
-					for _, start := range []int{1, 100, 366} {
-						seed++
-						tc := DefaultTraceConfig()
-						tc.Days, tc.SlotMinutes, tc.Seed = days, slot, seed
-						tc.WindCapacityMW, tc.PriceScale, tc.StartDayOfYear = windMW, priceScale, start
-						traces, err := GenerateTraces(tc)
-						if err != nil {
-							t.Fatalf("%+v: %v", tc, err)
-						}
-						set := traces.Set()
-						fmt.Fprintf(&buf, "days=%d slot=%d wind=%g scale=%g start=%d seed=%d",
-							days, slot, windMW, priceScale, start, seed)
-						for _, sr := range []*trace.Series{set.DemandDS, set.DemandDT, set.Renewable, set.PriceLT, set.PriceRT} {
-							fmt.Fprintf(&buf, " %s=%s", sr.Name, seriesHash(sr))
-						}
-						buf.WriteByte('\n')
+					seed++
+					tc := DefaultTraceConfig()
+					tc.Days, tc.SlotMinutes, tc.Seed = days, slot, seed
+					tc.WindCapacityMW, tc.PriceScale = windMW, priceScale
+					traces, err := GenerateTraces(tc)
+					if err != nil {
+						t.Fatalf("%+v: %v", tc, err)
 					}
+					set := traces.Set()
+					fmt.Fprintf(&buf, "days=%d slot=%d wind=%g scale=%g seed=%d",
+						days, slot, windMW, priceScale, seed)
+					for _, sr := range []*trace.Series{set.DemandDS, set.DemandDT, set.Renewable, set.PriceLT, set.PriceRT} {
+						fmt.Fprintf(&buf, " %s=%s", sr.Name, seriesHash(sr))
+					}
+					buf.WriteByte('\n')
+					// Skip the two seeds the retired start days (100 and
+					// 366) drew, so each line keeps its seed.
+					seed += 2
 				}
 				// Skip the six seeds the retired fuel-price-trace
 				// configurations drew, so each line keeps its seed.

@@ -133,6 +133,9 @@ func validateSimulateOptions(opts Options) error {
 	if opts.CarbonUSDPerTon < 0 {
 		return invalidOptions(errors.New("smartdpss: CarbonUSDPerTon must be finite and non-negative"))
 	}
+	if opts.SlotMinutes < 0 {
+		return invalidOptions(errors.New("smartdpss: SlotMinutes must not be negative"))
+	}
 	for i, u := range opts.Fleet {
 		if err := u.Validate(); err != nil {
 			return invalidOptions(fmt.Errorf("smartdpss: fleet unit %d: %w", i, err))

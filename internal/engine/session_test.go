@@ -259,6 +259,19 @@ func TestErrInvalidOptions(t *testing.T) {
 			t.Errorf("matching slot length rejected: %v", err)
 		}
 	})
+	t.Run("negative slot length", func(t *testing.T) {
+		// Only zero means 60: a negative length is refused, not run hourly.
+		opts := DefaultOptions()
+		opts.SlotMinutes = -30
+		for _, policy := range allPolicies {
+			if _, err := NewSession(policy, opts, 24); !errors.Is(err, ErrInvalidOptions) {
+				t.Errorf("%s streaming: err = %v, want ErrInvalidOptions", policy, err)
+			}
+			if _, err := NewReplaySession(policy, opts, traces); !errors.Is(err, ErrInvalidOptions) {
+				t.Errorf("%s replay: err = %v, want ErrInvalidOptions", policy, err)
+			}
+		}
+	})
 	t.Run("valid options pass", func(t *testing.T) {
 		if _, err := NewSession(PolicySmartDPSS, DefaultOptions(), 24); err != nil {
 			t.Errorf("valid session rejected: %v", err)

@@ -9,8 +9,9 @@
 // plus the full V×T cross sweep.
 //
 // Each runner returns a Table whose rows mirror the series the paper
-// plots; cmd/experiments prints them and EXPERIMENTS.md records measured
-// outputs against the paper's qualitative claims. Absolute dollar values
+// plots; cmd/experiments prints them, testdata/golden records the paper
+// figures' 31-day tables byte for byte, and the tests hold each table to
+// the paper's qualitative claims. Absolute dollar values
 // differ from the paper (synthetic traces stand in for MIDC/NYISO/Google
 // data), but the shapes — who wins, what is monotone, where benefits
 // order — are the reproduction targets.

@@ -123,8 +123,7 @@ func TestFig6TSweepShape(t *testing.T) {
 	// same paragraph that "with more frequent (smaller T) power
 	// management, the power demand is easier to meet (less delay)". The
 	// implementation follows the stated rationale: state-freezing over
-	// longer intervals lengthens waits, so delay grows with T (see
-	// EXPERIMENTS.md).
+	// longer intervals lengthens waits, so delay grows with T.
 	if cell(t, tbl, len(tbl.Rows)-1, 3) <= cell(t, tbl, 0, 3) {
 		t.Errorf("delay at T=%s not above delay at T=%s",
 			tbl.Rows[len(tbl.Rows)-1][0], tbl.Rows[0][0])
@@ -252,7 +251,7 @@ func TestFig10ScalingShape(t *testing.T) {
 	// ...and the growth is near-linear: the per-unit cost stays within a
 	// moderate band of the β=1 level. (The paper claims the growth rate
 	// slows, attributing it to revenue amortization, which is outside
-	// the cost model; see EXPERIMENTS.md.)
+	// the cost model.)
 	if cell(t, tbl, len(tbl.Rows)-1, 2) > cell(t, tbl, 0, 2)*1.35 {
 		t.Errorf("per-unit cost grew superlinearly: %s vs %s",
 			tbl.Rows[len(tbl.Rows)-1][2], tbl.Rows[0][2])

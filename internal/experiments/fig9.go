@@ -19,7 +19,7 @@ import (
 // library supports where only the controller's *observations* are noisy
 // while execution uses the true traces (see Options.ObservationNoise);
 // mis-planned slots then settle reactively on the real-time market, so
-// the measured sensitivity is larger. EXPERIMENTS.md discusses both.
+// the measured sensitivity is larger than under the paper's protocol.
 //
 // The two Impatient baselines and each V point (three simulations per
 // point) run as independent pool jobs.

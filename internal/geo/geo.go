@@ -16,9 +16,10 @@
 // output is byte-identical at every parallelism level.
 //
 // Trace generation, greedy routing and stepping each run on the suite
-// pool, with no work repeated across sites. Sites that share
-// StartDayOfYear share one clear-sky solar envelope, computed once per
-// run; the greedy router routes contiguous slot ranges as pool jobs;
+// pool, with no work repeated across sites. Every site's solar trace
+// reads one clear-sky envelope, computed once per run (Run requires
+// equal Days and slot lengths, and every trace starts on January 1);
+// the greedy router routes contiguous slot ranges as pool jobs;
 // and each site's replay loop reads its session's slot values in place
 // rather than copying them. None of this moves an output bit: the
 // envelope is the one each site would compute, and the router resets
@@ -137,14 +138,13 @@ type Result struct {
 }
 
 // Run executes the geo fleet in four steps: it generates every site's
-// traces on the suite pool over one shared clear-sky envelope (when the
-// sites share StartDayOfYear), computes the routing for the whole
-// horizon (the greedy router in slot-range jobs on the pool, the LP
-// router on the caller; a one-site fleet has nothing to route), runs
-// each site's session to its horizon as one pool job (a site never
-// changes worker mid-run), and reduces the recorded per-slot grid draw
-// and backlog across sites in fixed site order. Every site penalty must
-// be finite and non-negative.
+// traces on the suite pool over one shared clear-sky envelope, computes
+// the routing for the whole horizon (the greedy router in slot-range
+// jobs on the pool, the LP router on the caller; a one-site fleet has
+// nothing to route), runs each site's session to its horizon as one
+// pool job (a site never changes worker mid-run), and reduces the
+// recorded per-slot grid draw and backlog across sites in fixed site
+// order. Every site penalty must be finite and non-negative.
 //
 // Errors are deterministic too: Run reports the failing site with the
 // lowest index, even when a later site failed at an earlier slot.
@@ -265,12 +265,11 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// generateFleet generates every site's traces on the suite pool. When
-// the sites share StartDayOfYear (Run already requires equal Days and
-// SlotMinutes) they share one clear-sky envelope, computed here once;
-// otherwise, or when it cannot be computed, each site computes its own
-// and reports its own errors. Either way each site's traces are the
-// bits engine.GenerateTraces returns for its TraceConfig.
+// generateFleet generates every site's traces on the suite pool over
+// one shared clear-sky envelope, computed here once; when it cannot be
+// computed, each site computes its own and reports its own errors.
+// Either way each site's traces are the bits engine.GenerateTraces
+// returns for its TraceConfig.
 func generateFleet(cfg *Config) ([]*engine.Traces, error) {
 	env := fleetEnvelope(cfg.Sites)
 	return suite.MapBudget(cfg.Parallel, cfg.Tokens, len(cfg.Sites), func(s int) (*engine.Traces, error) {
@@ -282,16 +281,11 @@ func generateFleet(cfg *Config) ([]*engine.Traces, error) {
 	})
 }
 
-// fleetEnvelope returns the clear-sky envelope every site can share, or
-// nil when the sites' StartDayOfYear differ or site 0's trace
-// configuration yields none. It belongs to one run: a cache outliving
-// the run would keep state between runs.
+// fleetEnvelope returns the clear-sky envelope every site shares (Run
+// already requires equal Days and SlotMinutes), or nil when site 0's
+// trace configuration yields none. It belongs to one run: a cache
+// outliving the run would keep state between runs.
 func fleetEnvelope(sites []SiteSpec) *solar.Envelope {
-	for s := range sites {
-		if sites[s].Trace.StartDayOfYear != sites[0].Trace.StartDayOfYear {
-			return nil
-		}
-	}
 	env, err := engine.SolarEnvelope(sites[0].Trace)
 	if err != nil {
 		return nil

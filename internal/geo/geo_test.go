@@ -316,39 +316,31 @@ func TestGeoConfigValidation(t *testing.T) {
 }
 
 // geo.Run generates each site's traces through the fleet's shared
-// clear-sky envelope when the sites share StartDayOfYear and through
-// their own otherwise; either way every sample must carry the bits
+// clear-sky envelope; every sample must carry the bits
 // engine.GenerateTraces gives the site's TraceConfig alone.
 func TestGeoFleetTracesMatchGenerateTraces(t *testing.T) {
-	summer := testSites(t, 3, 3)
-	quarter := testSites(t, 4, 2)
+	windy := testSites(t, 3, 3)
 	fine := testSites(t, 3, 2)
-	for s := range summer {
-		summer[s].Trace.StartDayOfYear = 172
-		summer[s].Trace.WindCapacityMW = float64(s)
-	}
-	for s := range quarter {
-		quarter[s].Trace.StartDayOfYear = 1 + 91*s
+	for s := range windy {
+		windy[s].Trace.WindCapacityMW = float64(s)
 	}
 	for s := range fine {
 		fine[s].Trace.SlotMinutes = 15
 		fine[s].Trace.SolarCapacityMW = 1 + float64(s)
 	}
 	fleets := []struct {
-		name   string
-		sites  []SiteSpec
-		shared bool
+		name  string
+		sites []SiteSpec
 	}{
-		{"default", testSites(t, 4, 3), true},
-		{"summer", summer, true},
-		{"15-minute", fine, true},
-		{"quarterly-start-days", quarter, false},
-		{"one-site", testSites(t, 1, 2), true},
+		{"default", testSites(t, 4, 3)},
+		{"mixed-wind", windy},
+		{"15-minute", fine},
+		{"one-site", testSites(t, 1, 2)},
 	}
 	for _, f := range fleets {
 		t.Run(f.name, func(t *testing.T) {
-			if shared := fleetEnvelope(f.sites) != nil; shared != f.shared {
-				t.Fatalf("shared envelope %t, want %t", shared, f.shared)
+			if fleetEnvelope(f.sites) == nil {
+				t.Fatal("no shared envelope")
 			}
 			for _, parallel := range []int{1, 2, 8} {
 				got, err := generateFleet(&Config{Sites: f.sites, Parallel: parallel})

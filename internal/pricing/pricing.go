@@ -33,49 +33,40 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-// Config parameterizes the price generator.
+// Config parameterizes the price generator: the horizon and the seed.
+// The price processes are the NYISO-January-like ones fixed below.
 type Config struct {
 	// Days is the number of simulated days.
 	Days int
 	// SlotMinutes is the trace resolution.
 	SlotMinutes int
-	// BaseLT is the mean long-term-ahead price in USD/MWh.
-	BaseLT float64
-	// RTPremium multiplies the long-term level to set the mean real-time
-	// level (must be > 1 so that E[prt] > E[plt]).
-	RTPremium float64
-	// Pmax is the regulatory price cap (paper: upper bound on both markets).
-	Pmax float64
-	// PFloor is the lowest admissible price.
-	PFloor float64
-	// DiurnalAmp is the relative amplitude of the real-time diurnal shape.
-	DiurnalAmp float64
-	// NoiseSigma is the per-slot mean-reverting noise scale (USD/MWh).
-	NoiseSigma float64
-	// SpikeProb is the per-slot probability of a real-time price spike.
-	SpikeProb float64
-	// SpikeFactor is the mean multiplier applied during a spike.
-	SpikeFactor float64
 	// Seed drives the deterministic random source.
 	Seed int64
 }
 
-// Defaults returns a NYISO-January-like configuration.
-func Defaults() Config {
-	return Config{
-		Days:        31,
-		SlotMinutes: 60,
-		BaseLT:      38,
-		RTPremium:   1.15,
-		Pmax:        150,
-		PFloor:      5,
-		DiurnalAmp:  0.25,
-		NoiseSigma:  4.0,
-		SpikeProb:   0.012,
-		SpikeFactor: 2.2,
-		Seed:        2,
-	}
-}
+// The NYISO-January-like price processes. They are typed constants, so
+// each product with another of them rounds as the same product of
+// variables would.
+const (
+	// baseLT is the mean long-term-ahead price in USD/MWh.
+	baseLT float64 = 38
+	// rtPremium multiplies the long-term level to set the mean real-time
+	// level (above 1, so that E[prt] > E[plt]).
+	rtPremium float64 = 1.15
+	// pmax is the regulatory price cap (paper: upper bound on both
+	// markets).
+	pmax float64 = 150
+	// pFloor is the lowest admissible price.
+	pFloor float64 = 5
+	// diurnalAmp is the relative amplitude of the real-time diurnal shape.
+	diurnalAmp float64 = 0.25
+	// noiseSigma is the per-slot mean-reverting noise scale (USD/MWh).
+	noiseSigma float64 = 4.0
+	// spikeProb is the per-slot probability of a real-time price spike.
+	spikeProb float64 = 0.012
+	// spikeFactor is the mean multiplier applied during a spike.
+	spikeFactor float64 = 2.2
+)
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -84,22 +75,6 @@ func (c Config) Validate() error {
 		return errors.New("pricing: Days must be positive")
 	case c.SlotMinutes <= 0 || c.SlotMinutes > 24*60:
 		return errors.New("pricing: SlotMinutes out of range")
-	case c.BaseLT <= 0:
-		return errors.New("pricing: BaseLT must be positive")
-	case c.RTPremium <= 1:
-		return errors.New("pricing: RTPremium must exceed 1 (E[prt] > E[plt])")
-	case c.Pmax <= c.BaseLT:
-		return errors.New("pricing: Pmax must exceed BaseLT")
-	case c.PFloor < 0 || c.PFloor >= c.BaseLT:
-		return errors.New("pricing: PFloor must be in [0, BaseLT)")
-	case c.DiurnalAmp < 0 || c.DiurnalAmp > 1:
-		return errors.New("pricing: DiurnalAmp must be in [0, 1]")
-	case c.NoiseSigma < 0:
-		return errors.New("pricing: negative NoiseSigma")
-	case c.SpikeProb < 0 || c.SpikeProb > 1:
-		return errors.New("pricing: SpikeProb must be in [0, 1]")
-	case c.SpikeFactor < 1:
-		return errors.New("pricing: SpikeFactor must be >= 1")
 	}
 	return nil
 }
@@ -119,18 +94,18 @@ func Generate(c Config) (lt, rt *trace.Series, err error) {
 
 	slotHours := float64(c.SlotMinutes) / 60.0
 
-	// Daily long-term level: slow AR(1) walk around BaseLT with a weekly
+	// Daily long-term level: slow AR(1) walk around baseLT with a weekly
 	// shape (weekdays pricier than weekends).
 	dayLevel := make([]float64, c.Days)
-	level := c.BaseLT
+	level := baseLT
 	for d := range dayLevel {
-		level += 0.3*(c.BaseLT-level) + 0.06*c.BaseLT*r.NormFloat64()
+		level += 0.3*(baseLT-level) + 0.06*baseLT*r.NormFloat64()
 		weekly := 1.0
 		switch d % 7 {
 		case 5, 6: // weekend
 			weekly = 0.9
 		}
-		dayLevel[d] = clamp(level*weekly, c.PFloor, 0.9*c.Pmax)
+		dayLevel[d] = clamp(level*weekly, pFloor, 0.9*pmax)
 	}
 
 	// The diurnal shape, once per slot of the day (see the package doc);
@@ -150,23 +125,23 @@ func Generate(c Config) (lt, rt *trace.Series, err error) {
 			// Long-term price: the day's level with a faint diurnal tilt so
 			// that intraday coarse intervals (T < 24h) still see structure.
 			ltP := dl * (1 + 0.05*shape[s])
-			lt.Values[i] = clamp(ltP, c.PFloor, c.Pmax)
+			lt.Values[i] = clamp(ltP, pFloor, pmax)
 
 			// Real-time price: premium level, stronger diurnal shape,
 			// mean-reverting noise and occasional multiplicative spikes.
-			noise += -0.5*noise + c.NoiseSigma*r.NormFloat64()
+			noise += -0.5*noise + noiseSigma*r.NormFloat64()
 			if spikeLeft > 0 {
 				spikeLeft--
-			} else if r.Float64() < c.SpikeProb {
+			} else if r.Float64() < spikeProb {
 				spikeLeft = 1 + r.Intn(3)
-				spikeMul = 1 + (c.SpikeFactor-1)*(0.5+r.Float64())
+				spikeMul = 1 + (spikeFactor-1)*(0.5+r.Float64())
 			}
 			mul := 1.0
 			if spikeLeft > 0 {
 				mul = spikeMul
 			}
-			rtP := dl*c.RTPremium*(1+c.DiurnalAmp*shape[s])*mul + noise
-			rt.Values[i] = clamp(rtP, c.PFloor, c.Pmax)
+			rtP := dl*rtPremium*(1+diurnalAmp*shape[s])*mul + noise
+			rt.Values[i] = clamp(rtP, pFloor, pmax)
 		}
 	}
 	return lt, rt, nil

@@ -13,24 +13,26 @@ func mustGenerate(t *testing.T, c Config) (lt, rt []float64) {
 	return ltS.Values, rtS.Values
 }
 
+// month is the NYISO-January-like default month: 31 hourly days.
+func month() Config { return Config{Days: 31, SlotMinutes: 60, Seed: 2} }
+
 func TestGenerateLengthsAndBounds(t *testing.T) {
-	c := Defaults()
-	lt, rt := mustGenerate(t, c)
+	lt, rt := mustGenerate(t, month())
 	if len(lt) != 31*24 || len(rt) != 31*24 {
 		t.Fatalf("lengths = %d, %d, want %d", len(lt), len(rt), 31*24)
 	}
 	for i := range lt {
-		if lt[i] < c.PFloor || lt[i] > c.Pmax {
-			t.Fatalf("lt[%d] = %g outside [%g, %g]", i, lt[i], c.PFloor, c.Pmax)
+		if lt[i] < pFloor || lt[i] > pmax {
+			t.Fatalf("lt[%d] = %g outside [%g, %g]", i, lt[i], pFloor, pmax)
 		}
-		if rt[i] < c.PFloor || rt[i] > c.Pmax {
-			t.Fatalf("rt[%d] = %g outside [%g, %g]", i, rt[i], c.PFloor, c.Pmax)
+		if rt[i] < pFloor || rt[i] > pmax {
+			t.Fatalf("rt[%d] = %g outside [%g, %g]", i, rt[i], pFloor, pmax)
 		}
 	}
 }
 
 func TestGenerateRealTimePremium(t *testing.T) {
-	ltS, rtS, err := Generate(Defaults())
+	ltS, rtS, err := Generate(month())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func TestGenerateRealTimePremium(t *testing.T) {
 }
 
 func TestGenerateRealTimeMoreVolatile(t *testing.T) {
-	ltS, rtS, err := Generate(Defaults())
+	ltS, rtS, err := Generate(month())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +54,8 @@ func TestGenerateRealTimeMoreVolatile(t *testing.T) {
 }
 
 func TestGenerateSpikesOccur(t *testing.T) {
-	c := Defaults()
-	_, rt := mustGenerate(t, c)
-	base := c.BaseLT * c.RTPremium
+	_, rt := mustGenerate(t, month())
+	base := baseLT * rtPremium
 	spikes := 0
 	for _, v := range rt {
 		if v > 1.8*base {
@@ -66,28 +67,15 @@ func TestGenerateSpikesOccur(t *testing.T) {
 	}
 }
 
-func TestGenerateNoSpikesWhenDisabled(t *testing.T) {
-	c := Defaults()
-	c.SpikeProb = 0
-	c.NoiseSigma = 0
-	_, rt := mustGenerate(t, c)
-	limit := 0.9*c.Pmax*c.RTPremium*(1+c.DiurnalAmp) + 1e-9
-	for i, v := range rt {
-		if v > limit {
-			t.Fatalf("rt[%d] = %g exceeds spike-free envelope %g", i, v, limit)
-		}
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
-	lt1, rt1 := mustGenerate(t, Defaults())
-	lt2, rt2 := mustGenerate(t, Defaults())
+	lt1, rt1 := mustGenerate(t, month())
+	lt2, rt2 := mustGenerate(t, month())
 	for i := range lt1 {
 		if lt1[i] != lt2[i] || rt1[i] != rt2[i] {
 			t.Fatalf("same seed diverged at slot %d", i)
 		}
 	}
-	c := Defaults()
+	c := month()
 	c.Seed = 77
 	_, rt3 := mustGenerate(t, c)
 	same := true
@@ -102,11 +90,10 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// The long-term price carries the weekly shape; the real-time noise and
+// spikes never touch it.
 func TestGenerateWeekendDiscount(t *testing.T) {
-	c := Defaults()
-	c.NoiseSigma = 0
-	c.SpikeProb = 0
-	lt, _ := mustGenerate(t, c)
+	lt, _ := mustGenerate(t, month())
 	weekday, weekend := 0.0, 0.0
 	nWd, nWe := 0, 0
 	for i, v := range lt {
@@ -125,10 +112,11 @@ func TestGenerateWeekendDiscount(t *testing.T) {
 	}
 }
 
+// The diurnal shape lifts the 6pm real-time price over the 3am one by
+// about half the day's level, far beyond what the noise and the spikes
+// move a month's totals.
 func TestGenerateEveningPeak(t *testing.T) {
-	c := Defaults()
-	c.NoiseSigma = 0
-	c.SpikeProb = 0
+	c := month()
 	_, rt := mustGenerate(t, c)
 	evening, night := 0.0, 0.0
 	for d := 0; d < c.Days; d++ {
@@ -142,22 +130,14 @@ func TestGenerateEveningPeak(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	mut := func(f func(*Config)) Config {
-		c := Defaults()
+		c := month()
 		f(&c)
 		return c
 	}
 	bad := []Config{
 		mut(func(c *Config) { c.Days = 0 }),
 		mut(func(c *Config) { c.SlotMinutes = 0 }),
-		mut(func(c *Config) { c.BaseLT = 0 }),
-		mut(func(c *Config) { c.RTPremium = 1 }),
-		mut(func(c *Config) { c.Pmax = c.BaseLT }),
-		mut(func(c *Config) { c.PFloor = -1 }),
-		mut(func(c *Config) { c.PFloor = c.BaseLT }),
-		mut(func(c *Config) { c.DiurnalAmp = 2 }),
-		mut(func(c *Config) { c.NoiseSigma = -1 }),
-		mut(func(c *Config) { c.SpikeProb = 2 }),
-		mut(func(c *Config) { c.SpikeFactor = 0.5 }),
+		mut(func(c *Config) { c.SlotMinutes = 24*60 + 1 }),
 	}
 	for i, c := range bad {
 		if _, _, err := Generate(c); err == nil {

@@ -8,7 +8,11 @@
 // two-state Markov weather chain with AR(1) cloud attenuation. The
 // substitute reproduces the trace properties SmartDPSS is sensitive to —
 // strict day/night intermittency, short winter days, day-to-day variability
-// and hour-scale autocorrelation — as documented in DESIGN.md.
+// and hour-scale autocorrelation: the geometry zeroes every slot with the
+// sun below the horizon and shortens the days of a January at 39°N, and
+// the weather chain's states last hours to days (on average 12.5 clear
+// hours and about 8 cloudy ones) while the cloud attenuation reverts
+// towards its state's level slot by slot.
 //
 // The package owns the irradiance model and its weather chain.
 // internal/engine is its consumer (internal/geo only hands engine's
@@ -17,10 +21,10 @@
 // of the trace.Set that everything downstream reads.
 //
 // Generation has two parts. The clear-sky Envelope is the solar
-// geometry alone: it depends only on the latitude, the first day, the
-// number of days and the slot length, so a fleet of sites that agree on
-// those computes it once and shares it (internal/geo does). The weather
-// chain then scales the envelope slot by slot with its own seed.
+// geometry alone: it depends only on the number of days and the slot
+// length, so a fleet of sites that agree on those computes it once and
+// shares it (internal/geo does). The weather chain then scales the
+// envelope slot by slot with its own seed.
 // NewEnvelope evaluates each pure term of the geometry as rarely as it
 // changes: the latitude's sine and cosine once per envelope, the
 // declination's once per day, and the hour angle's cosine once per slot
@@ -40,13 +44,10 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-// Config parameterizes the generator. Zero values are replaced by
-// Defaults() values in Generate.
+// Config parameterizes the generator: the horizon, the plant size and
+// the seed. The site, its season and its weather are the paper-like
+// January central-US ones fixed below.
 type Config struct {
-	// LatitudeDeg is the site latitude in degrees (positive north).
-	LatitudeDeg float64
-	// StartDayOfYear is the first simulated day (Jan 1 = 1).
-	StartDayOfYear int
 	// Days is the number of simulated days.
 	Days int
 	// SlotMinutes is the trace resolution.
@@ -54,34 +55,28 @@ type Config struct {
 	// CapacityMW is the plant nameplate capacity: output at 1000 W/m²
 	// irradiance.
 	CapacityMW float64
-	// PerformanceRatio lumps inverter/temperature/soiling losses (0..1].
-	PerformanceRatio float64
-	// PClearToCloudy and PCloudyToClear are the per-hour Markov transition
-	// probabilities of the weather chain.
-	PClearToCloudy float64
-	PCloudyToClear float64
-	// CloudyAttenuation is the mean output fraction under cloud cover.
-	CloudyAttenuation float64
 	// Seed drives the deterministic random source.
 	Seed int64
 }
 
-// Defaults returns the configuration used for the paper-like January
-// central-US scenario (latitude ≈ 39°N, 1-hour slots, 31 days).
-func Defaults() Config {
-	return Config{
-		LatitudeDeg:       39.0,
-		StartDayOfYear:    1,
-		Days:              31,
-		SlotMinutes:       60,
-		CapacityMW:        1.0,
-		PerformanceRatio:  0.85,
-		PClearToCloudy:    0.08,
-		PCloudyToClear:    0.12,
-		CloudyAttenuation: 0.30,
-		Seed:              1,
-	}
-}
+// The paper-like January central-US site. They are typed constants, so
+// each product with another of them rounds as the same product of
+// variables would.
+const (
+	// latitudeDeg is the site latitude in degrees (positive north).
+	latitudeDeg float64 = 39.0
+	// startDayOfYear is the first simulated day: January 1, as in the
+	// paper's MIDC month.
+	startDayOfYear int = 1
+	// performanceRatio lumps inverter/temperature/soiling losses.
+	performanceRatio float64 = 0.85
+	// pClearToCloudy and pCloudyToClear are the per-hour Markov
+	// transition probabilities of the weather chain.
+	pClearToCloudy float64 = 0.08
+	pCloudyToClear float64 = 0.12
+	// cloudyAttenuation is the mean output fraction under cloud cover.
+	cloudyAttenuation float64 = 0.30
+)
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -92,33 +87,19 @@ func (c Config) Validate() error {
 		return errors.New("solar: SlotMinutes out of range")
 	case c.CapacityMW < 0:
 		return errors.New("solar: negative capacity")
-	case c.PerformanceRatio <= 0 || c.PerformanceRatio > 1:
-		return errors.New("solar: PerformanceRatio must be in (0, 1]")
-	case c.PClearToCloudy < 0 || c.PClearToCloudy > 1 ||
-		c.PCloudyToClear < 0 || c.PCloudyToClear > 1:
-		return errors.New("solar: Markov probabilities must be in [0, 1]")
-	case c.CloudyAttenuation < 0 || c.CloudyAttenuation > 1:
-		return errors.New("solar: CloudyAttenuation must be in [0, 1]")
-	case c.LatitudeDeg < -90 || c.LatitudeDeg > 90:
-		return errors.New("solar: latitude out of range")
-	case c.StartDayOfYear < 1 || c.StartDayOfYear > 366:
-		return errors.New("solar: StartDayOfYear out of range")
 	}
 	return nil
 }
 
 // Envelope is the clear-sky irradiance of every slot of a trace, in
 // W/m²: Generate's solar geometry without its weather chain. It depends
-// only on a Config's LatitudeDeg, StartDayOfYear, Days and SlotMinutes,
-// so generators whose configurations agree on those four can share one
-// through GenerateWith. It is read-only once built, so concurrent
-// generators may share it.
+// only on a Config's Days and SlotMinutes, so generators whose
+// configurations agree on those two can share one through GenerateWith.
+// It is read-only once built, so concurrent generators may share it.
 type Envelope struct {
-	latitudeDeg    float64
-	startDayOfYear int
-	days           int
-	slotMinutes    int
-	irradiance     []float64 // W/m², one per slot
+	days        int
+	slotMinutes int
+	irradiance  []float64 // W/m², one per slot
 }
 
 // NewEnvelope computes c's clear-sky envelope. It validates the whole
@@ -138,19 +119,17 @@ func newEnvelope(c Config) Envelope {
 	slotsPerDay := 24 * 60 / c.SlotMinutes
 	slotHours := float64(c.SlotMinutes) / 60.0
 	e := Envelope{
-		latitudeDeg:    c.LatitudeDeg,
-		startDayOfYear: c.StartDayOfYear,
-		days:           c.Days,
-		slotMinutes:    c.SlotMinutes,
-		irradiance:     make([]float64, c.Days*slotsPerDay),
+		days:        c.Days,
+		slotMinutes: c.SlotMinutes,
+		irradiance:  make([]float64, c.Days*slotsPerDay),
 	}
-	sinLat, cosLat := latitudeTerms(c.LatitudeDeg)
+	sinLat, cosLat := latitudeTerms(latitudeDeg)
 	var cosHourAngle [24 * 60]float64
 	for s := range slotsPerDay {
 		cosHourAngle[s] = math.Cos(hourAngle((float64(s) + 0.5) * slotHours)) // slot midpoint
 	}
 	for d := range c.Days {
-		sinDecl, cosDecl := declinationTerms(c.StartDayOfYear + d)
+		sinDecl, cosDecl := declinationTerms(startDayOfYear + d)
 		day := e.irradiance[d*slotsPerDay : (d+1)*slotsPerDay]
 		for s := range day {
 			day[s] = clearSkyIrradiance(sinLat*sinDecl + cosLat*cosDecl*cosHourAngle[s])
@@ -159,20 +138,17 @@ func newEnvelope(c Config) Envelope {
 	return e
 }
 
-// fits reports whether e was computed for c's latitude, first day, days
-// and slot length.
+// fits reports whether e was computed for c's days and slot length.
 func (e *Envelope) fits(c Config) bool {
-	return e.latitudeDeg == c.LatitudeDeg && e.startDayOfYear == c.StartDayOfYear &&
-		e.days == c.Days && e.slotMinutes == c.SlotMinutes
+	return e.days == c.Days && e.slotMinutes == c.SlotMinutes
 }
 
 // Generate produces the production series in MWh per slot.
 func Generate(c Config) (*trace.Series, error) { return GenerateWith(c, nil) }
 
 // GenerateWith is Generate over a shared clear-sky envelope: env must
-// come from NewEnvelope of a configuration with c's LatitudeDeg,
-// StartDayOfYear, Days and SlotMinutes, and any other envelope is an
-// error. A nil env computes c's own, which makes it Generate. The
+// come from NewEnvelope of a configuration with c's Days and
+// SlotMinutes, and any other envelope is an error. A nil env computes c's own, which makes it Generate. The
 // series is the same bits either way.
 func GenerateWith(c Config, env *Envelope) (*trace.Series, error) {
 	if err := c.Validate(); err != nil {
@@ -182,7 +158,7 @@ func GenerateWith(c Config, env *Envelope) (*trace.Series, error) {
 		own := newEnvelope(c)
 		env = &own
 	} else if !env.fits(c) {
-		return nil, errors.New("solar: envelope computed for another latitude, season or slot length")
+		return nil, errors.New("solar: envelope computed for another horizon or slot length")
 	}
 	r := rand.New(rng.NewSource(c.Seed))
 	out := trace.New("solar", "MWh", c.SlotMinutes, len(env.irradiance))
@@ -192,22 +168,22 @@ func GenerateWith(c Config, env *Envelope) (*trace.Series, error) {
 	atten := 1.0                // AR(1) attenuation level
 	for i, irr := range env.irradiance {
 		// Weather chain steps once per slot, scaled to per-hour rates.
-		pFlip := c.PClearToCloudy
+		pFlip := pClearToCloudy
 		if cloudy {
-			pFlip = c.PCloudyToClear
+			pFlip = pCloudyToClear
 		}
 		if r.Float64() < pFlip*slotHours {
 			cloudy = !cloudy
 		}
 		target := 1.0
 		if cloudy {
-			target = c.CloudyAttenuation
+			target = cloudyAttenuation
 		}
 		// Mean-reverting attenuation with small noise, bounded to [0.05, 1].
 		atten += 0.45*(target-atten) + 0.05*r.NormFloat64()
 		atten = min(1, max(0.05, atten))
 
-		powerMW := c.CapacityMW * c.PerformanceRatio * (irr / 1000.0) * atten
+		powerMW := c.CapacityMW * performanceRatio * (irr / 1000.0) * atten
 		out.Values[i] = max(0, powerMW*slotHours)
 	}
 	return out, nil

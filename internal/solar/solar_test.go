@@ -14,8 +14,31 @@ func mustGenerate(t *testing.T, c Config) []float64 {
 	return s.Values
 }
 
+// month is the paper-like January of a 1 MW plant: 31 hourly days.
+func month() Config { return Config{Days: 31, SlotMinutes: 60, CapacityMW: 1, Seed: 1} }
+
+// clearSkyMWh is the month's production with the weather chain left
+// out: the clear-sky envelope through the plant, per slot.
+func clearSkyMWh(c Config) []float64 {
+	env := newEnvelope(c)
+	slotHours := float64(c.SlotMinutes) / 60
+	out := make([]float64, len(env.irradiance))
+	for i, irr := range env.irradiance {
+		out[i] = c.CapacityMW * performanceRatio * (irr / 1000) * slotHours
+	}
+	return out
+}
+
+func sum(v []float64) float64 {
+	total := 0.0
+	for _, x := range v {
+		total += x
+	}
+	return total
+}
+
 func TestGenerateShape(t *testing.T) {
-	c := Defaults()
+	c := month()
 	vals := mustGenerate(t, c)
 	if len(vals) != 31*24 {
 		t.Fatalf("len = %d, want %d", len(vals), 31*24)
@@ -30,7 +53,7 @@ func TestGenerateShape(t *testing.T) {
 }
 
 func TestGenerateNightIsZero(t *testing.T) {
-	vals := mustGenerate(t, Defaults())
+	vals := mustGenerate(t, month())
 	// Midnight to 4am in January at 39°N must be dark.
 	for day := 0; day < 31; day++ {
 		for h := 0; h < 4; h++ {
@@ -42,7 +65,7 @@ func TestGenerateNightIsZero(t *testing.T) {
 }
 
 func TestGenerateDaytimePositive(t *testing.T) {
-	vals := mustGenerate(t, Defaults())
+	vals := mustGenerate(t, month())
 	// Noon production should be positive on most days (cloud cover reduces
 	// but never zeroes the attenuation floor of 0.05).
 	positive := 0
@@ -57,10 +80,8 @@ func TestGenerateDaytimePositive(t *testing.T) {
 }
 
 func TestGenerateDiurnalPeakNearNoon(t *testing.T) {
-	c := Defaults()
-	c.PClearToCloudy = 0 // clear-sky month
-	vals := mustGenerate(t, c)
-	for day := 0; day < 5; day++ {
+	vals := clearSkyMWh(month())
+	for day := 0; day < 31; day++ {
 		noon := vals[day*24+12]
 		morning := vals[day*24+8]
 		if noon <= morning {
@@ -70,14 +91,14 @@ func TestGenerateDiurnalPeakNearNoon(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := mustGenerate(t, Defaults())
-	b := mustGenerate(t, Defaults())
+	a := mustGenerate(t, month())
+	b := mustGenerate(t, month())
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("same seed diverged at slot %d", i)
 		}
 	}
-	c := Defaults()
+	c := month()
 	c.Seed = 999
 	d := mustGenerate(t, c)
 	same := true
@@ -92,45 +113,22 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// January follows the winter solstice, so each clear-sky day of the
+// month yields more than the one before.
 func TestGenerateSeasonality(t *testing.T) {
-	winter := Defaults()
-	winter.PClearToCloudy = 0
-	summer := winter
-	summer.StartDayOfYear = 172 // late June
-	w, err := Generate(winter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Generate(summer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Sum() <= w.Sum() {
-		t.Fatalf("summer energy %g not above winter %g", s.Sum(), w.Sum())
-	}
-}
-
-func TestGenerateLatitudeEffect(t *testing.T) {
-	low := Defaults()
-	low.PClearToCloudy = 0
-	low.LatitudeDeg = 20
-	high := low
-	high.LatitudeDeg = 60
-	l, err := Generate(low)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := Generate(high)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Sum() <= h.Sum() {
-		t.Fatalf("January: 20°N energy %g not above 60°N %g", l.Sum(), h.Sum())
+	vals := clearSkyMWh(month())
+	prev := 0.0
+	for day := 0; day < 31; day++ {
+		energy := sum(vals[day*24 : (day+1)*24])
+		if energy <= prev {
+			t.Fatalf("day %d: clear-sky energy %g not above the day before (%g)", day, energy, prev)
+		}
+		prev = energy
 	}
 }
 
 func TestGenerateFineResolution(t *testing.T) {
-	c := Defaults()
+	c := month()
 	c.SlotMinutes = 15
 	c.Days = 2
 	s, err := Generate(c)
@@ -145,28 +143,19 @@ func TestGenerateFineResolution(t *testing.T) {
 	}
 }
 
+// The weather chain spends about 40 % of its hours cloudy at 30 % of
+// the clear-sky output, so a month yields well under its clear sky.
 func TestGenerateCloudyReducesEnergy(t *testing.T) {
-	clear := Defaults()
-	clear.PClearToCloudy = 0
-	cloudy := Defaults()
-	cloudy.PClearToCloudy = 1
-	cloudy.PCloudyToClear = 0
-	c, err := Generate(clear)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := Generate(cloudy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Sum() >= c.Sum()*0.7 {
-		t.Fatalf("overcast energy %g not well below clear-sky %g", o.Sum(), c.Sum())
+	c := month()
+	weather, clear := sum(mustGenerate(t, c)), sum(clearSkyMWh(c))
+	if weather >= 0.9*clear {
+		t.Fatalf("month energy %g not well below its clear sky %g", weather, clear)
 	}
 }
 
 func TestConfigValidate(t *testing.T) {
 	mut := func(f func(*Config)) Config {
-		c := Defaults()
+		c := month()
 		f(&c)
 		return c
 	}
@@ -175,13 +164,6 @@ func TestConfigValidate(t *testing.T) {
 		mut(func(c *Config) { c.SlotMinutes = 0 }),
 		mut(func(c *Config) { c.SlotMinutes = 100000 }),
 		mut(func(c *Config) { c.CapacityMW = -1 }),
-		mut(func(c *Config) { c.PerformanceRatio = 0 }),
-		mut(func(c *Config) { c.PerformanceRatio = 1.5 }),
-		mut(func(c *Config) { c.PClearToCloudy = -0.1 }),
-		mut(func(c *Config) { c.PCloudyToClear = 1.1 }),
-		mut(func(c *Config) { c.CloudyAttenuation = 2 }),
-		mut(func(c *Config) { c.LatitudeDeg = 91 }),
-		mut(func(c *Config) { c.StartDayOfYear = 0 }),
 	}
 	for i, c := range bad {
 		if _, err := Generate(c); err == nil {
@@ -217,18 +199,17 @@ func TestClearSkyIrradiance(t *testing.T) {
 }
 
 // A shared envelope changes no bit: generating over another
-// configuration's envelope of the same latitude, season and slot grid
-// gives exactly Generate's series, whatever the seed, capacity and
-// weather parameters. An envelope of another grid is refused.
+// configuration's envelope of the same slot grid gives exactly
+// Generate's series, whatever the seed and capacity. An envelope of
+// another grid is refused.
 func TestGenerateWithSharedEnvelope(t *testing.T) {
-	for _, base := range []Config{Defaults(), {LatitudeDeg: -20, StartDayOfYear: 300, Days: 3, SlotMinutes: 15,
-		CapacityMW: 2, PerformanceRatio: 0.9, PClearToCloudy: 0.2, PCloudyToClear: 0.3, CloudyAttenuation: 0.5}} {
+	for _, base := range []Config{month(), {Days: 3, SlotMinutes: 15, CapacityMW: 2}} {
 		env, err := NewEnvelope(base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c := base
-		c.Seed, c.CapacityMW, c.CloudyAttenuation = 42, 5, 0.1
+		c.Seed, c.CapacityMW = 42, 5
 		want := mustGenerate(t, c)
 		got, err := GenerateWith(c, env)
 		if err != nil {
@@ -240,8 +221,6 @@ func TestGenerateWithSharedEnvelope(t *testing.T) {
 			}
 		}
 		for _, mut := range []func(*Config){
-			func(c *Config) { c.LatitudeDeg++ },
-			func(c *Config) { c.StartDayOfYear++ },
 			func(c *Config) { c.Days++ },
 			func(c *Config) { c.SlotMinutes *= 2 },
 		} {

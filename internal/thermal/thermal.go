@@ -28,7 +28,9 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-// Config parameterizes the temperature generator and PUE curve.
+// Config parameterizes the temperature generator: the horizon, the mean
+// temperature and the seed. The weather's swings and the PUE curve are
+// the constants below.
 type Config struct {
 	// Days is the number of simulated days.
 	Days int
@@ -36,39 +38,28 @@ type Config struct {
 	SlotMinutes int
 	// MeanC is the long-run mean outside temperature in °C.
 	MeanC float64
-	// DiurnalAmpC is the half-amplitude of the day/night swing in °C.
-	DiurnalAmpC float64
-	// WeatherStdC scales the slow mean-reverting weather deviation.
-	WeatherStdC float64
-	// FreeCoolingC is the threshold below which economizers carry the
-	// whole cooling load.
-	FreeCoolingC float64
-	// BasePUE is the facility overhead under free cooling (≥ 1).
-	BasePUE float64
-	// PUESlopePerC is the PUE increase per °C above the threshold.
-	PUESlopePerC float64
-	// MaxPUE caps the curve (chillers at full load).
-	MaxPUE float64
 	// Seed drives the deterministic random source.
 	Seed int64
 }
 
-// Defaults returns a continental winter configuration (free cooling
-// dominates; the summer scenario raises MeanC).
-func Defaults() Config {
-	return Config{
-		Days:         31,
-		SlotMinutes:  60,
-		MeanC:        2.0,
-		DiurnalAmpC:  5.0,
-		WeatherStdC:  3.0,
-		FreeCoolingC: 18.0,
-		BasePUE:      1.12,
-		PUESlopePerC: 0.02,
-		MaxPUE:       1.6,
-		Seed:         8,
-	}
-}
+// The continental weather around the mean, and the facility's PUE curve.
+// They are typed constants, so each product with another of them rounds
+// as the same product of variables would.
+const (
+	// diurnalAmpC is the half-amplitude of the day/night swing in °C.
+	diurnalAmpC float64 = 5.0
+	// weatherStdC scales the slow mean-reverting weather deviation.
+	weatherStdC float64 = 3.0
+	// freeCoolingC is the threshold below which economizers carry the
+	// whole cooling load.
+	freeCoolingC float64 = 18.0
+	// basePUE is the facility overhead under free cooling.
+	basePUE float64 = 1.12
+	// pueSlopePerC is the PUE increase per °C above the threshold.
+	pueSlopePerC float64 = 0.02
+	// maxPUE caps the curve (chillers at full load).
+	maxPUE float64 = 1.6
+)
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -77,16 +68,6 @@ func (c Config) Validate() error {
 		return errors.New("thermal: Days must be positive")
 	case c.SlotMinutes <= 0 || c.SlotMinutes > 24*60:
 		return errors.New("thermal: SlotMinutes out of range")
-	case c.DiurnalAmpC < 0:
-		return errors.New("thermal: negative DiurnalAmpC")
-	case c.WeatherStdC < 0:
-		return errors.New("thermal: negative WeatherStdC")
-	case c.BasePUE < 1:
-		return errors.New("thermal: BasePUE must be >= 1")
-	case c.PUESlopePerC < 0:
-		return errors.New("thermal: negative PUESlopePerC")
-	case c.MaxPUE < c.BasePUE:
-		return errors.New("thermal: MaxPUE must be >= BasePUE")
 	}
 	return nil
 }
@@ -106,20 +87,21 @@ func GenerateTemperature(c Config) (*trace.Series, error) {
 	for i := 0; i < n; i++ {
 		hour := (float64(i%slotsPerDay) + 0.5) * slotHours
 		// Coldest around 5am, warmest mid-afternoon.
-		diurnal := c.DiurnalAmpC * math.Sin(2*math.Pi*(hour-11)/24)
-		weather += 0.05*(0-weather) + 0.3*c.WeatherStdC*math.Sqrt(slotHours)*r.NormFloat64()
+		diurnal := diurnalAmpC * math.Sin(2*math.Pi*(hour-11)/24)
+		weather += 0.05*(0-weather) + 0.3*weatherStdC*math.Sqrt(slotHours)*r.NormFloat64()
 		out.Values[i] = c.MeanC + diurnal + weather
 	}
 	return out, nil
 }
 
 // PUE maps an outside temperature to the facility power usage
-// effectiveness under the configured curve.
-func (c Config) PUE(tempC float64) float64 {
-	if tempC <= c.FreeCoolingC {
-		return c.BasePUE
+// effectiveness: basePUE up to the free-cooling threshold, then rising
+// by pueSlopePerC per °C up to maxPUE.
+func PUE(tempC float64) float64 {
+	if tempC <= freeCoolingC {
+		return basePUE
 	}
-	return math.Min(c.MaxPUE, c.BasePUE+c.PUESlopePerC*(tempC-c.FreeCoolingC))
+	return math.Min(maxPUE, basePUE+pueSlopePerC*(tempC-freeCoolingC))
 }
 
 // ApplyCooling scales both demand classes of the set by the PUE of the
@@ -128,8 +110,8 @@ func (c Config) PUE(tempC float64) float64 {
 // returns the average applied PUE.
 //
 // Note: temperature values below any physically sensible range are used
-// as-is; Validate only guards the generator's own parameters.
-func ApplyCooling(set *trace.Set, temps *trace.Series, c Config, pgridMWh float64) (float64, error) {
+// as-is; Validate only guards the generator's own configuration.
+func ApplyCooling(set *trace.Set, temps *trace.Series, pgridMWh float64) (float64, error) {
 	if err := set.Validate(); err != nil {
 		return 0, err
 	}
@@ -141,7 +123,7 @@ func ApplyCooling(set *trace.Set, temps *trace.Series, c Config, pgridMWh float6
 	}
 	sum := 0.0
 	for i := 0; i < set.Horizon(); i++ {
-		pue := c.PUE(temps.At(i))
+		pue := PUE(temps.At(i))
 		sum += pue
 		set.DemandDS.Values[i] *= pue
 		set.DemandDT.Values[i] *= pue

@@ -7,8 +7,11 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
+// winter is the default winter month: 31 hourly days around 2 °C.
+func winter() Config { return Config{Days: 31, SlotMinutes: 60, MeanC: 2, Seed: 8} }
+
 func TestGenerateTemperatureShape(t *testing.T) {
-	c := Defaults()
+	c := winter()
 	temps, err := GenerateTemperature(c)
 	if err != nil {
 		t.Fatal(err)
@@ -32,11 +35,11 @@ func TestGenerateTemperatureShape(t *testing.T) {
 }
 
 func TestGenerateTemperatureDeterministic(t *testing.T) {
-	a, err := GenerateTemperature(Defaults())
+	a, err := GenerateTemperature(winter())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenerateTemperature(Defaults())
+	b, err := GenerateTemperature(winter())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +51,7 @@ func TestGenerateTemperatureDeterministic(t *testing.T) {
 }
 
 func TestPUECurve(t *testing.T) {
-	c := Defaults() // free cooling below 18°C, base 1.12, slope 0.02, max 1.6
+	// Free cooling below 18°C, base 1.12, slope 0.02, max 1.6.
 	tests := []struct {
 		temp float64
 		want float64
@@ -60,14 +63,14 @@ func TestPUECurve(t *testing.T) {
 		{100, 1.6}, // capped
 	}
 	for _, tt := range tests {
-		if got := c.PUE(tt.temp); math.Abs(got-tt.want) > 1e-9 {
+		if got := PUE(tt.temp); math.Abs(got-tt.want) > 1e-9 {
 			t.Errorf("PUE(%g) = %g, want %g", tt.temp, got, tt.want)
 		}
 	}
 	// Monotone non-decreasing.
 	prev := 0.0
 	for temp := -20.0; temp <= 60; temp += 0.5 {
-		v := c.PUE(temp)
+		v := PUE(temp)
 		if v < prev {
 			t.Fatalf("PUE not monotone at %g", temp)
 		}
@@ -93,28 +96,28 @@ func testSet(n int) *trace.Set {
 }
 
 func TestApplyCoolingWinterIsNeutral(t *testing.T) {
-	c := Defaults() // 2°C mean: always free cooling
+	c := winter() // 2°C mean: always free cooling
 	c.Days = 1
 	temps, err := GenerateTemperature(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	set := testSet(24)
-	avgPUE, err := ApplyCooling(set, temps, c, 2.0)
+	avgPUE, err := ApplyCooling(set, temps, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(avgPUE-c.BasePUE) > 1e-9 {
-		t.Errorf("winter avg PUE = %g, want base %g", avgPUE, c.BasePUE)
+	if math.Abs(avgPUE-basePUE) > 1e-9 {
+		t.Errorf("winter avg PUE = %g, want base %g", avgPUE, basePUE)
 	}
 	// Demand scaled exactly by the base PUE.
-	if math.Abs(set.DemandDS.Values[0]-1.0*c.BasePUE) > 1e-9 {
+	if math.Abs(set.DemandDS.Values[0]-1.0*basePUE) > 1e-9 {
 		t.Errorf("dds = %g", set.DemandDS.Values[0])
 	}
 }
 
 func TestApplyCoolingSummerRaisesDemand(t *testing.T) {
-	c := Defaults()
+	c := winter()
 	c.Days = 1
 	c.MeanC = 26 // chiller regime
 	temps, err := GenerateTemperature(c)
@@ -123,11 +126,11 @@ func TestApplyCoolingSummerRaisesDemand(t *testing.T) {
 	}
 	set := testSet(24)
 	before := set.TotalDemand().Sum()
-	avgPUE, err := ApplyCooling(set, temps, c, 4.0)
+	avgPUE, err := ApplyCooling(set, temps, 4.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avgPUE <= c.BasePUE {
+	if avgPUE <= basePUE {
 		t.Errorf("summer avg PUE = %g, want above base", avgPUE)
 	}
 	after := set.TotalDemand().Sum()
@@ -137,7 +140,7 @@ func TestApplyCoolingSummerRaisesDemand(t *testing.T) {
 }
 
 func TestApplyCoolingClipsAtPgrid(t *testing.T) {
-	c := Defaults()
+	c := winter()
 	c.Days = 1
 	c.MeanC = 30
 	temps, err := GenerateTemperature(c)
@@ -145,7 +148,7 @@ func TestApplyCoolingClipsAtPgrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := testSet(24)
-	if _, err := ApplyCooling(set, temps, c, 1.6); err != nil {
+	if _, err := ApplyCooling(set, temps, 1.6); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 24; i++ {
@@ -156,40 +159,36 @@ func TestApplyCoolingClipsAtPgrid(t *testing.T) {
 }
 
 func TestApplyCoolingErrors(t *testing.T) {
-	c := Defaults()
+	c := winter()
 	c.Days = 1
 	temps, err := GenerateTemperature(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	short := testSet(12)
-	if _, err := ApplyCooling(short, temps, c, 2.0); err == nil {
+	if _, err := ApplyCooling(short, temps, 2.0); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := ApplyCooling(testSet(24), temps, c, 0); err == nil {
+	if _, err := ApplyCooling(testSet(24), temps, 0); err == nil {
 		t.Error("zero Pgrid accepted")
 	}
 	bad := testSet(24)
 	bad.PriceLT = nil
-	if _, err := ApplyCooling(bad, temps, c, 2.0); err == nil {
+	if _, err := ApplyCooling(bad, temps, 2.0); err == nil {
 		t.Error("invalid set accepted")
 	}
 }
 
 func TestConfigValidate(t *testing.T) {
 	mut := func(f func(*Config)) Config {
-		c := Defaults()
+		c := winter()
 		f(&c)
 		return c
 	}
 	bad := []Config{
 		mut(func(c *Config) { c.Days = 0 }),
 		mut(func(c *Config) { c.SlotMinutes = 0 }),
-		mut(func(c *Config) { c.DiurnalAmpC = -1 }),
-		mut(func(c *Config) { c.WeatherStdC = -1 }),
-		mut(func(c *Config) { c.BasePUE = 0.9 }),
-		mut(func(c *Config) { c.PUESlopePerC = -1 }),
-		mut(func(c *Config) { c.MaxPUE = 1.0 }),
+		mut(func(c *Config) { c.SlotMinutes = 24*60 + 1 }),
 	}
 	for i, c := range bad {
 		if _, err := GenerateTemperature(c); err == nil {

@@ -29,7 +29,9 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-// Config parameterizes the wind generator.
+// Config parameterizes the wind generator: the horizon, the farm size
+// and the seed. The site and its turbines are the mid-continental winter
+// ones fixed below.
 type Config struct {
 	// Days is the number of simulated days.
 	Days int
@@ -37,40 +39,29 @@ type Config struct {
 	SlotMinutes int
 	// CapacityMW is the rated (nameplate) farm output.
 	CapacityMW float64
-	// MeanSpeedMS is the long-run mean hub-height wind speed in m/s.
-	MeanSpeedMS float64
-	// SpeedStdMS is the standard deviation of the fast speed fluctuations.
-	SpeedStdMS float64
-	// CutInMS, RatedMS and CutOutMS define the turbine power curve.
-	CutInMS  float64
-	RatedMS  float64
-	CutOutMS float64
-	// FrontStdMS scales the slow synoptic random walk of the regional
-	// mean (weather fronts passing over days).
-	FrontStdMS float64
-	// DiurnalAmp is the relative amplitude of the weak diurnal speed
-	// modulation (surface heating; typically small).
-	DiurnalAmp float64
 	// Seed drives the deterministic random source.
 	Seed int64
 }
 
-// Defaults returns a mid-continental winter wind site.
-func Defaults() Config {
-	return Config{
-		Days:        31,
-		SlotMinutes: 60,
-		CapacityMW:  1.0,
-		MeanSpeedMS: 7.5,
-		SpeedStdMS:  1.8,
-		CutInMS:     3.0,
-		RatedMS:     12.0,
-		CutOutMS:    25.0,
-		FrontStdMS:  0.35,
-		DiurnalAmp:  0.08,
-		Seed:        4,
-	}
-}
+// A mid-continental winter wind site. They are typed constants, so each
+// product with another of them rounds as the same product of variables
+// would.
+const (
+	// meanSpeedMS is the long-run mean hub-height wind speed in m/s.
+	meanSpeedMS float64 = 7.5
+	// speedStdMS is the standard deviation of the fast speed fluctuations.
+	speedStdMS float64 = 1.8
+	// cutInMS, ratedMS and cutOutMS define the turbine power curve.
+	cutInMS  float64 = 3.0
+	ratedMS  float64 = 12.0
+	cutOutMS float64 = 25.0
+	// frontStdMS scales the slow synoptic random walk of the regional
+	// mean (weather fronts passing over days).
+	frontStdMS float64 = 0.35
+	// diurnalAmp is the relative amplitude of the weak diurnal speed
+	// modulation (surface heating; typically small).
+	diurnalAmp float64 = 0.08
+)
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -81,16 +72,6 @@ func (c Config) Validate() error {
 		return errors.New("wind: SlotMinutes out of range")
 	case c.CapacityMW < 0:
 		return errors.New("wind: negative capacity")
-	case c.MeanSpeedMS <= 0:
-		return errors.New("wind: MeanSpeedMS must be positive")
-	case c.SpeedStdMS < 0:
-		return errors.New("wind: negative SpeedStdMS")
-	case c.CutInMS <= 0 || c.RatedMS <= c.CutInMS || c.CutOutMS <= c.RatedMS:
-		return errors.New("wind: power curve must satisfy 0 < cut-in < rated < cut-out")
-	case c.FrontStdMS < 0:
-		return errors.New("wind: negative FrontStdMS")
-	case c.DiurnalAmp < 0 || c.DiurnalAmp > 1:
-		return errors.New("wind: DiurnalAmp must be in [0, 1]")
 	}
 	return nil
 }
@@ -106,37 +87,37 @@ func Generate(c Config) (*trace.Series, error) {
 	out := trace.New("wind", "MWh", c.SlotMinutes, n)
 	slotHours := float64(c.SlotMinutes) / 60.0
 
-	front := 0.0           // slow synoptic deviation of the regional mean
-	speed := c.MeanSpeedMS // fast mean-reverting speed process
+	front := 0.0         // slow synoptic deviation of the regional mean
+	speed := meanSpeedMS // fast mean-reverting speed process
 	for i := 0; i < n; i++ {
 		hour := (float64(i%slotsPerDay) + 0.5) * slotHours
 
 		// Weather fronts: a bounded random walk updated each slot.
-		front += c.FrontStdMS * math.Sqrt(slotHours) * r.NormFloat64()
-		front = clamp(front, -0.5*c.MeanSpeedMS, c.MeanSpeedMS)
+		front += frontStdMS * math.Sqrt(slotHours) * r.NormFloat64()
+		front = clamp(front, -0.5*meanSpeedMS, meanSpeedMS)
 
 		// Fast fluctuations: mean reversion towards the modulated mean.
-		target := (c.MeanSpeedMS + front) * (1 + c.DiurnalAmp*math.Sin(2*math.Pi*(hour-15)/24))
-		speed += 0.35*(target-speed) + c.SpeedStdMS*math.Sqrt(slotHours)*0.6*r.NormFloat64()
+		target := (meanSpeedMS + front) * (1 + diurnalAmp*math.Sin(2*math.Pi*(hour-15)/24))
+		speed += 0.35*(target-speed) + speedStdMS*math.Sqrt(slotHours)*0.6*r.NormFloat64()
 		speed = max(0, speed)
 
-		powerMW := c.CapacityMW * powerCurve(speed, c.CutInMS, c.RatedMS, c.CutOutMS)
+		powerMW := c.CapacityMW * powerCurve(speed)
 		out.Values[i] = powerMW * slotHours
 	}
 	return out, nil
 }
 
 // powerCurve maps wind speed to the per-unit turbine output.
-func powerCurve(speed, cutIn, rated, cutOut float64) float64 {
+func powerCurve(speed float64) float64 {
 	switch {
-	case speed < cutIn || speed >= cutOut:
+	case speed < cutInMS || speed >= cutOutMS:
 		return 0
-	case speed >= rated:
+	case speed >= ratedMS:
 		return 1
 	default:
 		// Cubic interpolation between cut-in and rated speeds.
-		num := speed*speed*speed - cutIn*cutIn*cutIn
-		den := rated*rated*rated - cutIn*cutIn*cutIn
+		num := speed*speed*speed - cutInMS*cutInMS*cutInMS
+		den := ratedMS*ratedMS*ratedMS - cutInMS*cutInMS*cutInMS
 		return num / den
 	}
 }

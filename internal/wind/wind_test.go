@@ -14,8 +14,11 @@ func mustGenerate(t *testing.T, c Config) []float64 {
 	return s.Values
 }
 
+// month is the default month of a 1 MW farm: 31 hourly days.
+func month() Config { return Config{Days: 31, SlotMinutes: 60, CapacityMW: 1, Seed: 4} }
+
 func TestGenerateBounds(t *testing.T) {
-	c := Defaults()
+	c := month()
 	vals := mustGenerate(t, c)
 	if len(vals) != 31*24 {
 		t.Fatalf("len = %d, want %d", len(vals), 31*24)
@@ -29,7 +32,7 @@ func TestGenerateBounds(t *testing.T) {
 }
 
 func TestGenerateProducesEnergy(t *testing.T) {
-	c := Defaults()
+	c := month()
 	vals := mustGenerate(t, c)
 	total := 0.0
 	for _, v := range vals {
@@ -45,7 +48,7 @@ func TestGenerateProducesEnergy(t *testing.T) {
 
 func TestGenerateNotDayNightGated(t *testing.T) {
 	// Unlike solar, wind must produce at night on a typical site.
-	vals := mustGenerate(t, Defaults())
+	vals := mustGenerate(t, month())
 	night := 0.0
 	for day := 0; day < 31; day++ {
 		night += vals[day*24+2]
@@ -56,14 +59,14 @@ func TestGenerateNotDayNightGated(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := mustGenerate(t, Defaults())
-	b := mustGenerate(t, Defaults())
+	a := mustGenerate(t, month())
+	b := mustGenerate(t, month())
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("same seed diverged at slot %d", i)
 		}
 	}
-	c := Defaults()
+	c := month()
 	c.Seed = 99
 	d := mustGenerate(t, c)
 	same := true
@@ -75,24 +78,6 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds identical")
-	}
-}
-
-func TestGenerateMeanSpeedEffect(t *testing.T) {
-	calm := Defaults()
-	calm.MeanSpeedMS = 5
-	windy := Defaults()
-	windy.MeanSpeedMS = 10
-	c, err := Generate(calm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := Generate(windy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Sum() <= c.Sum() {
-		t.Fatalf("10 m/s site %g not above 5 m/s site %g", w.Sum(), c.Sum())
 	}
 }
 
@@ -110,7 +95,7 @@ func TestPowerCurve(t *testing.T) {
 		{30, 0},  // storm
 	}
 	for _, tt := range tests {
-		got := powerCurve(tt.speed, 3, 12, 25)
+		got := powerCurve(tt.speed)
 		if math.Abs(got-tt.want) > 1e-9 {
 			t.Errorf("powerCurve(%g) = %g, want %g", tt.speed, got, tt.want)
 		}
@@ -118,7 +103,7 @@ func TestPowerCurve(t *testing.T) {
 	// Monotone between cut-in and rated.
 	prev := -1.0
 	for s := 3.0; s <= 12.0; s += 0.5 {
-		v := powerCurve(s, 3, 12, 25)
+		v := powerCurve(s)
 		if v < prev {
 			t.Fatalf("power curve not monotone at %g m/s", s)
 		}
@@ -128,21 +113,15 @@ func TestPowerCurve(t *testing.T) {
 
 func TestConfigValidate(t *testing.T) {
 	mut := func(f func(*Config)) Config {
-		c := Defaults()
+		c := month()
 		f(&c)
 		return c
 	}
 	bad := []Config{
 		mut(func(c *Config) { c.Days = 0 }),
 		mut(func(c *Config) { c.SlotMinutes = 0 }),
+		mut(func(c *Config) { c.SlotMinutes = 24*60 + 1 }),
 		mut(func(c *Config) { c.CapacityMW = -1 }),
-		mut(func(c *Config) { c.MeanSpeedMS = 0 }),
-		mut(func(c *Config) { c.SpeedStdMS = -1 }),
-		mut(func(c *Config) { c.CutInMS = 0 }),
-		mut(func(c *Config) { c.RatedMS = c.CutInMS }),
-		mut(func(c *Config) { c.CutOutMS = c.RatedMS }),
-		mut(func(c *Config) { c.FrontStdMS = -1 }),
-		mut(func(c *Config) { c.DiurnalAmp = 2 }),
 	}
 	for i, c := range bad {
 		if _, err := Generate(c); err == nil {
@@ -152,7 +131,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestGenerateFineResolution(t *testing.T) {
-	c := Defaults()
+	c := month()
 	c.SlotMinutes = 15
 	c.Days = 2
 	s, err := Generate(c)

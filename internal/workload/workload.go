@@ -11,7 +11,7 @@
 //     occasional flash crowds.
 //   - Delay-tolerant demand is a clustered batch-arrival process: jobs of
 //     random total energy spread over a random duration, submitted in
-//     bursts, bounded per slot by DdtMax (the paper's Ddtmax).
+//     bursts, bounded per slot by ddtMax (the paper's Ddtmax).
 //
 // The pair is non-stationary and bursty — the "arbitrary demand" regime the
 // algorithm is designed for — and the combined demand is clipped at Pgrid
@@ -41,51 +41,42 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-// Config parameterizes the demand generator.
+// Config parameterizes the demand generator: the horizon, the grid cap
+// and the seed. The model itself is the paper-like scenario's, fixed
+// below.
 type Config struct {
 	// Days is the number of simulated days.
 	Days int
 	// SlotMinutes is the trace resolution.
 	SlotMinutes int
-	// InteractivePeakMW is the peak of the diurnal delay-sensitive curve.
-	InteractivePeakMW float64
-	// InteractiveBase is the overnight floor as a fraction of the peak.
-	InteractiveBase float64
-	// BatchMeanMW is the long-run average delay-tolerant power.
-	BatchMeanMW float64
-	// DdtMax bounds delay-tolerant arrivals per slot in MWh
-	// (paper: 0 ≤ ddt(τ) ≤ Ddtmax).
-	DdtMax float64
 	// PgridMW caps the combined demand (peaks above are clipped, matching
 	// the paper's trace preprocessing).
 	PgridMW float64
-	// WeekendFactor scales interactive demand on weekends.
-	WeekendFactor float64
-	// FlashProb is the per-slot probability that a flash crowd starts.
-	FlashProb float64
-	// NoiseSigma is the relative AR(1) noise scale for interactive demand.
-	NoiseSigma float64
 	// Seed drives the deterministic random source.
 	Seed int64
 }
 
-// Defaults returns the configuration of the paper-like scenario: a 2 MW
-// datacenter with roughly two-thirds interactive and one-third batch load.
-func Defaults() Config {
-	return Config{
-		Days:              31,
-		SlotMinutes:       60,
-		InteractivePeakMW: 1.3,
-		InteractiveBase:   0.45,
-		BatchMeanMW:       0.45,
-		DdtMax:            1.0,
-		PgridMW:           2.0,
-		WeekendFactor:     0.8,
-		FlashProb:         0.01,
-		NoiseSigma:        0.06,
-		Seed:              3,
-	}
-}
+// The demand model of the paper-like scenario: roughly two-thirds
+// interactive and one-third batch load. They are typed constants, so each
+// product with another of them rounds as the same product of variables
+// would.
+const (
+	// interactivePeakMW is the peak of the diurnal delay-sensitive curve.
+	interactivePeakMW float64 = 1.3
+	// interactiveBase is the overnight floor as a fraction of the peak.
+	interactiveBase float64 = 0.45
+	// batchMeanMW is the long-run average delay-tolerant power.
+	batchMeanMW float64 = 0.45
+	// ddtMax bounds delay-tolerant arrivals per slot in MWh
+	// (paper: 0 ≤ ddt(τ) ≤ Ddtmax).
+	ddtMax float64 = 1.0
+	// weekendFactor scales interactive demand on weekends.
+	weekendFactor float64 = 0.8
+	// flashProb is the per-slot probability that a flash crowd starts.
+	flashProb float64 = 0.01
+	// noiseSigma is the relative AR(1) noise scale for interactive demand.
+	noiseSigma float64 = 0.06
+)
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -94,22 +85,8 @@ func (c Config) Validate() error {
 		return errors.New("workload: Days must be positive")
 	case c.SlotMinutes <= 0 || c.SlotMinutes > 24*60:
 		return errors.New("workload: SlotMinutes out of range")
-	case c.InteractivePeakMW <= 0:
-		return errors.New("workload: InteractivePeakMW must be positive")
-	case c.InteractiveBase <= 0 || c.InteractiveBase > 1:
-		return errors.New("workload: InteractiveBase must be in (0, 1]")
-	case c.BatchMeanMW < 0:
-		return errors.New("workload: negative BatchMeanMW")
-	case c.DdtMax <= 0:
-		return errors.New("workload: DdtMax must be positive")
 	case c.PgridMW <= 0:
 		return errors.New("workload: PgridMW must be positive")
-	case c.WeekendFactor <= 0 || c.WeekendFactor > 1:
-		return errors.New("workload: WeekendFactor must be in (0, 1]")
-	case c.FlashProb < 0 || c.FlashProb > 1:
-		return errors.New("workload: FlashProb must be in [0, 1]")
-	case c.NoiseSigma < 0:
-		return errors.New("workload: negative NoiseSigma")
 	}
 	return nil
 }
@@ -128,9 +105,9 @@ func Generate(c Config) (ds, dt *trace.Series, err error) {
 	slotHours := float64(c.SlotMinutes) / 60.0
 
 	// Jobs arrive in bursts; each job deposits energy over several slots.
-	// Expected arrivals are tuned so the long-run mean matches BatchMeanMW.
+	// Expected arrivals are tuned so the long-run mean matches batchMeanMW.
 	meanJobMWh := 1.5 * slotHours // average total energy per job
-	jobsPerSlot := c.BatchMeanMW * slotHours / meanJobMWh
+	jobsPerSlot := batchMeanMW * slotHours / meanJobMWh
 
 	// The diurnal terms, once per slot of the day (see the package doc);
 	// SlotMinutes ≥ 1 bounds a day at 1440 slots.
@@ -149,14 +126,14 @@ func Generate(c Config) (ds, dt *trace.Series, err error) {
 	flashMul := 1.0
 	for day := range c.Days {
 		for s := range slotsPerDay {
-			level := c.InteractivePeakMW * (c.InteractiveBase + (1-c.InteractiveBase)*terms[s].shape)
+			level := interactivePeakMW * (interactiveBase + (1-interactiveBase)*terms[s].shape)
 			if day%7 == 5 || day%7 == 6 {
-				level *= c.WeekendFactor
+				level *= weekendFactor
 			}
-			noise += -0.4*noise + c.NoiseSigma*r.NormFloat64()
+			noise += -0.4*noise + noiseSigma*r.NormFloat64()
 			if flashLeft > 0 {
 				flashLeft--
-			} else if r.Float64() < c.FlashProb {
+			} else if r.Float64() < flashProb {
 				flashLeft = 2 + r.Intn(4)
 				flashMul = 1.3 + 0.7*r.Float64()
 			}
@@ -182,7 +159,7 @@ func Generate(c Config) (ds, dt *trace.Series, err error) {
 		}
 	}
 	for i := range dt.Values {
-		dt.Values[i] = min(dt.Values[i], c.DdtMax)
+		dt.Values[i] = min(dt.Values[i], ddtMax)
 	}
 
 	// Clip combined demand at Pgrid (the paper removes peaks above Pgrid).

@@ -1,7 +1,11 @@
 package workload
 
 import (
+	"math"
+	"math/rand"
 	"testing"
+
+	"github.com/smartdpss/smartdpss/internal/rng"
 )
 
 func mustGenerate(t *testing.T, c Config) (ds, dt []float64) {
@@ -13,8 +17,22 @@ func mustGenerate(t *testing.T, c Config) (ds, dt []float64) {
 	return dsS.Values, dtS.Values
 }
 
+// month is the paper-like default month: 31 hourly days under a 2 MW
+// grid cap.
+func month() Config { return Config{Days: 31, SlotMinutes: 60, PgridMW: 2, Seed: 3} }
+
+// level is the model's noise-free, flash-free interactive power at slot
+// s of an hourly day: its diurnal shape and weekend dip alone.
+func level(day, s int) float64 {
+	v := interactivePeakMW * (interactiveBase + (1-interactiveBase)*interactiveShape(float64(s)+0.5))
+	if day%7 == 5 || day%7 == 6 {
+		v *= weekendFactor
+	}
+	return v
+}
+
 func TestGenerateLengthsAndBounds(t *testing.T) {
-	c := Defaults()
+	c := month()
 	ds, dt := mustGenerate(t, c)
 	if len(ds) != 31*24 || len(dt) != 31*24 {
 		t.Fatalf("lengths = %d, %d, want %d", len(ds), len(dt), 31*24)
@@ -24,8 +42,8 @@ func TestGenerateLengthsAndBounds(t *testing.T) {
 		if ds[i] < 0 || dt[i] < 0 {
 			t.Fatalf("negative demand at %d: ds=%g dt=%g", i, ds[i], dt[i])
 		}
-		if dt[i] > c.DdtMax+1e-12 {
-			t.Fatalf("dt[%d] = %g exceeds DdtMax %g", i, dt[i], c.DdtMax)
+		if dt[i] > ddtMax+1e-12 {
+			t.Fatalf("dt[%d] = %g exceeds ddtMax %g", i, dt[i], ddtMax)
 		}
 		if ds[i]+dt[i] > budget+1e-9 {
 			t.Fatalf("total demand %g at slot %d exceeds Pgrid budget %g",
@@ -35,9 +53,7 @@ func TestGenerateLengthsAndBounds(t *testing.T) {
 }
 
 func TestGenerateDiurnalPattern(t *testing.T) {
-	c := Defaults()
-	c.FlashProb = 0
-	c.NoiseSigma = 0
+	c := month()
 	ds, _ := mustGenerate(t, c)
 	day, night := 0.0, 0.0
 	for d := 0; d < c.Days; d++ {
@@ -50,10 +66,7 @@ func TestGenerateDiurnalPattern(t *testing.T) {
 }
 
 func TestGenerateWeekendDip(t *testing.T) {
-	c := Defaults()
-	c.FlashProb = 0
-	c.NoiseSigma = 0
-	ds, _ := mustGenerate(t, c)
+	ds, _ := mustGenerate(t, month())
 	weekday, weekend := 0.0, 0.0
 	nWd, nWe := 0, 0
 	for i, v := range ds {
@@ -72,7 +85,7 @@ func TestGenerateWeekendDip(t *testing.T) {
 }
 
 func TestGenerateBatchMeanApproximatelyTuned(t *testing.T) {
-	c := Defaults()
+	c := month()
 	c.Days = 62 // longer horizon tightens the estimate
 	_, dt := mustGenerate(t, c)
 	sum := 0.0
@@ -81,14 +94,13 @@ func TestGenerateBatchMeanApproximatelyTuned(t *testing.T) {
 	}
 	mean := sum / float64(len(dt))
 	// Clipping at DdtMax and Pgrid biases the mean down; accept a wide band.
-	if mean < 0.5*c.BatchMeanMW || mean > 1.5*c.BatchMeanMW {
-		t.Fatalf("batch mean %g MW, want within 50%% of %g", mean, c.BatchMeanMW)
+	if mean < 0.5*batchMeanMW || mean > 1.5*batchMeanMW {
+		t.Fatalf("batch mean %g MW, want within 50%% of %g", mean, batchMeanMW)
 	}
 }
 
 func TestGenerateBatchBurstierThanInteractive(t *testing.T) {
-	c := Defaults()
-	dsS, dtS, err := Generate(c)
+	dsS, dtS, err := Generate(month())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +113,14 @@ func TestGenerateBatchBurstierThanInteractive(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	ds1, dt1 := mustGenerate(t, Defaults())
-	ds2, dt2 := mustGenerate(t, Defaults())
+	ds1, dt1 := mustGenerate(t, month())
+	ds2, dt2 := mustGenerate(t, month())
 	for i := range ds1 {
 		if ds1[i] != ds2[i] || dt1[i] != dt2[i] {
 			t.Fatalf("same seed diverged at slot %d", i)
 		}
 	}
-	c := Defaults()
+	c := month()
 	c.Seed = 1234
 	ds3, _ := mustGenerate(t, c)
 	same := true
@@ -123,43 +135,34 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// Flash crowds lift delay-sensitive demand past anything the noise
+// reaches: the AR(1) noise has a stationary deviation of
+// noiseSigma/0.8 = 7.5 % of the level, so a slot 40 % above its
+// noise-free level is more than five deviations out, while a crowd
+// multiplies the level by 1.3 to 2.
 func TestGenerateFlashCrowdsRaisePeak(t *testing.T) {
-	quiet := Defaults()
-	quiet.FlashProb = 0
-	quiet.NoiseSigma = 0
-	crowded := quiet
-	crowded.FlashProb = 0.05
-	qDS, _, err := Generate(quiet)
-	if err != nil {
-		t.Fatal(err)
+	ds, _ := mustGenerate(t, month())
+	peak := 0.0
+	for i, v := range ds {
+		peak = max(peak, v/level(i/24, i%24))
 	}
-	cDS, _, err := Generate(crowded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cDS.Max() <= qDS.Max() {
-		t.Fatalf("flash crowds should raise the peak: %g vs %g", cDS.Max(), qDS.Max())
+	if peak <= 1.4 {
+		t.Fatalf("demand peaked at %.3f of its noise-free level, want above 1.4", peak)
 	}
 }
 
 func TestConfigValidate(t *testing.T) {
 	mut := func(f func(*Config)) Config {
-		c := Defaults()
+		c := month()
 		f(&c)
 		return c
 	}
 	bad := []Config{
 		mut(func(c *Config) { c.Days = 0 }),
 		mut(func(c *Config) { c.SlotMinutes = 0 }),
-		mut(func(c *Config) { c.InteractivePeakMW = 0 }),
-		mut(func(c *Config) { c.InteractiveBase = 0 }),
-		mut(func(c *Config) { c.InteractiveBase = 1.5 }),
-		mut(func(c *Config) { c.BatchMeanMW = -1 }),
-		mut(func(c *Config) { c.DdtMax = 0 }),
+		mut(func(c *Config) { c.SlotMinutes = -15 }),
+		mut(func(c *Config) { c.SlotMinutes = 24*60 + 1 }),
 		mut(func(c *Config) { c.PgridMW = 0 }),
-		mut(func(c *Config) { c.WeekendFactor = 0 }),
-		mut(func(c *Config) { c.FlashProb = 2 }),
-		mut(func(c *Config) { c.NoiseSigma = -0.1 }),
 	}
 	for i, c := range bad {
 		if _, _, err := Generate(c); err == nil {
@@ -169,13 +172,20 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestPoisson(t *testing.T) {
-	// Deterministic sanity: rate 0 must give 0 and the mean must roughly
-	// track lambda for a moderate rate.
-	dsS, _, err := Generate(Defaults())
-	if err != nil {
-		t.Fatal(err)
+	// Rate 0 must give 0, and the mean must roughly track lambda for a
+	// moderate rate.
+	r := rand.New(rng.NewSource(1))
+	if k := poisson(r, 0, 1); k != 0 {
+		t.Fatalf("poisson(0) = %d", k)
 	}
-	_ = dsS
+	const lambda, n = 0.7, 20000
+	sum := 0
+	for range n {
+		sum += poisson(r, lambda, math.Exp(-lambda))
+	}
+	if mean := float64(sum) / n; math.Abs(mean-lambda) > 0.05 {
+		t.Fatalf("poisson(%g) mean %g over %d draws", lambda, mean, n)
+	}
 }
 
 func TestInteractiveShapeBounds(t *testing.T) {

@@ -50,7 +50,8 @@ type UnitSpec = engine.UnitSpec
 func DefaultOptions() Options { return engine.DefaultOptions() }
 
 // TraceConfig parameterizes the synthetic January scenario standing in for
-// the paper's MIDC solar, NYISO price and Google-cluster workload traces.
+// the paper's MIDC solar, NYISO price and Google-cluster workload traces:
+// every trace starts on January 1, and the models' parameters are fixed.
 type TraceConfig = engine.TraceConfig
 
 // DefaultTraceConfig returns the one-month default scenario.
@@ -63,7 +64,9 @@ type Traces = engine.Traces
 // demand, solar production, and two-timescale prices.
 func GenerateTraces(tc TraceConfig) (*Traces, error) { return engine.GenerateTraces(tc) }
 
-// CoolingConfig parameterizes the cooling coupling of Traces.ApplyCooling.
+// CoolingConfig parameterizes the cooling coupling of Traces.ApplyCooling:
+// the mean outside temperature and the temperature generator's seed. The
+// coupled demand is clipped at a 2 MW grid connection.
 type CoolingConfig = engine.CoolingConfig
 
 // SeriesStats summarizes one input series.

@@ -252,22 +252,3 @@ func TestDeterministicSimulation(t *testing.T) {
 		t.Error("simulation is not deterministic")
 	}
 }
-
-func TestSeasonalTraces(t *testing.T) {
-	winter := dpss.DefaultTraceConfig()
-	winter.Days = 7
-	wTraces, err := dpss.GenerateTraces(winter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	summer := winter
-	summer.StartDayOfYear = 172
-	sTraces, err := dpss.GenerateTraces(summer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sTraces.RenewablePenetration() <= wTraces.RenewablePenetration() {
-		t.Errorf("summer penetration %.3f not above winter %.3f",
-			sTraces.RenewablePenetration(), wTraces.RenewablePenetration())
-	}
-}
