@@ -78,8 +78,9 @@ func seriesHash(sr *trace.Series) string {
 
 // TestGeneratedTracesPinned pins every bit of every series
 // GenerateTraces returns, over horizons from one day to a year, slot
-// lengths from 5 minutes to a day, and with and without wind and a grid
-// price scale. Each configuration draws its own seed.
+// lengths from 5 minutes to a day (7 and 11 minutes among them, which do
+// not divide the day), and with and without wind and a grid price scale.
+// Each configuration draws its own seed.
 func TestGeneratedTracesPinned(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
@@ -113,6 +114,27 @@ func TestGeneratedTracesPinned(t *testing.T) {
 			}
 		}
 	}
+	// Slot lengths that do not divide the day: each day holds
+	// ⌊1440/SlotMinutes⌋ slots.
+	for _, days := range []int{1, 31} {
+		for _, slot := range []int{7, 11} {
+			for _, windMW := range []float64{0, 0.7} {
+				seed++
+				tc := DefaultTraceConfig()
+				tc.Days, tc.SlotMinutes, tc.Seed, tc.WindCapacityMW = days, slot, seed, windMW
+				traces, err := GenerateTraces(tc)
+				if err != nil {
+					t.Fatalf("%+v: %v", tc, err)
+				}
+				set := traces.View()
+				fmt.Fprintf(&buf, "days=%d slot=%d wind=%g scale=0 seed=%d", days, slot, windMW, seed)
+				for _, sr := range []*trace.Series{set.DemandDS, set.DemandDT, set.Renewable, set.PriceLT, set.PriceRT} {
+					fmt.Fprintf(&buf, " %s=%s", sr.Name, seriesHash(sr))
+				}
+				buf.WriteByte('\n')
+			}
+		}
+	}
 	checkPin(t, "traces.txt", buf.Bytes())
 }
 
@@ -121,7 +143,8 @@ func TestGeneratedTracesPinned(t *testing.T) {
 // and the IEEE bits of the average PUE it returns, over mean
 // temperatures from deep winter to past the curve's cap (45 °C), the
 // temperature generator's default seed (0) and another, hourly and
-// 15-minute slots, and one day and a month.
+// 15-minute slots and two lengths that do not divide the day (7 and 11
+// minutes), and one day and a month.
 func TestCooledTracesPinned(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
@@ -136,6 +159,30 @@ func TestCooledTracesPinned(t *testing.T) {
 			for _, meanC := range []float64{-10, 2, 16, 26, 45} {
 				for _, seed := range []int64{0, 5} {
 					traces := base.Clone()
+					pue, err := traces.ApplyCooling(CoolingConfig{MeanTempC: meanC, Seed: seed})
+					if err != nil {
+						t.Fatalf("days %d, slot %d, %g C, seed %d: %v", days, slot, meanC, seed, err)
+					}
+					set := traces.View()
+					fmt.Fprintf(&buf, "days=%d slot=%d mean=%g seed=%d %s=%s %s=%s pue=%016x\n",
+						days, slot, meanC, seed, set.DemandDS.Name, seriesHash(set.DemandDS),
+						set.DemandDT.Name, seriesHash(set.DemandDT), math.Float64bits(pue))
+				}
+			}
+		}
+	}
+	// Slot lengths that do not divide the day: the cooled horizon is a
+	// whole number of ⌊1440/SlotMinutes⌋-slot days.
+	for _, days := range []int{1, 31} {
+		for _, slot := range []int{7, 11} {
+			for _, meanC := range []float64{2, 26} {
+				for _, seed := range []int64{0, 5} {
+					tc := DefaultTraceConfig()
+					tc.Days, tc.SlotMinutes = days, slot
+					traces, err := GenerateTraces(tc)
+					if err != nil {
+						t.Fatalf("%+v: %v", tc, err)
+					}
 					pue, err := traces.ApplyCooling(CoolingConfig{MeanTempC: meanC, Seed: seed})
 					if err != nil {
 						t.Fatalf("days %d, slot %d, %g C, seed %d: %v", days, slot, meanC, seed, err)
