@@ -502,6 +502,19 @@ func (rs *revised) applyPivot(q int, dir float64, r int, theta float64, leaveAt 
 	}
 }
 
+// refresh prepares a terminal status's confirmation: it refactorizes,
+// recomputes the basic values exactly, rescans infeasibility and
+// reprices. It reports false when the basic values are not finite.
+func (rs *revised) refresh() bool {
+	rs.lu.factorize(rs)
+	if !rs.refreshXB() {
+		return false
+	}
+	rs.rescanInfeasibility()
+	rs.recomputeDuals(rs.ninf > 0)
+	return true
+}
+
 // simplex drives the revised simplex over the standard form in s.sf. It
 // returns ErrIterLimit when the pivot budget or the stall budget runs
 // out and ErrNumerical when the basic values stop being finite or phase
@@ -514,7 +527,8 @@ func (rs *revised) applyPivot(q int, dir float64, r int, theta float64, leaveAt 
 // signs update from each pivot's sparse delta, and FTRAN/BTRAN run
 // hyper-sparse. Before declaring any terminal status the loop
 // refactorizes and recomputes everything once ("fresh confirmation"), so
-// accumulated drift can never produce a wrong Optimal/Infeasible answer.
+// accumulated drift can never produce a wrong Optimal, Infeasible or
+// Unbounded answer.
 func (s *Solver) simplex() (Solution, error) {
 	sf := &s.sf
 	rs := &s.rev
@@ -551,14 +565,9 @@ func (s *Solver) simplex() (Solution, error) {
 		q, d := rs.priceEnter(stall >= stallWin)
 		if q < 0 {
 			if !fresh {
-				// Confirm the terminal status on fresh factors, exact
-				// basic values and recomputed duals.
-				rs.lu.factorize(rs)
-				if !rs.refreshXB() {
+				if !rs.refresh() {
 					return Solution{}, ErrNumerical
 				}
-				rs.rescanInfeasibility()
-				rs.recomputeDuals(rs.ninf > 0)
 				fresh = true
 				continue
 			}
@@ -581,6 +590,15 @@ func (s *Solver) simplex() (Solution, error) {
 				// The composite objective is bounded below by zero, so a
 				// breakpoint always exists in exact arithmetic.
 				return Solution{}, ErrNumerical
+			}
+			if !fresh {
+				// Stale factors can hide the blocking row; price and
+				// test again on fresh ones before declaring Unbounded.
+				if !rs.refresh() {
+					return Solution{}, ErrNumerical
+				}
+				fresh = true
+				continue
 			}
 			return Solution{Status: Unbounded, Iterations: pivots}, nil
 		}
