@@ -27,10 +27,12 @@
 // NYISO price and Google-cluster workload datasets, and an experiment
 // harness reproducing every figure of the paper's evaluation. Every
 // generated trace is a January like the paper's: TraceConfig sets the
-// horizon, slot length, seed, plant sizes and grid-price scale, and the
-// models' parameters are fixed. CoolingConfig sets the cooling
-// coupling's mean outside temperature and seed; the coupled demand is
-// clipped at the default 2 MW grid connection.
+// horizon, slot length, seed, plant sizes, grid-price scale and
+// cooling, and the models' parameters are fixed. TraceConfig.Cooling
+// couples the demand through an outside-temperature trace at the
+// CoolingConfig's mean temperature and seed during generation; the
+// coupled demand is clipped at the traces' grid cap, PeakMW, and
+// Traces.AveragePUE reports the PUE applied.
 //
 // # On-site generation
 //

@@ -158,16 +158,18 @@ func TestPeakChargeOption(t *testing.T) {
 }
 
 func TestApplyCooling(t *testing.T) {
-	traces := testTraces(t, 7)
-	before, err := dpss.TraceStatistics(traces)
+	before, err := dpss.TraceStatistics(testTraces(t, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	avgPUE, err := traces.ApplyCooling(dpss.CoolingConfig{MeanTempC: 26, Seed: 5})
+	tc := dpss.DefaultTraceConfig()
+	tc.Days = 7
+	tc.Cooling = &dpss.CoolingConfig{MeanTempC: 26, Seed: 5}
+	traces, err := dpss.GenerateTraces(tc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if avgPUE <= 1.12 {
+	if avgPUE := traces.AveragePUE(); avgPUE <= 1.12 {
 		t.Errorf("summer avg PUE = %g, want above the free-cooling base", avgPUE)
 	}
 	after, err := dpss.TraceStatistics(traces)

@@ -69,8 +69,8 @@ type Options struct {
 	// T is the number of fine slots per coarse slot (paper Fig. 6(c,d)).
 	T int
 	// SlotMinutes is the fine-slot length; the paper uses 15 or 60 minutes
-	// (Sec. II). Zero means 60, and a negative length is refused with
-	// ErrInvalidOptions. It must match the traces' resolution:
+	// (Sec. II). Zero means 60, and any other length outside 1–1440 is
+	// refused with ErrInvalidOptions. It must match the traces' resolution:
 	// NewReplaySession and Simulate reject a mismatch with
 	// ErrInvalidOptions.
 	SlotMinutes int
@@ -212,12 +212,12 @@ func DefaultOptions() Options {
 	}
 }
 
-// slotMinutes returns the fine-slot length in minutes (default 60).
+// slotMinutes returns the fine-slot length in minutes as trace.SlotMinutes
+// resolves it (0 means 60), and 0 for a length the rule refuses, which
+// validateSimulateOptions reports.
 func (o Options) slotMinutes() int {
-	if o.SlotMinutes <= 0 {
-		return 60
-	}
-	return o.SlotMinutes
+	m, _ := trace.SlotMinutes(o.SlotMinutes)
+	return m
 }
 
 // slotHours returns the fine-slot duration in hours (default 1).
@@ -333,10 +333,11 @@ type TraceConfig struct {
 	// names both "solar and wind energies" as DPSS renewable sources). A
 	// negative size is an error.
 	WindCapacityMW float64
-	// PeakMW is the datacenter peak (grid cap for clipping).
+	// PeakMW is the datacenter peak (grid cap for clipping). It must be
+	// positive.
 	PeakMW float64
 	// SlotMinutes is the trace resolution (0 means 60; the paper uses 15
-	// or 60 minutes). A negative length is an error.
+	// or 60 minutes). Any other length outside 1–1440 is an error.
 	SlotMinutes int
 	// PriceScale multiplies both generated GRID price series (long-term
 	// and real-time) after generation; 0 or 1 leaves them unchanged. It
@@ -347,6 +348,10 @@ type TraceConfig struct {
 	// generator is idle capital, above it self-generation displaces the
 	// markets.
 	PriceScale float64
+	// Cooling, when non-nil, couples the demand through the cooling
+	// model (the paper's cooling-cost future work, Sec. IV-C); nil means
+	// no cooling.
+	Cooling *CoolingConfig
 }
 
 // DefaultTraceConfig returns the one-month default scenario. The solar
@@ -365,7 +370,15 @@ type Traces struct {
 	// method that rewrites the set or hands it out for writing (Set)
 	// clears it.
 	valid bool
+	// pue is the average PUE cooling applied at generation, 1 for
+	// uncooled traces.
+	pue float64
 }
+
+// AveragePUE returns the average PUE that TraceConfig.Cooling applied
+// to the demand at generation, and 1 for traces generated without
+// cooling.
+func (t *Traces) AveragePUE() float64 { return t.pue }
 
 // WithDemandDS returns traces whose delay-sensitive demand samples are
 // values, kept without a copy, and whose other four series are t's,
@@ -383,7 +396,7 @@ func WithDemandDS(t *Traces, values []float64) (*Traces, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Traces{set: set, valid: t.valid}, nil
+	return &Traces{set: set, valid: t.valid, pue: t.pue}, nil
 }
 
 // Set exposes the underlying trace set for internal consumers that may
@@ -407,55 +420,40 @@ func (t *Traces) View() *trace.Set { return t.set }
 func GenerateTraces(tc TraceConfig) (*Traces, error) { return GenerateTracesWith(tc, nil) }
 
 // SolarEnvelope computes the clear-sky envelope of tc's solar trace. It
-// depends only on tc's Days and SlotMinutes, so one envelope serves
-// every configuration that agrees on those two.
+// depends only on tc's slot grid (Days and the resolved SlotMinutes), so
+// one envelope serves every configuration that shares the grid.
 func SolarEnvelope(tc TraceConfig) (*solar.Envelope, error) {
-	env, err := solar.NewEnvelope(solarConfig(tc))
+	g, err := validateTraceConfig(tc)
 	if err != nil {
-		return nil, fmt.Errorf("smartdpss: %w", err)
+		return nil, err
 	}
-	return env, nil
+	return solar.NewEnvelope(g), nil
 }
 
 // GenerateTracesWith is GenerateTraces over a shared clear-sky envelope:
-// env must be SolarEnvelope of a configuration with tc's Days and
-// SlotMinutes. A nil env computes tc's own, which makes it
-// GenerateTraces. The traces are the same bits either way.
+// env must be SolarEnvelope of a configuration with tc's slot grid. A
+// nil env computes tc's own, which makes it GenerateTraces. The traces
+// are the same bits either way.
 func GenerateTracesWith(tc TraceConfig, env *solar.Envelope) (*Traces, error) {
-	if err := validateTraceConfig(tc); err != nil {
+	g, err := validateTraceConfig(tc)
+	if err != nil {
 		return nil, err
 	}
-	slotMinutes := TraceSlotMinutes(tc)
 	r := rand.New(rng.NewSource(tc.Seed))
-	ds, dt, err := workload.Generate(workload.Config{
-		Days: tc.Days, SlotMinutes: slotMinutes, PgridMW: tc.PeakMW, Seed: r.Int63(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("smartdpss: %w", err)
-	}
-	sc := solarConfig(tc)
-	sc.Seed = r.Int63()
-	sun, err := solar.GenerateWith(sc, env)
+	ds, dt := workload.Generate(workload.Config{Grid: g, PgridMW: tc.PeakMW, Seed: r.Int63()})
+	sun, err := solar.GenerateWith(solar.Config{Grid: g, CapacityMW: tc.SolarCapacityMW, Seed: r.Int63()}, env)
 	if err != nil {
 		return nil, fmt.Errorf("smartdpss: %w", err)
 	}
 	renewable := sun
 	renewable.Name = "renewable"
 	if tc.WindCapacityMW != 0 {
-		gusts, err := wind.Generate(wind.Config{
-			Days: tc.Days, SlotMinutes: slotMinutes, CapacityMW: tc.WindCapacityMW, Seed: r.Int63(),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("smartdpss: %w", err)
-		}
+		gusts := wind.Generate(wind.Config{Grid: g, CapacityMW: tc.WindCapacityMW, Seed: r.Int63()})
 		if _, err := renewable.AddSeries(gusts); err != nil {
 			return nil, fmt.Errorf("smartdpss: renewable mix: %w", err)
 		}
 	}
-	lt, rt, err := pricing.Generate(pricing.Config{Days: tc.Days, SlotMinutes: slotMinutes, Seed: r.Int63()})
-	if err != nil {
-		return nil, fmt.Errorf("smartdpss: %w", err)
-	}
+	lt, rt := pricing.Generate(pricing.Config{Grid: g, Seed: r.Int63()})
 	if tc.PriceScale > 0 && tc.PriceScale != 1 {
 		for _, sr := range []*trace.Series{lt, rt} {
 			for i, v := range sr.Values {
@@ -464,20 +462,31 @@ func GenerateTracesWith(tc TraceConfig, env *solar.Envelope) (*Traces, error) {
 		}
 	}
 	set := &trace.Set{DemandDS: ds, DemandDT: dt, Renewable: renewable, PriceLT: lt, PriceRT: rt}
+	pue := 1.0
+	if cc := tc.Cooling; cc != nil {
+		seed := cc.Seed
+		if seed == 0 {
+			seed = coolingSeed
+		}
+		temps := thermal.GenerateTemperature(thermal.Config{Grid: g, MeanC: cc.MeanTempC, Seed: seed})
+		if pue, err = thermal.ApplyCooling(set, temps, tc.PeakMW*g.SlotHours()); err != nil {
+			return nil, fmt.Errorf("smartdpss: %w", err)
+		}
+	}
 	if err := set.Validate(); err != nil {
 		return nil, fmt.Errorf("smartdpss: traces: %w", err)
 	}
-	return &Traces{set: set, valid: true}, nil
+	return &Traces{set: set, valid: true, pue: pue}, nil
 }
 
-// validateTraceConfig is GenerateTracesWith's screen before any draw.
-// It refuses the values every later range check would let through: a
-// comparison is false for NaN, and an infinite size would only surface
-// as a non-finite sample after generation. The generators range-check
-// the rest of their configurations themselves.
-func validateTraceConfig(tc TraceConfig) error {
+// validateTraceConfig is the one screen of a TraceConfig, run before any
+// draw, and it returns the slot grid the generators lay out. The
+// generators trust what it passes: a comparison is false for NaN, and an
+// infinite size would only surface as a non-finite sample after
+// generation, so every float must be finite before its sign is read.
+func validateTraceConfig(tc TraceConfig) (trace.Grid, error) {
 	if tc.Days <= 0 {
-		return errors.New("smartdpss: Days must be positive")
+		return trace.Grid{}, errors.New("smartdpss: Days must be positive")
 	}
 	fields := [...]struct {
 		name string
@@ -489,38 +498,33 @@ func validateTraceConfig(tc TraceConfig) error {
 	}
 	for _, f := range fields {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("smartdpss: %s is not finite", f.name)
+			return trace.Grid{}, fmt.Errorf("smartdpss: %s is not finite", f.name)
 		}
 	}
-	if tc.PriceScale < 0 || math.IsNaN(tc.PriceScale) || math.IsInf(tc.PriceScale, 0) {
-		return errors.New("smartdpss: PriceScale must be finite and non-negative")
+	switch {
+	case tc.PeakMW <= 0:
+		return trace.Grid{}, errors.New("smartdpss: PeakMW must be positive")
+	case tc.SolarCapacityMW < 0:
+		return trace.Grid{}, errors.New("smartdpss: SolarCapacityMW must not be negative")
+	case tc.WindCapacityMW < 0:
+		return trace.Grid{}, errors.New("smartdpss: WindCapacityMW must not be negative")
+	case tc.PriceScale < 0 || math.IsNaN(tc.PriceScale) || math.IsInf(tc.PriceScale, 0):
+		return trace.Grid{}, errors.New("smartdpss: PriceScale must be finite and non-negative")
+	case tc.Cooling != nil && (math.IsNaN(tc.Cooling.MeanTempC) || math.IsInf(tc.Cooling.MeanTempC, 0)):
+		return trace.Grid{}, errors.New("smartdpss: Cooling.MeanTempC is not finite")
 	}
-	return nil
-}
-
-// TraceSlotMinutes returns the slot length of the traces tc generates
-// (SlotMinutes, where 0 means 60; a negative length reaches the
-// generators' range check). It is a function, not a method, so that the
-// root package, which aliases TraceConfig, does not export it; geo
-// compares its sites' slot lengths through it.
-func TraceSlotMinutes(tc TraceConfig) int {
-	if tc.SlotMinutes == 0 {
-		return 60
+	m, err := trace.SlotMinutes(tc.SlotMinutes)
+	if err != nil {
+		return trace.Grid{}, fmt.Errorf("smartdpss: %w", err)
 	}
-	return tc.SlotMinutes
-}
-
-// solarConfig returns the solar generator's configuration for tc, less
-// the seed that GenerateTracesWith draws in sequence.
-func solarConfig(tc TraceConfig) solar.Config {
-	return solar.Config{Days: tc.Days, SlotMinutes: TraceSlotMinutes(tc), CapacityMW: tc.SolarCapacityMW}
+	return trace.Grid{Days: tc.Days, SlotMinutes: m}, nil
 }
 
 // Horizon returns the number of fine slots.
 func (t *Traces) Horizon() int { return t.set.Horizon() }
 
 // Clone deep-copies the traces.
-func (t *Traces) Clone() *Traces { return &Traces{set: t.set.Clone(), valid: t.valid} }
+func (t *Traces) Clone() *Traces { return &Traces{set: t.set.Clone(), valid: t.valid, pue: t.pue} }
 
 // CloneInto deep-copies the traces into dst, reusing dst's buffers where
 // the shapes allow, and returns dst (freshly allocated when nil). Sweep
@@ -531,7 +535,7 @@ func (t *Traces) CloneInto(dst *Traces) *Traces {
 		dst = &Traces{}
 	}
 	dst.set = t.set.CloneInto(dst.set)
-	dst.valid = t.valid
+	dst.valid, dst.pue = t.valid, t.pue
 	return dst
 }
 
@@ -595,9 +599,13 @@ func (t *Traces) PerturbUniform(seed int64, frac, pmax float64) (*Traces, error)
 // (Fig. 8's demand-variation axis).
 func (t *Traces) DemandStdDev() float64 { return t.set.TotalDemand().StdDev() }
 
-// CoolingConfig parameterizes the cooling coupling of ApplyCooling: the
-// climate and the weather's seed. The PUE curve is the thermal model's,
-// and the coupled demand is clipped at a 2 MW grid connection.
+// CoolingConfig parameterizes the cooling coupling of TraceConfig.Cooling:
+// the climate and the weather's seed. The PUE curve is the thermal
+// model's. Generation couples the demand through an outside-temperature
+// trace on the traces' own slot grid: below the free-cooling threshold
+// the facility runs at the base PUE, above it chiller load grows with
+// temperature, and the coupled demand is clipped at the grid cap,
+// TraceConfig.PeakMW. Traces.AveragePUE returns the average PUE applied.
 type CoolingConfig struct {
 	// MeanTempC is the long-run outside temperature (2 = winter site,
 	// ~26 = summer chiller regime).
@@ -606,52 +614,19 @@ type CoolingConfig struct {
 	Seed int64
 }
 
-// The cooling coupling's fixed terms: the temperature generator's seed
-// when CoolingConfig.Seed is 0, and the grid connection, in MW, that
-// caps the coupled facility demand (the default scenario's 2 MW peak).
-const (
-	coolingSeed            = 8
-	coolingPgridMW float64 = 2
-)
+// coolingSeed seeds the temperature generator when CoolingConfig.Seed
+// is 0.
+const coolingSeed = 8
 
-// ApplyCooling couples the demand traces through an outside-temperature
-// trace and a PUE curve (the paper's declared cooling-cost future work,
-// Sec. IV-C): below the free-cooling threshold the facility runs at the
-// base PUE, above it chiller load grows with temperature. The combined
-// demand is clipped at 2 MW. It returns the average applied PUE.
-func (t *Traces) ApplyCooling(cc CoolingConfig) (float64, error) {
-	t.valid = false
-	slotMinutes := t.set.DemandDS.SlotMinutes
-	tc := thermal.Config{SlotMinutes: slotMinutes, MeanC: cc.MeanTempC, Seed: cc.Seed}
-	if slotMinutes > 0 && slotMinutes <= 24*60 {
-		// The generators lay out ⌊1440/SlotMinutes⌋ slots a day, whether
-		// or not the slot length divides the day.
-		tc.Days = t.set.Horizon() / (24 * 60 / slotMinutes)
-	}
-	if tc.Days <= 0 {
-		return 0, errors.New("smartdpss: horizon shorter than one day")
-	}
-	if tc.Seed == 0 {
-		tc.Seed = coolingSeed
-	}
-	temps, err := thermal.GenerateTemperature(tc)
-	if err != nil {
-		return 0, fmt.Errorf("smartdpss: %w", err)
-	}
-	slotHours := float64(slotMinutes) / 60
-	return thermal.ApplyCooling(t.set, temps, coolingPgridMW*slotHours)
-}
-
-// RenewableNightSplit returns the renewable energy produced at night
-// (22:00–06:00) and in total, in MWh — an intermittency-smoothing
-// indicator for mixed solar/wind portfolios.
+// RenewableNightSplit returns the renewable energy produced in slots
+// starting at night (22:00–06:00) and in total, in MWh — an
+// intermittency-smoothing indicator for mixed solar/wind portfolios.
 func (t *Traces) RenewableNightSplit() (night, total float64) {
 	r := t.set.Renewable
-	slotsPerDay := 24 * 60 / r.SlotMinutes
+	day := trace.Grid{SlotMinutes: r.SlotMinutes}
 	for i, v := range r.Values {
 		total += v
-		hour := float64(i%slotsPerDay) * float64(r.SlotMinutes) / 60
-		if hour >= 22 || hour < 6 {
+		if m := day.MinuteOfDay(i); m >= 22*60 || m < 6*60 {
 			night += v
 		}
 	}

@@ -9,11 +9,9 @@ import (
 )
 
 // TestGenerateTracesValidation: every invalid TraceConfig axis must be
-// rejected with an error naming it, not a bad trace set. A non-finite
-// size or PriceScale is refused by name before any generator runs, and a
-// negative wind size or slot length reaches the wind or workload
-// generator's own check instead of silently meaning "no wind" or
-// "hourly".
+// rejected with an error naming it, not a bad trace set, by the one
+// screen before any generator runs. A negative wind size or slot length
+// is an error, not "no wind" or "hourly".
 func TestGenerateTracesValidation(t *testing.T) {
 	const (
 		days      = "smartdpss: Days must be positive"
@@ -21,6 +19,7 @@ func TestGenerateTracesValidation(t *testing.T) {
 		sun       = "smartdpss: SolarCapacityMW is not finite"
 		gust      = "smartdpss: WindCapacityMW is not finite"
 		priceText = "smartdpss: PriceScale must be finite and non-negative"
+		temp      = "smartdpss: Cooling.MeanTempC is not finite"
 	)
 	// NaN makes every ordered comparison false: without explicit
 	// finite checks these poisoned configs sailed through the guards.
@@ -35,23 +34,30 @@ func TestGenerateTracesValidation(t *testing.T) {
 		{"NaN peak", func(tc *TraceConfig) { tc.PeakMW = nan }, peak},
 		{"+Inf peak", func(tc *TraceConfig) { tc.PeakMW = inf }, peak},
 		{"-Inf peak", func(tc *TraceConfig) { tc.PeakMW = -inf }, peak},
-		{"negative peak", func(tc *TraceConfig) { tc.PeakMW = -1 }, "smartdpss: workload: PgridMW must be positive"},
+		{"negative peak", func(tc *TraceConfig) { tc.PeakMW = -1 }, "smartdpss: PeakMW must be positive"},
+		{"zero peak", func(tc *TraceConfig) { tc.PeakMW = 0 }, "smartdpss: PeakMW must be positive"},
 		{"NaN solar", func(tc *TraceConfig) { tc.SolarCapacityMW = nan }, sun},
 		{"+Inf solar", func(tc *TraceConfig) { tc.SolarCapacityMW = inf }, sun},
 		{"-Inf solar", func(tc *TraceConfig) { tc.SolarCapacityMW = -inf }, sun},
-		{"negative solar", func(tc *TraceConfig) { tc.SolarCapacityMW = -1 }, "smartdpss: solar: negative capacity"},
+		{"negative solar", func(tc *TraceConfig) { tc.SolarCapacityMW = -1 }, "smartdpss: SolarCapacityMW must not be negative"},
 		{"NaN wind", func(tc *TraceConfig) { tc.WindCapacityMW = nan }, gust},
 		{"+Inf wind", func(tc *TraceConfig) { tc.WindCapacityMW = inf }, gust},
 		{"-Inf wind", func(tc *TraceConfig) { tc.WindCapacityMW = -inf }, gust},
-		{"negative wind", func(tc *TraceConfig) { tc.WindCapacityMW = -1 }, "smartdpss: wind: negative capacity"},
-		{"negative slot length", func(tc *TraceConfig) { tc.SlotMinutes = -15 }, "smartdpss: workload: SlotMinutes out of range"},
+		{"negative wind", func(tc *TraceConfig) { tc.WindCapacityMW = -1 }, "smartdpss: WindCapacityMW must not be negative"},
+		{"negative slot length", func(tc *TraceConfig) { tc.SlotMinutes = -15 }, "smartdpss: SlotMinutes -15 is outside 1–1440"},
+		{"slot length above a day", func(tc *TraceConfig) { tc.SlotMinutes = 1441 }, "smartdpss: SlotMinutes 1441 is outside 1–1440"},
+		{"NaN cooling temperature", func(tc *TraceConfig) { tc.Cooling = &CoolingConfig{MeanTempC: nan} }, temp},
+		{"Inf cooling temperature", func(tc *TraceConfig) { tc.Cooling = &CoolingConfig{MeanTempC: -inf} }, temp},
 		{"negative price scale", func(tc *TraceConfig) { tc.PriceScale = -0.5 }, priceText},
 		{"NaN price scale", func(tc *TraceConfig) { tc.PriceScale = nan }, priceText},
 		{"Inf price scale", func(tc *TraceConfig) { tc.PriceScale = inf }, priceText},
-		// Screened before any generator runs: the workload generator
-		// would refuse SlotMinutes 2000 first.
+		// The screen checks in order, the slot rule last.
 		{"NaN peak before workload", func(tc *TraceConfig) { tc.PeakMW, tc.SlotMinutes = nan, 2000 }, peak},
 		{"price scale before workload", func(tc *TraceConfig) { tc.PriceScale, tc.SlotMinutes = -1, 2000 }, priceText},
+		{"signs before price scale", func(tc *TraceConfig) { tc.WindCapacityMW, tc.PriceScale = -1, nan }, "smartdpss: WindCapacityMW must not be negative"},
+		{"cooling before slot length", func(tc *TraceConfig) {
+			tc.Cooling, tc.SlotMinutes = &CoolingConfig{MeanTempC: nan}, 2000
+		}, temp},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -74,46 +80,73 @@ func TestApplyCoolingSlotsThatDoNotDivideTheDay(t *testing.T) {
 		for _, days := range []int{1, 31} {
 			tc := DefaultTraceConfig()
 			tc.Days, tc.SlotMinutes = days, slot
-			traces, err := GenerateTraces(tc)
+			plain, err := GenerateTraces(tc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := traces.View().DemandDS.Sum()
-			pue, err := traces.ApplyCooling(CoolingConfig{MeanTempC: 26})
+			tc.Cooling = &CoolingConfig{MeanTempC: 26}
+			cooled, err := GenerateTraces(tc)
 			if err != nil {
 				t.Errorf("%d-minute slots, %d days: %v", slot, days, err)
 				continue
 			}
-			if pue <= 1.12 || traces.View().DemandDS.Sum() <= before {
+			before, after := plain.View().DemandDS.Sum(), cooled.View().DemandDS.Sum()
+			if pue := cooled.AveragePUE(); pue <= 1.12 || after <= before {
 				t.Errorf("%d-minute slots, %d days: average PUE %g, demand %g → %g; summer must raise both",
-					slot, days, pue, before, traces.View().DemandDS.Sum())
+					slot, days, pue, before, after)
 			}
 		}
 	}
 }
 
-// TestTraceErrorsNameTheirLayerOnce: a generator's error already starts
-// with the generator's name, so the engine prefixes only "smartdpss: ".
-func TestTraceErrorsNameTheirLayerOnce(t *testing.T) {
-	cases := []struct {
-		mut  func(*TraceConfig)
-		want string
-	}{
-		{func(tc *TraceConfig) { tc.PeakMW = 0 }, "smartdpss: workload: PgridMW must be positive"},
-		{func(tc *TraceConfig) { tc.SlotMinutes = 2000 }, "smartdpss: workload: SlotMinutes out of range"},
-		{func(tc *TraceConfig) { tc.SolarCapacityMW = -1 }, "smartdpss: solar: negative capacity"},
+// TestCoolingClipsAtTheTracesPeak: cooled demand is clipped at the grid
+// cap of the traces' own PeakMW, so cooling a 3 MW site adds overhead
+// in every slot instead of cutting its peaks to 2 MW.
+func TestCoolingClipsAtTheTracesPeak(t *testing.T) {
+	tc := DefaultTraceConfig()
+	tc.Days, tc.PeakMW = 2, 3
+	plain, err := GenerateTraces(tc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		tc := DefaultTraceConfig()
-		c.mut(&tc)
-		if _, err := GenerateTraces(tc); err == nil || err.Error() != c.want {
-			t.Errorf("GenerateTraces(%+v) = %v, want %q", tc, err, c.want)
+	tc.Cooling = &CoolingConfig{MeanTempC: 26}
+	cooled, err := GenerateTraces(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, after := plain.View().TotalDemand(), cooled.View().TotalDemand()
+	for i, v := range after.Values {
+		if v < before.Values[i] {
+			t.Errorf("slot %d: cooled demand %g below uncooled %g", i, v, before.Values[i])
 		}
 	}
+	if peak := after.Max(); peak <= 2 || peak > 3 {
+		t.Errorf("cooled peak %g MWh, want above 2 and at most the 3 MWh cap", peak)
+	}
+	if plain.AveragePUE() != 1 || cooled.AveragePUE() <= 1.12 {
+		t.Errorf("average PUE %g uncooled, %g cooled; want 1 and above the base PUE",
+			plain.AveragePUE(), cooled.AveragePUE())
+	}
+}
+
+// TestTraceErrorsNameTheirLayerOnce: a generator's error already starts
+// with the generator's name, so the engine prefixes only "smartdpss: ".
+// The one generator error left is solar's envelope mismatch.
+func TestTraceErrorsNameTheirLayerOnce(t *testing.T) {
 	tc := DefaultTraceConfig()
+	tc.Days = 2
+	env, err := SolarEnvelope(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.Days = 3
+	const want = "smartdpss: solar: envelope computed for another horizon or slot length"
+	if _, err := GenerateTracesWith(tc, env); err == nil || err.Error() != want {
+		t.Errorf("GenerateTracesWith over another grid's envelope = %v, want %q", err, want)
+	}
 	tc.SolarCapacityMW = -1
-	if _, err := SolarEnvelope(tc); err == nil || err.Error() != "smartdpss: solar: negative capacity" {
-		t.Errorf("SolarEnvelope(%+v) = %v, want %q", tc, err, "smartdpss: solar: negative capacity")
+	if _, err := SolarEnvelope(tc); err == nil || err.Error() != "smartdpss: SolarCapacityMW must not be negative" {
+		t.Errorf("SolarEnvelope(%+v) = %v, want the screen's error", tc, err)
 	}
 }
 

@@ -187,9 +187,8 @@ func TestRewrittenTracesRevalidated(t *testing.T) {
 		{"above bound", func(s *trace.Set) { s.Renewable.Values[5] = 2 * trace.MaxEnergyMWh },
 			"trace: Renewable has samples above 1e+06 MWh"},
 	}
-	// Each rewrite leaves the poisoned sample as it is (or, for
-	// ApplyCooling, refuses the set whole), and returns the traces a
-	// session would then be built over.
+	// Each rewrite leaves the poisoned sample as it is and returns the
+	// traces a session would then be built over.
 	rewrites := []struct {
 		name    string
 		rewrite func(*Traces) *Traces
@@ -197,7 +196,6 @@ func TestRewrittenTracesRevalidated(t *testing.T) {
 		{"ScaleSystem", func(tr *Traces) *Traces { return tr.ScaleSystem(1) }},
 		{"SetPenetration", func(tr *Traces) *Traces { _ = tr.SetPenetration(tr.RenewablePenetration()); return tr }},
 		{"ScaleDemandVariation", func(tr *Traces) *Traces { _ = tr.ScaleDemandVariation(1); return tr }},
-		{"ApplyCooling", func(tr *Traces) *Traces { _, _ = tr.ApplyCooling(CoolingConfig{MeanTempC: 20}); return tr }},
 		{"PerturbUniform", func(tr *Traces) *Traces {
 			out, err := tr.PerturbUniform(3, 0, 1e9)
 			if err != nil {

@@ -138,9 +138,9 @@ func TestGeneratedTracesPinned(t *testing.T) {
 	checkPin(t, "traces.txt", buf.Bytes())
 }
 
-// TestCooledTracesPinned pins every bit ApplyCooling writes: the two
-// demand series of the default traces coupled through the cooling model
-// and the IEEE bits of the average PUE it returns, over mean
+// TestCooledTracesPinned pins every bit cooling writes: the two demand
+// series of the default traces generated with TraceConfig.Cooling and
+// the IEEE bits of their AveragePUE, over mean
 // temperatures from deep winter to past the curve's cap (45 °C), the
 // temperature generator's default seed (0) and another, hourly and
 // 15-minute slots and two lengths that do not divide the day (7 and 11
@@ -148,25 +148,24 @@ func TestGeneratedTracesPinned(t *testing.T) {
 func TestCooledTracesPinned(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
+	pin := func(days, slot int, meanC float64, seed int64) {
+		tc := DefaultTraceConfig()
+		tc.Days, tc.SlotMinutes = days, slot
+		tc.Cooling = &CoolingConfig{MeanTempC: meanC, Seed: seed}
+		traces, err := GenerateTraces(tc)
+		if err != nil {
+			t.Fatalf("days %d, slot %d, %g C, seed %d: %v", days, slot, meanC, seed, err)
+		}
+		set := traces.View()
+		fmt.Fprintf(&buf, "days=%d slot=%d mean=%g seed=%d %s=%s %s=%s pue=%016x\n",
+			days, slot, meanC, seed, set.DemandDS.Name, seriesHash(set.DemandDS),
+			set.DemandDT.Name, seriesHash(set.DemandDT), math.Float64bits(traces.AveragePUE()))
+	}
 	for _, days := range []int{1, 31} {
 		for _, slot := range []int{60, 15} {
-			tc := DefaultTraceConfig()
-			tc.Days, tc.SlotMinutes = days, slot
-			base, err := GenerateTraces(tc)
-			if err != nil {
-				t.Fatalf("%+v: %v", tc, err)
-			}
 			for _, meanC := range []float64{-10, 2, 16, 26, 45} {
 				for _, seed := range []int64{0, 5} {
-					traces := base.Clone()
-					pue, err := traces.ApplyCooling(CoolingConfig{MeanTempC: meanC, Seed: seed})
-					if err != nil {
-						t.Fatalf("days %d, slot %d, %g C, seed %d: %v", days, slot, meanC, seed, err)
-					}
-					set := traces.View()
-					fmt.Fprintf(&buf, "days=%d slot=%d mean=%g seed=%d %s=%s %s=%s pue=%016x\n",
-						days, slot, meanC, seed, set.DemandDS.Name, seriesHash(set.DemandDS),
-						set.DemandDT.Name, seriesHash(set.DemandDT), math.Float64bits(pue))
+					pin(days, slot, meanC, seed)
 				}
 			}
 		}
@@ -177,20 +176,7 @@ func TestCooledTracesPinned(t *testing.T) {
 		for _, slot := range []int{7, 11} {
 			for _, meanC := range []float64{2, 26} {
 				for _, seed := range []int64{0, 5} {
-					tc := DefaultTraceConfig()
-					tc.Days, tc.SlotMinutes = days, slot
-					traces, err := GenerateTraces(tc)
-					if err != nil {
-						t.Fatalf("%+v: %v", tc, err)
-					}
-					pue, err := traces.ApplyCooling(CoolingConfig{MeanTempC: meanC, Seed: seed})
-					if err != nil {
-						t.Fatalf("days %d, slot %d, %g C, seed %d: %v", days, slot, meanC, seed, err)
-					}
-					set := traces.View()
-					fmt.Fprintf(&buf, "days=%d slot=%d mean=%g seed=%d %s=%s %s=%s pue=%016x\n",
-						days, slot, meanC, seed, set.DemandDS.Name, seriesHash(set.DemandDS),
-						set.DemandDT.Name, seriesHash(set.DemandDT), math.Float64bits(pue))
+					pin(days, slot, meanC, seed)
 				}
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"math"
 
 	"github.com/smartdpss/smartdpss/internal/sim"
+	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
 // Sentinel errors of the public session API, re-exported by the root
@@ -133,8 +134,8 @@ func validateSimulateOptions(opts Options) error {
 	if opts.CarbonUSDPerTon < 0 {
 		return invalidOptions(errors.New("smartdpss: CarbonUSDPerTon must be finite and non-negative"))
 	}
-	if opts.SlotMinutes < 0 {
-		return invalidOptions(errors.New("smartdpss: SlotMinutes must not be negative"))
+	if _, err := trace.SlotMinutes(opts.SlotMinutes); err != nil {
+		return invalidOptions(fmt.Errorf("smartdpss: %w", err))
 	}
 	for i, u := range opts.Fleet {
 		if err := u.Validate(); err != nil {

@@ -272,6 +272,27 @@ func TestErrInvalidOptions(t *testing.T) {
 			}
 		}
 	})
+	t.Run("slot length above a day", func(t *testing.T) {
+		// trace.SlotMinutes's rule holds at every boundary: a streaming
+		// session of 1441-minute slots is refused like a replay one.
+		opts := DefaultOptions()
+		opts.SlotMinutes = 1441
+		for _, policy := range allPolicies {
+			if _, err := NewSession(policy, opts, 24); !errors.Is(err, ErrInvalidOptions) {
+				t.Errorf("%s streaming: err = %v, want ErrInvalidOptions", policy, err)
+			}
+			if _, err := NewReplaySession(policy, opts, traces); !errors.Is(err, ErrInvalidOptions) {
+				t.Errorf("%s replay: err = %v, want ErrInvalidOptions", policy, err)
+			}
+			if _, err := Simulate(policy, opts, traces); !errors.Is(err, ErrInvalidOptions) {
+				t.Errorf("%s Simulate: err = %v, want ErrInvalidOptions", policy, err)
+			}
+		}
+		const want = "smartdpss: SlotMinutes 1441 is outside 1–1440"
+		if _, err := NewSession(PolicySmartDPSS, opts, 24); err == nil || err.Error() != want {
+			t.Errorf("streaming: err = %v, want %q", err, want)
+		}
+	})
 	t.Run("valid options pass", func(t *testing.T) {
 		if _, err := NewSession(PolicySmartDPSS, DefaultOptions(), 24); err != nil {
 			t.Errorf("valid session rejected: %v", err)

@@ -14,35 +14,28 @@ import (
 // weather. Because hot afternoons coincide with the interactive peak,
 // summer cooling raises both the level and the variance of facility
 // demand; the experiment measures whether SmartDPSS's advantage over
-// Impatient survives the coupling. Each climate is a pool job coupling
-// its own private clone of the cached traces.
+// Impatient survives the coupling. Each climate is a pool job over its
+// own month, generated with its cooling.
 func ExtCooling(cfg Config) (*Table, error) {
 	climates := []struct {
-		label string
-		meanC float64
+		label   string
+		cooling *dpss.CoolingConfig
 	}{
-		{"no cooling model", -1000}, // sentinel: skip coupling
-		{"winter (2 C)", 2},
-		{"mild (16 C)", 16},
-		{"summer (26 C)", 26},
+		{"no cooling model", nil},
+		{"winter (2 C)", &dpss.CoolingConfig{MeanTempC: 2, Seed: cfg.Seed + 31}},
+		{"mild (16 C)", &dpss.CoolingConfig{MeanTempC: 16, Seed: cfg.Seed + 31}},
+		{"summer (26 C)", &dpss.CoolingConfig{MeanTempC: 26, Seed: cfg.Seed + 31}},
 	}
 	rows, err := suite.Map(cfg, len(climates), func(i int) ([]string, error) {
 		cl := climates[i]
-		traces, err := baseTraces(cfg)
+		tc := cfg.TraceConfig()
+		tc.Cooling = cl.cooling
+		traces, err := suite.Traces(tc)
 		if err != nil {
 			return nil, err
 		}
 		defer suite.Release(traces)
-		avgPUE := 1.0
-		if cl.meanC > -999 {
-			avgPUE, err = traces.ApplyCooling(dpss.CoolingConfig{
-				MeanTempC: cl.meanC,
-				Seed:      cfg.Seed + 31,
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
+		avgPUE := traces.AveragePUE()
 		stats, err := dpss.TraceStatistics(traces)
 		if err != nil {
 			return nil, err

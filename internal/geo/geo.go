@@ -84,8 +84,8 @@ const (
 // Config scopes one geo run.
 type Config struct {
 	// Sites is the fleet, in fixed result order. All sites must share
-	// Days and the slot length their traces resolve to
-	// (engine.TraceSlotMinutes: a SlotMinutes of 0 means 60).
+	// Days and the slot length their traces resolve to (trace.SlotMinutes:
+	// a SlotMinutes of 0 means 60).
 	Sites []SiteSpec
 	// Policy is the per-site supply policy (every engine policy works;
 	// the offline benchmarks see the post-routing demand).
@@ -164,12 +164,18 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("geo: unknown router %q", router)
 	}
 	days := cfg.Sites[0].Trace.Days
-	slotMinutes := engine.TraceSlotMinutes(cfg.Sites[0].Trace)
+	slotMinutes := 0
 	for s := range cfg.Sites {
 		if cfg.Sites[s].Trace.Days != days {
 			return nil, fmt.Errorf("geo: site %d has %d days, want %d", s, cfg.Sites[s].Trace.Days, days)
 		}
-		if engine.TraceSlotMinutes(cfg.Sites[s].Trace) != slotMinutes {
+		m, err := trace.SlotMinutes(cfg.Sites[s].Trace.SlotMinutes)
+		if err != nil {
+			return nil, fmt.Errorf("geo: site %d: %w", s, err)
+		}
+		if s == 0 {
+			slotMinutes = m
+		} else if m != slotMinutes {
 			return nil, fmt.Errorf("geo: site %d slot length differs from site 0", s)
 		}
 		if p := cfg.Sites[s].ImportPenaltyUSDPerMWh; math.IsNaN(p) || math.IsInf(p, 0) {

@@ -25,7 +25,6 @@
 package pricing
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 
@@ -33,13 +32,13 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-// Config parameterizes the price generator: the horizon and the seed.
+// Config parameterizes the price generator: the slot grid and the seed.
 // The price processes are the NYISO-January-like ones fixed below.
+// Generate trusts it: internal/engine screens every trace configuration
+// before any generator runs.
 type Config struct {
-	// Days is the number of simulated days.
-	Days int
-	// SlotMinutes is the trace resolution.
-	SlotMinutes int
+	// Grid is the horizon and the trace resolution.
+	Grid trace.Grid
 	// Seed drives the deterministic random source.
 	Seed int64
 }
@@ -68,35 +67,22 @@ const (
 	spikeFactor float64 = 2.2
 )
 
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	switch {
-	case c.Days <= 0:
-		return errors.New("pricing: Days must be positive")
-	case c.SlotMinutes <= 0 || c.SlotMinutes > 24*60:
-		return errors.New("pricing: SlotMinutes out of range")
-	}
-	return nil
-}
-
 // Generate produces the long-term and real-time price series in USD/MWh at
 // fine-slot resolution. The long-term series is piecewise smooth so that
 // sampling it at any coarse interval start (any T) is meaningful.
-func Generate(c Config) (lt, rt *trace.Series, err error) {
-	if err := c.Validate(); err != nil {
-		return nil, nil, err
-	}
+func Generate(c Config) (lt, rt *trace.Series) {
 	r := rand.New(rng.NewSource(c.Seed))
-	slotsPerDay := 24 * 60 / c.SlotMinutes
-	n := c.Days * slotsPerDay
-	lt = trace.New("price_lt", "USD/MWh", c.SlotMinutes, n)
-	rt = trace.New("price_rt", "USD/MWh", c.SlotMinutes, n)
+	g := c.Grid
+	slotsPerDay := g.SlotsPerDay()
+	n := g.Len()
+	lt = trace.New("price_lt", "USD/MWh", g.SlotMinutes, n)
+	rt = trace.New("price_rt", "USD/MWh", g.SlotMinutes, n)
 
-	slotHours := float64(c.SlotMinutes) / 60.0
+	slotHours := g.SlotHours()
 
 	// Daily long-term level: slow AR(1) walk around baseLT with a weekly
 	// shape (weekdays pricier than weekends).
-	dayLevel := make([]float64, c.Days)
+	dayLevel := make([]float64, g.Days)
 	level := baseLT
 	for d := range dayLevel {
 		level += 0.3*(baseLT-level) + 0.06*baseLT*r.NormFloat64()
@@ -108,9 +94,8 @@ func Generate(c Config) (lt, rt *trace.Series, err error) {
 		dayLevel[d] = clamp(level*weekly, pFloor, 0.9*pmax)
 	}
 
-	// The diurnal shape, once per slot of the day (see the package doc);
-	// SlotMinutes ≥ 1 bounds a day at 1440 slots.
-	var shape [24 * 60]float64
+	// The diurnal shape, once per slot of the day (see the package doc).
+	var shape [trace.MinutesPerDay]float64
 	for s := range slotsPerDay {
 		shape[s] = diurnalShape((float64(s) + 0.5) * slotHours)
 	}
@@ -144,7 +129,7 @@ func Generate(c Config) (lt, rt *trace.Series, err error) {
 			rt.Values[i] = clamp(rtP, pFloor, pmax)
 		}
 	}
-	return lt, rt, nil
+	return lt, rt
 }
 
 // diurnalShape returns a smooth [-1, 1] shape with morning and evening

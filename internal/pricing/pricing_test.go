@@ -2,19 +2,18 @@ package pricing
 
 import (
 	"testing"
+
+	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
 func mustGenerate(t *testing.T, c Config) (lt, rt []float64) {
 	t.Helper()
-	ltS, rtS, err := Generate(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ltS, rtS := Generate(c)
 	return ltS.Values, rtS.Values
 }
 
 // month is the NYISO-January-like default month: 31 hourly days.
-func month() Config { return Config{Days: 31, SlotMinutes: 60, Seed: 2} }
+func month() Config { return Config{Grid: trace.Grid{Days: 31, SlotMinutes: 60}, Seed: 2} }
 
 func TestGenerateLengthsAndBounds(t *testing.T) {
 	lt, rt := mustGenerate(t, month())
@@ -32,10 +31,7 @@ func TestGenerateLengthsAndBounds(t *testing.T) {
 }
 
 func TestGenerateRealTimePremium(t *testing.T) {
-	ltS, rtS, err := Generate(month())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ltS, rtS := Generate(month())
 	if rtS.Mean() <= ltS.Mean() {
 		t.Fatalf("E[prt] = %g must exceed E[plt] = %g (paper Sec. II-B.2)",
 			rtS.Mean(), ltS.Mean())
@@ -43,10 +39,7 @@ func TestGenerateRealTimePremium(t *testing.T) {
 }
 
 func TestGenerateRealTimeMoreVolatile(t *testing.T) {
-	ltS, rtS, err := Generate(month())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ltS, rtS := Generate(month())
 	if rtS.StdDev() <= ltS.StdDev() {
 		t.Fatalf("real-time std %g must exceed long-term std %g",
 			rtS.StdDev(), ltS.StdDev())
@@ -119,30 +112,12 @@ func TestGenerateEveningPeak(t *testing.T) {
 	c := month()
 	_, rt := mustGenerate(t, c)
 	evening, night := 0.0, 0.0
-	for d := 0; d < c.Days; d++ {
+	for d := 0; d < c.Grid.Days; d++ {
 		evening += rt[d*24+18]
 		night += rt[d*24+3]
 	}
 	if evening <= night {
 		t.Fatalf("evening total %g not above night total %g", evening, night)
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	mut := func(f func(*Config)) Config {
-		c := month()
-		f(&c)
-		return c
-	}
-	bad := []Config{
-		mut(func(c *Config) { c.Days = 0 }),
-		mut(func(c *Config) { c.SlotMinutes = 0 }),
-		mut(func(c *Config) { c.SlotMinutes = 24*60 + 1 }),
-	}
-	for i, c := range bad {
-		if _, _, err := Generate(c); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
-		}
 	}
 }
 

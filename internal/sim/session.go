@@ -167,13 +167,15 @@ type Session struct {
 }
 
 // NewSession builds a session over horizon fine slots of slotMinutes
-// each. fingerprint supplies an opaque caller-defined configuration
-// label folded into the checkpoint hash — engine.Session passes a
-// digest of its Options so checkpoints cannot cross configurations that
-// map to the same sim.Config (e.g. different V parameters); pass nil
-// when the sim.Config is the whole configuration. It is a function, not
-// a string, so batch runs that never checkpoint never pay for
-// computing it (ConfigHash calls it lazily, at most once).
+// each, a resolved length of 1–1440 minutes (trace.SlotMinutes's rule;
+// 0 is refused, not read as hourly). fingerprint supplies an opaque
+// caller-defined configuration label folded into the checkpoint hash —
+// engine.Session passes a digest of its Options so checkpoints cannot
+// cross configurations that map to the same sim.Config (e.g. different
+// V parameters); pass nil when the sim.Config is the whole
+// configuration. It is a function, not a string, so batch runs that
+// never checkpoint never pay for computing it (ConfigHash calls it
+// lazily, at most once).
 func NewSession(cfg Config, ctrl Controller, horizon, slotMinutes int, fingerprint func() string) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -187,8 +189,8 @@ func NewSession(cfg Config, ctrl Controller, horizon, slotMinutes int, fingerpri
 	if horizon < 0 {
 		return nil, &ValidationError{Field: "Horizon", Reason: "negative horizon"}
 	}
-	if slotMinutes <= 0 {
-		return nil, &ValidationError{Field: "SlotMinutes", Reason: "must be positive"}
+	if m, err := trace.SlotMinutes(slotMinutes); err != nil || m != slotMinutes {
+		return nil, &ValidationError{Field: "SlotMinutes", Reason: fmt.Sprintf("must be 1–%d minutes", trace.MinutesPerDay)}
 	}
 	batt, err := battery.New(cfg.Battery)
 	if err != nil {

@@ -81,6 +81,23 @@ func TestSessionMatchesRun(t *testing.T) {
 	}
 }
 
+// TestNewSessionSlotMinutes: a session takes a resolved slot length of
+// 1–1440 minutes; 0 is refused, not read as hourly.
+func TestNewSessionSlotMinutes(t *testing.T) {
+	for _, m := range []int{1, 60, 1440} {
+		if _, err := NewSession(testConfig(), &scriptController{name: "slot", gbef: 1}, 4, m, nil); err != nil {
+			t.Errorf("%d-minute slots refused: %v", m, err)
+		}
+	}
+	for _, m := range []int{0, -60, 1441, 100000} {
+		_, err := NewSession(testConfig(), &scriptController{name: "slot", gbef: 1}, 4, m, nil)
+		var verr *ValidationError
+		if !errors.As(err, &verr) || verr.Field != "SlotMinutes" {
+			t.Errorf("%d-minute slots: err = %v, want a SlotMinutes ValidationError", m, err)
+		}
+	}
+}
+
 func TestSessionProtocolErrors(t *testing.T) {
 	set := flatSet(4, 1, 0, 0, 40, 50)
 	cfg := testConfig()

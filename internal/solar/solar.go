@@ -44,14 +44,14 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-// Config parameterizes the generator: the horizon, the plant size and
+// Config parameterizes the generator: the slot grid, the plant size and
 // the seed. The site, its season and its weather are the paper-like
-// January central-US ones fixed below.
+// January central-US ones fixed below. Generate trusts it:
+// internal/engine screens every trace configuration before any generator
+// runs.
 type Config struct {
-	// Days is the number of simulated days.
-	Days int
-	// SlotMinutes is the trace resolution.
-	SlotMinutes int
+	// Grid is the horizon and the trace resolution.
+	Grid trace.Grid
 	// CapacityMW is the plant nameplate capacity: output at 1000 W/m²
 	// irradiance.
 	CapacityMW float64
@@ -78,57 +78,35 @@ const (
 	cloudyAttenuation float64 = 0.30
 )
 
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	switch {
-	case c.Days <= 0:
-		return errors.New("solar: Days must be positive")
-	case c.SlotMinutes <= 0 || c.SlotMinutes > 24*60:
-		return errors.New("solar: SlotMinutes out of range")
-	case c.CapacityMW < 0:
-		return errors.New("solar: negative capacity")
-	}
-	return nil
-}
-
 // Envelope is the clear-sky irradiance of every slot of a trace, in
 // W/m²: Generate's solar geometry without its weather chain. It depends
-// only on a Config's Days and SlotMinutes, so generators whose
-// configurations agree on those two can share one through GenerateWith.
-// It is read-only once built, so concurrent generators may share it.
+// only on the slot grid, so generators whose configurations share a grid
+// can share one through GenerateWith. It is read-only once built, so
+// concurrent generators may share it.
 type Envelope struct {
-	days        int
-	slotMinutes int
-	irradiance  []float64 // W/m², one per slot
+	grid       trace.Grid
+	irradiance []float64 // W/m², one per slot
 }
 
-// NewEnvelope computes c's clear-sky envelope. It validates the whole
-// configuration, as Generate does.
-func NewEnvelope(c Config) (*Envelope, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	e := newEnvelope(c)
-	return &e, nil
+// NewEnvelope computes the clear-sky envelope of grid g.
+func NewEnvelope(g trace.Grid) *Envelope {
+	e := newEnvelope(g)
+	return &e
 }
 
-// newEnvelope computes the envelope of a validated configuration, each
-// term of the geometry as rarely as it changes (see the package doc);
-// SlotMinutes ≥ 1 bounds a day at 1440 slots.
-func newEnvelope(c Config) Envelope {
-	slotsPerDay := 24 * 60 / c.SlotMinutes
-	slotHours := float64(c.SlotMinutes) / 60.0
-	e := Envelope{
-		days:        c.Days,
-		slotMinutes: c.SlotMinutes,
-		irradiance:  make([]float64, c.Days*slotsPerDay),
-	}
+// newEnvelope computes the envelope of grid g, each term of the geometry
+// as rarely as it changes (see the package doc). It returns the value,
+// so Generate keeps its own envelope on the stack.
+func newEnvelope(g trace.Grid) Envelope {
+	slotsPerDay := g.SlotsPerDay()
+	slotHours := g.SlotHours()
+	e := Envelope{grid: g, irradiance: make([]float64, g.Len())}
 	sinLat, cosLat := latitudeTerms(latitudeDeg)
-	var cosHourAngle [24 * 60]float64
+	var cosHourAngle [trace.MinutesPerDay]float64
 	for s := range slotsPerDay {
 		cosHourAngle[s] = math.Cos(hourAngle((float64(s) + 0.5) * slotHours)) // slot midpoint
 	}
-	for d := range c.Days {
+	for d := range g.Days {
 		sinDecl, cosDecl := declinationTerms(startDayOfYear + d)
 		day := e.irradiance[d*slotsPerDay : (d+1)*slotsPerDay]
 		for s := range day {
@@ -138,32 +116,24 @@ func newEnvelope(c Config) Envelope {
 	return e
 }
 
-// fits reports whether e was computed for c's days and slot length.
-func (e *Envelope) fits(c Config) bool {
-	return e.days == c.Days && e.slotMinutes == c.SlotMinutes
-}
-
 // Generate produces the production series in MWh per slot.
 func Generate(c Config) (*trace.Series, error) { return GenerateWith(c, nil) }
 
 // GenerateWith is Generate over a shared clear-sky envelope: env must
-// come from NewEnvelope of a configuration with c's Days and
-// SlotMinutes, and any other envelope is an error. A nil env computes c's own, which makes it Generate. The
-// series is the same bits either way.
+// come from NewEnvelope of c's grid, and any other envelope is an error.
+// A nil env computes c's own, which makes it Generate. The series is the
+// same bits either way.
 func GenerateWith(c Config, env *Envelope) (*trace.Series, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
 	if env == nil {
-		own := newEnvelope(c)
+		own := newEnvelope(c.Grid)
 		env = &own
-	} else if !env.fits(c) {
+	} else if env.grid != c.Grid {
 		return nil, errors.New("solar: envelope computed for another horizon or slot length")
 	}
 	r := rand.New(rng.NewSource(c.Seed))
-	out := trace.New("solar", "MWh", c.SlotMinutes, len(env.irradiance))
+	out := trace.New("solar", "MWh", c.Grid.SlotMinutes, len(env.irradiance))
 
-	slotHours := float64(c.SlotMinutes) / 60.0
+	slotHours := c.Grid.SlotHours()
 	cloudy := r.Float64() < 0.4 // initial weather state
 	atten := 1.0                // AR(1) attenuation level
 	for i, irr := range env.irradiance {

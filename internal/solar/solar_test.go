@@ -3,6 +3,8 @@ package solar
 import (
 	"math"
 	"testing"
+
+	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
 func mustGenerate(t *testing.T, c Config) []float64 {
@@ -15,13 +17,15 @@ func mustGenerate(t *testing.T, c Config) []float64 {
 }
 
 // month is the paper-like January of a 1 MW plant: 31 hourly days.
-func month() Config { return Config{Days: 31, SlotMinutes: 60, CapacityMW: 1, Seed: 1} }
+func month() Config {
+	return Config{Grid: trace.Grid{Days: 31, SlotMinutes: 60}, CapacityMW: 1, Seed: 1}
+}
 
 // clearSkyMWh is the month's production with the weather chain left
 // out: the clear-sky envelope through the plant, per slot.
 func clearSkyMWh(c Config) []float64 {
-	env := newEnvelope(c)
-	slotHours := float64(c.SlotMinutes) / 60
+	env := newEnvelope(c.Grid)
+	slotHours := c.Grid.SlotHours()
 	out := make([]float64, len(env.irradiance))
 	for i, irr := range env.irradiance {
 		out[i] = c.CapacityMW * performanceRatio * (irr / 1000) * slotHours
@@ -129,8 +133,8 @@ func TestGenerateSeasonality(t *testing.T) {
 
 func TestGenerateFineResolution(t *testing.T) {
 	c := month()
-	c.SlotMinutes = 15
-	c.Days = 2
+	c.Grid.SlotMinutes = 15
+	c.Grid.Days = 2
 	s, err := Generate(c)
 	if err != nil {
 		t.Fatal(err)
@@ -150,25 +154,6 @@ func TestGenerateCloudyReducesEnergy(t *testing.T) {
 	weather, clear := sum(mustGenerate(t, c)), sum(clearSkyMWh(c))
 	if weather >= 0.9*clear {
 		t.Fatalf("month energy %g not well below its clear sky %g", weather, clear)
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	mut := func(f func(*Config)) Config {
-		c := month()
-		f(&c)
-		return c
-	}
-	bad := []Config{
-		mut(func(c *Config) { c.Days = 0 }),
-		mut(func(c *Config) { c.SlotMinutes = 0 }),
-		mut(func(c *Config) { c.SlotMinutes = 100000 }),
-		mut(func(c *Config) { c.CapacityMW = -1 }),
-	}
-	for i, c := range bad {
-		if _, err := Generate(c); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
-		}
 	}
 }
 
@@ -203,11 +188,8 @@ func TestClearSkyIrradiance(t *testing.T) {
 // Generate's series, whatever the seed and capacity. An envelope of
 // another grid is refused.
 func TestGenerateWithSharedEnvelope(t *testing.T) {
-	for _, base := range []Config{month(), {Days: 3, SlotMinutes: 15, CapacityMW: 2}} {
-		env, err := NewEnvelope(base)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, base := range []Config{month(), {Grid: trace.Grid{Days: 3, SlotMinutes: 15}, CapacityMW: 2}} {
+		env := NewEnvelope(base.Grid)
 		c := base
 		c.Seed, c.CapacityMW = 42, 5
 		want := mustGenerate(t, c)
@@ -221,8 +203,8 @@ func TestGenerateWithSharedEnvelope(t *testing.T) {
 			}
 		}
 		for _, mut := range []func(*Config){
-			func(c *Config) { c.Days++ },
-			func(c *Config) { c.SlotMinutes *= 2 },
+			func(c *Config) { c.Grid.Days++ },
+			func(c *Config) { c.Grid.SlotMinutes *= 2 },
 		} {
 			other := c
 			mut(&other)

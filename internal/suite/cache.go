@@ -39,10 +39,15 @@ var tracePool sync.Pool
 // Traces returns the synthetic trace set for tc, generating it at most
 // once per distinct configuration and handing out a private deep copy.
 // The copy is essential: scenarios mutate their traces (SetPenetration,
-// ScaleSystem, ApplyCooling), and a shared set would race and corrupt
-// other scenarios' inputs. Call Release when a sweep point is done with
-// its copy to let the next point reuse the buffers.
+// ScaleSystem), and a shared set would race and corrupt other scenarios'
+// inputs. A cooled configuration is generated on every call and not
+// cached: its CoolingConfig is a pointer, and a key holding it would
+// match by identity, not by value. Call Release when a sweep point is
+// done with its copy to let the next point reuse the buffers.
 func Traces(tc engine.TraceConfig) (*engine.Traces, error) {
+	if tc.Cooling != nil {
+		return engine.GenerateTraces(tc)
+	}
 	traceCache.mu.Lock()
 	e, ok := traceCache.m[tc]
 	if ok {
@@ -79,7 +84,8 @@ func Release(tr *engine.Traces) {
 }
 
 // TraceCacheStats reports cumulative cache hits and misses (a miss is a
-// generation).
+// generation; a cooled configuration, generated on every call, counts
+// as neither).
 func TraceCacheStats() (hits, misses int64) {
 	traceCache.mu.Lock()
 	defer traceCache.mu.Unlock()

@@ -13,10 +13,11 @@
 // interactive peak.
 //
 // The package owns the temperature process and the PUE curve.
-// internal/engine is its sole consumer: when cooling is enabled it maps
-// the workload trace through the curve during trace generation, so the
-// simulator and policies only ever see the already-inflated facility
-// demand.
+// internal/engine is its sole consumer: when a trace configuration sets
+// cooling, generation draws the temperature trace on the demand's own
+// slot grid and maps the demand through the curve, clipped at the
+// configuration's grid cap, so the simulator and policies only ever see
+// the already-inflated facility demand.
 package thermal
 
 import (
@@ -28,14 +29,14 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-// Config parameterizes the temperature generator: the horizon, the mean
-// temperature and the seed. The weather's swings and the PUE curve are
-// the constants below.
+// Config parameterizes the temperature generator: the slot grid, the
+// mean temperature and the seed. The weather's swings and the PUE curve
+// are the constants below. GenerateTemperature trusts it:
+// internal/engine screens every trace configuration before any generator
+// runs.
 type Config struct {
-	// Days is the number of simulated days.
-	Days int
-	// SlotMinutes is the trace resolution.
-	SlotMinutes int
+	// Grid is the horizon and the trace resolution.
+	Grid trace.Grid
 	// MeanC is the long-run mean outside temperature in °C.
 	MeanC float64
 	// Seed drives the deterministic random source.
@@ -61,27 +62,14 @@ const (
 	maxPUE float64 = 1.6
 )
 
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	switch {
-	case c.Days <= 0:
-		return errors.New("thermal: Days must be positive")
-	case c.SlotMinutes <= 0 || c.SlotMinutes > 24*60:
-		return errors.New("thermal: SlotMinutes out of range")
-	}
-	return nil
-}
-
 // GenerateTemperature produces the outside-temperature series in °C.
-func GenerateTemperature(c Config) (*trace.Series, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
+func GenerateTemperature(c Config) *trace.Series {
 	r := rand.New(rng.NewSource(c.Seed))
-	slotsPerDay := 24 * 60 / c.SlotMinutes
-	n := c.Days * slotsPerDay
-	out := trace.New("temperature", "C", c.SlotMinutes, n)
-	slotHours := float64(c.SlotMinutes) / 60.0
+	g := c.Grid
+	slotsPerDay := g.SlotsPerDay()
+	n := g.Len()
+	out := trace.New("temperature", "C", g.SlotMinutes, n)
+	slotHours := g.SlotHours()
 
 	weather := 0.0
 	for i := 0; i < n; i++ {
@@ -91,7 +79,7 @@ func GenerateTemperature(c Config) (*trace.Series, error) {
 		weather += 0.05*(0-weather) + 0.3*weatherStdC*math.Sqrt(slotHours)*r.NormFloat64()
 		out.Values[i] = c.MeanC + diurnal + weather
 	}
-	return out, nil
+	return out
 }
 
 // PUE maps an outside temperature to the facility power usage
@@ -107,14 +95,12 @@ func PUE(tempC float64) float64 {
 // ApplyCooling scales both demand classes of the set by the PUE of the
 // given temperature trace, slot by slot, clipping the combined demand at
 // pgridMWh (facility power may not exceed the grid connection). It
-// returns the average applied PUE.
+// returns the average applied PUE. The set's demand series must be
+// present; the caller validates the set afterwards.
 //
 // Note: temperature values below any physically sensible range are used
-// as-is; Validate only guards the generator's own configuration.
+// as-is.
 func ApplyCooling(set *trace.Set, temps *trace.Series, pgridMWh float64) (float64, error) {
-	if err := set.Validate(); err != nil {
-		return 0, err
-	}
 	if temps.Len() != set.Horizon() {
 		return 0, errors.New("thermal: temperature trace length mismatch")
 	}

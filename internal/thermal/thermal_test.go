@@ -8,14 +8,11 @@ import (
 )
 
 // winter is the default winter month: 31 hourly days around 2 °C.
-func winter() Config { return Config{Days: 31, SlotMinutes: 60, MeanC: 2, Seed: 8} }
+func winter() Config { return Config{Grid: trace.Grid{Days: 31, SlotMinutes: 60}, MeanC: 2, Seed: 8} }
 
 func TestGenerateTemperatureShape(t *testing.T) {
 	c := winter()
-	temps, err := GenerateTemperature(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	temps := GenerateTemperature(c)
 	if temps.Len() != 31*24 {
 		t.Fatalf("len = %d", temps.Len())
 	}
@@ -25,7 +22,7 @@ func TestGenerateTemperatureShape(t *testing.T) {
 	}
 	// Afternoon warmer than pre-dawn on average.
 	afternoon, dawn := 0.0, 0.0
-	for d := 0; d < c.Days; d++ {
+	for d := 0; d < c.Grid.Days; d++ {
 		afternoon += temps.Values[d*24+15]
 		dawn += temps.Values[d*24+4]
 	}
@@ -35,14 +32,8 @@ func TestGenerateTemperatureShape(t *testing.T) {
 }
 
 func TestGenerateTemperatureDeterministic(t *testing.T) {
-	a, err := GenerateTemperature(winter())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateTemperature(winter())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := GenerateTemperature(winter())
+	b := GenerateTemperature(winter())
 	for i := range a.Values {
 		if a.Values[i] != b.Values[i] {
 			t.Fatalf("diverged at %d", i)
@@ -97,11 +88,8 @@ func testSet(n int) *trace.Set {
 
 func TestApplyCoolingWinterIsNeutral(t *testing.T) {
 	c := winter() // 2°C mean: always free cooling
-	c.Days = 1
-	temps, err := GenerateTemperature(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c.Grid.Days = 1
+	temps := GenerateTemperature(c)
 	set := testSet(24)
 	avgPUE, err := ApplyCooling(set, temps, 2.0)
 	if err != nil {
@@ -118,12 +106,9 @@ func TestApplyCoolingWinterIsNeutral(t *testing.T) {
 
 func TestApplyCoolingSummerRaisesDemand(t *testing.T) {
 	c := winter()
-	c.Days = 1
+	c.Grid.Days = 1
 	c.MeanC = 26 // chiller regime
-	temps, err := GenerateTemperature(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	temps := GenerateTemperature(c)
 	set := testSet(24)
 	before := set.TotalDemand().Sum()
 	avgPUE, err := ApplyCooling(set, temps, 4.0)
@@ -141,12 +126,9 @@ func TestApplyCoolingSummerRaisesDemand(t *testing.T) {
 
 func TestApplyCoolingClipsAtPgrid(t *testing.T) {
 	c := winter()
-	c.Days = 1
+	c.Grid.Days = 1
 	c.MeanC = 30
-	temps, err := GenerateTemperature(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	temps := GenerateTemperature(c)
 	set := testSet(24)
 	if _, err := ApplyCooling(set, temps, 1.6); err != nil {
 		t.Fatal(err)
@@ -160,39 +142,13 @@ func TestApplyCoolingClipsAtPgrid(t *testing.T) {
 
 func TestApplyCoolingErrors(t *testing.T) {
 	c := winter()
-	c.Days = 1
-	temps, err := GenerateTemperature(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c.Grid.Days = 1
+	temps := GenerateTemperature(c)
 	short := testSet(12)
 	if _, err := ApplyCooling(short, temps, 2.0); err == nil {
 		t.Error("length mismatch accepted")
 	}
 	if _, err := ApplyCooling(testSet(24), temps, 0); err == nil {
 		t.Error("zero Pgrid accepted")
-	}
-	bad := testSet(24)
-	bad.PriceLT = nil
-	if _, err := ApplyCooling(bad, temps, 2.0); err == nil {
-		t.Error("invalid set accepted")
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	mut := func(f func(*Config)) Config {
-		c := winter()
-		f(&c)
-		return c
-	}
-	bad := []Config{
-		mut(func(c *Config) { c.Days = 0 }),
-		mut(func(c *Config) { c.SlotMinutes = 0 }),
-		mut(func(c *Config) { c.SlotMinutes = 24*60 + 1 }),
-	}
-	for i, c := range bad {
-		if _, err := GenerateTemperature(c); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
-		}
 	}
 }

@@ -138,7 +138,8 @@ func (s *Series) StdDev() float64 {
 	return math.Sqrt(acc / float64(n))
 }
 
-// Validate reports an error for NaN/Inf samples or a non-positive slot size.
+// Validate reports an error for NaN/Inf samples or a slot length outside
+// 1–MinutesPerDay minutes.
 func (s *Series) Validate() error {
 	_, _, err := s.validRange()
 	return err
@@ -147,8 +148,8 @@ func (s *Series) Validate() error {
 // validRange is Validate that also returns, from the same pass, the
 // smallest and largest sample (+Inf and −Inf for an empty series).
 func (s *Series) validRange() (lo, hi float64, err error) {
-	if s.SlotMinutes <= 0 {
-		return 0, 0, fmt.Errorf("trace: %s has non-positive slot duration", s.Name)
+	if !validSlot(s.SlotMinutes) {
+		return 0, 0, fmt.Errorf("trace: %s has %d-minute slots, outside 1–%d", s.Name, s.SlotMinutes, MinutesPerDay)
 	}
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for i, v := range s.Values {

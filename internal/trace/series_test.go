@@ -106,6 +106,10 @@ func TestSeriesValidate(t *testing.T) {
 	if err := zeroSlot.Validate(); err == nil {
 		t.Error("want error for zero slot duration")
 	}
+	longSlot := FromValues("x", "", MinutesPerDay+1, []float64{1})
+	if err := longSlot.Validate(); err == nil {
+		t.Error("want error for a slot longer than a day")
+	}
 }
 
 func TestPropertyScaleThenSumMatches(t *testing.T) {

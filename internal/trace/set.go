@@ -73,7 +73,7 @@ func checkSeries(name string, energy bool, sr *Series, n, slot int) error {
 	if energy {
 		limit = MaxEnergyMWh
 	}
-	if sr.SlotMinutes > 0 && sr.SlotMinutes == slot && sr.Len() == n && inRange(sr.Values, limit) {
+	if validSlot(sr.SlotMinutes) && sr.SlotMinutes == slot && sr.Len() == n && inRange(sr.Values, limit) {
 		return nil
 	}
 	return seriesError(name, energy, sr, n, slot)

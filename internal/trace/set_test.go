@@ -231,6 +231,7 @@ func TestCheckSeriesMatchesOracle(t *testing.T) {
 		input{"slot length 0 on both sides", base(), 0, 0},
 		input{"slot length 0 with NaN", nan, 0, slot},
 		input{"negative slot length", base(), -60, -60},
+		input{"slot length above a day on both sides", base(), MinutesPerDay + 1, MinutesPerDay + 1},
 	)
 	for _, in := range inputs {
 		for _, energy := range []bool{true, false} {

@@ -21,7 +21,6 @@
 package wind
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 
@@ -29,14 +28,13 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-// Config parameterizes the wind generator: the horizon, the farm size
+// Config parameterizes the wind generator: the slot grid, the farm size
 // and the seed. The site and its turbines are the mid-continental winter
-// ones fixed below.
+// ones fixed below. Generate trusts it: internal/engine screens every
+// trace configuration before any generator runs.
 type Config struct {
-	// Days is the number of simulated days.
-	Days int
-	// SlotMinutes is the trace resolution.
-	SlotMinutes int
+	// Grid is the horizon and the trace resolution.
+	Grid trace.Grid
 	// CapacityMW is the rated (nameplate) farm output.
 	CapacityMW float64
 	// Seed drives the deterministic random source.
@@ -63,29 +61,14 @@ const (
 	diurnalAmp float64 = 0.08
 )
 
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	switch {
-	case c.Days <= 0:
-		return errors.New("wind: Days must be positive")
-	case c.SlotMinutes <= 0 || c.SlotMinutes > 24*60:
-		return errors.New("wind: SlotMinutes out of range")
-	case c.CapacityMW < 0:
-		return errors.New("wind: negative capacity")
-	}
-	return nil
-}
-
 // Generate produces the production series in MWh per slot.
-func Generate(c Config) (*trace.Series, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
+func Generate(c Config) *trace.Series {
 	r := rand.New(rng.NewSource(c.Seed))
-	slotsPerDay := 24 * 60 / c.SlotMinutes
-	n := c.Days * slotsPerDay
-	out := trace.New("wind", "MWh", c.SlotMinutes, n)
-	slotHours := float64(c.SlotMinutes) / 60.0
+	g := c.Grid
+	slotsPerDay := g.SlotsPerDay()
+	n := g.Len()
+	out := trace.New("wind", "MWh", g.SlotMinutes, n)
+	slotHours := g.SlotHours()
 
 	front := 0.0         // slow synoptic deviation of the regional mean
 	speed := meanSpeedMS // fast mean-reverting speed process
@@ -104,7 +87,7 @@ func Generate(c Config) (*trace.Series, error) {
 		powerMW := c.CapacityMW * powerCurve(speed)
 		out.Values[i] = powerMW * slotHours
 	}
-	return out, nil
+	return out
 }
 
 // powerCurve maps wind speed to the per-unit turbine output.

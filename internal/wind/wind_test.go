@@ -3,19 +3,19 @@ package wind
 import (
 	"math"
 	"testing"
+
+	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
 func mustGenerate(t *testing.T, c Config) []float64 {
 	t.Helper()
-	s, err := Generate(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s.Values
+	return Generate(c).Values
 }
 
 // month is the default month of a 1 MW farm: 31 hourly days.
-func month() Config { return Config{Days: 31, SlotMinutes: 60, CapacityMW: 1, Seed: 4} }
+func month() Config {
+	return Config{Grid: trace.Grid{Days: 31, SlotMinutes: 60}, CapacityMW: 1, Seed: 4}
+}
 
 func TestGenerateBounds(t *testing.T) {
 	c := month()
@@ -111,33 +111,11 @@ func TestPowerCurve(t *testing.T) {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
-	mut := func(f func(*Config)) Config {
-		c := month()
-		f(&c)
-		return c
-	}
-	bad := []Config{
-		mut(func(c *Config) { c.Days = 0 }),
-		mut(func(c *Config) { c.SlotMinutes = 0 }),
-		mut(func(c *Config) { c.SlotMinutes = 24*60 + 1 }),
-		mut(func(c *Config) { c.CapacityMW = -1 }),
-	}
-	for i, c := range bad {
-		if _, err := Generate(c); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
-		}
-	}
-}
-
 func TestGenerateFineResolution(t *testing.T) {
 	c := month()
-	c.SlotMinutes = 15
-	c.Days = 2
-	s, err := Generate(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c.Grid.SlotMinutes = 15
+	c.Grid.Days = 2
+	s := Generate(c)
 	if s.Len() != 2*24*4 {
 		t.Fatalf("len = %d, want %d", s.Len(), 2*24*4)
 	}

@@ -33,7 +33,6 @@
 package workload
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 
@@ -41,14 +40,13 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-// Config parameterizes the demand generator: the horizon, the grid cap
-// and the seed. The model itself is the paper-like scenario's, fixed
-// below.
+// Config parameterizes the demand generator: the slot grid, the grid
+// cap and the seed. The model itself is the paper-like scenario's, fixed
+// below. Generate trusts it: internal/engine screens every trace
+// configuration before any generator runs.
 type Config struct {
-	// Days is the number of simulated days.
-	Days int
-	// SlotMinutes is the trace resolution.
-	SlotMinutes int
+	// Grid is the horizon and the trace resolution.
+	Grid trace.Grid
 	// PgridMW caps the combined demand (peaks above are clipped, matching
 	// the paper's trace preprocessing).
 	PgridMW float64
@@ -78,40 +76,24 @@ const (
 	noiseSigma float64 = 0.06
 )
 
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	switch {
-	case c.Days <= 0:
-		return errors.New("workload: Days must be positive")
-	case c.SlotMinutes <= 0 || c.SlotMinutes > 24*60:
-		return errors.New("workload: SlotMinutes out of range")
-	case c.PgridMW <= 0:
-		return errors.New("workload: PgridMW must be positive")
-	}
-	return nil
-}
-
 // Generate produces the delay-sensitive and delay-tolerant demand series in
 // MWh per slot.
-func Generate(c Config) (ds, dt *trace.Series, err error) {
-	if err := c.Validate(); err != nil {
-		return nil, nil, err
-	}
+func Generate(c Config) (ds, dt *trace.Series) {
 	r := rand.New(rng.NewSource(c.Seed))
-	slotsPerDay := 24 * 60 / c.SlotMinutes
-	n := c.Days * slotsPerDay
-	ds = trace.New("demand_ds", "MWh", c.SlotMinutes, n)
-	dt = trace.New("demand_dt", "MWh", c.SlotMinutes, n)
-	slotHours := float64(c.SlotMinutes) / 60.0
+	g := c.Grid
+	slotsPerDay := g.SlotsPerDay()
+	n := g.Len()
+	ds = trace.New("demand_ds", "MWh", g.SlotMinutes, n)
+	dt = trace.New("demand_dt", "MWh", g.SlotMinutes, n)
+	slotHours := g.SlotHours()
 
 	// Jobs arrive in bursts; each job deposits energy over several slots.
 	// Expected arrivals are tuned so the long-run mean matches batchMeanMW.
 	meanJobMWh := 1.5 * slotHours // average total energy per job
 	jobsPerSlot := batchMeanMW * slotHours / meanJobMWh
 
-	// The diurnal terms, once per slot of the day (see the package doc);
-	// SlotMinutes ≥ 1 bounds a day at 1440 slots.
-	var terms [24 * 60]slotTerms
+	// The diurnal terms, once per slot of the day (see the package doc).
+	var terms [trace.MinutesPerDay]slotTerms
 	for s := range slotsPerDay {
 		hour := (float64(s) + 0.5) * slotHours
 		shape := interactiveShape(hour) // in [0, 1]
@@ -124,7 +106,7 @@ func Generate(c Config) (ds, dt *trace.Series, err error) {
 	noise := 0.0
 	flashLeft := 0
 	flashMul := 1.0
-	for day := range c.Days {
+	for day := range g.Days {
 		for s := range slotsPerDay {
 			level := interactivePeakMW * (interactiveBase + (1-interactiveBase)*terms[s].shape)
 			if day%7 == 5 || day%7 == 6 {
@@ -172,7 +154,7 @@ func Generate(c Config) (ds, dt *trace.Series, err error) {
 			}
 		}
 	}
-	return ds, dt, nil
+	return ds, dt
 }
 
 // slotTerms are the demand model's pure functions of the slot of the day.

@@ -6,20 +6,18 @@ import (
 	"testing"
 
 	"github.com/smartdpss/smartdpss/internal/rng"
+	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
 func mustGenerate(t *testing.T, c Config) (ds, dt []float64) {
 	t.Helper()
-	dsS, dtS, err := Generate(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dsS, dtS := Generate(c)
 	return dsS.Values, dtS.Values
 }
 
 // month is the paper-like default month: 31 hourly days under a 2 MW
 // grid cap.
-func month() Config { return Config{Days: 31, SlotMinutes: 60, PgridMW: 2, Seed: 3} }
+func month() Config { return Config{Grid: trace.Grid{Days: 31, SlotMinutes: 60}, PgridMW: 2, Seed: 3} }
 
 // level is the model's noise-free, flash-free interactive power at slot
 // s of an hourly day: its diurnal shape and weekend dip alone.
@@ -56,7 +54,7 @@ func TestGenerateDiurnalPattern(t *testing.T) {
 	c := month()
 	ds, _ := mustGenerate(t, c)
 	day, night := 0.0, 0.0
-	for d := 0; d < c.Days; d++ {
+	for d := 0; d < c.Grid.Days; d++ {
 		day += ds[d*24+14]
 		night += ds[d*24+4]
 	}
@@ -86,7 +84,7 @@ func TestGenerateWeekendDip(t *testing.T) {
 
 func TestGenerateBatchMeanApproximatelyTuned(t *testing.T) {
 	c := month()
-	c.Days = 62 // longer horizon tightens the estimate
+	c.Grid.Days = 62 // longer horizon tightens the estimate
 	_, dt := mustGenerate(t, c)
 	sum := 0.0
 	for _, v := range dt {
@@ -100,10 +98,7 @@ func TestGenerateBatchMeanApproximatelyTuned(t *testing.T) {
 }
 
 func TestGenerateBatchBurstierThanInteractive(t *testing.T) {
-	dsS, dtS, err := Generate(month())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dsS, dtS := Generate(month())
 	// Coefficient of variation: batch arrivals are the bursty class.
 	cvDS := dsS.StdDev() / dsS.Mean()
 	cvDT := dtS.StdDev() / dtS.Mean()
@@ -148,26 +143,6 @@ func TestGenerateFlashCrowdsRaisePeak(t *testing.T) {
 	}
 	if peak <= 1.4 {
 		t.Fatalf("demand peaked at %.3f of its noise-free level, want above 1.4", peak)
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	mut := func(f func(*Config)) Config {
-		c := month()
-		f(&c)
-		return c
-	}
-	bad := []Config{
-		mut(func(c *Config) { c.Days = 0 }),
-		mut(func(c *Config) { c.SlotMinutes = 0 }),
-		mut(func(c *Config) { c.SlotMinutes = -15 }),
-		mut(func(c *Config) { c.SlotMinutes = 24*60 + 1 }),
-		mut(func(c *Config) { c.PgridMW = 0 }),
-	}
-	for i, c := range bad {
-		if _, _, err := Generate(c); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
-		}
 	}
 }
 

@@ -64,9 +64,9 @@ type Traces = engine.Traces
 // demand, solar production, and two-timescale prices.
 func GenerateTraces(tc TraceConfig) (*Traces, error) { return engine.GenerateTraces(tc) }
 
-// CoolingConfig parameterizes the cooling coupling of Traces.ApplyCooling:
-// the mean outside temperature and the temperature generator's seed. The
-// coupled demand is clipped at a 2 MW grid connection.
+// CoolingConfig parameterizes the cooling coupling of TraceConfig.Cooling:
+// the mean outside temperature and the temperature generator's seed.
+// Generation clips the coupled demand at the traces' grid cap, PeakMW.
 type CoolingConfig = engine.CoolingConfig
 
 // SeriesStats summarizes one input series.
