@@ -134,7 +134,7 @@ golden:
 # suite engine, the generator fleet, the offline/lookahead baselines and
 # the LP substrate are the subsystems every scenario's correctness rides
 # on, serve holds the daemon's hand-written exposition encoder, and trace
-# and engine hold the slot-length rule and the one TraceConfig screen the
+# and engine hold trace validation and the one TraceConfig screen the
 # generators trust, so their coverage may not regress below the floor.
 # CI runs this target.
 COVER_FLOORS = suite:70 generator:85 baseline:70 lp:95 sim:70 optimize:85 serve:80 trace:86 engine:80

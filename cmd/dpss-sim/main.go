@@ -85,7 +85,10 @@ func run(args []string) error {
 	}}
 
 	if *showBounds {
-		b := dpss.Bounds(opts)
+		b, err := dpss.Bounds(opts)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("Theorem 2 bounds: Qmax=%.3f MWh Ymax=%.3f Umax=%.3f λmax=%d slots Vmax=%.3f\n\n",
 			b.QMax, b.YMax, b.UMax, b.LambdaMax, b.VMax)
 	}

@@ -26,13 +26,13 @@
 // synthetic trace generators standing in for the paper's MIDC solar,
 // NYISO price and Google-cluster workload datasets, and an experiment
 // harness reproducing every figure of the paper's evaluation. Every
-// generated trace is a January like the paper's: TraceConfig sets the
-// horizon, slot length, seed, plant sizes, grid-price scale and
-// cooling, and the models' parameters are fixed. TraceConfig.Cooling
-// couples the demand through an outside-temperature trace at the
-// CoolingConfig's mean temperature and seed during generation; the
-// coupled demand is clipped at the traces' grid cap, PeakMW, and
-// Traces.AveragePUE reports the PUE applied.
+// generated trace is a January like the paper's, in hourly slots as the
+// paper's evaluation uses: TraceConfig sets the horizon, seed, plant
+// sizes, grid-price scale and cooling, and the models' parameters are
+// fixed. TraceConfig.Cooling couples the demand through an
+// outside-temperature trace at the CoolingConfig's mean temperature and
+// seed during generation; the coupled demand is clipped at the traces'
+// grid cap, PeakMW, and Traces.AveragePUE reports the PUE applied.
 //
 // # On-site generation
 //
@@ -47,10 +47,9 @@
 // the generator cost and energy lines, per-unit accounting (GenUnits)
 // and fleet emissions (GenCO2Kg). The Impatient strawman and the
 // Lyapunov baseline never dispatch the fleet (they model operators
-// without cost-optimizing dispatch). A unit whose capacity is zero, or
-// rounds to zero MWh per slot, is dropped, so a Fleet that is empty or
-// holds only such units is inert and results are identical to
-// generator-free runs.
+// without cost-optimizing dispatch). A unit whose capacity is zero is
+// dropped, so a Fleet that is empty or holds only such units is inert
+// and results are identical to generator-free runs.
 //
 // # Unit commitment and emissions
 //

@@ -37,7 +37,10 @@ func Example() {
 // configuration before running anything.
 func ExampleBounds() {
 	opts := dpss.DefaultOptions() // V = 1, ε = 0.5, T = 24, Pmax = 150
-	b := dpss.Bounds(opts)
+	b, err := dpss.Bounds(opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("Qmax = %.2f MWh\n", b.QMax)
 	fmt.Printf("worst-case delay = %d slots\n", b.LambdaMax)
 	// Output:

@@ -48,7 +48,10 @@ func main() {
 		100*saving, smart.MeanDelaySlots, impatient.MeanDelaySlots)
 
 	// 4. The worst-case guarantees behind that delay (Theorem 2).
-	b := dpss.Bounds(opts)
+	b, err := dpss.Bounds(opts)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("Theorem 2: backlog ≤ %.2f MWh, worst-case delay ≤ %d slots.\n",
 		b.QMax, b.LambdaMax)
 }

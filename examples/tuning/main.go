@@ -38,7 +38,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		bounds := dpss.Bounds(opts)
+		bounds, err := dpss.Bounds(opts)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-6.2f  %-12.2f  %-12.2f  %-10d  %d\n",
 			v, rep.TimeAvgCostUSD, rep.MeanDelaySlots, rep.MaxDelaySlots, bounds.LambdaMax)
 		if v == 0.05 {

@@ -1,9 +1,9 @@
 package smartdpss_test
 
-// Tests for the library extensions beyond the paper's evaluation: 15-minute
-// fine slots (Sec. II names both 15 and 60 minutes), wind generation
-// (Sec. I names "solar and wind energies"), the UPS cycle budget Nmax
-// (Eq. 9), and peak-draw accounting (the paper's declared future work).
+// Tests for the library extensions beyond the paper's evaluation: wind
+// generation (Sec. I names "solar and wind energies"), the UPS cycle
+// budget Nmax (Eq. 9), and peak-draw accounting (the paper's declared
+// future work).
 
 import (
 	"math"
@@ -11,72 +11,6 @@ import (
 
 	dpss "github.com/smartdpss/smartdpss"
 )
-
-func TestFifteenMinuteSlots(t *testing.T) {
-	tc := dpss.DefaultTraceConfig()
-	tc.Days = 3
-	tc.SlotMinutes = 15
-	traces, err := dpss.GenerateTraces(tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traces.Horizon() != 3*24*4 {
-		t.Fatalf("horizon = %d, want %d", traces.Horizon(), 3*24*4)
-	}
-
-	opts := dpss.DefaultOptions()
-	opts.SlotMinutes = 15
-	opts.T = 96 // one day-ahead market period = 96 quarter-hour slots
-	rep, err := dpss.Simulate(dpss.PolicySmartDPSS, opts, traces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Slots != 3*24*4 {
-		t.Fatalf("slots = %d", rep.Slots)
-	}
-	if rep.UnservedMWh > 1e-6 {
-		t.Errorf("unserved = %g at 15-minute resolution", rep.UnservedMWh)
-	}
-	if rep.Availability < 1-1e-9 {
-		t.Errorf("availability = %g", rep.Availability)
-	}
-}
-
-func TestFifteenMinuteCostMatchesHourlyScale(t *testing.T) {
-	// The same physical scenario at 15-minute and 60-minute resolution
-	// must produce total costs of the same magnitude (they are different
-	// stochastic draws, so compare loosely).
-	hourly := dpss.DefaultTraceConfig()
-	hourly.Days = 7
-	hTraces, err := dpss.GenerateTraces(hourly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hRep, err := dpss.Simulate(dpss.PolicySmartDPSS, dpss.DefaultOptions(), hTraces)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	quarter := hourly
-	quarter.SlotMinutes = 15
-	qTraces, err := dpss.GenerateTraces(quarter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qOpts := dpss.DefaultOptions()
-	qOpts.SlotMinutes = 15
-	qOpts.T = 96
-	qRep, err := dpss.Simulate(dpss.PolicySmartDPSS, qOpts, qTraces)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ratio := qRep.TotalCostUSD / hRep.TotalCostUSD
-	if ratio < 0.6 || ratio > 1.6 {
-		t.Errorf("15-min total $%.2f vs hourly $%.2f (ratio %.2f): scale broken",
-			qRep.TotalCostUSD, hRep.TotalCostUSD, ratio)
-	}
-}
 
 func TestWindMixing(t *testing.T) {
 	solarOnly := dpss.DefaultTraceConfig()

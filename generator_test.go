@@ -30,17 +30,9 @@ func genTraces(t *testing.T) *dpss.Traces {
 // unit — every other field must be ignored, and under every policy the
 // report must be deeply equal to the plain generator-free run (no LP
 // commitment column, no Report.GenUnits row). This is the guarantee
-// behind the provisioning tables' generator-free column. The same holds
-// for a positive capacity that rounds to zero MWh per slot: 5e-324 MW
-// over a 15-minute slot.
+// behind the provisioning tables' generator-free column.
 func TestGeneratorZeroCapacityInert(t *testing.T) {
 	traces := genTraces(t)
-	qc := dpss.DefaultTraceConfig()
-	qc.Days, qc.SlotMinutes = 2, 15
-	quarter, err := dpss.GenerateTraces(qc)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, policy := range []dpss.Policy{
 		dpss.PolicySmartDPSS, dpss.PolicyImpatient,
 		dpss.PolicyOfflineOptimal, dpss.PolicyOfflineHorizon,
@@ -68,21 +60,6 @@ func TestGeneratorZeroCapacityInert(t *testing.T) {
 		}
 		if gated.GenUnits != nil || gated.GenEnergyMWh != 0 || gated.GenFuelUSD != 0 || gated.GenStarts != 0 {
 			t.Errorf("%s: zero-capacity generator accumulated output: %+v", policy, gated)
-		}
-
-		q := dpss.DefaultOptions()
-		q.SlotMinutes = 15
-		plainQ, err := dpss.Simulate(policy, q, quarter)
-		if err != nil {
-			t.Fatalf("%s at 15-minute slots: %v", policy, err)
-		}
-		q.Fleet = []dpss.UnitSpec{{CapacityMW: 5e-324, MinLoadFrac: 0.5, FuelUSDPerMWh: 1}}
-		tiny, err := dpss.Simulate(policy, q, quarter)
-		if err != nil {
-			t.Fatalf("%s with a subnormal unit: %v", policy, err)
-		}
-		if !reflect.DeepEqual(plainQ, tiny) {
-			t.Errorf("%s: a unit of zero MWh per slot changed the report:\n%v\nvs\n%v", policy, plainQ, tiny)
 		}
 
 		// An empty fleet — even with the fleet knobs set — must be just

@@ -78,15 +78,10 @@ func SolveGeoHorizon(sites []GeoSite) (*GeoRoutingPlan, error) {
 		}
 	}
 	H := sites[0].Set.Horizon()
-	slotMinutes := sites[0].Set.DemandDS.SlotMinutes
 	for s := 1; s < len(sites); s++ {
 		if sites[s].Set.Horizon() != H {
 			return nil, fmt.Errorf("baseline: geo site %d has horizon %d, want %d",
 				s, sites[s].Set.Horizon(), H)
-		}
-		if sites[s].Set.DemandDS.SlotMinutes != slotMinutes {
-			return nil, fmt.Errorf("baseline: geo site %d has %d-minute slots, want %d",
-				s, sites[s].Set.DemandDS.SlotMinutes, slotMinutes)
 		}
 	}
 

@@ -278,7 +278,7 @@ func TestNewLyapunovValidation(t *testing.T) {
 // spikes and flat stretches — no stationarity for the thresholds to lean
 // on.
 func randomLyapunovTraces(r *rand.Rand, slots int, pgrid, pmax float64) *trace.Set {
-	mk := func(name string) *trace.Series { return trace.New(name, "MWh", 60, slots) }
+	mk := func(name string) *trace.Series { return trace.New(name, "MWh", slots) }
 	set := &trace.Set{
 		DemandDS:  mk("demand_ds"),
 		DemandDT:  mk("demand_dt"),

@@ -15,7 +15,7 @@
 // internal/core reads the limits for the P5 weights and the battery
 // queue X(t) = b(t) − core.Params.XShift, internal/baseline turns them
 // into LP bounds, and internal/engine sizes them from Options
-// (battery.SizedSlot).
+// (battery.Sized).
 package battery
 
 import (
@@ -50,25 +50,17 @@ type Params struct {
 
 // Sized returns paper-style parameters for a battery able to power a
 // datacenter peak of peakMW for maxMinutes (Bmax) with a minMinutes
-// availability reserve (Bmin), using the constants of Sec. VI-A and
-// one-hour fine slots.
+// availability reserve (Bmin), using the constants of Sec. VI-A: over
+// an hourly fine slot, the paper's Bcmax = Bdmax = 0.5 MW power ratings
+// are 0.5 MWh per slot.
 func Sized(peakMW, maxMinutes, minMinutes float64) Params {
-	return SizedSlot(peakMW, maxMinutes, minMinutes, 60)
-}
-
-// SizedSlot is Sized for an arbitrary fine-slot length: capacities are
-// slot-independent energies, while the per-slot charge/discharge limits
-// scale with the slot duration (the paper's Bcmax = Bdmax = 0.5 MW are
-// power ratings).
-func SizedSlot(peakMW, maxMinutes, minMinutes float64, slotMinutes int) Params {
 	bmax := peakMW * maxMinutes / 60
 	bmin := math.Min(peakMW*minMinutes/60, bmax)
-	slotHours := float64(slotMinutes) / 60
 	return Params{
 		CapacityMWh:     bmax,
 		MinLevelMWh:     bmin,
-		MaxChargeMWh:    0.5 * slotHours,
-		MaxDischargeMWh: 0.5 * slotHours,
+		MaxChargeMWh:    0.5,
+		MaxDischargeMWh: 0.5,
 		ChargeEff:       0.8,
 		DischargeEff:    1.25,
 		OpCostUSD:       0.1,
@@ -123,7 +115,6 @@ type Battery struct {
 	// lifetime counters
 	chargedMWh    float64 // grid-side energy absorbed
 	dischargedMWh float64 // load-side energy delivered
-	opCostUSD     float64
 }
 
 // New returns a battery initialized to p.InitialMWh.
@@ -142,9 +133,6 @@ func (b *Battery) Level() float64 { return b.level }
 
 // Ops returns the number of slots in which the battery moved (Σ n(τ)).
 func (b *Battery) Ops() int { return b.ops }
-
-// OpCostTotal returns the accumulated operation cost in USD.
-func (b *Battery) OpCostTotal() float64 { return b.opCostUSD }
 
 // ChargedTotal returns lifetime grid-side absorbed energy in MWh.
 func (b *Battery) ChargedTotal() float64 { return b.chargedMWh }
@@ -189,7 +177,6 @@ type State struct {
 	Ops           int     `json:"ops"`
 	ChargedMWh    float64 `json:"chargedMWh"`
 	DischargedMWh float64 `json:"dischargedMWh"`
-	OpCostUSD     float64 `json:"opCostUSD"`
 }
 
 // State captures the battery's mutable state for a checkpoint.
@@ -199,7 +186,6 @@ func (b *Battery) State() State {
 		Ops:           b.ops,
 		ChargedMWh:    b.chargedMWh,
 		DischargedMWh: b.dischargedMWh,
-		OpCostUSD:     b.opCostUSD,
 	}
 }
 
@@ -228,14 +214,13 @@ func (b *Battery) Restore(s State) error {
 	b.ops = s.Ops
 	b.chargedMWh = s.ChargedMWh
 	b.dischargedMWh = s.DischargedMWh
-	b.opCostUSD = s.OpCostUSD
 	return nil
 }
 
 // Apply executes one slot of battery action: absorb charge MWh from the
 // supply and/or deliver discharge MWh to the load. Exactly one of the two
-// may be positive. The level, operation counter and cost are updated
-// atomically; on error the battery is unchanged.
+// may be positive. The level and the counters are updated atomically; on
+// error the battery is unchanged.
 func (b *Battery) Apply(charge, discharge float64) error {
 	const eps = 1e-9
 	if charge < -eps || discharge < -eps {
@@ -262,7 +247,6 @@ func (b *Battery) Apply(charge, discharge float64) error {
 	}
 	b.level = min(b.params.CapacityMWh, max(b.params.MinLevelMWh, next))
 	b.ops++
-	b.opCostUSD += b.params.OpCostUSD
 	b.chargedMWh += charge
 	b.dischargedMWh += discharge
 	return nil

@@ -16,13 +16,12 @@ import (
 // demand, solar and prices. The recorded-month tests pin its bits.
 func testTraces(t testing.TB, days int) *trace.Set {
 	t.Helper()
-	g := trace.Grid{Days: days, SlotMinutes: 60}
-	ds, dt := workload.Generate(workload.Config{Grid: g, PgridMW: 2, Seed: 3})
-	sun, err := solar.Generate(solar.Config{Grid: g, CapacityMW: 1, Seed: 1})
+	ds, dt := workload.Generate(workload.Config{Days: days, PgridMW: 2, Seed: 3})
+	sun, err := solar.Generate(solar.Config{Days: days, CapacityMW: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lt, rt := pricing.Generate(pricing.Config{Grid: g, Seed: 2})
+	lt, rt := pricing.Generate(pricing.Config{Days: days, Seed: 2})
 	set := &trace.Set{DemandDS: ds, DemandDT: dt, Renewable: sun, PriceLT: lt, PriceRT: rt}
 	if err := set.Validate(); err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // drawn independently per slot with spikes, gaps and flat stretches — the
 // "arbitrary demand" regime the paper targets (no stationarity at all).
 func randomTraceSet(r *rand.Rand, slots int, pgrid, pmax float64) *trace.Set {
-	mk := func(name string) *trace.Series { return trace.New(name, "MWh", 60, slots) }
+	mk := func(name string) *trace.Series { return trace.New(name, "MWh", slots) }
 	set := &trace.Set{
 		DemandDS:  mk("demand_ds"),
 		DemandDT:  mk("demand_dt"),
@@ -311,19 +311,19 @@ func TestFuzzExtremeTraces(t *testing.T) {
 		mut  func(*trace.Set, *Params)
 	}{
 		{"zero demand", func(s *trace.Set, p *Params) {
-			s.DemandDS = trace.FromValues("demand_ds", "MWh", 60, flat(0, slots))
-			s.DemandDT = trace.FromValues("demand_dt", "MWh", 60, flat(0, slots))
+			s.DemandDS = trace.FromValues("demand_ds", "MWh", flat(0, slots))
+			s.DemandDT = trace.FromValues("demand_dt", "MWh", flat(0, slots))
 		}},
 		{"zero renewable", func(s *trace.Set, p *Params) {
-			s.Renewable = trace.FromValues("renewable", "MWh", 60, flat(0, slots))
+			s.Renewable = trace.FromValues("renewable", "MWh", flat(0, slots))
 		}},
 		{"max prices", func(s *trace.Set, p *Params) {
-			s.PriceLT = trace.FromValues("price_lt", "MWh", 60, flat(p.PmaxUSD, slots))
-			s.PriceRT = trace.FromValues("price_rt", "MWh", 60, flat(p.PmaxUSD, slots))
+			s.PriceLT = trace.FromValues("price_lt", "MWh", flat(p.PmaxUSD, slots))
+			s.PriceRT = trace.FromValues("price_rt", "MWh", flat(p.PmaxUSD, slots))
 		}},
 		{"free power", func(s *trace.Set, p *Params) {
-			s.PriceLT = trace.FromValues("price_lt", "MWh", 60, flat(0, slots))
-			s.PriceRT = trace.FromValues("price_rt", "MWh", 60, flat(0, slots))
+			s.PriceLT = trace.FromValues("price_lt", "MWh", flat(0, slots))
+			s.PriceRT = trace.FromValues("price_rt", "MWh", flat(0, slots))
 		}},
 		{"no battery", func(s *trace.Set, p *Params) {
 			p.Battery.CapacityMWh = 0

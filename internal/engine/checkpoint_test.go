@@ -172,9 +172,9 @@ func TestRestoreFailureLeavesSessionUnchanged(t *testing.T) {
 	}
 }
 
-// TestRestoreChecksSessionHorizon: a checkpoint that claims a horizon or
-// slot length other than the session's is rejected, even with the
-// session's config hash, so a 48-slot session never reports slot 5000.
+// TestRestoreChecksSessionHorizon: a checkpoint that claims a horizon
+// other than the session's is rejected, even with the session's config
+// hash, so a 48-slot session never reports slot 5000.
 func TestRestoreChecksSessionHorizon(t *testing.T) {
 	traces := dayTraces(t, 2)
 	arm := streamArms()[0]
@@ -184,7 +184,6 @@ func TestRestoreChecksSessionHorizon(t *testing.T) {
 	for _, edit := range [][2]string{
 		{`"slot":10,"horizon":48`, `"slot":5000,"horizon":9999`},
 		{`"slot":10,"horizon":48`, `"slot":10,"horizon":9999`},
-		{`"slotMinutes":60`, `"slotMinutes":15`},
 	} {
 		bad := strings.Replace(blob, edit[0], edit[1], 1)
 		if bad == blob {

@@ -66,14 +66,9 @@ type Options struct {
 	V float64
 	// Epsilon is the delay-queue growth parameter ε (paper Fig. 7).
 	Epsilon float64
-	// T is the number of fine slots per coarse slot (paper Fig. 6(c,d)).
+	// T is the number of hourly fine slots per coarse slot (paper
+	// Fig. 6(c,d)).
 	T int
-	// SlotMinutes is the fine-slot length; the paper uses 15 or 60 minutes
-	// (Sec. II). Zero means 60, and any other length outside 1–1440 is
-	// refused with ErrInvalidOptions. It must match the traces' resolution:
-	// NewReplaySession and Simulate reject a mismatch with
-	// ErrInvalidOptions.
-	SlotMinutes int
 	// PeakMW sizes the datacenter (grid cap Pgrid and battery sizing).
 	PeakMW float64
 	// BatteryMinutes sizes Bmax as minutes of peak demand (0 disables the
@@ -115,9 +110,8 @@ type Options struct {
 	// Fleet configures the dispatchable on-site generation units
 	// (arXiv:1303.6775's self-generation source), one UnitSpec per
 	// unit; a single generator is a one-unit Fleet. Units keep their
-	// order. A unit whose capacity rounds to zero MWh per slot is
-	// dropped, so a Fleet that is empty or holds only such units is
-	// exactly generation-free.
+	// order. A unit of zero capacity is dropped, so a Fleet that is
+	// empty or holds only such units is exactly generation-free.
 	Fleet []UnitSpec
 	// CommitWindow is the unit-commitment lookahead W in fine slots:
 	// with W > 1 the controller decides fleet starts/stops from the
@@ -143,9 +137,8 @@ type Options struct {
 // per-slot MWh).
 type UnitSpec struct {
 	// CapacityMW is the unit's nameplate power. A unit whose capacity
-	// is zero, or rounds to zero MWh per slot, is dropped before any
-	// layer sees it, so Report.GenUnits lists only the units with
-	// capacity, in Fleet order.
+	// is zero is dropped before any layer sees it, so Report.GenUnits
+	// lists only the units with capacity, in Fleet order.
 	CapacityMW float64
 	// MinLoadFrac is the minimum stable load as a fraction of
 	// CapacityMW.
@@ -212,28 +205,17 @@ func DefaultOptions() Options {
 	}
 }
 
-// slotMinutes returns the fine-slot length in minutes as trace.SlotMinutes
-// resolves it (0 means 60), and 0 for a length the rule refuses, which
-// validateSimulateOptions reports.
-func (o Options) slotMinutes() int {
-	m, _ := trace.SlotMinutes(o.SlotMinutes)
-	return m
-}
-
-// slotHours returns the fine-slot duration in hours (default 1).
-func (o Options) slotHours() float64 { return float64(o.slotMinutes()) / 60 }
-
 // plant translates Options into the physical system every layer shares:
-// the controller plans against it and the session bills it.
+// the controller plans against it and the session bills it. A slot is
+// an hour, so each power cap in MW is its slot's energy cap in MWh.
 func (o Options) plant() sim.Plant {
-	h := o.slotHours()
 	p := sim.DefaultPlant()
 	p.PmaxUSD = o.PmaxUSD
-	p.PgridMWh = o.PeakMW * h
-	p.SmaxMWh = 2 * o.PeakMW * h
+	p.PgridMWh = o.PeakMW
+	p.SmaxMWh = 2 * o.PeakMW
 	// The service cap is a datacenter capability: it scales with the
 	// installation (Fig. 10 grows the system while the UPS stays fixed).
-	p.SdtMaxMWh = o.PeakMW / 2 * h
+	p.SdtMaxMWh = o.PeakMW / 2
 	p.Battery = batteryParams(o)
 	p.Fleet = fleetParams(o)
 	return p
@@ -247,7 +229,7 @@ func (o Options) coreParams() core.Params {
 		Epsilon: o.Epsilon,
 		T:       o.T,
 		// The arrival cap scales with the installation, like Sdtmax.
-		DdtMaxMWh:        o.PeakMW / 2 * o.slotHours(),
+		DdtMaxMWh:        o.PeakMW / 2,
 		CommitWindow:     o.CommitWindow,
 		DisableLongTerm:  o.DisableLongTerm,
 		SnapshotPlanning: o.SnapshotPlanning,
@@ -270,22 +252,20 @@ func batteryParams(o Options) battery.Params {
 	if o.BatteryReferenceMW > 0 {
 		ref = o.BatteryReferenceMW
 	}
-	p := battery.SizedSlot(ref, o.BatteryMinutes, o.BatteryMinMinutes, o.slotMinutes())
+	p := battery.Sized(ref, o.BatteryMinutes, o.BatteryMinMinutes)
 	p.MaxOps = o.BatteryMaxOps
 	return p
 }
 
-// fleetParams translates the fleet options into slot-scaled unit
-// parameters, dropping every unit whose slot-scaled capacity is zero
-// (nil when none is left). A configured carbon price folds each unit's
-// emission intensity into its linear fuel price, so merit order,
-// commitment and the billed fuel cost all internalize emissions.
+// fleetParams translates the fleet options into per-slot unit
+// parameters, dropping every unit of zero capacity (nil when none is
+// left). A configured carbon price folds each unit's emission intensity
+// into its linear fuel price, so merit order, commitment and the billed
+// fuel cost all internalize emissions.
 func fleetParams(o Options) []generator.Params {
 	var out []generator.Params
-	h := o.slotHours()
 	for _, u := range o.Fleet {
-		capMWh := u.CapacityMW * h
-		if capMWh == 0 {
+		if u.CapacityMW == 0 {
 			continue
 		}
 		if out == nil {
@@ -297,8 +277,8 @@ func fleetParams(o Options) []generator.Params {
 		}
 		fuel += u.CO2KgPerMWh * o.CarbonUSDPerTon / 1000
 		out = append(out, generator.Params{
-			CapacityMWh:     capMWh,
-			MinLoadMWh:      u.MinLoadFrac * u.CapacityMW * h,
+			CapacityMWh:     u.CapacityMW,
+			MinLoadMWh:      u.MinLoadFrac * u.CapacityMW,
 			FuelUSDPerMWh:   fuel,
 			FuelQuadUSD:     u.FuelQuadUSD,
 			StartupUSD:      u.StartupUSD,
@@ -319,11 +299,13 @@ func (o Options) simConfig() sim.Config {
 
 // TraceConfig parameterizes the synthetic January scenario standing in for
 // the paper's MIDC solar, NYISO price and Google-cluster workload traces.
-// Every trace starts on January 1, as the paper's month does; the models'
-// parameters are their generators' constants, so a TraceConfig sets only
-// the horizon, the seed and the sizes.
+// Every trace starts on January 1, as the paper's month does, and has
+// hourly slots, as the paper's evaluation does; the models' parameters
+// are their generators' constants, so a TraceConfig sets only the
+// horizon, the seed and the sizes.
 type TraceConfig struct {
-	// Days is the horizon length (the paper uses 31).
+	// Days is the horizon length (the paper uses 31), 24 hourly slots a
+	// day.
 	Days int
 	// Seed drives all generators (each gets a derived sub-seed).
 	Seed int64
@@ -336,9 +318,6 @@ type TraceConfig struct {
 	// PeakMW is the datacenter peak (grid cap for clipping). It must be
 	// positive.
 	PeakMW float64
-	// SlotMinutes is the trace resolution (0 means 60; the paper uses 15
-	// or 60 minutes). Any other length outside 1–1440 is an error.
-	SlotMinutes int
 	// PriceScale multiplies both generated GRID price series (long-term
 	// and real-time) after generation; 0 or 1 leaves them unchanged. It
 	// never touches fuel costs — each generation unit burns fuel at its
@@ -390,9 +369,7 @@ func (t *Traces) AveragePUE() float64 { return t.pue }
 // swaps each site's routed demand in through it.
 func WithDemandDS(t *Traces, values []float64) (*Traces, error) {
 	home := t.set.DemandDS
-	set, err := t.set.WithDemandDS(&trace.Series{
-		Name: home.Name, Unit: home.Unit, SlotMinutes: home.SlotMinutes, Values: values,
-	})
+	set, err := t.set.WithDemandDS(&trace.Series{Name: home.Name, Unit: home.Unit, Values: values})
 	if err != nil {
 		return nil, err
 	}
@@ -420,40 +397,38 @@ func (t *Traces) View() *trace.Set { return t.set }
 func GenerateTraces(tc TraceConfig) (*Traces, error) { return GenerateTracesWith(tc, nil) }
 
 // SolarEnvelope computes the clear-sky envelope of tc's solar trace. It
-// depends only on tc's slot grid (Days and the resolved SlotMinutes), so
-// one envelope serves every configuration that shares the grid.
+// depends only on tc.Days, so one envelope serves every configuration
+// that shares it.
 func SolarEnvelope(tc TraceConfig) (*solar.Envelope, error) {
-	g, err := validateTraceConfig(tc)
-	if err != nil {
+	if err := validateTraceConfig(tc); err != nil {
 		return nil, err
 	}
-	return solar.NewEnvelope(g), nil
+	return solar.NewEnvelope(tc.Days), nil
 }
 
 // GenerateTracesWith is GenerateTraces over a shared clear-sky envelope:
-// env must be SolarEnvelope of a configuration with tc's slot grid. A
-// nil env computes tc's own, which makes it GenerateTraces. The traces
-// are the same bits either way.
+// env must be SolarEnvelope of a configuration with tc's Days. A nil env
+// computes tc's own, which makes it GenerateTraces. The traces are the
+// same bits either way.
 func GenerateTracesWith(tc TraceConfig, env *solar.Envelope) (*Traces, error) {
-	g, err := validateTraceConfig(tc)
-	if err != nil {
+	if err := validateTraceConfig(tc); err != nil {
 		return nil, err
 	}
 	r := rand.New(rng.NewSource(tc.Seed))
-	ds, dt := workload.Generate(workload.Config{Grid: g, PgridMW: tc.PeakMW, Seed: r.Int63()})
-	sun, err := solar.GenerateWith(solar.Config{Grid: g, CapacityMW: tc.SolarCapacityMW, Seed: r.Int63()}, env)
+	ds, dt := workload.Generate(workload.Config{Days: tc.Days, PgridMW: tc.PeakMW, Seed: r.Int63()})
+	sun, err := solar.GenerateWith(solar.Config{Days: tc.Days, CapacityMW: tc.SolarCapacityMW, Seed: r.Int63()}, env)
 	if err != nil {
 		return nil, fmt.Errorf("smartdpss: %w", err)
 	}
 	renewable := sun
 	renewable.Name = "renewable"
 	if tc.WindCapacityMW != 0 {
-		gusts := wind.Generate(wind.Config{Grid: g, CapacityMW: tc.WindCapacityMW, Seed: r.Int63()})
+		gusts := wind.Generate(wind.Config{Days: tc.Days, CapacityMW: tc.WindCapacityMW, Seed: r.Int63()})
 		if _, err := renewable.AddSeries(gusts); err != nil {
 			return nil, fmt.Errorf("smartdpss: renewable mix: %w", err)
 		}
 	}
-	lt, rt := pricing.Generate(pricing.Config{Grid: g, Seed: r.Int63()})
+	lt, rt := pricing.Generate(pricing.Config{Days: tc.Days, Seed: r.Int63()})
 	if tc.PriceScale > 0 && tc.PriceScale != 1 {
 		for _, sr := range []*trace.Series{lt, rt} {
 			for i, v := range sr.Values {
@@ -468,8 +443,8 @@ func GenerateTracesWith(tc TraceConfig, env *solar.Envelope) (*Traces, error) {
 		if seed == 0 {
 			seed = coolingSeed
 		}
-		temps := thermal.GenerateTemperature(thermal.Config{Grid: g, MeanC: cc.MeanTempC, Seed: seed})
-		if pue, err = thermal.ApplyCooling(set, temps, tc.PeakMW*g.SlotHours()); err != nil {
+		temps := thermal.GenerateTemperature(thermal.Config{Days: tc.Days, MeanC: cc.MeanTempC, Seed: seed})
+		if pue, err = thermal.ApplyCooling(set, temps, tc.PeakMW); err != nil {
 			return nil, fmt.Errorf("smartdpss: %w", err)
 		}
 	}
@@ -480,13 +455,13 @@ func GenerateTracesWith(tc TraceConfig, env *solar.Envelope) (*Traces, error) {
 }
 
 // validateTraceConfig is the one screen of a TraceConfig, run before any
-// draw, and it returns the slot grid the generators lay out. The
-// generators trust what it passes: a comparison is false for NaN, and an
-// infinite size would only surface as a non-finite sample after
-// generation, so every float must be finite before its sign is read.
-func validateTraceConfig(tc TraceConfig) (trace.Grid, error) {
+// draw. The generators trust what it passes: a comparison is false for
+// NaN, and an infinite size would only surface as a non-finite sample
+// after generation, so every float must be finite before its sign is
+// read.
+func validateTraceConfig(tc TraceConfig) error {
 	if tc.Days <= 0 {
-		return trace.Grid{}, errors.New("smartdpss: Days must be positive")
+		return errors.New("smartdpss: Days must be positive")
 	}
 	fields := [...]struct {
 		name string
@@ -498,26 +473,22 @@ func validateTraceConfig(tc TraceConfig) (trace.Grid, error) {
 	}
 	for _, f := range fields {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return trace.Grid{}, fmt.Errorf("smartdpss: %s is not finite", f.name)
+			return fmt.Errorf("smartdpss: %s is not finite", f.name)
 		}
 	}
 	switch {
 	case tc.PeakMW <= 0:
-		return trace.Grid{}, errors.New("smartdpss: PeakMW must be positive")
+		return errors.New("smartdpss: PeakMW must be positive")
 	case tc.SolarCapacityMW < 0:
-		return trace.Grid{}, errors.New("smartdpss: SolarCapacityMW must not be negative")
+		return errors.New("smartdpss: SolarCapacityMW must not be negative")
 	case tc.WindCapacityMW < 0:
-		return trace.Grid{}, errors.New("smartdpss: WindCapacityMW must not be negative")
+		return errors.New("smartdpss: WindCapacityMW must not be negative")
 	case tc.PriceScale < 0 || math.IsNaN(tc.PriceScale) || math.IsInf(tc.PriceScale, 0):
-		return trace.Grid{}, errors.New("smartdpss: PriceScale must be finite and non-negative")
+		return errors.New("smartdpss: PriceScale must be finite and non-negative")
 	case tc.Cooling != nil && (math.IsNaN(tc.Cooling.MeanTempC) || math.IsInf(tc.Cooling.MeanTempC, 0)):
-		return trace.Grid{}, errors.New("smartdpss: Cooling.MeanTempC is not finite")
+		return errors.New("smartdpss: Cooling.MeanTempC is not finite")
 	}
-	m, err := trace.SlotMinutes(tc.SlotMinutes)
-	if err != nil {
-		return trace.Grid{}, fmt.Errorf("smartdpss: %w", err)
-	}
-	return trace.Grid{Days: tc.Days, SlotMinutes: m}, nil
+	return nil
 }
 
 // Horizon returns the number of fine slots.
@@ -602,7 +573,7 @@ func (t *Traces) DemandStdDev() float64 { return t.set.TotalDemand().StdDev() }
 // CoolingConfig parameterizes the cooling coupling of TraceConfig.Cooling:
 // the climate and the weather's seed. The PUE curve is the thermal
 // model's. Generation couples the demand through an outside-temperature
-// trace on the traces' own slot grid: below the free-cooling threshold
+// trace over the traces' own horizon: below the free-cooling threshold
 // the facility runs at the base PUE, above it chiller load grows with
 // temperature, and the coupled demand is clipped at the grid cap,
 // TraceConfig.PeakMW. Traces.AveragePUE returns the average PUE applied.
@@ -622,11 +593,9 @@ const coolingSeed = 8
 // starting at night (22:00–06:00) and in total, in MWh — an
 // intermittency-smoothing indicator for mixed solar/wind portfolios.
 func (t *Traces) RenewableNightSplit() (night, total float64) {
-	r := t.set.Renewable
-	day := trace.Grid{SlotMinutes: r.SlotMinutes}
-	for i, v := range r.Values {
+	for i, v := range t.set.Renewable.Values {
 		total += v
-		if m := day.MinuteOfDay(i); m >= 22*60 || m < 6*60 {
+		if h := i % trace.SlotsPerDay; h >= 22 || h < 6 {
 			night += v
 		}
 	}
@@ -724,8 +693,14 @@ type TheoremBounds struct {
 	VMax      float64
 }
 
-// Bounds computes the Theorem 2 bounds for the options.
-func Bounds(opts Options) TheoremBounds {
+// Bounds computes the Theorem 2 bounds for the options. It refuses
+// exactly the options a SmartDPSS session refuses, with the session's
+// ErrInvalidOptions error: the bounds of a controller that cannot be
+// built bound nothing.
+func Bounds(opts Options) (TheoremBounds, error) {
+	if _, err := NewSession(PolicySmartDPSS, opts, 1); err != nil {
+		return TheoremBounds{}, err
+	}
 	p := opts.coreParams()
 	return TheoremBounds{
 		QMax:      p.QMax(),
@@ -733,5 +708,5 @@ func Bounds(opts Options) TheoremBounds {
 		UMax:      p.UMax(),
 		LambdaMax: p.LambdaMax(),
 		VMax:      p.VMax(),
-	}
+	}, nil
 }

@@ -10,8 +10,8 @@ import (
 
 // TestGenerateTracesValidation: every invalid TraceConfig axis must be
 // rejected with an error naming it, not a bad trace set, by the one
-// screen before any generator runs. A negative wind size or slot length
-// is an error, not "no wind" or "hourly".
+// screen before any generator runs. A negative wind size is an error,
+// not "no wind".
 func TestGenerateTracesValidation(t *testing.T) {
 	const (
 		days      = "smartdpss: Days must be positive"
@@ -44,20 +44,19 @@ func TestGenerateTracesValidation(t *testing.T) {
 		{"+Inf wind", func(tc *TraceConfig) { tc.WindCapacityMW = inf }, gust},
 		{"-Inf wind", func(tc *TraceConfig) { tc.WindCapacityMW = -inf }, gust},
 		{"negative wind", func(tc *TraceConfig) { tc.WindCapacityMW = -1 }, "smartdpss: WindCapacityMW must not be negative"},
-		{"negative slot length", func(tc *TraceConfig) { tc.SlotMinutes = -15 }, "smartdpss: SlotMinutes -15 is outside 1–1440"},
-		{"slot length above a day", func(tc *TraceConfig) { tc.SlotMinutes = 1441 }, "smartdpss: SlotMinutes 1441 is outside 1–1440"},
 		{"NaN cooling temperature", func(tc *TraceConfig) { tc.Cooling = &CoolingConfig{MeanTempC: nan} }, temp},
 		{"Inf cooling temperature", func(tc *TraceConfig) { tc.Cooling = &CoolingConfig{MeanTempC: -inf} }, temp},
 		{"negative price scale", func(tc *TraceConfig) { tc.PriceScale = -0.5 }, priceText},
 		{"NaN price scale", func(tc *TraceConfig) { tc.PriceScale = nan }, priceText},
 		{"Inf price scale", func(tc *TraceConfig) { tc.PriceScale = inf }, priceText},
-		// The screen checks in order, the slot rule last.
-		{"NaN peak before workload", func(tc *TraceConfig) { tc.PeakMW, tc.SlotMinutes = nan, 2000 }, peak},
-		{"price scale before workload", func(tc *TraceConfig) { tc.PriceScale, tc.SlotMinutes = -1, 2000 }, priceText},
+		// The screen checks in order, the cooling temperature last.
+		{"NaN peak before workload", func(tc *TraceConfig) {
+			tc.PeakMW, tc.Cooling = nan, &CoolingConfig{MeanTempC: nan}
+		}, peak},
+		{"price scale before workload", func(tc *TraceConfig) {
+			tc.PriceScale, tc.Cooling = -1, &CoolingConfig{MeanTempC: inf}
+		}, priceText},
 		{"signs before price scale", func(tc *TraceConfig) { tc.WindCapacityMW, tc.PriceScale = -1, nan }, "smartdpss: WindCapacityMW must not be negative"},
-		{"cooling before slot length", func(tc *TraceConfig) {
-			tc.Cooling, tc.SlotMinutes = &CoolingConfig{MeanTempC: nan}, 2000
-		}, temp},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -68,34 +67,6 @@ func TestGenerateTracesValidation(t *testing.T) {
 				t.Fatalf("GenerateTraces(%+v) = %v, want %q", tc, err, c.want)
 			}
 		})
-	}
-}
-
-// TestApplyCoolingSlotsThatDoNotDivideTheDay: the generators lay out
-// ⌊1440/SlotMinutes⌋ slots a day, so at a slot length that does not
-// divide the day the cooled horizon is a whole number of those days,
-// not of 1440-minute spans.
-func TestApplyCoolingSlotsThatDoNotDivideTheDay(t *testing.T) {
-	for _, slot := range []int{7, 11} {
-		for _, days := range []int{1, 31} {
-			tc := DefaultTraceConfig()
-			tc.Days, tc.SlotMinutes = days, slot
-			plain, err := GenerateTraces(tc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.Cooling = &CoolingConfig{MeanTempC: 26}
-			cooled, err := GenerateTraces(tc)
-			if err != nil {
-				t.Errorf("%d-minute slots, %d days: %v", slot, days, err)
-				continue
-			}
-			before, after := plain.View().DemandDS.Sum(), cooled.View().DemandDS.Sum()
-			if pue := cooled.AveragePUE(); pue <= 1.12 || after <= before {
-				t.Errorf("%d-minute slots, %d days: average PUE %g, demand %g → %g; summer must raise both",
-					slot, days, pue, before, after)
-			}
-		}
 	}
 }
 
@@ -140,9 +111,9 @@ func TestTraceErrorsNameTheirLayerOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	tc.Days = 3
-	const want = "smartdpss: solar: envelope computed for another horizon or slot length"
+	const want = "smartdpss: solar: envelope computed for another horizon"
 	if _, err := GenerateTracesWith(tc, env); err == nil || err.Error() != want {
-		t.Errorf("GenerateTracesWith over another grid's envelope = %v, want %q", err, want)
+		t.Errorf("GenerateTracesWith over another horizon's envelope = %v, want %q", err, want)
 	}
 	tc.SolarCapacityMW = -1
 	if _, err := SolarEnvelope(tc); err == nil || err.Error() != "smartdpss: SolarCapacityMW must not be negative" {
@@ -241,27 +212,33 @@ func TestPriceScaleLeavesFuelUntouched(t *testing.T) {
 }
 
 // TestOptionsCoreParamsPlumbing: the Options→core.Params translation
-// must scale datacenter-level settings into per-slot quantities.
+// must turn datacenter-level settings into per-slot quantities: over an
+// hourly slot, h = 1, each power cap in MW is an energy cap in MWh.
 func TestOptionsCoreParamsPlumbing(t *testing.T) {
 	o := DefaultOptions()
-	o.SlotMinutes = 15 // h = 0.25
 	o.PeakMW = 4.0
-	o.Fleet = []UnitSpec{{CapacityMW: 1.0, MinLoadFrac: 0.5, FuelUSDPerMWh: 60}}
+	o.Fleet = []UnitSpec{{CapacityMW: 1.5, MinLoadFrac: 0.5, FuelUSDPerMWh: 60}}
 	p := o.coreParams()
 
-	h := 0.25
+	const h = 1.0
 	if p.PgridMWh != o.PeakMW*h {
 		t.Errorf("PgridMWh = %g, want %g", p.PgridMWh, o.PeakMW*h)
 	}
 	if p.SmaxMWh != 2*o.PeakMW*h {
 		t.Errorf("SmaxMWh = %g, want %g", p.SmaxMWh, 2*o.PeakMW*h)
 	}
+	if p.SdtMaxMWh != o.PeakMW/2*h || p.DdtMaxMWh != o.PeakMW/2*h {
+		t.Errorf("Sdtmax, Ddtmax = %g, %g, want %g", p.SdtMaxMWh, p.DdtMaxMWh, o.PeakMW/2*h)
+	}
+	if p.Battery.MaxChargeMWh != 0.5*h || p.Battery.MaxDischargeMWh != 0.5*h {
+		t.Errorf("Bcmax, Bdmax = %g, %g, want %g", p.Battery.MaxChargeMWh, p.Battery.MaxDischargeMWh, 0.5*h)
+	}
 	if len(p.Fleet) != 1 {
 		t.Fatalf("fleet has %d units, want 1", len(p.Fleet))
 	}
 	g := p.Fleet[0]
-	if g.CapacityMWh != 1.0*h || g.MinLoadMWh != 0.5*1.0*h {
-		t.Errorf("generator window = (%g, %g), want (%g, %g)", g.MinLoadMWh, g.CapacityMWh, 0.5*h, h)
+	if g.CapacityMWh != 1.5*h || g.MinLoadMWh != 0.5*1.5*h {
+		t.Errorf("generator window = (%g, %g), want (%g, %g)", g.MinLoadMWh, g.CapacityMWh, 0.5*1.5*h, 1.5*h)
 	}
 	if g.FuelUSDPerMWh != 60 {
 		t.Errorf("fuel = %g, want 60", g.FuelUSDPerMWh)
@@ -333,8 +310,8 @@ func TestSimulateRejectsBadFleetOptions(t *testing.T) {
 }
 
 // GenerateTracesWith over a shared envelope gives GenerateTraces' bits
-// for every configuration that agrees on Days and SlotMinutes, and
-// refuses an envelope of any other.
+// for every configuration that agrees on Days, and refuses an envelope
+// of any other.
 func TestGenerateTracesWithSharedEnvelope(t *testing.T) {
 	base := DefaultTraceConfig()
 	base.Days = 3
@@ -345,7 +322,7 @@ func TestGenerateTracesWithSharedEnvelope(t *testing.T) {
 	for _, tc := range []TraceConfig{
 		base,
 		{Days: 3, Seed: 9, SolarCapacityMW: 1, WindCapacityMW: 2, PeakMW: 3, PriceScale: 1.4},
-		{Days: 3, Seed: 2, SolarCapacityMW: 5, PeakMW: 2, SlotMinutes: 60},
+		{Days: 3, Seed: 2, SolarCapacityMW: 5, PeakMW: 2},
 	} {
 		want, err := GenerateTraces(tc)
 		if err != nil {
@@ -372,15 +349,10 @@ func TestGenerateTracesWithSharedEnvelope(t *testing.T) {
 			t.Fatalf("%+v: validation record differs", tc)
 		}
 	}
-	for _, mut := range []func(*TraceConfig){
-		func(tc *TraceConfig) { tc.Days = 4 },
-		func(tc *TraceConfig) { tc.SlotMinutes = 30 },
-	} {
-		tc := base
-		mut(&tc)
-		if _, err := GenerateTracesWith(tc, env); err == nil {
-			t.Fatalf("%+v: envelope of another configuration accepted", tc)
-		}
+	other := base
+	other.Days = 4
+	if _, err := GenerateTracesWith(other, env); err == nil {
+		t.Fatalf("%+v: envelope of another configuration accepted", other)
 	}
 }
 

@@ -77,107 +77,67 @@ func seriesHash(sr *trace.Series) string {
 }
 
 // TestGeneratedTracesPinned pins every bit of every series
-// GenerateTraces returns, over horizons from one day to a year, slot
-// lengths from 5 minutes to a day (7 and 11 minutes among them, which do
-// not divide the day), and with and without wind and a grid price scale.
-// Each configuration draws its own seed.
+// GenerateTraces returns, over horizons from one day to a year, and with
+// and without wind and a grid price scale. Each configuration draws its
+// own seed.
 func TestGeneratedTracesPinned(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
 	seed := int64(0)
 	for _, days := range []int{1, 2, 31, 365} {
-		for _, slot := range []int{60, 30, 15, 5, 90, 1440} {
-			for _, windMW := range []float64{0, 0.7} {
-				for _, priceScale := range []float64{0, 1.25} {
-					seed++
-					tc := DefaultTraceConfig()
-					tc.Days, tc.SlotMinutes, tc.Seed = days, slot, seed
-					tc.WindCapacityMW, tc.PriceScale = windMW, priceScale
-					traces, err := GenerateTraces(tc)
-					if err != nil {
-						t.Fatalf("%+v: %v", tc, err)
-					}
-					set := traces.Set()
-					fmt.Fprintf(&buf, "days=%d slot=%d wind=%g scale=%g seed=%d",
-						days, slot, windMW, priceScale, seed)
-					for _, sr := range []*trace.Series{set.DemandDS, set.DemandDT, set.Renewable, set.PriceLT, set.PriceRT} {
-						fmt.Fprintf(&buf, " %s=%s", sr.Name, seriesHash(sr))
-					}
-					buf.WriteByte('\n')
-					// Skip the two seeds the retired start days (100 and
-					// 366) drew, so each line keeps its seed.
-					seed += 2
-				}
-				// Skip the six seeds the retired fuel-price-trace
-				// configurations drew, so each line keeps its seed.
-				seed += 6
-			}
-		}
-	}
-	// Slot lengths that do not divide the day: each day holds
-	// ⌊1440/SlotMinutes⌋ slots.
-	for _, days := range []int{1, 31} {
-		for _, slot := range []int{7, 11} {
-			for _, windMW := range []float64{0, 0.7} {
+		for _, windMW := range []float64{0, 0.7} {
+			for _, priceScale := range []float64{0, 1.25} {
 				seed++
 				tc := DefaultTraceConfig()
-				tc.Days, tc.SlotMinutes, tc.Seed, tc.WindCapacityMW = days, slot, seed, windMW
+				tc.Days, tc.Seed = days, seed
+				tc.WindCapacityMW, tc.PriceScale = windMW, priceScale
 				traces, err := GenerateTraces(tc)
 				if err != nil {
 					t.Fatalf("%+v: %v", tc, err)
 				}
-				set := traces.View()
-				fmt.Fprintf(&buf, "days=%d slot=%d wind=%g scale=0 seed=%d", days, slot, windMW, seed)
+				set := traces.Set()
+				fmt.Fprintf(&buf, "days=%d wind=%g scale=%g seed=%d", days, windMW, priceScale, seed)
 				for _, sr := range []*trace.Series{set.DemandDS, set.DemandDT, set.Renewable, set.PriceLT, set.PriceRT} {
 					fmt.Fprintf(&buf, " %s=%s", sr.Name, seriesHash(sr))
 				}
 				buf.WriteByte('\n')
+				// Skip the two seeds the retired start days (100 and
+				// 366) drew, so each line keeps its seed.
+				seed += 2
 			}
+			// Skip the six seeds the retired fuel-price-trace
+			// configurations drew, so each line keeps its seed.
+			seed += 6
 		}
+		// Skip the 120 seeds the retired slot lengths (30, 15, 5, 90
+		// and 1440 minutes) drew, so each line keeps its seed.
+		seed += 5 * 24
 	}
 	checkPin(t, "traces.txt", buf.Bytes())
 }
 
 // TestCooledTracesPinned pins every bit cooling writes: the two demand
 // series of the default traces generated with TraceConfig.Cooling and
-// the IEEE bits of their AveragePUE, over mean
-// temperatures from deep winter to past the curve's cap (45 °C), the
-// temperature generator's default seed (0) and another, hourly and
-// 15-minute slots and two lengths that do not divide the day (7 and 11
-// minutes), and one day and a month.
+// the IEEE bits of their AveragePUE, over mean temperatures from deep
+// winter to past the curve's cap (45 °C), the temperature generator's
+// default seed (0) and another, and one day and a month.
 func TestCooledTracesPinned(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
-	pin := func(days, slot int, meanC float64, seed int64) {
-		tc := DefaultTraceConfig()
-		tc.Days, tc.SlotMinutes = days, slot
-		tc.Cooling = &CoolingConfig{MeanTempC: meanC, Seed: seed}
-		traces, err := GenerateTraces(tc)
-		if err != nil {
-			t.Fatalf("days %d, slot %d, %g C, seed %d: %v", days, slot, meanC, seed, err)
-		}
-		set := traces.View()
-		fmt.Fprintf(&buf, "days=%d slot=%d mean=%g seed=%d %s=%s %s=%s pue=%016x\n",
-			days, slot, meanC, seed, set.DemandDS.Name, seriesHash(set.DemandDS),
-			set.DemandDT.Name, seriesHash(set.DemandDT), math.Float64bits(traces.AveragePUE()))
-	}
 	for _, days := range []int{1, 31} {
-		for _, slot := range []int{60, 15} {
-			for _, meanC := range []float64{-10, 2, 16, 26, 45} {
-				for _, seed := range []int64{0, 5} {
-					pin(days, slot, meanC, seed)
+		for _, meanC := range []float64{-10, 2, 16, 26, 45} {
+			for _, seed := range []int64{0, 5} {
+				tc := DefaultTraceConfig()
+				tc.Days = days
+				tc.Cooling = &CoolingConfig{MeanTempC: meanC, Seed: seed}
+				traces, err := GenerateTraces(tc)
+				if err != nil {
+					t.Fatalf("days %d, %g C, seed %d: %v", days, meanC, seed, err)
 				}
-			}
-		}
-	}
-	// Slot lengths that do not divide the day: the cooled horizon is a
-	// whole number of ⌊1440/SlotMinutes⌋-slot days.
-	for _, days := range []int{1, 31} {
-		for _, slot := range []int{7, 11} {
-			for _, meanC := range []float64{2, 26} {
-				for _, seed := range []int64{0, 5} {
-					pin(days, slot, meanC, seed)
-				}
+				set := traces.View()
+				fmt.Fprintf(&buf, "days=%d mean=%g seed=%d %s=%s %s=%s pue=%016x\n",
+					days, meanC, seed, set.DemandDS.Name, seriesHash(set.DemandDS),
+					set.DemandDT.Name, seriesHash(set.DemandDT), math.Float64bits(traces.AveragePUE()))
 			}
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"math"
 
 	"github.com/smartdpss/smartdpss/internal/sim"
-	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
 // Sentinel errors of the public session API, re-exported by the root
@@ -26,8 +25,8 @@ var (
 	ErrHorizonExhausted = sim.ErrHorizonExhausted
 
 	// ErrSnapshotMismatch aliases the sim sentinel: a checkpoint from a
-	// differently-configured session (options, policy, horizon, slot
-	// length or checkpoint version).
+	// differently-configured session (options, policy, horizon or
+	// checkpoint version).
 	ErrSnapshotMismatch = sim.ErrSnapshotMismatch
 
 	// ErrSnapshotUnsupported aliases the sim sentinel: the policy cannot
@@ -134,9 +133,6 @@ func validateSimulateOptions(opts Options) error {
 	if opts.CarbonUSDPerTon < 0 {
 		return invalidOptions(errors.New("smartdpss: CarbonUSDPerTon must be finite and non-negative"))
 	}
-	if _, err := trace.SlotMinutes(opts.SlotMinutes); err != nil {
-		return invalidOptions(fmt.Errorf("smartdpss: %w", err))
-	}
 	for i, u := range opts.Fleet {
 		if err := u.Validate(); err != nil {
 			return invalidOptions(fmt.Errorf("smartdpss: fleet unit %d: %w", i, err))
@@ -146,7 +142,7 @@ func validateSimulateOptions(opts Options) error {
 }
 
 // newSession builds the session core shared by both constructors.
-func newSession(policy Policy, opts Options, traces *Traces, horizon, slotMinutes int) (*Session, error) {
+func newSession(policy Policy, opts Options, traces *Traces, horizon int) (*Session, error) {
 	if err := validateSimulateOptions(opts); err != nil {
 		return nil, err
 	}
@@ -167,7 +163,7 @@ func newSession(policy Policy, opts Options, traces *Traces, horizon, slotMinute
 	// The fingerprint thunk defers the sha256-over-JSON digest to the
 	// first Snapshot/Restore, keeping batch Simulate's allocation budget
 	// free of checkpoint machinery it never uses.
-	inner, err := sim.NewSession(cfg, ctrl, horizon, slotMinutes, func() string {
+	inner, err := sim.NewSession(cfg, ctrl, horizon, func() string {
 		return optionsFingerprint(policy, opts)
 	})
 	if err != nil {
@@ -190,7 +186,7 @@ func NewSession(policy Policy, opts Options, horizon int) (*Session, error) {
 	if horizon <= 0 {
 		return nil, invalidOptions(errors.New("smartdpss: horizon must be positive"))
 	}
-	return newSession(policy, opts, nil, horizon, opts.slotMinutes())
+	return newSession(policy, opts, nil, horizon)
 }
 
 // NewReplaySession builds a session bound to a trace set: StepReplay
@@ -199,10 +195,7 @@ func NewSession(policy Policy, opts Options, horizon int) (*Session, error) {
 // offline benchmarks (which read the traces at construction). The
 // traces are validated here unless they still carry the record that
 // they passed validation unchanged (see Traces), so sweeps over
-// generated or cached traces validate each set once. Options whose
-// slot length (SlotMinutes, 0 = 60) differs from the traces' fail with
-// ErrInvalidOptions before any controller is built: the plant would be
-// scaled to one slot length while the session steps another.
+// generated or cached traces validate each set once.
 func NewReplaySession(policy Policy, opts Options, traces *Traces) (*Session, error) {
 	if traces == nil {
 		return nil, errors.New("smartdpss: nil traces")
@@ -212,12 +205,7 @@ func NewReplaySession(policy Policy, opts Options, traces *Traces) (*Session, er
 			return nil, err
 		}
 	}
-	slotMinutes := traces.set.DemandDS.SlotMinutes
-	if opts.slotMinutes() != slotMinutes {
-		return nil, invalidOptions(fmt.Errorf("smartdpss: SlotMinutes %d (0 = 60) differs from the traces' %d-minute slots",
-			opts.SlotMinutes, slotMinutes))
-	}
-	return newSession(policy, opts, traces, traces.set.Horizon(), slotMinutes)
+	return newSession(policy, opts, traces, traces.set.Horizon())
 }
 
 // InputAt reads slot's row of the traces as a session input — the
@@ -306,12 +294,12 @@ func (s *Session) Finish() (*Report, error) { return s.inner.Finish() }
 func (s *Session) Snapshot() ([]byte, error) { return s.inner.Snapshot() }
 
 // Restore reinstates a checkpoint onto this session. The session must be
-// configured identically to the snapshotting one — same policy, options,
-// horizon and slot length, enforced via the embedded configuration hash
-// and the checkpoint's own horizon and slot-length fields
-// (ErrSnapshotMismatch otherwise). Execution resumes bit-for-bit at the
-// checkpoint's slot. Restore is all-or-nothing: every component state
-// and the controller's blob are decoded and checked before any is
-// applied, so a rejected checkpoint (a decode error, or one wrapping
-// ErrSnapshotMismatch) leaves the session exactly as it was.
+// configured identically to the snapshotting one — same policy, options
+// and horizon, enforced via the embedded configuration hash and the
+// checkpoint's own horizon field (ErrSnapshotMismatch otherwise).
+// Execution resumes bit-for-bit at the checkpoint's slot. Restore is
+// all-or-nothing: every component state and the controller's blob are
+// decoded and checked before any is applied, so a rejected checkpoint
+// (a decode error, or one wrapping ErrSnapshotMismatch) leaves the
+// session exactly as it was.
 func (s *Session) Restore(data []byte) error { return s.inner.Restore(data) }

@@ -234,65 +234,6 @@ func TestErrInvalidOptions(t *testing.T) {
 			t.Errorf("err = %v, want ErrInvalidOptions", err)
 		}
 	})
-	t.Run("slot length differs from traces", func(t *testing.T) {
-		tc := DefaultTraceConfig()
-		tc.Days, tc.SlotMinutes = 1, 15
-		quarter, err := GenerateTraces(tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := DefaultOptions()
-		for _, c := range []struct {
-			slotMinutes int
-			traces      *Traces
-		}{{0, quarter}, {60, quarter}, {15, traces}, {30, quarter}} {
-			opts.SlotMinutes = c.slotMinutes
-			for _, policy := range allPolicies {
-				if _, err := NewReplaySession(policy, opts, c.traces); !errors.Is(err, ErrInvalidOptions) {
-					t.Errorf("%s, SlotMinutes %d over %d-minute traces: err = %v, want ErrInvalidOptions",
-						policy, c.slotMinutes, c.traces.set.DemandDS.SlotMinutes, err)
-				}
-			}
-		}
-		opts.SlotMinutes = 15
-		if _, err := Simulate(PolicySmartDPSS, opts, quarter); err != nil {
-			t.Errorf("matching slot length rejected: %v", err)
-		}
-	})
-	t.Run("negative slot length", func(t *testing.T) {
-		// Only zero means 60: a negative length is refused, not run hourly.
-		opts := DefaultOptions()
-		opts.SlotMinutes = -30
-		for _, policy := range allPolicies {
-			if _, err := NewSession(policy, opts, 24); !errors.Is(err, ErrInvalidOptions) {
-				t.Errorf("%s streaming: err = %v, want ErrInvalidOptions", policy, err)
-			}
-			if _, err := NewReplaySession(policy, opts, traces); !errors.Is(err, ErrInvalidOptions) {
-				t.Errorf("%s replay: err = %v, want ErrInvalidOptions", policy, err)
-			}
-		}
-	})
-	t.Run("slot length above a day", func(t *testing.T) {
-		// trace.SlotMinutes's rule holds at every boundary: a streaming
-		// session of 1441-minute slots is refused like a replay one.
-		opts := DefaultOptions()
-		opts.SlotMinutes = 1441
-		for _, policy := range allPolicies {
-			if _, err := NewSession(policy, opts, 24); !errors.Is(err, ErrInvalidOptions) {
-				t.Errorf("%s streaming: err = %v, want ErrInvalidOptions", policy, err)
-			}
-			if _, err := NewReplaySession(policy, opts, traces); !errors.Is(err, ErrInvalidOptions) {
-				t.Errorf("%s replay: err = %v, want ErrInvalidOptions", policy, err)
-			}
-			if _, err := Simulate(policy, opts, traces); !errors.Is(err, ErrInvalidOptions) {
-				t.Errorf("%s Simulate: err = %v, want ErrInvalidOptions", policy, err)
-			}
-		}
-		const want = "smartdpss: SlotMinutes 1441 is outside 1–1440"
-		if _, err := NewSession(PolicySmartDPSS, opts, 24); err == nil || err.Error() != want {
-			t.Errorf("streaming: err = %v, want %q", err, want)
-		}
-	})
 	t.Run("valid options pass", func(t *testing.T) {
 		if _, err := NewSession(PolicySmartDPSS, DefaultOptions(), 24); err != nil {
 			t.Errorf("valid session rejected: %v", err)

@@ -18,7 +18,7 @@
 // Trace generation, greedy routing and stepping each run on the suite
 // pool, with no work repeated across sites. Every site's solar trace
 // reads one clear-sky envelope, computed once per run (Run requires
-// equal Days and slot lengths, and every trace starts on January 1);
+// equal Days, and every trace starts on January 1);
 // the greedy router routes contiguous slot ranges as pool jobs;
 // and each site's replay loop reads its session's slot values in place
 // rather than copying them. None of this moves an output bit: the
@@ -84,8 +84,7 @@ const (
 // Config scopes one geo run.
 type Config struct {
 	// Sites is the fleet, in fixed result order. All sites must share
-	// Days and the slot length their traces resolve to (trace.SlotMinutes:
-	// a SlotMinutes of 0 means 60).
+	// their traces' Days.
 	Sites []SiteSpec
 	// Policy is the per-site supply policy (every engine policy works;
 	// the offline benchmarks see the post-routing demand).
@@ -164,19 +163,9 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("geo: unknown router %q", router)
 	}
 	days := cfg.Sites[0].Trace.Days
-	slotMinutes := 0
 	for s := range cfg.Sites {
 		if cfg.Sites[s].Trace.Days != days {
 			return nil, fmt.Errorf("geo: site %d has %d days, want %d", s, cfg.Sites[s].Trace.Days, days)
-		}
-		m, err := trace.SlotMinutes(cfg.Sites[s].Trace.SlotMinutes)
-		if err != nil {
-			return nil, fmt.Errorf("geo: site %d: %w", s, err)
-		}
-		if s == 0 {
-			slotMinutes = m
-		} else if m != slotMinutes {
-			return nil, fmt.Errorf("geo: site %d slot length differs from site 0", s)
 		}
 		if p := cfg.Sites[s].ImportPenaltyUSDPerMWh; math.IsNaN(p) || math.IsInf(p, 0) {
 			return nil, fmt.Errorf("geo: site %d has non-finite ImportPenaltyUSDPerMWh", s)
@@ -196,12 +185,6 @@ func Run(cfg Config) (*Result, error) {
 		sets[s] = traces[s].View()
 	}
 	H := sets[0].Horizon()
-	for s := 1; s < n; s++ {
-		if sets[s].Horizon() != H {
-			return nil, fmt.Errorf("geo: site %d horizon %d, want %d", s, sets[s].Horizon(), H)
-		}
-	}
-	slotHours := float64(sets[0].DemandDS.SlotMinutes) / 60
 
 	// Routing is precomputed for the whole horizon before any session
 	// steps: the greedy arm is per-slot online (it reads only slot-τ
@@ -214,10 +197,10 @@ func Run(cfg Config) (*Result, error) {
 	case RouterNone:
 	case RouterGreedy:
 		if n > 1 { // one site has nowhere to send its demand
-			routedDS = routeGreedy(cfg.Sites, sets, slotHours, cfg.Parallel, cfg.Tokens)
+			routedDS = routeGreedy(cfg.Sites, sets, cfg.Parallel, cfg.Tokens)
 		}
 	case RouterLP:
-		routedDS, err = routeLP(cfg.Sites, sets, slotHours)
+		routedDS, err = routeLP(cfg.Sites, sets)
 		if err != nil {
 			return nil, err
 		}
@@ -254,8 +237,8 @@ func Run(cfg Config) (*Result, error) {
 			grid += slots[s*H+i].gridMWh
 			backlog += slots[s*H+i].backlogMWh
 		}
-		if mw := grid / slotHours; mw > res.PeakGridMW {
-			res.PeakGridMW = mw
+		if grid > res.PeakGridMW {
+			res.PeakGridMW = grid
 		}
 		if backlog > res.PeakBacklogMWh {
 			res.PeakBacklogMWh = backlog
@@ -288,7 +271,7 @@ func generateFleet(cfg *Config) ([]*engine.Traces, error) {
 }
 
 // fleetEnvelope returns the clear-sky envelope every site shares (Run
-// already requires equal Days and SlotMinutes), or nil when site 0's
+// already requires equal Days), or nil when site 0's
 // trace configuration yields none. It belongs to one run: a cache
 // outliving the run would keep state between runs.
 func fleetEnvelope(sites []SiteSpec) *solar.Envelope {
@@ -359,14 +342,14 @@ func runSite(spec *SiteSpec, policy engine.Policy, traces *engine.Traces, routed
 
 // routeLP runs the coupled routing+supply LP and returns its routing
 // projection.
-func routeLP(sites []SiteSpec, sets []*trace.Set, slotHours float64) ([][]float64, error) {
+func routeLP(sites []SiteSpec, sets []*trace.Set) ([][]float64, error) {
 	geoSites := make([]baseline.GeoSite, len(sites))
 	for s := range sites {
 		geoSites[s] = baseline.GeoSite{
 			Config:           sites[s].Options.BaselineConfig(),
 			Set:              sets[s],
 			ImportPenaltyUSD: sites[s].ImportPenaltyUSDPerMWh,
-			RouteCapMWh:      sites[s].Options.PeakMW * slotHours,
+			RouteCapMWh:      sites[s].Options.PeakMW,
 		}
 	}
 	plan, err := baseline.SolveGeoHorizon(geoSites)

@@ -282,37 +282,6 @@ func TestGeoConfigValidation(t *testing.T) {
 			}
 		}
 	}
-	// Sites compare the slot lengths their traces resolve to (0 means
-	// 60): a {0, 60} fleet is the {60, 60} fleet bit for bit under every
-	// router, and a {30, 60} fleet is refused.
-	for _, router := range []Router{RouterNone, RouterGreedy, RouterLP} {
-		var runs [2]*Result
-		var reports [2][]string
-		for k, first := range []int{0, 60} {
-			sites := testSites(t, 2, 2)
-			sites[0].Trace.SlotMinutes = first
-			sites[1].Trace.SlotMinutes = 60
-			res, err := Run(Config{Sites: sites, Policy: engine.PolicySmartDPSS, Router: router})
-			if err != nil {
-				t.Fatalf("router %s, slot lengths {%d, 60}: %v", router, first, err)
-			}
-			for s := range res.Sites {
-				reports[k] = append(reports[k], reportBytes(t, res.Sites[s].Report))
-				res.Sites[s].Report = nil
-			}
-			runs[k] = res
-		}
-		if !reflect.DeepEqual(reports[0], reports[1]) || !reflect.DeepEqual(runs[0], runs[1]) {
-			t.Fatalf("router %s: the {0, 60} fleet differs from the {60, 60} fleet", router)
-		}
-	}
-	sites = testSites(t, 2, 2)
-	sites[0].Trace.SlotMinutes = 30
-	sites[1].Trace.SlotMinutes = 60
-	_, err := Run(Config{Sites: sites, Policy: engine.PolicySmartDPSS})
-	if want := "geo: site 1 slot length differs from site 0"; err == nil || err.Error() != want {
-		t.Fatalf("slot lengths {30, 60}: error %v, want %q", err, want)
-	}
 }
 
 // geo.Run generates each site's traces through the fleet's shared
@@ -320,13 +289,12 @@ func TestGeoConfigValidation(t *testing.T) {
 // engine.GenerateTraces gives the site's TraceConfig alone.
 func TestGeoFleetTracesMatchGenerateTraces(t *testing.T) {
 	windy := testSites(t, 3, 3)
-	fine := testSites(t, 3, 2)
+	sunny := testSites(t, 3, 2)
 	for s := range windy {
 		windy[s].Trace.WindCapacityMW = float64(s)
 	}
-	for s := range fine {
-		fine[s].Trace.SlotMinutes = 15
-		fine[s].Trace.SolarCapacityMW = 1 + float64(s)
+	for s := range sunny {
+		sunny[s].Trace.SolarCapacityMW = 1 + float64(s)
 	}
 	fleets := []struct {
 		name  string
@@ -334,7 +302,7 @@ func TestGeoFleetTracesMatchGenerateTraces(t *testing.T) {
 	}{
 		{"default", testSites(t, 4, 3)},
 		{"mixed-wind", windy},
-		{"15-minute", fine},
+		{"mixed-solar", sunny},
 		{"one-site", testSites(t, 1, 2)},
 	}
 	for _, f := range fleets {
@@ -368,9 +336,9 @@ func setBitsDiff(a, b *trace.Set) string {
 	bs := [...]*trace.Series{b.DemandDS, b.DemandDT, b.Renewable, b.PriceLT, b.PriceRT}
 	for k := range as {
 		x, y := as[k], bs[k]
-		if x.Name != y.Name || x.Unit != y.Unit || x.SlotMinutes != y.SlotMinutes || len(x.Values) != len(y.Values) {
-			return fmt.Sprintf("series %d shape %s/%s/%d/%d, want %s/%s/%d/%d", k,
-				x.Name, x.Unit, x.SlotMinutes, len(x.Values), y.Name, y.Unit, y.SlotMinutes, len(y.Values))
+		if x.Name != y.Name || x.Unit != y.Unit || len(x.Values) != len(y.Values) {
+			return fmt.Sprintf("series %d shape %s/%s/%d, want %s/%s/%d", k,
+				x.Name, x.Unit, len(x.Values), y.Name, y.Unit, len(y.Values))
 		}
 		for i := range x.Values {
 			if math.Float64bits(x.Values[i]) != math.Float64bits(y.Values[i]) {

@@ -24,20 +24,20 @@ const routeChunks = 8
 // index as tie-break, and every float operation is a fixed sequential
 // reduction, so the routing is byte-identical across runs, platforms,
 // pool widths and chunk boundaries.
-func routeGreedy(sites []SiteSpec, sets []*trace.Set, slotHours float64, parallel int, tokens chan struct{}) [][]float64 {
-	return routeGreedyChunks(sites, sets, slotHours, parallel, tokens, routeChunks)
+func routeGreedy(sites []SiteSpec, sets []*trace.Set, parallel int, tokens chan struct{}) [][]float64 {
+	return routeGreedyChunks(sites, sets, parallel, tokens, routeChunks)
 }
 
 // routeGreedyChunks is routeGreedy over the given number of slot ranges
 // (at most one per slot).
-func routeGreedyChunks(sites []SiteSpec, sets []*trace.Set, slotHours float64, parallel int, tokens chan struct{}, chunks int) [][]float64 {
+func routeGreedyChunks(sites []SiteSpec, sets []*trace.Set, parallel int, tokens chan struct{}, chunks int) [][]float64 {
 	n := len(sites)
 	H := sets[0].Horizon()
 	chunks = max(1, min(chunks, H))
 	fleet := make([]float64, 2*n)
 	capMWh, penalty := fleet[:n], fleet[n:]
 	for s := range sites {
-		capMWh[s] = sites[s].Options.PeakMW * slotHours
+		capMWh[s] = sites[s].Options.PeakMW
 		penalty[s] = sites[s].ImportPenaltyUSDPerMWh
 	}
 	all := make([]float64, n*H)

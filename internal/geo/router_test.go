@@ -13,8 +13,8 @@ import (
 // greedy router reads only DemandDS and PriceRT.
 func routerSet(ds, rt []float64) *trace.Set {
 	return &trace.Set{
-		DemandDS: trace.FromValues("dds", "MWh", 60, ds),
-		PriceRT:  trace.FromValues("prt", "USD/MWh", 60, rt),
+		DemandDS: trace.FromValues("dds", "MWh", ds),
+		PriceRT:  trace.FromValues("prt", "USD/MWh", rt),
 	}
 }
 
@@ -27,7 +27,7 @@ func TestGreedyMovesTowardCheapSite(t *testing.T) {
 		routerSet([]float64{1.0, 1.0}, []float64{20, 20}),
 		routerSet([]float64{1.5, 1.5}, []float64{100, 20}),
 	}
-	routed := routeGreedy(sites, sets, 1, 1, nil)
+	routed := routeGreedy(sites, sets, 1, nil)
 
 	// Slot 0: the 80 USD gap beats the 5 USD penalty, so the expensive
 	// site exports until the cheap site hits its 2 MWh routing cap.
@@ -60,7 +60,7 @@ func TestGreedyRespectsProhibitivePenalty(t *testing.T) {
 		routerSet([]float64{1.0}, []float64{20}),
 		routerSet([]float64{1.5}, []float64{100}),
 	}
-	routed := routeGreedy(sites, sets, 1, 1, nil)
+	routed := routeGreedy(sites, sets, 1, nil)
 	if routed[0][0] != 1.0 || routed[1][0] != 1.5 {
 		t.Fatalf("penalty above the price gap still moved demand: %g, %g", routed[0][0], routed[1][0])
 	}
@@ -81,7 +81,7 @@ func TestGreedyOrderIsDeterministicOnPriceTies(t *testing.T) {
 		routerSet([]float64{1.0}, []float64{20}),
 		routerSet([]float64{0.5}, []float64{100}),
 	}
-	routed := routeGreedy(sites, sets, 1, 1, nil)
+	routed := routeGreedy(sites, sets, 1, nil)
 	// 0.5 MWh exportable; each importer has 0.2 MWh spare under its
 	// cap, so a and b fill to their caps in index order and c takes the
 	// final 0.1.
@@ -102,7 +102,7 @@ func TestGreedyOrderIsDeterministicOnPriceTies(t *testing.T) {
 func TestGreedySingleSiteIsIdentity(t *testing.T) {
 	sites := []SiteSpec{{Name: "solo", Options: engine.Options{PeakMW: 2}, ImportPenaltyUSDPerMWh: 5}}
 	sets := []*trace.Set{routerSet([]float64{1.0, 0.5}, []float64{20, 100})}
-	routed := routeGreedy(sites, sets, 1, 1, nil)
+	routed := routeGreedy(sites, sets, 1, nil)
 	for i, v := range routed[0] {
 		if v != sets[0].DemandDS.At(i) {
 			t.Fatalf("slot %d: single-site routing changed demand: %g", i, v)
@@ -146,10 +146,10 @@ func TestGeoRouterChunksMatchWholeHorizon(t *testing.T) {
 	const H = 24
 	for n := 1; n <= 8; n++ {
 		sites, sets := routerFleet(n, H, int64(n))
-		want := routeGreedyChunks(sites, sets, 1, 1, nil, 1)
+		want := routeGreedyChunks(sites, sets, 1, nil, 1)
 		for chunks := 1; chunks <= H+1; chunks++ {
 			for _, parallel := range []int{1, 2, 8} {
-				got := routeGreedyChunks(sites, sets, 1, parallel, nil, chunks)
+				got := routeGreedyChunks(sites, sets, parallel, nil, chunks)
 				for s := range want {
 					for i := range want[s] {
 						if math.Float64bits(got[s][i]) != math.Float64bits(want[s][i]) {
@@ -179,6 +179,6 @@ func BenchmarkRouteGreedy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		routeGreedy(sites, sets, 1, 0, nil)
+		routeGreedy(sites, sets, 0, nil)
 	}
 }

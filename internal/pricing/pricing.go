@@ -32,13 +32,13 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-// Config parameterizes the price generator: the slot grid and the seed.
+// Config parameterizes the price generator: the horizon and the seed.
 // The price processes are the NYISO-January-like ones fixed below.
 // Generate trusts it: internal/engine screens every trace configuration
 // before any generator runs.
 type Config struct {
-	// Grid is the horizon and the trace resolution.
-	Grid trace.Grid
+	// Days is the horizon, trace.SlotsPerDay hourly slots a day.
+	Days int
 	// Seed drives the deterministic random source.
 	Seed int64
 }
@@ -72,17 +72,14 @@ const (
 // sampling it at any coarse interval start (any T) is meaningful.
 func Generate(c Config) (lt, rt *trace.Series) {
 	r := rand.New(rng.NewSource(c.Seed))
-	g := c.Grid
-	slotsPerDay := g.SlotsPerDay()
-	n := g.Len()
-	lt = trace.New("price_lt", "USD/MWh", g.SlotMinutes, n)
-	rt = trace.New("price_rt", "USD/MWh", g.SlotMinutes, n)
-
-	slotHours := g.SlotHours()
+	const slotsPerDay = trace.SlotsPerDay
+	n := c.Days * slotsPerDay
+	lt = trace.New("price_lt", "USD/MWh", n)
+	rt = trace.New("price_rt", "USD/MWh", n)
 
 	// Daily long-term level: slow AR(1) walk around baseLT with a weekly
 	// shape (weekdays pricier than weekends).
-	dayLevel := make([]float64, g.Days)
+	dayLevel := make([]float64, c.Days)
 	level := baseLT
 	for d := range dayLevel {
 		level += 0.3*(baseLT-level) + 0.06*baseLT*r.NormFloat64()
@@ -95,9 +92,9 @@ func Generate(c Config) (lt, rt *trace.Series) {
 	}
 
 	// The diurnal shape, once per slot of the day (see the package doc).
-	var shape [trace.MinutesPerDay]float64
+	var shape [slotsPerDay]float64
 	for s := range slotsPerDay {
-		shape[s] = diurnalShape((float64(s) + 0.5) * slotHours)
+		shape[s] = diurnalShape(float64(s) + 0.5)
 	}
 
 	noise := 0.0 // mean-reverting real-time deviation

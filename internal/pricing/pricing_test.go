@@ -2,8 +2,6 @@ package pricing
 
 import (
 	"testing"
-
-	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
 func mustGenerate(t *testing.T, c Config) (lt, rt []float64) {
@@ -13,7 +11,7 @@ func mustGenerate(t *testing.T, c Config) (lt, rt []float64) {
 }
 
 // month is the NYISO-January-like default month: 31 hourly days.
-func month() Config { return Config{Grid: trace.Grid{Days: 31, SlotMinutes: 60}, Seed: 2} }
+func month() Config { return Config{Days: 31, Seed: 2} }
 
 func TestGenerateLengthsAndBounds(t *testing.T) {
 	lt, rt := mustGenerate(t, month())
@@ -112,7 +110,7 @@ func TestGenerateEveningPeak(t *testing.T) {
 	c := month()
 	_, rt := mustGenerate(t, c)
 	evening, night := 0.0, 0.0
-	for d := 0; d < c.Grid.Days; d++ {
+	for d := 0; d < c.Days; d++ {
 		evening += rt[d*24+18]
 		night += rt[d*24+3]
 	}

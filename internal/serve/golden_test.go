@@ -161,47 +161,54 @@ func TestEncodingsPinned(t *testing.T) {
 	}
 }
 
-// TestVersionOneCheckpointRefused: a checkpoint in the version-1 format
-// (the golden SmartDPSS checkpoint at slot 36, whose report block held
-// a copy of the in-progress Report) is refused with ErrSnapshotMismatch
-// by a session of the same configuration, which it leaves as it was.
-func TestVersionOneCheckpointRefused(t *testing.T) {
-	v1, err := os.ReadFile(filepath.Join("testdata", "checkpoint-v1.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces := shortTraces(t, goldenDays)
-	s := streamArms()[0].session(t, traces.Horizon())
-	for s.Slot() < 12 {
-		step(t, s, traces)
-	}
-	before, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var old, cur struct {
-		Version    int    `json:"version"`
-		ConfigHash string `json:"configHash"`
-	}
-	if err := json.Unmarshal(v1, &old); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(before, &cur); err != nil {
-		t.Fatal(err)
-	}
-	if old.Version != 1 || old.ConfigHash != cur.ConfigHash {
-		t.Fatalf("fixture is version %d with hash %.12s; want version 1 of this configuration (%.12s)",
-			old.Version, old.ConfigHash, cur.ConfigHash)
-	}
-	if err := s.Restore(v1); !errors.Is(err, engine.ErrSnapshotMismatch) {
-		t.Fatalf("err = %v, want ErrSnapshotMismatch", err)
-	}
-	after, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after, before) {
-		t.Error("refused checkpoint changed the session")
+// TestOldCheckpointVersionsRefused: a checkpoint in an earlier format is
+// refused with ErrSnapshotMismatch by a session of the same
+// configuration, which it leaves as it was. Each fixture is the golden
+// SmartDPSS checkpoint at slot 36 in its version's format, carrying this
+// configuration's hash, so it is refused for its version alone:
+// version 1's report block held a copy of the in-progress Report, and
+// version 2 held the slot length and the battery's own op-cost ledger.
+func TestOldCheckpointVersionsRefused(t *testing.T) {
+	for _, version := range []int{1, 2} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			fixture, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("checkpoint-v%d.json", version)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			traces := shortTraces(t, goldenDays)
+			s := streamArms()[0].session(t, traces.Horizon())
+			for s.Slot() < 12 {
+				step(t, s, traces)
+			}
+			before, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var old, cur struct {
+				Version    int    `json:"version"`
+				ConfigHash string `json:"configHash"`
+			}
+			if err := json.Unmarshal(fixture, &old); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(before, &cur); err != nil {
+				t.Fatal(err)
+			}
+			if old.Version != version || old.ConfigHash != cur.ConfigHash {
+				t.Fatalf("fixture is version %d with hash %.12s; want version %d of this configuration (%.12s)",
+					old.Version, old.ConfigHash, version, cur.ConfigHash)
+			}
+			if err := s.Restore(fixture); !errors.Is(err, engine.ErrSnapshotMismatch) {
+				t.Fatalf("err = %v, want ErrSnapshotMismatch", err)
+			}
+			after, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, before) {
+				t.Error("refused checkpoint changed the session")
+			}
+		})
 	}
 }
 

@@ -15,18 +15,20 @@ import (
 
 // CheckpointVersion is the on-disk checkpoint format version. Restore
 // rejects any other value with ErrSnapshotMismatch: a format change gets
-// a new version, never a silent reinterpretation.
-const CheckpointVersion = 2
+// a new version, never a silent reinterpretation. Version 3 dropped
+// version 2's slot length (every slot is an hour) and the battery's own
+// op-cost ledger (Totals.BatteryOpUSD is the one bill).
+const CheckpointVersion = 3
 
 // Checkpoint is the JSON image of a session between two slots: every
 // mutable component state, the session's running Totals as its report
 // block (the Report itself is built only at Finish), and the
-// controller's own blob. Configuration
-// is NOT stored — it is pinned by ConfigHash, a digest of the session's
-// Config, controller name, horizon, slot length and the caller's
-// fingerprint. Restore therefore requires an identically configured
-// session and fails with ErrSnapshotMismatch otherwise, instead of
-// silently resuming one run's state under another run's physics.
+// controller's own blob. Configuration is NOT stored — it is pinned by
+// ConfigHash, a digest of the session's Config, controller name,
+// horizon and the caller's fingerprint. Restore therefore requires an
+// identically configured session and fails with ErrSnapshotMismatch
+// otherwise, instead of silently resuming one run's state under another
+// run's physics.
 //
 // Snapshot writes a Checkpoint with an append encoder, field by field
 // and without reflection; its bytes are pinned to the ones
@@ -39,9 +41,8 @@ type Checkpoint struct {
 	ConfigHash string `json:"configHash"`
 	Controller string `json:"controller"`
 
-	Slot        int `json:"slot"`
-	Horizon     int `json:"horizon"`
-	SlotMinutes int `json:"slotMinutes"`
+	Slot    int `json:"slot"`
+	Horizon int `json:"horizon"`
 
 	Battery battery.State      `json:"battery"`
 	Market  market.State       `json:"market"`
@@ -56,7 +57,7 @@ type Checkpoint struct {
 
 // configHash digests everything that must match between the session that
 // snapshots and the session that restores.
-func configHash(cfg Config, controller string, horizon, slotMinutes int, fingerprint string) string {
+func configHash(cfg Config, controller string, horizon int, fingerprint string) string {
 	h := sha256.New()
 	enc := json.NewEncoder(h)
 	// Config contains only exported scalar/struct/slice fields, so the
@@ -67,8 +68,7 @@ func configHash(cfg Config, controller string, horizon, slotMinutes int, fingerp
 		Config      Config
 		Controller  string
 		Horizon     int
-		SlotMinutes int
-	}{fingerprint, cfg, controller, horizon, slotMinutes})
+	}{fingerprint, cfg, controller, horizon})
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -82,7 +82,7 @@ func (s *Session) ConfigHash() string {
 		if s.fingerprint != nil {
 			fp = s.fingerprint()
 		}
-		s.hash = configHash(s.cfg, s.ctrl.Name(), s.horizon, s.slotMinutes, fp)
+		s.hash = configHash(s.cfg, s.ctrl.Name(), s.horizon, fp)
 	}
 	return s.hash
 }
@@ -112,7 +112,6 @@ func (s *Session) Checkpoint() (Checkpoint, error) {
 		Controller:      s.ctrl.Name(),
 		Slot:            s.slot,
 		Horizon:         s.horizon,
-		SlotMinutes:     s.slotMinutes,
 		Battery:         s.batt.State(),
 		Market:          s.acct.State(),
 		Backlog:         s.backlog.State(),
@@ -145,20 +144,19 @@ func (s *Session) Snapshot() ([]byte, error) {
 
 // Restore reinstates a checkpoint onto this session, which must be
 // configured identically to the one that produced it (same Config,
-// controller, horizon, slot length and fingerprint — enforced through
-// the embedded hash). The session may be fresh or mid-run; either way
-// its entire state is overwritten and execution resumes bit-for-bit at
-// the checkpoint's slot.
+// controller, horizon and fingerprint — enforced through the embedded
+// hash). The session may be fresh or mid-run; either way its entire
+// state is overwritten and execution resumes bit-for-bit at the
+// checkpoint's slot.
 //
 // Restore is all-or-nothing. Before it assigns anything it decodes the
 // whole checkpoint and checks the format version, the config hash, the
-// controller name, the horizon and slot length against the session's
-// own, the slot against the session's horizon, the battery, market and
-// fleet states against their configured bounds, and the controller's
-// blob (which the controller decodes and checks in full before it
-// applies any of it). A rejected checkpoint returns a decode error or
-// one wrapping ErrSnapshotMismatch, and leaves the session exactly as
-// it was.
+// controller name and the horizon against the session's own, the slot
+// against the session's horizon, the battery, market and fleet states
+// against their configured bounds, and the controller's blob (which the
+// controller decodes and checks in full before it applies any of it). A
+// rejected checkpoint returns a decode error or one wrapping
+// ErrSnapshotMismatch, and leaves the session exactly as it was.
 func (s *Session) Restore(data []byte) error {
 	if s.pending {
 		return ErrPendingDecision
@@ -210,9 +208,9 @@ func (s *Session) checkCheckpoint(cp *Checkpoint) error {
 		return fmt.Errorf("%w: checkpoint controller %q, session has %q",
 			ErrSnapshotMismatch, cp.Controller, s.ctrl.Name())
 	}
-	if cp.Horizon != s.horizon || cp.SlotMinutes != s.slotMinutes {
-		return fmt.Errorf("%w: checkpoint of %d %d-minute slots, session has %d %d-minute slots",
-			ErrSnapshotMismatch, cp.Horizon, cp.SlotMinutes, s.horizon, s.slotMinutes)
+	if cp.Horizon != s.horizon {
+		return fmt.Errorf("%w: checkpoint of %d slots, session has %d",
+			ErrSnapshotMismatch, cp.Horizon, s.horizon)
 	}
 	if cp.Slot < 0 || cp.Slot > s.horizon {
 		return fmt.Errorf("%w: checkpoint slot %d outside [0, %d]",
@@ -240,7 +238,6 @@ func (cp *Checkpoint) appendJSON(dst []byte) ([]byte, error) {
 	e.Key("controller").String(cp.Controller)
 	e.Key("slot").Int(cp.Slot)
 	e.Key("horizon").Int(cp.Horizon)
-	e.Key("slotMinutes").Int(cp.SlotMinutes)
 
 	b := &cp.Battery
 	e.Key("battery").Open()
@@ -248,7 +245,6 @@ func (cp *Checkpoint) appendJSON(dst []byte) ([]byte, error) {
 	e.Key("ops").Int(b.Ops)
 	e.Key("chargedMWh").Float(b.ChargedMWh)
 	e.Key("dischargedMWh").Float(b.DischargedMWh)
-	e.Key("opCostUSD").Float(b.OpCostUSD)
 	e.Close()
 
 	m := &cp.Market

@@ -77,7 +77,7 @@ func TestSnapshotRejectsNonFinite(t *testing.T) {
 		{"stream -Inf", func(s *Session) { s.tot.BacklogMeanMWh = math.Inf(-1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := NewSession(testConfig(), &snapController{scriptController{name: "nf", gbef: 3}}, set.Horizon(), 60, nil)
+			s, err := NewSession(testConfig(), &snapController{scriptController{name: "nf", gbef: 3}}, set.Horizon(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +136,7 @@ func TestRestoreBoundsNoiseDraws(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSession(testConfig(), noisy, 10, 60, nil); err != nil {
+	if _, err := NewSession(testConfig(), noisy, 10, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Horizon 10 in coarse intervals of 4: 4·10 + 4·3 draws at most.

@@ -68,9 +68,10 @@ type Report struct {
 	BatteryMaxMWh  float64 `json:"batteryMaxMWh"`
 	BatteryOps     int     `json:"batteryOps"`
 
-	// PeakGridMW is the largest observed grid draw in MW; PeakChargeUSD is
-	// the demand charge it incurs (reported separately from Cost(τ), like
-	// the emergency penalty — see Config.PeakChargeUSDPerMW).
+	// PeakGridMW is the largest slot's grid draw, in MWh over an hourly
+	// slot and so in MW; PeakChargeUSD is the demand charge it incurs
+	// (reported separately from Cost(τ), like the emergency penalty — see
+	// Config.PeakChargeUSDPerMW).
 	// NearPeakSlots counts slots drawing above 95% of the Pgrid cap — the
 	// "power peak emergencies" of the paper's Sec. IV-C remark.
 	PeakGridMW    float64 `json:"peakGridMW"`

@@ -39,7 +39,7 @@ func TestCleanZero(t *testing.T) {
 func TestReportScrubsNegativeZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	set := flatSet(4, 0, 0, 0, 0, 0)
-	s, err := NewSession(testConfig(), &scriptController{name: "scrub"}, 4, 60, nil)
+	s, err := NewSession(testConfig(), &scriptController{name: "scrub"}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

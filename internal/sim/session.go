@@ -140,7 +140,6 @@ type Session struct {
 	cfg         Config
 	ctrl        Controller
 	horizon     int
-	slotMinutes int
 	fingerprint func() string
 	hash        string // lazily computed by ConfigHash
 
@@ -166,17 +165,16 @@ type Session struct {
 	out SlotOutcome
 }
 
-// NewSession builds a session over horizon fine slots of slotMinutes
-// each, a resolved length of 1–1440 minutes (trace.SlotMinutes's rule;
-// 0 is refused, not read as hourly). fingerprint supplies an opaque
-// caller-defined configuration label folded into the checkpoint hash —
-// engine.Session passes a digest of its Options so checkpoints cannot
-// cross configurations that map to the same sim.Config (e.g. different
-// V parameters); pass nil when the sim.Config is the whole
-// configuration. It is a function, not a string, so batch runs that
-// never checkpoint never pay for computing it (ConfigHash calls it
-// lazily, at most once).
-func NewSession(cfg Config, ctrl Controller, horizon, slotMinutes int, fingerprint func() string) (*Session, error) {
+// NewSession builds a session over horizon hourly fine slots, the one
+// slot length of every layer (trace.SlotsPerDay a day). fingerprint
+// supplies an opaque caller-defined configuration label folded into the
+// checkpoint hash — engine.Session passes a digest of its Options so
+// checkpoints cannot cross configurations that map to the same
+// sim.Config (e.g. different V parameters); pass nil when the sim.Config
+// is the whole configuration. It is a function, not a string, so batch
+// runs that never checkpoint never pay for computing it (ConfigHash
+// calls it lazily, at most once).
+func NewSession(cfg Config, ctrl Controller, horizon int, fingerprint func() string) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -188,9 +186,6 @@ func NewSession(cfg Config, ctrl Controller, horizon, slotMinutes int, fingerpri
 	}
 	if horizon < 0 {
 		return nil, &ValidationError{Field: "Horizon", Reason: "negative horizon"}
-	}
-	if m, err := trace.SlotMinutes(slotMinutes); err != nil || m != slotMinutes {
-		return nil, &ValidationError{Field: "SlotMinutes", Reason: fmt.Sprintf("must be 1–%d minutes", trace.MinutesPerDay)}
 	}
 	batt, err := battery.New(cfg.Battery)
 	if err != nil {
@@ -211,7 +206,6 @@ func NewSession(cfg Config, ctrl Controller, horizon, slotMinutes int, fingerpri
 		cfg:         cfg,
 		ctrl:        ctrl,
 		horizon:     horizon,
-		slotMinutes: slotMinutes,
 		fingerprint: fingerprint,
 		batt:        batt,
 		fleet:       fleet,
@@ -545,8 +539,8 @@ func (s *Session) Execute() (*SlotOutcome, error) {
 	if slot == 0 || level > t.BatteryMaxMWh {
 		t.BatteryMaxMWh = level
 	}
-	if mw := gridDraw / (float64(s.slotMinutes) / 60); mw > t.PeakGridMW {
-		t.PeakGridMW = mw
+	if gridDraw > t.PeakGridMW {
+		t.PeakGridMW = gridDraw
 	}
 	if gridDraw > 0.95*s.cfg.PgridMWh {
 		t.NearPeakSlots++

@@ -59,7 +59,7 @@ func TestSessionMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := NewSession(cfg, &scriptController{name: "eq", gbef: 3}, set.Horizon(), 60, nil)
+	s, err := NewSession(cfg, &scriptController{name: "eq", gbef: 3}, set.Horizon(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,28 +81,11 @@ func TestSessionMatchesRun(t *testing.T) {
 	}
 }
 
-// TestNewSessionSlotMinutes: a session takes a resolved slot length of
-// 1–1440 minutes; 0 is refused, not read as hourly.
-func TestNewSessionSlotMinutes(t *testing.T) {
-	for _, m := range []int{1, 60, 1440} {
-		if _, err := NewSession(testConfig(), &scriptController{name: "slot", gbef: 1}, 4, m, nil); err != nil {
-			t.Errorf("%d-minute slots refused: %v", m, err)
-		}
-	}
-	for _, m := range []int{0, -60, 1441, 100000} {
-		_, err := NewSession(testConfig(), &scriptController{name: "slot", gbef: 1}, 4, m, nil)
-		var verr *ValidationError
-		if !errors.As(err, &verr) || verr.Field != "SlotMinutes" {
-			t.Errorf("%d-minute slots: err = %v, want a SlotMinutes ValidationError", m, err)
-		}
-	}
-}
-
 func TestSessionProtocolErrors(t *testing.T) {
 	set := flatSet(4, 1, 0, 0, 40, 50)
 	cfg := testConfig()
 	newSess := func(t *testing.T) *Session {
-		s, err := NewSession(cfg, &scriptController{name: "proto", gbef: 4}, 4, 60, nil)
+		s, err := NewSession(cfg, &scriptController{name: "proto", gbef: 4}, 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +153,7 @@ func TestSessionProtocolErrors(t *testing.T) {
 
 func TestSessionStatus(t *testing.T) {
 	set := flatSet(8, 1.0, 0.4, 0, 40, 50)
-	s, err := NewSession(testConfig(), &scriptController{name: "status", gbef: 4}, 8, 60, nil)
+	s, err := NewSession(testConfig(), &scriptController{name: "status", gbef: 4}, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +192,7 @@ func TestSessionSnapshotRestoreTail(t *testing.T) {
 	}
 
 	// Uninterrupted reference run.
-	ref, err := NewSession(cfg, mk(), horizon, 60, fpTest)
+	ref, err := NewSession(cfg, mk(), horizon, fpTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +214,7 @@ func TestSessionSnapshotRestoreTail(t *testing.T) {
 	}
 
 	// Interrupted run: snapshot at the midpoint.
-	first, err := NewSession(cfg, mk(), horizon, 60, fpTest)
+	first, err := NewSession(cfg, mk(), horizon, fpTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +224,7 @@ func TestSessionSnapshotRestoreTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	second, err := NewSession(cfg, mk(), horizon, 60, fpTest)
+	second, err := NewSession(cfg, mk(), horizon, fpTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +249,7 @@ func TestSessionSnapshotErrors(t *testing.T) {
 	set := flatSet(4, 1, 0, 0, 40, 50)
 	cfg := testConfig()
 	mk := func(fp string) *Session {
-		s, err := NewSession(cfg, &snapController{scriptController{name: "snap", gbef: 4}}, 4, 60, fpFn(fp))
+		s, err := NewSession(cfg, &snapController{scriptController{name: "snap", gbef: 4}}, 4, fpFn(fp))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +269,7 @@ func TestSessionSnapshotErrors(t *testing.T) {
 		}
 	})
 	t.Run("unsupported controller", func(t *testing.T) {
-		s, err := NewSession(cfg, &scriptController{name: "plain", gbef: 4}, 4, 60, nil)
+		s, err := NewSession(cfg, &scriptController{name: "plain", gbef: 4}, 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +321,7 @@ func TestSessionSnapshotErrors(t *testing.T) {
 
 func TestCheckpointIsSelfDescribing(t *testing.T) {
 	cfg := testConfig()
-	s, err := NewSession(cfg, &snapController{scriptController{name: "desc", gbef: 4}}, 4, 60, nil)
+	s, err := NewSession(cfg, &snapController{scriptController{name: "desc", gbef: 4}}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +339,7 @@ func TestCheckpointIsSelfDescribing(t *testing.T) {
 	if cp.ConfigHash != s.ConfigHash() {
 		t.Errorf("hash = %s, want %s", cp.ConfigHash, s.ConfigHash())
 	}
-	if cp.Controller != "desc" || cp.Horizon != 4 || cp.SlotMinutes != 60 {
-		t.Errorf("identity fields = %q/%d/%d", cp.Controller, cp.Horizon, cp.SlotMinutes)
+	if cp.Controller != "desc" || cp.Horizon != 4 {
+		t.Errorf("identity fields = %q/%d", cp.Controller, cp.Horizon)
 	}
 }

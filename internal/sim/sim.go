@@ -245,7 +245,7 @@ func Run(cfg Config, set *trace.Set, ctrl Controller) (*Report, error) {
 	if err := set.Validate(); err != nil {
 		return nil, err
 	}
-	s, err := NewSession(cfg, ctrl, set.Horizon(), set.DemandDS.SlotMinutes, nil)
+	s, err := NewSession(cfg, ctrl, set.Horizon(), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -42,7 +42,7 @@ func (s *scriptController) RecordOutcome(out Outcome) { s.outcomes = append(s.ou
 
 func flatSet(n int, dds, ddt, ren, plt, prt float64) *trace.Set {
 	mk := func(name string, v float64) *trace.Series {
-		s := trace.New(name, "", 60, n)
+		s := trace.New(name, "", n)
 		for i := range s.Values {
 			s.Values[i] = v
 		}

@@ -21,10 +21,10 @@
 // of the trace.Set that everything downstream reads.
 //
 // Generation has two parts. The clear-sky Envelope is the solar
-// geometry alone: it depends only on the number of days and the slot
-// length, so a fleet of sites that agree on those computes it once and
-// shares it (internal/geo does). The weather chain then scales the
-// envelope slot by slot with its own seed.
+// geometry alone: it depends only on the number of days, so a fleet of
+// sites that agree on it computes it once and shares it (internal/geo
+// does). The weather chain then scales the envelope slot by slot with
+// its own seed.
 // NewEnvelope evaluates each pure term of the geometry as rarely as it
 // changes: the latitude's sine and cosine once per envelope, the
 // declination's once per day, and the hour angle's cosine once per slot
@@ -44,14 +44,14 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-// Config parameterizes the generator: the slot grid, the plant size and
+// Config parameterizes the generator: the horizon, the plant size and
 // the seed. The site, its season and its weather are the paper-like
 // January central-US ones fixed below. Generate trusts it:
 // internal/engine screens every trace configuration before any generator
 // runs.
 type Config struct {
-	// Grid is the horizon and the trace resolution.
-	Grid trace.Grid
+	// Days is the horizon, trace.SlotsPerDay hourly slots a day.
+	Days int
 	// CapacityMW is the plant nameplate capacity: output at 1000 W/m²
 	// irradiance.
 	CapacityMW float64
@@ -80,33 +80,33 @@ const (
 
 // Envelope is the clear-sky irradiance of every slot of a trace, in
 // W/m²: Generate's solar geometry without its weather chain. It depends
-// only on the slot grid, so generators whose configurations share a grid
-// can share one through GenerateWith. It is read-only once built, so
+// only on the number of days, so generators whose configurations share
+// it can share one through GenerateWith. It is read-only once built, so
 // concurrent generators may share it.
 type Envelope struct {
-	grid       trace.Grid
+	days       int
 	irradiance []float64 // W/m², one per slot
 }
 
-// NewEnvelope computes the clear-sky envelope of grid g.
-func NewEnvelope(g trace.Grid) *Envelope {
-	e := newEnvelope(g)
+// NewEnvelope computes the clear-sky envelope of the given number of
+// days.
+func NewEnvelope(days int) *Envelope {
+	e := newEnvelope(days)
 	return &e
 }
 
-// newEnvelope computes the envelope of grid g, each term of the geometry
-// as rarely as it changes (see the package doc). It returns the value,
-// so Generate keeps its own envelope on the stack.
-func newEnvelope(g trace.Grid) Envelope {
-	slotsPerDay := g.SlotsPerDay()
-	slotHours := g.SlotHours()
-	e := Envelope{grid: g, irradiance: make([]float64, g.Len())}
+// newEnvelope computes the envelope of the given number of days, each
+// term of the geometry as rarely as it changes (see the package doc). It
+// returns the value, so Generate keeps its own envelope on the stack.
+func newEnvelope(days int) Envelope {
+	const slotsPerDay = trace.SlotsPerDay
+	e := Envelope{days: days, irradiance: make([]float64, days*slotsPerDay)}
 	sinLat, cosLat := latitudeTerms(latitudeDeg)
-	var cosHourAngle [trace.MinutesPerDay]float64
+	var cosHourAngle [slotsPerDay]float64
 	for s := range slotsPerDay {
-		cosHourAngle[s] = math.Cos(hourAngle((float64(s) + 0.5) * slotHours)) // slot midpoint
+		cosHourAngle[s] = math.Cos(hourAngle(float64(s) + 0.5)) // slot midpoint
 	}
-	for d := range g.Days {
+	for d := range days {
 		sinDecl, cosDecl := declinationTerms(startDayOfYear + d)
 		day := e.irradiance[d*slotsPerDay : (d+1)*slotsPerDay]
 		for s := range day {
@@ -120,29 +120,28 @@ func newEnvelope(g trace.Grid) Envelope {
 func Generate(c Config) (*trace.Series, error) { return GenerateWith(c, nil) }
 
 // GenerateWith is Generate over a shared clear-sky envelope: env must
-// come from NewEnvelope of c's grid, and any other envelope is an error.
+// come from NewEnvelope of c's days, and any other envelope is an error.
 // A nil env computes c's own, which makes it Generate. The series is the
 // same bits either way.
 func GenerateWith(c Config, env *Envelope) (*trace.Series, error) {
 	if env == nil {
-		own := newEnvelope(c.Grid)
+		own := newEnvelope(c.Days)
 		env = &own
-	} else if env.grid != c.Grid {
-		return nil, errors.New("solar: envelope computed for another horizon or slot length")
+	} else if env.days != c.Days {
+		return nil, errors.New("solar: envelope computed for another horizon")
 	}
 	r := rand.New(rng.NewSource(c.Seed))
-	out := trace.New("solar", "MWh", c.Grid.SlotMinutes, len(env.irradiance))
+	out := trace.New("solar", "MWh", len(env.irradiance))
 
-	slotHours := c.Grid.SlotHours()
 	cloudy := r.Float64() < 0.4 // initial weather state
 	atten := 1.0                // AR(1) attenuation level
 	for i, irr := range env.irradiance {
-		// Weather chain steps once per slot, scaled to per-hour rates.
+		// Weather chain steps once per hourly slot at its per-hour rates.
 		pFlip := pClearToCloudy
 		if cloudy {
 			pFlip = pCloudyToClear
 		}
-		if r.Float64() < pFlip*slotHours {
+		if r.Float64() < pFlip {
 			cloudy = !cloudy
 		}
 		target := 1.0
@@ -154,7 +153,7 @@ func GenerateWith(c Config, env *Envelope) (*trace.Series, error) {
 		atten = min(1, max(0.05, atten))
 
 		powerMW := c.CapacityMW * performanceRatio * (irr / 1000.0) * atten
-		out.Values[i] = max(0, powerMW*slotHours)
+		out.Values[i] = max(0, powerMW)
 	}
 	return out, nil
 }

@@ -3,8 +3,6 @@ package solar
 import (
 	"math"
 	"testing"
-
-	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
 func mustGenerate(t *testing.T, c Config) []float64 {
@@ -18,17 +16,16 @@ func mustGenerate(t *testing.T, c Config) []float64 {
 
 // month is the paper-like January of a 1 MW plant: 31 hourly days.
 func month() Config {
-	return Config{Grid: trace.Grid{Days: 31, SlotMinutes: 60}, CapacityMW: 1, Seed: 1}
+	return Config{Days: 31, CapacityMW: 1, Seed: 1}
 }
 
 // clearSkyMWh is the month's production with the weather chain left
 // out: the clear-sky envelope through the plant, per slot.
 func clearSkyMWh(c Config) []float64 {
-	env := newEnvelope(c.Grid)
-	slotHours := c.Grid.SlotHours()
+	env := newEnvelope(c.Days)
 	out := make([]float64, len(env.irradiance))
 	for i, irr := range env.irradiance {
-		out[i] = c.CapacityMW * performanceRatio * (irr / 1000) * slotHours
+		out[i] = c.CapacityMW * performanceRatio * (irr / 1000)
 	}
 	return out
 }
@@ -47,11 +44,9 @@ func TestGenerateShape(t *testing.T) {
 	if len(vals) != 31*24 {
 		t.Fatalf("len = %d, want %d", len(vals), 31*24)
 	}
-	slotHours := 1.0
-	capMWh := c.CapacityMW * slotHours
 	for i, v := range vals {
-		if v < 0 || v > capMWh {
-			t.Fatalf("vals[%d] = %g outside [0, %g]", i, v, capMWh)
+		if v < 0 || v > c.CapacityMW {
+			t.Fatalf("vals[%d] = %g outside [0, %g]", i, v, c.CapacityMW)
 		}
 	}
 }
@@ -131,22 +126,6 @@ func TestGenerateSeasonality(t *testing.T) {
 	}
 }
 
-func TestGenerateFineResolution(t *testing.T) {
-	c := month()
-	c.Grid.SlotMinutes = 15
-	c.Grid.Days = 2
-	s, err := Generate(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 2*24*4 {
-		t.Fatalf("len = %d, want %d", s.Len(), 2*24*4)
-	}
-	if s.SlotMinutes != 15 {
-		t.Fatalf("SlotMinutes = %d, want 15", s.SlotMinutes)
-	}
-}
-
 // The weather chain spends about 40 % of its hours cloudy at 30 % of
 // the clear-sky output, so a month yields well under its clear sky.
 func TestGenerateCloudyReducesEnergy(t *testing.T) {
@@ -184,12 +163,12 @@ func TestClearSkyIrradiance(t *testing.T) {
 }
 
 // A shared envelope changes no bit: generating over another
-// configuration's envelope of the same slot grid gives exactly
-// Generate's series, whatever the seed and capacity. An envelope of
-// another grid is refused.
+// configuration's envelope of the same days gives exactly Generate's
+// series, whatever the seed and capacity. An envelope of other days is
+// refused.
 func TestGenerateWithSharedEnvelope(t *testing.T) {
-	for _, base := range []Config{month(), {Grid: trace.Grid{Days: 3, SlotMinutes: 15}, CapacityMW: 2}} {
-		env := NewEnvelope(base.Grid)
+	for _, base := range []Config{month(), {Days: 3, CapacityMW: 2}} {
+		env := NewEnvelope(base.Days)
 		c := base
 		c.Seed, c.CapacityMW = 42, 5
 		want := mustGenerate(t, c)
@@ -202,15 +181,10 @@ func TestGenerateWithSharedEnvelope(t *testing.T) {
 				t.Fatalf("slot %d: %v over the shared envelope, %v alone", i, got.Values[i], want[i])
 			}
 		}
-		for _, mut := range []func(*Config){
-			func(c *Config) { c.Grid.Days++ },
-			func(c *Config) { c.Grid.SlotMinutes *= 2 },
-		} {
-			other := c
-			mut(&other)
-			if _, err := GenerateWith(other, env); err == nil {
-				t.Fatalf("envelope of %+v accepted for %+v", base, other)
-			}
+		other := c
+		other.Days++
+		if _, err := GenerateWith(other, env); err == nil {
+			t.Fatalf("envelope of %+v accepted for %+v", base, other)
 		}
 	}
 }

@@ -14,8 +14,8 @@
 //
 // The package owns the temperature process and the PUE curve.
 // internal/engine is its sole consumer: when a trace configuration sets
-// cooling, generation draws the temperature trace on the demand's own
-// slot grid and maps the demand through the curve, clipped at the
+// cooling, generation draws the temperature trace over the demand's
+// horizon and maps the demand through the curve, clipped at the
 // configuration's grid cap, so the simulator and policies only ever see
 // the already-inflated facility demand.
 package thermal
@@ -29,14 +29,14 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-// Config parameterizes the temperature generator: the slot grid, the
-// mean temperature and the seed. The weather's swings and the PUE curve
+// Config parameterizes the temperature generator: the horizon, the mean
+// temperature and the seed. The weather's swings and the PUE curve
 // are the constants below. GenerateTemperature trusts it:
 // internal/engine screens every trace configuration before any generator
 // runs.
 type Config struct {
-	// Grid is the horizon and the trace resolution.
-	Grid trace.Grid
+	// Days is the horizon, trace.SlotsPerDay hourly slots a day.
+	Days int
 	// MeanC is the long-run mean outside temperature in °C.
 	MeanC float64
 	// Seed drives the deterministic random source.
@@ -65,18 +65,15 @@ const (
 // GenerateTemperature produces the outside-temperature series in °C.
 func GenerateTemperature(c Config) *trace.Series {
 	r := rand.New(rng.NewSource(c.Seed))
-	g := c.Grid
-	slotsPerDay := g.SlotsPerDay()
-	n := g.Len()
-	out := trace.New("temperature", "C", g.SlotMinutes, n)
-	slotHours := g.SlotHours()
+	n := c.Days * trace.SlotsPerDay
+	out := trace.New("temperature", "C", n)
 
 	weather := 0.0
 	for i := 0; i < n; i++ {
-		hour := (float64(i%slotsPerDay) + 0.5) * slotHours
+		hour := float64(i%trace.SlotsPerDay) + 0.5
 		// Coldest around 5am, warmest mid-afternoon.
 		diurnal := diurnalAmpC * math.Sin(2*math.Pi*(hour-11)/24)
-		weather += 0.05*(0-weather) + 0.3*weatherStdC*math.Sqrt(slotHours)*r.NormFloat64()
+		weather += 0.05*(0-weather) + 0.3*weatherStdC*r.NormFloat64()
 		out.Values[i] = c.MeanC + diurnal + weather
 	}
 	return out

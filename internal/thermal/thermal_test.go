@@ -8,7 +8,7 @@ import (
 )
 
 // winter is the default winter month: 31 hourly days around 2 °C.
-func winter() Config { return Config{Grid: trace.Grid{Days: 31, SlotMinutes: 60}, MeanC: 2, Seed: 8} }
+func winter() Config { return Config{Days: 31, MeanC: 2, Seed: 8} }
 
 func TestGenerateTemperatureShape(t *testing.T) {
 	c := winter()
@@ -22,7 +22,7 @@ func TestGenerateTemperatureShape(t *testing.T) {
 	}
 	// Afternoon warmer than pre-dawn on average.
 	afternoon, dawn := 0.0, 0.0
-	for d := 0; d < c.Grid.Days; d++ {
+	for d := 0; d < c.Days; d++ {
 		afternoon += temps.Values[d*24+15]
 		dawn += temps.Values[d*24+4]
 	}
@@ -71,7 +71,7 @@ func TestPUECurve(t *testing.T) {
 
 func testSet(n int) *trace.Set {
 	mk := func(name string, base float64) *trace.Series {
-		s := trace.New(name, "MWh", 60, n)
+		s := trace.New(name, "MWh", n)
 		for i := range s.Values {
 			s.Values[i] = base
 		}
@@ -88,7 +88,7 @@ func testSet(n int) *trace.Set {
 
 func TestApplyCoolingWinterIsNeutral(t *testing.T) {
 	c := winter() // 2°C mean: always free cooling
-	c.Grid.Days = 1
+	c.Days = 1
 	temps := GenerateTemperature(c)
 	set := testSet(24)
 	avgPUE, err := ApplyCooling(set, temps, 2.0)
@@ -106,7 +106,7 @@ func TestApplyCoolingWinterIsNeutral(t *testing.T) {
 
 func TestApplyCoolingSummerRaisesDemand(t *testing.T) {
 	c := winter()
-	c.Grid.Days = 1
+	c.Days = 1
 	c.MeanC = 26 // chiller regime
 	temps := GenerateTemperature(c)
 	set := testSet(24)
@@ -126,7 +126,7 @@ func TestApplyCoolingSummerRaisesDemand(t *testing.T) {
 
 func TestApplyCoolingClipsAtPgrid(t *testing.T) {
 	c := winter()
-	c.Grid.Days = 1
+	c.Days = 1
 	c.MeanC = 30
 	temps := GenerateTemperature(c)
 	set := testSet(24)
@@ -142,7 +142,7 @@ func TestApplyCoolingClipsAtPgrid(t *testing.T) {
 
 func TestApplyCoolingErrors(t *testing.T) {
 	c := winter()
-	c.Grid.Days = 1
+	c.Days = 1
 	temps := GenerateTemperature(c)
 	short := testSet(12)
 	if _, err := ApplyCooling(short, temps, 2.0); err == nil {

@@ -33,8 +33,8 @@ func parseCSV(t *testing.T, b []byte) (records [][]string, cols [][]float64) {
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	a := FromValues("demand_ds", "MWh", 60, []float64{1.5, 2.25, 0})
-	b := FromValues("price_rt", "USD/MWh", 60, []float64{31.125, 0.001, 150})
+	a := FromValues("demand_ds", "MWh", []float64{1.5, 2.25, 0})
+	b := FromValues("price_rt", "USD/MWh", []float64{31.125, 0.001, 150})
 
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, a, b); err != nil {
@@ -63,7 +63,7 @@ func TestCSVRoundTrip(t *testing.T) {
 
 func TestCSVRoundTripPreservesPrecision(t *testing.T) {
 	vals := []float64{math.Pi, 1e-17, 123456789.123456789}
-	s := FromValues("x", "", 60, vals)
+	s := FromValues("x", "", vals)
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, s); err != nil {
 		t.Fatal(err)
@@ -84,8 +84,8 @@ func TestWriteCSVErrors(t *testing.T) {
 	if err := WriteCSV(&bytes.Buffer{}); err == nil {
 		t.Error("want error for no series")
 	}
-	a := New("a", "", 60, 2)
-	b := New("b", "", 60, 3)
+	a := New("a", "", 2)
+	b := New("b", "", 3)
 	if err := WriteCSV(&bytes.Buffer{}, a, b); err == nil {
 		t.Error("want error for mismatched lengths")
 	}

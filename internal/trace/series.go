@@ -1,9 +1,9 @@
 // Package trace provides the time-series substrate for the SmartDPSS
-// evaluation: slot-indexed series, CSV import/export and summary
-// statistics. All of the paper's evaluation (Sec. VI) is
-// trace-driven; the synthetic generators in internal/solar,
+// evaluation: hourly slot-indexed series, CSV import/export and summary
+// statistics. All of the paper's evaluation (Sec. VI) is trace-driven
+// and hourly; the synthetic generators in internal/solar,
 // internal/pricing and internal/workload produce Series values defined
-// here.
+// here, SlotsPerDay slots a day.
 package trace
 
 import (
@@ -11,29 +11,33 @@ import (
 	"math"
 )
 
-// Series is a fixed-step time series. Index 0 is the first fine-grained
+// SlotsPerDay is the number of fine slots in a day. Every slot is an
+// hour long, the resolution of the paper's whole evaluation (Sec. VI),
+// so a slot's energy in MWh equals its average power in MW, and slot i
+// starts at hour i%SlotsPerDay of its day.
+const SlotsPerDay = 24
+
+// Series is an hourly time series. Index 0 is the first fine-grained
 // slot of the simulation horizon.
 type Series struct {
 	// Name identifies the series (e.g. "demand_ds"); used as a CSV header.
 	Name string
 	// Unit documents the value unit (e.g. "MWh", "USD/MWh").
 	Unit string
-	// SlotMinutes is the duration of one slot in minutes.
-	SlotMinutes int
 	// Values holds one sample per slot.
 	Values []float64
 }
 
 // New returns a zero-filled series of n slots.
-func New(name, unit string, slotMinutes, n int) *Series {
-	return &Series{Name: name, Unit: unit, SlotMinutes: slotMinutes, Values: make([]float64, n)}
+func New(name, unit string, n int) *Series {
+	return &Series{Name: name, Unit: unit, Values: make([]float64, n)}
 }
 
 // FromValues wraps the given samples (the slice is copied).
-func FromValues(name, unit string, slotMinutes int, values []float64) *Series {
+func FromValues(name, unit string, values []float64) *Series {
 	v := make([]float64, len(values))
 	copy(v, values)
-	return &Series{Name: name, Unit: unit, SlotMinutes: slotMinutes, Values: v}
+	return &Series{Name: name, Unit: unit, Values: v}
 }
 
 // Len reports the number of slots.
@@ -51,7 +55,7 @@ func (s *Series) At(i int) float64 {
 
 // Clone returns an independent deep copy.
 func (s *Series) Clone() *Series {
-	return FromValues(s.Name, s.Unit, s.SlotMinutes, s.Values)
+	return FromValues(s.Name, s.Unit, s.Values)
 }
 
 // CopyInto deep-copies s into dst, reusing dst's sample storage when it
@@ -62,7 +66,7 @@ func (s *Series) CopyInto(dst *Series) *Series {
 	if dst == nil {
 		dst = &Series{}
 	}
-	dst.Name, dst.Unit, dst.SlotMinutes = s.Name, s.Unit, s.SlotMinutes
+	dst.Name, dst.Unit = s.Name, s.Unit
 	dst.Values = append(dst.Values[:0], s.Values...)
 	return dst
 }
@@ -138,8 +142,7 @@ func (s *Series) StdDev() float64 {
 	return math.Sqrt(acc / float64(n))
 }
 
-// Validate reports an error for NaN/Inf samples or a slot length outside
-// 1–MinutesPerDay minutes.
+// Validate reports an error for NaN/Inf samples.
 func (s *Series) Validate() error {
 	_, _, err := s.validRange()
 	return err
@@ -148,9 +151,6 @@ func (s *Series) Validate() error {
 // validRange is Validate that also returns, from the same pass, the
 // smallest and largest sample (+Inf and −Inf for an empty series).
 func (s *Series) validRange() (lo, hi float64, err error) {
-	if !validSlot(s.SlotMinutes) {
-		return 0, 0, fmt.Errorf("trace: %s has %d-minute slots, outside 1–%d", s.Name, s.SlotMinutes, MinutesPerDay)
-	}
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for i, v := range s.Values {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

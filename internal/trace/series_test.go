@@ -7,7 +7,7 @@ import (
 )
 
 func TestSeriesBasics(t *testing.T) {
-	s := FromValues("demand", "MWh", 60, []float64{1, 2, 3, 4})
+	s := FromValues("demand", "MWh", []float64{1, 2, 3, 4})
 	if s.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", s.Len())
 	}
@@ -36,7 +36,7 @@ func TestSeriesBasics(t *testing.T) {
 
 func TestSeriesFromValuesCopies(t *testing.T) {
 	src := []float64{1, 2}
-	s := FromValues("x", "", 60, src)
+	s := FromValues("x", "", src)
 	src[0] = 99
 	if s.Values[0] != 1 {
 		t.Error("FromValues must copy the input slice")
@@ -44,7 +44,7 @@ func TestSeriesFromValuesCopies(t *testing.T) {
 }
 
 func TestSeriesCloneIndependent(t *testing.T) {
-	s := FromValues("x", "", 60, []float64{1, 2})
+	s := FromValues("x", "", []float64{1, 2})
 	c := s.Clone()
 	c.Values[0] = 42
 	if s.Values[0] != 1 {
@@ -53,7 +53,7 @@ func TestSeriesCloneIndependent(t *testing.T) {
 }
 
 func TestSeriesScale(t *testing.T) {
-	s := FromValues("x", "", 60, []float64{1, -2, 5})
+	s := FromValues("x", "", []float64{1, -2, 5})
 	s.Scale(2)
 	want := []float64{2, -4, 10}
 	for i, w := range want {
@@ -64,51 +64,43 @@ func TestSeriesScale(t *testing.T) {
 }
 
 func TestSeriesAddSeries(t *testing.T) {
-	a := FromValues("a", "", 60, []float64{1, 2})
-	b := FromValues("b", "", 60, []float64{10, 20})
+	a := FromValues("a", "", []float64{1, 2})
+	b := FromValues("b", "", []float64{10, 20})
 	if _, err := a.AddSeries(b); err != nil {
 		t.Fatal(err)
 	}
 	if a.Values[0] != 11 || a.Values[1] != 22 {
 		t.Errorf("AddSeries result %v", a.Values)
 	}
-	short := FromValues("c", "", 60, []float64{1})
+	short := FromValues("c", "", []float64{1})
 	if _, err := a.AddSeries(short); err == nil {
 		t.Error("want length-mismatch error")
 	}
 }
 
 func TestSeriesStdDev(t *testing.T) {
-	s := FromValues("x", "", 60, []float64{2, 4, 4, 4, 5, 5, 7, 9})
+	s := FromValues("x", "", []float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if got := s.StdDev(); math.Abs(got-2) > 1e-12 {
 		t.Errorf("StdDev = %g, want 2", got)
 	}
-	empty := New("e", "", 60, 0)
+	empty := New("e", "", 0)
 	if got := empty.StdDev(); got != 0 {
 		t.Errorf("empty StdDev = %g, want 0", got)
 	}
 }
 
 func TestSeriesValidate(t *testing.T) {
-	good := FromValues("x", "", 60, []float64{1})
+	good := FromValues("x", "", []float64{1})
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid series rejected: %v", err)
 	}
-	bad := FromValues("x", "", 60, []float64{math.NaN()})
+	bad := FromValues("x", "", []float64{math.NaN()})
 	if err := bad.Validate(); err == nil {
 		t.Error("want error for NaN sample")
 	}
-	inf := FromValues("x", "", 60, []float64{math.Inf(1)})
+	inf := FromValues("x", "", []float64{math.Inf(1)})
 	if err := inf.Validate(); err == nil {
 		t.Error("want error for Inf sample")
-	}
-	zeroSlot := FromValues("x", "", 0, []float64{1})
-	if err := zeroSlot.Validate(); err == nil {
-		t.Error("want error for zero slot duration")
-	}
-	longSlot := FromValues("x", "", MinutesPerDay+1, []float64{1})
-	if err := longSlot.Validate(); err == nil {
-		t.Error("want error for a slot longer than a day")
 	}
 }
 
@@ -127,7 +119,7 @@ func TestPropertyScaleThenSumMatches(t *testing.T) {
 		if math.IsNaN(k) || math.IsInf(k, 0) || math.Abs(k) > 1e6 {
 			k = 2
 		}
-		s := FromValues("x", "", 60, vals)
+		s := FromValues("x", "", vals)
 		before := s.Sum()
 		s.Scale(k)
 		after := s.Sum()

@@ -39,9 +39,9 @@ func (s *Set) Horizon() int {
 	return s.DemandDS.Len()
 }
 
-// Validate checks presence, equal lengths, matching slot sizes,
-// finiteness, and non-negativity of all series, and that no energy
-// sample exceeds MaxEnergyMWh. It reads each series once.
+// Validate checks presence, equal lengths, finiteness, and
+// non-negativity of all series, and that no energy sample exceeds
+// MaxEnergyMWh. It reads each series once.
 func (s *Set) Validate() error {
 	names := [...]string{"DemandDS", "DemandDT", "Renewable", "PriceLT", "PriceRT"}
 	series := [...]*Series{s.DemandDS, s.DemandDT, s.Renewable, s.PriceLT, s.PriceRT}
@@ -51,12 +51,11 @@ func (s *Set) Validate() error {
 		}
 	}
 	n := series[0].Len()
-	slot := series[0].SlotMinutes
 	if n == 0 {
 		return errors.New("trace: set has zero horizon")
 	}
 	for i, sr := range series {
-		if err := checkSeries(names[i], i < 3, sr, n, slot); err != nil {
+		if err := checkSeries(names[i], i < 3, sr, n); err != nil {
 			return err
 		}
 	}
@@ -64,19 +63,19 @@ func (s *Set) Validate() error {
 }
 
 // checkSeries applies Validate's rules to one series of a set of n
-// slots of slot minutes: finite samples, n of them at that slot length,
-// none negative, and for an energy series none above MaxEnergyMWh. A
-// valid series costs one pass of plain comparisons; only a failing one
-// goes through seriesError, which words the first broken rule.
-func checkSeries(name string, energy bool, sr *Series, n, slot int) error {
+// slots: finite samples, n of them, none negative, and for an energy
+// series none above MaxEnergyMWh. A valid series costs one pass of plain
+// comparisons; only a failing one goes through seriesError, which words
+// the first broken rule.
+func checkSeries(name string, energy bool, sr *Series, n int) error {
 	limit := math.MaxFloat64
 	if energy {
 		limit = MaxEnergyMWh
 	}
-	if validSlot(sr.SlotMinutes) && sr.SlotMinutes == slot && sr.Len() == n && inRange(sr.Values, limit) {
+	if sr.Len() == n && inRange(sr.Values, limit) {
 		return nil
 	}
-	return seriesError(name, energy, sr, n, slot)
+	return seriesError(name, energy, sr, n)
 }
 
 // inRange reports whether every value lies in [0, limit]. NaN fails
@@ -91,18 +90,15 @@ func inRange(values []float64, limit float64) bool {
 }
 
 // seriesError returns the error checkSeries reports for sr, checking
-// the rules in their reporting order: slot length, finiteness, length,
-// slot match, sign and the energy bound.
-func seriesError(name string, energy bool, sr *Series, n, slot int) error {
+// the rules in their reporting order: finiteness, length, sign and the
+// energy bound.
+func seriesError(name string, energy bool, sr *Series, n int) error {
 	lo, hi, err := sr.validRange()
 	if err != nil {
 		return err
 	}
 	if sr.Len() != n {
 		return fmt.Errorf("trace: %s has %d slots, want %d", name, sr.Len(), n)
-	}
-	if sr.SlotMinutes != slot {
-		return fmt.Errorf("trace: %s has %d-minute slots, want %d", name, sr.SlotMinutes, slot)
 	}
 	if lo < 0 {
 		return fmt.Errorf("trace: %s has negative samples", name)
@@ -138,13 +134,13 @@ func (s *Set) CloneInto(dst *Set) *Set {
 // demand series replaced. Every other series is shared with the receiver,
 // so a router that reassigns demand across sites pays one new series per
 // site, not a deep copy of the whole set. The replacement must pass
-// Validate's rules for DemandDS against the set's horizon and slot
-// length, so the copy of a valid set is valid too.
+// Validate's rules for DemandDS against the set's horizon, so the copy
+// of a valid set is valid too.
 func (s *Set) WithDemandDS(ds *Series) (*Set, error) {
 	if ds == nil || s.DemandDS == nil {
 		return nil, errors.New("trace: WithDemandDS needs a DemandDS on both sides")
 	}
-	if err := checkSeries("DemandDS", true, ds, s.Horizon(), s.DemandDS.SlotMinutes); err != nil {
+	if err := checkSeries("DemandDS", true, ds, s.Horizon()); err != nil {
 		return nil, err
 	}
 	out := *s

@@ -8,7 +8,7 @@ import (
 
 func testSet(n int) *Set {
 	mk := func(name string, base float64) *Series {
-		s := New(name, "MWh", 60, n)
+		s := New(name, "MWh", n)
 		for i := range s.Values {
 			s.Values[i] = base + float64(i%3)
 		}
@@ -43,16 +43,9 @@ func TestSetValidateRejects(t *testing.T) {
 	})
 	t.Run("length mismatch", func(t *testing.T) {
 		s := testSet(5)
-		s.Renewable = New("renewable", "MWh", 60, 4)
+		s.Renewable = New("renewable", "MWh", 4)
 		if err := s.Validate(); err == nil {
 			t.Error("want error for length mismatch")
-		}
-	})
-	t.Run("slot mismatch", func(t *testing.T) {
-		s := testSet(5)
-		s.Renewable = New("renewable", "MWh", 30, 5)
-		if err := s.Validate(); err == nil {
-			t.Error("want error for slot-size mismatch")
 		}
 	})
 	t.Run("negative values", func(t *testing.T) {
@@ -126,7 +119,7 @@ func TestSetPenetration(t *testing.T) {
 		t.Error("want error for negative target")
 	}
 	zero := testSet(3)
-	zero.Renewable = New("renewable", "MWh", 60, 3)
+	zero.Renewable = New("renewable", "MWh", 3)
 	if err := zero.SetPenetration(0.5); err == nil {
 		t.Error("want error for zero renewable")
 	}
@@ -139,7 +132,7 @@ func TestSetPenetration(t *testing.T) {
 // so the copy of a valid set is valid, and shares every other series.
 func TestSetWithDemandDS(t *testing.T) {
 	s := testSet(5)
-	ds := New("routed", "MWh", 60, 5)
+	ds := New("routed", "MWh", 5)
 	out, err := s.WithDemandDS(ds)
 	if err != nil {
 		t.Fatal(err)
@@ -155,12 +148,11 @@ func TestSetWithDemandDS(t *testing.T) {
 		ds   *Series
 	}{
 		{"nil", nil},
-		{"short", New("routed", "MWh", 60, 4)},
-		{"slot length", New("routed", "MWh", 30, 5)},
-		{"NaN", FromValues("routed", "MWh", 60, []float64{0, math.NaN(), 0, 0, 0})},
-		{"infinite", FromValues("routed", "MWh", 60, []float64{0, 0, math.Inf(1), 0, 0})},
-		{"negative", FromValues("routed", "MWh", 60, []float64{0, 0, 0, -1, 0})},
-		{"above bound", FromValues("routed", "MWh", 60, []float64{0, 0, 0, 0, 2 * MaxEnergyMWh})},
+		{"short", New("routed", "MWh", 4)},
+		{"NaN", FromValues("routed", "MWh", []float64{0, math.NaN(), 0, 0, 0})},
+		{"infinite", FromValues("routed", "MWh", []float64{0, 0, math.Inf(1), 0, 0})},
+		{"negative", FromValues("routed", "MWh", []float64{0, 0, 0, -1, 0})},
+		{"above bound", FromValues("routed", "MWh", []float64{0, 0, 0, 0, 2 * MaxEnergyMWh})},
 	} {
 		if _, err := s.WithDemandDS(bad.ds); err == nil {
 			t.Errorf("%s replacement accepted", bad.name)
@@ -170,16 +162,13 @@ func TestSetWithDemandDS(t *testing.T) {
 
 // checkSeriesOracle is checkSeries without its one-pass acceptance:
 // every series goes through validRange and the rules in reporting order.
-func checkSeriesOracle(name string, energy bool, sr *Series, n, slot int) error {
+func checkSeriesOracle(name string, energy bool, sr *Series, n int) error {
 	lo, hi, err := sr.validRange()
 	if err != nil {
 		return err
 	}
 	if sr.Len() != n {
 		return fmt.Errorf("trace: %s has %d slots, want %d", name, sr.Len(), n)
-	}
-	if sr.SlotMinutes != slot {
-		return fmt.Errorf("trace: %s has %d-minute slots, want %d", name, sr.SlotMinutes, slot)
 	}
 	if lo < 0 {
 		return fmt.Errorf("trace: %s has negative samples", name)
@@ -192,10 +181,9 @@ func checkSeriesOracle(name string, energy bool, sr *Series, n, slot int) error 
 
 // TestCheckSeriesMatchesOracle holds checkSeries to the oracle's verdict
 // and error text on edge samples at the first, a middle and the last
-// index, and on wrong lengths and slot lengths, for energy and price
-// series alike.
+// index, and on wrong lengths, for energy and price series alike.
 func TestCheckSeriesMatchesOracle(t *testing.T) {
-	const n, slot = 5, 60
+	const n = 5
 	above := math.Nextafter(MaxEnergyMWh, math.Inf(1))
 	samples := []float64{
 		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
@@ -203,41 +191,30 @@ func TestCheckSeriesMatchesOracle(t *testing.T) {
 		math.Inf(1), math.Inf(-1), math.NaN(),
 	}
 	type input struct {
-		desc        string
-		values      []float64
-		slotMinutes int
-		slot        int
+		desc   string
+		values []float64
 	}
 	base := func() []float64 { return []float64{1, 2, 3, 4, 5} }
-	inputs := []input{{"valid", base(), slot, slot}}
+	inputs := []input{{"valid", base()}}
 	for _, v := range samples {
 		for _, at := range []int{0, n / 2, n - 1} {
 			vals := base()
 			vals[at] = v
-			inputs = append(inputs, input{fmt.Sprintf("%v at %d", v, at), vals, slot, slot})
+			inputs = append(inputs, input{fmt.Sprintf("%v at %d", v, at), vals})
 		}
 	}
 	nan := base()
 	nan[3] = math.NaN()
-	neg := base()
-	neg[1] = -2
 	inputs = append(inputs,
-		input{"short", base()[:n-1], slot, slot},
-		input{"long", append(base(), 6), slot, slot},
-		input{"short with NaN", nan[:n-1], slot, slot},
-		input{"slot length 30", base(), 30, slot},
-		input{"slot length 30 with negative", neg, 30, slot},
-		input{"slot length 0", base(), 0, slot},
-		input{"slot length 0 on both sides", base(), 0, 0},
-		input{"slot length 0 with NaN", nan, 0, slot},
-		input{"negative slot length", base(), -60, -60},
-		input{"slot length above a day on both sides", base(), MinutesPerDay + 1, MinutesPerDay + 1},
+		input{"short", base()[:n-1]},
+		input{"long", append(base(), 6)},
+		input{"short with NaN", nan[:n-1]},
 	)
 	for _, in := range inputs {
 		for _, energy := range []bool{true, false} {
-			sr := FromValues("s", "MWh", in.slotMinutes, in.values)
-			got := checkSeries("DemandDS", energy, sr, n, in.slot)
-			want := checkSeriesOracle("DemandDS", energy, sr, n, in.slot)
+			sr := FromValues("s", "MWh", in.values)
+			got := checkSeries("DemandDS", energy, sr, n)
+			want := checkSeriesOracle("DemandDS", energy, sr, n)
 			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
 				t.Errorf("%s (energy %v): checkSeries = %v, oracle = %v", in.desc, energy, got, want)
 			}
@@ -261,7 +238,7 @@ func TestCheckSeriesMatchesOracle(t *testing.T) {
 	} {
 		vals := base()
 		vals[2] = c.v
-		err := checkSeries("DemandDS", c.energy, FromValues("s", "MWh", slot, vals), n, slot)
+		err := checkSeries("DemandDS", c.energy, FromValues("s", "MWh", vals), n)
 		if (err == nil) != c.ok {
 			t.Errorf("sample %v (energy %v): checkSeries = %v, want ok=%v", c.v, c.energy, err, c.ok)
 		}

@@ -28,13 +28,13 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-// Config parameterizes the wind generator: the slot grid, the farm size
+// Config parameterizes the wind generator: the horizon, the farm size
 // and the seed. The site and its turbines are the mid-continental winter
 // ones fixed below. Generate trusts it: internal/engine screens every
 // trace configuration before any generator runs.
 type Config struct {
-	// Grid is the horizon and the trace resolution.
-	Grid trace.Grid
+	// Days is the horizon, trace.SlotsPerDay hourly slots a day.
+	Days int
 	// CapacityMW is the rated (nameplate) farm output.
 	CapacityMW float64
 	// Seed drives the deterministic random source.
@@ -64,28 +64,24 @@ const (
 // Generate produces the production series in MWh per slot.
 func Generate(c Config) *trace.Series {
 	r := rand.New(rng.NewSource(c.Seed))
-	g := c.Grid
-	slotsPerDay := g.SlotsPerDay()
-	n := g.Len()
-	out := trace.New("wind", "MWh", g.SlotMinutes, n)
-	slotHours := g.SlotHours()
+	n := c.Days * trace.SlotsPerDay
+	out := trace.New("wind", "MWh", n)
 
 	front := 0.0         // slow synoptic deviation of the regional mean
 	speed := meanSpeedMS // fast mean-reverting speed process
 	for i := 0; i < n; i++ {
-		hour := (float64(i%slotsPerDay) + 0.5) * slotHours
+		hour := float64(i%trace.SlotsPerDay) + 0.5
 
 		// Weather fronts: a bounded random walk updated each slot.
-		front += frontStdMS * math.Sqrt(slotHours) * r.NormFloat64()
+		front += frontStdMS * r.NormFloat64()
 		front = clamp(front, -0.5*meanSpeedMS, meanSpeedMS)
 
 		// Fast fluctuations: mean reversion towards the modulated mean.
 		target := (meanSpeedMS + front) * (1 + diurnalAmp*math.Sin(2*math.Pi*(hour-15)/24))
-		speed += 0.35*(target-speed) + speedStdMS*math.Sqrt(slotHours)*0.6*r.NormFloat64()
+		speed += 0.35*(target-speed) + speedStdMS*0.6*r.NormFloat64()
 		speed = max(0, speed)
 
-		powerMW := c.CapacityMW * powerCurve(speed)
-		out.Values[i] = powerMW * slotHours
+		out.Values[i] = c.CapacityMW * powerCurve(speed)
 	}
 	return out
 }

@@ -3,8 +3,6 @@ package wind
 import (
 	"math"
 	"testing"
-
-	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
 func mustGenerate(t *testing.T, c Config) []float64 {
@@ -14,7 +12,7 @@ func mustGenerate(t *testing.T, c Config) []float64 {
 
 // month is the default month of a 1 MW farm: 31 hourly days.
 func month() Config {
-	return Config{Grid: trace.Grid{Days: 31, SlotMinutes: 60}, CapacityMW: 1, Seed: 4}
+	return Config{Days: 31, CapacityMW: 1, Seed: 4}
 }
 
 func TestGenerateBounds(t *testing.T) {
@@ -108,21 +106,5 @@ func TestPowerCurve(t *testing.T) {
 			t.Fatalf("power curve not monotone at %g m/s", s)
 		}
 		prev = v
-	}
-}
-
-func TestGenerateFineResolution(t *testing.T) {
-	c := month()
-	c.Grid.SlotMinutes = 15
-	c.Grid.Days = 2
-	s := Generate(c)
-	if s.Len() != 2*24*4 {
-		t.Fatalf("len = %d, want %d", s.Len(), 2*24*4)
-	}
-	capMWh := c.CapacityMW * 0.25
-	for i, v := range s.Values {
-		if v < 0 || v > capMWh+1e-12 {
-			t.Fatalf("15-min vals[%d] = %g outside [0, %g]", i, v, capMWh)
-		}
 	}
 }

@@ -40,13 +40,13 @@ import (
 	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
-// Config parameterizes the demand generator: the slot grid, the grid
-// cap and the seed. The model itself is the paper-like scenario's, fixed
+// Config parameterizes the demand generator: the horizon, the grid cap
+// and the seed. The model itself is the paper-like scenario's, fixed
 // below. Generate trusts it: internal/engine screens every trace
 // configuration before any generator runs.
 type Config struct {
-	// Grid is the horizon and the trace resolution.
-	Grid trace.Grid
+	// Days is the horizon, trace.SlotsPerDay hourly slots a day.
+	Days int
 	// PgridMW caps the combined demand (peaks above are clipped, matching
 	// the paper's trace preprocessing).
 	PgridMW float64
@@ -80,22 +80,20 @@ const (
 // MWh per slot.
 func Generate(c Config) (ds, dt *trace.Series) {
 	r := rand.New(rng.NewSource(c.Seed))
-	g := c.Grid
-	slotsPerDay := g.SlotsPerDay()
-	n := g.Len()
-	ds = trace.New("demand_ds", "MWh", g.SlotMinutes, n)
-	dt = trace.New("demand_dt", "MWh", g.SlotMinutes, n)
-	slotHours := g.SlotHours()
+	const slotsPerDay = trace.SlotsPerDay
+	n := c.Days * slotsPerDay
+	ds = trace.New("demand_ds", "MWh", n)
+	dt = trace.New("demand_dt", "MWh", n)
 
 	// Jobs arrive in bursts; each job deposits energy over several slots.
 	// Expected arrivals are tuned so the long-run mean matches batchMeanMW.
-	meanJobMWh := 1.5 * slotHours // average total energy per job
-	jobsPerSlot := batchMeanMW * slotHours / meanJobMWh
+	meanJobMWh := 1.5 // average total energy per job
+	jobsPerSlot := batchMeanMW / meanJobMWh
 
 	// The diurnal terms, once per slot of the day (see the package doc).
-	var terms [trace.MinutesPerDay]slotTerms
+	var terms [slotsPerDay]slotTerms
 	for s := range slotsPerDay {
-		hour := (float64(s) + 0.5) * slotHours
+		hour := float64(s) + 0.5
 		shape := interactiveShape(hour) // in [0, 1]
 		// Batch submissions skew towards working hours.
 		rate := jobsPerSlot * (0.6 + 0.8*shape)
@@ -106,7 +104,7 @@ func Generate(c Config) (ds, dt *trace.Series) {
 	noise := 0.0
 	flashLeft := 0
 	flashMul := 1.0
-	for day := range g.Days {
+	for day := range c.Days {
 		for s := range slotsPerDay {
 			level := interactivePeakMW * (interactiveBase + (1-interactiveBase)*terms[s].shape)
 			if day%7 == 5 || day%7 == 6 {
@@ -124,7 +122,7 @@ func Generate(c Config) (ds, dt *trace.Series) {
 				mul = flashMul
 			}
 			powerMW := max(0, level*(1+noise)*mul)
-			ds.Values[day*slotsPerDay+s] = min(powerMW, c.PgridMW) * slotHours
+			ds.Values[day*slotsPerDay+s] = min(powerMW, c.PgridMW)
 		}
 	}
 
@@ -145,7 +143,7 @@ func Generate(c Config) (ds, dt *trace.Series) {
 	}
 
 	// Clip combined demand at Pgrid (the paper removes peaks above Pgrid).
-	budget := c.PgridMW * slotHours
+	budget := c.PgridMW
 	for i := 0; i < n; i++ {
 		if over := ds.Values[i] + dt.Values[i] - budget; over > 0 {
 			dt.Values[i] = max(0, dt.Values[i]-over)

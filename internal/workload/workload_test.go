@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/smartdpss/smartdpss/internal/rng"
-	"github.com/smartdpss/smartdpss/internal/trace"
 )
 
 func mustGenerate(t *testing.T, c Config) (ds, dt []float64) {
@@ -17,7 +16,7 @@ func mustGenerate(t *testing.T, c Config) (ds, dt []float64) {
 
 // month is the paper-like default month: 31 hourly days under a 2 MW
 // grid cap.
-func month() Config { return Config{Grid: trace.Grid{Days: 31, SlotMinutes: 60}, PgridMW: 2, Seed: 3} }
+func month() Config { return Config{Days: 31, PgridMW: 2, Seed: 3} }
 
 // level is the model's noise-free, flash-free interactive power at slot
 // s of an hourly day: its diurnal shape and weekend dip alone.
@@ -54,7 +53,7 @@ func TestGenerateDiurnalPattern(t *testing.T) {
 	c := month()
 	ds, _ := mustGenerate(t, c)
 	day, night := 0.0, 0.0
-	for d := 0; d < c.Grid.Days; d++ {
+	for d := 0; d < c.Days; d++ {
 		day += ds[d*24+14]
 		night += ds[d*24+4]
 	}
@@ -84,7 +83,7 @@ func TestGenerateWeekendDip(t *testing.T) {
 
 func TestGenerateBatchMeanApproximatelyTuned(t *testing.T) {
 	c := month()
-	c.Grid.Days = 62 // longer horizon tightens the estimate
+	c.Days = 62 // longer horizon tightens the estimate
 	_, dt := mustGenerate(t, c)
 	sum := 0.0
 	for _, v := range dt {

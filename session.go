@@ -13,7 +13,7 @@ var (
 	// ErrHorizonExhausted reports a Step past the session's last slot.
 	ErrHorizonExhausted = engine.ErrHorizonExhausted
 	// ErrSnapshotMismatch reports a Restore from a checkpoint taken under
-	// a different configuration (options, policy, horizon, slot length or
+	// a different configuration (options, policy, horizon or
 	// checkpoint-format version).
 	ErrSnapshotMismatch = engine.ErrSnapshotMismatch
 	// ErrSnapshotUnsupported reports Snapshot/Restore on a policy that

@@ -41,8 +41,8 @@ type Options = engine.Options
 
 // UnitSpec describes one unit of an on-site generation fleet
 // (Options.Fleet): capacity, minimum stable load, fuel curve,
-// startup cost/lag and CO₂ intensity. A unit whose capacity is zero,
-// or rounds to zero MWh per slot, is dropped.
+// startup cost/lag and CO₂ intensity. A unit whose capacity is zero is
+// dropped.
 type UnitSpec = engine.UnitSpec
 
 // DefaultOptions mirrors the paper's Sec. VI-A defaults: V = 1, ε = 0.5,
@@ -51,7 +51,8 @@ func DefaultOptions() Options { return engine.DefaultOptions() }
 
 // TraceConfig parameterizes the synthetic January scenario standing in for
 // the paper's MIDC solar, NYISO price and Google-cluster workload traces:
-// every trace starts on January 1, and the models' parameters are fixed.
+// every trace starts on January 1 and has hourly slots, and the models'
+// parameters are fixed.
 type TraceConfig = engine.TraceConfig
 
 // DefaultTraceConfig returns the one-month default scenario.
@@ -84,8 +85,10 @@ func Simulate(policy Policy, opts Options, traces *Traces) (*Report, error) {
 // TheoremBounds reports the deterministic bounds of Theorem 2.
 type TheoremBounds = engine.TheoremBounds
 
-// Bounds computes the Theorem 2 bounds for the options.
-func Bounds(opts Options) TheoremBounds { return engine.Bounds(opts) }
+// Bounds computes the Theorem 2 bounds for the options. It refuses the
+// options NewSession refuses for PolicySmartDPSS, with the same
+// ErrInvalidOptions error.
+func Bounds(opts Options) (TheoremBounds, error) { return engine.Bounds(opts) }
 
 // SuiteConfig scopes a scenario-suite run: trace horizon, seed, and the
 // worker-pool parallelism (Parallel == 0 uses GOMAXPROCS; a negative

@@ -2,6 +2,7 @@ package smartdpss_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -196,7 +197,10 @@ func TestSetPenetrationEffect(t *testing.T) {
 
 func TestBounds(t *testing.T) {
 	opts := dpss.DefaultOptions()
-	b := dpss.Bounds(opts)
+	b, err := dpss.Bounds(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if b.QMax <= 0 || b.YMax <= 0 || b.UMax <= 0 || b.LambdaMax <= 0 {
 		t.Errorf("bounds not positive: %+v", b)
 	}
@@ -205,8 +209,52 @@ func TestBounds(t *testing.T) {
 	}
 	big := opts
 	big.V = 5
-	if dpss.Bounds(big).LambdaMax <= b.LambdaMax {
+	bigB, err := dpss.Bounds(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bigB.LambdaMax <= b.LambdaMax {
 		t.Error("LambdaMax must grow with V")
+	}
+}
+
+// TestBoundsRefusesWhatSessionsRefuse: Bounds accepts exactly the
+// options a SmartDPSS session accepts and refuses the others with the
+// session's ErrInvalidOptions error, instead of returning bounds of a
+// controller that cannot be built (a λmax of math.MinInt for T = 0, a
+// negative Qmax for V = −1).
+func TestBoundsRefusesWhatSessionsRefuse(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mut  func(*dpss.Options)
+		ok   bool
+	}{
+		{"defaults", func(*dpss.Options) {}, true},
+		{"zero T", func(o *dpss.Options) { o.T = 0 }, false},
+		{"zero epsilon", func(o *dpss.Options) { o.Epsilon = 0 }, false},
+		{"NaN V", func(o *dpss.Options) { o.V = math.NaN() }, false},
+		{"negative V", func(o *dpss.Options) { o.V = -1 }, false},
+	} {
+		opts := dpss.DefaultOptions()
+		c.mut(&opts)
+		b, err := dpss.Bounds(opts)
+		_, serr := dpss.NewSession(dpss.PolicySmartDPSS, opts, 1)
+		if (err == nil) != c.ok || (serr == nil) != c.ok {
+			t.Errorf("%s: Bounds err = %v, NewSession err = %v; want ok=%v for both", c.name, err, serr, c.ok)
+			continue
+		}
+		if c.ok {
+			if b.LambdaMax <= 0 || b.QMax <= 0 {
+				t.Errorf("%s: bounds not positive: %+v", c.name, b)
+			}
+			continue
+		}
+		if !errors.Is(err, dpss.ErrInvalidOptions) || err.Error() != serr.Error() {
+			t.Errorf("%s: Bounds err = %v, want NewSession's ErrInvalidOptions %v", c.name, err, serr)
+		}
+		if b != (dpss.TheoremBounds{}) {
+			t.Errorf("%s: refused options returned bounds %+v", c.name, b)
+		}
 	}
 }
 
