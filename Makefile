@@ -24,6 +24,8 @@ GO ?= go
 # pairs on the tests' simplex model of P5, the merit-order solver's
 # oracle. BenchmarkSuiteTune is the tune family on one worker, the layer
 # above BenchmarkTuneEvaluate (one objective evaluation).
+# BenchmarkLookaheadMonth is the lookahead-window LP rung: EXT-5's
+# Lookahead(24) over a default month, the suite's longest job.
 # BenchmarkRouteGreedy (internal/geo) is a geo step's third layer: the
 # greedy router over an 8-site month on the pool. Beneath trace
 # generation sits the seeding rung in internal/rng: BenchmarkNewSource
@@ -31,7 +33,7 @@ GO ?= go
 # varying seeds an op, drawing once after each, and
 # BenchmarkAblationMathRandSource does the same on math/rand's own
 # source; cmd/perf gates their same-run ratio at 0.50.
-PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineDayLP|BenchmarkAblationOfflineHorizonLP|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkSuiteTune|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair|BenchmarkWriteExposition|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceGeneration|BenchmarkSessionSlot|BenchmarkSolveBest|BenchmarkPlanFine|BenchmarkRouteGreedy|BenchmarkNewSource|BenchmarkAblationMathRandSource
+PERF_BENCHES = BenchmarkDefaultsSimulation|BenchmarkAblationP5LP$$|BenchmarkAblationOfflineDayLP|BenchmarkAblationOfflineHorizonLP|BenchmarkLookaheadMonth|BenchmarkFleetDispatch|BenchmarkSuiteSequential|BenchmarkSuiteTune|BenchmarkGeoStep|BenchmarkTuneEvaluate|BenchmarkHorizonStair|BenchmarkWriteExposition|BenchmarkSnapshot|BenchmarkRestore|BenchmarkTraceGeneration|BenchmarkSessionSlot|BenchmarkSolveBest|BenchmarkPlanFine|BenchmarkRouteGreedy|BenchmarkNewSource|BenchmarkAblationMathRandSource
 PERF_PKGS = . ./internal/lp ./internal/serve ./internal/engine ./internal/core ./internal/geo ./internal/rng
 
 # Fuzzing budget for the `fuzz` target (CI smoke uses the default).
@@ -121,14 +123,22 @@ suite:
 # the bit pins beneath them — every generated trace, the cooled demand
 # and every policy's report (internal/engine), the whole-horizon and geo LP plans
 # (internal/baseline) — and the daemon's exposition and checkpoint bytes
-# with the refused version-1 checkpoint (internal/serve). Regenerate a
+# with the refused older checkpoint versions (internal/serve). Regenerate a
 # pin only for an intended output change, with -update on its package,
 # e.g.:
 #   go test ./internal/experiments -run TestSuiteGolden -update
-GOLDEN_PINS = TestGeneratedTracesPinned|TestCooledTracesPinned|TestReportsPinned|TestStaircasePlansPinned|TestFig6vOfflineDelayPinned|TestSuiteGolden|TestGoldenFilesComplete|TestEncodingsPinned|TestVersionOneCheckpointRefused
+# The target first lists the tests of GOLDEN_PKGS (go test -list) and
+# fails when a name in GOLDEN_PINS matches none of them, so a renamed
+# pin cannot drop out of the run unnoticed.
+GOLDEN_PINS = TestGeneratedTracesPinned|TestCooledTracesPinned|TestReportsPinned|TestStaircasePlansPinned|TestFig6vOfflineDelayPinned|TestSuiteGolden|TestGoldenFilesComplete|TestEncodingsPinned|TestOldCheckpointVersionsRefused
+GOLDEN_PKGS = ./internal/engine ./internal/baseline ./internal/experiments ./internal/serve
 
 golden:
-	$(GO) test -count=1 -run '^($(GOLDEN_PINS))$$' -v ./internal/engine ./internal/baseline ./internal/experiments ./internal/serve
+	@listed=$$($(GO) test -list '^($(GOLDEN_PINS))$$' $(GOLDEN_PKGS)) || exit 1; \
+	for pin in $$(echo '$(GOLDEN_PINS)' | tr '|' ' '); do \
+		echo "$$listed" | grep -qx "$$pin" || { echo "golden: $$pin matches no test in $(GOLDEN_PKGS)" >&2; exit 1; }; \
+	done
+	$(GO) test -count=1 -run '^($(GOLDEN_PINS))$$' -v $(GOLDEN_PKGS)
 
 # Per-package coverage floors (package:percent under internal/): the
 # suite engine, the generator fleet, the offline/lookahead baselines and

@@ -122,6 +122,26 @@ func benchOffline(b *testing.B, pol dpss.Policy) {
 	}
 }
 
+// BenchmarkLookaheadMonth measures the scenario suite's longest job,
+// EXT-5's Lookahead(24) over the default 31-day month: 744 receding
+// 24-slot window LPs and 31 interval LPs on the sparse revised simplex,
+// plus their replay. It is the lookahead-window rung of the LP ladder.
+func BenchmarkLookaheadMonth(b *testing.B) {
+	traces, err := dpss.GenerateTraces(dpss.DefaultTraceConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := dpss.DefaultOptions()
+	opts.LookaheadWindow = 24
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dpss.Simulate(dpss.PolicyLookahead, opts, traces); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblationOfflineAnnualLP measures the year-long (8760-slot)
 // whole-horizon LP — the scale the sparse revised simplex exists for.
 // A dense-tableau counterpart is deliberately absent: the chain form's

@@ -67,6 +67,9 @@ var gated = map[string]float64{
 	"BenchmarkFleetDispatch":            1.10,
 	"BenchmarkAblationP5LP":             1.10,
 	"BenchmarkAblationOfflineHorizonLP": 1.10,
+	// The lookahead-window rung: a month of receding window LPs on two
+	// reused solvers, whose buffers stop growing after the first windows.
+	"BenchmarkLookaheadMonth": 1.10,
 	// The geo fan-out gate: allocations are proportional to site count
 	// (setup only), with zero allocations in a site's per-slot step.
 	// A regression that allocates per slot multiplies allocs/op by the

@@ -1,6 +1,9 @@
 package baseline
 
-import "github.com/smartdpss/smartdpss/internal/trace"
+import (
+	"github.com/smartdpss/smartdpss/internal/sim"
+	"github.com/smartdpss/smartdpss/internal/trace"
+)
 
 // IntervalLP solves the interval LP OfflineOptimal plans the n slots
 // from start with, entered with battery level b0 and backlog q0, and
@@ -12,4 +15,33 @@ func IntervalLP(cfg Config, set *trace.Set, start, n int, b0, q0 float64) (objec
 	st.addStairBlock(prob, cfg, set, stairWindow{start: start, n: n, b0: b0, q0: q0}, nil)
 	sol, err := st.solve(prob)
 	return sol.Objective, sol.Iterations, err
+}
+
+// LookaheadFallbacks replays Lookahead(window) over set under the
+// session configuration sc and counts the slots whose window LP erred,
+// where PlanFine falls back to its myopic decision. It returns the
+// replayed report as well.
+func LookaheadFallbacks(cfg Config, sc sim.Config, set *trace.Set, window int) (int, *sim.Report, error) {
+	l, err := NewLookahead(cfg, set, window)
+	if err != nil {
+		return 0, nil, err
+	}
+	c := &countingLookahead{Lookahead: l}
+	rep, err := sim.Run(sc, set, c)
+	return c.fallbacks, rep, err
+}
+
+// countingLookahead is a Lookahead that counts its myopic fallbacks.
+type countingLookahead struct {
+	*Lookahead
+	fallbacks int
+}
+
+func (c *countingLookahead) PlanFine(obs *sim.FineObs) sim.Decision {
+	dec, err := c.solveWindow(obs)
+	if err != nil {
+		c.fallbacks++
+		return c.Lookahead.PlanFine(obs)
+	}
+	return dec
 }

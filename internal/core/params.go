@@ -91,9 +91,14 @@ func (p Params) UMax() float64 {
 }
 
 // LambdaMax is the worst-case delay bound of Theorem 2(4) in slots:
-// λmax = ⌈(2V·Pmax/T + Ddtmax + ε)/ε⌉.
+// λmax = ⌈(2V·Pmax/T + Ddtmax + ε)/ε⌉, saturated at math.MaxInt when it
+// does not fit an int, as it does not for a tiny ε such as 1e-18.
 func (p Params) LambdaMax() int {
-	return int(math.Ceil((2*p.V*p.PmaxUSD/float64(p.T) + p.DdtMaxMWh + p.Epsilon) / p.Epsilon))
+	l := math.Ceil((2*p.V*p.PmaxUSD/float64(p.T) + p.DdtMaxMWh + p.Epsilon) / p.Epsilon)
+	if !(l < math.MaxInt) { // float64(math.MaxInt) rounds up to 2⁶³
+		return math.MaxInt
+	}
+	return int(l)
 }
 
 // VMax is the largest V for which Theorem 2's battery-bound argument

@@ -686,9 +686,11 @@ func newController(policy Policy, opts Options, traces *Traces) (sim.Controller,
 // given options: the backlog bound Qmax, delay-queue bound Ymax, their sum
 // Umax, the worst-case delay λmax (slots) and Vmax.
 type TheoremBounds struct {
-	QMax      float64
-	YMax      float64
-	UMax      float64
+	QMax float64
+	YMax float64
+	UMax float64
+	// LambdaMax is λmax in slots, saturated at math.MaxInt when the
+	// bound does not fit an int (a tiny Epsilon, such as 1e-18).
 	LambdaMax int
 	VMax      float64
 }

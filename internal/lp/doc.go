@@ -55,6 +55,37 @@
 // bound flip: the column changes bound and no basis change happens).
 // Bound flips count against the pivot budget.
 //
+// Pricing reads an eligible set, a bitset of the columns that may enter
+// (nonbasic, not fixed at zero, reduced cost past costTol = 1e-9 in the
+// improving direction). Every write to a reduced cost or a column
+// status updates its bit: the full recompute of the duals, the
+// per-pivot update over the pivot row's support, and a bound flip. A
+// pricing pass visits only the set bits, in column order, with the
+// same segments, rotor, devex score and lowest-column tie-break as a
+// scan of every column, so the set changes which columns are visited,
+// never which one enters.
+//
+// Confirmation. Before any terminal status the solver refactorizes,
+// recomputes the basic values and duals, and prices again (see Sparse
+// kernels). In phase 2 that pricing treats a column whose fresh reduced
+// cost lies within its own round-off,
+//
+//	|d_j| ≤ costTol·(1 + |c_j| + Σ_i |y_i·a_ij|),
+//
+// as priced out: it does not enter. Without the rule two columns at
+// d ≈ −1.05e−9, just past the absolute costTol, took turns entering with
+// real steps after each refresh; every step made progress, so the stall
+// counter never reached Bland's rule, and every pivot cost a
+// refactorization until the pivot budget ran out (a Lookahead(24)
+// window LP at seed 2000007, and a cost-cut staircase LP in the fuzz
+// corpus). Bland's rule alone would not stop it, since both columns stay
+// eligible. The rule reads only the pricing right after a confirmation
+// refresh, so a solve whose fresh pricing finds nothing, the usual case,
+// cannot move. Over the paper, ext, provision, fleet and tune families
+// at the seeds 1 + k·1,000,003 (k = 0…5), with geo and annual at seed 1
+// (15,250 solves), that window was the only solve that priced again
+// after a confirmation refresh.
+//
 // # Numerical trouble and the residual check
 //
 // Before an Optimal answer leaves Solver.Solve, its recovered values are
@@ -114,6 +145,26 @@
 // not the nonbasic-at-upper-bound set, so it cannot seed a
 // bounded-variable solve.
 //
+// # Start reuse
+//
+// What a Solver does keep is the cold start itself. The crash basis and
+// its first factorization depend on the constraint matrix alone — its
+// CSC arrays, which columns are slacks, and the row order the crash
+// walks — never on costs, bounds or right-hand sides. Lookahead's
+// receding windows repeat one matrix solve after solve with new data
+// (747 of Lookahead(24)'s 775 solves over a month), so a Solver saves
+// the crash basis and first factors of a matrix once two consecutive
+// solves share its 64-bit fingerprint, and restores them, instead of
+// running crash and factorize, after an exact compare of the CSC arrays
+// and the crash's row order finds the same matrix bit for bit. That is
+// a replay of the cold start the solve would compute, not a warm start:
+// the solve then runs its own phase 1 and phase 2 from that basis,
+// with fresh pricing state, so a reused Solver matches a fresh one bit
+// for bit in values, objective and iteration count
+// (TestSolverStartReuseMatchesFresh), and no golden moves. Saving only
+// on a repeated fingerprint keeps one-off matrices (the whole-horizon
+// and annual LPs) from copying their factors.
+//
 // # Sparse kernels
 //
 // A dense tableau costs O(rows·cols) per pivot and memory regardless of
@@ -143,7 +194,9 @@
 //     incrementally from each pivot's sparse delta (recomputed from
 //     scratch at refactorizations, phase switches and staleness events).
 //     Before any terminal status the solver refactorizes, rescans and
-//     reprices once, so incremental drift cannot produce a wrong answer.
+//     reprices once, so incremental drift cannot produce a wrong answer;
+//     that pricing passes over reduced costs within their own round-off
+//     (see Confirmation above).
 //
 // Whole-horizon solve time therefore grows near-linearly with the
 // horizon on the staircase LPs: measured on the synthetic horizon

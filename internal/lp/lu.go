@@ -134,7 +134,49 @@ type basisLU struct {
 // nonsingularity without aborting the solve; the caller observes the
 // patch through lu.deficient and rs's updated statuses.
 func (lu *basisLU) factorize(rs *revised) {
-	m := rs.m
+	lu.reset(rs.m)
+	lu.sortByColumnNnz(rs)
+	for _, pos := range lu.order {
+		lu.factorColumn(rs, int(pos))
+	}
+	lu.buildTransposes()
+	lu.nfactor++
+}
+
+// restoreFactors installs factors that copyFactors saved from an
+// earlier factorize, leaving lu as that factorize left it.
+func (lu *basisLU) restoreFactors(src *basisLU) {
+	lu.reset(src.m)
+	lu.copyFactors(src)
+	lu.nfactor++
+}
+
+// copyFactors copies into lu what factorize computes: the L and U
+// factors and their transposed adjacency.
+func (lu *basisLU) copyFactors(src *basisLU) {
+	lu.m, lu.nk, lu.deficient = src.m, src.nk, src.deficient
+	lu.lstart = append(lu.lstart[:0], src.lstart...)
+	lu.lrow = append(lu.lrow[:0], src.lrow...)
+	lu.lval = append(lu.lval[:0], src.lval...)
+	lu.ustart = append(lu.ustart[:0], src.ustart...)
+	lu.urow = append(lu.urow[:0], src.urow...)
+	lu.uval = append(lu.uval[:0], src.uval...)
+	lu.udiag = append(lu.udiag[:0], src.udiag...)
+	lu.prow = append(lu.prow[:0], src.prow...)
+	lu.pcol = append(lu.pcol[:0], src.pcol...)
+	lu.kOfRow = append(lu.kOfRow[:0], src.kOfRow...)
+	lu.kOfPos = append(lu.kOfPos[:0], src.kOfPos...)
+	lu.utStart = append(lu.utStart[:0], src.utStart...)
+	lu.utK = append(lu.utK[:0], src.utK...)
+	lu.utV = append(lu.utV[:0], src.utV...)
+	lu.ltStart = append(lu.ltStart[:0], src.ltStart...)
+	lu.ltK = append(lu.ltK[:0], src.ltK...)
+	lu.ltV = append(lu.ltV[:0], src.ltV...)
+}
+
+// reset empties the factors and the eta file and sizes the scratch for
+// an m-row basis, restoring its all-zero invariants.
+func (lu *basisLU) reset(m int) {
 	lu.m = m
 	lu.nk = 0
 	lu.neta = 0
@@ -168,19 +210,10 @@ func (lu *basisLU) factorize(rs *revised) {
 	lu.stack = scratch.For(lu.stack, m)
 	lu.si = scratch.For(lu.si, m)
 	lu.topo = lu.topo[:0]
-	lu.tk = scratch.For(lu.tk, m)
-
-	lu.sortByColumnNnz(rs)
-
-	for _, pos := range lu.order {
-		lu.factorColumn(rs, int(pos))
-	}
-
-	lu.buildTransposes()
 	lu.topo2 = lu.topo2[:0]
+	lu.tk = scratch.For(lu.tk, m)
 	lu.cs = scratch.Zeroed(lu.cs, m)
 	lu.tks = scratch.Zeroed(lu.tks, m)
-	lu.nfactor++
 }
 
 // buildTransposes derives the transposed adjacency of the U and L

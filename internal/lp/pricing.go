@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Devex reference-framework pricing for the sparse revised simplex
 // (Forrest & Goldfarb's approximate steepest edge). Each priced column
@@ -25,13 +28,14 @@ func (rs *revised) resetDevexWeights() {
 	rs.gammaMax = 1
 }
 
-// recomputeDuals rebuilds the maintained reduced costs from scratch for
-// the given phase: cB from the composite violation signs (phase 1) or
-// the true costs (phase 2), one dense btran for y, then one pass over
-// every priced column. Called at solve start, after refactorizations,
-// on phase switches and whenever the incremental updates are flagged
-// stale — an amortized O(m + nnz + n) complement to the per-pivot
-// updates in updateDualsDevex.
+// recomputeDuals rebuilds the maintained reduced costs, and the
+// eligible set with them, from scratch for the given phase: cB from the
+// composite violation signs (phase 1) or the true costs (phase 2), one
+// dense btran for y, then one pass over every priced column. Called at
+// solve start, after refactorizations, on phase switches and whenever
+// the incremental updates are flagged stale — an amortized
+// O(m + nnz + n) complement to the per-pivot updates in
+// updateDualsDevex.
 func (rs *revised) recomputeDuals(phase1 bool) {
 	for i := 0; i < rs.m; i++ {
 		if phase1 {
@@ -49,38 +53,79 @@ func (rs *revised) recomputeDuals(phase1 bool) {
 			d += rs.cost[j]
 		}
 		rs.d[j] = d
+		rs.markEligible(j)
 	}
 	rs.dPhase1 = phase1
 	rs.dStale = false
 }
 
-// priceEnter selects the entering column from the maintained reduced
-// costs. In the normal mode it scans rotating fixed-size segments of the
-// column range and takes the best devex score d²/γ of the first segment
-// holding any eligible column; in Bland mode (anti-cycling) it takes the
-// lowest-numbered eligible column. Both are deterministic. The returned
-// d is the reduced cost (negative for an at-lower entry, positive for
-// at-upper); q is -1 when no column is eligible.
-func (rs *revised) priceEnter(bland bool) (int, float64) {
-	eligible := func(j int) (float64, bool) {
-		st := rs.status[j]
-		if st == inBasis || rs.ub[j] == 0 {
-			return 0, false
-		}
-		d := rs.d[j]
-		if st == nbLower {
-			if d < -costTol {
-				return d, true
-			}
-		} else if d > costTol {
-			return d, true
-		}
-		return 0, false
+// eligible reports whether column j may enter: it is nonbasic, not fixed
+// at zero, and its reduced cost improves the objective from the bound
+// it sits at by more than costTol.
+func (rs *revised) eligible(j int) bool {
+	st := rs.status[j]
+	if st == inBasis || rs.ub[j] == 0 {
+		return false
 	}
+	if st == nbLower {
+		return rs.d[j] < -costTol
+	}
+	return rs.d[j] > costTol
+}
+
+// markEligible brings column j's bit in the eligible set in step with
+// its reduced cost and status. Every write to d or to a priced column's
+// status calls it: recomputeDuals, updateDualsDevex and applyFlip.
+func (rs *revised) markEligible(j int) {
+	w, b := j>>6, uint64(1)<<(uint(j)&63)
+	if rs.eligible(j) {
+		rs.elig[w] |= b
+	} else {
+		rs.elig[w] &^= b
+	}
+}
+
+// nextEligible returns the first eligible column in [j, hi), or hi when
+// there is none.
+func (rs *revised) nextEligible(j, hi int) int {
+	for j < hi {
+		if w := rs.elig[j>>6] >> (uint(j) & 63); w != 0 {
+			return min(j+bits.TrailingZeros64(w), hi)
+		}
+		j = (j | 63) + 1
+	}
+	return hi
+}
+
+// withinRoundoff reports whether column j's reduced cost lies within its
+// own round-off, |d_j| ≤ costTol·(1 + |c_j| + Σ_i |y_i·a_ij|): costTol
+// relative to the magnitudes of the terms d_j = c_j − yᵀA_j sums. Only
+// the confirmation pricing after a refresh asks (phase 2, y fresh from
+// recomputeDuals); such a column counts as zero there and does not
+// enter.
+func (rs *revised) withinRoundoff(j int) bool {
+	s := 1 + math.Abs(rs.cost[j])
+	for i := rs.colStart[j]; i < rs.colStart[j+1]; i++ {
+		s += math.Abs(rs.y[rs.colRow[i]] * rs.colVal[i])
+	}
+	return math.Abs(rs.d[j]) <= costTol*s
+}
+
+// priceEnter selects the entering column from the eligible set. In the
+// normal mode it scans rotating fixed-size segments of the column range
+// and takes the best devex score d²/γ of the first segment holding any
+// eligible column, ties to the lowest column; in Bland mode
+// (anti-cycling) it takes the lowest-numbered eligible column. With
+// confirm set — the pricing right after a confirmation refresh in
+// phase 2 — a column whose reduced cost lies within its own round-off
+// (withinRoundoff) is passed over. All modes are deterministic. The
+// returned d is the reduced cost (negative for an at-lower entry,
+// positive for at-upper); q is -1 when no column qualifies.
+func (rs *revised) priceEnter(bland, confirm bool) (int, float64) {
 	if bland {
-		for j := 0; j < rs.n; j++ {
-			if d, ok := eligible(j); ok {
-				return j, d
+		for j := rs.nextEligible(0, rs.n); j < rs.n; j = rs.nextEligible(j+1, rs.n) {
+			if !confirm || !rs.withinRoundoff(j) {
+				return j, rs.d[j]
 			}
 		}
 		return -1, 0
@@ -102,21 +147,20 @@ func (rs *revised) priceEnter(bland bool) (int, float64) {
 	for s := 0; s < nseg; s++ {
 		si := (rs.rotor + s) % nseg
 		lo := si * seg
-		hi := lo + seg
-		if hi > rs.n {
-			hi = rs.n
-		}
-		bestJ, bestD, bestS := -1, 0.0, 0.0
-		for j := lo; j < hi; j++ {
-			if d, ok := eligible(j); ok {
-				if sc := d * d / rs.gamma[j]; sc > bestS {
-					bestJ, bestD, bestS = j, d, sc
-				}
+		hi := min(lo+seg, rs.n)
+		bestJ, bestS := -1, 0.0
+		for j := rs.nextEligible(lo, hi); j < hi; j = rs.nextEligible(j+1, hi) {
+			if confirm && rs.withinRoundoff(j) {
+				continue
+			}
+			d := rs.d[j]
+			if sc := d * d / rs.gamma[j]; sc > bestS {
+				bestJ, bestS = j, sc
 			}
 		}
 		if bestJ >= 0 {
 			rs.rotor = si
-			return bestJ, bestD
+			return bestJ, rs.d[bestJ]
 		}
 	}
 	return -1, 0
@@ -167,11 +211,12 @@ func (rs *revised) priceRow(row int32) {
 }
 
 // updateDualsDevex applies the pivot's rank-one update to the maintained
-// reduced costs and devex weights over the pivot row's support, then
-// clears the alpha/rho scratch. Runs after applyPivot (statuses already
-// reflect the new basis), with the pre-pivot reduced cost dq of the
-// entering column, the pivot element arq, the leaving column lv and the
-// pre-pivot feasibility sign sgnR of the pivot position. The update
+// reduced costs, their eligible bits and the devex weights over the
+// pivot row's support, then clears the alpha/rho scratch. Runs after
+// applyPivot (statuses already reflect the new basis), with the
+// pre-pivot reduced cost dq of the entering column, the pivot element
+// arq, the leaving column lv and the pre-pivot feasibility sign sgnR of
+// the pivot position. The update
 // assumes the leaving variable exits at a bound with cost replacement
 // d_q/α_rq — exactly the transition the ratio test constructs; landings
 // outside a bound are flagged stale elsewhere.
@@ -194,6 +239,7 @@ func (rs *revised) updateDualsDevex(q, r int, dq, arq float64, lv int32, sgnR in
 			continue
 		}
 		rs.d[j] -= ratio * a
+		rs.markEligible(int(j))
 		if g := a * a * gscale; g > rs.gamma[j] {
 			rs.gamma[j] = g
 			if g > rs.gammaMax {
@@ -202,12 +248,14 @@ func (rs *revised) updateDualsDevex(q, r int, dq, arq float64, lv int32, sgnR in
 		}
 	}
 	rs.d[q] = 0
+	rs.markEligible(q)
 	if int(lv) < rs.n {
 		dlv := -ratio
 		if rs.dPhase1 {
 			dlv -= float64(sgnR)
 		}
 		rs.d[lv] = dlv
+		rs.markEligible(int(lv))
 		g := gscale
 		if g < 1 {
 			g = 1

@@ -64,6 +64,7 @@ type revised struct {
 	// feasibility signs of every basis position. All of it is rebuilt by
 	// build/rescan, so nothing leaks across solves.
 	d        []float64 // reduced costs, updated from each pivot row
+	elig     []uint64  // bitset of the columns eligible to enter, kept in step with d and status
 	gamma    []float64 // devex reference weights
 	gammaMax float64   // largest weight since the last framework reset
 	dPhase1  bool      // phase the maintained duals price
@@ -197,6 +198,7 @@ func (rs *revised) build(sf *standardForm) {
 	rs.alphaIdx = rs.alphaIdx[:0]
 	rs.amark = scratch.Zeroed(rs.amark, n)
 	rs.d = scratch.For(rs.d, n)
+	rs.elig = scratch.Zeroed(rs.elig, (n+63)/64)
 	rs.gamma = scratch.For(rs.gamma, n)
 	rs.resetDevexWeights()
 	rs.dPhase1 = false
@@ -408,7 +410,7 @@ func (rs *revised) ratioTest(q int, dir float64, phase1 bool) (theta float64, r 
 
 // applyFlip moves the entering column to its opposite bound without a
 // basis change, updating the basic values, feasibility signs and the
-// effective rhs over the ftran pattern.
+// effective rhs over the ftran pattern, and the column's eligible bit.
 func (rs *revised) applyFlip(q int, dir float64) {
 	ubq := rs.ub[q]
 	if rs.wSparse {
@@ -433,6 +435,7 @@ func (rs *revised) applyFlip(q int, dir float64) {
 		rs.status[q] = nbLower
 		rs.addColTimes(int32(q), ubq, rs.beff)
 	}
+	rs.markEligible(q)
 }
 
 // applyPivot executes the basis change: basic values move by θ along the
@@ -528,13 +531,19 @@ func (rs *revised) refresh() bool {
 // hyper-sparse. Before declaring any terminal status the loop
 // refactorizes and recomputes everything once ("fresh confirmation"), so
 // accumulated drift can never produce a wrong Optimal, Infeasible or
-// Unbounded answer.
+// Unbounded answer. The pricing right after such a refresh, in phase 2,
+// passes over a column whose fresh reduced cost lies within its own
+// round-off (withinRoundoff), so two columns at a reduced cost of about
+// −costTol cannot take turns entering, one refresh per pivot.
+//
+// The crash basis and its first factorization come from
+// Solver.startBasis, restored when the matrix repeats a saved one bit
+// for bit (see coldStart).
 func (s *Solver) simplex() (Solution, error) {
 	sf := &s.sf
 	rs := &s.rev
 	rs.build(sf)
-	rs.crash(sf)
-	rs.lu.factorize(rs)
+	s.startBasis()
 	if !rs.refreshXB() {
 		return Solution{}, ErrNumerical
 	}
@@ -544,7 +553,8 @@ func (s *Solver) simplex() (Solution, error) {
 
 	pivots := 0
 	stall := 0
-	fresh := true // factors fresh and state rescanned since the last pivot
+	fresh := true    // factors fresh and state rescanned since the last pivot
+	confirm := false // refreshed to confirm a terminal status since the last pivot
 	for {
 		if pivots >= maxIter || stall > 8*stallWin {
 			return Solution{}, ErrIterLimit
@@ -562,13 +572,13 @@ func (s *Solver) simplex() (Solution, error) {
 		if rs.dStale || rs.dPhase1 != phase1 {
 			rs.recomputeDuals(phase1)
 		}
-		q, d := rs.priceEnter(stall >= stallWin)
+		q, d := rs.priceEnter(stall >= stallWin, confirm && !phase1)
 		if q < 0 {
 			if !fresh {
 				if !rs.refresh() {
 					return Solution{}, ErrNumerical
 				}
-				fresh = true
+				fresh, confirm = true, true
 				continue
 			}
 			if rs.ninf > 0 {
@@ -597,7 +607,7 @@ func (s *Solver) simplex() (Solution, error) {
 				if !rs.refresh() {
 					return Solution{}, ErrNumerical
 				}
-				fresh = true
+				fresh, confirm = true, true
 				continue
 			}
 			return Solution{Status: Unbounded, Iterations: pivots}, nil
@@ -615,7 +625,7 @@ func (s *Solver) simplex() (Solution, error) {
 			rs.updateDualsDevex(q, r, d, arq, lv, sgnR)
 		}
 		rs.clearW()
-		fresh = false
+		fresh, confirm = false, false
 		if progress*math.Abs(d) > improveE {
 			stall = 0
 		} else {

@@ -5,9 +5,12 @@ package lp
 // solution vector — and reuses them across solves. Long sequences of
 // similar problems (the per-slot P5 instances, the per-interval and
 // receding-horizon baseline LPs) solve allocation-free once the buffers
-// have grown to the largest shape seen. Every solve runs cold: no basis
-// or pivot state carries from one solve to the next, so a reused Solver
-// reproduces a fresh one's pivot sequence.
+// have grown to the largest shape seen. Every solve runs cold: no pivot
+// state carries from one solve to the next. The one thing kept is the
+// cold start itself — the crash basis and first factorization of a
+// matrix that repeats bit for bit (coldStart), which that matrix's next
+// crash and factorize would compute again — so a reused Solver
+// reproduces a fresh one's pivot sequence bit for bit.
 //
 // A Solver is not safe for concurrent use. The Solution returned by Solve
 // borrows the solver's buffers and is valid only until the next solve;
@@ -15,6 +18,10 @@ package lp
 type Solver struct {
 	sf  standardForm
 	rev revised
+
+	start    coldStart // the saved cold start of a repeating matrix
+	lastKey  uint64    // the previous solve's matrix fingerprint
+	restored int       // solves that started from start; observability for tests
 
 	y    []float64 // standard-form solution scratch
 	vals []float64 // recovered variable values (borrowed by Solution)

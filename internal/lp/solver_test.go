@@ -178,3 +178,130 @@ func TestFeasibleRejectsInfeasiblePoints(t *testing.T) {
 		t.Errorf("feasible allocates %v times per call, want 0", n)
 	}
 }
+
+// storageLP is an h-slot storage dispatch LP in the shape of
+// Lookahead's window: per slot a purchase, a charge, a discharge, a
+// waste and a shortfall column, a balance row and two battery-level rows
+// over the growing prefix. Its matrix depends only on h, the charge
+// efficiency and which slot's charge column is fixed at zero (-1 for
+// none); its costs, bounds and right-hand sides are drawn from r, on a
+// coarse grid so ties are common, and no drawn bound fixes a column.
+type storageLP struct {
+	h     int
+	eff   float64
+	fixed int
+}
+
+func (g storageLP) build(r *rand.Rand) *Problem {
+	p := NewProblem()
+	inf := math.Inf(1)
+	b0 := math.Round(r.Float64()*8) / 4
+	level := make([]Term, 0, 2*g.h)
+	for i := 0; i < g.h; i++ {
+		buy := p.AddVariable("", 0, 0.25+math.Round(r.Float64()*12)/4, math.Round(r.Float64()*80)/4)
+		hiC := 1.0
+		if i == g.fixed {
+			hiC = 0
+		}
+		c := p.AddVariable("", 0, hiC, 0.5)
+		d := p.AddVariable("", 0, 1, 0.5)
+		waste := p.AddVariable("", 0, inf, 1)
+		short := p.AddVariable("", 0, inf, 100)
+		p.AddConstraint(EQ, math.Round(r.Float64()*12)/4-0.5,
+			Term{buy, 1}, Term{d, 1}, Term{short, 1}, Term{c, -1}, Term{waste, -1})
+		level = append(level, Term{c, g.eff}, Term{d, -1})
+		p.AddConstraint(GE, -b0, level...)
+		p.AddConstraint(LE, 2-b0, level...)
+	}
+	return p
+}
+
+// TestSolverStartReuseMatchesFresh holds the cold-start reuse to its
+// claim: one Solver runs a sequence of problems whose matrices repeat,
+// differ from the saved one in one coefficient's last bit, lose a column
+// to a fixed bound, or take a new shape, and every solve matches a fresh
+// Solver's — status, objective, iteration count and every value, bit for
+// bit. The sequence also pins when a start is reused: only after two
+// consecutive solves of one matrix saved it, and only for that matrix.
+func TestSolverStartReuseMatchesFresh(t *testing.T) {
+	a := storageLP{h: 6, eff: 0.9, fixed: -1}
+	lastBit := a
+	lastBit.eff = math.Nextafter(a.eff, 1)
+	fixed := a
+	fixed.fixed = 2
+	wider := a
+	wider.h = 7
+	seq := []struct {
+		g      storageLP
+		reused bool
+	}{
+		{a, false}, {a, false}, {a, true}, {a, true},
+		{lastBit, false}, {a, true},
+		{fixed, false}, {a, true},
+		{wider, false}, {wider, false}, {wider, true},
+		{a, false}, {a, false}, {a, true},
+	}
+	r := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 30; trial++ {
+		var s Solver
+		for k, step := range seq {
+			p := step.g.build(r)
+			var fresh Solver
+			want, werr := fresh.Solve(p)
+			before := s.restored
+			got, gerr := s.Solve(p)
+			if reused := s.restored > before; reused != step.reused {
+				t.Fatalf("trial %d step %d: start reused %v, want %v", trial, k, reused, step.reused)
+			}
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("trial %d step %d: fresh error %v, reused-solver error %v", trial, k, werr, gerr)
+			}
+			if werr != nil {
+				continue
+			}
+			if want.Status != got.Status || want.Iterations != got.Iterations ||
+				math.Float64bits(want.Objective) != math.Float64bits(got.Objective) {
+				t.Fatalf("trial %d step %d: fresh %v/%d/%v, reused solver %v/%d/%v", trial, k,
+					want.Status, want.Iterations, want.Objective, got.Status, got.Iterations, got.Objective)
+			}
+			for i := range p.NumVariables() {
+				if w, g := want.Value(VarID(i)), got.Value(VarID(i)); math.Float64bits(w) != math.Float64bits(g) {
+					t.Fatalf("trial %d step %d: value %d fresh %v, reused solver %v", trial, k, i, w, g)
+				}
+			}
+		}
+	}
+}
+
+// TestStartMatchesComparesExactly covers the compare that gates a
+// restore: a matrix one bit away from the saved one, or with a row's
+// terms in another order, is refused.
+func TestStartMatchesComparesExactly(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	g := storageLP{h: 4, eff: 0.9, fixed: -1}
+	var s Solver
+	for range 2 {
+		if _, err := s.Solve(g.build(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, rs := &s.start, &s.rev
+	if !st.ok || !st.matches(rs) {
+		t.Fatal("two solves of one matrix saved no start that matches it")
+	}
+	v := rs.colVal[3]
+	rs.colVal[3] = math.Nextafter(v, math.Inf(1))
+	if st.matches(rs) {
+		t.Error("a coefficient one bit off matched the saved start")
+	}
+	rs.colVal[3] = v
+	rcol := rs.sf.rcol
+	rcol[0], rcol[1] = rcol[1], rcol[0]
+	if st.matches(rs) {
+		t.Error("a row walked in another order matched the saved start")
+	}
+	rcol[0], rcol[1] = rcol[1], rcol[0]
+	if !st.matches(rs) {
+		t.Error("the restored matrix no longer matches")
+	}
+}

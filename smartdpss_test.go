@@ -216,6 +216,22 @@ func TestBounds(t *testing.T) {
 	if bigB.LambdaMax <= b.LambdaMax {
 		t.Error("LambdaMax must grow with V")
 	}
+	// A tiny ε, which sessions accept, puts λmax past every int: it
+	// saturates instead of wrapping to a negative delay.
+	for _, eps := range []float64{1e-18, 1e-300} {
+		tiny := opts
+		tiny.Epsilon = eps
+		if _, err := dpss.NewSession(dpss.PolicySmartDPSS, tiny, 1); err != nil {
+			t.Fatalf("ε = %g: NewSession: %v", eps, err)
+		}
+		tb, err := dpss.Bounds(tiny)
+		if err != nil {
+			t.Fatalf("ε = %g: %v", eps, err)
+		}
+		if tb.LambdaMax != math.MaxInt {
+			t.Errorf("ε = %g: LambdaMax = %d, want math.MaxInt", eps, tb.LambdaMax)
+		}
+	}
 }
 
 // TestBoundsRefusesWhatSessionsRefuse: Bounds accepts exactly the
